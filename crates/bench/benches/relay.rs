@@ -332,7 +332,7 @@ fn bench_chunked_catchup(c: &mut Criterion) {
                 assert_eq!(chunk.offset as usize, assembled.len());
                 assembled.extend(chunk.entries);
             }
-            let decoded = ZoneSnapshot::from_entries(
+            let decoded = ZoneSnapshot::from_ns_entries(
                 name("com"),
                 snap.serial(),
                 snap.taken_at(),
@@ -352,7 +352,8 @@ fn bench_chunked_catchup(c: &mut Criterion) {
         let chunk = decode_snapshot_chunk(frame).expect("decode chunk");
         assembled.extend(chunk.entries);
     }
-    let snapshot = ZoneSnapshot::from_entries(name("com"), snap.serial(), snap.taken_at(), assembled);
+    let snapshot =
+        ZoneSnapshot::from_ns_entries(name("com"), snap.serial(), snap.taken_at(), assembled);
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(snapshot.len(), entries);
     emit_metric("relay/catchup-500k/chunked_entries_per_sec", entries as f64 / secs);

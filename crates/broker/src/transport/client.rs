@@ -19,7 +19,7 @@ use darkdns_dns::wire::{
     SnapshotChunk, SnapshotResume, StatsReport, TldClaim, DELTA_ENVELOPE_MAGIC,
     EVICT_NOTICE_MAGIC, SNAPSHOT_CHUNK_MAGIC, SNAPSHOT_PUSH_MAGIC, WireError,
 };
-use darkdns_dns::{DomainName, Serial, ZoneSnapshot};
+use darkdns_dns::{DomainName, NsSet, Serial, ZoneSnapshot};
 use darkdns_registry::tld::TldId;
 use darkdns_sim::time::SimTime;
 use std::time::Duration;
@@ -58,7 +58,10 @@ pub struct SnapshotProgress {
     serial: Serial,
     taken_at: SimTime,
     total: u32,
-    entries: Vec<(DomainName, Vec<DomainName>)>,
+    /// Owners with the NS sets the chunk decoder handed out — shared
+    /// within each chunk, so a bootstrap in flight holds a handful of
+    /// `Arc`s per chunk, not one per entry.
+    entries: Vec<(DomainName, NsSet)>,
 }
 
 impl SnapshotProgress {
@@ -303,7 +306,7 @@ impl TransportClient {
         p.entries.extend(chunk.entries);
         if chunk.last {
             let p = self.partials.swap_remove(idx);
-            Ok(Some(ZoneSnapshot::from_entries(p.origin, p.serial, p.taken_at, p.entries)))
+            Ok(Some(ZoneSnapshot::from_ns_entries(p.origin, p.serial, p.taken_at, p.entries)))
         } else {
             Ok(None)
         }

@@ -48,7 +48,9 @@
 //! |        |                  | every bootstrap as a chunk train so a     |
 //! |        |                  | 500k-entry checkpoint stays under the     |
 //! |        |                  | frame bound and resumes mid-train on      |
-//! |        |                  | reconnect (never restarts from entry 0)   |
+//! |        |                  | reconnect (never restarts from entry 0);  |
+//! |        |                  | the train is encoded once per checkpoint  |
+//! |        |                  | and shared by every joiner (train cache)  |
 //! | `RZUD` | server → client  | TLD tag + embedded `RZU1` delta frame     |
 //! | `RZUE` | server → client  | evicted: reconnect with your claims       |
 //! | `RZUQ` | both             | stats round trip: bare magic queries, the |
@@ -74,6 +76,23 @@
 //! Delta frames are the shard's refcount-shared `RZU1` bytes written
 //! verbatim behind a 6-byte envelope header: publishing still encodes
 //! once per push, regardless of subscriber count.
+//!
+//! Bootstraps are encode-once too. The reactor keeps, per shard, the
+//! `RZUC` train of the checkpoint it last served at the server's default
+//! chunk size (the **train cache**: one train per shard, replaced when a
+//! newer checkpoint is served, no knob). A fresh joiner of that
+//! checkpoint, and a resume whose claimed entry count is a chunk
+//! boundary of that train — which is where a client cut mid-train always
+//! stands — is staged from refcount-shared clones of the cached frames:
+//! N concurrent joiners hold one copy of the bytes and none of them
+//! makes the single transport thread re-encode the zone. The tail of a
+//! train from one of its boundaries is byte-identical to a train encoded
+//! from that entry (chunks compress and pack independently), so the
+//! wire cannot tell the difference. A connection with its own frame
+//! bound (hence chunk size) or a resume off the cached boundaries (a
+//! client failing over from a replica configured differently) is
+//! encoded for that connection alone. [`ServerStats`]
+//! `snapshot_trains_encoded` counts encodes; it is in-process only.
 //!
 //! # Reconnection
 //!

@@ -49,9 +49,10 @@ use crate::broker::{BrokerMessage, BrokerSubscription, SubWaker, SubscribeMode};
 use bytes::Bytes;
 use darkdns_dns::wire::{
     decode_hello_frame, delta_envelope_header, encode_evict_notice, encode_snapshot_chunks,
-    encode_stats_report, is_stats_query, peek_delta_push_serials, HelloScope, SnapshotResume,
+    encode_stats_report, is_stats_query, peek_delta_push_serials, peek_snapshot_chunk_offset,
+    HelloScope, SnapshotResume,
 };
-use darkdns_dns::Serial;
+use darkdns_dns::{Serial, ZoneSnapshot};
 use darkdns_registry::tld::TldId;
 use crate::lockdep::{self, TrackedMutex};
 use mio_shim::{Epoll, Events, Interest, Token, WakeupFd};
@@ -113,8 +114,16 @@ pub(super) fn run(inner: Arc<ServerInner>) {
     if epoll.register(shared.wakeup.raw_fd(), Token(WAKE_TOKEN), Interest::READABLE).is_err() {
         return;
     }
-    Reactor { inner, shared, epoll, slots: Vec::new(), free: Vec::new(), completed: Vec::new() }
-        .run();
+    Reactor {
+        inner,
+        shared,
+        epoll,
+        slots: Vec::new(),
+        free: Vec::new(),
+        completed: Vec::new(),
+        trains: BTreeMap::new(),
+    }
+    .run();
 }
 
 enum Slot {
@@ -235,6 +244,17 @@ enum Composed {
     Terminal(Option<CloseWhy>),
 }
 
+/// One shard's bootstrap, already encoded: the `RZUC` train of the
+/// checkpoint this server last served at its default chunk size.
+struct CachedTrain {
+    /// The capture the chunks encode, held to recognise it again by
+    /// storage identity ([`ZoneSnapshot::same_capture`]) — normally the
+    /// very columns the broker's checkpoint holds, so no extra copy.
+    snapshot: ZoneSnapshot,
+    /// The whole train, from entry 0.
+    frames: Vec<Bytes>,
+}
+
 struct Reactor {
     inner: Arc<ServerInner>,
     shared: Arc<ReactorShared>,
@@ -243,6 +263,10 @@ struct Reactor {
     free: Vec<usize>,
     /// Scratch for flush completion records (reused across services).
     completed: Vec<CompletedFrame>,
+    /// Encode-once bootstraps: one cached train per shard, replaced when
+    /// a newer checkpoint is served. Reactor-thread state — every
+    /// connection is serviced here, so it needs no lock.
+    trains: BTreeMap<u16, CachedTrain>,
 }
 
 impl Reactor {
@@ -594,16 +618,16 @@ impl Reactor {
                     // chunk boundary. All chunks of one bootstrap stage
                     // together (the ring's byte cap gates admission of
                     // *further* messages, same backpressure the single
-                    // monolithic frame produced).
+                    // monolithic frame produced). The frames themselves
+                    // come from the per-shard train cache whenever they
+                    // can: see `snapshot_train`.
                     let start = conn
                         .resume
                         .remove(&tld.0)
                         .filter(|r| r.serial == snapshot.serial())
                         .map(|r| r.entries as usize)
                         .unwrap_or(0);
-                    let chunk_bytes =
-                        self.inner.config.snapshot_chunk_bytes.min(conn.max_frame / 2).max(512);
-                    let chunks = encode_snapshot_chunks(tld.0, &snapshot, start, chunk_bytes);
+                    let chunks = self.snapshot_train(tld.0, &snapshot, start, conn.max_frame);
                     let total = chunks.len();
                     let mut outcome = Composed::Staged;
                     for (i, chunk) in chunks.into_iter().enumerate() {
@@ -633,6 +657,66 @@ impl Reactor {
                 Composed::Terminal(why) => return why,
             }
         }
+    }
+
+    /// The chunk byte target for a connection whose frame bound is
+    /// `max_frame`: half the bound leaves headroom for the one-entry
+    /// overshoot `encode_snapshot_chunks` allows.
+    fn chunk_bytes_for(&self, max_frame: usize) -> usize {
+        self.inner.config.snapshot_chunk_bytes.min(max_frame / 2).max(512)
+    }
+
+    /// The `RZUC` frames that take a peer holding the first `start`
+    /// entries of `snapshot` to its end — encoded at most once per
+    /// checkpoint for the common case.
+    ///
+    /// Chunks are independently decodable and packed greedily from
+    /// their first entry, so the tail of a train from any of its chunk
+    /// boundaries is byte-identical to a train encoded from that entry.
+    /// The reactor therefore keeps, per shard, the whole train of the
+    /// checkpoint it last served at the server's default chunk size, and
+    /// every later bootstrap of that capture — and every resume that
+    /// lands on one of its chunk boundaries, which is where a client cut
+    /// mid-train always resumes — stages refcount-shared clones: N
+    /// joiners hold one copy, and none of them waits on an O(zone)
+    /// encode on the fleet's only transport thread. Anything else (a
+    /// connection with its own frame bound, hence its own chunk size; a
+    /// resume offset that is not a boundary of the cached train) is
+    /// encoded for that connection alone, as every bootstrap used to be.
+    ///
+    /// This is the only `encode_snapshot_chunks` call the transport may
+    /// contain (`docs/INVARIANTS.md` L4).
+    fn snapshot_train(
+        &mut self,
+        tld: u16,
+        snapshot: &ZoneSnapshot,
+        start: usize,
+        max_frame: usize,
+    ) -> Vec<Bytes> {
+        let chunk_bytes = self.chunk_bytes_for(max_frame);
+        let shareable = chunk_bytes == self.chunk_bytes_for(self.inner.config.max_frame_len);
+        if shareable {
+            let tail = self
+                .trains
+                .get(&tld)
+                .filter(|train| train.snapshot.same_capture(snapshot))
+                .and_then(|train| {
+                    let starts_here = |frame: &Bytes| {
+                        peek_snapshot_chunk_offset(frame).is_ok_and(|at| at as usize == start)
+                    };
+                    train.frames.get(train.frames.iter().position(starts_here)?..)
+                });
+            if let Some(tail) = tail {
+                return tail.to_vec();
+            }
+        }
+        let frames = encode_snapshot_chunks(tld, snapshot, start, chunk_bytes);
+        self.inner.stats.snapshot_trains_encoded.fetch_add(1, Ordering::Relaxed);
+        if shareable && start == 0 {
+            let train = CachedTrain { snapshot: snapshot.clone(), frames: frames.clone() };
+            self.trains.insert(tld, train);
+        }
+        frames
     }
 
     /// Stage one protocol frame, consulting the connection's fault

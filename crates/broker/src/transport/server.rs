@@ -104,6 +104,11 @@ pub struct ServerStats {
     pub coalesced_frames: u64,
     /// `RZUQ` stats queries answered (scrape connections).
     pub stats_queries: u64,
+    /// `RZUC` chunk trains encoded — cache fills plus bootstraps the
+    /// per-shard train cache could not serve (own chunk size,
+    /// off-boundary resume). N joiners of one checkpoint move this by
+    /// one. In-process only: not part of the `RZUQ` wire report.
+    pub snapshot_trains_encoded: u64,
 }
 
 #[derive(Default)]
@@ -118,6 +123,7 @@ pub(super) struct StatsInner {
     pub(super) coalesced_writes: AtomicU64,
     pub(super) coalesced_frames: AtomicU64,
     pub(super) stats_queries: AtomicU64,
+    pub(super) snapshot_trains_encoded: AtomicU64,
 }
 
 /// One live subscriber connection's stats surface: what the `RZUQ`
@@ -260,6 +266,7 @@ impl BrokerServer {
             coalesced_writes: s.coalesced_writes.load(Ordering::Relaxed),
             coalesced_frames: s.coalesced_frames.load(Ordering::Relaxed),
             stats_queries: s.stats_queries.load(Ordering::Relaxed),
+            snapshot_trains_encoded: s.snapshot_trains_encoded.load(Ordering::Relaxed),
         }
     }
 

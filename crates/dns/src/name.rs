@@ -247,13 +247,24 @@ impl DomainName {
     }
 
     /// Build a name from labels, most-specific first (`["www","example","com"]`).
+    /// A label containing a dot is rejected rather than silently split
+    /// into several labels.
     pub fn from_labels<I, S>(labels: I) -> Result<Self, NameError>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let joined =
-            labels.into_iter().map(|l| l.as_ref().to_owned()).collect::<Vec<_>>().join(".");
+        let mut joined = String::new();
+        for label in labels {
+            let label = label.as_ref();
+            if label.contains('.') {
+                return Err(NameError::BadCharacter('.'));
+            }
+            if !joined.is_empty() {
+                joined.push('.');
+            }
+            joined.push_str(label);
+        }
         DomainName::parse(&joined)
     }
 
@@ -264,9 +275,10 @@ impl DomainName {
 
     /// The canonical spelling: empty for the root, otherwise the lowercase
     /// dotted name. (Internal: the public form is [`DomainName::as_str`],
-    /// which renders the root as `"."`.)
+    /// which renders the root as `"."`.) The wire encoder keys its
+    /// compression table on suffixes of this string.
     #[inline]
-    fn raw(&self) -> &str {
+    pub(crate) fn raw(&self) -> &str {
         if self.tag == TAG_INTERNED {
             let id = u32::from_le_bytes(self.data[..4].try_into().expect("4 id bytes"));
             NameTable::global().resolve(id)
@@ -588,6 +600,8 @@ mod tests {
         let n = DomainName::from_labels(["www", "example", "com"]).unwrap();
         assert_eq!(n.as_str(), "www.example.com");
         assert_eq!(DomainName::from_labels(Vec::<&str>::new()).unwrap(), DomainName::root());
+        // A dotted "label" must not smuggle in extra label boundaries.
+        assert_eq!(DomainName::from_labels(["a.b", "com"]), Err(NameError::BadCharacter('.')));
     }
 
     // ---- interner-specific coverage ----

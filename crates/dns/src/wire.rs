@@ -18,9 +18,42 @@
 //! `docs/INVARIANTS.md` (L2) and enforced by `darkdns-lint`; the decode
 //! path is also panic-free (L3) — hostile input produces `WireError`,
 //! never an abort.
+//!
+//! # Name codec: allocation-free, byte-identical
+//!
+//! Every message family here — `Message`, `RZU1`, `RZUS`, `RZUC`,
+//! `RZUL` — spells names through one `Encoder::name` / `Decoder::name`
+//! pair, so their cost is per-name overhead times hundreds of thousands
+//! of names per bootstrap:
+//!
+//! * **Encode** walks the name's presentation string suffix by suffix
+//!   against a compression table keyed on `&str` slices *borrowed from
+//!   the names being encoded* — no label vector, no joined suffix
+//!   string, no owned keys. The wire rules are unchanged: a suffix
+//!   becomes a pointer to its first occurrence, and an occurrence that
+//!   starts past offset 0x3FFF is never a pointer target.
+//! * **Decode** assembles the presentation form in a stack buffer and
+//!   hands it to [`DomainName::parse`] (inline names never touch the
+//!   allocator). A wire label containing `.` is rejected: it would
+//!   otherwise re-parse as several labels, giving one name two
+//!   encodings.
+//! * **NS sets** decode through a per-frame memo. The wire bytes of a
+//!   set are a context-free function of the frame (labels are literal,
+//!   pointer targets absolute), so they key a shared [`NsSet`]: a
+//!   repeated set — two 2-byte pointers per host, typically — is found
+//!   by skipping over it, and a 100k-entry bootstrap holds a couple of
+//!   `Arc`s per distinct provider set and chunk instead of 100k private
+//!   ones. The memo borrows from the frame and holds at most one entry
+//!   per NS set the frame spells: it is bounded by the bytes it
+//!   indexes, never by a decoded count.
+//!
+//! `tests/wire_golden.rs` pins the encoders to the bytes of the previous
+//! (`String`-keyed) implementation; `tests/alloc_budget.rs` pins the
+//! allocation counts.
 
 use crate::diff::{NsChange, ZoneDelta};
-use crate::name::DomainName;
+use crate::hash::FxBuildHasher;
+use crate::name::{DomainName, NameError};
 use crate::record::{RData, RecordClass, RecordType, ResourceRecord, SoaData};
 use crate::serial::Serial;
 use crate::zone::NsSet;
@@ -219,7 +252,7 @@ impl Message {
 
     /// Decode from wire format. The entire buffer must be consumed.
     pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
-        let mut dec = Decoder { bytes, pos: 0 };
+        let mut dec = Decoder::new(bytes);
         let (header, counts) = dec.header()?;
         // The qdcount is untrusted: every question costs at least one
         // wire byte, so a count the rest of the buffer cannot hold is a
@@ -248,15 +281,25 @@ impl Message {
     }
 }
 
-struct Encoder {
+/// `'a` is the lifetime of the names being encoded: the compression
+/// table borrows its keys from them.
+struct Encoder<'a> {
     buf: BytesMut,
-    /// Suffix (presentation form) -> offset of its first encoding.
-    compression: HashMap<String, u16>,
+    /// Suffix (presentation form) -> offset of its first encoding. Fx:
+    /// the keys are this process's own zone state, as for every
+    /// name-keyed map in the crate.
+    compression: HashMap<&'a str, u16, FxBuildHasher>,
 }
 
-impl Encoder {
+impl<'a> Encoder<'a> {
     fn new() -> Self {
-        Encoder { buf: BytesMut::with_capacity(512), compression: HashMap::new() }
+        Encoder { buf: BytesMut::with_capacity(512), compression: HashMap::default() }
+    }
+
+    /// Start the next frame, keeping both allocations.
+    fn reset(&mut self) {
+        self.buf.clear();
+        self.compression.clear();
     }
 
     fn header(&mut self, msg: &Message) {
@@ -288,12 +331,12 @@ impl Encoder {
     }
 
     /// Encode a name, emitting a compression pointer to the longest
-    /// previously-encoded suffix.
-    fn name(&mut self, name: &DomainName) {
-        let labels = name.labels();
-        for i in 0..labels.len() {
-            let suffix = labels[i..].join(".");
-            if let Some(&offset) = self.compression.get(&suffix) {
+    /// previously-encoded suffix. Allocation-free apart from table
+    /// growth: each suffix is a slice of the name's own spelling.
+    fn name(&mut self, name: &'a DomainName) {
+        let mut suffix: &'a str = name.raw();
+        while !suffix.is_empty() {
+            if let Some(&offset) = self.compression.get(suffix) {
                 self.buf.put_u16(0xC000 | offset);
                 return;
             }
@@ -302,16 +345,17 @@ impl Encoder {
             if here <= 0x3FFF {
                 self.compression.insert(suffix, here as u16);
             }
-            let label = labels[i].as_bytes();
+            let (label, rest) = suffix.split_once('.').unwrap_or((suffix, ""));
             debug_assert!(label.len() <= 63);
             self.buf.put_u8(label.len() as u8);
-            self.buf.put_slice(label);
+            self.buf.put_slice(label.as_bytes());
+            suffix = rest;
         }
         self.buf.put_u8(0);
     }
 
     /// Encode an NS set as a u16 count followed by the host names.
-    fn ns_set(&mut self, ns: &NsSet) {
+    fn ns_set(&mut self, ns: &'a NsSet) {
         debug_assert!(ns.len() <= u16::MAX as usize);
         self.buf.put_u16(ns.len() as u16);
         for host in ns {
@@ -319,7 +363,7 @@ impl Encoder {
         }
     }
 
-    fn record(&mut self, rr: &ResourceRecord) {
+    fn record(&mut self, rr: &'a ResourceRecord) {
         self.name(&rr.name);
         self.buf.put_u16(rr.record_type().code());
         self.buf.put_u16(rr.class.code());
@@ -333,7 +377,7 @@ impl Encoder {
         self.buf[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
     }
 
-    fn rdata(&mut self, rdata: &RData) {
+    fn rdata(&mut self, rdata: &'a RData) {
         match rdata {
             RData::A(ip) => self.buf.put_slice(&ip.octets()),
             RData::Aaaa(ip) => self.buf.put_slice(&ip.octets()),
@@ -370,9 +414,18 @@ impl Encoder {
 struct Decoder<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Raw wire bytes of an NS set -> the set they decoded to. Keys
+    /// borrow from the frame and only sets the frame actually spells are
+    /// inserted, so the memo is bounded by the frame's length (L2).
+    /// Default (keyed) hasher: the keys are peer-chosen bytes.
+    ns_memo: HashMap<&'a [u8], NsSet>,
 }
 
 impl<'a> Decoder<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Decoder { bytes, pos: 0, ns_memo: HashMap::new() }
+    }
+
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
@@ -425,14 +478,21 @@ impl<'a> Decoder<'a> {
                     self.u8()?; // pointer low byte; the target is elsewhere
                     return Ok(());
                 }
-                _ => return Err(WireError::BadName("reserved label length bits".into())),
+                other => return Err(WireError::BadLabelType(other)),
             }
         }
     }
 
     /// Decode an NS set encoded by [`Encoder::ns_set`]. Host order is
     /// preserved as encoded.
+    ///
+    /// The set's raw bytes decode to the same value wherever in the
+    /// frame they stand — labels are literal, pointer targets are
+    /// absolute offsets, and a pointer legal at an earlier position is
+    /// legal at every later one — so they are memoised: the second and
+    /// later occurrences of a spelling share the first one's [`NsSet`].
     fn ns_set(&mut self) -> Result<NsSet, WireError> {
+        let start = self.pos;
         let count = self.u16()? as usize;
         // Untrusted count: every host name costs at least 1 byte, so a
         // count the rest of the buffer cannot hold is a truncation —
@@ -440,11 +500,37 @@ impl<'a> Decoder<'a> {
         if count > self.remaining() {
             return Err(WireError::Truncated);
         }
+        for _ in 0..count {
+            self.skip_name()?;
+        }
+        let raw = &self.bytes[start..self.pos];
+        if let Some(shared) = self.ns_memo.get(raw) {
+            return Ok(shared.clone());
+        }
+        self.pos = start + 2;
         let mut hosts = Vec::with_capacity(count);
         for _ in 0..count {
             hosts.push(self.name()?);
         }
-        Ok(NsSet::from_raw(hosts))
+        let set = NsSet::from_raw(hosts);
+        self.ns_memo.insert(raw, set.clone());
+        Ok(set)
+    }
+
+    /// Decode `count` `(owner, NS set)` entries — the body shared by the
+    /// `RZUS` and `RZUC` frames. The count is untrusted: each entry costs
+    /// at least 3 bytes (a 1-byte root or pointer-free name plus a 2-byte
+    /// NS count), so a count the remaining buffer cannot hold is a
+    /// truncation, caught before the allocation is sized from it.
+    fn decode_entries(&mut self, count: usize) -> Result<Vec<(DomainName, NsSet)>, WireError> {
+        if count.checked_mul(3).is_none_or(|need| need > self.remaining()) {
+            return Err(WireError::Truncated);
+        }
+        let mut entries = Vec::with_capacity(count);
+        for _ in 0..count {
+            entries.push((self.name()?, self.ns_set()?));
+        }
+        Ok(entries)
     }
 
     #[allow(clippy::type_complexity)]
@@ -468,8 +554,12 @@ impl<'a> Decoder<'a> {
     }
 
     /// Decode a (possibly compressed) name starting at the current cursor.
+    /// The presentation form is assembled on the stack and validated by
+    /// [`DomainName::parse`]; nothing is allocated unless the name is
+    /// long enough to be interned and new to the interner.
     fn name(&mut self) -> Result<DomainName, WireError> {
-        let mut labels: Vec<String> = Vec::new();
+        let mut text = [0u8; 253];
+        let mut text_len = 0usize;
         let mut cursor = self.pos;
         let mut followed_pointer = false;
         let mut hops = 0usize;
@@ -492,11 +582,22 @@ impl<'a> Decoder<'a> {
                     if end > self.bytes.len() {
                         return Err(WireError::Truncated);
                     }
-                    labels.push(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| WireError::BadName("non-ASCII label".into()))?
-                            .to_owned(),
-                    );
+                    let label = &self.bytes[start..end];
+                    // A dot inside a label would re-parse as a label
+                    // boundary: one name, two encodings.
+                    if label.contains(&b'.') {
+                        return Err(WireError::BadName("`.` inside a wire label".into()));
+                    }
+                    let sep = usize::from(text_len > 0);
+                    let grown = text_len + sep + label.len();
+                    let Some(dst) = text.get_mut(text_len..grown) else {
+                        return Err(WireError::BadName(NameError::TooLong(grown).to_string()));
+                    };
+                    if sep == 1 {
+                        dst[0] = b'.';
+                    }
+                    dst[sep..].copy_from_slice(label);
+                    text_len = grown;
                     cursor = end;
                     if !followed_pointer {
                         self.pos = cursor;
@@ -524,7 +625,9 @@ impl<'a> Decoder<'a> {
                 other => return Err(WireError::BadLabelType(other)),
             }
         }
-        DomainName::from_labels(labels).map_err(|e| WireError::BadName(e.to_string()))
+        let text = std::str::from_utf8(&text[..text_len])
+            .map_err(|_| WireError::BadName("non-ASCII label".into()))?;
+        DomainName::parse(text).map_err(|e| WireError::BadName(e.to_string()))
     }
 
     fn question(&mut self) -> Result<Question, WireError> {
@@ -671,7 +774,7 @@ pub fn encode_delta_push(
 /// frame encoded from a canonical [`ZoneDelta`] decodes to a canonical
 /// one (a property [`ZoneDelta::apply`] re-verifies before applying).
 pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
-    let mut dec = Decoder { bytes, pos: 0 };
+    let mut dec = Decoder::new(bytes);
     if dec.take(4)? != DELTA_PUSH_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -795,7 +898,7 @@ pub fn encode_hello(claims: &[TldClaim]) -> Bytes {
 /// each claim is exactly 7 bytes, so a count the remaining buffer cannot
 /// hold is a truncation, caught before any allocation is sized from it.
 pub fn decode_hello(bytes: &[u8]) -> Result<Vec<TldClaim>, WireError> {
-    let mut dec = Decoder { bytes, pos: 0 };
+    let mut dec = Decoder::new(bytes);
     if dec.take(4)? != HELLO_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -944,7 +1047,7 @@ pub fn encode_hello_scoped(
 /// any allocation is sized from them; an unknown scope byte is
 /// rejected, and the entire buffer must be consumed.
 pub fn decode_hello_frame(bytes: &[u8]) -> Result<HelloFrame, WireError> {
-    let mut dec = Decoder { bytes, pos: 0 };
+    let mut dec = Decoder::new(bytes);
     if dec.take(4)? != HELLO_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -1001,8 +1104,8 @@ pub fn encode_snapshot_push(tld: u16, snapshot: &crate::snapshot::ZoneSnapshot) 
     enc.buf.put_u32(snapshot.serial().get());
     enc.buf.put_u64(snapshot.taken_at().as_secs());
     enc.buf.put_u32(snapshot.len() as u32);
-    for (domain, ns) in snapshot.iter() {
-        enc.name(&domain);
+    for (domain, ns) in snapshot.domain_column().iter().zip(snapshot.ns_column()) {
+        enc.name(domain);
         enc.ns_set(ns);
     }
     enc.buf.freeze()
@@ -1011,10 +1114,11 @@ pub fn encode_snapshot_push(tld: u16, snapshot: &crate::snapshot::ZoneSnapshot) 
 /// Decode a frame produced by [`encode_snapshot_push`] into the TLD tag
 /// and the reconstructed snapshot. The entire buffer must be consumed;
 /// the entry count is untrusted (each entry costs at least 3 bytes).
+/// Repeated NS sets come back as shared [`NsSet`]s (per-frame memo).
 pub fn decode_snapshot_push(
     bytes: &[u8],
 ) -> Result<(u16, crate::snapshot::ZoneSnapshot), WireError> {
-    let mut dec = Decoder { bytes, pos: 0 };
+    let mut dec = Decoder::new(bytes);
     if dec.take(4)? != SNAPSHOT_PUSH_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -1023,19 +1127,11 @@ pub fn decode_snapshot_push(
     let serial = Serial::new(dec.u32()?);
     let taken_at = SimTime::from_secs(dec.u64()?);
     let count = dec.u32()? as usize;
-    if count.checked_mul(3).is_none_or(|need| need > dec.remaining()) {
-        return Err(WireError::Truncated);
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let domain = dec.name()?;
-        let ns = dec.ns_set()?;
-        entries.push((domain, ns.as_slice().to_vec()));
-    }
+    let entries = dec.decode_entries(count)?;
     if dec.pos != bytes.len() {
         return Err(WireError::TrailingBytes(bytes.len() - dec.pos));
     }
-    Ok((tld, crate::snapshot::ZoneSnapshot::from_entries(origin, serial, taken_at, entries)))
+    Ok((tld, crate::snapshot::ZoneSnapshot::from_ns_entries(origin, serial, taken_at, entries)))
 }
 
 /// Magic prefix of a snapshot continuation chunk — the chunked form of
@@ -1065,8 +1161,9 @@ pub struct SnapshotChunk {
     pub offset: u32,
     /// True on the final chunk (`offset + entries.len() == total`).
     pub last: bool,
-    /// The chunk's entries, in snapshot iteration order.
-    pub entries: Vec<(DomainName, Vec<DomainName>)>,
+    /// The chunk's entries, in snapshot iteration order. Repeated NS
+    /// sets within the chunk share one [`NsSet`].
+    pub entries: Vec<(DomainName, NsSet)>,
 }
 
 /// Encode a snapshot as a sequence of `RZUC` continuation chunks,
@@ -1092,11 +1189,16 @@ pub fn encode_snapshot_chunks(
 ) -> Vec<Bytes> {
     let total = snapshot.len();
     let start = start_entry.min(total);
-    let mut iter = snapshot.iter().skip(start).peekable();
+    let mut iter =
+        snapshot.domain_column().iter().zip(snapshot.ns_column()).skip(start).peekable();
     let mut offset = start;
     let mut frames = Vec::new();
+    // One encoder for the whole train: the scratch buffer and the
+    // compression table keep their allocations from chunk to chunk
+    // (the table is still cleared — compression is scoped per chunk).
+    let mut enc = Encoder::new();
     loop {
-        let mut enc = Encoder::new();
+        enc.reset();
         enc.buf.put_slice(SNAPSHOT_CHUNK_MAGIC);
         enc.buf.put_u16(tld);
         enc.name(snapshot.origin());
@@ -1113,7 +1215,7 @@ pub fn encode_snapshot_chunks(
         // header alone exceeds the byte target.
         while count == 0 || enc.buf.len() < chunk_bytes {
             let Some((domain, ns)) = iter.next() else { break };
-            enc.name(&domain);
+            enc.name(domain);
             enc.ns_set(ns);
             count += 1;
         }
@@ -1123,7 +1225,7 @@ pub fn encode_snapshot_chunks(
         }
         enc.buf[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
         offset += count as usize;
-        frames.push(enc.buf.freeze());
+        frames.push(Bytes::copy_from_slice(&enc.buf));
         if last {
             return frames;
         }
@@ -1138,7 +1240,7 @@ pub fn encode_snapshot_chunks(
 /// that disagrees with `offset + count == total`, is a
 /// [`WireError::BadChunk`].
 pub fn decode_snapshot_chunk(bytes: &[u8]) -> Result<SnapshotChunk, WireError> {
-    let mut dec = Decoder { bytes, pos: 0 };
+    let mut dec = Decoder::new(bytes);
     if dec.take(4)? != SNAPSHOT_CHUNK_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -1154,23 +1256,32 @@ pub fn decode_snapshot_chunk(bytes: &[u8]) -> Result<SnapshotChunk, WireError> {
     }
     let last = flags & 1 != 0;
     let count = dec.u32()?;
-    if (count as usize).checked_mul(3).is_none_or(|need| need > dec.remaining()) {
-        return Err(WireError::Truncated);
-    }
+    // Entries first: a count the buffer cannot hold is a truncation
+    // whatever the bookkeeping around it claims.
+    let entries = dec.decode_entries(count as usize)?;
     let end = offset as u64 + count as u64;
     if end > total as u64 || last != (end == total as u64) {
         return Err(WireError::BadChunk { offset, count, total });
-    }
-    let mut entries = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let domain = dec.name()?;
-        let ns = dec.ns_set()?;
-        entries.push((domain, ns.as_slice().to_vec()));
     }
     if dec.pos != bytes.len() {
         return Err(WireError::TrailingBytes(bytes.len() - dec.pos));
     }
     Ok(SnapshotChunk { tld, origin, serial, taken_at, total, offset, last, entries })
+}
+
+/// Peek the entry offset an `RZUC` chunk starts at without decoding its
+/// body (the origin name is skipped in place, nothing is allocated) —
+/// how a server holding an encoded train finds the chunk boundary a
+/// [`SnapshotResume`] claim names.
+pub fn peek_snapshot_chunk_offset(bytes: &[u8]) -> Result<u32, WireError> {
+    let mut dec = Decoder::new(bytes);
+    if dec.take(4)? != SNAPSHOT_CHUNK_MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    dec.u16()?; // tld
+    dec.skip_name()?;
+    dec.take(4 + 8 + 4)?; // serial, taken_at, total
+    dec.u32()
 }
 
 /// The fixed 6-byte header of a delta envelope: magic plus the TLD tag.
@@ -1188,7 +1299,7 @@ pub fn delta_envelope_header(tld: u16) -> [u8; 6] {
 /// (validated by [`decode_delta_push`], including its bounded-count
 /// discipline).
 pub fn decode_delta_envelope(bytes: &[u8]) -> Result<(u16, DeltaPush), WireError> {
-    let mut dec = Decoder { bytes, pos: 0 };
+    let mut dec = Decoder::new(bytes);
     if dec.take(4)? != DELTA_ENVELOPE_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -1204,7 +1315,7 @@ pub fn decode_delta_envelope(bytes: &[u8]) -> Result<(u16, DeltaPush), WireError
 /// forwarded delta stream has advanced at a cost independent of the
 /// delta's size.
 pub fn peek_delta_push_serials(bytes: &[u8]) -> Result<(Serial, Serial), WireError> {
-    let mut dec = Decoder { bytes, pos: 0 };
+    let mut dec = Decoder::new(bytes);
     if dec.take(4)? != DELTA_PUSH_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -1411,7 +1522,7 @@ pub fn encode_stats_report(report: &StatsReport) -> Bytes {
 /// [`STATS_SHARD_ROW_LEN`] bytes, so a count the remaining buffer cannot
 /// hold is a truncation, caught before any allocation is sized from it).
 pub fn decode_stats_report(bytes: &[u8]) -> Result<StatsReport, WireError> {
-    let mut dec = Decoder { bytes, pos: 0 };
+    let mut dec = Decoder::new(bytes);
     if dec.take(4)? != STATS_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -1591,7 +1702,7 @@ pub fn encode_lookup_request(request_id: u64, queries: &[LookupQuery]) -> Bytes 
 /// name), so a count the remaining buffer cannot hold is a truncation,
 /// caught before any allocation is sized from it.
 pub fn decode_lookup_request(bytes: &[u8]) -> Result<(u64, Vec<LookupQuery>), WireError> {
-    let mut dec = Decoder { bytes, pos: 0 };
+    let mut dec = Decoder::new(bytes);
     if dec.take(4)? != LOOKUP_REQUEST_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -1660,7 +1771,7 @@ pub fn encode_lookup_response(
 /// sized from it; flag bits outside the three defined ones are a
 /// [`WireError::BadFlags`] (a canonical encoder never sets them).
 pub fn decode_lookup_response(bytes: &[u8]) -> Result<LookupResponse, WireError> {
-    let mut dec = Decoder { bytes, pos: 0 };
+    let mut dec = Decoder::new(bytes);
     if dec.take(4)? != LOOKUP_RESPONSE_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -2123,6 +2234,7 @@ mod tests {
         for (i, frame) in frames.iter().enumerate() {
             assert!(frame.len() <= 256 + 1024, "chunk overshoot is bounded by one entry");
             let chunk = decode_snapshot_chunk(frame).unwrap();
+            assert_eq!(peek_snapshot_chunk_offset(frame), Ok(chunk.offset));
             assert_eq!(chunk.tld, 7);
             assert_eq!(chunk.serial, Serial::new(33));
             assert_eq!(chunk.total as usize, snap.len());
@@ -2132,7 +2244,7 @@ mod tests {
             rebuilt.extend(chunk.entries);
         }
         assert_eq!(expected_offset as usize, snap.len());
-        let reassembled = crate::snapshot::ZoneSnapshot::from_entries(
+        let reassembled = crate::snapshot::ZoneSnapshot::from_ns_entries(
             name("com"),
             Serial::new(33),
             SimTime::from_secs(120),
@@ -2149,6 +2261,9 @@ mod tests {
             .map(|f| decode_snapshot_chunk(f).unwrap().entries.len())
             .sum();
         assert_eq!(total, snap.len() - 40);
+
+        assert_eq!(peek_snapshot_chunk_offset(b"RZUS"), Err(WireError::BadMagic));
+        assert_eq!(peek_snapshot_chunk_offset(&resumed[0][..12]), Err(WireError::Truncated));
 
         // Empty snapshots (and exhausted resume offsets) still produce
         // one final zero-entry chunk so the receiver sees completion.
@@ -2518,6 +2633,107 @@ mod tests {
         let mut padded = frame.to_vec();
         padded.push(0);
         assert_eq!(decode_lookup_response(&padded), Err(WireError::TrailingBytes(1)));
+    }
+
+    /// An `RZUL` frame carrying one query whose name is spelled with the
+    /// given raw wire labels.
+    fn lookup_frame_with_labels(labels: &[&[u8]]) -> Vec<u8> {
+        let mut frame = LOOKUP_REQUEST_MAGIC.to_vec();
+        frame.extend_from_slice(&7u64.to_be_bytes());
+        frame.extend_from_slice(&1u16.to_be_bytes());
+        frame.extend_from_slice(&0u16.to_be_bytes()); // tld
+        for label in labels {
+            frame.push(label.len() as u8);
+            frame.extend_from_slice(label);
+        }
+        frame.push(0);
+        frame
+    }
+
+    #[test]
+    fn dotted_wire_label_is_rejected_not_split() {
+        // `[3]"a.b"[3]"com"` used to decode to the three-label a.b.com:
+        // two encodings for one name, and a way to smuggle label
+        // boundaries past anything that counts wire labels.
+        let smuggled = lookup_frame_with_labels(&[b"a.b", b"com"]);
+        assert!(matches!(decode_lookup_request(&smuggled), Err(WireError::BadName(_))));
+        for label in [&b"."[..], b".a", b"a."] {
+            let frame = lookup_frame_with_labels(&[label, b"com"]);
+            assert!(matches!(decode_lookup_request(&frame), Err(WireError::BadName(_))));
+        }
+        // The honest three-label spelling is untouched.
+        let honest = lookup_frame_with_labels(&[b"a", b"b", b"com"]);
+        let (_, queries) = decode_lookup_request(&honest).unwrap();
+        assert_eq!(queries[0].name, name("a.b.com"));
+        assert_eq!(queries[0].name.label_count(), 3);
+    }
+
+    #[test]
+    fn wire_name_length_bound_is_exact_and_panic_free() {
+        // 63+63+63+61 octets plus three dots: exactly 253, accepted.
+        let l63 = [b'a'; 63];
+        let widest = lookup_frame_with_labels(&[&l63, &l63, &l63, &[b'b'; 61]]);
+        let (_, queries) = decode_lookup_request(&widest).unwrap();
+        assert_eq!(queries[0].name.as_str().len(), 253);
+        // One octet more overflows the stack buffer's bound: BadName,
+        // with or without a separator landing on the boundary.
+        let over = lookup_frame_with_labels(&[&l63, &l63, &l63, &[b'b'; 62]]);
+        assert!(matches!(decode_lookup_request(&over), Err(WireError::BadName(_))));
+        let way_over = lookup_frame_with_labels(&[&l63, &l63, &l63, &[b'b'; 61], b"c"]);
+        assert!(matches!(decode_lookup_request(&way_over), Err(WireError::BadName(_))));
+        // Non-UTF-8 and non-LDH labels keep their typed rejection.
+        let binary = lookup_frame_with_labels(&[&[0xFF, 0xFE], b"com"]);
+        assert_eq!(
+            decode_lookup_request(&binary),
+            Err(WireError::BadName("non-ASCII label".into()))
+        );
+        let spaced = lookup_frame_with_labels(&[b"a b", b"com"]);
+        assert!(matches!(decode_lookup_request(&spaced), Err(WireError::BadName(_))));
+    }
+
+    #[test]
+    fn repeated_ns_sets_decode_to_shared_storage() {
+        let delta = sample_delta();
+        let frame = encode_delta_push(
+            &name("com"),
+            Serial::new(1),
+            Serial::new(2),
+            SimTime::ZERO,
+            &delta,
+        );
+        let push = decode_delta_push(&frame).unwrap();
+        assert_eq!(push.delta, delta);
+        // alpha.com spells the cloudflare pair inline (first seen);
+        // bravo.com and moved.com's new set spell it as two pointers and
+        // share one decoded set.
+        let bravo = &push.delta.added[1].1;
+        assert!(bravo.ptr_eq(&push.delta.changed[0].new_ns));
+        assert!(!bravo.ptr_eq(&push.delta.added[0].1));
+
+        // Across a chunk: 64 entries on one provider pair are two
+        // distinct `Arc`s (the inline first occurrence, then the shared
+        // pointer form), not 64.
+        let entries: Vec<_> = (0..64)
+            .map(|i| {
+                (
+                    name(&format!("domain-{i:03}.com")),
+                    vec![name("ns1.cloudflare.com"), name("ns2.cloudflare.com")],
+                )
+            })
+            .collect();
+        let snap = crate::snapshot::ZoneSnapshot::from_entries(
+            name("com"),
+            Serial::new(3),
+            SimTime::ZERO,
+            entries,
+        );
+        let chunk = decode_snapshot_chunk(&encode_snapshot_chunks(1, &snap, 0, 1 << 16)[0]).unwrap();
+        assert_eq!(chunk.entries.len(), 64);
+        let shared = &chunk.entries[1].1;
+        assert!(chunk.entries[2..].iter().all(|(_, ns)| ns.ptr_eq(shared)));
+        let (_, decoded) = decode_snapshot_push(&encode_snapshot_push(1, &snap)).unwrap();
+        assert_eq!(decoded, snap);
+        assert!(decoded.ns_column()[2..].iter().all(|ns| ns.ptr_eq(&decoded.ns_column()[1])));
     }
 
     #[test]

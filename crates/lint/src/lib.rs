@@ -25,6 +25,10 @@
 //! * **L4 `encode-once`** — no `encode_delta_push(` call on relay /
 //!   fan-out paths (the transport and the edge): deltas are encoded
 //!   once by the publisher and fanned out as refcount-shared bytes.
+//!   Bootstraps likewise: `encode_snapshot_chunks(` may appear there
+//!   exactly once, inside `fn snapshot_train` — the reactor's
+//!   train-cache fill site — so no path can grow a per-connection
+//!   O(zone) encode beside the cache.
 //!
 //! Escape hatch: a comment `// lint: allow(<rule>) <justification>` on
 //! the offending line (or the contiguous comment block above it)
@@ -92,7 +96,8 @@ pub struct Profile {
     pub panic_free: bool,
     /// L3 extension: direct slice-indexing ban (reactor-style modules).
     pub panic_index: bool,
-    /// L4: `encode_delta_push` ban.
+    /// L4: `encode_delta_push` ban, and `encode_snapshot_chunks` only at
+    /// the train-cache fill site.
     pub encode_once: bool,
 }
 
@@ -424,11 +429,15 @@ struct Guard {
     depth: i64,
 }
 
-/// A function context (for L2's fn-scoped lookback).
+/// A function context (for L2's fn-scoped lookback and L4's fill-site
+/// check).
 struct FnCtx {
     name: String,
     entry_depth: i64,
     start_line: usize,
+    /// The body's `{` has been seen. A signature wrapped over several
+    /// lines sits at the entry depth until then without being over.
+    opened: bool,
 }
 
 /// Scan one file. `file_decls` resolves lock receivers declared in this
@@ -447,6 +456,7 @@ pub fn scan_source(
     let mut depth: i64 = 0;
     let mut guards: Vec<Guard> = Vec::new();
     let mut fns: Vec<FnCtx> = Vec::new();
+    let mut train_fill_sites = 0usize;
 
     let push = |findings: &mut Vec<Finding>, idx: usize, rule: Rule, message: String| {
         if !is_allowed(&lines, idx, rule) {
@@ -472,7 +482,7 @@ pub fn scan_source(
         // Function headers (before brace counting: the header's `{`
         // belongs to the body).
         if let Some(fn_name) = fn_header_name(&code) {
-            fns.push(FnCtx { name: fn_name, entry_depth: depth, start_line: idx });
+            fns.push(FnCtx { name: fn_name, entry_depth: depth, start_line: idx, opened: false });
         }
 
         // L1a: annotated declarations.
@@ -600,6 +610,27 @@ pub fn scan_source(
             );
         }
 
+        // L4, bootstrap half: the one legal chunk-train encode is the
+        // first one inside the train-cache fill function.
+        if profile.encode_once && code.contains("encode_snapshot_chunks(") {
+            let in_fill_fn = fns.last().is_some_and(|f| f.name == TRAIN_FILL_FN);
+            if in_fill_fn {
+                train_fill_sites += 1;
+            }
+            if !in_fill_fn || train_fill_sites > 1 {
+                push(
+                    &mut findings,
+                    idx,
+                    Rule::EncodeOnce,
+                    format!(
+                        "`encode_snapshot_chunks` outside the single train-cache fill site in \
+                         `fn {TRAIN_FILL_FN}`: bootstraps are encoded once per checkpoint and \
+                         staged as shared bytes"
+                    ),
+                );
+            }
+        }
+
         // Brace accounting, then scope-based releases.
         for c in code.chars() {
             match c {
@@ -609,8 +640,14 @@ pub fn scan_source(
             }
         }
         guards.retain(|g| g.depth <= depth);
+        if let Some(f) = fns.last_mut() {
+            f.opened |= code.contains('{');
+        }
         while let Some(f) = fns.last() {
-            if depth <= f.entry_depth && idx > f.start_line {
+            // Over when the body closed, or — for a bodiless trait
+            // method — when the declaration's `;` arrived.
+            let ended = if f.opened { depth <= f.entry_depth } else { code.trim_end().ends_with(';') };
+            if ended {
                 fns.pop();
             } else {
                 break;
@@ -619,6 +656,10 @@ pub fn scan_source(
     }
     findings
 }
+
+/// The one function on a fan-out path that may call
+/// `encode_snapshot_chunks`: the reactor's train-cache fill.
+const TRAIN_FILL_FN: &str = "snapshot_train";
 
 /// The name of a function declared on this line, if any.
 fn fn_header_name(code: &str) -> Option<String> {
@@ -981,6 +1022,19 @@ mod tests {
         let src = "fn f<'a>(x: &'a [u8]) -> &'a [u8] { x }\nfn g() { y.unwrap(); }\n";
         let findings = scan(src, Profile { panic_free: true, ..Profile::default() });
         assert_eq!(findings.len(), 1, "{findings:?}");
+    }
+
+    #[test]
+    fn wrapped_signatures_keep_their_function_context() {
+        // L2 and L4 key on the enclosing function; a signature wrapped
+        // over several lines must not end the context before the body.
+        let src = "pub fn decode_rows(\n    bytes: &[u8],\n) -> Vec<u8> {\n    let count = bytes.len();\n    Vec::with_capacity(count)\n}\n";
+        let findings = scan(src, Profile { decode_bounds: true, ..Profile::default() });
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        // A bodiless trait method ends at its `;`, not at the next body.
+        let src = "trait T {\n    fn decode_x(&self);\n    fn other(&self) {\n        let v = Vec::with_capacity(n);\n    }\n}\n";
+        let findings = scan(src, Profile { decode_bounds: true, ..Profile::default() });
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]

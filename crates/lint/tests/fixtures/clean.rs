@@ -1,7 +1,7 @@
 // A file that passes every rule under the full profile: annotated
 // locks acquired in level order, a bounded decode, no panic tokens, no
-// direct indexing, no delta re-encode. Never compiled — scanned by
-// tests/rules.rs.
+// direct indexing, no delta re-encode, one chunk-train encode at the
+// cache-fill site. Never compiled — scanned by tests/rules.rs.
 use std::sync::Mutex;
 
 struct State {
@@ -29,4 +29,13 @@ pub fn decode_counts(bytes: &[u8]) -> Option<Vec<u16>> {
         out.push(u16::from_be_bytes([*chunk.first()?, *chunk.get(1)?]));
     }
     Some(out)
+}
+
+pub fn snapshot_train(cache: &mut Cache, snapshot: &ZoneSnapshot, start: usize) -> Vec<Bytes> {
+    if let Some(tail) = cache.tail_from(snapshot, start) {
+        return tail;
+    }
+    let frames = encode_snapshot_chunks(cache.tld, snapshot, start, cache.chunk_bytes);
+    cache.fill(snapshot, &frames);
+    frames
 }

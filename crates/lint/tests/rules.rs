@@ -56,6 +56,17 @@ fn l4_fires_on_delta_reencode() {
 }
 
 #[test]
+fn l4_fires_on_chunk_train_encodes_off_the_cache_fill_site() {
+    let findings =
+        scan_fixture("l4_train_bad.rs", Profile { encode_once: true, ..Profile::default() });
+    // The per-connection encode in `pump` and the second encode inside
+    // `snapshot_train` — not the fill site itself.
+    assert_eq!(count(&findings, Rule::EncodeOnce), 2, "{findings:#?}");
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![7, 19], "{findings:#?}");
+}
+
+#[test]
 fn clean_fixture_passes_every_rule() {
     let findings = scan_fixture("clean.rs", Profile::all());
     assert!(findings.is_empty(), "{findings:#?}");

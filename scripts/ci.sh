@@ -74,6 +74,15 @@ DARKDNS_FANOUT_SUBS=256 DARKDNS_BENCH_ONLY=tcp-fanout-10k \
 DARKDNS_BENCH_SAMPLES=3 DARKDNS_BENCH_MS=200 \
     cargo bench -p darkdns-bench --bench broker
 
+# The benchmark is a standalone package (own workspace and lockfile)
+# that tier-1 does not build, driving the crates through their public
+# API. Its harness self-tests are the only thing that notices when a
+# crate API change (a retyped `SnapshotChunk`, a renamed stats field)
+# breaks the benchmark — so they run here, in release like the
+# benchmark itself.
+echo "==> rzu_bench harness self-tests"
+cargo test -q --release --offline --manifest-path rzu_bench/Cargo.toml
+
 echo "==> RUSTFLAGS=-Dwarnings cargo build --all-targets"
 RUSTFLAGS="-Dwarnings" cargo build --all-targets
 

@@ -1,0 +1,200 @@
+//! Allocation budgets for the RZU name codec and the bootstrap assembly.
+//!
+//! PR 12's traces showed a 100k-entry catch-up making 3.7 M allocations
+//! — 37 per entry: a label `Vec`, a `String` per label, a joined
+//! `String` per suffix, a private `Vec` and `Arc` per NS set, twice. The
+//! codec now allocates per *frame* and per *distinct NS set*, never per
+//! name, and these budgets keep it that way: each is a formula in the
+//! quantities the cost may grow with (chunks, distinct NS sets, table
+//! doublings), with the entry count conspicuously absent.
+//!
+//! This file is its own test binary because it installs a counting
+//! `#[global_allocator]`. Counts are kept per thread, so the tests can
+//! run in parallel without seeing each other.
+
+use darkdns::dns::wire::{
+    decode_delta_push, decode_snapshot_chunk, encode_delta_push, encode_lookup_request,
+    encode_snapshot_chunks, LookupQuery,
+};
+use darkdns::dns::{DomainName, NsSet, Serial, ZoneDelta, ZoneSnapshot};
+use darkdns::sim::time::SimTime;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    // `const` initialiser and no destructor: touching it from inside the
+    // allocator can itself never allocate.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a thread-local
+// counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: same layout, forwarded to the system allocator.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from this allocator with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Run `f`, returning its result and how many allocations (fresh or
+/// growing) this thread made meanwhile.
+fn counting<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+const PROVIDERS: usize = 16;
+
+fn name(s: &str) -> DomainName {
+    DomainName::parse(s).unwrap()
+}
+
+/// Two-host provider sets with interned (longer than inline) host names,
+/// as real provider hosts are.
+fn providers(n: usize) -> Vec<NsSet> {
+    (0..n)
+        .map(|p| {
+            NsSet::new(vec![
+                name(&format!("ns1.provider-{p:02}.alloc-budget-hosting.net")),
+                name(&format!("ns2.provider-{p:02}.alloc-budget-hosting.net")),
+            ])
+        })
+        .collect()
+}
+
+/// `size` delegations over `sets`, a quarter of the owners interned.
+fn entries(size: usize, sets: &[NsSet]) -> Vec<(DomainName, NsSet)> {
+    let mut out: Vec<_> = (0..size)
+        .map(|i| {
+            let owner = if i % 4 == 3 {
+                name(&format!("an-owner-past-the-inline-bound-{i:06}.com"))
+            } else {
+                name(&format!("owner-{i:06}.com"))
+            };
+            (owner, sets[(i * 7 + i / 13) % sets.len()].clone())
+        })
+        .collect();
+    out.sort_by_key(|entry| entry.0);
+    out
+}
+
+#[test]
+fn chunk_train_decode_and_assembly_is_per_chunk_and_per_set() {
+    const ENTRIES: usize = 10_000;
+    let sets = providers(PROVIDERS);
+    let snapshot = ZoneSnapshot::from_ns_entries(
+        name("com"),
+        Serial::new(9),
+        SimTime::from_secs(60),
+        entries(ENTRIES, &sets),
+    );
+    let train = encode_snapshot_chunks(4, &snapshot, 0, 64 << 10);
+    let chunks = train.len() as u64;
+    assert!(chunks >= 4, "the train must be several chunks, got {chunks}");
+
+    let (rebuilt, allocs) = counting(|| {
+        // What `TransportClient` does with a train: decode each chunk,
+        // append its entries, assemble on the last one.
+        let mut assembled = Vec::new();
+        for frame in &train {
+            assembled.extend(decode_snapshot_chunk(frame).unwrap().entries);
+        }
+        ZoneSnapshot::from_ns_entries(
+            *snapshot.origin(),
+            snapshot.serial(),
+            snapshot.taken_at(),
+            assembled,
+        )
+    });
+    assert_eq!(rebuilt, snapshot);
+
+    // Per chunk: the entry vector, the memo's doublings up to one slot
+    // per distinct set, and per distinct set at most two decoded copies
+    // (its first-seen spelled-out form, then the shared pointer form) of
+    // two allocations each. Plus the assembly: the growing entry vector
+    // and the three column allocations.
+    let per_chunk = 1 + 8 + 4 * PROVIDERS as u64;
+    let budget = chunks * per_chunk + 32;
+    assert!(allocs <= budget, "{allocs} allocations for {chunks} chunks, budget {budget}");
+    assert!(allocs < ENTRIES as u64 / 10, "{allocs} allocations is per-entry territory");
+
+    // And the point of the memo: the assembled snapshot holds a handful
+    // of NS sets per chunk, not one per entry.
+    let mut distinct: Vec<*const DomainName> =
+        rebuilt.ns_column().iter().map(|ns| ns.as_slice().as_ptr()).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert!(
+        distinct.len() as u64 <= chunks * 2 * PROVIDERS as u64,
+        "{} distinct NS allocations in the assembled snapshot",
+        distinct.len()
+    );
+}
+
+#[test]
+fn delta_decode_is_per_distinct_ns_set() {
+    const ENTRIES: usize = 100;
+    const SETS: usize = 4;
+    let sets = providers(SETS);
+    let delta = ZoneDelta { added: entries(ENTRIES, &sets), ..ZoneDelta::default() };
+    let frame =
+        encode_delta_push(&name("com"), Serial::new(1), Serial::new(2), SimTime::ZERO, &delta);
+    let (push, allocs) = counting(|| decode_delta_push(&frame).unwrap());
+    assert_eq!(push.delta, delta);
+    // The section vector, the memo's doublings, and per distinct set two
+    // decoded copies of two allocations each.
+    let budget = 1 + 4 + 4 * SETS as u64;
+    assert!(allocs <= budget, "{allocs} allocations for {SETS} distinct sets, budget {budget}");
+}
+
+#[test]
+fn encoders_allocate_for_table_and_buffer_growth_only() {
+    const ENTRIES: usize = 10_000;
+    let sets = providers(PROVIDERS);
+    let all = entries(ENTRIES, &sets);
+    let snapshot = ZoneSnapshot::from_ns_entries(
+        name("com"),
+        Serial::new(9),
+        SimTime::from_secs(60),
+        all.clone(),
+    );
+
+    // A train: the scratch buffer and the compression table double their
+    // way up once (they are reused from chunk to chunk), then one frame
+    // allocation per chunk plus the frame list's own doublings.
+    let (train, allocs) = counting(|| encode_snapshot_chunks(4, &snapshot, 0, 64 << 10));
+    let chunks = train.len() as u64;
+    let doublings = 2 * u64::from(usize::BITS - (64usize << 10).leading_zeros());
+    let budget = 2 * chunks + doublings + 8;
+    assert!(allocs <= budget, "{allocs} allocations for a {chunks}-chunk train, budget {budget}");
+
+    let delta = ZoneDelta { added: all[..100].to_vec(), ..ZoneDelta::default() };
+    let (_, allocs) = counting(|| {
+        encode_delta_push(&name("com"), Serial::new(1), Serial::new(2), SimTime::ZERO, &delta)
+    });
+    assert!(allocs <= 20, "{allocs} allocations to encode a 100-entry delta");
+
+    let queries: Vec<LookupQuery> =
+        all[..64].iter().map(|(owner, _)| LookupQuery { tld: 0, name: *owner }).collect();
+    let (_, allocs) = counting(|| encode_lookup_request(7, &queries));
+    assert!(allocs <= 16, "{allocs} allocations to encode a 64-name lookup");
+}

@@ -223,6 +223,44 @@ proptest! {
         prop_assert_eq!(decoded, snap);
     }
 
+    // One name, one encoding: whatever bytes a peer puts in its wire
+    // labels — dots included — a name the decoder accepts has exactly
+    // the labels the wire carried, spelled as the wire spelled them (up
+    // to case). A dotted label used to be re-split by the presentation
+    // parser, so `[3]"a.b"[3]"com"` and `[1]"a"[1]"b"[3]"com"` both
+    // decoded to `a.b.com`.
+    #[test]
+    fn accepted_wire_names_keep_their_label_boundaries(
+        labels in prop::collection::vec(
+            prop::collection::vec(
+                prop_oneof![
+                    Just(b'.'), Just(b'-'), Just(b'a'), Just(b'B'), Just(b'7'), Just(b'_'),
+                    any::<u8>(),
+                ],
+                1..12,
+            ),
+            0..6,
+        ),
+    ) {
+        use darkdns::dns::wire::{decode_lookup_request, LOOKUP_REQUEST_MAGIC};
+        let mut frame = LOOKUP_REQUEST_MAGIC.to_vec();
+        frame.extend_from_slice(&1u64.to_be_bytes());
+        frame.extend_from_slice(&1u16.to_be_bytes());
+        frame.extend_from_slice(&0u16.to_be_bytes());
+        for label in &labels {
+            frame.push(label.len() as u8);
+            frame.extend_from_slice(label);
+        }
+        frame.push(0);
+        if let Ok((_, queries)) = decode_lookup_request(&frame) {
+            let decoded = &queries[0].name;
+            prop_assert_eq!(decoded.label_count(), labels.len());
+            for (got, sent) in decoded.labels().iter().zip(&labels) {
+                prop_assert!(got.as_bytes().eq_ignore_ascii_case(sent));
+            }
+        }
+    }
+
     #[test]
     fn question_encoding_is_compact(qname in name_strategy()) {
         let msg = Message::query(1, qname.clone(), RecordType::A);
@@ -291,11 +329,8 @@ mod chunk_codecs {
                 reassembled.extend(chunk.entries);
             }
             prop_assert_eq!(offset, snap.len(), "the train must cover the tail exactly");
-            let expected: Vec<_> = snap
-                .iter()
-                .skip(start)
-                .map(|(d, ns)| (d, ns.as_slice().to_vec()))
-                .collect();
+            let expected: Vec<_> =
+                snap.iter().skip(start).map(|(d, ns)| (d, ns.clone())).collect();
             prop_assert_eq!(reassembled, expected);
             // A strict prefix of any chunk frame is rejected: one whole
             // chunk per frame, no silent truncation.

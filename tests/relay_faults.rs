@@ -319,12 +319,8 @@ fn relay_leaf_cut_mid_chunked_snapshot_resumes_instead_of_restarting() {
     // count across both connections matching a clean bootstrap exactly
     // (a restart would re-send the three chunks already delivered).
     let tld = TldId(0);
-    let entries: Vec<_> = (0..300)
-        .map(|i| (name(&format!("d{i:04}.com")), vec![name("ns1.provider0.net")]))
-        .collect();
-    let snap = ZoneSnapshot::from_entries(name("com"), Serial::new(5), SimTime::ZERO, entries);
     let root = Broker::new(BrokerConfig::default());
-    root.add_shard(tld, snap);
+    root.add_shard(tld, populated_snap(300));
     let root_server = chunky_server_over(&root);
 
     let relay_broker = Broker::new(BrokerConfig::default());
@@ -374,8 +370,192 @@ fn relay_leaf_cut_mid_chunked_snapshot_resumes_instead_of_restarting() {
     );
     // The relay itself never faulted.
     assert_eq!(relay.stats().resyncs, 0);
+    // All three leaf connections — the clean bootstrap, the one cut
+    // after three chunks and the boundary-aligned resume — were staged
+    // from the one train the relay encoded for the first of them.
+    assert_eq!(
+        relay_server.stats().snapshot_trains_encoded,
+        1,
+        "a resume on a chunk boundary of the cached train must not re-encode"
+    );
     relay_server.shutdown();
     root_server.shutdown();
+}
+
+/// A shard of `entries` delegations at serial 5.
+fn populated_snap(entries: usize) -> ZoneSnapshot {
+    let entries = (0..entries)
+        .map(|i| (name(&format!("d{i:04}.com")), vec![name("ns1.provider0.net")]))
+        .collect();
+    ZoneSnapshot::from_entries(name("com"), Serial::new(5), SimTime::ZERO, entries)
+}
+
+fn server_with_chunk_bytes(broker: &Broker, snapshot_chunk_bytes: usize) -> BrokerServer {
+    let config = TransportConfig {
+        writer_tick: Duration::from_millis(5),
+        snapshot_chunk_bytes,
+        ..TransportConfig::default()
+    };
+    BrokerServer::new(broker.clone(), config)
+}
+
+/// A raw subscriber of `server` claiming no state for `tld`, over a
+/// connection with frame bound `max_frame` and fault `script`, carrying
+/// `partials` salvaged from an earlier connection.
+fn raw_joiner(
+    server: &BrokerServer,
+    tld: TldId,
+    max_frame: usize,
+    script: FaultScript,
+    partials: Vec<darkdns::broker::transport::SnapshotProgress>,
+) -> TransportClient {
+    let (client_end, server_end) = duplex(1 << 16);
+    server.spawn_conn(FaultInjectedConn::new(server_end, max_frame, script));
+    let mut conn = LengthPrefixed::new(client_end);
+    conn.set_recv_timeout(Some(Duration::from_millis(5))).unwrap();
+    TransportClient::connect_resuming(conn, &[(tld, None)], partials).unwrap()
+}
+
+/// Read `client` until its bootstrap completes (`Ok`) or the stream dies
+/// (`Err`).
+fn bootstrap(client: &mut TransportClient) -> Result<ZoneSnapshot, TransportError> {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        assert!(Instant::now() < deadline, "timed out waiting for a bootstrap");
+        match client.next_event() {
+            ClientEvent::Snapshot { snapshot, .. } => return Ok(snapshot),
+            ClientEvent::Closed(e) => return Err(e),
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn joiners_of_one_checkpoint_share_one_encoded_train() {
+    // Encode-once for bootstraps: five fresh joiners of one checkpoint
+    // make the reactor encode its RZUC train once. A connection whose
+    // own frame bound forces a smaller chunk size is encoded for that
+    // connection alone, and leaves the cached train where it was.
+    let tld = TldId(0);
+    let root = Broker::new(BrokerConfig::default());
+    root.add_shard(tld, populated_snap(600));
+    let head = root.head(tld).unwrap();
+    let server = server_with_chunk_bytes(&root, 2048);
+
+    let mut chunks_per_joiner = 0;
+    for _ in 0..5 {
+        let mut joiner = raw_joiner(&server, tld, MAX_FRAME_LEN, FaultScript::default(), vec![]);
+        assert_eq!(bootstrap(&mut joiner).unwrap(), head);
+        chunks_per_joiner = joiner.snapshot_chunks_received();
+    }
+    assert!(chunks_per_joiner >= 2, "the train must be several chunks");
+    assert_eq!(server.stats().snapshot_trains_encoded, 1, "five joiners, one encode");
+
+    // Frame bound 2048 → chunk target 1024, not the server's 2048.
+    let mut narrow = raw_joiner(&server, tld, 2048, FaultScript::default(), vec![]);
+    assert_eq!(bootstrap(&mut narrow).unwrap(), head);
+    assert!(narrow.snapshot_chunks_received() > chunks_per_joiner, "smaller chunks, more of them");
+    assert_eq!(server.stats().snapshot_trains_encoded, 2, "an own chunk size bypasses the cache");
+
+    let mut late = raw_joiner(&server, tld, MAX_FRAME_LEN, FaultScript::default(), vec![]);
+    assert_eq!(bootstrap(&mut late).unwrap(), head);
+    assert_eq!(server.stats().snapshot_trains_encoded, 2, "the bypass must not evict the train");
+    wait_for("every bootstrap flushed", || server.stats().snapshots_sent == 7);
+    server.shutdown();
+}
+
+#[test]
+fn checkpoint_advance_replaces_the_cached_train() {
+    // The cache follows the checkpoint: once the shard seals a newer
+    // one, the next joiner is served (and the cache refilled with) the
+    // new capture's train — never the stale bytes.
+    let tld = TldId(0);
+    let config = BrokerConfig {
+        retention: darkdns::broker::RetentionConfig::new(4, 2),
+        ..BrokerConfig::default()
+    };
+    let root = Broker::new(config);
+    root.add_shard(tld, populated_snap(300));
+    let server = chunky_server_over(&root);
+
+    let mut first = raw_joiner(&server, tld, MAX_FRAME_LEN, FaultScript::default(), vec![]);
+    assert_eq!(bootstrap(&mut first).unwrap().serial(), Serial::new(5));
+    assert_eq!(server.stats().snapshot_trains_encoded, 1);
+
+    // Two publishes: the checkpoint refreshes to the head at serial 7.
+    root.publish(tld, add_delta("new6.com"), Serial::new(6), SimTime::ZERO);
+    root.publish(tld, add_delta("new7.com"), Serial::new(7), SimTime::ZERO);
+    let head = root.head(tld).unwrap();
+    assert_eq!(head.serial(), Serial::new(7));
+
+    for _ in 0..3 {
+        let mut joiner = raw_joiner(&server, tld, MAX_FRAME_LEN, FaultScript::default(), vec![]);
+        let snapshot = bootstrap(&mut joiner).unwrap();
+        assert_eq!(snapshot, head, "a joiner after the advance must get the new checkpoint");
+        assert!(snapshot.contains(&name("new7.com")));
+    }
+    assert_eq!(
+        server.stats().snapshot_trains_encoded,
+        2,
+        "one refill for the new checkpoint, shared by the joiners after it"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn resume_off_the_cached_boundaries_is_encoded_uncached_and_converges() {
+    // Two replicas of one broker with different chunk sizes. A joiner
+    // cut mid-train on the first fails over to the second carrying its
+    // progress: a chunk boundary of the first replica's train, but not
+    // of the train the second one has cached. The second replica must
+    // honour the resume (not restart), by encoding the tail for that
+    // connection alone — and keep its cached train for everyone else.
+    let tld = TldId(0);
+    let root = Broker::new(BrokerConfig::default());
+    root.add_shard(tld, populated_snap(300));
+    let head = root.head(tld).unwrap();
+    let replica_a = server_with_chunk_bytes(&root, 512);
+    let replica_b = server_with_chunk_bytes(&root, 700);
+
+    // Warm B: its train is cached, and we learn its clean length.
+    let mut clean = raw_joiner(&replica_b, tld, MAX_FRAME_LEN, FaultScript::default(), vec![]);
+    assert_eq!(bootstrap(&mut clean).unwrap(), head);
+    let b_chunks = clean.snapshot_chunks_received();
+    assert_eq!(replica_b.stats().snapshot_trains_encoded, 1);
+
+    // Three chunks from A, the fourth torn mid-frame.
+    let cut = FaultScript::new([
+        FrameFault::Deliver,
+        FrameFault::Deliver,
+        FrameFault::Deliver,
+        FrameFault::TruncateAndCut(5),
+    ]);
+    let mut faulty = raw_joiner(&replica_a, tld, MAX_FRAME_LEN, cut, vec![]);
+    assert!(bootstrap(&mut faulty).is_err(), "the first connection must die mid-train");
+    assert_eq!(faulty.snapshot_chunks_received(), 3);
+    let partials = faulty.take_snapshot_progress();
+    assert_eq!(partials.len(), 1);
+    let held = partials[0].entries_received();
+    assert!(held > 0 && held < 300);
+
+    let mut resumed = raw_joiner(&replica_b, tld, MAX_FRAME_LEN, FaultScript::default(), partials);
+    assert_eq!(bootstrap(&mut resumed).unwrap(), head, "the resumed train must assemble the head");
+    assert!(
+        resumed.snapshot_chunks_received() < b_chunks,
+        "B must resume past the {held} entries already held, not restart"
+    );
+    assert_eq!(
+        replica_b.stats().snapshot_trains_encoded,
+        2,
+        "an off-boundary resume is encoded for that connection alone"
+    );
+
+    let mut late = raw_joiner(&replica_b, tld, MAX_FRAME_LEN, FaultScript::default(), vec![]);
+    assert_eq!(bootstrap(&mut late).unwrap(), head);
+    assert_eq!(late.snapshot_chunks_received(), b_chunks);
+    assert_eq!(replica_b.stats().snapshot_trains_encoded, 2, "B's cached train survived");
+    replica_a.shutdown();
+    replica_b.shutdown();
 }
 
 #[test]

@@ -260,7 +260,12 @@ fn stalled_reader_is_evicted_and_recovers_via_claims() {
     });
     // The reader now stalls (no pumping) while the publisher floods: the
     // pipe fills, the writer blocks, the live queue overflows, eviction.
-    for i in 1..=30u32 {
+    // More pushes than the outbound ring (32 frames), the 256-byte pipe
+    // and the 2-slot queue hold between them, so the overflow happens
+    // even when the reactor drains every push the moment it lands (30
+    // pushes fit, and on a loaded host occasionally did: no eviction,
+    // and the wait below timed out).
+    for i in 1..=48u32 {
         broker.publish(TldId(0), add_delta(&format!("d{i}.com")), Serial::new(i), SimTime::ZERO);
     }
     wait_for("eviction", || broker.stats().evictions == 1);
@@ -269,7 +274,7 @@ fn stalled_reader_is_evicted_and_recovers_via_claims() {
     pump_until_synced(&mut view, &broker, &[TldId(0)]);
     assert_zone_converged(&view, &broker, TldId(0));
     assert_eq!(view.view().resync_count(), 1, "one eviction, one resync");
-    assert_eq!(view.view().frames_applied(), 30, "every serial applied exactly once");
+    assert_eq!(view.view().frames_applied(), 48, "every serial applied exactly once");
     assert_eq!(server.stats().evict_notices, 1, "writer announced the eviction explicitly");
     server.shutdown();
 }

@@ -1,0 +1,329 @@
+//! Golden byte-identity vectors for the name-carrying wire codecs.
+//!
+//! The fixtures under `tests/golden/` are the exact bytes the `String`-
+//! keyed, `labels()`-walking encoder of PR 12 (commit 46f065f) produced
+//! for the inputs built below; the allocation-free encoder that replaced
+//! it must reproduce every one of them byte for byte. Relays re-serve
+//! `RZU1` frames verbatim and the benchmark gates `wire_bytes_per_op`
+//! exactly, so a codec "optimisation" that moves a single compression
+//! pointer is a protocol change, not a refactor — these vectors are what
+//! says so. They double as ROADMAP's "legacy layouts as pinned test
+//! vectors" for the `Message`, `RZU1`, `RZUS`, `RZUC` and `RZUL` frames.
+//!
+//! Fixture format: lower-case hex, wrapped at 32 bytes per line, one
+//! blank line between the frames of a multi-frame vector.
+//!
+//! What the inputs cover: a root origin; inline (≤ 22 bytes) and
+//! interned names; NS hosts both first-seen and repeated; suffixes that
+//! compress against the origin, against an earlier owner name and
+//! against an earlier NS host; all three delta sections; a chunk train
+//! from offset 0 and from a resume offset; and one frame longer than
+//! 16 KiB, where a name first seen past offset 0x3FFF can never become
+//! a pointer target and must be spelled out on every later occurrence.
+
+use darkdns::dns::record::SoaData;
+use darkdns::dns::wire::{
+    decode_delta_push, decode_lookup_request, decode_snapshot_chunk, decode_snapshot_push,
+    encode_delta_push, encode_lookup_request, encode_snapshot_chunks, encode_snapshot_push,
+    Header, LookupQuery, Message, Rcode, LOOKUP_ANY_TLD,
+};
+use darkdns::dns::diff::NsChange;
+use darkdns::dns::{
+    DomainName, NsSet, RData, RecordType, ResourceRecord, Serial, ZoneDelta, ZoneSnapshot,
+};
+use darkdns::sim::time::SimTime;
+
+fn name(s: &str) -> DomainName {
+    DomainName::parse(s).unwrap()
+}
+
+fn ns(hosts: &[&str]) -> NsSet {
+    NsSet::new(hosts.iter().map(|h| name(h)).collect())
+}
+
+/// A response exercising every RDATA shape, a root owner name, and
+/// compression across sections (owner names, NS/MX/CNAME targets, SOA).
+fn message() -> Message {
+    let mut msg = Message::query(0xBEEF, name("www.example.com"), RecordType::A);
+    msg.header = Header::response_to(&msg.header, Rcode::NoError);
+    msg.header.authoritative = true;
+    msg.answers = vec![
+        ResourceRecord::new(name("www.example.com"), 300, RData::Cname(name("cdn.example.net"))),
+        ResourceRecord::new(name("cdn.example.net"), 60, RData::A("192.0.2.1".parse().unwrap())),
+        ResourceRecord::new(name("cdn.example.net"), 60, RData::Aaaa("2001:db8::1".parse().unwrap())),
+        ResourceRecord::new(
+            name("example.com"),
+            3600,
+            RData::Mx { preference: 10, exchange: name("mail.example.com") },
+        ),
+        ResourceRecord::new(name("example.com"), 3600, RData::Txt(b"v=spf1 -all".to_vec())),
+    ];
+    msg.authorities = vec![
+        ResourceRecord::new(name("example.com"), 86_400, RData::Ns(name("ns1.example.com"))),
+        ResourceRecord::new(
+            name("example.com"),
+            86_400,
+            RData::Ns(name("a-name-server-well-past-the-inline-bound.example.org")),
+        ),
+        ResourceRecord::new(
+            DomainName::root(),
+            86_400,
+            RData::Soa(SoaData {
+                mname: name("a.root-servers.net"),
+                rname: name("nstld.verisign-grs.com"),
+                serial: 2_024_010_100,
+                refresh: 1800,
+                retry: 900,
+                expire: 604_800,
+                minimum: 86_400,
+            }),
+        ),
+    ];
+    msg.additionals = vec![ResourceRecord::new(
+        name("mail.example.com"),
+        60,
+        RData::A("192.0.2.2".parse().unwrap()),
+    )];
+    msg
+}
+
+/// A root-origin delta with all three sections: inline and interned
+/// owners, NS hosts repeated within and across sections, and owners that
+/// are themselves suffixes of later NS hosts.
+fn rzu1_delta() -> ZoneDelta {
+    let cloudflare = ns(&["ns1.cloudflare.com", "ns2.cloudflare.com"]);
+    let long = ns(&["ns1.a-dns-provider-with-a-long-name.example", "ns2.cloudflare.com"]);
+    let self_hosted = ns(&["ns1.alpha.com", "ns2.alpha.com"]);
+    let mut delta = ZoneDelta::default();
+    delta.added.push((name("alpha.com"), cloudflare.clone()));
+    delta.added.push((name("an-interned-registration-label.com"), long.clone()));
+    delta.added.push((name("bravo.net"), self_hosted));
+    delta.added.push((name("charlie.net"), cloudflare.clone()));
+    delta.removed.push((name("gone.org"), long.clone()));
+    delta.removed.push((name("xn--bcher-kva.example"), ns(&["ns.xn--bcher-kva.example"])));
+    delta.changed.push(NsChange {
+        domain: name("moved.com"),
+        old_ns: cloudflare,
+        new_ns: long,
+    });
+    delta
+}
+
+fn rzu1() -> Vec<u8> {
+    encode_delta_push(
+        &DomainName::root(),
+        Serial::new(41),
+        Serial::new(45),
+        SimTime::from_secs(1_700_000_000),
+        &rzu1_delta(),
+    )
+    .to_vec()
+}
+
+/// Longer than 16 KiB. Every entry brings a first-seen NS host, so the
+/// compression table is still being fed when the write offset crosses
+/// 0x3FFF; `late.never-a-pointer-target.example` (no suffix of which
+/// occurs earlier) first appears after that point and is then reused by
+/// the remaining entries — spelled out in full every time.
+fn rzu1_big() -> Vec<u8> {
+    let mut delta = ZoneDelta::default();
+    for i in 0..700u32 {
+        let own = format!("ns.host-{i:04}.provider{}.net", i % 7);
+        let hosts: Vec<&str> = if i >= 600 {
+            vec![own.as_str(), "late.never-a-pointer-target.example"]
+        } else {
+            vec![own.as_str(), "early.example-dns.org"]
+        };
+        delta.added.push((name(&format!("domain-{i:05}.com")), ns(&hosts)));
+    }
+    encode_delta_push(
+        &name("com"),
+        Serial::new(7),
+        Serial::new(8),
+        SimTime::from_secs(86_400),
+        &delta,
+    )
+    .to_vec()
+}
+
+fn snapshot() -> ZoneSnapshot {
+    let entries = (0..48u32)
+        .map(|i| {
+            let domain = if i % 6 == 0 {
+                name(&format!("a-registration-longer-than-inline-{i:02}.com"))
+            } else {
+                name(&format!("domain-{i:02}.com"))
+            };
+            let hosts = match i % 4 {
+                0 => vec![name("ns1.cloudflare.com"), name("ns2.cloudflare.com")],
+                1 => vec![name("ns1.domaincontrol.com")],
+                2 => vec![name(&format!("ns.domain-{:02}.com", i - 1)), name("ns2.cloudflare.com")],
+                _ => vec![name(&format!("ns{i}.first-seen-provider.example"))],
+            };
+            (domain, hosts)
+        })
+        .collect();
+    ZoneSnapshot::from_entries(name("com"), Serial::new(33), SimTime::from_secs(120), entries)
+}
+
+fn rzul() -> Vec<u8> {
+    let queries = [
+        LookupQuery { tld: 0, name: name("example.com") },
+        LookupQuery { tld: 3, name: name("a-rather-long-registration-label.net") },
+        LookupQuery { tld: LOOKUP_ANY_TLD, name: name("example.com") },
+        LookupQuery { tld: 0, name: name("www.example.com") },
+        LookupQuery { tld: 9, name: DomainName::root() },
+        LookupQuery { tld: 3, name: name("other.net") },
+    ];
+    encode_lookup_request(0xDEAD_BEEF_0BAD_CAFE, &queries).to_vec()
+}
+
+/// Every vector: fixture name and the frames the current encoder makes.
+fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
+    let snap = snapshot();
+    let train = |start| {
+        encode_snapshot_chunks(7, &snap, start, 256).iter().map(|f| f.to_vec()).collect::<Vec<_>>()
+    };
+    vec![
+        ("message", vec![message().encode()]),
+        ("rzu1", vec![rzu1()]),
+        ("rzu1_big", vec![rzu1_big()]),
+        ("rzus", vec![encode_snapshot_push(3, &snap).to_vec()]),
+        ("rzuc", train(0)),
+        ("rzuc_resumed", train(29)),
+        ("rzul", vec![rzul()]),
+    ]
+}
+
+/// The fixture format: one line of hex per 32 bytes, frames separated
+/// by a blank line.
+fn to_hex(frames: &[&[u8]]) -> String {
+    let mut out = String::new();
+    for (i, frame) in frames.iter().enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        for line in frame.chunks(32) {
+            for byte in line {
+                out.push_str(&format!("{byte:02x}"));
+            }
+            out.push('\n');
+        }
+    }
+    out
+}
+
+fn from_hex(text: &str) -> Vec<Vec<u8>> {
+    text.split("\n\n")
+        .map(|frame| {
+            let digits: Vec<u8> = frame.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+            digits
+                .chunks(2)
+                .map(|pair| {
+                    u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).expect("hex digit")
+                })
+                .collect::<Vec<u8>>()
+        })
+        .filter(|frame| !frame.is_empty())
+        .collect()
+}
+
+fn fixture(name: &str) -> Vec<Vec<u8>> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}.hex"));
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read fixture {}: {e}", path.display()));
+    from_hex(&text)
+}
+
+#[test]
+fn encoders_reproduce_the_parent_bytes() {
+    for (name, frames) in vectors() {
+        let golden = fixture(name);
+        assert_eq!(frames.len(), golden.len(), "{name}: frame count changed");
+        for (i, (got, want)) in frames.iter().zip(&golden).enumerate() {
+            if got != want {
+                let at = got
+                    .iter()
+                    .zip(want)
+                    .position(|(a, b)| a != b)
+                    .unwrap_or(got.len().min(want.len()));
+                let window = |bytes: &[u8]| {
+                    let line = at - at % 32;
+                    to_hex(&[&bytes[line.min(bytes.len())..(line + 32).min(bytes.len())]])
+                };
+                panic!(
+                    "{name} frame {i}: encoding diverges from the golden bytes at offset {at:#x} \
+                     ({} bytes encoded, {} golden)\n encoded: {} golden: {}",
+                    got.len(),
+                    want.len(),
+                    window(got),
+                    window(want),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn golden_frames_decode_to_their_inputs() {
+    // The fixtures, not the live encoder, feed the decoders here: a
+    // decoder change that still round-trips its own encoder but misreads
+    // the parent's bytes fails this test.
+    assert_eq!(Message::decode(&fixture("message")[0]).unwrap(), message());
+
+    let push = decode_delta_push(&fixture("rzu1")[0]).unwrap();
+    assert!(push.origin.is_root());
+    assert_eq!((push.from_serial, push.to_serial), (Serial::new(41), Serial::new(45)));
+    assert_eq!(push.delta, rzu1_delta());
+
+    let big = decode_delta_push(&fixture("rzu1_big")[0]).unwrap();
+    assert_eq!(big.delta.added.len(), 700);
+    assert_eq!(big.delta.added[650].1.as_slice()[0], name("late.never-a-pointer-target.example"));
+
+    let snap = snapshot();
+    let (tld, decoded) = decode_snapshot_push(&fixture("rzus")[0]).unwrap();
+    assert_eq!((tld, &decoded), (3, &snap));
+
+    for (vector, start) in [("rzuc", 0usize), ("rzuc_resumed", 29)] {
+        let mut offset = start;
+        for frame in fixture(vector) {
+            let chunk = decode_snapshot_chunk(&frame).unwrap();
+            assert_eq!(chunk.offset as usize, offset);
+            for (i, (domain, hosts)) in chunk.entries.iter().enumerate() {
+                assert_eq!(*domain, snap.domain_column()[offset + i]);
+                assert_eq!(*hosts, snap.ns_column()[offset + i]);
+            }
+            offset += chunk.entries.len();
+        }
+        assert_eq!(offset, snap.len(), "{vector} must cover the tail exactly");
+    }
+
+    let (id, queries) = decode_lookup_request(&fixture("rzul")[0]).unwrap();
+    assert_eq!(id, 0xDEAD_BEEF_0BAD_CAFE);
+    assert_eq!(queries.len(), 6);
+    assert!(queries[4].name.is_root());
+}
+
+#[test]
+fn the_big_vector_crosses_the_pointer_horizon() {
+    // Guards the fixture itself: the property it exists for is that a
+    // name is first seen past 0x3FFF and then repeated uncompressed.
+    let frame = &fixture("rzu1_big")[0];
+    assert!(frame.len() > 0x4000 + 1024, "only {} bytes", frame.len());
+    let mut needle = Vec::new();
+    for label in ["late", "never-a-pointer-target", "example"] {
+        needle.push(label.len() as u8);
+        needle.extend_from_slice(label.as_bytes());
+    }
+    needle.push(0);
+    let hits: Vec<usize> = frame
+        .windows(needle.len())
+        .enumerate()
+        .filter(|(_, w)| *w == needle.as_slice())
+        .map(|(at, _)| at)
+        .collect();
+    assert_eq!(hits.len(), 100, "every late host must be spelled out");
+    assert!(hits[0] > 0x3FFF, "first occurrence at {:#x} is a legal pointer target", hits[0]);
+}
