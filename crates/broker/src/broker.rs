@@ -29,7 +29,7 @@ use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What to do with a subscriber whose buffer is full. This is the
@@ -187,7 +187,7 @@ struct QueuedMessage {
 
 /// Cross-thread readiness callback a reactor installs on a subscription
 /// ([`BrokerSubscription::set_waker`]): invoked on every enqueue and on
-/// eviction, alongside the condvar signal.
+/// eviction.
 pub type SubWaker = Arc<dyn Fn() + Send + Sync>;
 
 /// Queue state shared between the broker and one subscription handle.
@@ -195,14 +195,9 @@ struct SubShared {
     id: u64,
     // lock-level: 30
     queue: TrackedMutex<VecDeque<QueuedMessage>>,
-    /// Wakeup for blocked consumers ([`BrokerSubscription::next_wait`]):
-    /// signalled on every enqueue and on eviction, paired with the
-    /// `queue` mutex (the vendored `parking_lot` guards *are* std
-    /// guards, so a std condvar pairs with them directly).
-    notify: Condvar,
     /// Readiness hook for consumers that multiplex many subscriptions on
-    /// one thread (the transport reactor) instead of blocking each on
-    /// its own condvar. Fired at exactly the `notify` signal sites. The
+    /// one thread (the transport reactor): fired on every enqueue and on
+    /// eviction — the only wake path there is. The
     /// callback runs under the subscriber queue lock and must only touch
     /// leaf state (the reactor's pending list and wakeup fd) — see the
     /// crate-level lock hierarchy.
@@ -241,8 +236,7 @@ impl SubShared {
         }
     }
 
-    /// Fire the installed reactor waker, if any (called at every
-    /// `notify` signal site).
+    /// Fire the installed reactor waker, if any.
     fn wake(&self) {
         if let Some(waker) = self.waker.lock().as_ref() {
             waker();
@@ -253,23 +247,6 @@ impl SubShared {
 /// One shard's registry entry: a refcount on the shared queue state.
 struct SubEntry {
     shared: Arc<SubShared>,
-}
-
-/// Outcome of one blocking wait on a subscriber queue
-/// ([`BrokerSubscription::next_wait`]). `Evicted` is the *explicit*
-/// slow-subscriber signal: under [`OverflowPolicy::Evict`] the queue is
-/// cleared and nothing further is ever delivered, so a consumer that
-/// only looked for messages would sleep forever — a transport writer
-/// observes `Evicted`, tells its peer, and closes the connection so the
-/// client reconnects with its serial claims.
-#[derive(Debug)]
-pub enum SubWait {
-    /// The next queued message.
-    Message(BrokerMessage),
-    /// The broker evicted this subscriber for falling behind.
-    Evicted,
-    /// Nothing arrived within the timeout (and the subscriber is live).
-    TimedOut,
 }
 
 /// Consumer handle returned by [`Broker::subscribe`]. Dropping it
@@ -290,38 +267,6 @@ impl BrokerSubscription {
             self.shared.retire_catchup(1);
         }
         Some(item.msg)
-    }
-
-    /// Block until a message arrives, the broker evicts this subscriber,
-    /// or `timeout` elapses — the notify-wakeup consumption path that
-    /// replaces `try_next` polling for transport writers. Publishers
-    /// signal the subscriber's condvar on every enqueue and on eviction,
-    /// so a blocked writer wakes exactly when there is something to do;
-    /// it never spins and never misses the eviction signal.
-    pub fn next_wait(&self, timeout: Duration) -> SubWait {
-        let deadline = Instant::now() + timeout;
-        let mut queue = self.shared.queue.lock();
-        loop {
-            if let Some(item) = queue.pop_front() {
-                drop(queue);
-                if item.catchup {
-                    self.shared.retire_catchup(1);
-                }
-                return SubWait::Message(item.msg);
-            }
-            // An evicted queue is empty forever: surface the signal
-            // explicitly instead of letting the consumer sleep on it.
-            if self.shared.evicted.load(Ordering::Relaxed) {
-                return SubWait::Evicted;
-            }
-            let now = Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-            else {
-                return SubWait::TimedOut;
-            };
-            let (guard, _timed_out) = queue.wait_timeout(&self.shared.notify, remaining);
-            queue = guard;
-        }
     }
 
     /// Drain everything currently queued.
@@ -350,12 +295,10 @@ impl BrokerSubscription {
         self.shared.evicted.load(Ordering::Relaxed)
     }
 
-    /// Install (or clear) a readiness waker: a callback fired — in
-    /// addition to the condvar signal — whenever a message is enqueued
-    /// or this subscriber is evicted. This is how a reactor multiplexes
-    /// thousands of subscriptions on one thread: instead of a blocked
-    /// `next_wait` per subscription, each queue pokes the shared event
-    /// loop. The callback runs under the subscriber queue lock (itself
+    /// Install (or clear) a readiness waker: a callback fired whenever
+    /// a message is enqueued or this subscriber is evicted. This is how
+    /// a reactor multiplexes thousands of subscriptions on one thread:
+    /// each queue pokes the shared event loop. The callback runs under the subscriber queue lock (itself
     /// possibly under a shard lock) and must only touch leaf state;
     /// anything already queued before installation is NOT re-signalled,
     /// so install the waker first and then drain once.
@@ -664,7 +607,6 @@ impl Broker {
         let shared = Arc::new(SubShared {
             id: self.inner.next_id.fetch_add(1, Ordering::Relaxed),
             queue: TrackedMutex::new(&lockdep::SUB_QUEUE, VecDeque::new()),
-            notify: Condvar::new(),
             waker: TrackedMutex::new(&lockdep::SUB_WAKER, None),
             catchup_pending: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -817,7 +759,6 @@ impl Broker {
             counters.deliveries += 1;
             counters.snapshot_catchups += 1;
             drop(queue);
-            sub.notify.notify_all();
             sub.wake();
             true
         });
@@ -875,7 +816,6 @@ impl Broker {
                     // the next overflow.
                     *sub.lagging_since.lock() = None;
                 }
-                sub.notify.notify_all();
                 sub.wake();
                 return true;
             }
@@ -897,9 +837,8 @@ impl Broker {
             sub.catchup_pending.store(0, Ordering::Relaxed);
             sub.evicted.store(true, Ordering::Relaxed);
             counters.evictions += 1;
-            // Wake any blocked consumer so it observes the eviction
-            // now, not at its next timeout tick.
-            sub.notify.notify_all();
+            // Wake the consumer so it observes the eviction now, not
+            // at its next timeout tick.
             sub.wake();
             false
         });
@@ -1241,82 +1180,6 @@ mod tests {
         // A third live push exceeds the live bound and evicts.
         broker.publish(TldId(0), add_delta("live3.com"), Serial::new(13), SimTime::ZERO);
         assert!(sub.is_evicted());
-    }
-
-    #[test]
-    fn next_wait_wakes_blocked_consumer_on_publish() {
-        let broker = broker_with_com(BrokerConfig::default());
-        let sub = broker.subscribe(&[TldId(0)], Some(Serial::new(0)));
-        let publisher = {
-            let broker = broker.clone();
-            std::thread::spawn(move || {
-                // Give the consumer a moment to block first; correctness
-                // does not depend on winning this race, only latency.
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                broker.publish(TldId(0), add_delta("a.com"), Serial::new(1), SimTime::ZERO);
-            })
-        };
-        match sub.next_wait(std::time::Duration::from_secs(30)) {
-            SubWait::Message(BrokerMessage::Delta { tld, .. }) => assert_eq!(tld, TldId(0)),
-            other => panic!("expected a delta wakeup, got {other:?}"),
-        }
-        publisher.join().unwrap();
-    }
-
-    #[test]
-    fn next_wait_drains_catchup_backlog_without_blocking() {
-        let broker = broker_with_com(BrokerConfig::default());
-        for i in 1..=3u32 {
-            broker.publish(TldId(0), add_delta(&format!("d{i}.com")), Serial::new(i), SimTime::ZERO);
-        }
-        let sub = broker.subscribe(&[TldId(0)], Some(Serial::new(0)));
-        for _ in 0..3 {
-            match sub.next_wait(std::time::Duration::from_secs(30)) {
-                SubWait::Message(_) => {}
-                other => panic!("expected queued catch-up message, got {other:?}"),
-            }
-        }
-        assert!(matches!(sub.next_wait(std::time::Duration::ZERO), SubWait::TimedOut));
-    }
-
-    #[test]
-    fn next_wait_surfaces_eviction_to_a_blocked_consumer() {
-        // Zero live capacity: the first publish overflows an *empty*
-        // queue and evicts, so the consumer is deterministically blocked
-        // in `next_wait` when the eviction fires — the wakeup must come
-        // from the explicit eviction signal, not from a message.
-        let config = BrokerConfig {
-            subscriber_capacity: 0,
-            overflow: OverflowPolicy::Evict,
-            ..BrokerConfig::default()
-        };
-        let broker = broker_with_com(config);
-        let slow = broker.subscribe(&[TldId(0)], Some(Serial::new(0)));
-        let publisher = {
-            let broker = broker.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                broker.publish(TldId(0), add_delta("d1.com"), Serial::new(1), SimTime::ZERO);
-            })
-        };
-        match slow.next_wait(std::time::Duration::from_secs(30)) {
-            SubWait::Evicted => {}
-            other => panic!("expected explicit eviction signal, got {other:?}"),
-        }
-        assert!(slow.is_evicted());
-        publisher.join().unwrap();
-    }
-
-    #[test]
-    fn next_wait_times_out_when_idle() {
-        let broker = broker_with_com(BrokerConfig::default());
-        let sub = broker.subscribe(&[TldId(0)], Some(Serial::new(0)));
-        let start = std::time::Instant::now();
-        assert!(matches!(
-            sub.next_wait(std::time::Duration::from_millis(10)),
-            SubWait::TimedOut
-        ));
-        assert!(start.elapsed() >= std::time::Duration::from_millis(10));
     }
 
     #[test]

@@ -201,8 +201,8 @@
 //! signalling can never invert the hierarchy. A wedged socket fills
 //! its ring, which stops its queue drain, which back-pressures only
 //! its own queue — where the overflow policy (lag or evict, signalled
-//! explicitly through [`broker::SubWait::Evicted`]) bounds the damage
-//! to that subscriber.
+//! explicitly through [`BrokerSubscription::is_evicted`] and an `RZUE`
+//! notice) bounds the damage to that subscriber.
 //!
 //! The edge tier (`darkdns-edge`) extends this map with a rule rather
 //! than a new level: its lookup path holds **no lock from either
@@ -243,7 +243,7 @@ pub mod transport;
 
 pub use broker::{
     shard_locks_held_by_current_thread, Broker, BrokerConfig, BrokerMessage, BrokerStats,
-    BrokerSubscription, OverflowPolicy, ShardStats, SubWait, SubscribeMode,
+    BrokerSubscription, OverflowPolicy, ShardStats, SubscribeMode,
 };
 pub use feed::UniverseFeed;
 pub use pool::{PublishItem, PublishPool};

@@ -34,8 +34,7 @@
 
 use parking_lot::{Mutex as PlMutex, RwLock as PlRwLock};
 use std::panic::Location;
-use std::sync::{Condvar, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Duration;
+use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// One lock class in the documented hierarchy: a stable name and a
 /// level (smaller = outer; a thread may only acquire strictly
@@ -52,6 +51,7 @@ impl LockClass {
         LockClass { name, level }
     }
 
+    #[cfg(debug_assertions)]
     fn id(&'static self) -> usize {
         self as *const LockClass as usize
     }
@@ -84,7 +84,7 @@ pub static PIPE_HALF: LockClass = LockClass::new("transport.pipe_half", 46);
 /// The reactor's pending-work mailbox (leaf: staged under queue/waker/
 /// pipe locks, never holds anything itself).
 pub static REACTOR_PENDING: LockClass = LockClass::new("transport.reactor_pending", 50);
-/// Transport thread registry (server + relay join handles).
+/// A reactor's thread registry (its loop thread + relay join handles).
 pub static THREADS: LockClass = LockClass::new("transport.threads", 70);
 
 /// One reported hierarchy violation.
@@ -437,21 +437,6 @@ impl<T> TrackedMutex<T> {
 pub struct TrackedMutexGuard<'a, T> {
     guard: MutexGuard<'a, T>,
     _held: Held,
-}
-
-impl<'a, T> TrackedMutexGuard<'a, T> {
-    /// Park on `cond` (releasing the inner mutex) until notified or
-    /// `timeout` elapses; returns the re-acquired guard and whether the
-    /// wait timed out. The lockdep token is retained across the wait —
-    /// the thread acquires nothing while parked, so no spurious edges
-    /// are recorded, and the token stays correct for the re-acquired
-    /// guard.
-    pub fn wait_timeout(self, cond: &Condvar, timeout: Duration) -> (Self, bool) {
-        let TrackedMutexGuard { guard, _held } = self;
-        let (guard, result) =
-            cond.wait_timeout(guard, timeout).unwrap_or_else(|poison| poison.into_inner());
-        (TrackedMutexGuard { guard, _held }, result.timed_out())
-    }
 }
 
 impl<T> std::ops::Deref for TrackedMutexGuard<'_, T> {

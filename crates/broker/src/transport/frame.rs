@@ -100,6 +100,9 @@ pub trait FrameConn: Send {
     /// framing on the wire is identical, so the receiver cannot tell a
     /// batch from individual sends. The default writes frame by frame;
     /// [`LengthPrefixed`] overrides it with a single buffered write.
+    /// No server path calls it since the reactor's ring took over
+    /// coalescing; it stays because the `FrameConn` wrappers in
+    /// `rzu_bench/src/link.rs` and `benches/relay.rs` forward it.
     fn send_frames(&mut self, frames: &[&[&[u8]]]) -> Result<(), TransportError> {
         for parts in frames {
             self.send_frame(parts)?;

@@ -10,6 +10,12 @@
 //!   wakeups delivered through an eventfd. Thread count and idle cost
 //!   are flat in the subscriber count — 10,000 connections are one
 //!   thread, not 10,000 (see [`BrokerServer::transport_threads`]).
+//!   The loop itself (`reactor`) is protocol-neutral: it is generic
+//!   over a [`Protocol`] handler, and the broker's subscriber stream
+//!   (`stream`) is one such handler. `darkdns-edge` runs its `RZUL`
+//!   lookup answerer on the same loop through [`ReactorHandle`] — there
+//!   is no second event loop in the workspace (`docs/INVARIANTS.md`
+//!   L5).
 //! * **Client side — blocking.** Consumers keep the simple
 //!   [`FrameConn`] trait: a blocking, bidirectional, whole-frame
 //!   connection over TCP ([`tcp_connect`]) or the in-memory [`pipe`]
@@ -22,7 +28,7 @@
 //! keeps the deterministic fault-injection harness
 //! (`tests/transport_faults.rs`) on the production code path:
 //! [`FaultInjectedConn`] scripts mid-frame cuts, corrupt and duplicated
-//! frames, and the reactor applies the script as it composes frames
+//! frames, and the reactor applies the script as it stages frames
 //! into the ring, while the client exercises the same framing state
 //! machine and decoders as a production socket.
 //!
@@ -77,11 +83,11 @@
 //! verbatim behind a 6-byte envelope header: publishing still encodes
 //! once per push, regardless of subscriber count.
 //!
-//! Bootstraps are encode-once too. The reactor keeps, per shard, the
-//! `RZUC` train of the checkpoint it last served at the server's default
-//! chunk size (the **train cache**: one train per shard, replaced when a
-//! newer checkpoint is served, no knob). A fresh joiner of that
-//! checkpoint, and a resume whose claimed entry count is a chunk
+//! Bootstraps are encode-once too. The stream handler keeps, per shard,
+//! the `RZUC` train of the checkpoint it last served at the server's
+//! default chunk size (the **train cache**: one train per shard,
+//! replaced when a newer checkpoint is served, no knob). A fresh joiner
+//! of that checkpoint, and a resume whose claimed entry count is a chunk
 //! boundary of that train — which is where a client cut mid-train always
 //! stands — is staged from refcount-shared clones of the cached frames:
 //! N concurrent joiners hold one copy of the bytes and none of them
@@ -112,6 +118,7 @@ mod reactor;
 mod relay;
 mod ring;
 mod server;
+mod stream;
 
 pub use client::{fetch_stats, fetch_stats_deadline, ClientEvent, SnapshotProgress, TransportClient};
 pub use relay::{RelayHandle, RelayStats};
@@ -119,12 +126,11 @@ pub use darkdns_dns::wire::{StatsReport, WireServerStats, WireShardStats, WireSu
 pub use bytes::Bytes;
 pub use fault::{FaultInjectedConn, FaultScript, FrameFault};
 pub use frame::{
-    tcp_connect, ByteIo, FrameAssembler, FrameConn, FrameProgress, LengthPrefixed, TcpFrameConn,
-    TransportError, MAX_FRAME_LEN,
+    tcp_connect, ByteIo, FrameConn, LengthPrefixed, TcpFrameConn, TransportError, MAX_FRAME_LEN,
 };
 pub use pipe::{duplex, PipeCutHandle, PipeEnd};
-// The outbound-ring building blocks are shared with `darkdns-edge`'s
-// query reactor: any readiness-driven server in the workspace composes
-// frames into an [`OutRing`] and drains it with vectored writes.
-pub use ring::{CompletedFrame, FlushStatus, FrameKind, OutRing, RingFrame};
-pub use server::{BrokerServer, ServedConn, ServerStats, TransportConfig};
+// The reactor's handler surface: what a second protocol (the edge's
+// lookup answerer) implements to be served by the same event loop.
+pub use reactor::{CloseWhy, Conn, Protocol, ReactorHandle, ServedConn, TransportConfig};
+pub use ring::MAX_RING_FRAMES;
+pub use server::{BrokerServer, ServerStats};

@@ -1,135 +1,304 @@
-//! The readiness-driven event loop: every transport connection on one
-//! thread.
+//! The readiness-driven event loop: every connection of one server on
+//! one thread, whatever protocol it speaks.
 //!
-//! The previous transport spent one OS thread per subscriber blocking
-//! in `next_wait`, plus an acceptor thread sleep-polling `accept` every
-//! 2 ms. This module replaces all of it with a single reactor thread
-//! multiplexed over an epoll instance (vendored shim: `mio_shim`):
+//! This is the workspace's **only** event loop (`docs/INVARIANTS.md`
+//! L5). It is generic over a small per-protocol handler — [`Protocol`],
+//! statically dispatched — and owns everything that is not protocol:
 //!
-//! * **TCP connections** are non-blocking fds registered for read
-//!   readiness; write readiness (`EPOLLOUT`) is registered only while a
-//!   connection's outbound ring holds unsent bytes, so an idle fleet
-//!   costs zero wakeups.
+//! * **TCP connections** are non-blocking fds on an epoll instance
+//!   (vendored shim: `mio_shim`). Write readiness (`EPOLLOUT`) is
+//!   registered only while a connection's outbound ring holds unsent
+//!   bytes, so an idle fleet costs zero wakeups; read readiness is
+//!   dropped while the ring is full (the read gate, below).
 //! * **Pipe connections** (tests, fault harness) have no fd. Their
 //!   readiness arrives through the pipe's ready hook
 //!   ([`PipeEnd::set_ready_hook`]), which enqueues the connection token
-//!   and pokes the reactor's [`WakeupFd`] — the same path a broker
-//!   subscription's waker ([`BrokerSubscription::set_waker`]) uses when
-//!   a message lands on a queue.
+//!   and pokes the reactor's [`WakeupFd`] — the same path a protocol's
+//!   own wake source uses ([`Conn::waker`]; the broker installs it on a
+//!   subscription queue).
 //! * **TCP listeners** are registered like any other readable fd; an
-//!   accept burst is drained to `WouldBlock` in the event handler — the
-//!   2 ms accept poll is gone.
+//!   accept burst is drained to `WouldBlock` in the event handler.
 //!
-//! Per connection the reactor runs the same protocol the writer threads
-//! did: handshake (`RZUH` → subscribe-with-claims, `RZUQ` → stats reply
-//! and close), queue→ring transfer with per-frame fault-script
-//! consultation, vectored ring flush, idle heartbeats on the writer
-//! tick, eviction notices, and a write-stall bound
-//! ([`TransportConfig::write_timeout`]) for wedged-but-open peers.
+//! One connection service is `read → fill → flush`: inbound frames go
+//! to [`Protocol::on_frame`], [`Protocol::fill`] tops the ring up from
+//! whatever the protocol streams, and the ring is flushed with vectored
+//! writes, completions reported to [`Protocol::flushed`]. On the tick
+//! clock a sweep enforces the handshake deadline, sends idle heartbeats
+//! (established ∧ not closing ∧ ring empty ∧ idle ≥ tick) and closes
+//! peers whose ring made no progress for
+//! [`TransportConfig::write_timeout`]. Every close ends in
+//! [`Protocol::closed`] with one [`CloseWhy`].
+//!
+//! # The read gate
+//!
+//! The ring is the only per-connection buffer, and it is bounded
+//! ([`OutRing::has_room`]). A request/response protocol answers into
+//! it, so the loop stops pulling inbound frames while the ring is full
+//! and resumes once a flush makes room: a peer that pipelines requests
+//! and never reads is parked at a full ring and closed by the
+//! write-stall bound, instead of growing the ring without limit.
+//! `FrameAssembler` reads exact frame lengths, so nothing is stranded
+//! in user space while the gate is shut.
 //!
 //! # Lock hierarchy
 //!
-//! The reactor sits **below** the broker's two-level hierarchy, exactly
-//! where writer threads sat. While servicing connections it takes only
-//! subscriber queue locks (level 2, via `try_next`/`is_evicted`) and
-//! its own leaf state (the pending list, a connection's fault script,
-//! stats-entry claim maps); the one brush with level 1 is the
-//! handshake's `subscribe_with` call, before the connection streams.
-//! Conversely, the waker and ready hooks that *publishers* fire run
-//! under a subscriber queue lock (possibly under a shard lock) and
-//! touch only the pending-list mutex and the wakeup eventfd — leaves
-//! under level 2, never a lock the reactor holds while blocking.
+//! The loop itself takes one lock: the pending mailbox (level 50), a
+//! leaf that wakers and ready hooks fill under a subscriber queue lock
+//! or a pipe-half lock and that the loop empties holding nothing else.
+//! The join-handle registry (70) is touched only at start, relay attach
+//! and shutdown. Whatever a handler locks (the broker's handshake is
+//! the transport's one brush with the shard level) it locks from the
+//! reactor thread with no reactor lock held.
 
-use super::fault::{FaultScript, FrameFault};
-use super::frame::{FrameAssembler, FrameProgress};
-use super::pipe::PipeEnd;
-use super::ring::{CompletedFrame, FlushStatus, FrameKind, OutRing, RingFrame};
-use super::server::{build_stats_report, ConnStatsEntry, ServerInner};
-use crate::broker::{BrokerMessage, BrokerSubscription, SubWaker, SubscribeMode};
-use bytes::Bytes;
-use darkdns_dns::wire::{
-    decode_hello_frame, delta_envelope_header, encode_evict_notice, encode_snapshot_chunks,
-    encode_stats_report, is_stats_query, peek_delta_push_serials, peek_snapshot_chunk_offset,
-    HelloScope, SnapshotResume,
-};
-use darkdns_dns::{Serial, ZoneSnapshot};
-use darkdns_registry::tld::TldId;
+use super::fault::{FaultInjectedConn, FaultScript, FrameFault};
+use super::frame::{FrameAssembler, FrameProgress, LengthPrefixed};
+use super::pipe::{PipeEnd, ReadyHook};
+use super::ring::{CompletedFrame, FrameKind, OutRing, RingFrame};
 use crate::lockdep::{self, TrackedMutex};
+use bytes::Bytes;
 use mio_shim::{Epoll, Events, Interest, Token, WakeupFd};
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// The wakeup eventfd's reserved token (slot tokens are slab indices).
 const WAKE_TOKEN: usize = usize::MAX;
 
-/// Cross-thread announcement channel into the reactor: work is staged
-/// under the pending mutex (a leaf lock — safe to take from waker and
-/// ready-hook context) and the eventfd interrupts the epoll wait.
-pub(super) struct ReactorShared {
+/// Transport tuning.
+#[derive(Debug, Clone, Copy)]
+pub struct TransportConfig {
+    /// Per-frame payload bound enforced on receive.
+    pub max_frame_len: usize,
+    /// Idle tick: the reactor's epoll-wait bound, and how long a quiet
+    /// connection stays silent before it gets a heartbeat frame (an
+    /// empty frame the client skips, which doubles as dead-peer
+    /// detection while a subscriber is quiet).
+    pub writer_tick: Duration,
+    /// How long a fresh connection may take to send its HELLO.
+    pub handshake_timeout: Duration,
+    /// How long a connection's outbound ring may sit non-empty without
+    /// the peer accepting a single byte before the reactor declares the
+    /// connection dead. This bounds the damage of a wedged-but-open
+    /// peer: its ring (and, upstream, its broker queue under the
+    /// overflow policy) cannot be held hostage forever, and
+    /// [`ReactorHandle::shutdown`] never waits on it.
+    pub write_timeout: Duration,
+    /// Target payload size for one `RZUC` snapshot chunk. Bootstraps
+    /// are always chunked: a checkpoint larger than the peer's frame
+    /// bound crosses the wire as a resumable chunk train instead of one
+    /// oversized (and formerly truncating) `RZUS` frame. The broker's
+    /// handler clamps this to half the connection's frame bound so a
+    /// chunk that overshoots by one entry still fits.
+    pub snapshot_chunk_bytes: usize,
+}
+
+impl Default for TransportConfig {
+    fn default() -> Self {
+        TransportConfig {
+            max_frame_len: super::frame::MAX_FRAME_LEN,
+            writer_tick: Duration::from_millis(50),
+            handshake_timeout: Duration::from_secs(5),
+            write_timeout: Duration::from_secs(10),
+            snapshot_chunk_bytes: 1 << 20,
+        }
+    }
+}
+
+/// Why a connection closed — handlers map it onto their counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CloseWhy {
+    /// The handshake never completed acceptably (deadline, bad first
+    /// frame, peer gone before it).
+    Rejected,
+    /// A live connection died: peer gone, write error, write stall,
+    /// protocol violation, scripted cut.
+    Disconnect,
+    /// Orderly end (a drained reply, a clean hangup); no counter.
+    Quiet,
+}
+
+/// What a wire protocol contributes to the loop. The handler is owned
+/// by the reactor thread (`&mut self` everywhere), so its state needs
+/// no lock.
+pub trait Protocol: Send + 'static {
+    /// Per-connection protocol state ([`Conn::state`]).
+    type State: Send + 'static;
+
+    /// Whether a fresh connection must complete a handshake
+    /// ([`Conn::establish`]) within
+    /// [`TransportConfig::handshake_timeout`]. Until it does it gets no
+    /// heartbeats and its failures count as [`CloseWhy::Rejected`].
+    const HANDSHAKE: bool;
+
+    /// A connection was accepted (TCP) or handed over (pipe).
+    fn open(&mut self) -> Self::State;
+
+    /// One complete inbound frame; `Some` closes the connection now.
+    fn on_frame(&mut self, conn: &mut Conn<Self::State>, frame: Bytes) -> Option<CloseWhy>;
+
+    /// The inbound side ended: clean EOF between frames (`clean`) or a
+    /// read error. The default is the phase rule write failures follow
+    /// too; a protocol where hanging up between requests is orderly
+    /// overrides it.
+    fn on_eof(&mut self, conn: &Conn<Self::State>, clean: bool) -> CloseWhy {
+        let _ = clean;
+        conn.lost()
+    }
+
+    /// Top the ring up from whatever this protocol streams, while
+    /// [`Conn::has_room`]. Request/response protocols have nothing to
+    /// add.
+    fn fill(&mut self, conn: &mut Conn<Self::State>) -> Option<CloseWhy> {
+        let _ = conn;
+        None
+    }
+
+    /// Frames whose last byte just reached the stream, in wire order.
+    fn flushed(&mut self, conn: &mut Conn<Self::State>, completed: &[CompletedFrame]) {
+        let _ = (conn, completed);
+    }
+
+    /// The connection is gone; `state` is what [`Protocol::open`] made
+    /// of it since.
+    fn closed(&mut self, state: Self::State, why: CloseWhy);
+}
+
+/// A connection ready to hand to a reactor: the server end of a pipe
+/// plus optional per-connection framing bound and fault script. All
+/// supported connection shapes convert [`Into`] this — TCP streams
+/// never appear here, they arrive through a registered listener.
+pub struct ServedConn {
+    end: PipeEnd,
+    max_frame_len: Option<usize>,
+    script: Option<FaultScript>,
+}
+
+impl From<PipeEnd> for ServedConn {
+    fn from(end: PipeEnd) -> Self {
+        ServedConn { end, max_frame_len: None, script: None }
+    }
+}
+
+impl From<LengthPrefixed<PipeEnd>> for ServedConn {
+    fn from(conn: LengthPrefixed<PipeEnd>) -> Self {
+        let max = conn.max_frame_len();
+        ServedConn { end: conn.into_inner(), max_frame_len: Some(max), script: None }
+    }
+}
+
+impl From<FaultInjectedConn> for ServedConn {
+    fn from(conn: FaultInjectedConn) -> Self {
+        ServedConn {
+            end: conn.end,
+            max_frame_len: Some(conn.max_frame_len),
+            script: Some(conn.script),
+        }
+    }
+}
+
+/// Cross-thread state of one reactor: work is staged under the pending
+/// mutex (a leaf lock — safe to take from waker and ready-hook context)
+/// and the eventfd interrupts the epoll wait.
+struct ReactorShared {
     // lock-level: 50
-    pub(super) pending: TrackedMutex<Pending>,
-    pub(super) wakeup: WakeupFd,
-    pub(super) stop: AtomicBool,
+    pending: TrackedMutex<Pending>,
+    wakeup: WakeupFd,
+    stop: AtomicBool,
+    // lock-level: 70
+    threads: TrackedMutex<Vec<JoinHandle<()>>>,
 }
 
 impl ReactorShared {
-    pub(super) fn new() -> std::io::Result<ReactorShared> {
-        Ok(ReactorShared {
-            pending: TrackedMutex::new(&lockdep::REACTOR_PENDING, Pending::default()),
-            wakeup: WakeupFd::new()?,
-            stop: AtomicBool::new(false),
-        })
-    }
-
     /// Stage work and poke the loop.
-    pub(super) fn announce(&self, stage: impl FnOnce(&mut Pending)) {
+    fn announce(&self, stage: impl FnOnce(&mut Pending)) {
         stage(&mut self.pending.lock());
         self.wakeup.wake();
     }
 }
 
 #[derive(Default)]
-pub(super) struct Pending {
-    pub(super) conns: Vec<NewPipeConn>,
-    pub(super) listeners: Vec<TcpListener>,
-    pub(super) woken: Vec<usize>,
+struct Pending {
+    conns: Vec<ServedConn>,
+    listeners: Vec<TcpListener>,
+    woken: Vec<usize>,
 }
 
-/// A pipe-backed connection handed over by `BrokerServer::serve_conn`.
-pub(super) struct NewPipeConn {
-    pub(super) end: PipeEnd,
-    pub(super) max_frame_len: Option<usize>,
-    pub(super) script: Option<FaultScript>,
+/// The cross-thread surface of a running reactor: connection and
+/// listener hand-off, the thread registry, shutdown. Cheap to clone;
+/// all clones address the same loop.
+#[derive(Clone)]
+pub struct ReactorHandle {
+    shared: Arc<ReactorShared>,
 }
 
-/// Spawn target: the reactor loop for one server.
-pub(super) fn run(inner: Arc<ServerInner>) {
-    let Ok(epoll) = Epoll::new() else { return };
-    let shared = Arc::clone(&inner.reactor);
-    if epoll.register(shared.wakeup.raw_fd(), Token(WAKE_TOKEN), Interest::READABLE).is_err() {
-        return;
+impl ReactorHandle {
+    /// Start a reactor thread running `handler`'s protocol.
+    pub fn spawn<P: Protocol>(handler: P, config: TransportConfig) -> ReactorHandle {
+        let (mut reactor, handle) = Reactor::new(handler, config);
+        let thread = std::thread::spawn(move || reactor.run());
+        handle.adopt_thread(thread);
+        handle
     }
-    Reactor {
-        inner,
-        shared,
-        epoll,
-        slots: Vec::new(),
-        free: Vec::new(),
-        completed: Vec::new(),
-        trains: BTreeMap::new(),
+
+    /// Stage one in-memory connection; it is serviced on the reactor
+    /// thread.
+    pub fn serve_conn(&self, conn: ServedConn) {
+        self.shared.announce(|pending| pending.conns.push(conn));
     }
-    .run();
+
+    /// Bind a TCP listener and register it with the reactor, which
+    /// accepts until [`ReactorHandle::shutdown`]. Returns the bound
+    /// address (bind to port 0 for an ephemeral one).
+    pub fn listen_tcp(&self, addr: &str) -> std::io::Result<SocketAddr> {
+        let listener = TcpListener::bind(addr)?;
+        let local = listener.local_addr()?;
+        // Non-blocking is load-bearing: the reactor drains accept
+        // bursts to `WouldBlock` inside the event loop.
+        listener.set_nonblocking(true)?;
+        self.shared.announce(|pending| pending.listeners.push(listener));
+        Ok(local)
+    }
+
+    /// Register a helper thread (a relay) to be joined by
+    /// [`ReactorHandle::shutdown`]; it must poll
+    /// [`ReactorHandle::is_stopping`].
+    pub fn adopt_thread(&self, thread: JoinHandle<()>) {
+        self.shared.threads.lock().push(thread);
+    }
+
+    /// True once [`ReactorHandle::shutdown`] has begun.
+    pub fn is_stopping(&self) -> bool {
+        self.shared.stop.load(Ordering::Relaxed)
+    }
+
+    /// Threads this reactor owns: `1` plus adopted helpers, whatever
+    /// the listener or connection count; `0` after shutdown.
+    pub fn threads(&self) -> usize {
+        self.shared.threads.lock().len()
+    }
+
+    /// Stop the loop and join every registered thread: each connection
+    /// and listener closes when the reactor drops its slot table.
+    /// Bounded even with wedged peers — the loop never blocks in a
+    /// write.
+    pub fn shutdown(&self) {
+        self.shared.stop.store(true, Ordering::Relaxed);
+        self.shared.wakeup.wake();
+        let drained: Vec<JoinHandle<()>> = self.shared.threads.lock().drain(..).collect();
+        for handle in drained {
+            let _ = handle.join();
+        }
+    }
 }
 
-enum Slot {
+enum Slot<S> {
     Free,
     Listener(TcpListener),
-    Conn(Box<Conn>),
+    Conn(Box<Conn<S>>),
 }
 
 /// Both byte-stream shapes a connection can have; pipes are fd-less and
@@ -171,55 +340,175 @@ impl Write for ConnIo {
     }
 }
 
-enum Stage {
-    /// Waiting for the first frame (bounded by the handshake timeout).
-    Handshaking { deadline: Instant },
-    /// A live subscriber: queue→ring transfer plus heartbeats.
-    Streaming { sub: BrokerSubscription, entry: Arc<ConnStatsEntry> },
-    /// Flush the ring, then close (stats replies, eviction notices,
-    /// fault-severed connections).
-    Draining,
-}
-
-/// Why a connection is being closed — maps onto the server counters.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CloseWhy {
-    /// Handshake never completed acceptably.
-    RejectedHello,
-    /// A live connection died (peer gone, write error, write stall,
-    /// scripted cut).
-    Disconnect,
-    /// Orderly end of a drained connection; no counter.
-    Quiet,
-}
-
-struct Conn {
+/// One connection as its protocol handler sees it: the protocol's own
+/// [`state`](Conn::state) plus the narrow set of things a handler may
+/// do to the transport underneath.
+pub struct Conn<S> {
+    /// What [`Protocol::open`] returned, the handler's to mutate.
+    pub state: S,
     io: ConnIo,
     assembler: FrameAssembler,
     ring: OutRing,
-    stage: Stage,
     script: Option<FaultScript>,
     /// This connection's frame bound (mirrors the assembler's): no
-    /// composed frame may declare more — the peer would reject it.
+    /// staged frame may declare more — the peer would reject it.
     max_frame: usize,
-    /// Mid-snapshot resume claims from the HELLO, consumed when the
-    /// matching shard's bootstrap snapshot is chunked out.
-    resume: BTreeMap<u16, SnapshotResume>,
-    /// Wake-dedup flag shared with this connection's waker/ready hook:
-    /// set on signal, cleared when the reactor services the token.
+    /// Slab index, which is also the epoll token and the wake token.
+    token: usize,
+    shared: Arc<ReactorShared>,
+    /// Wake-dedup flag shared with this connection's wakers: set on
+    /// signal, cleared when the reactor services the token.
     queued: Arc<AtomicBool>,
-    /// Heartbeat clock: last byte received or frame composed.
+    /// `Some` until the handshake completes (never, for protocols
+    /// without one).
+    handshake_deadline: Option<Instant>,
+    /// Flush the ring, then close with this reason.
+    closing: Option<CloseWhy>,
+    /// Heartbeat clock: last frame received or staged.
     last_io: Instant,
     /// Write-stall clock: last time the stream accepted ring bytes
     /// (reset when the ring goes from empty to non-empty).
     last_progress: Instant,
-    /// Whether `EPOLLOUT` is currently registered (TCP only).
-    want_write: bool,
-    /// A torn-frame fault flushed: sever instead of closing cleanly.
-    sever_after_flush: bool,
+    /// What epoll currently watches this fd for (TCP only).
+    interest: Interest,
 }
 
-impl Conn {
+impl<S> Conn<S> {
+    /// The handshake completed: heartbeats start, and failures count as
+    /// disconnects from here on.
+    pub fn establish(&mut self) {
+        self.handshake_deadline = None;
+    }
+
+    /// Still waiting for an acceptable first frame.
+    pub fn is_handshaking(&self) -> bool {
+        self.handshake_deadline.is_some() && self.closing.is_none()
+    }
+
+    /// Flush what is staged, then close with `why`. A drain that ends
+    /// in [`CloseWhy::Disconnect`] severs (a pipe is cut both ways, so
+    /// the peer sees a reset mid-stream rather than an orderly EOF).
+    pub fn close_after_flush(&mut self, why: CloseWhy) {
+        self.closing = Some(why);
+    }
+
+    /// A drain-then-close is under way; inbound frames no longer matter.
+    pub fn is_closing(&self) -> bool {
+        self.closing.is_some()
+    }
+
+    /// Whether the ring admits more — the backpressure valve for
+    /// [`Protocol::fill`], and the read gate's condition.
+    pub fn has_room(&self) -> bool {
+        self.ring.has_room()
+    }
+
+    /// Bytes staged but not yet accepted by the stream.
+    pub fn unsent_bytes(&self) -> usize {
+        self.ring.unsent_bytes()
+    }
+
+    /// This connection's frame bound.
+    pub fn max_frame(&self) -> usize {
+        self.max_frame
+    }
+
+    /// A callback that gets this connection serviced from any thread —
+    /// what a handler installs on its own wake source, and what the
+    /// pipe ready hook is. Signal storms collapse through the `queued`
+    /// flag; the callback touches only the pending mailbox and the
+    /// eventfd, so it is safe under a subscriber queue or pipe-half
+    /// lock. A waker that outlives its connection wakes whatever reuses
+    /// the slot, which is a harmless extra service.
+    pub fn waker(&self) -> ReadyHook {
+        let shared = Arc::clone(&self.shared);
+        let queued = Arc::clone(&self.queued);
+        let token = self.token;
+        Arc::new(move || {
+            if !queued.swap(true, Ordering::AcqRel) {
+                shared.announce(|pending| pending.woken.push(token));
+            }
+        })
+    }
+
+    /// Stage a request's reply (an `RZUQ` report, an `RZUR` answer).
+    pub fn reply(&mut self, payload: Bytes) -> Option<CloseWhy> {
+        self.stage(None, payload, FrameKind::Reply)
+    }
+
+    /// Stage one protocol frame, consulting the connection's fault
+    /// script (heartbeats bypass scripts and are pushed directly by the
+    /// idle sweep): duplicates deliver twice but count once; a corrupt
+    /// frame flips one byte of the whole payload (envelope included); a
+    /// truncating fault promises the full length, delivers a strict
+    /// prefix, then severs; `CutBefore` severs without sending. `Some`
+    /// closes the connection now; after a truncating fault the
+    /// connection [`is_closing`](Conn::is_closing).
+    pub(super) fn stage(
+        &mut self,
+        envelope: Option<[u8; 6]>,
+        payload: Bytes,
+        kind: FrameKind,
+    ) -> Option<CloseWhy> {
+        let now = Instant::now();
+        let whole_len = envelope.map_or(0, |e| e.len()) + payload.len();
+        // Never stage a frame the peer's assembler is guaranteed to
+        // reject: an oversized write would desynchronize the stream
+        // (the peer reads garbage lengths from the middle of it).
+        // Snapshots are chunked under the bound before they get here,
+        // so this trips only for a single message larger than the frame
+        // bound — the blocking transport returns `FrameTooLarge` for
+        // the same condition; the reactor's equivalent of that typed
+        // error is a counted disconnect, after which a subscriber
+        // resyncs via a (chunked, bound-respecting) snapshot.
+        if whole_len > self.max_frame {
+            return Some(CloseWhy::Disconnect);
+        }
+        let make = |payload: Bytes, counted: bool| match envelope {
+            Some(env) => RingFrame::with_envelope(&env, payload, kind, counted),
+            None => RingFrame::plain(payload, kind, counted),
+        };
+        let whole = || {
+            let mut whole: Vec<u8> = Vec::with_capacity(whole_len);
+            if let Some(env) = envelope {
+                whole.extend_from_slice(&env);
+            }
+            whole.extend_from_slice(&payload);
+            whole
+        };
+        let fault = self.script.as_ref().map_or(FrameFault::Deliver, FaultScript::next_fault);
+        match fault {
+            FrameFault::Deliver => self.push_frame(make(payload, true), now),
+            FrameFault::Duplicate => {
+                self.push_frame(make(payload.clone(), true), now);
+                self.push_frame(make(payload, false), now);
+            }
+            FrameFault::CorruptByte(i) => {
+                let mut whole = whole();
+                if !whole.is_empty() {
+                    let at = i % whole.len();
+                    if let Some(byte) = whole.get_mut(at) {
+                        *byte ^= 0xFF;
+                    }
+                }
+                self.push_frame(RingFrame::plain(Bytes::from(whole), kind, true), now);
+            }
+            FrameFault::TruncateAndCut(n) => {
+                // Promise the whole payload, deliver a strict prefix,
+                // then partition: the peer is left mid-frame.
+                let mut whole = whole();
+                whole.truncate(n.min(whole_len.saturating_sub(1)));
+                self.push_frame(RingFrame::torn(whole_len, Bytes::from(whole)), now);
+                self.close_after_flush(CloseWhy::Disconnect);
+            }
+            FrameFault::CutBefore => {
+                self.sever();
+                return Some(CloseWhy::Disconnect);
+            }
+        }
+        None
+    }
+
     /// Push a composed frame, arming the write-stall clock when the
     /// ring transitions from empty.
     fn push_frame(&mut self, frame: RingFrame, now: Instant) {
@@ -230,49 +519,72 @@ impl Conn {
         self.ring.push(frame);
     }
 
-    fn next_fault(&self) -> FrameFault {
-        self.script.as_ref().map(FaultScript::next_fault).unwrap_or(FrameFault::Deliver)
+    /// Hard-sever the connection the way the scripted faults demand:
+    /// pipes cut both directions (in-flight bytes drain, then reset);
+    /// TCP connections simply close on drop.
+    fn sever(&self) {
+        if let ConnIo::Pipe(end) = &self.io {
+            end.cut_handle().cut();
+        }
+    }
+
+    /// The phase rule for a connection lost to an I/O failure: a
+    /// closing connection was done anyway, a handshaking one never made
+    /// it, anything else was live.
+    fn lost(&self) -> CloseWhy {
+        if self.closing.is_some() {
+            CloseWhy::Quiet
+        } else if self.handshake_deadline.is_some() {
+            CloseWhy::Rejected
+        } else {
+            CloseWhy::Disconnect
+        }
     }
 }
 
-/// What composing one protocol frame did to the connection.
-enum Composed {
-    /// Frame staged (possibly twice); keep going.
-    Staged,
-    /// A fault turned the connection terminal (torn frame staged or
-    /// immediate cut); `Some` means close now with this reason.
-    Terminal(Option<CloseWhy>),
-}
-
-/// One shard's bootstrap, already encoded: the `RZUC` train of the
-/// checkpoint this server last served at its default chunk size.
-struct CachedTrain {
-    /// The capture the chunks encode, held to recognise it again by
-    /// storage identity ([`ZoneSnapshot::same_capture`]) — normally the
-    /// very columns the broker's checkpoint holds, so no extra copy.
-    snapshot: ZoneSnapshot,
-    /// The whole train, from entry 0.
-    frames: Vec<Bytes>,
-}
-
-struct Reactor {
-    inner: Arc<ServerInner>,
+struct Reactor<P: Protocol> {
+    handler: P,
+    config: TransportConfig,
     shared: Arc<ReactorShared>,
     epoll: Epoll,
-    slots: Vec<Slot>,
+    slots: Vec<Slot<P::State>>,
     free: Vec<usize>,
     /// Scratch for flush completion records (reused across services).
     completed: Vec<CompletedFrame>,
-    /// Encode-once bootstraps: one cached train per shard, replaced when
-    /// a newer checkpoint is served. Reactor-thread state — every
-    /// connection is serviced here, so it needs no lock.
-    trains: BTreeMap<u16, CachedTrain>,
 }
 
-impl Reactor {
+impl<P: Protocol> Reactor<P> {
+    fn new(handler: P, config: TransportConfig) -> (Reactor<P>, ReactorHandle) {
+        let created = WakeupFd::new().and_then(|wakeup| {
+            let epoll = Epoll::new()?;
+            epoll.register(wakeup.raw_fd(), Token(WAKE_TOKEN), Interest::READABLE)?;
+            Ok((wakeup, epoll))
+        });
+        // lint: allow(panic) startup-only: one epoll instance and one
+        // eventfd per server, created on the constructing thread before
+        // the reactor thread or any traffic exists.
+        let (wakeup, epoll) = created.expect("create reactor epoll instance and wakeup eventfd");
+        let shared = Arc::new(ReactorShared {
+            pending: TrackedMutex::new(&lockdep::REACTOR_PENDING, Pending::default()),
+            wakeup,
+            stop: AtomicBool::new(false),
+            threads: TrackedMutex::new(&lockdep::THREADS, Vec::new()),
+        });
+        let reactor = Reactor {
+            handler,
+            config,
+            shared: Arc::clone(&shared),
+            epoll,
+            slots: Vec::new(),
+            free: Vec::new(),
+            completed: Vec::new(),
+        };
+        (reactor, ReactorHandle { shared })
+    }
+
     fn run(&mut self) {
         let mut events = Events::with_capacity(1024);
-        let tick = self.inner.config.writer_tick;
+        let tick = self.config.writer_tick;
         // The sweep walks every slot (deadlines, heartbeats, write
         // stalls). Under fan-out load the loop turns over far faster
         // than the tick; pace the O(connections) walk so a 10k-conn
@@ -287,40 +599,41 @@ impl Reactor {
             if self.shared.stop.load(Ordering::Relaxed) {
                 return;
             }
-            let mut fd_work: Vec<(usize, bool, bool)> = Vec::new();
+            let mut fd_work: Vec<(usize, bool)> = Vec::new();
             for event in events.iter() {
                 if event.token().0 == WAKE_TOKEN {
                     self.shared.wakeup.drain();
                 } else {
-                    fd_work.push((event.token().0, event.is_readable(), event.is_writable()));
+                    fd_work.push((event.token().0, event.is_readable()));
                 }
             }
-            for (idx, readable, writable) in fd_work {
+            for (idx, readable) in fd_work {
                 match self.slots.get(idx) {
                     Some(Slot::Listener(_)) => self.accept_burst(idx),
-                    Some(Slot::Conn(_)) => self.service(idx, readable, writable),
+                    Some(Slot::Conn(_)) => self.service(idx, readable),
                     _ => {}
                 }
             }
-            let staged = {
-                let mut pending = self.shared.pending.lock();
-                std::mem::take(&mut *pending)
-            };
-            for listener in staged.listeners {
-                self.add_listener(listener);
-            }
-            for conn in staged.conns {
-                self.add_pipe_conn(conn);
-            }
-            for idx in staged.woken {
-                if matches!(self.slots.get(idx), Some(Slot::Conn(_))) {
-                    self.service(idx, false, false);
-                }
-            }
+            self.drain_mailbox();
             if last_sweep.elapsed() >= sweep_every {
-                self.sweep();
+                self.sweep(Instant::now());
                 last_sweep = Instant::now();
             }
+        }
+    }
+
+    /// Take what other threads staged: new listeners, new pipe
+    /// connections, and the tokens wakers asked to have serviced.
+    fn drain_mailbox(&mut self) {
+        let staged = std::mem::take(&mut *self.shared.pending.lock());
+        for listener in staged.listeners {
+            self.add_listener(listener);
+        }
+        for conn in staged.conns {
+            self.add_pipe_conn(conn);
+        }
+        for idx in staged.woken {
+            self.service(idx, false);
         }
     }
 
@@ -333,12 +646,12 @@ impl Reactor {
         }
     }
 
-    /// Bounds-checked slot store (the reactor is a declared panic-free
-    /// module — rule L3 — so no indexed assignment on the hot path).
-    /// Tokens come from `alloc_slot`, so the index is always in range;
-    /// an out-of-range store is silently ignored rather than panicking
-    /// the whole fleet's event loop.
-    fn set_slot(&mut self, idx: usize, slot: Slot) {
+    /// Bounds-checked slot store (this is a declared panic-free module
+    /// — rule L3 — so no indexed assignment on the hot path). Tokens
+    /// come from `alloc_slot`, so the index is always in range; an
+    /// out-of-range store is silently ignored rather than panicking the
+    /// whole fleet's event loop.
+    fn set_slot(&mut self, idx: usize, slot: Slot<P::State>) {
         if let Some(entry) = self.slots.get_mut(idx) {
             *entry = slot;
         }
@@ -346,7 +659,7 @@ impl Reactor {
 
     /// Bounds-checked slot take: replaces the slot with `Free` and
     /// returns the previous value (`Free` for out-of-range tokens).
-    fn take_slot(&mut self, idx: usize) -> Slot {
+    fn take_slot(&mut self, idx: usize) -> Slot<P::State> {
         match self.slots.get_mut(idx) {
             Some(entry) => std::mem::replace(entry, Slot::Free),
             None => Slot::Free,
@@ -362,676 +675,513 @@ impl Reactor {
         self.set_slot(idx, Slot::Listener(listener));
     }
 
-    /// Drain an accept burst to `WouldBlock` — the sleep-poll acceptor,
-    /// folded into the event loop.
+    /// Drain an accept burst to `WouldBlock`.
     fn accept_burst(&mut self, listener_idx: usize) {
         loop {
             let accepted = match self.slots.get(listener_idx) {
                 Some(Slot::Listener(listener)) => listener.accept(),
                 _ => return,
             };
-            match accepted {
-                Ok((stream, _peer)) => {
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    self.inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    let idx = self.alloc_slot();
-                    if self
-                        .epoll
-                        .register(stream.as_raw_fd(), Token(idx), Interest::READABLE)
-                        .is_err()
-                    {
-                        self.free.push(idx);
-                        continue;
-                    }
-                    let conn = Box::new(self.new_conn(ConnIo::Tcp(stream), None));
-                    self.set_slot(idx, Slot::Conn(conn));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
+            let Ok((stream, _peer)) = accepted else { return };
+            let _ = stream.set_nodelay(true);
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let idx = self.alloc_slot();
+            let registered = self.epoll.register(stream.as_raw_fd(), Token(idx), Interest::READABLE);
+            let conn = self.new_conn(ConnIo::Tcp(stream), idx, None, None);
+            match registered {
+                Ok(()) => self.set_slot(idx, Slot::Conn(conn)),
+                Err(_) => self.finalize_close(*conn, CloseWhy::Quiet),
             }
         }
     }
 
-    fn add_pipe_conn(&mut self, new: NewPipeConn) {
-        let NewPipeConn { mut end, max_frame_len, script } = new;
-        self.inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
+    fn add_pipe_conn(&mut self, served: ServedConn) {
+        let ServedConn { mut end, max_frame_len, script } = served;
         end.set_nonblocking(true);
         let idx = self.alloc_slot();
-        let mut conn = self.new_conn(ConnIo::Pipe(end), max_frame_len);
-        conn.script = script;
+        let conn = self.new_conn(ConnIo::Pipe(end), idx, max_frame_len, script);
         // Hook before first service: anything the client wrote before
         // (or writes after) this point is either seen by the immediate
         // service below or signals the hook — no lost readiness.
         if let ConnIo::Pipe(end) = &conn.io {
-            end.set_ready_hook(Some(self.make_waker(idx, &conn.queued)));
+            end.set_ready_hook(Some(conn.waker()));
         }
-        self.set_slot(idx, Slot::Conn(Box::new(conn)));
-        self.service(idx, true, true);
+        self.set_slot(idx, Slot::Conn(conn));
+        self.service(idx, true);
     }
 
-    fn new_conn(&self, io: ConnIo, max_frame_len: Option<usize>) -> Conn {
+    fn new_conn(
+        &mut self,
+        io: ConnIo,
+        token: usize,
+        max_frame_len: Option<usize>,
+        script: Option<FaultScript>,
+    ) -> Box<Conn<P::State>> {
         let now = Instant::now();
-        let max_frame = max_frame_len.unwrap_or(self.inner.config.max_frame_len);
-        Conn {
+        let max_frame = max_frame_len.unwrap_or(self.config.max_frame_len);
+        Box::new(Conn {
+            state: self.handler.open(),
             io,
             assembler: FrameAssembler::new(max_frame),
             ring: OutRing::new(),
-            stage: Stage::Handshaking { deadline: now + self.inner.config.handshake_timeout },
-            script: None,
+            script,
             max_frame,
-            resume: BTreeMap::new(),
+            token,
+            shared: Arc::clone(&self.shared),
             queued: Arc::new(AtomicBool::new(false)),
+            handshake_deadline: P::HANDSHAKE.then(|| now + self.config.handshake_timeout),
+            closing: None,
             last_io: now,
             last_progress: now,
-            want_write: false,
-            sever_after_flush: false,
-        }
-    }
-
-    /// The token-enqueue callback shared by broker-subscription wakers
-    /// and pipe ready hooks: collapse signal storms through the
-    /// connection's `queued` flag, then stage the token and poke the
-    /// eventfd. Runs under a subscriber queue lock or a pipe-half lock;
-    /// touches only leaf state.
-    fn make_waker(&self, idx: usize, queued: &Arc<AtomicBool>) -> SubWaker {
-        let shared = Arc::clone(&self.shared);
-        let queued = Arc::clone(queued);
-        Arc::new(move || {
-            if !queued.swap(true, Ordering::AcqRel) {
-                shared.pending.lock().woken.push(idx);
-                shared.wakeup.wake();
-            }
+            interest: Interest::READABLE,
         })
     }
 
-    /// Drive one connection: inbound frames, queue→ring transfer, ring
-    /// flush, drain-close.
-    fn service(&mut self, idx: usize, readable: bool, writable: bool) {
+    /// Drive one connection: inbound frames, ring top-up, ring flush,
+    /// drain-close. A token whose slot holds no connection (a stale
+    /// wake, a listener) is left alone.
+    fn service(&mut self, idx: usize, readable: bool) {
         let mut conn = match self.take_slot(idx) {
             Slot::Conn(conn) => conn,
-            other => {
-                self.set_slot(idx, other);
-                return;
-            }
+            other => return self.set_slot(idx, other),
         };
         conn.queued.store(false, Ordering::Release);
         // Pipes carry no per-direction readiness detail — their hook
         // fires for any transition — so always poll their inbound side.
         let read_side = readable || matches!(conn.io, ConnIo::Pipe(_));
-        let _ = writable; // flushing is unconditional below
-        let mut close = if read_side { self.read_inbound(&mut conn, idx) } else { None };
-        if close.is_none() {
-            close = self.pump(&mut conn);
-        }
-        if close.is_none() {
-            close = self.flush(&mut conn, idx);
-        }
+        let close = loop {
+            let read = if read_side { self.read_inbound(&mut conn) } else { None };
+            // Reading stops at a dry stream with room left, so a full
+            // ring here means it stopped at the gate.
+            let gated = read_side && !conn.ring.has_room();
+            let close = read
+                .or_else(|| self.handler.fill(&mut conn))
+                .or_else(|| self.flush(&mut conn));
+            // Gated, and the flush made room: pull what the peer
+            // pipelined meanwhile. No readiness event will say so — for
+            // a pipe the bytes already arrived.
+            if close.is_some() || !gated || !conn.ring.has_room() {
+                break close;
+            }
+        };
         match close {
-            Some(why) => self.finalize_close(idx, conn, why),
-            None => self.set_slot(idx, Slot::Conn(conn)),
+            Some(why) => self.finalize_close(*conn, why),
+            None => {
+                self.sync_interest(&mut conn);
+                self.set_slot(idx, Slot::Conn(conn));
+            }
         }
     }
 
-    /// Read inbound bytes through the shared framing state machine.
-    fn read_inbound(&mut self, conn: &mut Conn, idx: usize) -> Option<CloseWhy> {
-        loop {
+    /// Read inbound frames through the shared framing state machine
+    /// while the ring has room for what they may be answered with (the
+    /// read gate).
+    fn read_inbound(&mut self, conn: &mut Conn<P::State>) -> Option<CloseWhy> {
+        while conn.ring.has_room() {
             match conn.assembler.read_from(&mut conn.io) {
                 Ok(FrameProgress::Frame(frame)) => {
                     conn.last_io = Instant::now();
-                    if let Stage::Handshaking { .. } = conn.stage {
-                        if let Some(why) = self.classify_first_frame(conn, idx, frame) {
-                            return Some(why);
-                        }
+                    if let Some(why) = self.handler.on_frame(conn, frame) {
+                        return Some(why);
                     }
-                    // Post-handshake inbound frames have no meaning in
-                    // the protocol; they are drained and ignored, as
-                    // the writer-thread server (which never read after
-                    // the handshake) effectively did.
                 }
                 Ok(FrameProgress::Pending) => return None,
-                Ok(FrameProgress::Closed) | Err(_) => {
-                    return Some(match conn.stage {
-                        Stage::Handshaking { .. } => CloseWhy::RejectedHello,
-                        Stage::Streaming { .. } => CloseWhy::Disconnect,
-                        Stage::Draining => CloseWhy::Quiet,
-                    });
-                }
+                Ok(FrameProgress::Closed) => return Some(self.handler.on_eof(conn, true)),
+                Err(_) => return Some(self.handler.on_eof(conn, false)),
             }
         }
-    }
-
-    /// The handshake: an `RZUQ` scrape gets the stats report and
-    /// drains; an `RZUH` with validated claims becomes a subscriber;
-    /// anything else is rejected.
-    fn classify_first_frame(
-        &mut self,
-        conn: &mut Conn,
-        idx: usize,
-        frame: Bytes,
-    ) -> Option<CloseWhy> {
-        if is_stats_query(&frame) {
-            // Count first so the reply's counters include this query.
-            self.inner.stats.stats_queries.fetch_add(1, Ordering::Relaxed);
-            let report = encode_stats_report(&build_stats_report(&self.inner));
-            conn.stage = Stage::Draining;
-            return match self.compose(conn, None, report, FrameKind::Stats) {
-                Composed::Terminal(why) => why,
-                Composed::Staged => None,
-            };
-        }
-        let Ok(hello) = decode_hello_frame(&frame) else {
-            return Some(CloseWhy::RejectedHello);
-        };
-        let wire_claims = hello.claims;
-        let mut claims = Vec::with_capacity(wire_claims.len());
-        for claim in &wire_claims {
-            let tld = TldId(claim.tld);
-            // Untrusted claim: `subscribe_with` panics on unknown TLDs
-            // (an in-process caller bug); a remote peer just gets
-            // rejected.
-            if !self.inner.broker.has_shard(tld) {
-                return Some(CloseWhy::RejectedHello);
-            }
-            claims.push((tld, claim.from_serial));
-        }
-        // Resume claims are kept only for TLDs the peer actually
-        // claimed (bounding the map by the validated claim set); they
-        // are consumed when the matching bootstrap snapshot is served.
-        conn.resume = hello
-            .resume
-            .into_iter()
-            .filter(|(tld, _)| claims.iter().any(|(t, _)| t.0 == *tld))
-            .collect();
-        // Registers under each shard's lock (the connection's one brush
-        // with hierarchy level 1): catch-up plan and live registration
-        // are atomic per shard, so the stream starts gap-free. The
-        // HELLO's scope picks the catch-up contract: a delta-only
-        // partial subscription never gets a checkpoint bootstrap — a
-        // claim beyond delta repair starts at the live head.
-        let mode = match hello.scope {
-            HelloScope::Full => SubscribeMode::Full,
-            HelloScope::DeltaOnly => SubscribeMode::DeltaOnly,
-        };
-        let sub = self.inner.broker.subscribe_scoped(&claims, mode);
-        self.inner.stats.handshakes.fetch_add(1, Ordering::Relaxed);
-        let entry = Arc::new(ConnStatsEntry {
-            probe: sub.probe(),
-            coalesced_frames: std::sync::atomic::AtomicU64::new(0),
-            buffered_bytes: std::sync::atomic::AtomicU64::new(0),
-            claims: TrackedMutex::new(
-                &lockdep::CONN_CLAIMS,
-                wire_claims.iter().map(|c| (c.tld, c.from_serial)).collect::<BTreeMap<_, _>>(),
-            ),
-        });
-        self.inner.conns.lock().insert(sub.id(), Arc::clone(&entry));
-        // Waker before drain: nothing enqueued before installation is
-        // re-signalled, but this service call drains the queue right
-        // after classify returns.
-        sub.set_waker(Some(self.make_waker(idx, &conn.queued)));
-        conn.stage = Stage::Streaming { sub, entry };
         None
     }
 
-    /// Transfer queued broker messages into the outbound ring while it
-    /// has room — the readiness-model replacement for the writer
-    /// thread's `next_wait` + batch drain. The ring caps are the
-    /// backpressure valve: a stalled peer stops the transfer here and
-    /// the broker's overflow policy handles the rest at the queue.
-    fn pump(&mut self, conn: &mut Conn) -> Option<CloseWhy> {
-        loop {
-            let Stage::Streaming { sub, .. } = &conn.stage else { return None };
-            if !conn.ring.has_room() {
-                return None;
+    /// Flush the ring, report what reached the stream, and finish a
+    /// drain-then-close whose ring emptied.
+    fn flush(&mut self, conn: &mut Conn<P::State>) -> Option<CloseWhy> {
+        if !conn.ring.is_empty() {
+            let before = conn.ring.unsent_bytes();
+            let mut completed = std::mem::take(&mut self.completed);
+            completed.clear();
+            let status = conn.ring.flush_into(&mut conn.io, &mut completed);
+            if conn.ring.unsent_bytes() < before {
+                conn.last_progress = Instant::now();
             }
-            let Some(msg) = sub.try_next() else {
-                if sub.is_evicted() {
-                    // The explicit slow-subscriber signal: tell the
-                    // peer, flush, close — it reconnects with claims.
-                    self.inner.stats.evict_notices.fetch_add(1, Ordering::Relaxed);
-                    self.end_streaming(conn);
-                    return match self.compose(
-                        conn,
-                        None,
-                        encode_evict_notice(),
-                        FrameKind::Evict,
-                    ) {
-                        Composed::Terminal(why) => why,
-                        Composed::Staged => None,
-                    };
-                }
-                return None;
-            };
-            let composed = match msg {
-                BrokerMessage::Snapshot { tld, snapshot } => {
-                    // Chunked bootstrap: the snapshot is encoded as a
-                    // sequence of `RZUC` frames, each under the
-                    // connection's frame bound (half the bound as the
-                    // byte target leaves headroom for the one-entry
-                    // overshoot `encode_snapshot_chunks` allows), so a
-                    // checkpoint of any size traverses the bound
-                    // instead of producing an oversized write. A HELLO
-                    // resume claim that still matches the served serial
-                    // starts the sequence at the peer's last received
-                    // chunk boundary. All chunks of one bootstrap stage
-                    // together (the ring's byte cap gates admission of
-                    // *further* messages, same backpressure the single
-                    // monolithic frame produced). The frames themselves
-                    // come from the per-shard train cache whenever they
-                    // can: see `snapshot_train`.
-                    let start = conn
-                        .resume
-                        .remove(&tld.0)
-                        .filter(|r| r.serial == snapshot.serial())
-                        .map(|r| r.entries as usize)
-                        .unwrap_or(0);
-                    let chunks = self.snapshot_train(tld.0, &snapshot, start, conn.max_frame);
-                    let total = chunks.len();
-                    let mut outcome = Composed::Staged;
-                    for (i, chunk) in chunks.into_iter().enumerate() {
-                        let kind = FrameKind::Snapshot { tld: tld.0, last: i + 1 == total };
-                        outcome = self.compose(conn, None, chunk, kind);
-                        if matches!(outcome, Composed::Terminal(_)) {
-                            break;
-                        }
-                    }
-                    outcome
-                }
-                BrokerMessage::Delta { tld, frame } => {
-                    // Allocation-free peek: the serial this frame
-                    // advances the peer to, recorded when it completes.
-                    let to_serial =
-                        peek_delta_push_serials(&frame).map(|(_, to)| to.0).unwrap_or(0);
-                    self.compose(
-                        conn,
-                        Some(delta_envelope_header(tld.0)),
-                        frame,
-                        FrameKind::Delta { tld: tld.0, to_serial },
-                    )
-                }
-            };
-            match composed {
-                Composed::Staged => {}
-                Composed::Terminal(why) => return why,
+            self.handler.flushed(conn, &completed);
+            self.completed = completed;
+            if status.is_err() && conn.closing != Some(CloseWhy::Disconnect) {
+                return Some(conn.lost());
+            }
+            if status.is_ok() && !conn.ring.is_empty() {
+                return None; // blocked: wait for writability
             }
         }
+        // Drained — or a scripted tear whose tail never got out; the
+        // peer is mid-frame either way.
+        let why = conn.closing?;
+        if why == CloseWhy::Disconnect {
+            conn.sever();
+        }
+        Some(why)
     }
 
-    /// The chunk byte target for a connection whose frame bound is
-    /// `max_frame`: half the bound leaves headroom for the one-entry
-    /// overshoot `encode_snapshot_chunks` allows.
-    fn chunk_bytes_for(&self, max_frame: usize) -> usize {
-        self.inner.config.snapshot_chunk_bytes.min(max_frame / 2).max(512)
-    }
-
-    /// The `RZUC` frames that take a peer holding the first `start`
-    /// entries of `snapshot` to its end — encoded at most once per
-    /// checkpoint for the common case.
-    ///
-    /// Chunks are independently decodable and packed greedily from
-    /// their first entry, so the tail of a train from any of its chunk
-    /// boundaries is byte-identical to a train encoded from that entry.
-    /// The reactor therefore keeps, per shard, the whole train of the
-    /// checkpoint it last served at the server's default chunk size, and
-    /// every later bootstrap of that capture — and every resume that
-    /// lands on one of its chunk boundaries, which is where a client cut
-    /// mid-train always resumes — stages refcount-shared clones: N
-    /// joiners hold one copy, and none of them waits on an O(zone)
-    /// encode on the fleet's only transport thread. Anything else (a
-    /// connection with its own frame bound, hence its own chunk size; a
-    /// resume offset that is not a boundary of the cached train) is
-    /// encoded for that connection alone, as every bootstrap used to be.
-    ///
-    /// This is the only `encode_snapshot_chunks` call the transport may
-    /// contain (`docs/INVARIANTS.md` L4).
-    fn snapshot_train(
-        &mut self,
-        tld: u16,
-        snapshot: &ZoneSnapshot,
-        start: usize,
-        max_frame: usize,
-    ) -> Vec<Bytes> {
-        let chunk_bytes = self.chunk_bytes_for(max_frame);
-        let shareable = chunk_bytes == self.chunk_bytes_for(self.inner.config.max_frame_len);
-        if shareable {
-            let tail = self
-                .trains
-                .get(&tld)
-                .filter(|train| train.snapshot.same_capture(snapshot))
-                .and_then(|train| {
-                    let starts_here = |frame: &Bytes| {
-                        peek_snapshot_chunk_offset(frame).is_ok_and(|at| at as usize == start)
-                    };
-                    train.frames.get(train.frames.iter().position(starts_here)?..)
-                });
-            if let Some(tail) = tail {
-                return tail.to_vec();
-            }
-        }
-        let frames = encode_snapshot_chunks(tld, snapshot, start, chunk_bytes);
-        self.inner.stats.snapshot_trains_encoded.fetch_add(1, Ordering::Relaxed);
-        if shareable && start == 0 {
-            let train = CachedTrain { snapshot: snapshot.clone(), frames: frames.clone() };
-            self.trains.insert(tld, train);
-        }
-        frames
-    }
-
-    /// Stage one protocol frame, consulting the connection's fault
-    /// script (heartbeats bypass scripts and are pushed directly by the
-    /// idle sweep). Mirrors the wire behaviour of the writer-thread
-    /// fault harness: duplicates deliver twice but count once; a
-    /// corrupt frame flips one byte of the whole payload (envelope
-    /// included); a truncating fault promises the full length, delivers
-    /// a strict prefix, then severs; `CutBefore` severs without
-    /// sending.
-    fn compose(
-        &mut self,
-        conn: &mut Conn,
-        envelope: Option<[u8; 6]>,
-        payload: Bytes,
-        kind: FrameKind,
-    ) -> Composed {
-        let now = Instant::now();
-        // Never stage a frame the peer's assembler is guaranteed to
-        // reject: an oversized write would desynchronize the stream
-        // (the peer reads garbage lengths from the middle of it).
-        // Snapshots are chunked under the bound before they get here,
-        // so this trips only for a single delta larger than the frame
-        // bound — the blocking transport returns `FrameTooLarge` for
-        // the same condition; the reactor's equivalent of that typed
-        // error is a counted disconnect, after which the peer resyncs
-        // via a (chunked, bound-respecting) snapshot.
-        if envelope.map_or(0, |e| e.len()) + payload.len() > conn.max_frame {
-            self.end_streaming(conn);
-            return Composed::Terminal(Some(CloseWhy::Disconnect));
-        }
-        let make = |payload: Bytes, counted: bool| match envelope {
-            Some(env) => RingFrame::with_envelope(&env, payload, kind, counted),
-            None => RingFrame::plain(payload, kind, counted),
+    /// Make epoll watch a TCP connection for what can currently move:
+    /// `EPOLLOUT` only while the ring holds unsent bytes, `EPOLLIN` only
+    /// while the ring has room (level-triggered epoll would spin on a
+    /// gated connection otherwise). A full ring is never empty, so the
+    /// set is never empty. Pipe readiness arrives via the ready hook
+    /// regardless.
+    fn sync_interest(&self, conn: &mut Conn<P::State>) {
+        let ConnIo::Tcp(stream) = &conn.io else { return };
+        let interest = match (conn.ring.has_room(), conn.ring.is_empty()) {
+            (true, true) => Interest::READABLE,
+            (true, false) => Interest::READABLE.add(Interest::WRITABLE),
+            (false, _) => Interest::WRITABLE,
         };
-        match conn.next_fault() {
-            FrameFault::Deliver => {
-                conn.push_frame(make(payload, true), now);
-                Composed::Staged
-            }
-            FrameFault::Duplicate => {
-                conn.push_frame(make(payload.clone(), true), now);
-                conn.push_frame(make(payload, false), now);
-                Composed::Staged
-            }
-            FrameFault::CorruptByte(i) => {
-                let mut whole: Vec<u8> =
-                    Vec::with_capacity(envelope.map_or(0, |e| e.len()) + payload.len());
-                if let Some(env) = envelope {
-                    whole.extend_from_slice(&env);
-                }
-                whole.extend_from_slice(&payload);
-                if !whole.is_empty() {
-                    let at = i % whole.len();
-                    if let Some(byte) = whole.get_mut(at) {
-                        *byte ^= 0xFF;
-                    }
-                }
-                conn.push_frame(RingFrame::plain(Bytes::from(whole), kind, true), now);
-                Composed::Staged
-            }
-            FrameFault::TruncateAndCut(n) => {
-                let mut whole: Vec<u8> =
-                    Vec::with_capacity(envelope.map_or(0, |e| e.len()) + payload.len());
-                if let Some(env) = envelope {
-                    whole.extend_from_slice(&env);
-                }
-                whole.extend_from_slice(&payload);
-                // Promise the whole payload, deliver a strict prefix,
-                // then partition: the peer is left mid-frame.
-                let keep = n.min(whole.len().saturating_sub(1));
-                let declared = whole.len();
-                whole.truncate(keep);
-                conn.push_frame(RingFrame::torn(declared, Bytes::from(whole)), now);
-                conn.sever_after_flush = true;
-                self.end_streaming(conn);
-                Composed::Terminal(None)
-            }
-            FrameFault::CutBefore => {
-                Self::sever(conn);
-                Composed::Terminal(Some(CloseWhy::Disconnect))
-            }
+        if interest != conn.interest {
+            conn.interest = interest;
+            let _ = self.epoll.modify(stream.as_raw_fd(), Token(conn.token), interest);
         }
     }
 
-    /// Hard-sever the connection the way the scripted faults demand:
-    /// pipes cut both directions (in-flight bytes drain, then reset);
-    /// TCP connections simply close on drop.
-    fn sever(conn: &mut Conn) {
-        if let ConnIo::Pipe(end) = &conn.io {
-            end.cut_handle().cut();
-        }
-    }
-
-    /// Leave `Streaming`: deregister the stats row and drop the
-    /// subscription (the broker reaps it at the next publish).
-    fn end_streaming(&mut self, conn: &mut Conn) {
-        if let Stage::Streaming { sub, .. } =
-            std::mem::replace(&mut conn.stage, Stage::Draining)
-        {
-            self.inner.conns.lock().remove(&sub.id());
-        }
-    }
-
-    /// Flush the ring and account for everything that reached the
-    /// stream: sent counters, per-connection claims, and coalescing
-    /// credits (frames sharing one vectored write).
-    fn flush(&mut self, conn: &mut Conn, idx: usize) -> Option<CloseWhy> {
-        if conn.ring.is_empty() {
-            self.set_want_write(conn, idx, false);
-            return match conn.stage {
-                Stage::Draining => Some(self.drain_done(conn)),
-                _ => None,
-            };
-        }
-        let before = conn.ring.unsent_bytes();
-        self.completed.clear();
-        let mut completed = std::mem::take(&mut self.completed);
-        let status = conn.ring.flush_into(&mut conn.io, &mut completed);
-        let now = Instant::now();
-        if conn.ring.unsent_bytes() < before {
-            conn.last_progress = now;
-        }
-        self.account(conn, &completed);
-        completed.clear();
-        self.completed = completed;
-        if let Stage::Streaming { entry, .. } = &conn.stage {
-            entry.buffered_bytes.store(conn.ring.unsent_bytes() as u64, Ordering::Relaxed);
-        }
-        match status {
-            Err(_) => Some(match conn.stage {
-                Stage::Streaming { .. } => CloseWhy::Disconnect,
-                Stage::Handshaking { .. } => CloseWhy::RejectedHello,
-                Stage::Draining => {
-                    if conn.sever_after_flush {
-                        // The torn frame's tail never got out; the peer
-                        // is mid-frame anyway. Sever as scripted.
-                        Self::sever(conn);
-                        CloseWhy::Disconnect
-                    } else {
-                        CloseWhy::Quiet
-                    }
-                }
-            }),
-            Ok(FlushStatus::Drained) => {
-                self.set_want_write(conn, idx, false);
-                match conn.stage {
-                    Stage::Draining => Some(self.drain_done(conn)),
-                    _ => None,
-                }
-            }
-            Ok(FlushStatus::Blocked) => {
-                self.set_want_write(conn, idx, true);
-                None
-            }
-        }
-    }
-
-    /// A draining connection's ring is empty: finish it. A scripted
-    /// sever counts as a disconnect (the write path used to surface
-    /// `Closed` there); orderly drains (stats replies, eviction
-    /// notices) close quietly.
-    fn drain_done(&mut self, conn: &mut Conn) -> CloseWhy {
-        if conn.sever_after_flush {
-            Self::sever(conn);
-            CloseWhy::Disconnect
-        } else {
-            CloseWhy::Quiet
-        }
-    }
-
-    /// Completion accounting. Frames sharing a `write_seq` left in one
-    /// vectored write: if that write carried k ≥ 2 counted message
-    /// frames, it saved k-1 syscalls over frame-at-a-time writing —
-    /// credited to the server counters, the connection's stats row, and
-    /// each ridden-along frame's shard.
-    fn account(&mut self, conn: &mut Conn, completed: &[CompletedFrame]) {
-        let stats = &self.inner.stats;
-        let entry = match &conn.stage {
-            Stage::Streaming { entry, .. } => Some(entry),
-            _ => None,
-        };
-        let mut rest = completed;
-        while let Some(first) = rest.first() {
-            let seq = first.write_seq;
-            let run_len = rest.iter().take_while(|f| f.write_seq == seq).count();
-            let (run, tail) = rest.split_at(run_len);
-            rest = tail;
-            let mut messages = 0u64;
-            let mut ride_along: Vec<TldId> = Vec::new();
-            for &frame in run {
-                match frame.kind {
-                    FrameKind::Snapshot { tld, last } => {
-                        if frame.counted {
-                            // Bootstraps are counted per snapshot, not
-                            // per continuation chunk.
-                            if last {
-                                stats.snapshots_sent.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if messages > 0 {
-                                ride_along.push(TldId(tld));
-                            }
-                            messages += 1;
-                        }
-                    }
-                    FrameKind::Delta { tld, to_serial } => {
-                        if frame.counted {
-                            stats.deltas_sent.fetch_add(1, Ordering::Relaxed);
-                            if let Some(entry) = entry {
-                                entry.claims.lock().insert(tld, Some(Serial(to_serial)));
-                            }
-                            if messages > 0 {
-                                ride_along.push(TldId(tld));
-                            }
-                            messages += 1;
-                        }
-                    }
-                    FrameKind::Torn => conn.sever_after_flush = true,
-                    FrameKind::Evict | FrameKind::Heartbeat | FrameKind::Stats => {}
-                }
-            }
-            if messages >= 2 {
-                stats.coalesced_writes.fetch_add(1, Ordering::Relaxed);
-                stats.coalesced_frames.fetch_add(messages - 1, Ordering::Relaxed);
-                if let Some(entry) = entry {
-                    entry.coalesced_frames.fetch_add(messages - 1, Ordering::Relaxed);
-                }
-                self.inner.broker.record_coalesced_frames(ride_along);
-            }
-        }
-    }
-
-    /// Toggle `EPOLLOUT` interest to track ring occupancy (TCP only;
-    /// pipe writability arrives via the ready hook regardless).
-    fn set_want_write(&self, conn: &mut Conn, idx: usize, want: bool) {
-        if conn.want_write == want {
-            return;
-        }
-        conn.want_write = want;
-        if let ConnIo::Tcp(stream) = &conn.io {
-            let interest = if want {
-                Interest::READABLE.add(Interest::WRITABLE)
-            } else {
-                Interest::READABLE
-            };
-            let _ = self.epoll.modify(stream.as_raw_fd(), Token(idx), interest);
-        }
-    }
-
-    /// Time-based duties, once per loop iteration: handshake deadlines,
-    /// idle heartbeats on the writer tick, and the write-stall bound.
-    fn sweep(&mut self) {
-        let now = Instant::now();
-        let tick = self.inner.config.writer_tick;
-        let stall = self.inner.config.write_timeout;
+    /// Time-based duties on the tick clock: the write-stall bound,
+    /// handshake deadlines, idle heartbeats.
+    fn sweep(&mut self, now: Instant) {
+        let tick = self.config.writer_tick;
+        let stall = self.config.write_timeout;
         let mut closes: Vec<(usize, CloseWhy)> = Vec::new();
         let mut flushes: Vec<usize> = Vec::new();
         for (idx, slot) in self.slots.iter_mut().enumerate() {
             let Slot::Conn(conn) = slot else { continue };
-            match conn.stage {
-                Stage::Handshaking { deadline } => {
-                    if now >= deadline {
-                        closes.push((idx, CloseWhy::RejectedHello));
-                    }
+            if !conn.ring.is_empty() {
+                if now.duration_since(conn.last_progress) >= stall {
+                    // A wedged-but-open peer.
+                    closes.push((idx, CloseWhy::Disconnect));
                 }
-                Stage::Streaming { .. } => {
-                    if !conn.ring.is_empty() {
-                        if now.duration_since(conn.last_progress) >= stall {
-                            // A wedged-but-open peer: the old writer's
-                            // send timeout, readiness-style.
-                            closes.push((idx, CloseWhy::Disconnect));
-                        }
-                    } else if now.duration_since(conn.last_io) >= tick {
-                        // Idle heartbeat: an empty frame the client
-                        // skips; its failure is how the server notices
-                        // a silently dead peer. Bypasses fault scripts.
-                        conn.push_frame(RingFrame::heartbeat(), now);
-                        flushes.push(idx);
-                    }
+            } else if let Some(deadline) = conn.handshake_deadline {
+                if now >= deadline {
+                    closes.push((idx, CloseWhy::Rejected));
                 }
-                Stage::Draining => {
-                    if !conn.ring.is_empty() && now.duration_since(conn.last_progress) >= stall {
-                        closes.push((idx, CloseWhy::Disconnect));
-                    }
-                }
+            } else if conn.closing.is_none() && now.duration_since(conn.last_io) >= tick {
+                // Idle heartbeat: an empty frame the client skips; its
+                // failure is how the server notices a silently dead
+                // peer. Bypasses fault scripts.
+                conn.push_frame(RingFrame::heartbeat(), now);
+                flushes.push(idx);
             }
         }
         for (idx, why) in closes {
             if let Slot::Conn(conn) = self.take_slot(idx) {
-                self.finalize_close(idx, conn, why);
+                self.finalize_close(*conn, why);
             }
         }
         for idx in flushes {
-            self.service(idx, false, true);
+            self.service(idx, false);
         }
     }
 
-    fn finalize_close(&mut self, idx: usize, mut conn: Box<Conn>, why: CloseWhy) {
-        match why {
-            CloseWhy::RejectedHello => {
-                self.inner.stats.rejected_hellos.fetch_add(1, Ordering::Relaxed);
-            }
-            CloseWhy::Disconnect => {
-                self.inner.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-            }
-            CloseWhy::Quiet => {}
-        }
-        self.end_streaming(&mut conn);
-        if let ConnIo::Tcp(stream) = &conn.io {
+    fn finalize_close(&mut self, conn: Conn<P::State>, why: CloseWhy) {
+        let Conn { state, io, token, .. } = conn;
+        self.handler.closed(state, why);
+        if let ConnIo::Tcp(stream) = &io {
             let _ = self.epoll.deregister(stream.as_raw_fd());
         }
-        // Dropping the conn closes the fd / pipe end: the peer sees EOF
+        // Dropping the io closes the fd / pipe end: the peer sees EOF
         // (or the scripted reset, if a sever already hit the pipe).
-        drop(conn);
-        self.set_slot(idx, Slot::Free);
-        self.free.push(idx);
+        drop(io);
+        self.set_slot(token, Slot::Free);
+        self.free.push(token);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::frame::{tcp_connect, FrameConn};
+    use super::super::pipe::duplex;
+    use super::super::ring::MAX_RING_FRAMES;
+    use super::*;
+    use std::sync::Mutex;
+
+    /// The smallest protocol that exercises the whole handler surface:
+    /// `hello` completes the handshake, `bye` / `tear` are answered and
+    /// then drain-close quietly / with a sever, anything else is echoed.
+    struct Echo {
+        closes: Arc<Mutex<Vec<CloseWhy>>>,
+    }
+
+    impl Protocol for Echo {
+        type State = ();
+        const HANDSHAKE: bool = true;
+
+        fn open(&mut self) {}
+
+        fn on_frame(&mut self, conn: &mut Conn<()>, frame: Bytes) -> Option<CloseWhy> {
+            match &frame[..] {
+                b"hello" => conn.establish(),
+                _ if conn.is_handshaking() => return Some(CloseWhy::Rejected),
+                b"bye" => conn.close_after_flush(CloseWhy::Quiet),
+                b"tear" => conn.close_after_flush(CloseWhy::Disconnect),
+                _ => {}
+            }
+            conn.reply(frame)
+        }
+
+        fn closed(&mut self, (): (), why: CloseWhy) {
+            self.closes.lock().unwrap().push(why);
+        }
+    }
+
+    const TICK: Duration = Duration::from_millis(10);
+    const HANDSHAKE: Duration = Duration::from_secs(5);
+    const STALL: Duration = Duration::from_secs(10);
+
+    fn config() -> TransportConfig {
+        TransportConfig {
+            writer_tick: TICK,
+            handshake_timeout: HANDSHAKE,
+            write_timeout: STALL,
+            ..TransportConfig::default()
+        }
+    }
+
+    /// A reactor driven by hand on the test thread — no loop thread, no
+    /// sleeps: `turn` is one mailbox pass, `sweep` takes its clock.
+    struct Rig {
+        reactor: Reactor<Echo>,
+        handle: ReactorHandle,
+        closes: Arc<Mutex<Vec<CloseWhy>>>,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let closes = Arc::new(Mutex::new(Vec::new()));
+            let (reactor, handle) = Reactor::new(Echo { closes: Arc::clone(&closes) }, config());
+            Rig { reactor, handle, closes }
+        }
+
+        /// Serve the far end of a fresh pipe; returns the client end.
+        fn connect(&mut self, capacity: usize) -> PipeEnd {
+            let (client, server) = duplex(capacity);
+            self.handle.serve_conn(server.into());
+            self.turn();
+            client
+        }
+
+        fn turn(&mut self) {
+            self.reactor.drain_mailbox();
+        }
+
+        fn closes(&self) -> Vec<CloseWhy> {
+            self.closes.lock().unwrap().clone()
+        }
+
+        fn conn(&self, idx: usize) -> &Conn<()> {
+            match self.reactor.slots.get(idx) {
+                Some(Slot::Conn(conn)) => conn,
+                _ => panic!("slot {idx} holds no connection"),
+            }
+        }
+
+        /// Bytes the peer has written that the server has not read.
+        fn inbound_backlog(&self, idx: usize) -> usize {
+            match &self.conn(idx).io {
+                ConnIo::Pipe(end) => end.readable_bytes(),
+                ConnIo::Tcp(_) => panic!("slot {idx} is not a pipe"),
+            }
+        }
+    }
+
+    fn send(client: &mut PipeEnd, payload: &[u8]) {
+        client.write_all(&framed(payload)).unwrap();
+    }
+
+    /// Everything the server has put on the wire so far, as raw bytes.
+    fn drain(client: &mut PipeEnd) -> Vec<u8> {
+        let mut bytes = vec![0; client.readable_bytes()];
+        client.read_exact(&mut bytes).unwrap();
+        bytes
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        [&(payload.len() as u32).to_be_bytes()[..], payload].concat()
+    }
+
+    #[test]
+    fn closed_slot_is_reused_and_a_stale_waker_is_a_harmless_service() {
+        let mut rig = Rig::new();
+        let mut first = rig.connect(1024);
+        send(&mut first, b"hello");
+        rig.turn();
+        let stale = rig.conn(0).waker();
+        drop(first);
+        rig.turn();
+        assert_eq!(rig.closes(), [CloseWhy::Disconnect]);
+        assert_eq!(rig.reactor.free, [0]);
+
+        let mut second = rig.connect(1024);
+        assert_eq!(rig.reactor.slots.len(), 1, "the freed slot is recycled");
+        // The dead connection's waker now names the new one's slot.
+        stale();
+        rig.turn();
+        assert_eq!(rig.closes().len(), 1, "the recycled slot's tenant is untouched");
+        send(&mut second, b"hello");
+        send(&mut second, b"ping");
+        rig.turn();
+        assert_eq!(drain(&mut second), [framed(b"hello"), framed(b"ping")].concat());
+    }
+
+    #[test]
+    fn handshake_deadline_rejects_a_silent_peer() {
+        let mut rig = Rig::new();
+        let mut client = rig.connect(1024);
+        let opened = Instant::now();
+        rig.reactor.sweep(opened + TICK);
+        assert!(rig.closes().is_empty(), "well before the deadline");
+        rig.reactor.sweep(opened + HANDSHAKE + TICK);
+        assert_eq!(rig.closes(), [CloseWhy::Rejected]);
+        assert_eq!(client.read(&mut [0; 1]).unwrap(), 0, "the peer sees EOF");
+    }
+
+    #[test]
+    fn heartbeat_only_when_established_idle_and_empty() {
+        let mut rig = Rig::new();
+        let mut client = rig.connect(16);
+        rig.reactor.sweep(Instant::now() + TICK);
+        assert_eq!(client.readable_bytes(), 0, "no heartbeat before the handshake");
+
+        send(&mut client, b"hello");
+        rig.turn();
+        assert_eq!(drain(&mut client), framed(b"hello"));
+        rig.reactor.sweep(Instant::now());
+        assert_eq!(client.readable_bytes(), 0, "not idle for a tick yet");
+        rig.reactor.sweep(Instant::now() + TICK);
+        assert_eq!(drain(&mut client), framed(b""), "idle, established, empty: one heartbeat");
+
+        // Wedge a reply in the ring: the pipe holds 16 bytes, two
+        // 12-byte replies do not fit.
+        send(&mut client, b"12345678");
+        rig.turn();
+        send(&mut client, b"abcdefgh");
+        rig.turn();
+        let staged = rig.conn(0).unsent_bytes();
+        assert!(staged > 0);
+        rig.reactor.sweep(Instant::now() + TICK);
+        assert_eq!(rig.conn(0).unsent_bytes(), staged, "no heartbeat behind unsent bytes");
+    }
+
+    #[test]
+    fn write_stall_closes_a_peer_that_stopped_reading() {
+        let mut rig = Rig::new();
+        let mut client = rig.connect(16);
+        send(&mut client, b"hello");
+        rig.turn();
+        send(&mut client, b"12345678");
+        rig.turn();
+        assert!(rig.conn(0).unsent_bytes() > 0, "the pipe is full; the reply waits in the ring");
+        rig.reactor.sweep(Instant::now() + STALL / 2);
+        assert!(rig.closes().is_empty());
+        rig.reactor.sweep(Instant::now() + STALL);
+        assert_eq!(rig.closes(), [CloseWhy::Disconnect]);
+    }
+
+    /// Read the wire dry, turning the reactor between reads so a
+    /// blocked ring keeps flushing into the space the reads free.
+    fn drain_to_end(rig: &mut Rig, client: &mut PipeEnd) -> Vec<u8> {
+        let mut wire = Vec::new();
+        loop {
+            rig.turn();
+            let chunk = drain(client);
+            if chunk.is_empty() {
+                return wire;
+            }
+            wire.extend(chunk);
+        }
+    }
+
+    #[test]
+    fn drain_then_close_flushes_first_and_severs_when_asked() {
+        for (last, why, reset) in
+            [(&b"bye"[..], CloseWhy::Quiet, false), (&b"tear"[..], CloseWhy::Disconnect, true)]
+        {
+            let mut rig = Rig::new();
+            // 12 bytes of pipe, 9 of them taken by the unread `hello`
+            // reply: the last reply cannot flush in one go.
+            let mut client = rig.connect(12);
+            send(&mut client, b"hello");
+            rig.turn();
+            send(&mut client, last);
+            rig.turn();
+            assert!(rig.closes().is_empty(), "still draining: the reply is not out yet");
+            let wire = drain_to_end(&mut rig, &mut client);
+            assert_eq!(wire, [framed(b"hello"), framed(last)].concat(), "flushed in full");
+            assert_eq!(rig.closes(), [why]);
+            let after = client.read(&mut [0; 1]);
+            if reset {
+                assert!(after.is_err(), "a severed pipe resets: {after:?}");
+            } else {
+                assert_eq!(after.unwrap(), 0, "an orderly close is EOF");
+            }
+        }
+    }
+
+    #[test]
+    fn read_gate_parks_a_never_reading_pipeliner_and_resumes_in_order() {
+        let mut rig = Rig::new();
+        let cap = 256;
+        let mut client = rig.connect(cap);
+        send(&mut client, b"hello");
+        rig.turn();
+        // Pipeline 8-byte requests without reading a reply for as long
+        // as the pipe takes them. The replies fill the pipe, then the
+        // ring; then the server must stop reading, so the requests back
+        // up in the pipe until it is full too.
+        let mut requests = Vec::new();
+        while rig.inbound_backlog(0) + 8 <= cap {
+            assert!(requests.len() < 1000, "the server never stopped reading");
+            let request = format!("{:04}", requests.len());
+            send(&mut client, request.as_bytes());
+            requests.push(request);
+            rig.turn();
+        }
+        let staged = rig.conn(0).unsent_bytes();
+        assert!(staged > 0 && staged <= MAX_RING_FRAMES * 8, "ring bounded: {staged} bytes");
+        assert!(requests.len() <= 2 * cap / 8 + MAX_RING_FRAMES);
+        // The peer starts reading: the gate lifts and every request is
+        // answered, in order.
+        let mut expected = framed(b"hello");
+        expected.extend(requests.iter().flat_map(|r| framed(r.as_bytes())));
+        assert_eq!(drain_to_end(&mut rig, &mut client), expected);
+        assert!(rig.closes().is_empty());
+    }
+
+    #[test]
+    fn listener_handed_over_after_start_accepts() {
+        let closes = Arc::new(Mutex::new(Vec::new()));
+        let handle = ReactorHandle::spawn(Echo { closes }, config());
+        assert_eq!(handle.threads(), 1);
+        let addr = handle.listen_tcp("127.0.0.1:0").unwrap();
+        let mut client = tcp_connect(addr).unwrap();
+        client.send_frame(&[b"hello"]).unwrap();
+        client.send_frame(&[b"over tcp"]).unwrap();
+        assert_eq!(&client.recv_frame().unwrap()[..], b"hello");
+        assert_eq!(&client.recv_frame().unwrap()[..], b"over tcp");
+        handle.shutdown();
+        assert_eq!(handle.threads(), 0);
+    }
+
+    #[test]
+    fn shutdown_joins_with_a_wedged_peer() {
+        let closes = Arc::new(Mutex::new(Vec::new()));
+        let handle = ReactorHandle::spawn(Echo { closes }, config());
+        let (mut client, server) = duplex(16);
+        handle.serve_conn(server.into());
+        send(&mut client, b"hello");
+        // Never read: the replies wedge in the 16-byte pipe and the
+        // ring. The stall bound is 10 s away; shutdown must not wait.
+        client.set_nonblocking(true);
+        let _ = client.write(&framed(b"12345678"));
+        let started = Instant::now();
+        handle.shutdown();
+        assert!(started.elapsed() < STALL / 2, "shutdown waited on the wedged peer");
+        assert_eq!(handle.threads(), 0);
     }
 }

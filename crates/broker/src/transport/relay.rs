@@ -170,14 +170,14 @@ impl BrokerServer {
         let shared = Arc::new(RelayShared::default());
         let handle = RelayHandle { shared: Arc::clone(&shared) };
         let broker = self.inner.broker.clone();
-        let reactor = Arc::clone(&self.inner.reactor);
+        let reactor = self.reactor.clone();
         let thread = std::thread::spawn(move || {
             let mut partials = Vec::new();
             let mut backoff = BACKOFF_FLOOR;
             // Faults since the last successful connect: the first
             // connect is a bootstrap, every later one heals a fault.
             let mut healing = false;
-            while !reactor.stop.load(Ordering::Relaxed) {
+            while !reactor.is_stopping() {
                 // Claim the serials this node has *durably* reached —
                 // its own broker heads. The dead client's claims are
                 // always identical: a claim advances exactly when the
@@ -213,7 +213,7 @@ impl BrokerServer {
                 }
                 shared.connected.store(true, Ordering::Relaxed);
                 let mut last_chunks = 0;
-                while !reactor.stop.load(Ordering::Relaxed) {
+                while !reactor.is_stopping() {
                     match client.next_event() {
                         ClientEvent::Idle => continue,
                         ClientEvent::Snapshot { tld, snapshot } => {
@@ -255,7 +255,7 @@ impl BrokerServer {
                 partials = client.take_snapshot_progress();
                 let chunks = client.snapshot_chunks_received();
                 shared.snapshot_chunks.fetch_add(chunks - last_chunks, Ordering::Relaxed);
-                healing = !reactor.stop.load(Ordering::Relaxed);
+                healing = !reactor.is_stopping();
                 if healing {
                     // The established stream died (as opposed to a dial
                     // that never connected): record the failover reason.
@@ -263,7 +263,7 @@ impl BrokerServer {
                 }
             }
         });
-        self.inner.threads.lock().push(thread);
+        self.reactor.adopt_thread(thread);
         handle
     }
 }

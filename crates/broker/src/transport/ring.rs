@@ -56,8 +56,9 @@ pub enum FrameKind {
     Evict,
     /// An idle heartbeat (empty frame).
     Heartbeat,
-    /// An `RZUQ` stats report reply.
-    Stats,
+    /// A request's reply: an `RZUQ` stats report, an `RZUR` lookup
+    /// answer.
+    Reply,
     /// A fault-injected torn frame (full-length prefix over a partial
     /// payload): on completion the connection is severed mid-frame.
     Torn,
@@ -193,10 +194,12 @@ impl OutRing {
         self.unsent
     }
 
-    /// Whether the ring accepts another queue transfer. Control frames
-    /// (evict, heartbeat, stats, faults) may be pushed regardless — the
-    /// caps gate the broker-queue drain, which is where backpressure
-    /// must bite.
+    /// Whether the ring admits more. The caps gate the two places
+    /// backpressure must bite: a handler's fill (the broker-queue
+    /// drain) and the reactor's inbound reads, whose replies land here.
+    /// A frame the transport itself owes the peer (evict notice,
+    /// heartbeat, the reply to a frame already read) is pushed
+    /// regardless.
     pub fn has_room(&self) -> bool {
         self.frames.len() < MAX_RING_FRAMES && self.unsent < MAX_RING_BYTES
     }
@@ -334,7 +337,7 @@ mod tests {
     #[test]
     fn coalesces_whole_ring_into_one_write_and_reports_shared_seq() {
         let mut ring = OutRing::new();
-        ring.push(RingFrame::plain(Bytes::copy_from_slice(b"aa"), FrameKind::Stats, true));
+        ring.push(RingFrame::plain(Bytes::copy_from_slice(b"aa"), FrameKind::Reply, true));
         ring.push(RingFrame::with_envelope(
             b"RZUDxx",
             Bytes::copy_from_slice(b"bb"),
@@ -358,7 +361,7 @@ mod tests {
     #[test]
     fn partial_acceptance_resumes_mid_frame_across_blocked_flushes() {
         let mut ring = OutRing::new();
-        ring.push(RingFrame::plain(Bytes::copy_from_slice(b"0123456789"), FrameKind::Stats, true));
+        ring.push(RingFrame::plain(Bytes::copy_from_slice(b"0123456789"), FrameKind::Reply, true));
         // 3 bytes per call, 6 bytes before the sink blocks: the first
         // flush pass strands the ring mid-frame (2 bytes into the
         // payload).
@@ -374,7 +377,7 @@ mod tests {
         assert!(matches!(ring.flush_into(&mut sink, &mut completed).unwrap(), FlushStatus::Drained));
         assert_eq!(sink.out, frame_bytes(b"0123456789"));
         assert_eq!(completed.len(), 1);
-        assert!(matches!(completed[0].kind, FrameKind::Stats));
+        assert!(matches!(completed[0].kind, FrameKind::Reply));
     }
 
     #[test]
@@ -382,7 +385,7 @@ mod tests {
         let mut ring = OutRing::new();
         for _ in 0..MAX_RING_FRAMES {
             assert!(ring.has_room());
-            ring.push(RingFrame::plain(Bytes::copy_from_slice(b"x"), FrameKind::Stats, true));
+            ring.push(RingFrame::plain(Bytes::copy_from_slice(b"x"), FrameKind::Reply, true));
         }
         assert!(!ring.has_room(), "frame cap must refuse further queue transfer");
         let mut sink = Throttled { out: Vec::new(), per_call: usize::MAX, budget: usize::MAX };

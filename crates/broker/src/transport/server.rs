@@ -2,79 +2,35 @@
 //!
 //! [`BrokerServer`] accepts frame connections (TCP or in-memory) and
 //! hands every one of them to a single readiness-driven reactor thread
-//! (see [`super::reactor`]). The reactor runs the `RZUH` handshake,
-//! registers the subscriber with the broker — which enqueues the
-//! snapshot-vs-delta catch-up plan under the shard locks, exactly as
-//! for in-process subscribers — and then drives the connection's
-//! outbound ring off queue wakeups and socket writability. Thread
-//! count is **flat**: one reactor serves every listener and every
-//! connection, whether the fleet is 8 subscribers or 10,000
-//! ([`BrokerServer::transport_threads`] exposes the count for tests and
-//! benches to assert on).
+//! (the shared loop in [`super::reactor`], running the broker's
+//! protocol handler from [`super::stream`]). The handler runs the
+//! `RZUH` handshake, registers the subscriber with the broker — which
+//! enqueues the snapshot-vs-delta catch-up plan under the shard locks,
+//! exactly as for in-process subscribers — and the reactor then drives
+//! the connection's outbound ring off queue wakeups and socket
+//! writability. Thread count is **flat**: one reactor serves every
+//! listener and every connection, whether the fleet is 8 subscribers or
+//! 10,000 ([`BrokerServer::transport_threads`] exposes the count for
+//! tests and benches to assert on).
 //!
 //! This type keeps the cross-thread surface: construction, connection
 //! hand-off ([`BrokerServer::spawn_conn`] — the name survives from the
 //! writer-thread era; today it *stages* rather than spawns),
-//! listeners, stats, and shutdown. All of it communicates with the
-//! reactor through the announcement mailbox and eventfd in
-//! [`ReactorShared`], never by touching connection state directly.
+//! listeners, stats, and shutdown. All of it reaches the reactor
+//! through its [`ReactorHandle`], never by touching connection state
+//! directly.
 
-use super::fault::FaultInjectedConn;
-use super::frame::LengthPrefixed;
-use super::pipe::PipeEnd;
-use super::reactor::{self, NewPipeConn, ReactorShared};
-use crate::broker::{Broker, ShardStats, SubscriberProbe};
+use super::reactor::{ReactorHandle, ServedConn, TransportConfig};
+use super::stream::{ConnStatsEntry, SubscriberStream};
+use crate::broker::{Broker, ShardStats};
+use crate::lockdep::{self, TrackedMutex};
 use darkdns_dns::wire::{
     StatsReport, TldClaim, WireServerStats, WireShardStats, WireSubscriberStats,
 };
-use darkdns_dns::Serial;
-use crate::lockdep::{self, TrackedMutex};
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// Transport tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct TransportConfig {
-    /// Per-frame payload bound enforced on receive.
-    pub max_frame_len: usize,
-    /// Idle tick: the reactor's epoll-wait bound, and how long a quiet
-    /// connection stays silent before it gets a heartbeat frame (an
-    /// empty frame the client skips, which doubles as dead-peer
-    /// detection while a subscriber is quiet).
-    pub writer_tick: Duration,
-    /// How long a fresh connection may take to send its HELLO.
-    pub handshake_timeout: Duration,
-    /// How long a connection's outbound ring may sit non-empty without
-    /// the peer accepting a single byte before the reactor declares the
-    /// connection dead. This bounds the damage of a wedged-but-open
-    /// peer: its ring (and, upstream, its broker queue under the
-    /// overflow policy) cannot be held hostage forever, and
-    /// [`BrokerServer::shutdown`] never waits on it.
-    pub write_timeout: Duration,
-    /// Target payload size for one `RZUC` snapshot chunk. Bootstraps
-    /// are always chunked: a checkpoint larger than the peer's frame
-    /// bound crosses the wire as a resumable chunk train instead of one
-    /// oversized (and formerly truncating) `RZUS` frame. The reactor
-    /// clamps this to half the connection's frame bound so a chunk that
-    /// overshoots by one entry still fits.
-    pub snapshot_chunk_bytes: usize,
-}
-
-impl Default for TransportConfig {
-    fn default() -> Self {
-        TransportConfig {
-            max_frame_len: super::frame::MAX_FRAME_LEN,
-            writer_tick: Duration::from_millis(50),
-            handshake_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(10),
-            snapshot_chunk_bytes: 1 << 20,
-        }
-    }
-}
 
 /// Monotonic transport-side counters (a point-in-time copy comes back
 /// from [`BrokerServer::stats`]).
@@ -126,67 +82,15 @@ pub(super) struct StatsInner {
     pub(super) snapshot_trains_encoded: AtomicU64,
 }
 
-/// One live subscriber connection's stats surface: what the `RZUQ`
-/// report's per-subscriber rows are built from. The probe reads the
-/// broker queue's own accounting; the rest is transport-side state the
-/// reactor maintains (lock-free counters plus a leaf mutex over the
-/// claim map).
-pub(super) struct ConnStatsEntry {
-    pub(super) probe: SubscriberProbe,
-    pub(super) coalesced_frames: AtomicU64,
-    pub(super) buffered_bytes: AtomicU64,
-    /// Per-TLD serials this connection has *verifiably* streamed past:
-    /// seeded from the HELLO claims, advanced only when a delta's last
-    /// byte reaches the stream.
-    // lock-level: 44
-    pub(super) claims: TrackedMutex<BTreeMap<u16, Option<Serial>>>,
-}
-
 pub(super) struct ServerInner {
     pub(super) broker: Broker,
     pub(super) config: TransportConfig,
     pub(super) stats: StatsInner,
-    pub(super) reactor: Arc<ReactorShared>,
     /// Live subscriber connections by subscriber id (sorted, so the
     /// report rows come out in a stable order).
     // lock-level: 14 (held while probing subscriber queues, hence
     // *below* them in the hierarchy)
     pub(super) conns: TrackedMutex<BTreeMap<u64, Arc<ConnStatsEntry>>>,
-    // lock-level: 70
-    pub(super) threads: TrackedMutex<Vec<JoinHandle<()>>>,
-}
-
-/// A connection ready to hand to the reactor: the server end of a pipe
-/// plus optional per-connection framing bound and fault script. All
-/// supported connection shapes convert [`Into`] this — TCP streams
-/// never appear here, they arrive through a registered listener.
-pub struct ServedConn {
-    end: PipeEnd,
-    max_frame_len: Option<usize>,
-    script: Option<super::fault::FaultScript>,
-}
-
-impl From<PipeEnd> for ServedConn {
-    fn from(end: PipeEnd) -> Self {
-        ServedConn { end, max_frame_len: None, script: None }
-    }
-}
-
-impl From<LengthPrefixed<PipeEnd>> for ServedConn {
-    fn from(conn: LengthPrefixed<PipeEnd>) -> Self {
-        let max = conn.max_frame_len();
-        ServedConn { end: conn.into_inner(), max_frame_len: Some(max), script: None }
-    }
-}
-
-impl From<FaultInjectedConn> for ServedConn {
-    fn from(conn: FaultInjectedConn) -> Self {
-        ServedConn {
-            end: conn.end,
-            max_frame_len: Some(conn.max_frame_len),
-            script: Some(conn.script),
-        }
-    }
 }
 
 /// A transport frontend over one [`Broker`]. Cheap to clone; all clones
@@ -194,6 +98,7 @@ impl From<FaultInjectedConn> for ServedConn {
 #[derive(Clone)]
 pub struct BrokerServer {
     pub(super) inner: Arc<ServerInner>,
+    pub(super) reactor: ReactorHandle,
 }
 
 impl BrokerServer {
@@ -201,20 +106,14 @@ impl BrokerServer {
     /// the server's *only* transport thread, shared by every listener
     /// and connection.
     pub fn new(broker: Broker, config: TransportConfig) -> Self {
-        let reactor =
-            Arc::new(ReactorShared::new().expect("create reactor epoll wakeup eventfd"));
         let inner = Arc::new(ServerInner {
             broker,
             config,
             stats: StatsInner::default(),
-            reactor,
             conns: TrackedMutex::new(&lockdep::CONNS, BTreeMap::new()),
-            threads: TrackedMutex::new(&lockdep::THREADS, Vec::new()),
         });
-        let loop_inner = Arc::clone(&inner);
-        let handle = std::thread::spawn(move || reactor::run(loop_inner));
-        inner.threads.lock().push(handle);
-        BrokerServer { inner }
+        let reactor = ReactorHandle::spawn(SubscriberStream::new(Arc::clone(&inner)), config);
+        BrokerServer { inner, reactor }
     }
 
     /// Hand one already-established in-memory connection to the reactor
@@ -224,24 +123,14 @@ impl BrokerServer {
     /// the connection is staged in the reactor's mailbox and serviced
     /// on its thread.
     pub fn spawn_conn(&self, conn: impl Into<ServedConn>) {
-        let ServedConn { end, max_frame_len, script } = conn.into();
-        self.inner
-            .reactor
-            .announce(|pending| pending.conns.push(NewPipeConn { end, max_frame_len, script }));
+        self.reactor.serve_conn(conn.into());
     }
 
     /// Bind a TCP listener and register it with the reactor, which
     /// accepts subscribers until [`BrokerServer::shutdown`]. Returns
     /// the bound address (bind to port 0 for an ephemeral one).
     pub fn listen_tcp(&self, addr: &str) -> std::io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        // Non-blocking is load-bearing: the reactor drains accept
-        // bursts to `WouldBlock` inside the event loop — there is no
-        // acceptor thread and no sleep-poll.
-        listener.set_nonblocking(true)?;
-        self.inner.reactor.announce(|pending| pending.listeners.push(listener));
-        Ok(local)
+        self.reactor.listen_tcp(addr)
     }
 
     /// How many OS threads the transport currently owns. The reactor
@@ -249,7 +138,7 @@ impl BrokerServer {
     /// or connection count (it was `listeners + connections` in the
     /// writer-thread transport), and `0` after shutdown.
     pub fn transport_threads(&self) -> usize {
-        self.inner.threads.lock().len()
+        self.reactor.threads()
     }
 
     /// A point-in-time copy of the transport counters.
@@ -287,15 +176,7 @@ impl BrokerServer {
     /// closes when the reactor drops its slot table. Bounded even with
     /// wedged peers — the reactor never blocks in a write.
     pub fn shutdown(&self) {
-        self.inner.reactor.stop.store(true, Ordering::Relaxed);
-        self.inner.reactor.wakeup.wake();
-        let drained: Vec<JoinHandle<()>> = {
-            let mut threads = self.inner.threads.lock();
-            threads.drain(..).collect()
-        };
-        for handle in drained {
-            let _ = handle.join();
-        }
+        self.reactor.shutdown();
         self.inner.conns.lock().clear();
     }
 }

@@ -1,13 +1,16 @@
 //! The query-serving front of the edge: one reactor thread answering
 //! `RZUL` batches for thousands of thin clients.
 //!
-//! [`EdgeServer`] reuses the broker transport's building blocks — the
-//! length-prefixed [`FrameAssembler`], the vectored-write [`OutRing`],
-//! and the vendored `mio_shim` epoll — in the same shape as the broker
-//! reactor: non-blocking sockets, `EPOLLOUT` registered only while a
-//! connection's ring holds unsent bytes, accept bursts drained to
-//! `WouldBlock`, idle heartbeats and a write-stall bound swept on the
-//! tick clock. One thread serves every listener and connection.
+//! [`EdgeServer`] runs on the broker transport's event loop
+//! ([`darkdns_broker::transport::ReactorHandle`]) — the same slab,
+//! accept burst, ring flush, heartbeat and write-stall sweep that serve
+//! the broker's subscriber stream, here driving this module's
+//! [`Protocol`] handler. What lives here is protocol only: what an
+//! inbound frame means, and how the edge's counters map onto the
+//! `RZUQ` report. Because lookups are answered into the connection's
+//! bounded outbound ring, the loop's read gate is what bounds a peer
+//! that pipelines requests and never reads: it is parked at a full ring
+//! and closed by the write-stall bound.
 //!
 //! The protocol is simpler than the broker's — there is **no
 //! handshake**: a connection is usable from its first byte and every
@@ -53,30 +56,17 @@
 
 use crate::index::{EdgeEpoch, EdgeIndex};
 use darkdns_broker::transport::{
-    FlushStatus, FrameAssembler, FrameProgress, FrameKind, OutRing, RingFrame, StatsReport,
+    Bytes, CloseWhy, Conn, Protocol, ReactorHandle, ServedConn, StatsReport, TransportConfig,
     MAX_FRAME_LEN,
 };
 use darkdns_dns::wire::{
     decode_lookup_request, encode_lookup_response, encode_stats_report, is_stats_query,
     WireServerStats, WireShardStats, LOOKUP_REQUEST_MAGIC,
 };
-use darkdns_broker::lockdep::{LockClass, TrackedMutex};
-use mio_shim::{Epoll, Events, Interest, Token, WakeupFd};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// The wakeup eventfd's reserved token (slot tokens are slab indices).
-const WAKE_TOKEN: usize = usize::MAX;
-
-/// Edge listener staging mailbox (leaf on the listen path: nothing else
-/// is acquired while it is held). Level from `docs/INVARIANTS.md`.
-static EDGE_PENDING: LockClass = LockClass::new("edge.pending", 64);
-/// Edge transport thread registry (join handles only).
-static EDGE_THREADS: LockClass = LockClass::new("edge.threads", 70);
+use std::time::Duration;
 
 /// Edge transport tuning.
 #[derive(Debug, Clone, Copy)]
@@ -135,51 +125,41 @@ struct StatsInner {
 
 struct EdgeInner {
     index: Arc<EdgeIndex>,
-    config: EdgeConfig,
     stats: StatsInner,
-    // lock-level: 64
-    pending: TrackedMutex<Vec<TcpListener>>,
-    wakeup: WakeupFd,
-    stop: AtomicBool,
-    // lock-level: 70
-    threads: TrackedMutex<Vec<JoinHandle<()>>>,
 }
 
 /// The edge query server: cheap to clone, all clones share the reactor.
 #[derive(Clone)]
 pub struct EdgeServer {
     inner: Arc<EdgeInner>,
+    reactor: ReactorHandle,
 }
 
 impl EdgeServer {
     /// Build the server over `index` and start its reactor thread.
     pub fn new(index: Arc<EdgeIndex>, config: EdgeConfig) -> Self {
-        let inner = Arc::new(EdgeInner {
-            index,
-            config,
-            stats: StatsInner::default(),
-            pending: TrackedMutex::new(&EDGE_PENDING, Vec::new()),
-            // lint: allow(panic) startup-only: one eventfd per server,
-            // created before the reactor thread or any traffic exists.
-            wakeup: WakeupFd::new().expect("create edge reactor wakeup eventfd"),
-            stop: AtomicBool::new(false),
-            threads: TrackedMutex::new(&EDGE_THREADS, Vec::new()),
-        });
-        let loop_inner = Arc::clone(&inner);
-        let handle = std::thread::spawn(move || Reactor::run(loop_inner));
-        inner.threads.lock().push(handle);
-        EdgeServer { inner }
+        let inner = Arc::new(EdgeInner { index, stats: StatsInner::default() });
+        let transport = TransportConfig {
+            max_frame_len: config.max_frame_len,
+            writer_tick: config.writer_tick,
+            write_timeout: config.write_timeout,
+            ..TransportConfig::default()
+        };
+        let reactor = ReactorHandle::spawn(LookupAnswerer { inner: Arc::clone(&inner) }, transport);
+        EdgeServer { inner, reactor }
     }
 
     /// Bind a TCP listener and register it with the reactor. Returns
     /// the bound address (bind to port 0 for an ephemeral one).
     pub fn listen_tcp(&self, addr: &str) -> std::io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        self.inner.pending.lock().push(listener);
-        self.inner.wakeup.wake();
-        Ok(local)
+        self.reactor.listen_tcp(addr)
+    }
+
+    /// Hand one already-established in-memory connection to the reactor
+    /// (deterministic tests; thin clients arrive via
+    /// [`EdgeServer::listen_tcp`]).
+    pub fn serve_conn(&self, conn: impl Into<ServedConn>) {
+        self.reactor.serve_conn(conn.into());
     }
 
     /// The index this server answers from.
@@ -211,21 +191,13 @@ impl EdgeServer {
     /// How many OS threads the edge transport owns: `1` regardless of
     /// listener or connection count, `0` after shutdown.
     pub fn transport_threads(&self) -> usize {
-        self.inner.threads.lock().len()
+        self.reactor.threads()
     }
 
     /// Stop the reactor and join it: every connection and listener
     /// closes when the reactor drops its slot table.
     pub fn shutdown(&self) {
-        self.inner.stop.store(true, Ordering::Relaxed);
-        self.inner.wakeup.wake();
-        let drained: Vec<JoinHandle<()>> = {
-            let mut threads = self.inner.threads.lock();
-            threads.drain(..).collect()
-        };
-        for handle in drained {
-            let _ = handle.join();
-        }
+        self.reactor.shutdown();
     }
 }
 
@@ -270,217 +242,26 @@ fn build_stats_report(inner: &EdgeInner, epoch: &EdgeEpoch) -> StatsReport {
     StatsReport { server, shards, subs: Vec::new() }
 }
 
-enum Slot {
-    Free,
-    Listener(TcpListener),
-    Conn(Box<Conn>),
-}
-
-struct Conn {
-    io: TcpStream,
-    assembler: FrameAssembler,
-    ring: OutRing,
-    /// Flush the ring, then close (a stats reply on its way out).
-    draining: bool,
-    /// Heartbeat clock: last byte received or frame composed.
-    last_io: Instant,
-    /// Write-stall clock: last time the stream accepted ring bytes.
-    last_progress: Instant,
-    /// Whether `EPOLLOUT` is currently registered.
-    want_write: bool,
-}
-
-impl Conn {
-    fn push_frame(&mut self, frame: RingFrame, now: Instant) {
-        if self.ring.is_empty() {
-            self.last_progress = now;
-        }
-        self.last_io = now;
-        self.ring.push(frame);
-    }
-}
-
-/// Why a connection is being closed.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CloseWhy {
-    /// Peer gone mid-stream, write stall, or a frame that failed
-    /// validation.
-    Disconnect,
-    /// Orderly close (clean EOF between frames, drained stats reply).
-    Quiet,
-}
-
-struct Reactor {
+/// The edge's protocol on the shared reactor: every inbound frame
+/// stands alone, and nothing streams ([`Protocol::fill`] stays empty).
+struct LookupAnswerer {
     inner: Arc<EdgeInner>,
-    epoll: Epoll,
-    slots: Vec<Slot>,
-    free: Vec<usize>,
 }
 
-impl Reactor {
-    fn run(inner: Arc<EdgeInner>) {
-        let Ok(epoll) = Epoll::new() else { return };
-        if epoll.register(inner.wakeup.raw_fd(), Token(WAKE_TOKEN), Interest::READABLE).is_err() {
-            return;
-        }
-        Reactor { inner, epoll, slots: Vec::new(), free: Vec::new() }.event_loop();
-    }
+impl Protocol for LookupAnswerer {
+    type State = ();
+    const HANDSHAKE: bool = false;
 
-    fn event_loop(&mut self) {
-        let mut events = Events::with_capacity(1024);
-        let tick = self.inner.config.writer_tick;
-        let sweep_every = tick / 4;
-        let mut last_sweep = Instant::now();
-        loop {
-            if self.inner.stop.load(Ordering::Relaxed) {
-                return; // dropping self closes every conn and listener
-            }
-            let _ = self.epoll.wait(&mut events, Some(tick));
-            if self.inner.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let mut fd_work: Vec<(usize, bool, bool)> = Vec::new();
-            for event in events.iter() {
-                if event.token().0 == WAKE_TOKEN {
-                    self.inner.wakeup.drain();
-                } else {
-                    fd_work.push((event.token().0, event.is_readable(), event.is_writable()));
-                }
-            }
-            for (idx, readable, writable) in fd_work {
-                match self.slots.get(idx) {
-                    Some(Slot::Listener(_)) => self.accept_burst(idx),
-                    Some(Slot::Conn(_)) => self.service(idx, readable, writable),
-                    _ => {}
-                }
-            }
-            let staged: Vec<TcpListener> = std::mem::take(&mut *self.inner.pending.lock());
-            for listener in staged {
-                self.add_listener(listener);
-            }
-            if last_sweep.elapsed() >= sweep_every {
-                self.sweep();
-                last_sweep = Instant::now();
-            }
-        }
-    }
-
-    fn alloc_slot(&mut self) -> usize {
-        if let Some(idx) = self.free.pop() {
-            idx
-        } else {
-            self.slots.push(Slot::Free);
-            self.slots.len().saturating_sub(1)
-        }
-    }
-
-    /// Bounds-checked slot store (an out-of-range index is a slab bug;
-    /// dropping the value beats indexing past the slab on a hot path).
-    fn set_slot(&mut self, idx: usize, slot: Slot) {
-        if let Some(entry) = self.slots.get_mut(idx) {
-            *entry = slot;
-        }
-    }
-
-    /// Bounds-checked slot take: replaces the slot with `Free`.
-    fn take_slot(&mut self, idx: usize) -> Slot {
-        match self.slots.get_mut(idx) {
-            Some(entry) => std::mem::replace(entry, Slot::Free),
-            None => Slot::Free,
-        }
-    }
-
-    fn add_listener(&mut self, listener: TcpListener) {
-        let idx = self.alloc_slot();
-        if self.epoll.register(listener.as_raw_fd(), Token(idx), Interest::READABLE).is_err() {
-            self.free.push(idx);
-            return;
-        }
-        self.set_slot(idx, Slot::Listener(listener));
-    }
-
-    fn accept_burst(&mut self, listener_idx: usize) {
-        loop {
-            let accepted = match self.slots.get(listener_idx) {
-                Some(Slot::Listener(listener)) => listener.accept(),
-                _ => return,
-            };
-            match accepted {
-                Ok((stream, _peer)) => {
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    self.inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    self.inner.stats.open_conns.fetch_add(1, Ordering::Relaxed);
-                    let idx = self.alloc_slot();
-                    if self
-                        .epoll
-                        .register(stream.as_raw_fd(), Token(idx), Interest::READABLE)
-                        .is_err()
-                    {
-                        self.free.push(idx);
-                        self.inner.stats.open_conns.fetch_sub(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let now = Instant::now();
-                    self.set_slot(idx, Slot::Conn(Box::new(Conn {
-                        io: stream,
-                        assembler: FrameAssembler::new(self.inner.config.max_frame_len),
-                        ring: OutRing::new(),
-                        draining: false,
-                        last_io: now,
-                        last_progress: now,
-                        want_write: false,
-                    })));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Drive one connection: inbound frames, ring flush, drain-close.
-    fn service(&mut self, idx: usize, readable: bool, writable: bool) {
-        let mut conn = match self.take_slot(idx) {
-            Slot::Conn(conn) => conn,
-            other => {
-                self.set_slot(idx, other);
-                return;
-            }
-        };
-        let _ = writable; // flushing is unconditional below
-        let mut close = if readable { self.read_inbound(&mut conn) } else { None };
-        if close.is_none() {
-            close = self.flush(&mut conn, idx);
-        }
-        match close {
-            Some(why) => self.finalize_close(idx, conn, why),
-            None => self.set_slot(idx, Slot::Conn(conn)),
-        }
-    }
-
-    fn read_inbound(&mut self, conn: &mut Conn) -> Option<CloseWhy> {
-        loop {
-            match conn.assembler.read_from(&mut conn.io) {
-                Ok(FrameProgress::Frame(frame)) => {
-                    conn.last_io = Instant::now();
-                    if let Some(why) = self.handle_frame(conn, &frame) {
-                        return Some(why);
-                    }
-                }
-                Ok(FrameProgress::Pending) => return None,
-                // Clean EOF between frames: the thin client hung up.
-                Ok(FrameProgress::Closed) => return Some(CloseWhy::Quiet),
-                Err(_) => return Some(CloseWhy::Disconnect),
-            }
-        }
+    fn open(&mut self) {
+        self.inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        self.inner.stats.open_conns.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One inbound frame, no handshake context: lookups stay open,
     /// scrapes drain, garbage closes.
-    fn handle_frame(&mut self, conn: &mut Conn, frame: &[u8]) -> Option<CloseWhy> {
-        if conn.draining {
+    fn on_frame(&mut self, conn: &mut Conn<()>, frame: Bytes) -> Option<CloseWhy> {
+        let stats = &self.inner.stats;
+        if conn.is_closing() {
             // The peer has its reply coming and this connection is done;
             // late frames are ignored while the ring drains.
             return None;
@@ -488,110 +269,44 @@ impl Reactor {
         if frame.is_empty() {
             return None; // client keepalive
         }
-        let now = Instant::now();
-        if is_stats_query(frame) {
+        if is_stats_query(&frame) {
             // Count first so the reply's counters include this query.
-            self.inner.stats.stats_queries.fetch_add(1, Ordering::Relaxed);
+            stats.stats_queries.fetch_add(1, Ordering::Relaxed);
             let epoch = self.inner.index.load();
-            let report = encode_stats_report(&build_stats_report(&self.inner, &epoch));
-            conn.draining = true;
-            conn.push_frame(RingFrame::plain(report, FrameKind::Stats, false), now);
-            return None;
+            conn.close_after_flush(CloseWhy::Quiet);
+            return conn.reply(encode_stats_report(&build_stats_report(&self.inner, &epoch)));
         }
         if frame.starts_with(LOOKUP_REQUEST_MAGIC) {
-            let Ok((request_id, queries)) = decode_lookup_request(frame) else {
-                self.inner.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+            let Ok((request_id, queries)) = decode_lookup_request(&frame) else {
+                stats.bad_frames.fetch_add(1, Ordering::Relaxed);
                 return Some(CloseWhy::Disconnect);
             };
             // One loaded epoch answers the whole batch — the reply is
             // internally consistent and never sees a broker lock.
             let epoch = self.inner.index.load();
             let answers = epoch.answer(&queries);
-            let payload = encode_lookup_response(request_id, epoch.epoch(), &answers);
-            self.inner.stats.lookup_batches.fetch_add(1, Ordering::Relaxed);
-            self.inner.stats.lookup_names.fetch_add(queries.len() as u64, Ordering::Relaxed);
-            conn.push_frame(RingFrame::plain(payload, FrameKind::Stats, false), now);
-            return None;
+            stats.lookup_batches.fetch_add(1, Ordering::Relaxed);
+            stats.lookup_names.fetch_add(queries.len() as u64, Ordering::Relaxed);
+            return conn.reply(encode_lookup_response(request_id, epoch.epoch(), &answers));
         }
-        self.inner.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+        stats.bad_frames.fetch_add(1, Ordering::Relaxed);
         Some(CloseWhy::Disconnect)
     }
 
-    fn flush(&mut self, conn: &mut Conn, idx: usize) -> Option<CloseWhy> {
-        if conn.ring.is_empty() {
-            self.set_want_write(conn, idx, false);
-            return conn.draining.then_some(CloseWhy::Quiet);
-        }
-        let before = conn.ring.unsent_bytes();
-        let mut completed = Vec::new();
-        let status = conn.ring.flush_into(&mut conn.io, &mut completed);
-        if conn.ring.unsent_bytes() < before {
-            conn.last_progress = Instant::now();
-        }
-        match status {
-            Err(_) => Some(if conn.draining { CloseWhy::Quiet } else { CloseWhy::Disconnect }),
-            Ok(FlushStatus::Drained) => {
-                self.set_want_write(conn, idx, false);
-                conn.draining.then_some(CloseWhy::Quiet)
-            }
-            Ok(FlushStatus::Blocked) => {
-                self.set_want_write(conn, idx, true);
-                None
-            }
-        }
-    }
-
-    fn set_want_write(&self, conn: &mut Conn, idx: usize, want: bool) {
-        if conn.want_write == want {
-            return;
-        }
-        conn.want_write = want;
-        let interest = if want {
-            Interest::READABLE.add(Interest::WRITABLE)
+    /// A thin client hanging up between frames is orderly.
+    fn on_eof(&mut self, _conn: &Conn<()>, clean: bool) -> CloseWhy {
+        if clean {
+            CloseWhy::Quiet
         } else {
-            Interest::READABLE
-        };
-        let _ = self.epoll.modify(conn.io.as_raw_fd(), Token(idx), interest);
-    }
-
-    /// Time-based duties: idle heartbeats on the tick, the write-stall
-    /// bound for wedged peers.
-    fn sweep(&mut self) {
-        let now = Instant::now();
-        let tick = self.inner.config.writer_tick;
-        let stall = self.inner.config.write_timeout;
-        let mut closes: Vec<usize> = Vec::new();
-        let mut flushes: Vec<usize> = Vec::new();
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            let Slot::Conn(conn) = slot else { continue };
-            if !conn.ring.is_empty() {
-                if now.duration_since(conn.last_progress) >= stall {
-                    closes.push(idx);
-                }
-            } else if !conn.draining && now.duration_since(conn.last_io) >= tick {
-                conn.push_frame(RingFrame::heartbeat(), now);
-                flushes.push(idx);
-            }
-        }
-        for idx in closes {
-            if let Slot::Conn(conn) = self.take_slot(idx) {
-                self.finalize_close(idx, conn, CloseWhy::Disconnect);
-            }
-        }
-        for idx in flushes {
-            self.service(idx, false, true);
+            CloseWhy::Disconnect
         }
     }
 
-    fn finalize_close(&mut self, idx: usize, conn: Box<Conn>, why: CloseWhy) {
+    fn closed(&mut self, (): (), why: CloseWhy) {
         if why == CloseWhy::Disconnect {
             self.inner.stats.disconnects.fetch_add(1, Ordering::Relaxed);
         }
         self.inner.stats.open_conns.fetch_sub(1, Ordering::Relaxed);
-        let _ = self.epoll.deregister(conn.io.as_raw_fd());
-        drop(conn);
-        self.set_slot(idx, Slot::Free);
-        self.free.push(idx);
     }
 }
 
@@ -601,13 +316,18 @@ mod tests {
     use crate::client::EdgeClient;
     use crate::feed::EdgeFeed;
     use crate::index::EdgeIndexConfig;
-    use darkdns_broker::transport::{fetch_stats, tcp_connect, FrameConn};
+    use darkdns_broker::transport::{
+        duplex, fetch_stats, tcp_connect, FrameConn, LengthPrefixed, MAX_RING_FRAMES,
+    };
     use darkdns_broker::{Broker, BrokerConfig};
-    use darkdns_dns::wire::{LookupQuery, LOOKUP_ANY_TLD};
+    use darkdns_dns::wire::{
+        decode_lookup_response, encode_lookup_request, LookupQuery, LOOKUP_ANY_TLD,
+    };
     use darkdns_dns::{DomainName, Serial, ZoneDelta, ZoneSnapshot};
     use darkdns_dns::zone::NsSet;
     use darkdns_registry::tld::TldId;
     use darkdns_sim::time::SimTime;
+    use std::time::Instant;
 
     fn name(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
@@ -742,6 +462,75 @@ mod tests {
             Some(SimTime::from_secs(149)),
             "NRD recency crosses the wire"
         );
+        server.shutdown();
+    }
+
+    fn a_com() -> [LookupQuery; 1] {
+        [LookupQuery { tld: 0, name: name("a.com") }]
+    }
+
+    #[test]
+    fn never_reading_pipeliner_is_answered_a_bounded_number_of_times() {
+        let index = Arc::new(EdgeIndex::default());
+        index.adopt_snapshot(TldId(0), snap("com", 7, &["a.com"]));
+        let server = EdgeServer::new(
+            index,
+            EdgeConfig {
+                writer_tick: Duration::from_millis(10),
+                write_timeout: Duration::from_millis(200),
+                ..EdgeConfig::default()
+            },
+        );
+        let cap = 1024;
+        let (client, served) = duplex(cap);
+        server.serve_conn(served);
+        // Pipeline far more batches than pipe and ring can hold, never
+        // reading a reply. Once the server stops reading, the pipe backs
+        // up and the send times out.
+        let mut client = LengthPrefixed::new(client);
+        client.set_send_timeout(Some(Duration::from_millis(50))).unwrap();
+        for id in 1..=5000 {
+            if client.send_frame(&[&encode_lookup_request(id, &a_com())]).is_err() {
+                break;
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().disconnects == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let stats = server.stats();
+        assert_eq!(stats.disconnects, 1, "the write-stall bound closes the parked peer");
+        assert_eq!(stats.open_conns, 0);
+        // What was answered sits in the pipe (whole replies, plus one
+        // partly flushed) or in the ring — nowhere else.
+        let answers = server.index().load().answer(&a_com());
+        let reply_len = 4 + encode_lookup_response(1, 1, &answers).len();
+        let bound = (MAX_RING_FRAMES + cap / reply_len + 1) as u64;
+        let answered = stats.lookup_batches;
+        assert!(answered <= bound, "{answered} batches answered, bound {bound}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn well_behaved_pipeliner_gets_every_reply_in_order() {
+        let index = Arc::new(EdgeIndex::default());
+        index.adopt_snapshot(TldId(0), snap("com", 7, &["a.com"]));
+        let (server, _addr) = quick_server(index);
+        // 40 batches — more than the ring holds — written before the
+        // server sees the connection, so one service meets them all: it
+        // must stop at a full ring, flush, and come back for the rest.
+        let (client, served) = duplex(4096);
+        let mut client = LengthPrefixed::new(client);
+        for id in 1..=40 {
+            client.send_frame(&[&encode_lookup_request(id, &a_com())]).unwrap();
+        }
+        server.serve_conn(served);
+        for id in 1..=40 {
+            let response = decode_lookup_response(&client.recv_frame().unwrap()).unwrap();
+            assert_eq!(response.request_id, id);
+            assert!(response.answers[0].present);
+        }
+        assert_eq!(server.stats().lookup_batches, 40);
         server.shutdown();
     }
 }

@@ -3,7 +3,7 @@
 //! rules. No `syn`, no dependencies — the same vendored-shim discipline
 //! as the rest of the workspace, applied to the linter itself.
 //!
-//! Four rules:
+//! Five rules:
 //!
 //! * **L1 `lock-level`** — every `Mutex`/`RwLock` declaration carries a
 //!   `// lock-level: N` annotation (or `lock-level: class` for generic
@@ -26,9 +26,12 @@
 //!   fan-out paths (the transport and the edge): deltas are encoded
 //!   once by the publisher and fanned out as refcount-shared bytes.
 //!   Bootstraps likewise: `encode_snapshot_chunks(` may appear there
-//!   exactly once, inside `fn snapshot_train` — the reactor's
-//!   train-cache fill site — so no path can grow a per-connection
+//!   exactly once, inside `fn snapshot_train` — the broker stream
+//!   handler's train-cache fill site — so no path can grow a per-connection
 //!   O(zone) encode beside the cache.
+//! * **L5 `one-reactor`** — `Epoll::new(` is legal only in
+//!   `broker/src/transport/reactor.rs`: one event loop serves every
+//!   protocol, and a second one starts with its own epoll instance.
 //!
 //! Escape hatch: a comment `// lint: allow(<rule>) <justification>` on
 //! the offending line (or the contiguous comment block above it)
@@ -48,6 +51,7 @@ pub enum Rule {
     DecodeBounds,
     PanicFree,
     EncodeOnce,
+    OneReactor,
 }
 
 impl Rule {
@@ -58,6 +62,7 @@ impl Rule {
             Rule::DecodeBounds => "decode-bounds",
             Rule::PanicFree => "panic",
             Rule::EncodeOnce => "encode-once",
+            Rule::OneReactor => "one-reactor",
         }
     }
 }
@@ -99,6 +104,8 @@ pub struct Profile {
     /// L4: `encode_delta_push` ban, and `encode_snapshot_chunks` only at
     /// the train-cache fill site.
     pub encode_once: bool,
+    /// L5: no `Epoll::new(` — every file but the shared reactor.
+    pub one_reactor: bool,
 }
 
 impl Profile {
@@ -111,6 +118,7 @@ impl Profile {
             panic_free: true,
             panic_index: true,
             encode_once: true,
+            one_reactor: true,
         }
     }
 }
@@ -132,6 +140,7 @@ pub fn profile_for(path: &Path) -> Profile {
     // process).
     let hot = [
         "broker/src/transport/reactor.rs",
+        "broker/src/transport/stream.rs",
         "broker/src/transport/ring.rs",
         "broker/src/transport/relay.rs",
         "broker/src/transport/pipe.rs",
@@ -145,6 +154,9 @@ pub fn profile_for(path: &Path) -> Profile {
     if p.contains("broker/src/transport/") || p.contains("edge/src/") {
         profile.encode_once = true;
     }
+    // One event loop in the workspace: only the shared reactor may own
+    // an epoll instance.
+    profile.one_reactor = !p.ends_with("broker/src/transport/reactor.rs");
     profile
 }
 
@@ -631,6 +643,18 @@ pub fn scan_source(
             }
         }
 
+        // L5: a second event loop starts with its own epoll instance.
+        if profile.one_reactor && code.contains("Epoll::new(") {
+            push(
+                &mut findings,
+                idx,
+                Rule::OneReactor,
+                "`Epoll::new` outside `broker/src/transport/reactor.rs`: a new protocol is a \
+                 `Protocol` handler on the shared reactor, not another event loop"
+                    .into(),
+            );
+        }
+
         // Brace accounting, then scope-based releases.
         for c in code.chars() {
             match c {
@@ -658,7 +682,7 @@ pub fn scan_source(
 }
 
 /// The one function on a fan-out path that may call
-/// `encode_snapshot_chunks`: the reactor's train-cache fill.
+/// `encode_snapshot_chunks`: the broker stream handler's train-cache fill.
 const TRAIN_FILL_FN: &str = "snapshot_train";
 
 /// The name of a function declared on this line, if any.

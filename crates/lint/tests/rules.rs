@@ -67,6 +67,12 @@ fn l4_fires_on_chunk_train_encodes_off_the_cache_fill_site() {
 }
 
 #[test]
+fn l5_fires_on_a_second_event_loop() {
+    let findings = scan_fixture("l5_bad.rs", Profile { one_reactor: true, ..Profile::default() });
+    assert_eq!(count(&findings, Rule::OneReactor), 1, "{findings:#?}");
+}
+
+#[test]
 fn clean_fixture_passes_every_rule() {
     let findings = scan_fixture("clean.rs", Profile::all());
     assert!(findings.is_empty(), "{findings:#?}");
@@ -79,9 +85,13 @@ fn workspace_profiles_map_paths_to_rules() {
 
     let reactor = darkdns_lint::profile_for(Path::new("crates/broker/src/transport/reactor.rs"));
     assert!(reactor.panic_free && reactor.panic_index && reactor.encode_once);
+    assert!(!reactor.one_reactor, "the one file that may create an epoll instance");
+
+    let stream = darkdns_lint::profile_for(Path::new("crates/broker/src/transport/stream.rs"));
+    assert!(stream.panic_free && stream.panic_index && stream.encode_once && stream.one_reactor);
 
     let edge = darkdns_lint::profile_for(Path::new("crates/edge/src/server.rs"));
-    assert!(edge.panic_free && edge.panic_index && edge.encode_once);
+    assert!(edge.panic_free && edge.panic_index && edge.encode_once && edge.one_reactor);
 
     let cold = darkdns_lint::profile_for(Path::new("crates/intel/src/lib.rs"));
     assert!(cold.lock_level && !cold.panic_free && !cold.encode_once);

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate plus hygiene: release build, the full test suite, and a
-# warnings-denied check build of every workspace target.
+# Tier-1 gate plus hygiene: release build, the full test suite, and
+# warnings-denied builds in both profiles (debug of every workspace
+# target, and release — `cfg(debug_assertions)` code such as lockdep
+# compiles out there, so dead-code warnings differ).
 #
 # Usage:
 #   scripts/ci.sh
@@ -85,5 +87,8 @@ cargo test -q --release --offline --manifest-path rzu_bench/Cargo.toml
 
 echo "==> RUSTFLAGS=-Dwarnings cargo build --all-targets"
 RUSTFLAGS="-Dwarnings" cargo build --all-targets
+
+echo "==> RUSTFLAGS=-Dwarnings cargo build --release"
+RUSTFLAGS="-Dwarnings" cargo build --release
 
 echo "ci: all green"
