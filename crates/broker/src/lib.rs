@@ -140,9 +140,10 @@
 //! the route's own TLDs — failover lands on the freshest replica, not
 //! the next in rotation; ties keep rotation order. Endpoints whose
 //! dial, handshake, or probe fails are sidelined with doubling bounded
-//! backoff, as are replicas whose bootstrap answer is refused as stale
-//! (their next answer would be the same checkpoint — redialling buys
-//! nothing until their head advances). Ordinary stream faults are
+//! backoff (one ladder for every consumer, 50 ms → 2 s, in
+//! `transport::replica`), as are replicas whose bootstrap answer is
+//! refused as stale (their next answer would be the same checkpoint —
+//! redialling buys nothing until their head advances). Ordinary stream faults are
 //! *not* sidelined — a cut connection redials immediately to resume
 //! its chunk train — so a dead endpoint costs a bounded dial rate
 //! instead of one dial per pump while a mid-train cut still heals at

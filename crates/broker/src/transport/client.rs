@@ -120,9 +120,25 @@ impl TransportClient {
     /// never a snapshot bootstrap — a claim beyond delta repair starts
     /// the stream at the server's live head.
     pub fn connect_scoped(
+        conn: impl FrameConn + 'static,
+        claims: &[(TldId, Option<Serial>)],
+        mut partials: Vec<SnapshotProgress>,
+        scope: HelloScope,
+    ) -> Result<Self, TransportError> {
+        Self::connect_salvaged(conn, claims, &mut partials, scope)
+    }
+
+    /// [`TransportClient::connect_scoped`] for a caller that must keep
+    /// the salvaged progress when the dial dies: `partials` is emptied
+    /// into the new client only once the HELLO carrying its resume
+    /// claims is on the wire. A connection that accepts the dial and
+    /// fails the write leaves `partials` untouched, so the next
+    /// candidate still resumes the chunk train instead of restarting it
+    /// from entry 0.
+    pub fn connect_salvaged(
         mut conn: impl FrameConn + 'static,
         claims: &[(TldId, Option<Serial>)],
-        partials: Vec<SnapshotProgress>,
+        partials: &mut Vec<SnapshotProgress>,
         scope: HelloScope,
     ) -> Result<Self, TransportError> {
         let wire: Vec<TldClaim> = claims
@@ -135,7 +151,7 @@ impl TransportClient {
         Ok(TransportClient {
             conn: Box::new(conn),
             claims: claims.to_vec(),
-            partials,
+            partials: std::mem::take(partials),
             chunks_received: 0,
         })
     }

@@ -107,8 +107,13 @@
 //! the consumer reconnects carrying those claims, and the catch-up rule
 //! turns the outage into a delta replay of the missed churn (or a
 //! checkpoint bootstrap if it slept past the retention ring). The
-//! driver side of that loop lives in
-//! `darkdns_core::broker_view::RemoteZoneView`.
+//! driver side of that loop is written once, in [`replica`]: an
+//! [`UpstreamLink`] (the connection, salvaged chunk progress, heal and
+//! drain accounting) over a pure [`ReplicaSet`] (candidate order, the
+//! backoff ladder, the endpoint-update gate). The relay thread drives
+//! one here; `darkdns_core::broker_view::{RemoteZoneView,
+//! RoutedZoneView}` drive one per upstream; `darkdns_edge::EdgeClient`
+//! uses the set alone.
 
 mod client;
 mod fault;
@@ -116,12 +121,14 @@ mod frame;
 pub mod pipe;
 mod reactor;
 mod relay;
+pub mod replica;
 mod ring;
 mod server;
 mod stream;
 
 pub use client::{fetch_stats, fetch_stats_deadline, ClientEvent, SnapshotProgress, TransportClient};
 pub use relay::{RelayHandle, RelayStats};
+pub use replica::{ReplicaSet, UpstreamLink};
 pub use darkdns_dns::wire::{StatsReport, WireServerStats, WireShardStats, WireSubscriberStats};
 pub use bytes::Bytes;
 pub use fault::{FaultInjectedConn, FaultScript, FrameFault};

@@ -15,11 +15,12 @@
 //!   process no copy (the slice refcount-shares the received buffer).
 //!   A leaf at depth N receives frames byte-identical to the root's
 //!   encoding; the relay fault tests pin exactly that.
-//! * **One resync per fault, at the faulted tier only.** The relay
-//!   tracks per-TLD serials exactly like any subscriber: on a fault it
-//!   redials carrying its local broker's head serials (plus any
-//!   mid-snapshot chunk progress), so the upstream heals it with a
-//!   delta replay whenever its retention ring covers the outage.
+//! * **One resync per fault, at the faulted tier only.** The relay is a
+//!   driver of the shared upstream link ([`super::replica`]), exactly
+//!   like any subscriber: on a fault the link retires the connection
+//!   and redials carrying the local broker's head serials (plus any
+//!   mid-snapshot chunk progress it salvaged), so the upstream heals it
+//!   with a delta replay whenever its retention ring covers the outage.
 //!   Downstream subscribers never notice — their connections to this
 //!   relay stayed up, and replayed upstream deltas that do not chain
 //!   on the local head are skipped, never double-published. Only when
@@ -33,6 +34,16 @@
 //! local broker only through the public publish/install surface — the
 //! documented lock hierarchy (shard → subscriber queue, reactor below)
 //! is untouched at every tree depth.
+//!
+//! What is *this module's* is only what to do with an upstream event:
+//! install a snapshot, re-publish a chaining delta verbatim, skip a
+//! replay, treat a gap as a fault. Dialling, the backoff ladder, heal
+//! accounting and chunk-progress salvage are the link's — the same
+//! [`UpstreamLink`] + one-replica [`ReplicaSet`] a `RemoteZoneView`
+//! runs. A dead upstream is therefore dialled at the workspace's one
+//! bounded rate (50 ms doubling to 2 s), and the thread waits a backoff
+//! window out in slices no longer than its stop-flag poll, so
+//! [`BrokerServer::shutdown`] never sits through one.
 //!
 //! # Shard-filtered relays
 //!
@@ -57,20 +68,17 @@
 //! delta-only relay with no local state would gap forever.
 
 use super::frame::{FrameConn, TransportError};
+use super::replica::{ReplicaSet, UpstreamLink};
 use super::server::BrokerServer;
 use crate::broker::Broker;
-use crate::transport::{ClientEvent, TransportClient};
+use crate::transport::ClientEvent;
 use darkdns_registry::tld::TldId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long the relay blocks per receive before checking the stop flag.
 const RELAY_RECV_TIMEOUT: Duration = Duration::from_millis(50);
-/// Redial backoff bounds: doubling from the floor to the ceiling, reset
-/// on every successful connect.
-const BACKOFF_FLOOR: Duration = Duration::from_millis(5);
-const BACKOFF_CEIL: Duration = Duration::from_millis(200);
 
 /// Monotonic counters for one upstream attachment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -93,9 +101,9 @@ pub struct RelayStats {
     /// a resumed bootstrap skipped the chunks it already had).
     pub snapshot_chunks: u64,
     /// Dial attempts that failed outright (connection refused, dead
-    /// endpoint) — the "why" behind a slow resync: many dial failures
-    /// with few resyncs means the upstream was unreachable, not that
-    /// the stream was faulty.
+    /// endpoint, or a HELLO that could not be written) — the "why"
+    /// behind a slow resync: many dial failures with few resyncs means
+    /// the upstream was unreachable, not that the stream was faulty.
     pub dial_failures: u64,
     /// Established streams that died (peer closed, eviction, corrupt
     /// frame, or a gap that forced a redial) — each precedes at most
@@ -152,11 +160,11 @@ impl BrokerServer {
     /// over the connection `dial` produces and fold the stream into the
     /// local broker, re-serving each delta's `RZU1` bytes verbatim (see
     /// the module docs for the tree invariants). `dial` is called for
-    /// the initial connect and again after every fault, with doubling
-    /// bounded backoff between failed attempts; each HELLO carries the
-    /// local broker's current head serials and any mid-snapshot chunk
-    /// progress, so recovery is a delta replay (or a resumed chunk
-    /// train), not a fresh bootstrap.
+    /// the initial connect and again after every fault, a refused dial
+    /// sidelining the upstream on the shared backoff ladder; each HELLO
+    /// carries the local broker's current head serials and any
+    /// mid-snapshot chunk progress, so recovery is a delta replay (or a
+    /// resumed chunk train), not a fresh bootstrap.
     ///
     /// The relay runs on its own thread, owned by the server and joined
     /// by [`BrokerServer::shutdown`] — so a relay node's
@@ -172,96 +180,81 @@ impl BrokerServer {
         let broker = self.inner.broker.clone();
         let reactor = self.reactor.clone();
         let thread = std::thread::spawn(move || {
-            let mut partials = Vec::new();
-            let mut backoff = BACKOFF_FLOOR;
-            // Faults since the last successful connect: the first
-            // connect is a bootstrap, every later one heals a fault.
-            let mut healing = false;
+            let mut link = UpstreamLink::new(ReplicaSet::new(1, 0));
+            // What this node has *durably* reached — its own broker
+            // heads — is both the HELLO's claims and what the link's
+            // lockstep check compares a dying client's claims against:
+            // a claim advances exactly when the frame is published
+            // locally.
+            let heads = || -> Vec<(TldId, Option<darkdns_dns::Serial>)> {
+                tlds.iter().map(|&t| (t, broker.head(t).map(|h| h.serial()))).collect()
+            };
             while !reactor.is_stopping() {
-                // Claim the serials this node has *durably* reached —
-                // its own broker heads. The dead client's claims are
-                // always identical: a claim advances exactly when the
-                // frame is published locally.
-                let claims: Vec<(TldId, Option<darkdns_dns::Serial>)> =
-                    tlds.iter().map(|&t| (t, broker.head(t).map(|h| h.serial()))).collect();
-                let conn = match dial() {
-                    Ok(conn) => conn,
-                    Err(_) => {
-                        shared.dial_failures.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(BACKOFF_CEIL);
+                if !link.is_connected() {
+                    let healed = link.connect(&heads(), |_| dial());
+                    shared.dial_failures.store(link.replicas().dial_failures(), Ordering::Relaxed);
+                    let Ok(healed) = healed else {
+                        // Wait out the backoff window, in slices no
+                        // longer than the stop-flag poll.
+                        let wait = link.replicas().retry_at().map_or(RELAY_RECV_TIMEOUT, |at| {
+                            at.saturating_duration_since(Instant::now()).min(RELAY_RECV_TIMEOUT)
+                        });
+                        std::thread::sleep(wait);
+                        continue;
+                    };
+                    if link.set_recv_timeout(Some(RELAY_RECV_TIMEOUT)).is_err() {
+                        link.retire(&heads());
                         continue;
                     }
-                };
-                let mut client =
-                    match TransportClient::connect_resuming(conn, &claims, std::mem::take(&mut partials)) {
-                        Ok(client) => client,
-                        Err(_) => {
-                            shared.dial_failures.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(BACKOFF_CEIL);
-                            continue;
-                        }
-                    };
-                if client.set_recv_timeout(Some(RELAY_RECV_TIMEOUT)).is_err() {
-                    continue;
-                }
-                backoff = BACKOFF_FLOOR;
-                shared.connects.fetch_add(1, Ordering::Relaxed);
-                if healing {
-                    shared.resyncs.fetch_add(1, Ordering::Relaxed);
-                }
-                shared.connected.store(true, Ordering::Relaxed);
-                let mut last_chunks = 0;
-                while !reactor.is_stopping() {
-                    match client.next_event() {
-                        ClientEvent::Idle => continue,
-                        ClientEvent::Snapshot { tld, snapshot } => {
-                            broker.install_snapshot(tld, snapshot);
-                            shared.snapshots_installed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        ClientEvent::Delta { tld, push, frame } => {
-                            match relay_decision(&broker, tld, &push) {
-                                Relayed::Published => {
-                                    // Count before publishing: the frame
-                                    // is downstream-visible the instant
-                                    // it lands in the broker, and stats()
-                                    // readers must never observe a
-                                    // delivered frame the counter has
-                                    // not reached yet.
-                                    shared.frames_relayed.fetch_add(1, Ordering::Relaxed);
-                                    broker.publish_frame(
-                                        tld,
-                                        push.delta.clone(),
-                                        push.to_serial,
-                                        push.pushed_at,
-                                        frame,
-                                    );
-                                }
-                                Relayed::Replay => {
-                                    shared.frames_skipped.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Relayed::Gap => break, // corrupt stream: redial
-                            }
-                        }
-                        ClientEvent::Evicted | ClientEvent::Closed(_) => break,
+                    shared.connects.fetch_add(1, Ordering::Relaxed);
+                    if healed {
+                        shared.resyncs.fetch_add(1, Ordering::Relaxed);
                     }
-                    let chunks = client.snapshot_chunks_received();
-                    shared.snapshot_chunks.fetch_add(chunks - last_chunks, Ordering::Relaxed);
-                    last_chunks = chunks;
+                    shared.connected.store(true, Ordering::Relaxed);
                 }
-                shared.connected.store(false, Ordering::Relaxed);
-                // Salvage mid-snapshot progress for the reconnect HELLO.
-                partials = client.take_snapshot_progress();
-                let chunks = client.snapshot_chunks_received();
-                shared.snapshot_chunks.fetch_add(chunks - last_chunks, Ordering::Relaxed);
-                healing = !reactor.is_stopping();
-                if healing {
-                    // The established stream died (as opposed to a dial
-                    // that never connected): record the failover reason.
-                    shared.stream_faults.fetch_add(1, Ordering::Relaxed);
+                let faulted = match link.next_event() {
+                    ClientEvent::Idle => false,
+                    ClientEvent::Snapshot { tld, snapshot } => {
+                        broker.install_snapshot(tld, snapshot);
+                        shared.snapshots_installed.fetch_add(1, Ordering::Relaxed);
+                        false
+                    }
+                    ClientEvent::Delta { tld, push, frame } => {
+                        match relay_decision(&broker, tld, &push) {
+                            Relayed::Published => {
+                                // Count before publishing: the frame
+                                // is downstream-visible the instant
+                                // it lands in the broker, and stats()
+                                // readers must never observe a
+                                // delivered frame the counter has
+                                // not reached yet.
+                                shared.frames_relayed.fetch_add(1, Ordering::Relaxed);
+                                broker.publish_frame(
+                                    tld,
+                                    push.delta.clone(),
+                                    push.to_serial,
+                                    push.pushed_at,
+                                    frame,
+                                );
+                                false
+                            }
+                            Relayed::Replay => {
+                                shared.frames_skipped.fetch_add(1, Ordering::Relaxed);
+                                false
+                            }
+                            Relayed::Gap => true, // corrupt stream: redial
+                        }
+                    }
+                    ClientEvent::Evicted | ClientEvent::Closed(_) => true,
+                };
+                shared.snapshot_chunks.store(link.snapshot_chunks_received(), Ordering::Relaxed);
+                if faulted {
+                    shared.connected.store(false, Ordering::Relaxed);
+                    link.retire(&heads());
+                    shared.stream_faults.store(link.stream_faults(), Ordering::Relaxed);
                 }
             }
+            shared.connected.store(false, Ordering::Relaxed);
         });
         self.reactor.adopt_thread(thread);
         handle

@@ -32,8 +32,9 @@
 
 use std::time::{Duration, Instant};
 
+use darkdns_broker::transport::replica::Update;
 use darkdns_broker::transport::{
-    fetch_stats_deadline, ClientEvent, FrameConn, SnapshotProgress, TransportClient, TransportError,
+    ClientEvent, FrameConn, ReplicaSet, TransportClient, TransportError, UpstreamLink,
 };
 use darkdns_broker::{Broker, BrokerMessage, BrokerSubscription};
 use darkdns_dns::hash::NameMap;
@@ -60,6 +61,9 @@ pub struct BrokerZoneView {
     snapshots_adopted: u64,
     resyncs: u64,
     lost_sync: bool,
+    /// Checkpoint snapshots a transport driver refused for being older
+    /// than this view (see [`RoutedZoneView::stale_snapshots_refused`]).
+    stale_snapshots: u64,
 }
 
 impl BrokerZoneView {
@@ -82,6 +86,7 @@ impl BrokerZoneView {
             snapshots_adopted: 0,
             resyncs: 0,
             lost_sync: false,
+            stale_snapshots: 0,
         }
     }
 
@@ -127,26 +132,26 @@ impl BrokerZoneView {
     /// observed through a next frame — without this check a view under
     /// `OverflowPolicy::Evict` would stall forever looking healthy.
     pub fn pump(&mut self) -> usize {
-        let Some(sub) = &self.sub else {
-            return 0;
-        };
-        if sub.is_evicted() {
+        self.pump_with(&mut ())
+    }
+
+    /// [`BrokerZoneView::pump`] with an observer: `sink` sees every
+    /// message the view accepts, immediately post-apply — how the
+    /// in-process edge feed mirrors the attached stream into its index.
+    pub fn pump_with(&mut self, sink: &mut impl RouteSink) -> usize {
+        if self.sub.as_ref().is_some_and(|sub| sub.is_evicted()) {
             self.lost_sync = true;
         }
         if self.lost_sync {
             return 0;
         }
         let mut applied = 0;
-        loop {
-            let Some(sub) = &self.sub else { break };
-            let Some(msg) = sub.try_next() else { break };
+        while let Some(msg) = self.sub.as_ref().and_then(|sub| sub.try_next()) {
             match msg {
-                BrokerMessage::Snapshot { tld, snapshot } => {
-                    self.ingest_snapshot(tld, snapshot);
-                }
+                BrokerMessage::Snapshot { tld, snapshot } => self.adopt(tld, snapshot, sink),
                 BrokerMessage::Delta { tld, frame } => {
                     let push = decode_delta_push(&frame).expect("broker frames are well-formed");
-                    if !self.ingest_delta(tld, &push) {
+                    if !self.advance(tld, &push, sink) {
                         return applied;
                     }
                 }
@@ -161,12 +166,23 @@ impl BrokerZoneView {
         applied
     }
 
-    /// Record an eviction observed by an external driver (a transport
-    /// client or an edge feed pumping a detached view): latches
-    /// [`BrokerZoneView::lost_sync`] exactly as [`BrokerZoneView::pump`]
-    /// does when its own subscription reports eviction.
-    pub fn ingest_eviction(&mut self) {
-        self.lost_sync = true;
+    /// [`BrokerZoneView::ingest_snapshot`], then show `sink` the adopted
+    /// state (the view's own `Arc`-shared columns, no copy).
+    fn adopt(&mut self, tld: TldId, snapshot: ZoneSnapshot, sink: &mut impl RouteSink) {
+        self.ingest_snapshot(tld, snapshot);
+        if let Some(state) = self.states.get(&tld) {
+            sink.on_snapshot(tld, state);
+        }
+    }
+
+    /// [`BrokerZoneView::ingest_delta`], then — only if it chained —
+    /// show `sink` the push and the post-apply state.
+    fn advance(&mut self, tld: TldId, push: &DeltaPush, sink: &mut impl RouteSink) -> bool {
+        let chained = self.ingest_delta(tld, push);
+        if let (true, Some(state)) = (chained, self.states.get(&tld)) {
+            sink.on_delta(tld, state, push);
+        }
+        chained
     }
 
     /// True once a dropped frame left the view unable to advance.
@@ -283,32 +299,122 @@ impl BrokerZoneView {
     }
 }
 
+/// The one `pump_until_serials` body behind every feed's inherent
+/// method: pump `this` (healing faults as usual) until its view's
+/// serial matches `targets` for every listed TLD, or `timeout` elapses.
+/// This is the synchronisation barrier a time-faithful harness needs:
+/// frames cross the socket asynchronously, so "everything published so
+/// far has been applied" is only observable as the view reaching the
+/// publisher's known head serials. Returns whether they were reached.
+pub fn pump_until_serials<T>(
+    this: &mut T,
+    targets: &[(TldId, Serial)],
+    timeout: Duration,
+    view: impl Fn(&T) -> &BrokerZoneView,
+    mut pump: impl FnMut(&mut T) -> usize,
+) -> bool {
+    let deadline = Instant::now() + timeout;
+    loop {
+        if targets.iter().all(|&(tld, serial)| view(this).serial(tld) == Some(serial)) {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        if pump(this) == 0 {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// Pump one [`UpstreamLink`] into `view` for up to `budget` events —
+/// the event loop under both [`RemoteZoneView`] and every route of a
+/// [`RoutedZoneView`]. A planned drain is finished when ready, a dead
+/// link is reconnected through `connect` (the resync is counted only
+/// once the replacement stream is established), and any stream fault —
+/// eviction, disconnect, a frame that failed validation, a delta that
+/// does not chain — retires the connection. Returns the number of
+/// events applied; sets `progressed` when anything at all happened.
+fn pump_link(
+    view: &mut BrokerZoneView,
+    link: &mut UpstreamLink,
+    claims: impl Fn(&BrokerZoneView) -> Vec<(TldId, Option<Serial>)>,
+    mut connect: impl FnMut(&mut UpstreamLink, &[(TldId, Option<Serial>)]) -> Result<bool, TransportError>,
+    budget: usize,
+    progressed: &mut bool,
+    sink: &mut impl RouteSink,
+) -> usize {
+    let mut applied = 0;
+    while applied < budget {
+        link.try_finish_drain();
+        if !link.is_connected() {
+            match connect(link, &claims(view)) {
+                Ok(true) => view.note_resynced(),
+                Ok(false) => {}
+                // No candidate accepted: the next pump retries,
+                // rate-limited by each replica's backoff window.
+                Err(_) => return applied,
+            }
+        } else {
+            match link.next_event() {
+                ClientEvent::Idle => break,
+                // A replica answering with a checkpoint older than what
+                // the view already applied is stale (e.g. a just-added,
+                // still-catching-up relay): adopting it would
+                // time-travel the view. Refuse it; the health-ordered
+                // redial finds a fresher replica, or the same one once
+                // its head catches up.
+                ClientEvent::Snapshot { tld, snapshot }
+                    if view.serial(tld).is_some_and(|have| have.is_newer_than(snapshot.serial())) =>
+                {
+                    view.stale_snapshots += 1;
+                    link.refuse();
+                }
+                ClientEvent::Snapshot { tld, snapshot } => {
+                    view.adopt(tld, snapshot, sink);
+                    applied += 1;
+                }
+                ClientEvent::Delta { tld, push, .. } if view.advance(tld, &push, sink) => applied += 1,
+                // A duplicate or gapped delta: the stream can no longer
+                // be trusted; rejoin from our claims.
+                ClientEvent::Delta { .. } | ClientEvent::Evicted | ClientEvent::Closed(_) => {
+                    link.retire(&claims(view));
+                }
+            }
+        }
+        *progressed = true;
+    }
+    applied
+}
+
 /// A [`BrokerZoneView`] fed over a real transport, with automatic
-/// reconnect-with-claims.
+/// reconnect-with-claims: a thin shell over one [`UpstreamLink`] with a
+/// one-replica [`ReplicaSet`] — the same driver a [`RoutedZoneView`]
+/// runs per route.
 ///
-/// The driver owns a detached view, a [`TransportClient`], and a dial
-/// closure (how to establish a fresh [`FrameConn`]-backed client for a
-/// given set of claims — TCP in deployments, an in-memory pipe in the
-/// fault tests). [`RemoteZoneView::pump`] pulls decoded events into the
-/// view; on *any* fault — server eviction, disconnect, a frame that
-/// failed validation, or a delta that does not chain (duplicate or gap)
-/// — it drops the connection and redials carrying
+/// It owns a detached view, the link, and a dial closure (how to
+/// establish a fresh [`TransportClient`] for a given set of claims —
+/// TCP in deployments, an in-memory pipe in the fault tests).
+/// [`RemoteZoneView::pump`] pulls decoded events into the view; on
+/// *any* fault it drops the connection and redials carrying
 /// [`BrokerZoneView::claims`], so recovery costs a delta replay of the
 /// missed churn rather than a snapshot bootstrap whenever the retention
-/// ring still covers the gap. [`BrokerZoneView::resync_count`] counts
-/// exactly the *successful* reconnects, which is what the fault harness
-/// pins against the number of injected faults.
+/// ring still covers the gap. A dial that fails sidelines the endpoint
+/// on the shared backoff ladder, so a dead broker is dialled at a
+/// bounded rate, not once per pump. [`BrokerZoneView::resync_count`]
+/// counts exactly the *successful* reconnects, which is what the fault
+/// harness pins against the number of injected faults.
+///
+/// The closure sends its own claims-only HELLO, so a chunk train cut
+/// mid-flight restarts from entry 0 on the redial; use a one-route
+/// [`RoutedZoneView`], whose link carries the salvaged progress, where
+/// resuming matters.
 pub struct RemoteZoneView<D>
 where
     D: FnMut(&[(TldId, Option<Serial>)]) -> Result<TransportClient, TransportError>,
 {
     view: BrokerZoneView,
-    client: Option<TransportClient>,
-    /// The dead connection's [`TransportClient::claimed_serials`], kept
-    /// for the redial. The client advances a claim exactly when the
-    /// view applies the corresponding message, so the two stay in
-    /// lockstep — asserted in debug builds at reconnect time.
-    stale_claims: Option<Vec<(TldId, Option<Serial>)>>,
+    link: UpstreamLink,
     dial: D,
 }
 
@@ -320,107 +426,39 @@ where
     /// shard). The initial connect is not a resync.
     pub fn connect(tlds: &[TldId], mut dial: D) -> Result<Self, TransportError> {
         let view = BrokerZoneView::detached(tlds);
-        let client = dial(&view.claims())?;
-        Ok(RemoteZoneView { view, client: Some(client), stale_claims: None, dial })
+        let mut link = UpstreamLink::new(ReplicaSet::new(1, 0));
+        link.connect_client(|_| dial(&view.claims()))?;
+        Ok(RemoteZoneView { view, link, dial })
     }
 
     /// Pull up to `max_events` decoded events into the view, healing
     /// faults by reconnecting with claims as they surface. Returns the
     /// number of events applied; returns early when the stream goes
-    /// idle (receive timeout) or a redial attempt fails (the next pump
+    /// idle (receive timeout) or a redial attempt fails (a later pump
     /// retries it).
     pub fn pump(&mut self, max_events: usize) -> usize {
-        let mut applied = 0;
-        while applied < max_events {
-            let Some(client) = self.client.as_mut() else {
-                if self.reconnect().is_err() {
-                    return applied;
-                }
-                continue;
-            };
-            match client.next_event() {
-                ClientEvent::Idle => break,
-                ClientEvent::Snapshot { tld, snapshot } => {
-                    self.view.ingest_snapshot(tld, snapshot);
-                    applied += 1;
-                }
-                ClientEvent::Delta { tld, push, .. } => {
-                    if self.view.ingest_delta(tld, &push) {
-                        applied += 1;
-                    } else {
-                        // Duplicate or gapped delta: the stream can no
-                        // longer be trusted; rejoin from our claims.
-                        self.retire_client();
-                    }
-                }
-                ClientEvent::Evicted | ClientEvent::Closed(_) => {
-                    self.retire_client();
-                }
-            }
-        }
-        applied
-    }
-
-    /// Drop the dead connection, keeping the serials it verifiably
-    /// reached for the redial.
-    fn retire_client(&mut self) {
-        if let Some(client) = self.client.take() {
-            self.stale_claims = Some(client.claimed_serials().to_vec());
-        }
-    }
-
-    /// Redial with the dead client's claimed serials (the view's claims
-    /// are the identical fallback); counts the resync only once the new
-    /// connection is established.
-    fn reconnect(&mut self) -> Result<(), TransportError> {
-        let claims = match &self.stale_claims {
-            Some(claims) => {
-                debug_assert_eq!(
-                    *claims,
-                    self.view.claims(),
-                    "client claim tracking diverged from the applied view state"
-                );
-                claims.clone()
-            }
-            None => self.view.claims(),
-        };
-        let client = (self.dial)(&claims)?;
-        self.client = Some(client);
-        self.stale_claims = None;
-        self.view.note_resynced();
-        Ok(())
+        let dial = &mut self.dial;
+        pump_link(
+            &mut self.view,
+            &mut self.link,
+            BrokerZoneView::claims,
+            |link, claims| link.connect_client(|_| dial(claims)),
+            max_events,
+            &mut false,
+            &mut (),
+        )
     }
 
     /// True while a connection is established (it may still be found
     /// dead on the next pump).
     pub fn is_connected(&self) -> bool {
-        self.client.is_some()
+        self.link.is_connected()
     }
 
-    /// Pump (healing faults as usual) until the view's serial matches
-    /// `targets` for every listed TLD, or `timeout` elapses. This is
-    /// the synchronisation barrier a time-faithful harness needs:
-    /// frames cross the socket asynchronously, so "everything published
-    /// so far has been applied" is only observable as the view reaching
-    /// the publisher's known head serials. Returns whether the targets
-    /// were reached.
-    pub fn pump_until_serials(
-        &mut self,
-        targets: &[(TldId, Serial)],
-        timeout: std::time::Duration,
-    ) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if targets.iter().all(|&(tld, serial)| self.view.serial(tld) == Some(serial)) {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            if self.pump(1024) == 0 {
-                std::thread::yield_now();
-            }
-        }
+    /// Pump until the view reaches `targets` or `timeout` elapses (see
+    /// [`pump_until_serials`]).
+    pub fn pump_until_serials(&mut self, targets: &[(TldId, Serial)], timeout: Duration) -> bool {
+        pump_until_serials(self, targets, timeout, |s| &s.view, |s| s.pump(1024))
     }
 
     /// The underlying view.
@@ -558,51 +596,6 @@ pub trait RouteSink {
 
 impl RouteSink for () {}
 
-/// How long a health probe waits for the RZUQ stats round-trip before
-/// writing the replica off as unscorable this round.
-const PROBE_DEADLINE: Duration = Duration::from_millis(400);
-/// Dead-replica backoff bounds: the `n`-th consecutive dial/handshake/
-/// probe failure sidelines the replica for `floor << (n-1)`, capped at
-/// the ceiling. Backoff bounds dial *frequency* toward a dead endpoint
-/// — a route whose every replica is down waits for the earliest window
-/// to expire instead of dialling each pump — and the windows are
-/// time-bounded, so the route is never forfeited.
-const DEAD_BACKOFF_FLOOR: Duration = Duration::from_millis(50);
-const DEAD_BACKOFF_CEIL: Duration = Duration::from_secs(2);
-
-/// Per-replica health state of one route.
-#[derive(Debug, Clone, Default)]
-struct ReplicaHealth {
-    /// Consecutive dial/handshake/probe failures; cleared by any
-    /// success against this replica.
-    fail_streak: u32,
-    /// Dead-with-backoff: skip this replica in candidate selection
-    /// until the instant passes.
-    down_until: Option<Instant>,
-    /// Most recent probe score (summed head serials over the route's
-    /// TLDs); `None` until probed, or after any failure.
-    score: Option<u64>,
-}
-
-impl ReplicaHealth {
-    fn is_down(&self, now: Instant) -> bool {
-        self.down_until.is_some_and(|until| now < until)
-    }
-
-    fn note_failure(&mut self, now: Instant) {
-        self.fail_streak = self.fail_streak.saturating_add(1);
-        let shift = (self.fail_streak - 1).min(8);
-        let backoff = DEAD_BACKOFF_FLOOR.saturating_mul(1u32 << shift).min(DEAD_BACKOFF_CEIL);
-        self.down_until = Some(now + backoff);
-        self.score = None;
-    }
-
-    fn note_success(&mut self) {
-        self.fail_streak = 0;
-        self.down_until = None;
-    }
-}
-
 /// One route's health and rotation state, as reported by
 /// [`RoutedZoneView::route_status`] — the staleness / failover-reason
 /// surface fleet dashboards (and the RZUQ aggregation walker) read.
@@ -621,32 +614,14 @@ pub struct RouteStatus {
     pub dead: Vec<bool>,
 }
 
-/// Per-route connection state of a [`RoutedZoneView`].
-struct RouteConn {
-    /// Which replica the route is (or will next be) dialled at.
-    cursor: usize,
-    client: Option<TransportClient>,
-    /// Mid-snapshot chunk progress salvaged from the dead connection,
-    /// carried into the next HELLO so the bootstrap resumes instead of
-    /// restarting.
-    partials: Vec<SnapshotProgress>,
-    /// Whether the next successful connect heals a fault (and must be
-    /// counted as a resync) or is the initial bootstrap.
-    healing: bool,
-    /// Chunks received on connections this route has already retired.
-    retired_chunks: u64,
-    /// Set when an endpoint update drained the connected replica: keep
-    /// pumping until no chunk train is in flight, then switch cleanly.
-    draining: bool,
-    /// Health state, index-aligned with the route's replica list.
-    health: Vec<ReplicaHealth>,
-}
-
 /// A [`BrokerZoneView`] spanning a **partitioned, replicated** broker
-/// fleet: one upstream connection per [`EndpointMap`] route, all
-/// feeding one shared view. Faults heal per route — reconnect carries
-/// that route's per-TLD claims (and chunked-bootstrap progress), and a
-/// connect or stream error fails over across the route's replica list.
+/// fleet: one [`UpstreamLink`] per [`EndpointMap`] route, all feeding
+/// one shared view. Everything below the view is the shared driver in
+/// `darkdns_broker::transport::replica`; this type adds only the map
+/// (which endpoint a replica index means) and the fan-in. Faults heal
+/// per route — reconnect carries that route's per-TLD claims (and
+/// chunked-bootstrap progress), and a connect or stream error fails
+/// over across the route's replica list.
 /// [`BrokerZoneView::resync_count`] still counts exactly the successful
 /// post-fault reconnects, fleet-wide;
 /// [`RoutedZoneView::failover_count`] counts replica switches.
@@ -670,20 +645,8 @@ where
 {
     view: BrokerZoneView,
     map: EndpointMap<E>,
-    conns: Vec<RouteConn>,
+    links: Vec<UpstreamLink>,
     dial: D,
-    failovers: u64,
-    /// Failed dial attempts (refused connections), including probe
-    /// dials — the "replica unreachable" failover reason.
-    dial_failures: u64,
-    /// Established streams retired by a fault (eviction, cut, bad
-    /// delta, stale snapshot) — the "stream fault" failover reason.
-    stream_faults: u64,
-    /// Planned drain handoffs completed without a resync.
-    drains: u64,
-    /// Checkpoint snapshots refused for being older than the fleet
-    /// view — the stale-replica guard.
-    stale_snapshots: u64,
 }
 
 impl<E, D> RoutedZoneView<E, D>
@@ -693,283 +656,17 @@ where
     /// Dial every route's preferred replica (failing over down each
     /// list) and bootstrap the shared view. Errors only when some route
     /// has **no** reachable replica.
-    pub fn connect(map: EndpointMap<E>, dial: D) -> Result<Self, TransportError> {
-        let tlds = map.tlds();
-        let conns = map
-            .routes()
-            .iter()
-            .map(|r| RouteConn {
-                cursor: 0,
-                client: None,
-                partials: Vec::new(),
-                healing: false,
-                retired_chunks: 0,
-                draining: false,
-                health: vec![ReplicaHealth::default(); r.replicas.len()],
-            })
-            .collect();
-        let mut routed = RoutedZoneView {
-            view: BrokerZoneView::detached(&tlds),
-            map,
-            conns,
-            dial,
-            failovers: 0,
-            dial_failures: 0,
-            stream_faults: 0,
-            drains: 0,
-            stale_snapshots: 0,
-        };
-        for i in 0..routed.conns.len() {
-            routed.reconnect_route(i)?;
+    pub fn connect(map: EndpointMap<E>, mut dial: D) -> Result<Self, TransportError> {
+        let view = BrokerZoneView::detached(&map.tlds());
+        let mut links = Vec::with_capacity(map.routes().len());
+        for route in map.routes() {
+            let mut link =
+                UpstreamLink::new(ReplicaSet::new(route.replicas.len(), map.generation()));
+            let claims: Vec<_> = route.tlds.iter().map(|&t| (t, None)).collect();
+            link.connect(&claims, |at| dial(&route.replicas[at]))?;
+            links.push(link);
         }
-        Ok(routed)
-    }
-
-    /// The view's claims restricted to one route's TLDs.
-    fn route_claims(&self, route: usize) -> Vec<(TldId, Option<Serial>)> {
-        self.map.routes()[route]
-            .tlds
-            .iter()
-            .map(|&t| (t, self.view.serial(t)))
-            .collect()
-    }
-
-    /// RZUQ-probe `route`'s replica `at` and score it: the sum of the
-    /// reported head serials over the route's TLDs (shards the replica
-    /// does not serve contribute 0, so a filtered or lagging relay
-    /// scores below a full mirror). Any failure marks the replica
-    /// dead-with-backoff and returns `None`.
-    fn probe_replica(&mut self, route: usize, at: usize) -> Option<u64> {
-        let endpoint = &self.map.routes()[route].replicas[at];
-        let conn = match (self.dial)(endpoint) {
-            Ok(conn) => conn,
-            Err(_) => {
-                self.dial_failures += 1;
-                self.conns[route].health[at].note_failure(Instant::now());
-                return None;
-            }
-        };
-        let report = match fetch_stats_deadline(conn, PROBE_DEADLINE) {
-            Ok(report) => report,
-            Err(_) => {
-                self.conns[route].health[at].note_failure(Instant::now());
-                return None;
-            }
-        };
-        let score = self.map.routes()[route]
-            .tlds
-            .iter()
-            .map(|tld| {
-                report
-                    .shards
-                    .iter()
-                    .find(|s| s.tld == tld.0)
-                    .map_or(0, |s| u64::from(s.head_serial.0))
-            })
-            .sum();
-        let health = &mut self.conns[route].health[at];
-        health.score = Some(score);
-        health.note_success();
-        Some(score)
-    }
-
-    /// Build `route`'s dial order. Rotation from the cursor is the base
-    /// order; replicas inside a dead-with-backoff window are skipped.
-    /// With more than one live candidate, each is health-probed and the
-    /// order becomes score-descending — freshest head first — with a
-    /// **stable** sort, so equal-score replicas keep rotation order and
-    /// the cursor's replica wins ties. A lone live candidate is
-    /// returned un-probed (no extra dial on the single-replica path),
-    /// and with zero live candidates the order is empty: the route sits
-    /// out the reconnect until the earliest backoff window expires, so
-    /// a fully-dead replica set costs a bounded dial rate (the backoff
-    /// ceiling), never one dial per pump. Backoff windows are
-    /// time-bounded, so the route is never forfeited.
-    fn candidate_order(&mut self, route: usize) -> Vec<usize> {
-        let replicas = self.map.routes()[route].replicas.len();
-        let cursor = self.conns[route].cursor % replicas;
-        let rotation: Vec<usize> = (0..replicas).map(|i| (cursor + i) % replicas).collect();
-        let now = Instant::now();
-        let alive: Vec<usize> = rotation
-            .into_iter()
-            .filter(|&at| !self.conns[route].health[at].is_down(now))
-            .collect();
-        if alive.len() == 1 {
-            return alive;
-        }
-        let mut scored: Vec<(usize, u64)> = alive
-            .into_iter()
-            .filter_map(|at| self.probe_replica(route, at).map(|score| (at, score)))
-            .collect();
-        scored.sort_by(|a, b| b.1.cmp(&a.1));
-        scored.into_iter().map(|(at, _)| at).collect()
-    }
-
-    /// Dial `route` along its health-ordered candidate list (see
-    /// [`RoutedZoneView::candidate_order`]), counting every candidate
-    /// moved past as a failover. Errs when no candidate accepted — the
-    /// next pump retries, rate-limited by each replica's backoff.
-    fn reconnect_route(&mut self, route: usize) -> Result<(), TransportError> {
-        let claims = self.route_claims(route);
-        let order = self.candidate_order(route);
-        let mut last_err = TransportError::Closed;
-        for (attempt, at) in order.into_iter().enumerate() {
-            if attempt > 0 {
-                self.failovers += 1;
-            }
-            let endpoint = &self.map.routes()[route].replicas[at];
-            let conn = match (self.dial)(endpoint) {
-                Ok(conn) => conn,
-                Err(e) => {
-                    self.dial_failures += 1;
-                    self.conns[route].health[at].note_failure(Instant::now());
-                    last_err = e;
-                    continue;
-                }
-            };
-            let partials = std::mem::take(&mut self.conns[route].partials);
-            match TransportClient::connect_resuming(conn, &claims, partials) {
-                Ok(client) => {
-                    let rc = &mut self.conns[route];
-                    rc.health[at].note_success();
-                    rc.cursor = at;
-                    rc.client = Some(client);
-                    if rc.healing {
-                        rc.healing = false;
-                        self.view.note_resynced();
-                    }
-                    return Ok(());
-                }
-                Err(e) => {
-                    self.conns[route].health[at].note_failure(Instant::now());
-                    last_err = e;
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Retire `route`'s dead connection: salvage chunk progress and
-    /// arm the resync accounting, and point the cursor at the *next*
-    /// replica so the redial fails over (the current one just died).
-    fn retire_route(&mut self, route: usize) {
-        let replicas = self.map.routes()[route].replicas.len();
-        let rc = &mut self.conns[route];
-        if let Some(mut client) = rc.client.take() {
-            rc.retired_chunks += client.snapshot_chunks_received();
-            rc.partials = client.take_snapshot_progress();
-            self.stream_faults += 1;
-        }
-        rc.healing = true;
-        rc.draining = false;
-        if replicas > 1 {
-            rc.cursor = (rc.cursor + 1) % replicas;
-            self.failovers += 1;
-        }
-    }
-
-    /// Finish a planned drain if the route is ready: once no snapshot
-    /// chunk train is in flight, the old connection is released cleanly
-    /// (nothing to salvage, nothing to heal — **not** a resync) and the
-    /// route redials, which lands on the healthiest successor carrying
-    /// the view's claims. Returns whether the handoff happened.
-    fn try_finish_drain(&mut self, route: usize) -> bool {
-        let rc = &mut self.conns[route];
-        if !rc.draining {
-            return false;
-        }
-        let mid_train =
-            rc.client.as_ref().is_some_and(|client| client.has_snapshot_in_flight());
-        if mid_train {
-            return false;
-        }
-        if let Some(client) = rc.client.take() {
-            rc.retired_chunks += client.snapshot_chunks_received();
-        }
-        rc.draining = false;
-        self.drains += 1;
-        true
-    }
-
-    /// Pump one route for up to `budget` events. Returns the number
-    /// applied; sets `progressed` when anything happened (so the outer
-    /// loop knows the fleet has gone idle).
-    fn pump_route(
-        &mut self,
-        route: usize,
-        budget: usize,
-        progressed: &mut bool,
-        sink: &mut impl RouteSink,
-    ) -> usize {
-        let mut applied = 0;
-        while applied < budget {
-            if self.try_finish_drain(route) {
-                *progressed = true;
-                continue;
-            }
-            if self.conns[route].client.is_none() {
-                if self.reconnect_route(route).is_err() {
-                    return applied;
-                }
-                *progressed = true;
-                continue;
-            }
-            let event = self.conns[route].client.as_mut().expect("just checked").next_event();
-            match event {
-                ClientEvent::Idle => break,
-                ClientEvent::Snapshot { tld, snapshot } => {
-                    // A replica answering with a checkpoint older than
-                    // what the fleet already applied is stale (e.g. a
-                    // just-added, still-catching-up relay): adopting it
-                    // would time-travel the shared view. Refuse it and
-                    // retire the route; the health-ordered redial finds
-                    // a fresher replica, or the same one once its head
-                    // catches up. Unlike an ordinary stream fault, the
-                    // replica is also sidelined dead-with-backoff: it
-                    // answered in good health with a checkpoint it
-                    // *cannot* better until its own feed advances, so
-                    // an immediate redial is guaranteed to fetch the
-                    // same stale bytes again — without the backoff a
-                    // route whose only live replica lags the view spins
-                    // a reconnect-refuse hot loop instead of idling.
-                    if self
-                        .view
-                        .serial(tld)
-                        .is_some_and(|have| have.is_newer_than(snapshot.serial()))
-                    {
-                        self.stale_snapshots += 1;
-                        let at = self.conns[route].cursor;
-                        self.conns[route].health[at].note_failure(Instant::now());
-                        self.retire_route(route);
-                        *progressed = true;
-                        continue;
-                    }
-                    // The snapshot is Arc-shared columnar state; the
-                    // clone is two pointer copies.
-                    self.view.ingest_snapshot(tld, snapshot.clone());
-                    sink.on_snapshot(tld, &snapshot);
-                    applied += 1;
-                    *progressed = true;
-                }
-                ClientEvent::Delta { tld, push, .. } => {
-                    if self.view.ingest_delta(tld, &push) {
-                        let state =
-                            self.view.snapshot(tld).expect("delta only chains on a bootstrap");
-                        sink.on_delta(tld, state, &push);
-                        applied += 1;
-                        *progressed = true;
-                    } else {
-                        self.retire_route(route);
-                        *progressed = true;
-                    }
-                }
-                ClientEvent::Evicted | ClientEvent::Closed(_) => {
-                    self.retire_route(route);
-                    *progressed = true;
-                }
-            }
-        }
-        applied
+        Ok(RoutedZoneView { view, map, links, dial })
     }
 
     /// Pull up to `max_events` decoded events into the shared view,
@@ -984,11 +681,21 @@ where
     /// edge tier mirrors the routed stream into its epoch-swap index
     /// through this — one routing implementation, two consumers.
     pub fn pump_with(&mut self, max_events: usize, sink: &mut impl RouteSink) -> usize {
+        let RoutedZoneView { view, map, links, dial } = self;
         let mut applied = 0;
         loop {
             let mut progressed = false;
-            for route in 0..self.conns.len() {
-                applied += self.pump_route(route, max_events - applied, &mut progressed, sink);
+            for (route, link) in map.routes().iter().zip(links.iter_mut()) {
+                applied += pump_link(
+                    view,
+                    link,
+                    // The view's claims restricted to this route's TLDs.
+                    |view| route.tlds.iter().map(|&t| (t, view.serial(t))).collect(),
+                    |link, claims| link.connect(claims, |at| dial(&route.replicas[at])),
+                    max_events - applied,
+                    &mut progressed,
+                    sink,
+                );
                 if applied >= max_events {
                     return applied;
                 }
@@ -999,25 +706,10 @@ where
         }
     }
 
-    /// Pump (healing faults as usual) until the view's serial matches
-    /// `targets` for every listed TLD, or `timeout` elapses.
-    pub fn pump_until_serials(
-        &mut self,
-        targets: &[(TldId, Serial)],
-        timeout: std::time::Duration,
-    ) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if targets.iter().all(|&(tld, serial)| self.view.serial(tld) == Some(serial)) {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            if self.pump(1024) == 0 {
-                std::thread::yield_now();
-            }
-        }
+    /// Pump until the shared view reaches `targets` or `timeout`
+    /// elapses (see [`pump_until_serials`]).
+    pub fn pump_until_serials(&mut self, targets: &[(TldId, Serial)], timeout: Duration) -> bool {
+        pump_until_serials(self, targets, timeout, |s| &s.view, |s| s.pump(1024))
     }
 
     /// Swap in a newer [`EndpointMap`] **without restarting consumers**.
@@ -1027,7 +719,8 @@ where
     /// plane updates can never roll the fleet back. The update may add
     /// replicas to a route or drain (remove) them; the TLD partition
     /// itself must stay identical, because the shared view's TLD
-    /// universe is fixed at [`RoutedZoneView::connect`] time.
+    /// universe is fixed at [`RoutedZoneView::connect`] time. The whole
+    /// map is validated before any route changes.
     ///
     /// Per route:
     /// * the connected replica is still listed → the connection is
@@ -1049,7 +742,7 @@ where
     where
         E: PartialEq,
     {
-        if new.generation() <= self.map.generation() {
+        if !self.links.iter().all(|link| link.replicas().admits(new.generation())) {
             return false;
         }
         assert_eq!(
@@ -1064,25 +757,11 @@ where
             );
         }
         let old = std::mem::replace(&mut self.map, new);
-        for (route, rc) in self.conns.iter_mut().enumerate() {
-            let new_replicas = &self.map.routes[route].replicas;
-            rc.health = vec![ReplicaHealth::default(); new_replicas.len()];
-            if rc.client.is_some() {
-                let current = &old.routes[route].replicas[rc.cursor];
-                match new_replicas.iter().position(|e| e == current) {
-                    Some(at) => {
-                        rc.cursor = at;
-                        rc.draining = false;
-                    }
-                    None => {
-                        rc.cursor = 0;
-                        rc.draining = true;
-                    }
-                }
-            } else {
-                rc.cursor = rc.cursor.min(new_replicas.len() - 1);
-                rc.draining = false;
-            }
+        for ((link, was), now) in self.links.iter_mut().zip(old.routes()).zip(self.map.routes()) {
+            let outcome = link.apply_update(self.map.generation(), now.replicas.len(), |cursor| {
+                now.replicas.iter().position(|e| *e == was.replicas[cursor])
+            });
+            debug_assert_ne!(outcome, Update::Stale, "the gate was checked for every route");
         }
         true
     }
@@ -1090,17 +769,15 @@ where
     /// Per-route health and rotation status — the staleness/failover
     /// surface fleet dashboards read alongside the RZUQ shard stats.
     pub fn route_status(&self) -> Vec<RouteStatus> {
-        self.conns
+        let now = Instant::now();
+        self.links
             .iter()
-            .map(|rc| RouteStatus {
-                cursor: rc.cursor,
-                connected: rc.client.is_some(),
-                draining: rc.draining,
-                probe_scores: rc.health.iter().map(|h| h.score).collect(),
-                dead: {
-                    let now = Instant::now();
-                    rc.health.iter().map(|h| h.is_down(now)).collect()
-                },
+            .map(|link| RouteStatus {
+                cursor: link.replicas().cursor(),
+                connected: link.is_connected(),
+                draining: link.is_draining(),
+                probe_scores: link.replicas().scores(),
+                dead: link.replicas().dead(now),
             })
             .collect()
     }
@@ -1109,47 +786,41 @@ where
     /// moved past a replica (connect refused) and every post-fault
     /// redial pointed at the next replica.
     pub fn failover_count(&self) -> u64 {
-        self.failovers
+        self.links.iter().map(|link| link.replicas().failovers()).sum()
     }
 
-    /// Failed dial attempts fleet-wide, probes included — the
-    /// "replica unreachable" failover reason.
+    /// Dials, handshakes and probes that could not complete, fleet-wide
+    /// — the "replica unreachable" failover reason.
     pub fn dial_failures(&self) -> u64 {
-        self.dial_failures
+        self.links.iter().map(|link| link.replicas().dial_failures()).sum()
     }
 
     /// Established streams retired by a fault (eviction, cut, bad
     /// delta, stale snapshot) — the "stream fault" failover reason.
     pub fn stream_faults(&self) -> u64 {
-        self.stream_faults
+        self.links.iter().map(UpstreamLink::stream_faults).sum()
     }
 
     /// Planned drain handoffs completed cleanly (no resync).
     pub fn drains_completed(&self) -> u64 {
-        self.drains
+        self.links.iter().map(UpstreamLink::drains_completed).sum()
     }
 
     /// Checkpoint snapshots refused for being older than the fleet
     /// view — how often the stale-replica guard fired.
     pub fn stale_snapshots_refused(&self) -> u64 {
-        self.stale_snapshots
+        self.view.stale_snapshots
     }
 
     /// Snapshot continuation chunks received across every route and
     /// every connection generation.
     pub fn snapshot_chunks_received(&self) -> u64 {
-        self.conns
-            .iter()
-            .map(|rc| {
-                rc.retired_chunks
-                    + rc.client.as_ref().map_or(0, |c| c.snapshot_chunks_received())
-            })
-            .sum()
+        self.links.iter().map(UpstreamLink::snapshot_chunks_received).sum()
     }
 
     /// True while every route has an established connection.
     pub fn is_connected(&self) -> bool {
-        self.conns.iter().all(|rc| rc.client.is_some())
+        self.links.iter().all(UpstreamLink::is_connected)
     }
 
     /// The routing table this view was built over.

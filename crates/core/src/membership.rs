@@ -17,10 +17,20 @@
 //! | [`OracleMembership`] | daily CZDS snapshots | in-process borrow | the paper's batch reproduction ([`crate::experiment::Experiment::run`]) |
 //! | [`UniverseZoneView`] | RZU push cadence | in-process borrow | ground-truth reference runs; the direct backend of the cross-backend equivalence tests |
 //! | [`BrokerZoneView`] | RZU push cadence | same process as the broker | single-host streaming deployments; zero serialization on the snapshot path |
-//! | [`RemoteZoneView`] | RZU push cadence + socket latency | anywhere a TCP dial reaches | fleet consumers; reconnect-with-claims fault recovery built in |
-//! | [`RoutedZoneView`](crate::broker_view::RoutedZoneView) | RZU push cadence + socket latency | anywhere a TCP dial reaches; one conn per [`EndpointMap`](crate::broker_view::EndpointMap) route | TLD universes partitioned across several brokers (or relay trees); health-scored replica failover (`RZUQ` probes prefer the freshest head, dead endpoints dial at a backed-off rate), generation-gated live endpoint updates (replicas added or drained without restarting the view), claims preserved across every switch |
-//! | filtered relay (`BrokerServer::attach_upstream`) | RZU push cadence + one relay hop per tier | the relay re-serves in its own process | narrowing a universe down a fan-out tree: a relay's scoped `RZUH` subscribes only its TLD subset, so non-subset shards never cross its upstream link, and subset frames re-serve byte-identical |
-//! | `darkdns_edge::EdgeClient` | RZU push cadence + one edge feed hop | anywhere a TCP dial reaches; no local replica, O(1) memory | query-only thin clients; batched lookups answered from one shared `EdgeIndex` whose read path takes no shard publish locks; replica-list endpoint failover with bounded backoff built in |
+//! | [`RemoteZoneView`] | RZU push cadence + socket latency | anywhere a TCP dial reaches | fleet consumers with one upstream; reconnect-with-claims fault recovery built in (a dead upstream is redialled on the shared 50 ms → 2 s backoff ladder) |
+//! | [`RoutedZoneView`](crate::broker_view::RoutedZoneView) | RZU push cadence + socket latency | anywhere a TCP dial reaches; one conn per [`EndpointMap`](crate::broker_view::EndpointMap) route | TLD universes partitioned across several brokers (or relay trees); health-scored replica failover (`RZUQ` probes prefer the freshest head, dead endpoints dial at a backed-off rate), generation-gated live endpoint updates (replicas added or drained without restarting the view), claims and chunk-train progress preserved across every switch |
+//! | filtered relay (`BrokerServer::attach_upstream`) | RZU push cadence + one relay hop per tier | the relay re-serves in its own process | narrowing a universe down a fan-out tree: a relay's scoped `RZUH` subscribes only its TLD subset, so non-subset shards never cross its upstream link, and subset frames re-serve byte-identical; heals its upstream link like any consumer |
+//! | `darkdns_edge::EdgeClient` | RZU push cadence + one edge feed hop | anywhere a TCP dial reaches; no local replica, O(1) memory | query-only thin clients; batched lookups answered from one shared `EdgeIndex` whose read path takes no shard publish locks; replica-list endpoint failover built in, never sleeping inside a lookup |
+//!
+//! Every socket row above dials through **one driver** —
+//! `darkdns_broker::transport::replica`: an `UpstreamLink` (connection,
+//! salvaged chunk progress, heal and drain accounting) over a pure,
+//! clock-injected `ReplicaSet` (cursor, health-ranked candidate order,
+//! the one backoff ladder, the generation gate). `RemoteZoneView` is a
+//! link with one replica, `RoutedZoneView` one link per route, the relay
+//! thread a link whose claims are its broker's heads, and `EdgeClient`
+//! the set alone; the rows differ in what they do with an event, not in
+//! how they find, lose and re-find an upstream.
 //!
 //! All push-cadence backends answer identically for the same feed at
 //! the same boundary — pinned by `tests/membership_equivalence.rs`,

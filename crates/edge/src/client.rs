@@ -11,27 +11,29 @@
 //! In a tiered deployment the same answers are served by several edge
 //! nodes (replicas of one index, or siblings fed by different relays of
 //! the same root), so the client can hold a **replica list** instead of
-//! one endpoint ([`EdgeClient::connect_replicas`]): a connect or stream
-//! error rotates to the next replica with doubling bounded backoff, and
-//! the lookup is retried there — at most one full cycle through the
-//! list per call. [`EdgeClient::failover_count`] counts the switches.
+//! one endpoint ([`EdgeClient::connect_replicas`]). Which replica to
+//! dial, in what order, which to leave alone for how long, and whether
+//! a live replica-list update applies are all the broker transport's
+//! [`ReplicaSet`] — the same state machine under every full-replica
+//! consumer, here without the stream half (a thin client has no claims
+//! to carry). A connect or stream error rotates to the next live
+//! replica and the lookup is retried there, at most one cycle through
+//! the list per call; an unreachable replica is sidelined on the shared
+//! backoff ladder rather than slept on, so `lookup` never blocks on a
+//! timer. [`EdgeClient::failover_count`] counts the switches.
 
-use darkdns_broker::transport::{tcp_connect, FrameConn, TransportError};
+use darkdns_broker::transport::replica::Update;
+use darkdns_broker::transport::{tcp_connect, FrameConn, ReplicaSet, TransportError};
 use darkdns_dns::wire::WireError;
 use darkdns_dns::wire::{
     decode_lookup_response, encode_lookup_request, LookupQuery, LookupResponse,
     LOOKUP_RESPONSE_MAGIC,
 };
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Cap on names per `RZUL` batch — far below the `u16` wire bound, so a
 /// batch always fits the frame limit even with incompressible names.
 pub const MAX_LOOKUP_BATCH: usize = 4096;
-
-/// Redial backoff bounds: doubling from the floor to the ceiling within
-/// one failover cycle.
-const BACKOFF_FLOOR: Duration = Duration::from_millis(2);
-const BACKOFF_CEIL: Duration = Duration::from_millis(100);
 
 /// How the client obtains a connection to replica `i`.
 type ReplicaDial = Box<dyn FnMut(usize) -> Result<Box<dyn FrameConn>, TransportError> + Send>;
@@ -44,15 +46,9 @@ pub struct EdgeClient {
     /// ([`EdgeClient::new`]), which surface errors instead of failing
     /// over.
     dial: Option<ReplicaDial>,
-    replica_count: usize,
-    /// The replica the current (or next) connection points at.
-    cursor: usize,
-    failovers: u64,
+    /// Cursor, rotation, sidelining and the update generation gate.
+    replicas: ReplicaSet,
     recv_timeout: Option<Duration>,
-    /// Generation of the last applied replica-set update
-    /// ([`EdgeClient::apply_endpoint_update`]); stale updates are
-    /// no-ops.
-    map_generation: u64,
 }
 
 impl EdgeClient {
@@ -63,11 +59,8 @@ impl EdgeClient {
             conn: Some(Box::new(conn)),
             next_id: 1,
             dial: None,
-            replica_count: 1,
-            cursor: 0,
-            failovers: 0,
+            replicas: ReplicaSet::new(1, 0),
             recv_timeout: None,
-            map_generation: 0,
         }
     }
 
@@ -79,34 +72,22 @@ impl EdgeClient {
     /// Build a failover client over `replica_count` interchangeable
     /// endpoints: `dial(i)` establishes a connection to replica `i`.
     /// Replica 0 is preferred; each connect or stream error advances to
-    /// the next (wrapping) with doubling bounded backoff. Errors only
-    /// when no replica is reachable at construction time.
+    /// the next (wrapping), and a replica that refuses a dial sits out a
+    /// backoff window. Errors only when no replica is reachable at
+    /// construction time.
     pub fn connect_replicas(
         replica_count: usize,
         dial: impl FnMut(usize) -> Result<Box<dyn FrameConn>, TransportError> + Send + 'static,
     ) -> Result<Self, TransportError> {
-        assert!(replica_count >= 1, "need at least one replica");
         let mut client = EdgeClient {
             conn: None,
             next_id: 1,
             dial: Some(Box::new(dial)),
-            replica_count,
-            cursor: 0,
-            failovers: 0,
+            replicas: ReplicaSet::new(replica_count, 0),
             recv_timeout: None,
-            map_generation: 0,
         };
         client.redial()?;
         Ok(client)
-    }
-
-    /// [`EdgeClient::connect_replicas`] over TCP endpoints.
-    pub fn connect_tcp_replicas(
-        addrs: Vec<std::net::SocketAddr>,
-    ) -> Result<Self, TransportError> {
-        Self::connect_replicas(addrs.len(), move |i| {
-            Ok(Box::new(tcp_connect(addrs[i]).map_err(TransportError::Io)?))
-        })
     }
 
     /// Bound how long a lookup waits for its reply. Survives failover:
@@ -125,7 +106,7 @@ impl EdgeClient {
     /// Replica switches so far: every time a connect or stream error
     /// moved this client to the next endpoint in its list.
     pub fn failover_count(&self) -> u64 {
-        self.failovers
+        self.replicas.failovers()
     }
 
     /// Live replica-set update for a failover client, without
@@ -140,45 +121,37 @@ impl EdgeClient {
     /// Single-connection clients ([`EdgeClient::new`]) have no dial
     /// closure and ignore updates.
     pub fn apply_endpoint_update(&mut self, generation: u64, replica_count: usize) -> bool {
-        assert!(replica_count >= 1, "need at least one replica");
-        if self.dial.is_none() || generation <= self.map_generation {
+        if self.dial.is_none() {
             return false;
         }
-        self.map_generation = generation;
-        self.replica_count = replica_count;
-        if self.cursor >= replica_count {
-            self.cursor = 0;
-            self.conn = None;
+        let cursor = self.replicas.cursor();
+        let kept = (cursor < replica_count).then_some(cursor);
+        match self.replicas.update(generation, replica_count, kept) {
+            Update::Stale => false,
+            Update::Kept(_) => true,
+            Update::Drained => {
+                self.conn = None;
+                true
+            }
         }
-        true
     }
 
-    /// Dial the replica under the cursor, rotating (and counting a
-    /// failover) past unreachable ones — at most one full cycle.
+    /// Dial the live replicas in rotation order from the cursor,
+    /// counting a failover past (and sidelining) each unreachable one —
+    /// at most one cycle, and none at all while every replica sits out
+    /// a backoff window.
     fn redial(&mut self) -> Result<(), TransportError> {
         let Some(dial) = self.dial.as_mut() else {
             return Err(TransportError::Closed);
         };
-        let mut backoff = BACKOFF_FLOOR;
-        let mut last_err = TransportError::Closed;
-        for attempt in 0..self.replica_count {
-            let at = (self.cursor + attempt) % self.replica_count;
-            if attempt > 0 {
-                self.failovers += 1;
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(BACKOFF_CEIL);
-            }
-            match dial(at) {
-                Ok(mut conn) => {
-                    conn.set_recv_timeout(self.recv_timeout)?;
-                    self.cursor = at;
-                    self.conn = Some(conn);
-                    return Ok(());
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        Err(last_err)
+        let (now, timeout) = (Instant::now(), self.recv_timeout);
+        let conn = self.replicas.dial_in_order(&self.replicas.live(now), now, |at| {
+            let mut conn = dial(at)?;
+            conn.set_recv_timeout(timeout)?;
+            Ok(conn)
+        })?;
+        self.conn = Some(conn);
+        Ok(())
     }
 
     /// Answer a batch of membership queries: one request frame, one
@@ -189,8 +162,8 @@ impl EdgeClient {
     ///
     /// A replica-list client ([`EdgeClient::connect_replicas`]) heals
     /// connection errors by failing over to the next endpoint and
-    /// retrying there — at most one full cycle through the list, with
-    /// bounded backoff between switches. Timeouts are returned to the
+    /// retrying there — at most one full cycle through the list, never
+    /// sleeping between switches. Timeouts are returned to the
     /// caller unchanged (the reply may still be in flight; switching
     /// replicas would not make a slow index faster).
     pub fn lookup(&mut self, queries: &[LookupQuery]) -> Result<LookupResponse, TransportError> {
@@ -206,11 +179,10 @@ impl EdgeClient {
                 Err(e) => {
                     self.conn = None;
                     switches += 1;
-                    if self.dial.is_none() || switches >= self.replica_count {
+                    if self.dial.is_none() || switches >= self.replicas.count() {
                         return Err(e);
                     }
-                    self.cursor = (self.cursor + 1) % self.replica_count;
-                    self.failovers += 1;
+                    self.replicas.faulted();
                 }
             }
         }

@@ -1,10 +1,11 @@
 //! The writer side of the edge: a broker subscription feeding the
 //! epoch-swap index.
 //!
-//! The edge subscribes to the broker **like any other consumer** — it
-//! owns a detached [`BrokerZoneView`] for the chain discipline (serial
-//! gap detection, no-double-apply, claims, resync accounting) and
-//! mirrors every applied message into the [`EdgeIndex`]:
+//! The edge subscribes to the broker **like any other consumer** — the
+//! chain discipline (serial gap detection, no-double-apply, claims,
+//! resync accounting) is a [`BrokerZoneView`]'s, and one [`RouteSink`],
+//! [`IndexSink`], mirrors every message that view accepts into the
+//! [`EdgeIndex`]:
 //!
 //! * a snapshot message is adopted by the view and the index ([`EdgeIndex::adopt_snapshot`]);
 //! * a delta that chains advances the view, then the index installs the
@@ -15,240 +16,30 @@
 //!   push's `added` section lands in the hot NRD window stamped with
 //!   the publisher-side `pushed_at`.
 //!
-//! Two deployment shapes, same split as the consumer stack:
-//! [`EdgeFeed`] drains an in-process [`BrokerSubscription`];
-//! [`RemoteEdgeFeed`] drives a [`TransportClient`] with
-//! reconnect-with-claims, for an edge deployed across a socket from
-//! its broker.
+//! Two deployment shapes, the consumer stack's own: [`EdgeFeed`] wraps
+//! an attached view draining an in-process subscription;
+//! [`RoutedEdgeFeed`] wraps a [`RoutedZoneView`] for an edge deployed
+//! across a socket from its broker(s) — a one-route map is the plain
+//! single-upstream case. Neither adds any dial, failover or drain logic
+//! of its own: that is the shared upstream-link driver
+//! (`darkdns_broker::transport::replica`) under the view.
 
 use crate::index::EdgeIndex;
-use darkdns_broker::transport::{ClientEvent, FrameConn, TransportClient, TransportError};
-use darkdns_broker::{Broker, BrokerMessage, BrokerSubscription};
+use darkdns_broker::transport::{FrameConn, TransportError};
+use darkdns_broker::Broker;
 use darkdns_core::broker_view::{
-    BrokerZoneView, EndpointMap, RouteSink, RouteStatus, RoutedZoneView,
+    pump_until_serials, BrokerZoneView, EndpointMap, RouteSink, RouteStatus, RoutedZoneView,
 };
 use darkdns_dns::wire::DeltaPush;
-use darkdns_dns::{decode_delta_push, DomainName, Serial, ZoneSnapshot};
+use darkdns_dns::{DomainName, Serial, ZoneSnapshot};
 use darkdns_registry::tld::TldId;
 use std::sync::Arc;
+use std::time::Duration;
 
-/// In-process edge feed: one broker subscription, one index.
-pub struct EdgeFeed {
-    view: BrokerZoneView,
-    sub: BrokerSubscription,
-    index: Arc<EdgeIndex>,
-}
-
-impl EdgeFeed {
-    /// Subscribe with no prior state: every shard bootstraps from a
-    /// checkpoint snapshot, which the index adopts on the first
-    /// [`EdgeFeed::pump`].
-    pub fn subscribe(broker: &Broker, tlds: &[TldId], index: Arc<EdgeIndex>) -> Self {
-        EdgeFeed { view: BrokerZoneView::detached(tlds), sub: broker.subscribe(tlds, None), index }
-    }
-
-    /// Drain everything queued into the view and the index. Returns the
-    /// number of messages applied; stops early on a serial gap or
-    /// eviction (the view latches lost-sync until [`EdgeFeed::resync`]).
-    pub fn pump(&mut self) -> usize {
-        if self.sub.is_evicted() {
-            self.view.ingest_eviction();
-        }
-        if self.view.lost_sync() {
-            return 0;
-        }
-        let mut applied = 0;
-        while let Some(msg) = self.sub.try_next() {
-            match msg {
-                BrokerMessage::Snapshot { tld, snapshot } => {
-                    self.view.ingest_snapshot(tld, snapshot.clone());
-                    self.index.adopt_snapshot(tld, snapshot);
-                }
-                BrokerMessage::Delta { tld, frame } => {
-                    let push = decode_delta_push(&frame).expect("broker frames are well-formed");
-                    if !self.view.ingest_delta(tld, &push) {
-                        return applied;
-                    }
-                    let state =
-                        self.view.snapshot(tld).expect("delta chained onto a state").clone();
-                    self.index.apply_delta(tld, state, &push);
-                }
-            }
-            applied += 1;
-        }
-        // Surface an eviction racing the drain now, not next pump.
-        if self.sub.is_evicted() {
-            self.view.ingest_eviction();
-        }
-        applied
-    }
-
-    /// Rejoin the broker carrying the view's per-TLD serial claims; the
-    /// catch-up heals the gap via delta replay or checkpoint.
-    pub fn resync(&mut self, broker: &Broker) {
-        self.sub = broker.subscribe_with(&self.view.claims());
-        self.view.note_resynced();
-    }
-
-    /// Pump until the index's serial matches `targets` for every listed
-    /// TLD or `timeout` elapses — the bench/test barrier for "the edge
-    /// has seen everything published so far".
-    pub fn pump_until_serials(
-        &mut self,
-        targets: &[(TldId, Serial)],
-        timeout: std::time::Duration,
-    ) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if targets.iter().all(|&(tld, serial)| self.view.serial(tld) == Some(serial)) {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            if self.pump() == 0 {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// The chain-state view (sync health, claims, resync count).
-    pub fn view(&self) -> &BrokerZoneView {
-        &self.view
-    }
-
-    /// Drain the accumulated zone-NRD log (see
-    /// [`BrokerZoneView::drain_new_domains`]).
-    pub fn drain_new_domains(&mut self, out: &mut Vec<DomainName>) {
-        self.view.drain_new_domains(out);
-    }
-
-    pub fn index(&self) -> &Arc<EdgeIndex> {
-        &self.index
-    }
-}
-
-/// Socket-deployed edge feed: a [`TransportClient`] with
-/// reconnect-with-claims driving the same view+index mirror as
-/// [`EdgeFeed`]. The dial closure says how to establish a fresh client
-/// for a set of claims (TCP in deployments, an in-memory pipe in
-/// tests).
-pub struct RemoteEdgeFeed<D>
-where
-    D: FnMut(&[(TldId, Option<Serial>)]) -> Result<TransportClient, TransportError>,
-{
-    view: BrokerZoneView,
-    client: Option<TransportClient>,
-    stale_claims: Option<Vec<(TldId, Option<Serial>)>>,
-    dial: D,
-    index: Arc<EdgeIndex>,
-}
-
-impl<D> RemoteEdgeFeed<D>
-where
-    D: FnMut(&[(TldId, Option<Serial>)]) -> Result<TransportClient, TransportError>,
-{
-    /// Dial the initial connection with empty claims (bootstrap every
-    /// shard). The initial connect is not a resync.
-    pub fn connect(tlds: &[TldId], mut dial: D, index: Arc<EdgeIndex>) -> Result<Self, TransportError> {
-        let view = BrokerZoneView::detached(tlds);
-        let client = dial(&view.claims())?;
-        Ok(RemoteEdgeFeed { view, client: Some(client), stale_claims: None, dial, index })
-    }
-
-    /// Pull up to `max_events` decoded events into the view and index,
-    /// healing faults by reconnecting with claims as they surface (the
-    /// same recovery loop as `RemoteZoneView::pump`).
-    pub fn pump(&mut self, max_events: usize) -> usize {
-        let mut applied = 0;
-        while applied < max_events {
-            let Some(client) = self.client.as_mut() else {
-                if self.reconnect().is_err() {
-                    return applied;
-                }
-                continue;
-            };
-            match client.next_event() {
-                ClientEvent::Idle => break,
-                ClientEvent::Snapshot { tld, snapshot } => {
-                    self.view.ingest_snapshot(tld, snapshot.clone());
-                    self.index.adopt_snapshot(tld, snapshot);
-                    applied += 1;
-                }
-                ClientEvent::Delta { tld, push, .. } => {
-                    if self.view.ingest_delta(tld, &push) {
-                        let state =
-                            self.view.snapshot(tld).expect("delta chained onto a state").clone();
-                        self.index.apply_delta(tld, state, &push);
-                        applied += 1;
-                    } else {
-                        self.retire_client();
-                    }
-                }
-                ClientEvent::Evicted | ClientEvent::Closed(_) => {
-                    self.retire_client();
-                }
-            }
-        }
-        applied
-    }
-
-    fn retire_client(&mut self) {
-        if let Some(client) = self.client.take() {
-            self.stale_claims = Some(client.claimed_serials().to_vec());
-        }
-    }
-
-    fn reconnect(&mut self) -> Result<(), TransportError> {
-        let claims = match &self.stale_claims {
-            Some(claims) => claims.clone(),
-            None => self.view.claims(),
-        };
-        let client = (self.dial)(&claims)?;
-        self.client = Some(client);
-        self.stale_claims = None;
-        self.view.note_resynced();
-        Ok(())
-    }
-
-    /// Pump until the index's serial matches `targets` or `timeout`
-    /// elapses.
-    pub fn pump_until_serials(
-        &mut self,
-        targets: &[(TldId, Serial)],
-        timeout: std::time::Duration,
-    ) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if targets.iter().all(|&(tld, serial)| self.view.serial(tld) == Some(serial)) {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            if self.pump(1024) == 0 {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    pub fn is_connected(&self) -> bool {
-        self.client.is_some()
-    }
-
-    pub fn view(&self) -> &BrokerZoneView {
-        &self.view
-    }
-
-    pub fn index(&self) -> &Arc<EdgeIndex> {
-        &self.index
-    }
-}
-
-/// The index-mirroring [`RouteSink`]: forwards every message the
-/// routed view accepts into the epoch-swap index, post-apply, so the
-/// edge answers from byte-identical state to the view (the snapshots
-/// are `Arc`-shared column sets — the clones are pointer copies).
+/// The index-mirroring [`RouteSink`]: forwards every message a view
+/// accepts into the epoch-swap index, post-apply, so the edge answers
+/// from byte-identical state to the view (the snapshots are
+/// `Arc`-shared column sets — the clones are pointer copies).
 struct IndexSink {
     index: Arc<EdgeIndex>,
 }
@@ -263,13 +54,63 @@ impl RouteSink for IndexSink {
     }
 }
 
+/// In-process edge feed: one broker subscription, one index.
+pub struct EdgeFeed {
+    view: BrokerZoneView,
+    sink: IndexSink,
+}
+
+impl EdgeFeed {
+    /// Subscribe with no prior state: every shard bootstraps from a
+    /// checkpoint snapshot, which the index adopts on the first
+    /// [`EdgeFeed::pump`].
+    pub fn subscribe(broker: &Broker, tlds: &[TldId], index: Arc<EdgeIndex>) -> Self {
+        EdgeFeed { view: BrokerZoneView::subscribe(broker, tlds), sink: IndexSink { index } }
+    }
+
+    /// Drain everything queued into the view and the index. Returns the
+    /// number of messages applied; stops early on a serial gap or
+    /// eviction (the view latches lost-sync until [`EdgeFeed::resync`]).
+    pub fn pump(&mut self) -> usize {
+        self.view.pump_with(&mut self.sink)
+    }
+
+    /// Rejoin the broker carrying the view's per-TLD serial claims; the
+    /// catch-up heals the gap via delta replay or checkpoint.
+    pub fn resync(&mut self, broker: &Broker) {
+        self.view.resync(broker);
+    }
+
+    /// Pump until the index's serial matches `targets` for every listed
+    /// TLD or `timeout` elapses — the bench/test barrier for "the edge
+    /// has seen everything published so far".
+    pub fn pump_until_serials(&mut self, targets: &[(TldId, Serial)], timeout: Duration) -> bool {
+        pump_until_serials(self, targets, timeout, |s| &s.view, |s| s.pump())
+    }
+
+    /// The chain-state view (sync health, claims, resync count).
+    pub fn view(&self) -> &BrokerZoneView {
+        &self.view
+    }
+
+    /// Drain the accumulated zone-NRD log (see
+    /// [`BrokerZoneView::drain_new_domains`]).
+    pub fn drain_new_domains(&mut self, out: &mut Vec<DomainName>) {
+        self.view.drain_new_domains(out);
+    }
+
+    pub fn index(&self) -> &Arc<EdgeIndex> {
+        &self.sink.index
+    }
+}
+
 /// An edge feed spanning a **partitioned, replicated** broker fleet:
 /// one upstream connection per [`EndpointMap`] route, all mirroring
-/// into one shared view + index pair — the multi-broker sibling of
-/// [`RemoteEdgeFeed`]. All routing behaviour (per-route replica
-/// failover, resume-with-claims recovery, health-based replica
-/// selection, dead-with-backoff, live endpoint-map updates with
-/// graceful drains) comes from wrapping
+/// into one shared view + index pair — the socket-deployed edge feed
+/// (one route with one replica is the single-upstream case). All
+/// routing behaviour (per-route replica failover, resume-with-claims
+/// recovery, health-based replica selection, dead-with-backoff, live
+/// endpoint-map updates with graceful drains) comes from wrapping
 /// [`darkdns_core::broker_view::RoutedZoneView`] and mirroring its
 /// applied stream through a [`RouteSink`] — the edge adds no routing
 /// logic of its own.
@@ -278,7 +119,7 @@ where
     D: FnMut(&E) -> Result<Box<dyn FrameConn>, TransportError>,
 {
     routed: RoutedZoneView<E, D>,
-    index: Arc<EdgeIndex>,
+    sink: IndexSink,
 }
 
 impl<E, D> RoutedEdgeFeed<E, D>
@@ -293,39 +134,19 @@ where
         dial: D,
         index: Arc<EdgeIndex>,
     ) -> Result<Self, TransportError> {
-        let routed = RoutedZoneView::connect(map, dial)?;
-        Ok(RoutedEdgeFeed { routed, index })
+        Ok(RoutedEdgeFeed { routed: RoutedZoneView::connect(map, dial)?, sink: IndexSink { index } })
     }
 
     /// Pull up to `max_events` decoded events into the view and index,
     /// visiting every route and healing faults per route.
     pub fn pump(&mut self, max_events: usize) -> usize {
-        let mut sink = IndexSink { index: Arc::clone(&self.index) };
-        self.routed.pump_with(max_events, &mut sink)
+        self.routed.pump_with(max_events, &mut self.sink)
     }
 
     /// Pump until the index's serial matches `targets` or `timeout`
     /// elapses.
-    pub fn pump_until_serials(
-        &mut self,
-        targets: &[(TldId, Serial)],
-        timeout: std::time::Duration,
-    ) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if targets
-                .iter()
-                .all(|&(tld, serial)| self.routed.view().serial(tld) == Some(serial))
-            {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            if self.pump(1024) == 0 {
-                std::thread::yield_now();
-            }
-        }
+    pub fn pump_until_serials(&mut self, targets: &[(TldId, Serial)], timeout: Duration) -> bool {
+        pump_until_serials(self, targets, timeout, |s| s.routed.view(), |s| s.pump(1024))
     }
 
     /// Swap in a newer [`EndpointMap`] without restarting the feed —
@@ -370,6 +191,6 @@ where
     }
 
     pub fn index(&self) -> &Arc<EdgeIndex> {
-        &self.index
+        &self.sink.index
     }
 }

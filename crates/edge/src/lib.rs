@@ -9,8 +9,12 @@
 //! thin clients, from state that is provably as fresh as a full replica
 //! at the same serial:
 //!
-//! * [`EdgeFeed`] / [`RemoteEdgeFeed`] subscribe to a broker like any
-//!   consumer and mirror every applied message into the index;
+//! * [`EdgeFeed`] (in-process) / [`RoutedEdgeFeed`] (across a socket)
+//!   subscribe to a broker like any consumer and mirror every applied
+//!   message into the index. A one-route [`RoutedEdgeFeed`] *is* the
+//!   socket-deployed single-upstream feed — there is no separate type
+//!   for it, because the dial / failover / resume machinery is one
+//!   shared driver under every consumer;
 //! * [`EdgeIndex`] holds the per-TLD snapshots plus a hot NRD-recency
 //!   window as immutable [`EdgeEpoch`] generations behind an Arc-swap
 //!   cell;
@@ -46,6 +50,6 @@ pub mod index;
 pub mod server;
 
 pub use client::{EdgeClient, MAX_LOOKUP_BATCH};
-pub use feed::{EdgeFeed, RemoteEdgeFeed, RoutedEdgeFeed};
+pub use feed::{EdgeFeed, RoutedEdgeFeed};
 pub use index::{EdgeEpoch, EdgeIndex, EdgeIndexConfig};
 pub use server::{EdgeConfig, EdgeServer, EdgeServerStats};

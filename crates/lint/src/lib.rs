@@ -3,7 +3,7 @@
 //! rules. No `syn`, no dependencies — the same vendored-shim discipline
 //! as the rest of the workspace, applied to the linter itself.
 //!
-//! Five rules:
+//! Six rules:
 //!
 //! * **L1 `lock-level`** — every `Mutex`/`RwLock` declaration carries a
 //!   `// lock-level: N` annotation (or `lock-level: class` for generic
@@ -32,6 +32,15 @@
 //! * **L5 `one-reactor`** — `Epoll::new(` is legal only in
 //!   `broker/src/transport/reactor.rs`: one event loop serves every
 //!   protocol, and a second one starts with its own epoll instance.
+//! * **L6 `one-dialer`** — the HELLO-sending `TransportClient`
+//!   constructors beyond plain `connect(` (`connect_resuming(`,
+//!   `connect_scoped(`, `connect_salvaged(`) are called only from
+//!   `broker/src/transport/replica.rs` (and defined in `client.rs`): one
+//!   upstream-link driver dials, salvages and resumes for every
+//!   consumer. And inside `impl ReplicaSet`, `thread::sleep` and
+//!   `Instant::now()` are banned — the state machine under that driver
+//!   takes its clock as an argument, which is what lets its contract be
+//!   tested without threads or sleeps.
 //!
 //! Escape hatch: a comment `// lint: allow(<rule>) <justification>` on
 //! the offending line (or the contiguous comment block above it)
@@ -52,6 +61,7 @@ pub enum Rule {
     PanicFree,
     EncodeOnce,
     OneReactor,
+    OneDialer,
 }
 
 impl Rule {
@@ -63,6 +73,7 @@ impl Rule {
             Rule::PanicFree => "panic",
             Rule::EncodeOnce => "encode-once",
             Rule::OneReactor => "one-reactor",
+            Rule::OneDialer => "one-dialer",
         }
     }
 }
@@ -106,6 +117,11 @@ pub struct Profile {
     pub encode_once: bool,
     /// L5: no `Epoll::new(` — every file but the shared reactor.
     pub one_reactor: bool,
+    /// L6: no resuming/scoped `TransportClient` constructor calls —
+    /// every file but the upstream-link driver and their definition
+    /// site. (L6's clock ban inside `impl ReplicaSet` needs no flag: it
+    /// applies wherever such an impl appears.)
+    pub one_dialer: bool,
 }
 
 impl Profile {
@@ -119,6 +135,7 @@ impl Profile {
             panic_index: true,
             encode_once: true,
             one_reactor: true,
+            one_dialer: true,
         }
     }
 }
@@ -150,6 +167,13 @@ pub fn profile_for(path: &Path) -> Profile {
         profile.panic_free = true;
         profile.panic_index = true;
     }
+    // The upstream-link driver runs on the relay thread and under every
+    // consumer pump: the panic ban, without the indexing ban — its
+    // replica indices never come from a peer (`ReplicaSet` hands out
+    // the only ones it later accepts).
+    if p.ends_with("broker/src/transport/replica.rs") {
+        profile.panic_free = true;
+    }
     // Relay / fan-out paths must never re-encode a delta.
     if p.contains("broker/src/transport/") || p.contains("edge/src/") {
         profile.encode_once = true;
@@ -157,6 +181,10 @@ pub fn profile_for(path: &Path) -> Profile {
     // One event loop in the workspace: only the shared reactor may own
     // an epoll instance.
     profile.one_reactor = !p.ends_with("broker/src/transport/reactor.rs");
+    // One dialer: only the upstream-link driver calls the constructors
+    // that carry resume progress or a scope (client.rs defines them).
+    profile.one_dialer = !(p.ends_with("broker/src/transport/replica.rs")
+        || p.ends_with("broker/src/transport/client.rs"));
     profile
 }
 
@@ -469,6 +497,8 @@ pub fn scan_source(
     let mut guards: Vec<Guard> = Vec::new();
     let mut fns: Vec<FnCtx> = Vec::new();
     let mut train_fill_sites = 0usize;
+    // Brace depth at which an open `impl ReplicaSet` block was entered.
+    let mut replica_set_impl: Option<i64> = None;
 
     let push = |findings: &mut Vec<Finding>, idx: usize, rule: Rule, message: String| {
         if !is_allowed(&lines, idx, rule) {
@@ -655,6 +685,44 @@ pub fn scan_source(
             );
         }
 
+        // L6: one dialer, and a clock-injected replica-set state machine.
+        if profile.one_dialer {
+            for ctor in DIALER_CTORS {
+                if code.contains(ctor) {
+                    push(
+                        &mut findings,
+                        idx,
+                        Rule::OneDialer,
+                        format!(
+                            "`{}` outside `broker/src/transport/replica.rs`: dialling with \
+                             salvaged progress or a scope is the upstream link's job — drive an \
+                             `UpstreamLink` instead of growing another dialer",
+                            ctor.trim_end_matches('(')
+                        ),
+                    );
+                }
+            }
+        }
+        if code.contains("impl ReplicaSet") {
+            replica_set_impl = Some(depth);
+        }
+        if replica_set_impl.is_some() {
+            for token in ["thread::sleep", "Instant::now("] {
+                if code.contains(token) {
+                    push(
+                        &mut findings,
+                        idx,
+                        Rule::OneDialer,
+                        format!(
+                            "`{}` inside `impl ReplicaSet`: the state machine is pure — take \
+                             `now: Instant` as an argument and leave waiting to the driver",
+                            token.trim_end_matches('(')
+                        ),
+                    );
+                }
+            }
+        }
+
         // Brace accounting, then scope-based releases.
         for c in code.chars() {
             match c {
@@ -664,6 +732,9 @@ pub fn scan_source(
             }
         }
         guards.retain(|g| g.depth <= depth);
+        if replica_set_impl.is_some_and(|entry| depth <= entry && code.contains('}')) {
+            replica_set_impl = None;
+        }
         if let Some(f) = fns.last_mut() {
             f.opened |= code.contains('{');
         }
@@ -684,6 +755,10 @@ pub fn scan_source(
 /// The one function on a fan-out path that may call
 /// `encode_snapshot_chunks`: the broker stream handler's train-cache fill.
 const TRAIN_FILL_FN: &str = "snapshot_train";
+
+/// L6: the `TransportClient` constructors only the upstream-link driver
+/// may call.
+const DIALER_CTORS: [&str; 3] = ["connect_resuming(", "connect_scoped(", "connect_salvaged("];
 
 /// The name of a function declared on this line, if any.
 fn fn_header_name(code: &str) -> Option<String> {

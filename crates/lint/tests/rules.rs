@@ -73,6 +73,17 @@ fn l5_fires_on_a_second_event_loop() {
 }
 
 #[test]
+fn l6_fires_on_a_second_dialer_and_on_a_clock_in_the_replica_set() {
+    let findings = scan_fixture("l6_bad.rs", Profile { one_dialer: true, ..Profile::default() });
+    // The relay's private resuming dial, then `Instant::now()` and
+    // `thread::sleep` inside `impl ReplicaSet` — and not the clock read
+    // in the free function after the impl closes.
+    assert_eq!(count(&findings, Rule::OneDialer), 3, "{findings:#?}");
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![7, 16, 19], "{findings:#?}");
+}
+
+#[test]
 fn clean_fixture_passes_every_rule() {
     let findings = scan_fixture("clean.rs", Profile::all());
     assert!(findings.is_empty(), "{findings:#?}");
@@ -89,6 +100,15 @@ fn workspace_profiles_map_paths_to_rules() {
 
     let stream = darkdns_lint::profile_for(Path::new("crates/broker/src/transport/stream.rs"));
     assert!(stream.panic_free && stream.panic_index && stream.encode_once && stream.one_reactor);
+
+    let relay = darkdns_lint::profile_for(Path::new("crates/broker/src/transport/relay.rs"));
+    assert!(relay.panic_free && relay.one_dialer, "the relay drives the link, it does not dial");
+    let link = darkdns_lint::profile_for(Path::new("crates/broker/src/transport/replica.rs"));
+    assert!(link.panic_free && !link.panic_index);
+    for dialer in ["replica.rs", "client.rs"] {
+        let path = format!("crates/broker/src/transport/{dialer}");
+        assert!(!darkdns_lint::profile_for(Path::new(&path)).one_dialer, "{dialer}");
+    }
 
     let edge = darkdns_lint::profile_for(Path::new("crates/edge/src/server.rs"));
     assert!(edge.panic_free && edge.panic_index && edge.encode_once && edge.one_reactor);

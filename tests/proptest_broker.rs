@@ -569,3 +569,76 @@ proptest! {
         prop_assert_eq!(map.tlds(), build_map(&shapes).tlds());
     }
 }
+
+proptest! {
+    // The replica-set state machine under arbitrary driver behaviour:
+    // dial walks at arbitrary instants with arbitrary per-replica
+    // outcomes, stream faults, spurious sidelinings, and endpoint
+    // updates with arbitrary (stale, replayed, newer) generations,
+    // lengths and remaps. Replica 0 refuses every dial. Whatever the
+    // sequence: the cursor stays in range, the generation only moves
+    // forward (and only when an update applies), and — the "bounded
+    // dial rate under any peer behaviour" clause, checked on the state
+    // machine with a synthetic clock instead of by wall-clock sampling
+    // — over any window of length T between two dials of replica 0 the
+    // set admits at most `ramp + T / ceiling + 1` dials toward it,
+    // `ramp` being the ladder's sub-ceiling rungs. An applied update
+    // resets health by contract (one fresh dial), so it starts a new
+    // window.
+    #[test]
+    fn replica_set_invariants_and_bounded_dial_rate(
+        len in 1usize..5,
+        events in prop::collection::vec((0u64..400, 0u8..8, any::<u8>(), 0u64..4, 1usize..5), 1..120),
+    ) {
+        use darkdns::broker::transport::replica::{Update, BACKOFF_CEIL, BACKOFF_FLOOR};
+        use darkdns::broker::transport::{ReplicaSet, TransportError};
+        use std::time::{Duration, Instant};
+
+        let ramp = (0u32..).take_while(|&k| BACKOFF_FLOOR * (1 << k) < BACKOFF_CEIL).count();
+        let start = Instant::now();
+        let mut now = start;
+        let mut set = ReplicaSet::new(len, 1);
+        // Dial instants toward replica 0 since the last applied update.
+        let mut dials: Vec<Instant> = Vec::new();
+        for (gap_ms, kind, bits, generation, new_len) in events {
+            now += Duration::from_millis(gap_ms);
+            let before = set.generation();
+            match kind {
+                0..=3 => {
+                    let order = set.live(now);
+                    let _ = set.dial_in_order(&order, now, |at| {
+                        if at == 0 {
+                            dials.push(now);
+                        }
+                        if at != 0 && bits & (1 << at) != 0 { Ok(()) } else { Err(TransportError::Closed) }
+                    });
+                }
+                4 => set.faulted(),
+                5 => set.failed(usize::from(bits) % set.count(), now),
+                6 if set.count() > 1 => set.scored(1 + usize::from(bits) % (set.count() - 1), 7),
+                6 => {}
+                _ => {
+                    let kept = (bits & 1 == 0).then_some(usize::from(bits >> 1) % new_len);
+                    let outcome = set.update(generation, new_len, kept);
+                    prop_assert_eq!(outcome == Update::Stale, generation <= before);
+                    if outcome != Update::Stale {
+                        prop_assert_eq!(set.generation(), generation);
+                        prop_assert_eq!(set.count(), new_len);
+                        dials.clear();
+                    }
+                }
+            }
+            prop_assert!(set.cursor() < set.count(), "cursor {} of {}", set.cursor(), set.count());
+            prop_assert!(set.generation() >= before, "generation went backwards");
+            for (i, &from) in dials.iter().enumerate() {
+                let window = *dials.last().expect("non-empty") - from;
+                let admitted = dials.len() - i;
+                let bound = ramp + (window.as_millis() / BACKOFF_CEIL.as_millis()) as usize + 1;
+                prop_assert!(
+                    admitted <= bound,
+                    "{} dials toward a dead replica in {:?} (bound {})", admitted, window, bound
+                );
+            }
+        }
+    }
+}

@@ -729,3 +729,55 @@ fn depth_three_chain_converges_with_verbatim_frames() {
     server_a.shutdown();
     root_server.shutdown();
 }
+
+#[test]
+fn relay_with_a_dead_upstream_backs_off_shuts_down_promptly_and_heals_when_it_returns() {
+    // The relay drives the shared upstream link, so a refused dial
+    // sidelines its one upstream on the shared ladder (50 ms doubling
+    // to 2 s). Three things must hold while the upstream is down: the
+    // dial rate is bounded by the ladder, not by the loop; the relay
+    // waits the window out in stop-flag-sized slices, so shutdown()
+    // joins without sitting through a whole window; and a returning
+    // upstream is found again without restarting the relay.
+    let tld = TldId(0);
+    let root = Broker::new(BrokerConfig::default());
+    root.add_shard(tld, empty_snap("com"));
+    let root_server = server_over(&root);
+    let down = Arc::new(AtomicBool::new(true));
+    let dialer = |server: &BrokerServer| {
+        let down = Arc::clone(&down);
+        let mut dial = relay_dialer(server, vec![]);
+        move || if down.load(Ordering::SeqCst) { Err(TransportError::Closed) } else { dial() }
+    };
+
+    let relay_server = server_over(&Broker::new(BrokerConfig::default()));
+    let relay = relay_server.attach_upstream(vec![tld], dialer(&root_server));
+    // Four refusals take 50 + 100 + 200 = 350 ms of windows; the fifth
+    // dial is then at least 400 ms away.
+    wait_for("the ladder to climb", || relay.stats().dial_failures >= 4);
+    assert_eq!(relay.stats().connects, 0);
+    let climbed = Instant::now();
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(relay.stats().dial_failures <= 6, "a dead upstream is dialled at the ladder's rate");
+    down.store(false, Ordering::SeqCst);
+    wait_for("the relay to find the returned upstream", || relay.is_connected());
+    assert!(climbed.elapsed() < Duration::from_secs(3), "found within the ladder's ceiling");
+    let stats = relay.stats();
+    assert_eq!((stats.connects, stats.resyncs), (1, 0), "a late bootstrap is not a resync");
+    relay_server.shutdown();
+
+    // A relay parked in a long backoff window (the sixth refusal's is
+    // 1.6 s) still joins within a few 50 ms stop-flag polls.
+    down.store(true, Ordering::SeqCst);
+    let parked_server = server_over(&Broker::new(BrokerConfig::default()));
+    let parked = parked_server.attach_upstream(vec![tld], dialer(&root_server));
+    wait_for("a window far longer than the stop poll", || parked.stats().dial_failures >= 6);
+    let started = Instant::now();
+    parked_server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_millis(800),
+        "shutdown waited out a backoff window ({:?})",
+        started.elapsed()
+    );
+    root_server.shutdown();
+}

@@ -22,7 +22,10 @@
 //!   subset, byte-identical to the root encoding;
 //! * **dead-with-backoff**: permanently dead endpoints cost a bounded
 //!   dial rate, not one dial per pump, and revived endpoints are found
-//!   again within the backoff ceiling.
+//!   again within the backoff ceiling;
+//! * **progress survives a failed HELLO**: a failover candidate that
+//!   accepts the dial and dies before the HELLO is written does not cost
+//!   the next candidate the salvaged chunk-train progress.
 
 use darkdns::broker::transport::{
     duplex, Bytes, FaultInjectedConn, FaultScript, FrameConn, FrameFault, LengthPrefixed,
@@ -30,7 +33,7 @@ use darkdns::broker::transport::{
 };
 use darkdns::broker::{Broker, BrokerConfig, BrokerServer, ClientEvent, TransportConfig};
 use darkdns::core::broker_view::{EndpointMap, RoutedZoneView};
-use darkdns::dns::wire::{encode_delta_push, HelloScope};
+use darkdns::dns::wire::{encode_delta_push, HelloScope, HELLO_MAGIC};
 use darkdns::dns::{DomainName, NsSet, Serial, Zone, ZoneDelta, ZoneSnapshot};
 use darkdns::edge::{EdgeClient, EdgeConfig, EdgeIndex, EdgeIndexConfig, EdgeServer};
 use darkdns::registry::tld::TldId;
@@ -750,4 +753,105 @@ fn edge_client_applies_endpoint_updates_without_restart() {
         tld: tld.0,
         name: name("absent.com"),
     }]).unwrap().answers[0].present);
+}
+
+/// Wraps a connection so that, while `armed`, the first HELLO written
+/// through it fails as if the peer died between `accept` and the first
+/// byte (probes — `RZUQ` — pass untouched).
+struct HelloFailConn {
+    inner: Box<dyn FrameConn>,
+    armed: Arc<AtomicBool>,
+}
+
+impl FrameConn for HelloFailConn {
+    fn send_frame(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        let is_hello = parts.first().is_some_and(|p| p.starts_with(HELLO_MAGIC));
+        if is_hello && self.armed.swap(false, Ordering::SeqCst) {
+            return Err(TransportError::Closed);
+        }
+        self.inner.send_frame(parts)
+    }
+
+    fn recv_frame(&mut self) -> Result<Bytes, TransportError> {
+        self.inner.recv_frame()
+    }
+
+    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
+        self.inner.set_recv_timeout(timeout)
+    }
+
+    fn set_send_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
+        self.inner.set_send_timeout(timeout)
+    }
+}
+
+#[test]
+fn salvaged_chunk_progress_survives_a_candidate_that_dies_before_the_hello() {
+    // A bootstrap is cut mid-train on replica 0. The redial's first
+    // candidate (replica 1: the cursor rotated off the dead stream, and
+    // equal probe scores keep rotation order) accepts the dial and then
+    // fails the HELLO write; the next candidate (replica 0 again)
+    // serves. The progress salvaged from the cut must still be in the
+    // link for that second HELLO — the train resumes at its boundary, so
+    // the chunks received across both connections equal one clean
+    // bootstrap, not the pre-cut chunks plus a whole second train.
+    let tld = TldId(0);
+    let entries: Vec<_> = (0..6000)
+        .map(|i| (name(&format!("d{i:05}.com")), vec![name("ns1.provider0.net")]))
+        .collect();
+    let snap = ZoneSnapshot::from_entries(name("com"), Serial::new(5), SimTime::ZERO, entries);
+    let root = Broker::new(BrokerConfig::default());
+    root.add_shard(tld, snap);
+    let eps = Endpoints::new(vec![chunky_server_over(&root), chunky_server_over(&root)]);
+
+    let clean_eps = Endpoints::new(vec![eps.servers[0].clone()]);
+    let mut clean_map = EndpointMap::new();
+    clean_map.add_route(vec![tld], vec![0usize]);
+    let mut clean = RoutedZoneView::connect(clean_map, clean_eps.dialer()).unwrap();
+    assert!(clean.pump_until_serials(&[(tld, Serial::new(5))], Duration::from_secs(30)));
+    let full_chunks = clean.snapshot_chunks_received();
+    assert!(full_chunks > 100, "bootstrap must be a long chunk train, saw {full_chunks}");
+
+    let mut map = EndpointMap::new();
+    map.add_route(vec![tld], vec![0usize, 1]);
+    let hello_dies = Arc::new(AtomicBool::new(false));
+    let mut base_dial = eps.dialer();
+    let dial = {
+        let hello_dies = Arc::clone(&hello_dies);
+        move |e: &usize| {
+            let inner =
+                Box::new(TrickleConn { inner: base_dial(e)?, breather: false }) as Box<dyn FrameConn>;
+            Ok(if *e == 1 {
+                Box::new(HelloFailConn { inner, armed: Arc::clone(&hello_dies) }) as Box<dyn FrameConn>
+            } else {
+                inner
+            })
+        }
+    };
+    let mut view = RoutedZoneView::connect(map, dial).unwrap();
+    assert_eq!(view.route_status()[0].cursor, 0);
+    wait_for("mid-train", || {
+        view.pump(1024);
+        view.snapshot_chunks_received() >= 5
+    });
+    assert_eq!(view.view().snapshots_adopted(), 0, "train must still be in flight");
+
+    hello_dies.store(true, Ordering::SeqCst);
+    eps.cuts[0].lock().unwrap().take().expect("replica 0 is connected").cut();
+    assert!(view.pump_until_serials(&[(tld, Serial::new(5))], Duration::from_secs(30)));
+    assert!(!hello_dies.load(Ordering::SeqCst), "replica 1's HELLO must have been attempted");
+    assert_view_matches_head(view.view(), &root, tld);
+    let status = &view.route_status()[0];
+    assert_eq!(status.cursor, 0, "the candidate after the failed HELLO serves");
+    assert_eq!(view.view().resync_count(), 1, "one fault, one resync");
+    assert_eq!(view.view().snapshots_adopted(), 1);
+    assert_eq!(
+        view.snapshot_chunks_received(),
+        full_chunks,
+        "the failed HELLO must not cost the next candidate the salvaged progress"
+    );
+    assert_eq!(view.dial_failures(), 1, "the handshake that died is the one dial failure");
+    for server in eps.servers.iter().chain(&clean_eps.servers) {
+        server.shutdown();
+    }
 }

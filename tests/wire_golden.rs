@@ -10,6 +10,14 @@
 //! says so. They double as ROADMAP's "legacy layouts as pinned test
 //! vectors" for the `Message`, `RZU1`, `RZUS`, `RZUC` and `RZUL` frames.
 //!
+//! The three `rzuh*` vectors pin the HELLO family the same way — bytes
+//! from the three encoders as they stood before the upstream-link
+//! refactor (commit 45429dd): the legacy claims-only layout, the
+//! resume-extended layout, and a `DeltaOnly`-scoped frame. The link in
+//! `broker/src/transport/replica.rs` is the only HELLO sender in crate
+//! code; whatever the three encoders collapse into next must keep
+//! emitting exactly these.
+//!
 //! Fixture format: lower-case hex, wrapped at 32 bytes per line, one
 //! blank line between the frames of a multi-frame vector.
 //!
@@ -23,9 +31,11 @@
 
 use darkdns::dns::record::SoaData;
 use darkdns::dns::wire::{
-    decode_delta_push, decode_lookup_request, decode_snapshot_chunk, decode_snapshot_push,
-    encode_delta_push, encode_lookup_request, encode_snapshot_chunks, encode_snapshot_push,
-    Header, LookupQuery, Message, Rcode, LOOKUP_ANY_TLD,
+    decode_delta_push, decode_hello, decode_hello_frame, decode_lookup_request,
+    decode_snapshot_chunk, decode_snapshot_push, encode_delta_push, encode_hello,
+    encode_hello_frame, encode_hello_scoped, encode_lookup_request, encode_snapshot_chunks,
+    encode_snapshot_push, Header, HelloFrame, HelloScope, LookupQuery, Message, Rcode,
+    SnapshotResume, TldClaim, LOOKUP_ANY_TLD,
 };
 use darkdns::dns::diff::NsChange;
 use darkdns::dns::{
@@ -178,6 +188,26 @@ fn rzul() -> Vec<u8> {
     encode_lookup_request(0xDEAD_BEEF_0BAD_CAFE, &queries).to_vec()
 }
 
+/// HELLO claims covering both flag values, TLD 0 and the `u16` edge,
+/// and a serial in the upper half of the sequence space.
+fn hello_claims() -> Vec<TldClaim> {
+    vec![
+        TldClaim { tld: 0, from_serial: Some(Serial::new(41)) },
+        TldClaim { tld: 7, from_serial: None },
+        TldClaim { tld: 513, from_serial: Some(Serial::new(0)) },
+        TldClaim { tld: u16::MAX, from_serial: Some(Serial::new(0xFFFF_FFF0)) },
+    ]
+}
+
+/// Two shards cut mid-train: one a few chunks in, one at entry 0 of a
+/// train it had only just been promised.
+fn hello_resume() -> Vec<(u16, SnapshotResume)> {
+    vec![
+        (7, SnapshotResume { serial: Serial::new(33), entries: 29 }),
+        (513, SnapshotResume { serial: Serial::new(0xFFFF_FFF0), entries: 0 }),
+    ]
+}
+
 /// Every vector: fixture name and the frames the current encoder makes.
 fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     let snap = snapshot();
@@ -192,6 +222,12 @@ fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         ("rzuc", train(0)),
         ("rzuc_resumed", train(29)),
         ("rzul", vec![rzul()]),
+        ("rzuh", vec![encode_hello(&hello_claims()).to_vec()]),
+        ("rzuh_resume", vec![encode_hello_frame(&hello_claims(), &hello_resume()).to_vec()]),
+        (
+            "rzuh_scoped",
+            vec![encode_hello_scoped(&hello_claims(), &[], HelloScope::DeltaOnly).to_vec()],
+        ),
     ]
 }
 
@@ -304,6 +340,25 @@ fn golden_frames_decode_to_their_inputs() {
     assert_eq!(id, 0xDEAD_BEEF_0BAD_CAFE);
     assert_eq!(queries.len(), 6);
     assert!(queries[4].name.is_root());
+
+    // The HELLO family: the legacy frame reads the same through the
+    // legacy decoder and the extended one, and each extension decodes
+    // to exactly the section it adds.
+    let hello = |resume, scope| HelloFrame { claims: hello_claims(), resume, scope };
+    assert_eq!(decode_hello(&fixture("rzuh")[0]).unwrap(), hello_claims());
+    assert_eq!(decode_hello_frame(&fixture("rzuh")[0]).unwrap(), hello(vec![], HelloScope::Full));
+    assert_eq!(
+        decode_hello_frame(&fixture("rzuh_resume")[0]).unwrap(),
+        hello(hello_resume(), HelloScope::Full)
+    );
+    assert_eq!(
+        decode_hello_frame(&fixture("rzuh_scoped")[0]).unwrap(),
+        hello(vec![], HelloScope::DeltaOnly)
+    );
+    assert!(
+        decode_hello(&fixture("rzuh_scoped")[0]).is_err(),
+        "a legacy decoder must reject a scoped HELLO, not serve it a full bootstrap"
+    );
 }
 
 #[test]
