@@ -84,7 +84,7 @@ impl Default for BrokerConfig {
 #[derive(Debug, Clone)]
 pub enum BrokerMessage {
     /// Catch-up bootstrap: adopt this snapshot as the shard state.
-    /// Delivered in-process as an `Arc`-shared columnar snapshot — no
+    /// Delivered in-process as an `Arc`-shared snapshot — no
     /// serialization.
     Snapshot { tld: TldId, snapshot: ZoneSnapshot },
     /// One delta push, as the shared `RZU1` wire frame; decode with

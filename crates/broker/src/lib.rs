@@ -14,9 +14,10 @@
 //!
 //! * [`shard::JournalShard`] — one per TLD, retaining a bounded ring of
 //!   sealed deltas plus a periodic checkpoint
-//!   [`darkdns_dns::ZoneSnapshot`]. Snapshots are columnar and
-//!   `Arc`-shared (PR 1), so a checkpoint costs two pointer copies, not a
-//!   million-entry table copy.
+//!   [`darkdns_dns::ZoneSnapshot`]. Snapshots are persistent —
+//!   `Arc`'d segments under an `Arc`'d top level — so a checkpoint costs
+//!   one pointer copy, and a publish copies the segments its delta
+//!   touches, not a million-entry table.
 //! * [`broker::Broker`] — `subscribe(tlds, from_serial)` answers with a
 //!   catch-up plan and a live bounded buffer; `publish` seals each delta
 //!   into a wire frame **once** ([`darkdns_dns::wire::encode_delta_push`])

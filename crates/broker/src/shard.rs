@@ -196,8 +196,9 @@ impl JournalShard {
         self.deltas.push_back(Arc::clone(&sealed));
         self.publishes_since_checkpoint += 1;
         if self.publishes_since_checkpoint >= retention.checkpoint_every {
-            // A checkpoint is two Arc clones (columnar snapshot), not a
-            // table copy.
+            // A checkpoint is one `Arc` clone of the head's top level,
+            // not a table copy — and as the head moves on, the two keep
+            // sharing every segment no later delta routes to.
             self.checkpoint = self.head.clone();
             self.publishes_since_checkpoint = 0;
             self.checkpoints += 1;
@@ -375,6 +376,32 @@ mod tests {
         publish_n(&mut shard, &retention, 3);
         // checkpoint_every=1: checkpoint *is* the head, refcount-shared.
         assert_eq!(shard.checkpoint(), shard.head());
+    }
+
+    #[test]
+    fn head_and_checkpoint_share_all_but_the_segments_touched_since() {
+        let retention = RetentionConfig::new(8, 4);
+        let ns = nsset(&["ns1.provider0.net"]);
+        let entries = (0..1000).map(|i| (name(&format!("d{i:04}.com")), ns.clone())).collect();
+        let initial = ZoneSnapshot::from_ns_entries(name("com"), Serial::new(0), SimTime::ZERO, entries);
+        let segments = initial.segment_lens().len();
+        assert!(segments >= 10);
+        let mut shard = JournalShard::new(TldId(0), initial);
+        // `checkpoint_every` publishes refresh the checkpoint: it *is*
+        // the head, whole.
+        for (serial, domain) in (1..=4).zip(["d0100x.com", "d0300x.com", "d0500x.com", "d0700x.com"]) {
+            shard.publish(add_delta(domain), Serial::new(serial), SimTime::ZERO, &retention);
+        }
+        assert_eq!(shard.checkpoint().serial(), Serial::new(4));
+        assert!(shard.checkpoint().same_capture(shard.head()));
+        // Two more, into two other segments: the head is a new value,
+        // but only those two segments are its own.
+        shard.publish(add_delta("d0200x.com"), Serial::new(5), SimTime::ZERO, &retention);
+        shard.publish(add_delta("d0900x.com"), Serial::new(6), SimTime::ZERO, &retention);
+        assert_eq!(shard.checkpoint().serial(), Serial::new(4));
+        assert!(!shard.checkpoint().same_capture(shard.head()));
+        assert_eq!(shard.head().segment_lens().len(), segments);
+        assert_eq!(shard.head().segments_shared_with(shard.checkpoint()), segments - 2);
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl RelayHandle {
             resyncs: s.resyncs.load(Ordering::Relaxed),
             frames_relayed: s.frames_relayed.load(Ordering::Relaxed),
             frames_skipped: s.frames_skipped.load(Ordering::Relaxed),
-            snapshots_installed: s.snapshots_installed.load(Ordering::Relaxed),
+            snapshots_installed: s.snapshots_installed.load(Ordering::Acquire),
             snapshot_chunks: s.snapshot_chunks.load(Ordering::Relaxed),
             dial_failures: s.dial_failures.load(Ordering::Relaxed),
             stream_faults: s.stream_faults.load(Ordering::Relaxed),
@@ -216,7 +216,14 @@ impl BrokerServer {
                     ClientEvent::Idle => false,
                     ClientEvent::Snapshot { tld, snapshot } => {
                         broker.install_snapshot(tld, snapshot);
-                        shared.snapshots_installed.fetch_add(1, Ordering::Relaxed);
+                        // The train that delivered it first: a stats()
+                        // reader that sees the install counted must see
+                        // its chunks counted (Release here, Acquire on
+                        // the load in `stats`).
+                        shared
+                            .snapshot_chunks
+                            .store(link.snapshot_chunks_received(), Ordering::Relaxed);
+                        shared.snapshots_installed.fetch_add(1, Ordering::Release);
                         false
                     }
                     ClientEvent::Delta { tld, push, frame } => {
@@ -231,7 +238,7 @@ impl BrokerServer {
                                 shared.frames_relayed.fetch_add(1, Ordering::Relaxed);
                                 broker.publish_frame(
                                     tld,
-                                    push.delta.clone(),
+                                    push.delta,
                                     push.to_serial,
                                     push.pushed_at,
                                     frame,

@@ -76,7 +76,7 @@ pub(super) struct Subscriber {
 struct CachedTrain {
     /// The capture the chunks encode, held to recognise it again by
     /// storage identity ([`ZoneSnapshot::same_capture`]) — normally the
-    /// very columns the broker's checkpoint holds, so no extra copy.
+    /// very value the broker's checkpoint holds, so no extra copy.
     snapshot: ZoneSnapshot,
     /// The whole train, from entry 0.
     frames: Vec<Bytes>,

@@ -167,7 +167,7 @@ impl BrokerZoneView {
     }
 
     /// [`BrokerZoneView::ingest_snapshot`], then show `sink` the adopted
-    /// state (the view's own `Arc`-shared columns, no copy).
+    /// state (the view's own `Arc`-shared snapshot, no copy).
     fn adopt(&mut self, tld: TldId, snapshot: ZoneSnapshot, sink: &mut impl RouteSink) {
         self.ingest_snapshot(tld, snapshot);
         if let Some(state) = self.states.get(&tld) {
@@ -258,6 +258,13 @@ impl BrokerZoneView {
     /// (the old `take_new_domains` handed out a fresh `Vec` per call).
     pub fn drain_new_domains(&mut self, out: &mut Vec<DomainName>) {
         out.append(&mut self.new_domains);
+    }
+
+    /// Drop the zone-NRD log undrained, keeping its capacity: for a
+    /// driver with no reader for it, which would otherwise grow it by
+    /// every added name for as long as it runs.
+    pub fn discard_new_domains(&mut self) {
+        self.new_domains.clear();
     }
 
     /// The health probe of the [`crate::membership::ZoneMembership`]

@@ -6,7 +6,7 @@
 //! cost profiles are provided and raced in `darkdns-bench`:
 //!
 //! * [`SortedMergeDiff`] — two-pointer merge over the sorted snapshot
-//!   columns; `O(n + m)` comparisons and **zero** per-entry allocation:
+//!   entries; `O(n + m)` comparisons and **zero** per-entry allocation:
 //!   owner names are 23-byte `Copy` values and NS sets transfer into the
 //!   delta as `Arc` refcount bumps. The right default when diffing whole
 //!   snapshots.
@@ -45,9 +45,10 @@
 use crate::hash::{FxHasher, NameMap};
 use crate::name::DomainName;
 use crate::serial::Serial;
-use crate::snapshot::ZoneSnapshot;
+use crate::snapshot::{Entry, SnapshotBuilder, ZoneSnapshot, SEGMENT_MIN, SEGMENT_SPAN};
 use crate::zone::NsSet;
 use serde::{Deserialize, Serialize};
+use std::iter::Peekable;
 
 /// A change to a single delegation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -94,10 +95,14 @@ impl ZoneDelta {
     /// given serial/time metadata). Used by the RZU subscriber to maintain
     /// a live zone copy, and by tests to verify `apply(diff(a,b), a) == b`.
     ///
-    /// A sorted two-pointer merge over the base columns and the (sorted)
-    /// delta sections: `O(n + k)` with no intermediate map and no NS-set
-    /// copies — untouched entries transfer as `Copy` names plus `Arc`
-    /// bumps.
+    /// Copies what the delta touches, not the zone: each delta entry is
+    /// routed by the base's fences to the one segment that can hold it,
+    /// every other segment is taken over by refcount, and a touched
+    /// segment is rebuilt by a sorted two-pointer merge of its entries
+    /// with the delta entries routed to it — no intermediate map and no
+    /// NS-set copies, untouched entries of a rebuilt segment transfer as
+    /// `Copy` names plus `Arc` bumps. What is left per apply whatever
+    /// the delta is one top-level row per segment of the base.
     ///
     /// # Panics
     /// Panics if the delta does not match `base` (removing or changing a
@@ -120,19 +125,78 @@ impl ZoneDelta {
                 && self.changed.windows(2).all(|w| w[0].domain < w[1].domain),
             "ZoneDelta::apply requires canonical (sorted, duplicate-free) delta sections"
         );
-        let n = base.len();
-        let capacity = (n + self.added.len()).saturating_sub(self.removed.len());
-        let mut domains: Vec<DomainName> = Vec::with_capacity(capacity);
-        let mut ns: Vec<NsSet> = Vec::with_capacity(capacity);
-        let mut add = self.added.iter().peekable();
-        let mut rem = self.removed.iter().peekable();
-        let mut chg = self.changed.iter().peekable();
-        for (d, base_ns) in base.iter() {
+        let (segs, fences) = (base.segments(), base.fences());
+        let mut out =
+            SnapshotBuilder::with_capacity(segs.len() + self.added.len() / SEGMENT_SPAN + 2);
+        let mut pending = Pending {
+            add: self.added.iter().peekable(),
+            rem: self.removed.iter().peekable(),
+            chg: self.changed.iter().peekable(),
+        };
+        // `k`: the first base segment not yet taken over or rebuilt.
+        let mut k = 0;
+        while k < segs.len() {
+            let Some(key) = pending.next_key() else { break };
+            // The last fence at or before the key names its segment (the
+            // first segment also takes what sorts before every fence);
+            // the segments skipped on the way there are untouched.
+            let touched = k + fences[k..].partition_point(|f| *f <= key).saturating_sub(1);
+            for seg in &segs[k..touched] {
+                out.share(seg);
+            }
+            k = touched;
+            // Rebuild from here. A segment left under the lower span
+            // bound takes its successor with it, touched or not.
+            loop {
+                pending.merge_segment(&segs[k], fences.get(k + 1), &mut out);
+                k += 1;
+                if k == segs.len() || !(1..SEGMENT_MIN).contains(&out.run_len()) {
+                    break;
+                }
+            }
+            out.flush();
+        }
+        for seg in &segs[k..] {
+            out.share(seg);
+        }
+        // The last segment takes everything still pending, so this is a
+        // no-op unless the base has no segment at all.
+        pending.merge_segment(&[], None, &mut out);
+        out.finish(*base.origin(), new_serial, taken_at)
+    }
+}
+
+/// The not-yet-applied rest of a delta's three sorted sections.
+struct Pending<'a> {
+    add: Peekable<std::slice::Iter<'a, Entry>>,
+    rem: Peekable<std::slice::Iter<'a, Entry>>,
+    chg: Peekable<std::slice::Iter<'a, NsChange>>,
+}
+
+impl Pending<'_> {
+    /// The smallest owner name any section still holds.
+    fn next_key(&mut self) -> Option<DomainName> {
+        let add = self.add.peek().map(|(d, _)| *d);
+        let rem = self.rem.peek().map(|(d, _)| *d);
+        let chg = self.chg.peek().map(|c| c.domain);
+        [add, rem, chg].into_iter().flatten().min()
+    }
+
+    /// Merge one base segment's `entries` with the delta entries routed
+    /// to it — those below `upper`, the next segment's fence (`None`:
+    /// everything left) — pushing the result onto `out`'s run.
+    fn merge_segment(
+        &mut self,
+        entries: &[Entry],
+        upper: Option<&DomainName>,
+        out: &mut SnapshotBuilder,
+    ) {
+        let (add, rem, chg) = (&mut self.add, &mut self.rem, &mut self.chg);
+        for &(d, ref base_ns) in entries {
             // Additions strictly before the next base entry slot in here.
             while let Some((ad, ans)) = add.peek() {
                 if *ad < d {
-                    domains.push(*ad);
-                    ns.push((*ans).clone());
+                    out.push(*ad, ans.clone());
                     add.next();
                 } else {
                     break;
@@ -155,8 +219,7 @@ impl ZoneDelta {
                 // A (non-canonical) delta may re-add a just-removed domain.
                 if let Some((ad, ans)) = add.peek() {
                     if *ad == d {
-                        domains.push(d);
-                        ns.push((*ans).clone());
+                        out.push(d, ans.clone());
                         add.next();
                     }
                 }
@@ -172,28 +235,29 @@ impl ZoneDelta {
                         c.old_ns.as_slice(),
                         "old NS mismatch for {d}"
                     );
-                    domains.push(d);
-                    ns.push(c.new_ns.clone());
+                    out.push(d, c.new_ns.clone());
                     chg.next();
                     continue;
                 }
             }
-            domains.push(d);
-            ns.push(base_ns.clone());
+            out.push(d, base_ns.clone());
         }
-        for (ad, ans) in add {
-            domains.push(*ad);
-            ns.push(ans.clone());
+        // Past the segment's last entry: additions up to the next fence
+        // land at its tail; a removal or change routed here found nothing.
+        let routed_here = |d: &DomainName| upper.is_none_or(|u| d < u);
+        while let Some((ad, ans)) = add.next_if(|(ad, _)| routed_here(ad)) {
+            out.push(*ad, ans.clone());
         }
         if let Some((rd, _)) = rem.peek() {
-            panic!("removing absent domain {rd}");
+            assert!(!routed_here(rd), "removing absent domain {rd}");
         }
         if let Some(c) = chg.peek() {
-            panic!("changing absent domain {}", c.domain);
+            assert!(!routed_here(&c.domain), "changing absent domain {}", c.domain);
         }
-        ZoneSnapshot::from_sorted_columns(*base.origin(), new_serial, taken_at, domains, ns)
     }
+}
 
+impl ZoneDelta {
     fn canonicalise(&mut self) {
         self.added.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         self.removed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -222,45 +286,51 @@ pub trait ZoneDiffEngine {
     fn name(&self) -> &'static str;
 }
 
-/// Two-pointer merge over the sorted snapshot columns.
+/// Two-pointer merge over the sorted snapshot entries.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SortedMergeDiff;
 
 impl ZoneDiffEngine for SortedMergeDiff {
     fn diff(&self, old: &ZoneSnapshot, new: &ZoneSnapshot) -> ZoneDelta {
         let mut delta = ZoneDelta::default();
-        let (ad, an) = (old.domain_column(), old.ns_column());
-        let (bd, bn) = (new.domain_column(), new.ns_column());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < ad.len() && j < bd.len() {
-            match ad[i].cmp(&bd[j]) {
-                std::cmp::Ordering::Less => {
-                    delta.removed.push((ad[i], an[i].clone()));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    delta.added.push((bd[j], bn[j].clone()));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    if an[i] != bn[j] {
-                        delta.changed.push(NsChange {
-                            domain: ad[i],
-                            old_ns: an[i].clone(),
-                            new_ns: bn[j].clone(),
-                        });
+        let (mut a, mut b) = (old.entries(), new.entries());
+        // One plain indexed merge per stretch between segment boundaries
+        // of either side.
+        loop {
+            let (old_run, new_run) = (a.chunk(), b.chunk());
+            if old_run.is_empty() || new_run.is_empty() {
+                break;
+            }
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < old_run.len() && j < new_run.len() {
+                let ((ad, an), (bd, bn)) = (&old_run[i], &new_run[j]);
+                match ad.cmp(bd) {
+                    std::cmp::Ordering::Less => {
+                        delta.removed.push((*ad, an.clone()));
+                        i += 1;
                     }
-                    i += 1;
-                    j += 1;
+                    std::cmp::Ordering::Greater => {
+                        delta.added.push((*bd, bn.clone()));
+                        j += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        if an != bn {
+                            delta.changed.push(NsChange {
+                                domain: *ad,
+                                old_ns: an.clone(),
+                                new_ns: bn.clone(),
+                            });
+                        }
+                        i += 1;
+                        j += 1;
+                    }
                 }
             }
+            a.advance(i);
+            b.advance(j);
         }
-        for k in i..ad.len() {
-            delta.removed.push((ad[k], an[k].clone()));
-        }
-        for k in j..bd.len() {
-            delta.added.push((bd[k], bn[k].clone()));
-        }
+        delta.removed.extend(a.map(|(d, ns)| (*d, ns.clone())));
+        delta.added.extend(b.map(|(d, ns)| (*d, ns.clone())));
         // Already in sorted order by construction.
         delta
     }
@@ -297,31 +367,29 @@ impl HashPartitionedDiff {
         (h.finish() % self.partitions as u64) as usize
     }
 
-    /// Diff one partition's entry indices with a local map.
-    fn diff_partition(
-        old: &ZoneSnapshot,
-        new: &ZoneSnapshot,
-        old_idx: &[u32],
-        new_idx: &[u32],
-    ) -> ZoneDelta {
-        let (ad, an) = (old.domain_column(), old.ns_column());
-        let (bd, bn) = (new.domain_column(), new.ns_column());
-        // DomainName keys hash in O(1) (fixed 23 bytes / interner id).
-        let mut old_map: NameMap<DomainName, u32> =
-            NameMap::with_capacity_and_hasher(old_idx.len(), Default::default());
-        for &i in old_idx {
-            old_map.insert(ad[i as usize], i);
+    /// One bucket of entry references per partition, in snapshot order.
+    fn partition<'a>(&self, snapshot: &'a ZoneSnapshot) -> Vec<Vec<&'a Entry>> {
+        let mut parts = vec![Vec::new(); self.partitions];
+        for entry in snapshot.segments().iter().flat_map(|seg| seg.iter()) {
+            parts[self.partition_of(&entry.0)].push(entry);
         }
+        parts
+    }
+
+    /// Diff one partition's entries with a local map.
+    fn diff_partition(old: &[&Entry], new: &[&Entry]) -> ZoneDelta {
+        // DomainName keys hash in O(1) (fixed 23 bytes / interner id).
+        let mut old_map: NameMap<DomainName, &NsSet> =
+            NameMap::with_capacity_and_hasher(old.len(), Default::default());
+        old_map.extend(old.iter().map(|(d, ns)| (*d, ns)));
         let mut delta = ZoneDelta::default();
-        for &j in new_idx {
-            let (d, new_ns) = (bd[j as usize], &bn[j as usize]);
-            match old_map.remove(&d) {
-                None => delta.added.push((d, new_ns.clone())),
-                Some(i) => {
-                    let old_ns = &an[i as usize];
+        for (d, new_ns) in new {
+            match old_map.remove(d) {
+                None => delta.added.push((*d, new_ns.clone())),
+                Some(old_ns) => {
                     if old_ns != new_ns {
                         delta.changed.push(NsChange {
-                            domain: d,
+                            domain: *d,
                             old_ns: old_ns.clone(),
                             new_ns: new_ns.clone(),
                         });
@@ -329,8 +397,8 @@ impl HashPartitionedDiff {
                 }
             }
         }
-        for (d, i) in old_map {
-            delta.removed.push((d, an[i as usize].clone()));
+        for (d, ns) in old_map {
+            delta.removed.push((d, ns.clone()));
         }
         delta
     }
@@ -344,22 +412,12 @@ impl Default for HashPartitionedDiff {
 
 impl ZoneDiffEngine for HashPartitionedDiff {
     fn diff(&self, old: &ZoneSnapshot, new: &ZoneSnapshot) -> ZoneDelta {
-        let p = self.partitions;
-        let mut old_parts: Vec<Vec<u32>> = vec![Vec::new(); p];
-        for (i, d) in old.domain_column().iter().enumerate() {
-            old_parts[self.partition_of(d)].push(i as u32);
-        }
-        let mut new_parts: Vec<Vec<u32>> = vec![Vec::new(); p];
-        for (j, d) in new.domain_column().iter().enumerate() {
-            new_parts[self.partition_of(d)].push(j as u32);
-        }
         // Scoped worker threads (`par::scoped_map`): each partition is a
         // partition-local delta over a disjoint domain set, merged after.
-        let pairs: Vec<(Vec<u32>, Vec<u32>)> = old_parts.into_iter().zip(new_parts).collect();
-        let workers = crate::par::available_workers().min(p);
-        let parts = crate::par::scoped_map(pairs, workers, |(o, n)| {
-            Self::diff_partition(old, new, &o, &n)
-        });
+        let pairs: Vec<_> = self.partition(old).into_iter().zip(self.partition(new)).collect();
+        let workers = crate::par::available_workers().min(self.partitions);
+        let parts =
+            crate::par::scoped_map(pairs, workers, |(o, n)| Self::diff_partition(&o, &n));
         ZoneDelta::merge(parts)
     }
 

@@ -8,12 +8,43 @@
 //!
 //! # Layout
 //!
-//! Entries are stored columnar: one sorted column of `Copy`
-//! [`DomainName`]s and one parallel column of shared [`NsSet`]s, both
-//! behind a single `Arc`. Capturing a snapshot from a [`Zone`] copies 23
-//! bytes per owner name and bumps one refcount per NS set — no per-entry
-//! heap allocation — and the diff engines walk the columns without
-//! touching the allocator at all.
+//! A snapshot is persistent in the functional-data-structure sense: the
+//! sorted entry sequence is cut into **segments** — a run of entries,
+//! each a `Copy` [`DomainName`] owner and its shared [`NsSet`] — each
+//! one `Arc`'d allocation, under one small **top level** that is itself
+//! behind an `Arc`:
+//!
+//! * `fences[k]` is segment `k`'s first owner name. A lookup binary-
+//!   searches the fences (dense, 23 bytes a step) for the one segment
+//!   that can hold the name, then that segment's entries.
+//! * `starts[k]` is the position of segment `k`'s first entry in the
+//!   whole sequence, which is what positional access
+//!   ([`Column`]'s `[i]`, [`ZoneSnapshot::entries_from`]) searches.
+//! * `segs[k]` is the segment: pointer and length, so a scan crossing
+//!   into it waits for one cache line, not a chain of them.
+//!
+//! Segments are cut at [`SEGMENT_SPAN`] entries when built and may drift
+//! between half and twice that as deltas land in them: every segment
+//! holds at most `2 * SEGMENT_SPAN` entries, and every segment but the
+//! last at least `SEGMENT_SPAN / 2`; none is empty. The span is a
+//! constant, not a knob: it trades entries copied per touched name
+//! (∝ span) against top-level rows copied per apply (∝ zone / span).
+//!
+//! Nothing is mutated after construction — not a segment, not the top
+//! level. [`crate::diff::ZoneDelta::apply`] builds a *new* top level
+//! that refcount-shares every segment the delta does not route to and
+//! rebuilds only the ones it does, so a 100-name delta on a
+//! million-entry zone copies a few thousand entries, and the head, a
+//! checkpoint and any pinned capture of one shard hold one copy of every
+//! segment no delta between them touched. Capturing from a [`Zone`]
+//! still copies 23 bytes per owner name and bumps one refcount per NS
+//! set, and the diff engines still walk the entries without touching
+//! the allocator.
+//!
+//! [`ZoneSnapshot::same_capture`] compares the top-level `Arc` by
+//! pointer: it witnesses "this very value", which neither equal content
+//! nor any amount of shared segments implies. Equality (`==`) is by
+//! content and does not care where the segment cuts fall.
 //!
 //! Snapshots also round-trip through a zone-file-like text format so the
 //! repository can materialise CZDS-style files on disk for the examples.
@@ -51,47 +82,161 @@ impl fmt::Display for SnapshotParseError {
 
 impl std::error::Error for SnapshotParseError {}
 
-/// The shared columnar entry store: `domains[i]`'s NS set is `ns[i]`.
-#[derive(Debug, PartialEq)]
-struct Columns {
-    /// Sorted by name.
-    domains: Vec<DomainName>,
-    ns: Vec<NsSet>,
+/// Entries a segment is cut at when built. A constant on purpose: at
+/// 100k–1M delegations ~64 balances what an apply copies per touched
+/// name (one segment) against what it copies regardless (one top-level
+/// row per segment).
+pub const SEGMENT_SPAN: usize = 64;
+/// A rebuilt segment under this takes its successor with it.
+pub(crate) const SEGMENT_MIN: usize = SEGMENT_SPAN / 2;
+/// A run over this is cut.
+const SEGMENT_MAX: usize = SEGMENT_SPAN * 2;
+
+/// One delegation: the owner name and its NS set.
+pub(crate) type Entry = (DomainName, NsSet);
+
+/// One run of the sorted entry sequence. Never empty, never mutated.
+pub(crate) type Segment = Arc<[Entry]>;
+
+/// The top level: one row per segment, in entry order (module docs).
+#[derive(Debug)]
+struct Segments {
+    fences: Vec<DomainName>,
+    starts: Vec<u32>,
+    segs: Vec<Segment>,
+    /// Entries in all segments together.
+    len: usize,
+}
+
+impl Segments {
+    /// The entry for `domain`, if present.
+    fn find(&self, domain: &DomainName) -> Option<&Entry> {
+        match self.fences.binary_search(domain) {
+            // A fence is its segment's first entry.
+            Ok(k) => self.segs[k].first(),
+            // The last fence before `domain` names the only segment that
+            // can hold it, past that fence.
+            Err(after) => {
+                let rest = &self.segs[after.checked_sub(1)?][1..];
+                rest.binary_search_by(|entry| entry.0.cmp(domain)).ok().map(|i| &rest[i])
+            }
+        }
+    }
+
+    /// The segment index and offset of position `i < len`.
+    fn locate(&self, i: usize) -> (usize, usize) {
+        assert!(i < self.len, "position {i} out of range for {} entries", self.len);
+        let k = self.starts.partition_point(|&s| s as usize <= i) - 1;
+        (k, i - self.starts[k] as usize)
+    }
+}
+
+/// Assembles a snapshot front to back: segments taken over from another
+/// snapshot are [`SnapshotBuilder::share`]d as they are, fresh entries
+/// are [`SnapshotBuilder::push`]ed onto a run that is cut into new
+/// segments. Everything must arrive in strictly ascending owner order.
+pub(crate) struct SnapshotBuilder {
+    top: Segments,
+    run: Vec<Entry>,
+}
+
+impl SnapshotBuilder {
+    /// A builder whose top level has room for `segments` rows.
+    pub(crate) fn with_capacity(segments: usize) -> Self {
+        SnapshotBuilder {
+            top: Segments {
+                fences: Vec::with_capacity(segments),
+                starts: Vec::with_capacity(segments),
+                segs: Vec::with_capacity(segments),
+                len: 0,
+            },
+            // The run never outgrows this (`push` cuts it first).
+            run: Vec::with_capacity(SEGMENT_MAX + 1),
+        }
+    }
+
+    /// Append one entry to the run, cutting a full-span segment off its
+    /// front once it outgrows the upper span bound — so the run, and
+    /// the copy a cut shifts down, stay bounded however much arrives.
+    pub(crate) fn push(&mut self, domain: DomainName, ns: NsSet) {
+        self.run.push((domain, ns));
+        if self.run.len() > SEGMENT_MAX {
+            self.seal(SEGMENT_SPAN);
+        }
+    }
+
+    /// Entries pushed since the last cut.
+    pub(crate) fn run_len(&self) -> usize {
+        self.run.len()
+    }
+
+    /// Close the run: whatever it holds becomes one segment.
+    pub(crate) fn flush(&mut self) {
+        if !self.run.is_empty() {
+            self.seal(self.run.len());
+        }
+    }
+
+    /// Take `seg` over by refcount. The run must be flushed first.
+    pub(crate) fn share(&mut self, seg: &Segment) {
+        debug_assert!(self.run.is_empty(), "sharing a segment past an open run");
+        self.push_segment(Arc::clone(seg));
+    }
+
+    fn seal(&mut self, n: usize) {
+        let seg = self.run.drain(..n).collect();
+        self.push_segment(seg);
+    }
+
+    fn push_segment(&mut self, seg: Segment) {
+        self.top.fences.push(seg[0].0);
+        // The wire formats carry entry counts as `u32` too.
+        self.top.starts.push(u32::try_from(self.top.len).expect("snapshot positions fit in u32"));
+        self.top.len += seg.len();
+        self.top.segs.push(seg);
+    }
+
+    pub(crate) fn finish(
+        mut self,
+        origin: DomainName,
+        serial: Serial,
+        taken_at: SimTime,
+    ) -> ZoneSnapshot {
+        self.flush();
+        let top = self.top;
+        debug_assert!(top.segs.iter().all(|s| s.windows(2).all(|w| w[0].0 < w[1].0)));
+        debug_assert!(top
+            .segs
+            .windows(2)
+            .all(|w| w[0].last().map(|e| e.0) < w[1].first().map(|e| e.0)));
+        ZoneSnapshot { origin, serial, taken_at, top: Arc::new(top) }
+    }
 }
 
 /// A point-in-time, immutable view of a TLD zone's delegations.
 ///
 /// Entries are stored sorted by owner name; membership queries are binary
 /// searches and the sorted order is what the merge diff engine exploits.
-/// The columns are behind an `Arc` so snapshots can be shared between the
-/// publisher, the pipeline and the diff engines without copying
-/// million-entry tables.
+/// The segments and the top level over them are behind `Arc`s (module
+/// docs), so snapshots can be shared between the publisher, the pipeline
+/// and the diff engines without copying million-entry tables, and a
+/// snapshot one delta away from another shares all but the touched
+/// segments with it.
 #[derive(Debug, Clone)]
 pub struct ZoneSnapshot {
     origin: DomainName,
     serial: Serial,
     taken_at: SimTime,
-    cols: Arc<Columns>,
+    top: Arc<Segments>,
 }
 
 impl ZoneSnapshot {
     /// Capture the current state of `zone` at time `taken_at`.
     pub fn capture(zone: &Zone, taken_at: SimTime) -> Self {
-        let mut domains = Vec::with_capacity(zone.len());
-        let mut ns = Vec::with_capacity(zone.len());
         // BTreeMap iteration is already sorted by owner name; NS sets are
         // shared with the live zone, not copied.
-        for (d, delegation) in zone.iter() {
-            domains.push(*d);
-            ns.push(delegation.ns_set().clone());
-        }
-        debug_assert!(domains.windows(2).all(|w| w[0] < w[1]));
-        ZoneSnapshot {
-            origin: *zone.origin(),
-            serial: zone.serial(),
-            taken_at,
-            cols: Arc::new(Columns { domains, ns }),
-        }
+        let entries = zone.iter().map(|(d, delegation)| (*d, delegation.ns_set().clone()));
+        Self::from_sorted(*zone.origin(), zone.serial(), taken_at, zone.len(), entries)
     }
 
     /// Build from parts. Entries are sorted and deduplicated by domain
@@ -103,22 +248,18 @@ impl ZoneSnapshot {
         mut entries: Vec<(DomainName, Vec<DomainName>)>,
     ) -> Self {
         sort_last_wins(&mut entries);
-        // Frozen in column order, which is the order every diff engine
+        // Frozen in entry order, which is the order every diff engine
         // walks the NS sets in.
-        let mut domains = Vec::with_capacity(entries.len());
-        let mut ns = Vec::with_capacity(entries.len());
-        for (d, hosts) in entries {
-            domains.push(d);
-            ns.push(NsSet::from_raw(hosts));
-        }
-        Self::from_sorted_columns(origin, serial, taken_at, domains, ns)
+        let len = entries.len();
+        let frozen = entries.into_iter().map(|(d, hosts)| (d, NsSet::from_raw(hosts)));
+        Self::from_sorted(origin, serial, taken_at, len, frozen)
     }
 
     /// [`ZoneSnapshot::from_entries`] over already-frozen (typically
     /// shared) NS sets — what the wire decoders produce. A strictly
     /// ascending entry sequence, which is what every encoder emits, goes
-    /// straight into the columns; anything else is sorted and
-    /// deduplicated by domain first (last occurrence wins).
+    /// straight into segments; anything else is sorted and deduplicated
+    /// by domain first (last occurrence wins).
     pub fn from_ns_entries(
         origin: DomainName,
         serial: Serial,
@@ -126,34 +267,36 @@ impl ZoneSnapshot {
         mut entries: Vec<(DomainName, NsSet)>,
     ) -> Self {
         sort_last_wins(&mut entries);
-        let (domains, ns) = entries.into_iter().unzip();
-        Self::from_sorted_columns(origin, serial, taken_at, domains, ns)
+        Self::from_sorted(origin, serial, taken_at, entries.len(), entries.into_iter())
     }
 
-    /// Assemble from already-sorted columns — the fast path for
-    /// [`crate::diff::ZoneDelta::apply`], which produces entries in order.
-    pub(crate) fn from_sorted_columns(
+    /// Cut `len` entries, already in strictly ascending owner order, into
+    /// fresh segments.
+    fn from_sorted(
         origin: DomainName,
         serial: Serial,
         taken_at: SimTime,
-        domains: Vec<DomainName>,
-        ns: Vec<NsSet>,
+        len: usize,
+        entries: impl Iterator<Item = (DomainName, NsSet)>,
     ) -> Self {
-        debug_assert_eq!(domains.len(), ns.len());
-        debug_assert!(domains.windows(2).all(|w| w[0] < w[1]));
-        ZoneSnapshot { origin, serial, taken_at, cols: Arc::new(Columns { domains, ns }) }
+        let mut builder = SnapshotBuilder::with_capacity(len / SEGMENT_SPAN + 1);
+        for (domain, ns) in entries {
+            builder.push(domain, ns);
+        }
+        builder.finish(origin, serial, taken_at)
     }
 
     /// True when `other` is this very capture: same header and the same
-    /// shared column storage (an O(1) witness, no entry is compared).
+    /// top level by pointer (an O(1) witness, no entry is compared).
     /// Two equal-content snapshots built separately are *not* the same
-    /// capture — callers caching per-capture derived data fall back to
-    /// recomputing, never to a stale hit.
+    /// capture, however many segments they share — callers caching
+    /// per-capture derived data fall back to recomputing, never to a
+    /// stale hit.
     pub fn same_capture(&self, other: &ZoneSnapshot) -> bool {
         self.origin == other.origin
             && self.serial == other.serial
             && self.taken_at == other.taken_at
-            && Arc::ptr_eq(&self.cols, &other.cols)
+            && Arc::ptr_eq(&self.top, &other.top)
     }
 
     pub fn origin(&self) -> &DomainName {
@@ -169,45 +312,90 @@ impl ZoneSnapshot {
     }
 
     pub fn len(&self) -> usize {
-        self.cols.domains.len()
+        self.top.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.cols.domains.is_empty()
+        self.top.len == 0
     }
 
     pub fn contains(&self, domain: &DomainName) -> bool {
-        self.cols.domains.binary_search(domain).is_ok()
+        self.top.find(domain).is_some()
     }
 
     /// NS set for `domain`, if present.
     pub fn ns_of(&self, domain: &DomainName) -> Option<&[DomainName]> {
-        self.cols.domains.binary_search(domain).ok().map(|i| self.cols.ns[i].as_slice())
+        self.ns_set_of(domain).map(NsSet::as_slice)
     }
 
     /// Shared NS set for `domain`, if present (clone to carry it onward
     /// without copying hosts).
     pub fn ns_set_of(&self, domain: &DomainName) -> Option<&NsSet> {
-        self.cols.domains.binary_search(domain).ok().map(|i| &self.cols.ns[i])
+        self.top.find(domain).map(|entry| &entry.1)
     }
 
-    /// The sorted owner-name column.
-    pub fn domain_column(&self) -> &[DomainName] {
-        &self.cols.domains
+    /// The sorted owner names, as one column across the segments.
+    pub fn domain_column(&self) -> Column<'_, DomainName> {
+        Column { top: &self.top, of: |entry| &entry.0 }
     }
 
-    /// The NS column, parallel to [`ZoneSnapshot::domain_column`].
-    pub fn ns_column(&self) -> &[NsSet] {
-        &self.cols.ns
+    /// The NS sets, parallel to [`ZoneSnapshot::domain_column`].
+    pub fn ns_column(&self) -> Column<'_, NsSet> {
+        Column { top: &self.top, of: |entry| &entry.1 }
     }
 
     /// Iterate entries in owner-name order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (DomainName, &NsSet)> + '_ {
-        self.cols.domains.iter().copied().zip(self.cols.ns.iter())
+        self.entries().map(|(domain, ns)| (*domain, ns))
+    }
+
+    /// [`ZoneSnapshot::iter`] by reference.
+    pub fn entries(&self) -> Entries<'_> {
+        self.entries_from(0)
+    }
+
+    /// [`ZoneSnapshot::entries`] from position `start` on (nothing when
+    /// `start >= len`), found through the top level rather than by
+    /// stepping there.
+    pub fn entries_from(&self, start: usize) -> Entries<'_> {
+        let mut entries = Entries { segs: [].iter(), chunk: &[], remaining: 0 };
+        if start < self.len() {
+            // Open the segment holding `start` whole, then step to it.
+            let (k, offset) = self.top.locate(start);
+            entries.segs = self.top.segs[k..].iter();
+            entries.remaining = self.len() - (start - offset);
+            entries.load_next_segment();
+            entries.advance(offset);
+        }
+        entries
     }
 
     pub fn domains(&self) -> impl Iterator<Item = &DomainName> {
-        self.cols.domains.iter()
+        self.domain_column().iter()
+    }
+
+    /// Entries per segment, in order (module docs: the span bounds).
+    pub fn segment_lens(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.top.segs.iter().map(|seg| seg.len())
+    }
+
+    /// How many of this snapshot's segments are the very allocations
+    /// `other` holds too — what a delta apply between the two left
+    /// untouched.
+    pub fn segments_shared_with(&self, other: &ZoneSnapshot) -> usize {
+        let theirs: std::collections::HashSet<*const [Entry]> =
+            other.top.segs.iter().map(Arc::as_ptr).collect();
+        self.top.segs.iter().filter(|seg| theirs.contains(&Arc::as_ptr(seg))).count()
+    }
+
+    pub(crate) fn segments(&self) -> &[Segment] {
+        &self.top.segs
+    }
+
+    /// Each segment's first owner name, parallel to
+    /// [`ZoneSnapshot::segments`].
+    pub(crate) fn fences(&self) -> &[DomainName] {
+        &self.top.fences
     }
 
     /// Serialise to the CZDS-like text format:
@@ -316,14 +504,116 @@ fn sort_last_wins<T>(entries: &mut Vec<(DomainName, T)>) {
 }
 
 impl PartialEq for ZoneSnapshot {
+    /// By content: where the segment cuts fall does not matter.
     fn eq(&self, other: &Self) -> bool {
         self.origin == other.origin
             && self.serial == other.serial
             && self.taken_at == other.taken_at
-            && (Arc::ptr_eq(&self.cols, &other.cols) || self.cols == other.cols)
+            && (Arc::ptr_eq(&self.top, &other.top)
+                || (self.len() == other.len() && self.iter().eq(other.iter())))
     }
 }
 impl Eq for ZoneSnapshot {}
+
+/// Entries of a snapshot in owner-name order, from
+/// [`ZoneSnapshot::entries`] / [`ZoneSnapshot::entries_from`].
+#[derive(Debug, Clone)]
+pub struct Entries<'a> {
+    /// Segments after the current one.
+    segs: std::slice::Iter<'a, Segment>,
+    /// The unread part of the current segment; empty only when the
+    /// iterator is (segments never are).
+    chunk: &'a [Entry],
+    remaining: usize,
+}
+
+impl<'a> Entries<'a> {
+    /// The unread rest of the current segment — empty only when nothing
+    /// is left at all. For merges that want a plain indexed loop between
+    /// segment boundaries.
+    pub(crate) fn chunk(&self) -> &'a [Entry] {
+        self.chunk
+    }
+
+    /// Consume the first `n` entries of [`Entries::chunk`].
+    pub(crate) fn advance(&mut self, n: usize) {
+        self.chunk = &self.chunk[n..];
+        self.remaining -= n;
+        if self.chunk.is_empty() {
+            self.load_next_segment();
+        }
+    }
+
+    fn load_next_segment(&mut self) {
+        if let Some(seg) = self.segs.next() {
+            self.chunk = seg;
+        }
+    }
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = (&'a DomainName, &'a NsSet);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (domain, ns) = self.chunk.first()?;
+        self.advance(1);
+        Some((domain, ns))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Entries<'_> {}
+
+/// One column of a snapshot — the owner names or the NS sets — borrowed
+/// across its segments: positions count over the whole snapshot. What
+/// [`ZoneSnapshot::domain_column`] and [`ZoneSnapshot::ns_column`]
+/// return where a flat layout would hand out a slice. `[i]` searches
+/// the top level on every use; walk with [`Column::iter`] (or
+/// [`ZoneSnapshot::iter`]) instead of indexing in a loop.
+pub struct Column<'a, T> {
+    top: &'a Segments,
+    of: fn(&Entry) -> &T,
+}
+
+impl<'a, T: 'a> Column<'a, T> {
+    pub fn len(&self) -> usize {
+        self.top.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.top.len == 0
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &'a T> + 'a {
+        self.top.segs.iter().flat_map(|seg| seg.iter()).map(self.of)
+    }
+}
+
+impl<T> std::ops::Index<usize> for Column<'_, T> {
+    type Output = T;
+
+    /// # Panics
+    /// Panics if `i >= len`, as a slice would.
+    fn index(&self, i: usize) -> &T {
+        let (k, offset) = self.top.locate(i);
+        (self.of)(&self.top.segs[k][offset])
+    }
+}
+
+impl<T: PartialEq> PartialEq for Column<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Column<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -447,7 +737,7 @@ mod tests {
         ];
         let snap =
             ZoneSnapshot::from_ns_entries(name("com"), Serial::new(1), SimTime::ZERO, shuffled);
-        assert_eq!(snap.domain_column(), &[name("a.com"), name("b.com")]);
+        assert!(snap.domains().eq(&[name("a.com"), name("b.com")]));
         assert!(snap.ns_set_of(&name("b.com")).unwrap().ptr_eq(&newer));
     }
 
@@ -459,6 +749,141 @@ mod tests {
         let rebuilt = ZoneSnapshot::capture(&z, SimTime::ZERO);
         assert_eq!(rebuilt, snap);
         assert!(!snap.same_capture(&rebuilt));
+    }
+
+    /// `count` delegations `d<i>.com`, `i` a multiple of ten — several
+    /// segments, with room between neighbours for a delta to add to.
+    fn wide_snapshot(count: usize) -> ZoneSnapshot {
+        let ns = NsSet::new(vec![name("ns1.x.net")]);
+        let entries = (0..count).map(|i| (name(&format!("d{:05}.com", i * 10)), ns.clone()));
+        ZoneSnapshot::from_ns_entries(name("com"), Serial::new(1), SimTime::ZERO, entries.collect())
+    }
+
+    fn add_delta(domains: &[&str]) -> crate::diff::ZoneDelta {
+        let ns = NsSet::new(vec![name("ns1.x.net")]);
+        crate::diff::ZoneDelta {
+            added: domains.iter().map(|d| (name(d), ns.clone())).collect(),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn a_fresh_build_cuts_full_spans_and_one_longer_tail() {
+        let lens: Vec<usize> = wide_snapshot(1000).segment_lens().collect();
+        assert_eq!(lens.len(), 1000 / SEGMENT_SPAN);
+        let (tail, full) = lens.split_last().unwrap();
+        assert!(full.iter().all(|&n| n == SEGMENT_SPAN));
+        assert_eq!(*tail, 1000 - full.len() * SEGMENT_SPAN);
+        // Under one span there is one short segment; under nothing, none.
+        assert_eq!(wide_snapshot(5).segment_lens().collect::<Vec<_>>(), [5]);
+        assert_eq!(wide_snapshot(0).segment_lens().len(), 0);
+    }
+
+    #[test]
+    fn apply_shares_every_segment_the_delta_does_not_route_to() {
+        let base = wide_snapshot(1000);
+        // One name into the fourth segment, one past the last name.
+        let fourth = base.fences()[3];
+        let delta = add_delta(&[&format!("{}x.com", fourth.as_str().trim_end_matches(".com")), "zz.com"]);
+        let applied = delta.apply(&base, Serial::new(2), SimTime::ZERO);
+        assert_eq!(applied.len(), 1002);
+        let last = base.segments().len() - 1;
+        assert_eq!(applied.segments().len(), base.segments().len());
+        for (k, (old, new)) in base.segments().iter().zip(applied.segments()).enumerate() {
+            assert_eq!(Arc::ptr_eq(old, new), k != 3 && k != last, "segment {k}");
+        }
+        assert_eq!(applied.segments_shared_with(&base), base.segments().len() - 2);
+        // The base is what it was.
+        assert_eq!(base, wide_snapshot(1000));
+    }
+
+    #[test]
+    fn apply_splits_an_overfull_segment_and_merges_a_remnant_forward() {
+        let base = wide_snapshot(1000);
+        // 200 names between the first two zone names: the first segment
+        // is cut again, the rest shared.
+        let block: Vec<String> = (0..200).map(|j| format!("d00000-{j:03}.com")).collect();
+        let grow = add_delta(&block.iter().map(String::as_str).collect::<Vec<_>>());
+        let grown = grow.apply(&base, Serial::new(2), SimTime::ZERO);
+        let lens: Vec<usize> = grown.segment_lens().collect();
+        assert_eq!(lens[..4], [SEGMENT_SPAN, SEGMENT_SPAN, SEGMENT_SPAN, 200 - 2 * SEGMENT_SPAN]);
+        assert_eq!(grown.segments_shared_with(&base), base.segments().len() - 1);
+
+        // Removing all but three names of the second segment leaves a
+        // remnant under the lower bound: it takes the (untouched) third
+        // segment with it rather than stand alone.
+        let second = base.segments()[1].to_vec();
+        let shrink = crate::diff::ZoneDelta {
+            removed: second[3..].to_vec(),
+            ..Default::default()
+        };
+        let shrunk = shrink.apply(&base, Serial::new(2), SimTime::ZERO);
+        let lens: Vec<usize> = shrunk.segment_lens().collect();
+        assert_eq!(lens[..2], [SEGMENT_SPAN, 3 + SEGMENT_SPAN]);
+        assert_eq!(lens.len(), base.segments().len() - 1);
+        assert_eq!(shrunk.segments_shared_with(&base), base.segments().len() - 2);
+        // Removing a whole segment's names just drops the segment.
+        let drop_second = crate::diff::ZoneDelta { removed: second, ..Default::default() };
+        let dropped = drop_second.apply(&base, Serial::new(2), SimTime::ZERO);
+        assert_eq!(dropped.segments_shared_with(&base), base.segments().len() - 1);
+        assert_eq!(dropped.segment_lens().len(), base.segments().len() - 1);
+    }
+
+    #[test]
+    fn equality_is_by_content_whatever_the_segment_cuts() {
+        // The same 300 names: cut fresh, and grown from the last 200 by
+        // a delta that lands the first 100 in front of them — the first
+        // segment is re-cut, the others keep their old boundaries.
+        let fresh = wide_snapshot(300);
+        let all: Vec<_> = fresh.iter().map(|(d, ns)| (d, ns.clone())).collect();
+        let back = ZoneSnapshot::from_ns_entries(
+            name("com"),
+            Serial::new(0),
+            SimTime::ZERO,
+            all[100..].to_vec(),
+        );
+        let front = crate::diff::ZoneDelta { added: all[..100].to_vec(), ..Default::default() };
+        let grown = front.apply(&back, fresh.serial(), fresh.taken_at());
+        assert_ne!(
+            grown.segment_lens().collect::<Vec<_>>(),
+            fresh.segment_lens().collect::<Vec<_>>()
+        );
+        assert_eq!(grown, fresh);
+        assert_eq!(grown.domain_column(), fresh.domain_column());
+        assert_eq!(grown.ns_column(), fresh.ns_column());
+        // Lookups and positions do not care either.
+        for (i, (d, _)) in all.iter().enumerate() {
+            assert!(grown.contains(d));
+            assert_eq!(grown.domain_column()[i], *d);
+        }
+        assert!(!grown.contains(&name("d00005.com")));
+    }
+
+    #[test]
+    fn sharing_every_segment_is_still_not_the_same_capture() {
+        let base = wide_snapshot(300);
+        let applied =
+            crate::diff::ZoneDelta::default().apply(&base, base.serial(), base.taken_at());
+        assert_eq!(applied.segments_shared_with(&base), base.segments().len());
+        assert_eq!(applied, base);
+        assert!(!applied.same_capture(&base));
+    }
+
+    #[test]
+    fn entries_from_starts_anywhere_without_stepping_there() {
+        let snap = wide_snapshot(300);
+        let all: Vec<DomainName> = snap.domains().copied().collect();
+        for start in [0, 1, SEGMENT_SPAN - 1, SEGMENT_SPAN, SEGMENT_SPAN + 1, 299, 300, 301] {
+            let rest = snap.entries_from(start);
+            assert_eq!(rest.len(), 300usize.saturating_sub(start));
+            assert!(rest.map(|(d, _)| *d).eq(all.iter().skip(start).copied()), "from {start}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn column_index_past_the_end_panics() {
+        let _ = wide_snapshot(3).domain_column()[3];
     }
 
     #[test]
@@ -482,6 +907,6 @@ mod tests {
         let z = sample_zone();
         let snap = ZoneSnapshot::capture(&z, SimTime::ZERO);
         let clone = snap.clone();
-        assert!(Arc::ptr_eq(&snap.cols, &clone.cols));
+        assert!(Arc::ptr_eq(&snap.top, &clone.top));
     }
 }

@@ -1104,7 +1104,7 @@ pub fn encode_snapshot_push(tld: u16, snapshot: &crate::snapshot::ZoneSnapshot) 
     enc.buf.put_u32(snapshot.serial().get());
     enc.buf.put_u64(snapshot.taken_at().as_secs());
     enc.buf.put_u32(snapshot.len() as u32);
-    for (domain, ns) in snapshot.domain_column().iter().zip(snapshot.ns_column()) {
+    for (domain, ns) in snapshot.entries() {
         enc.name(domain);
         enc.ns_set(ns);
     }
@@ -1189,8 +1189,7 @@ pub fn encode_snapshot_chunks(
 ) -> Vec<Bytes> {
     let total = snapshot.len();
     let start = start_entry.min(total);
-    let mut iter =
-        snapshot.domain_column().iter().zip(snapshot.ns_column()).skip(start).peekable();
+    let mut iter = snapshot.entries_from(start);
     let mut offset = start;
     let mut frames = Vec::new();
     // One encoder for the whole train: the scratch buffer and the
@@ -1219,7 +1218,7 @@ pub fn encode_snapshot_chunks(
             enc.ns_set(ns);
             count += 1;
         }
-        let last = iter.peek().is_none();
+        let last = iter.len() == 0;
         if last {
             enc.buf[flags_at] = 1;
         }
@@ -2733,7 +2732,7 @@ mod tests {
         assert!(chunk.entries[2..].iter().all(|(_, ns)| ns.ptr_eq(shared)));
         let (_, decoded) = decode_snapshot_push(&encode_snapshot_push(1, &snap)).unwrap();
         assert_eq!(decoded, snap);
-        assert!(decoded.ns_column()[2..].iter().all(|ns| ns.ptr_eq(&decoded.ns_column()[1])));
+        assert!(decoded.ns_column().iter().skip(2).all(|ns| ns.ptr_eq(&decoded.ns_column()[1])));
     }
 
     #[test]

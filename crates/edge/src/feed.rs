@@ -10,7 +10,7 @@
 //! * a snapshot message is adopted by the view and the index ([`EdgeIndex::adopt_snapshot`]);
 //! * a delta that chains advances the view, then the index installs the
 //!   view's **own post-apply snapshot** ([`EdgeIndex::apply_delta`]).
-//!   The two therefore share one `Arc`'d column set per TLD — the edge
+//!   The two therefore share one `Arc`'d snapshot per TLD — the edge
 //!   answers from *byte-identical* state to a full replica at the same
 //!   serial, by construction rather than by test alone — and the
 //!   push's `added` section lands in the hot NRD window stamped with
@@ -39,7 +39,7 @@ use std::time::Duration;
 /// The index-mirroring [`RouteSink`]: forwards every message a view
 /// accepts into the epoch-swap index, post-apply, so the edge answers
 /// from byte-identical state to the view (the snapshots are
-/// `Arc`-shared column sets — the clones are pointer copies).
+/// `Arc`-shared — the clones are pointer copies).
 struct IndexSink {
     index: Arc<EdgeIndex>,
 }
@@ -140,7 +140,13 @@ where
     /// Pull up to `max_events` decoded events into the view and index,
     /// visiting every route and healing faults per route.
     pub fn pump(&mut self, max_events: usize) -> usize {
-        self.routed.pump_with(max_events, &mut self.sink)
+        let applied = self.routed.pump_with(max_events, &mut self.sink);
+        // This feed hands its view out read-only, so the view's log of
+        // added names has no reader: dropped here, not grown by every
+        // new name for as long as the edge runs. The edge's record of
+        // them is the index's bounded NRD window.
+        self.routed.view_mut().discard_new_domains();
+        applied
     }
 
     /// Pump until the index's serial matches `targets` or `timeout`
@@ -192,5 +198,52 @@ where
 
     pub fn index(&self) -> &Arc<EdgeIndex> {
         &self.sink.index
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use darkdns_broker::transport::{duplex, BrokerServer, LengthPrefixed, TransportConfig};
+    use darkdns_broker::BrokerConfig;
+    use darkdns_dns::{NsSet, ZoneDelta};
+    use darkdns_sim::time::SimTime;
+
+    #[test]
+    fn a_routed_feeds_unreadable_nrd_log_does_not_outlive_a_pump() {
+        let name = |s: &str| DomainName::parse(s).unwrap();
+        let broker = Broker::new(BrokerConfig::default());
+        let tld = TldId(0);
+        broker.add_shard(
+            tld,
+            ZoneSnapshot::from_entries(name("com"), Serial::new(0), SimTime::ZERO, vec![]),
+        );
+        let server = BrokerServer::new(broker.clone(), TransportConfig::default());
+        let dial = |_: &()| {
+            let (client_end, server_end) = duplex(1 << 16);
+            server.spawn_conn(server_end);
+            let mut conn = LengthPrefixed::new(client_end);
+            conn.set_recv_timeout(Some(Duration::from_millis(5)))?;
+            Ok(Box::new(conn) as Box<dyn FrameConn>)
+        };
+        let mut map = EndpointMap::new();
+        map.add_route(vec![tld], vec![()]);
+        let index = Arc::new(EdgeIndex::default());
+        let mut feed = RoutedEdgeFeed::connect(map, dial, Arc::clone(&index)).unwrap();
+        for serial in 1..=5u32 {
+            let ns = NsSet::new(vec![name("ns1.x.net")]);
+            let delta = ZoneDelta {
+                added: vec![(name(&format!("d{serial}.com")), ns)],
+                ..ZoneDelta::default()
+            };
+            broker.publish(tld, delta, Serial::new(serial), SimTime::from_hours(u64::from(serial)));
+        }
+        assert!(feed.pump_until_serials(&[(tld, Serial::new(5))], Duration::from_secs(30)));
+        // The index took the new names; the view kept none of them.
+        assert_eq!(index.load().nrd_len(), 5);
+        let mut logged = Vec::new();
+        feed.routed.view_mut().drain_new_domains(&mut logged);
+        assert!(logged.is_empty(), "{} names left in the view's log", logged.len());
+        server.shutdown();
     }
 }

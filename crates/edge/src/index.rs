@@ -3,11 +3,11 @@
 //! # The epoch-swap read-path invariant
 //!
 //! Every query the edge answers runs against one [`EdgeEpoch`] — an
-//! **immutable** value holding the per-TLD columnar snapshots and the
+//! **immutable** value holding the per-TLD segmented snapshots and the
 //! hot NRD-recency window. Readers obtain it by cloning an `Arc` out of
 //! the index's epoch cell ([`EdgeIndex::load`]) and then answer
 //! entirely lock-free: binary searches over `Arc`-shared snapshot
-//! columns and hash probes into the window map, with no lock of any
+//! segments and hash probes into the window map, with no lock of any
 //! kind held. Writers (the broker-subscription pump, a single logical
 //! thread) build a **fresh** epoch off to the side and swap the cell's
 //! `Arc` — the same swap-on-write idiom as the broker's shard
@@ -161,7 +161,7 @@ impl EdgeEpoch {
     }
 
     /// Is `name` currently delegated in `tld`? (Binary search over the
-    /// `Arc`-shared snapshot columns.)
+    /// `Arc`-shared snapshot segments: the fences, then one segment.)
     pub fn contains(&self, tld: TldId, name: &DomainName) -> bool {
         assert_no_shard_locks();
         self.shards.get(&tld).is_some_and(|s| s.contains(name))
@@ -312,7 +312,7 @@ impl EdgeIndex {
 
     /// The swap-on-write engine: under the writer mutex, clone the
     /// current epoch's *contents* (cheap: snapshot values share their
-    /// columns by `Arc`, the NRD window is capacity-bounded), mutate
+    /// segments by `Arc`, the NRD window is capacity-bounded), mutate
     /// the clone, bump the generation, and swap the cell.
     fn swap_with(&self, build: impl FnOnce(&mut EdgeEpoch)) {
         let _writers = self.writer.lock();

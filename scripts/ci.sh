@@ -76,6 +76,15 @@ DARKDNS_FANOUT_SUBS=256 DARKDNS_BENCH_ONLY=tcp-fanout-10k \
 DARKDNS_BENCH_SAMPLES=3 DARKDNS_BENCH_MS=200 \
     cargo bench -p darkdns-bench --bench broker
 
+# The zone-size apply sweep (100-name deltas, tail and scattered, onto
+# 10k / 100k / 1M delegations, plus the membership probe) once at the
+# smoke budget, so the microbench behind the O(delta)-apply tables in
+# CHANGES.md keeps building and running. It builds a 1M-entry zone:
+# ~100 MB for a second or two.
+echo "==> zone apply sweep smoke"
+DARKDNS_BENCH_ONLY=zone-apply DARKDNS_BENCH_SAMPLES=3 DARKDNS_BENCH_MS=200 \
+    cargo bench -p darkdns-bench --bench zone_diff
+
 # The benchmark is a standalone package (own workspace and lockfile)
 # that tier-1 does not build, driving the crates through their public
 # API. Its harness self-tests are the only thing that notices when a

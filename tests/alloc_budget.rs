@@ -1,4 +1,5 @@
-//! Allocation budgets for the RZU name codec and the bootstrap assembly.
+//! Allocation budgets for the RZU name codec, the bootstrap assembly and
+//! the delta apply.
 //!
 //! PR 12's traces showed a 100k-entry catch-up making 3.7 M allocations
 //! — 37 per entry: a label `Vec`, a `String` per label, a joined
@@ -6,7 +7,14 @@
 //! codec now allocates per *frame* and per *distinct NS set*, never per
 //! name, and these budgets keep it that way: each is a formula in the
 //! quantities the cost may grow with (chunks, distinct NS sets, table
-//! doublings), with the entry count conspicuously absent.
+//! doublings, segments), with the entry count conspicuously absent.
+//!
+//! The apply budget is the same idea one layer down: what a 100-name
+//! delta costs to apply is a formula in the segments it rebuilds, plus
+//! one top-level row per segment of the base — the only term the zone
+//! size enters through. The counts repeat exactly, which makes this the
+//! regression gate for "O(delta) apply" that a wall-clock sweep on a
+//! shared host cannot be.
 //!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`. Counts are kept per thread, so the tests can
@@ -16,6 +24,7 @@ use darkdns::dns::wire::{
     decode_delta_push, decode_snapshot_chunk, encode_delta_push, encode_lookup_request,
     encode_snapshot_chunks, LookupQuery,
 };
+use darkdns::dns::snapshot::SEGMENT_SPAN;
 use darkdns::dns::{DomainName, NsSet, Serial, ZoneDelta, ZoneSnapshot};
 use darkdns::sim::time::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -27,6 +36,7 @@ thread_local! {
     // `const` initialiser and no destructor: touching it from inside the
     // allocator can itself never allocate.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -35,6 +45,7 @@ thread_local! {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: same layout, forwarded to the system allocator.
         unsafe { System.alloc(layout) }
     }
@@ -46,6 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + new_size as u64));
         // SAFETY: `ptr` came from this allocator with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -57,9 +69,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Run `f`, returning its result and how many allocations (fresh or
 /// growing) this thread made meanwhile.
 fn counting<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.with(Cell::get);
+    let (out, allocs, _) = measuring(f);
+    (out, allocs)
+}
+
+/// [`counting`], plus the bytes those allocations asked for.
+fn measuring<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
+    (out, ALLOCS.with(Cell::get) - before.0, BYTES.with(Cell::get) - before.1)
 }
 
 const PROVIDERS: usize = 16;
@@ -111,13 +129,25 @@ fn chunk_train_decode_and_assembly_is_per_chunk_and_per_set() {
     let chunks = train.len() as u64;
     assert!(chunks >= 4, "the train must be several chunks, got {chunks}");
 
-    let (rebuilt, allocs) = counting(|| {
-        // What `TransportClient` does with a train: decode each chunk,
-        // append its entries, assemble on the last one.
+    // What `TransportClient` does with a train: decode each chunk,
+    // append its entries, assemble on the last one.
+    let (assembled, allocs) = counting(|| {
         let mut assembled = Vec::new();
         for frame in &train {
             assembled.extend(decode_snapshot_chunk(frame).unwrap().entries);
         }
+        assembled
+    });
+    // Per chunk: the entry vector, the memo's doublings up to one slot
+    // per distinct set, and per distinct set at most two decoded copies
+    // (its first-seen spelled-out form, then the shared pointer form) of
+    // two allocations each. Plus the growing assembled vector.
+    let per_chunk = 1 + 8 + 4 * PROVIDERS as u64;
+    let budget = chunks * per_chunk + 24;
+    assert!(allocs <= budget, "{allocs} allocations for {chunks} chunks, budget {budget}");
+    assert!(allocs < ENTRIES as u64 / 10, "{allocs} allocations is per-entry territory");
+
+    let (rebuilt, allocs) = counting(|| {
         ZoneSnapshot::from_ns_entries(
             *snapshot.origin(),
             snapshot.serial(),
@@ -126,16 +156,11 @@ fn chunk_train_decode_and_assembly_is_per_chunk_and_per_set() {
         )
     });
     assert_eq!(rebuilt, snapshot);
-
-    // Per chunk: the entry vector, the memo's doublings up to one slot
-    // per distinct set, and per distinct set at most two decoded copies
-    // (its first-seen spelled-out form, then the shared pointer form) of
-    // two allocations each. Plus the assembly: the growing entry vector
-    // and the three column allocations.
-    let per_chunk = 1 + 8 + 4 * PROVIDERS as u64;
-    let budget = chunks * per_chunk + 32;
-    assert!(allocs <= budget, "{allocs} allocations for {chunks} chunks, budget {budget}");
-    assert!(allocs < ENTRIES as u64 / 10, "{allocs} allocations is per-entry territory");
+    // The assembly: one allocation per segment; per snapshot the top
+    // level's `Arc` and three columns and the builder's run buffer.
+    let segments = rebuilt.segment_lens().len() as u64;
+    assert_eq!(segments, (ENTRIES / SEGMENT_SPAN) as u64);
+    assert_eq!(allocs, segments + 5, "allocations to assemble {segments} segments");
 
     // And the point of the memo: the assembled snapshot holds a handful
     // of NS sets per chunk, not one per entry.
@@ -197,4 +222,84 @@ fn encoders_allocate_for_table_and_buffer_growth_only() {
         all[..64].iter().map(|(owner, _)| LookupQuery { tld: 0, name: *owner }).collect();
     let (_, allocs) = counting(|| encode_lookup_request(7, &queries));
     assert!(allocs <= 16, "{allocs} allocations to encode a 64-name lookup");
+}
+
+/// Apply a 100-name delta to a `size`-entry zone, once scattered
+/// uniformly through it and once appended past its last name, and check
+/// each against its budget. Returns, per shape, the allocation count and
+/// the bytes *beside* the top level's rows — the part of the cost the
+/// zone size has no way into.
+fn apply_within_budget(size: usize) -> [(u64, u64); 2] {
+    const NAMES: usize = 100;
+    let sets = providers(PROVIDERS);
+    let base = ZoneSnapshot::from_ns_entries(
+        name("com"),
+        Serial::new(1),
+        SimTime::ZERO,
+        (0..size)
+            .map(|i| (name(&format!("owner-{i:07}.com")), sets[i % PROVIDERS].clone()))
+            .collect(),
+    );
+    let step = size / NAMES;
+    // `owner-<i>x` sorts right after zone name `i`, `zz…` after them all.
+    let scattered: Vec<_> = (0..NAMES)
+        .map(|j| (name(&format!("owner-{:07}x.com", j * step + step / 2)), sets[j % PROVIDERS].clone()))
+        .collect();
+    let tail: Vec<_> = (0..NAMES)
+        .map(|j| (name(&format!("zz-nrd-{j:04}.com")), sets[j % PROVIDERS].clone()))
+        .collect();
+
+    [("scattered", scattered, NAMES), ("tail", tail, 3)].map(|(shape, added, most_rebuilt)| {
+        let delta = ZoneDelta { added, ..ZoneDelta::default() };
+        let (applied, allocs, bytes) =
+            measuring(|| delta.apply(&base, Serial::new(2), SimTime::from_secs(300)));
+        assert_eq!(applied.len(), size + NAMES);
+        let rebuilt = applied.segment_lens().len() - applied.segments_shared_with(&base);
+        assert!(
+            (1..=most_rebuilt).contains(&rebuilt),
+            "{shape} at {size}: {rebuilt} segments rebuilt"
+        );
+
+        // Per apply the top level's `Arc` and three columns and the
+        // builder's run buffer; per rebuilt segment one allocation.
+        // Exactly.
+        assert_eq!(allocs, 5 + rebuilt as u64, "{shape} at {size}");
+
+        // Bytes: the top level reserves a 43-byte row (fence, start,
+        // pointer and length) per base segment plus room for the delta's
+        // splits — the one term that grows with the zone. The rest is
+        // the run buffer, and 48 bytes per entry of a rebuilt segment
+        // (at most twice the span) with its header.
+        let top = 43 * (base.segment_lens().len() + NAMES / SEGMENT_SPAN + 2) as u64;
+        let per_segment = (2 * SEGMENT_SPAN * 48 + 64) as u64;
+        let budget = top + 8 * 1024 + rebuilt as u64 * per_segment;
+        assert!(
+            (top..=budget).contains(&bytes),
+            "{shape} at {size}: {bytes} bytes, top level {top}, budget {budget}"
+        );
+        (allocs, bytes - top)
+    })
+}
+
+#[test]
+fn a_100_name_apply_costs_the_same_at_10k_and_at_1m_beside_the_top_level() {
+    let [scattered_10k, tail_10k] = apply_within_budget(10_000);
+    let [scattered_1m, tail_1m] = apply_within_budget(1_000_000);
+    // A hundredfold zone, the same hundred segments rebuilt.
+    assert_eq!(scattered_10k.0, scattered_1m.0);
+    assert!(
+        scattered_10k.1.abs_diff(scattered_1m.1) <= scattered_10k.1 / 50,
+        "scattered: {} bytes beside the top level at 10k, {} at 1M",
+        scattered_10k.1,
+        scattered_1m.1
+    );
+    // The tail differs by how full the zone's last segment happened to
+    // be: one segment more or less.
+    assert!(tail_10k.0.abs_diff(tail_1m.0) <= 1);
+    assert!(
+        tail_10k.1.abs_diff(tail_1m.1) <= (2 * SEGMENT_SPAN * 48) as u64,
+        "tail: {} bytes beside the top level at 10k, {} at 1M",
+        tail_10k.1,
+        tail_1m.1
+    );
 }

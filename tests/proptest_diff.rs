@@ -1,10 +1,12 @@
-//! Property-based tests for the zone-diff engines, the incremental
-//! journal, the RZU grid, the CDF type and the token bucket.
+//! Property-based tests for the zone-diff engines, the segment-shared
+//! delta apply, the incremental journal, the RZU grid, the CDF type and
+//! the token bucket.
 
 use darkdns::dns::diff::{
-    HashPartitionedDiff, JournalEvent, SortedMergeDiff, ZoneDiffEngine, ZoneJournal,
+    HashPartitionedDiff, JournalEvent, NsChange, SortedMergeDiff, ZoneDiffEngine, ZoneJournal,
 };
-use darkdns::dns::{DomainName, Serial, Zone, ZoneSnapshot};
+use darkdns::dns::snapshot::SEGMENT_SPAN;
+use darkdns::dns::{DomainName, NsSet, Serial, Zone, ZoneDelta, ZoneSnapshot};
 use darkdns::dns::zone::Delegation;
 use darkdns::rdap::TokenBucket;
 use darkdns::sim::cdf::Cdf;
@@ -90,6 +92,186 @@ fn journal_between(old: &ZoneSnapshot, new: &ZoneSnapshot) -> ZoneJournal {
     journal
 }
 
+/// A zone state as the flat sorted entry list the snapshot replaced —
+/// what [`flat_apply`] works on.
+type Flat = Vec<(DomainName, NsSet)>;
+
+/// The reference `apply`: the flat two-pointer merge over whole columns
+/// that `ZoneDelta::apply` was before snapshots were cut into segments,
+/// kept as the oracle the segment-routed apply must agree with — same
+/// entries, same order, the same NS-set allocations.
+fn flat_apply(base: &Flat, delta: &ZoneDelta) -> Flat {
+    let mut out = Vec::with_capacity(base.len() + delta.added.len());
+    let mut add = delta.added.iter().peekable();
+    let mut rem = delta.removed.iter().peekable();
+    let mut chg = delta.changed.iter().peekable();
+    for (d, base_ns) in base {
+        while let Some(entry) = add.next_if(|(ad, _)| ad < d) {
+            out.push(entry.clone());
+        }
+        assert!(rem.peek().is_none_or(|(rd, _)| rd >= d), "removing absent domain");
+        assert!(chg.peek().is_none_or(|c| c.domain >= *d), "changing absent domain");
+        if rem.next_if(|(rd, _)| rd == d).is_some() {
+            if let Some(entry) = add.next_if(|(ad, _)| ad == d) {
+                out.push(entry.clone());
+            }
+            continue;
+        }
+        assert!(add.peek().is_none_or(|(ad, _)| ad != d), "adding already-present domain");
+        match chg.next_if(|c| c.domain == *d) {
+            Some(c) => {
+                assert_eq!(base_ns, &c.old_ns, "old NS mismatch");
+                out.push((*d, c.new_ns.clone()));
+            }
+            None => out.push((*d, base_ns.clone())),
+        }
+    }
+    out.extend(add.cloned());
+    assert!(rem.peek().is_none() && chg.peek().is_none(), "removing or changing absent domain");
+    out
+}
+
+fn flat_of(snapshot: &ZoneSnapshot) -> Flat {
+    snapshot.iter().map(|(d, ns)| (d, ns.clone())).collect()
+}
+
+/// Three provider sets every generated zone and delta draws from, so
+/// sharing can be checked by pointer.
+fn provider_sets() -> Vec<NsSet> {
+    (0..3).map(|p| NsSet::new(vec![ns_host(p)])).collect()
+}
+
+/// A zone of up to 1 000 names `d<i>.com` — up to ~16 segments.
+fn segmented_zone_strategy() -> impl Strategy<Value = BTreeMap<u16, u8>> {
+    prop::collection::btree_map(0u16..2000, 0u8..3, 0..=1000)
+}
+
+fn segmented_snapshot_of(state: &BTreeMap<u16, u8>, sets: &[NsSet]) -> ZoneSnapshot {
+    let entries = state
+        .iter()
+        .map(|(i, p)| (DomainName::parse(&format!("d{i:04}.com")).unwrap(), sets[*p as usize].clone()))
+        .collect();
+    ZoneSnapshot::from_ns_entries(
+        DomainName::parse("com").unwrap(),
+        Serial::new(0),
+        SimTime::ZERO,
+        entries,
+    )
+}
+
+struct XorShift(u64);
+
+impl XorShift {
+    fn below(&mut self, bound: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % bound as u64) as usize
+    }
+}
+
+/// A random canonical delta valid against `state`: a few dozen point
+/// edits anywhere in `d0000…d1999`, plus one of the shapes the segment
+/// bookkeeping has to survive — a block before the first key, a block
+/// after the last, a run of removals long enough to empty whole
+/// segments, a block between two neighbours big enough to split one
+/// several times, or NS changes and nothing else. A name the state
+/// already holds is removed (or re-pointed), one it lacks is added, so
+/// the same generator drives a chain.
+fn random_delta(state: &Flat, sets: &[NsSet], rng: &mut XorShift) -> ZoneDelta {
+    enum Edit {
+        Add(NsSet),
+        Remove,
+        Change(NsSet),
+    }
+    let held = |d: &DomainName| {
+        state.binary_search_by(|entry| entry.0.cmp(d)).ok().map(|at| &state[at].1)
+    };
+    let other_than = |ns: &NsSet, rng: &mut XorShift| {
+        let at = sets.iter().position(|s| s.ptr_eq(ns)).expect("a provider set");
+        sets[(at + 1 + rng.below(sets.len() - 1)) % sets.len()].clone()
+    };
+    let mut edits: BTreeMap<DomainName, Edit> = BTreeMap::new();
+    let mut toggle = |text: String, rng: &mut XorShift| {
+        let d = DomainName::parse(&text).unwrap();
+        let edit = match held(&d) {
+            Some(_) => Edit::Remove,
+            None => Edit::Add(sets[rng.below(sets.len())].clone()),
+        };
+        edits.insert(d, edit);
+    };
+    for _ in 0..rng.below(40) {
+        toggle(format!("d{:04}.com", rng.below(2000)), rng);
+    }
+    match rng.below(6) {
+        0 => {}
+        1 => (0..rng.below(200)).for_each(|j| toggle(format!("a{j:03}.com"), rng)),
+        2 => (0..rng.below(200)).for_each(|j| toggle(format!("z{j:03}.com"), rng)),
+        3 if !state.is_empty() => {
+            let start = rng.below(state.len());
+            let run = SEGMENT_SPAN + rng.below(200);
+            for (d, _) in state.iter().skip(start).take(run) {
+                edits.insert(*d, Edit::Remove);
+            }
+        }
+        4 => {
+            // `d<i>-<j>` sorts between `d<i-1>` and `d<i>`.
+            let i = rng.below(2000);
+            (0..rng.below(200)).for_each(|j| toggle(format!("d{i:04}-{j:03}.com"), rng));
+        }
+        _ => {
+            edits.clear();
+            for _ in 0..rng.below(100).min(state.len()) {
+                let (d, ns) = &state[rng.below(state.len())];
+                edits.insert(*d, Edit::Change(other_than(ns, rng)));
+            }
+        }
+    }
+    let mut delta = ZoneDelta::default();
+    for (domain, edit) in edits {
+        let old = held(&domain).cloned();
+        match edit {
+            Edit::Add(ns) => delta.added.push((domain, ns)),
+            Edit::Remove => delta.removed.push((domain, old.expect("removing a held name"))),
+            Edit::Change(new_ns) => delta.changed.push(NsChange {
+                domain,
+                old_ns: old.expect("changing a held name"),
+                new_ns,
+            }),
+        }
+    }
+    delta
+}
+
+/// `snapshot` holds exactly `flat` — same order, same NS allocations —
+/// its segments are within their span bounds, and positions agree with
+/// the flat list.
+fn check_against_flat(snapshot: &ZoneSnapshot, flat: &Flat) -> Result<(), TestCaseError> {
+    prop_assert_eq!(snapshot.len(), flat.len());
+    for ((d, ns), (fd, fns)) in snapshot.iter().zip(flat) {
+        prop_assert_eq!(d, *fd);
+        prop_assert!(ns.ptr_eq(fns), "NS set of {} is a copy, not the oracle's allocation", d);
+    }
+    let lens: Vec<usize> = snapshot.segment_lens().collect();
+    prop_assert_eq!(lens.iter().sum::<usize>(), flat.len());
+    prop_assert!(lens.iter().all(|&n| (1..=2 * SEGMENT_SPAN).contains(&n)), "spans {:?}", lens);
+    let but_last = &lens[..lens.len().saturating_sub(1)];
+    prop_assert!(but_last.iter().all(|&n| n >= SEGMENT_SPAN / 2), "spans {:?}", lens);
+    // Positional access lands on the same entry at every segment edge.
+    let (domains, ns) = (snapshot.domain_column(), snapshot.ns_column());
+    let mut at = 0;
+    for n in lens {
+        for i in [at, at + n - 1] {
+            prop_assert_eq!(domains[i], flat[i].0);
+            prop_assert!(ns[i].ptr_eq(&flat[i].1));
+            prop_assert_eq!(snapshot.entries_from(i).len(), flat.len() - i);
+            prop_assert_eq!(snapshot.entries_from(i).next().map(|(d, _)| *d), Some(flat[i].0));
+        }
+        at += n;
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn diff_engines_agree(old in zone_state_strategy(), new in zone_state_strategy()) {
@@ -131,6 +313,50 @@ proptest! {
         let delta = SortedMergeDiff.diff(&a, &b);
         let rebuilt = delta.apply(&a, b.serial(), b.taken_at());
         prop_assert_eq!(rebuilt, b);
+    }
+
+    #[test]
+    fn segment_routed_apply_equals_the_flat_reference(
+        zone in segmented_zone_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let sets = provider_sets();
+        let base = segmented_snapshot_of(&zone, &sets);
+        let flat = flat_of(&base);
+        let mut rng = XorShift(seed | 1);
+        for _ in 0..4 {
+            let delta = random_delta(&flat, &sets, &mut rng);
+            let applied = delta.apply(&base, Serial::new(1), SimTime::from_secs(1));
+            check_against_flat(&applied, &flat_apply(&flat, &delta))?;
+            // The base is untouched, and what the delta left alone is shared.
+            check_against_flat(&base, &flat)?;
+            if delta.is_empty() {
+                prop_assert_eq!(applied.segments_shared_with(&base), base.segment_lens().len());
+            }
+            // And the engines read the new cuts like any others.
+            prop_assert_eq!(&SortedMergeDiff.diff(&base, &applied), &delta);
+            prop_assert_eq!(&HashPartitionedDiff::new(4).diff(&base, &applied), &delta);
+        }
+    }
+
+    #[test]
+    fn a_chain_of_200_applies_keeps_segments_bounded_and_positions_true(
+        zone in segmented_zone_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let sets = provider_sets();
+        let mut head = segmented_snapshot_of(&zone, &sets);
+        let mut flat = flat_of(&head);
+        let mut rng = XorShift(seed | 1);
+        for serial in 1..=200u32 {
+            let delta = random_delta(&flat, &sets, &mut rng);
+            head = delta.apply(&head, Serial::new(serial), SimTime::from_secs(u64::from(serial)));
+            flat = flat_apply(&flat, &delta);
+            check_against_flat(&head, &flat)?;
+        }
+        // However the cuts drifted, the content is what a fresh build holds.
+        let fresh = ZoneSnapshot::from_ns_entries(*head.origin(), head.serial(), head.taken_at(), flat);
+        prop_assert_eq!(&head, &fresh);
     }
 
     #[test]
