@@ -56,7 +56,7 @@ use darkdns_broker::{
     TransportConfig,
 };
 use darkdns_core::broker_view::{BrokerZoneView, RemoteZoneView};
-use darkdns_dns::wire::{encode_delta_push, encode_hello, TldClaim};
+use darkdns_dns::wire::{encode_delta_push, encode_hello, HelloFrame, TldClaim};
 use darkdns_dns::{decode_delta_push, DomainName, NsSet, Serial, ZoneDelta, ZoneSnapshot};
 use darkdns_dns::diff::NsChange;
 use darkdns_registry::tld::TldId;
@@ -716,7 +716,10 @@ fn fanout_client_fleet() {
     let _ = mio_shim::raise_nofile_limit(n as u64 + 64);
 
     let epoll = Epoll::new().expect("epoll");
-    let hello_payload = encode_hello(&[TldClaim { tld: 0, from_serial: Some(Serial::new(0)) }]);
+    let hello_payload = encode_hello(&HelloFrame {
+        claims: vec![TldClaim { tld: 0, from_serial: Some(Serial::new(0)) }],
+        ..Default::default()
+    });
     let mut hello = (hello_payload.len() as u32).to_be_bytes().to_vec();
     hello.extend_from_slice(&hello_payload);
 

@@ -188,7 +188,7 @@ struct QueuedMessage {
 /// Cross-thread readiness callback a reactor installs on a subscription
 /// ([`BrokerSubscription::set_waker`]): invoked on every enqueue and on
 /// eviction.
-pub type SubWaker = Arc<dyn Fn() + Send + Sync>;
+type SubWaker = Arc<dyn Fn() + Send + Sync>;
 
 /// Queue state shared between the broker and one subscription handle.
 struct SubShared {

@@ -22,9 +22,10 @@
 //!   catch-up plan and a live bounded buffer; `publish` seals each delta
 //!   into a wire frame **once** ([`darkdns_dns::wire::encode_delta_push`])
 //!   and fans the refcount-shared bytes out to every subscriber. Slow
-//!   subscribers lag (counted) or are evicted, per policy — replacing the
-//!   unbounded in-process `Topic` semantics. Per-shard accounting comes
-//!   back as one [`broker::ShardStats`] struct per TLD.
+//!   subscribers lag (counted) or are evicted, per [`OverflowPolicy`] —
+//!   the policy `darkdns-core`'s in-process `Topic` bounds its
+//!   subscribers with too. Per-shard accounting comes back as one
+//!   [`broker::ShardStats`] struct per TLD.
 //! * [`pool::PublishPool`] — fans independent-TLD publish batches across
 //!   scoped worker threads (the `HashPartitionedDiff` shape); with
 //!   per-shard locking this scales publishing with shard count when
@@ -234,7 +235,7 @@
 //!
 //! Rule 3 is why checkpoints exist: without them, a subscriber that
 //! sleeps past the retention horizon could never recover, and retention
-//! would have to be unbounded (the `Topic` footgun, at zone scale).
+//! would have to be unbounded (an OOM with extra steps, at zone scale).
 
 pub mod broker;
 pub mod feed;

@@ -265,7 +265,7 @@ mod imp {
         hops
     }
 
-    pub fn acquire_at(
+    pub(super) fn acquire_at(
         class: &'static LockClass,
         site: &'static Location<'static>,
     ) -> Held {
@@ -356,7 +356,7 @@ mod imp {
     pub struct Held;
 
     #[inline(always)]
-    pub fn acquire_at(_class: &'static LockClass, _site: &'static Location<'static>) -> Held {
+    pub(super) fn acquire_at(_class: &'static LockClass, _site: &'static Location<'static>) -> Held {
         Held
     }
 

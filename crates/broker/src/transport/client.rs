@@ -15,7 +15,7 @@ use super::frame::{FrameConn, TransportError};
 use bytes::Bytes;
 use darkdns_dns::wire::{
     decode_delta_envelope, decode_snapshot_chunk, decode_snapshot_push, decode_stats_report,
-    encode_hello_scoped, encode_stats_query, is_evict_notice, DeltaPush, HelloScope,
+    encode_hello, encode_stats_query, is_evict_notice, DeltaPush, HelloFrame, HelloScope,
     SnapshotChunk, SnapshotResume, StatsReport, TldClaim, DELTA_ENVELOPE_MAGIC,
     EVICT_NOTICE_MAGIC, SNAPSHOT_CHUNK_MAGIC, SNAPSHOT_PUSH_MAGIC, WireError,
 };
@@ -76,7 +76,7 @@ impl SnapshotProgress {
     }
 
     /// The HELLO resume claim this progress corresponds to.
-    pub fn resume_claim(&self) -> SnapshotResume {
+    fn resume_claim(&self) -> SnapshotResume {
         SnapshotResume { serial: self.serial, entries: self.entries.len() as u32 }
     }
 }
@@ -96,58 +96,42 @@ impl TransportClient {
         conn: impl FrameConn + 'static,
         claims: &[(TldId, Option<Serial>)],
     ) -> Result<Self, TransportError> {
-        Self::connect_resuming(conn, claims, Vec::new())
+        Self::connect_salvaged(conn, claims, &mut Vec::new(), HelloScope::Full)
     }
 
     /// [`TransportClient::connect`], additionally carrying mid-snapshot
     /// progress salvaged from a previous connection
-    /// ([`TransportClient::take_snapshot_progress`]). The HELLO then
-    /// asks the server to resume each partial bootstrap at its last
-    /// received chunk boundary; if the server's checkpoint has moved on
-    /// it restarts the sequence at offset 0 and the stale partial is
-    /// discarded on arrival of that first chunk.
-    pub fn connect_resuming(
-        conn: impl FrameConn + 'static,
-        claims: &[(TldId, Option<Serial>)],
-        partials: Vec<SnapshotProgress>,
-    ) -> Result<Self, TransportError> {
-        Self::connect_scoped(conn, claims, partials, HelloScope::Full)
-    }
-
-    /// [`TransportClient::connect_resuming`] with an explicit
-    /// subscription scope. [`HelloScope::DeltaOnly`] asks the server for
-    /// a partial subscription: live deltas and ring-covered replay only,
-    /// never a snapshot bootstrap — a claim beyond delta repair starts
-    /// the stream at the server's live head.
-    pub fn connect_scoped(
-        conn: impl FrameConn + 'static,
-        claims: &[(TldId, Option<Serial>)],
-        mut partials: Vec<SnapshotProgress>,
-        scope: HelloScope,
-    ) -> Result<Self, TransportError> {
-        Self::connect_salvaged(conn, claims, &mut partials, scope)
-    }
-
-    /// [`TransportClient::connect_scoped`] for a caller that must keep
-    /// the salvaged progress when the dial dies: `partials` is emptied
-    /// into the new client only once the HELLO carrying its resume
-    /// claims is on the wire. A connection that accepts the dial and
-    /// fails the write leaves `partials` untouched, so the next
-    /// candidate still resumes the chunk train instead of restarting it
-    /// from entry 0.
+    /// ([`TransportClient::take_snapshot_progress`]) and an explicit
+    /// subscription scope. The HELLO asks the server to resume each
+    /// partial bootstrap at its last received chunk boundary; if the
+    /// server's checkpoint has moved on it restarts the sequence at
+    /// offset 0 and the stale partial is discarded on arrival of that
+    /// first chunk. [`HelloScope::DeltaOnly`] asks for a partial
+    /// subscription: live deltas and ring-covered replay only, never a
+    /// snapshot bootstrap — a claim beyond delta repair starts the
+    /// stream at the server's live head.
+    ///
+    /// The caller keeps the salvaged progress when the dial dies:
+    /// `partials` is emptied into the new client only once the HELLO
+    /// carrying its resume claims is on the wire. A connection that
+    /// accepts the dial and fails the write leaves `partials` untouched,
+    /// so the next candidate still resumes the chunk train instead of
+    /// restarting it from entry 0.
     pub fn connect_salvaged(
         mut conn: impl FrameConn + 'static,
         claims: &[(TldId, Option<Serial>)],
         partials: &mut Vec<SnapshotProgress>,
         scope: HelloScope,
     ) -> Result<Self, TransportError> {
-        let wire: Vec<TldClaim> = claims
-            .iter()
-            .map(|&(tld, from_serial)| TldClaim { tld: tld.0, from_serial })
-            .collect();
-        let resume: Vec<(u16, SnapshotResume)> =
-            partials.iter().map(|p| (p.tld.0, p.resume_claim())).collect();
-        conn.send_frame(&[&encode_hello_scoped(&wire, &resume, scope)])?;
+        let hello = HelloFrame {
+            claims: claims
+                .iter()
+                .map(|&(tld, from_serial)| TldClaim { tld: tld.0, from_serial })
+                .collect(),
+            resume: partials.iter().map(|p| (p.tld.0, p.resume_claim())).collect(),
+            scope,
+        };
+        conn.send_frame(&[&encode_hello(&hello)])?;
         Ok(TransportClient {
             conn: Box::new(conn),
             claims: claims.to_vec(),
@@ -169,7 +153,7 @@ impl TransportClient {
     }
 
     /// Extract any in-flight chunked-bootstrap progress, for
-    /// transplanting into [`TransportClient::connect_resuming`] on the
+    /// transplanting into [`TransportClient::connect_salvaged`] on the
     /// next dial. Leaves this (dead) client with no partial state.
     pub fn take_snapshot_progress(&mut self) -> Vec<SnapshotProgress> {
         std::mem::take(&mut self.partials)
@@ -379,15 +363,16 @@ pub fn fetch_stats_deadline(
 ) -> Result<StatsReport, TransportError> {
     conn.send_frame(&[&encode_stats_query()])?;
     let deadline = std::time::Instant::now() + deadline;
-    loop {
-        let frame = match conn.recv_frame() {
-            Ok(frame) => frame,
-            Err(TransportError::TimedOut) if std::time::Instant::now() < deadline => continue,
+    // The deadline is checked once per turn, whatever the turn brought:
+    // a peer that answers with heartbeats for ever must not outlast it
+    // any more than a silent one.
+    while std::time::Instant::now() < deadline {
+        match conn.recv_frame() {
+            Ok(frame) if frame.is_empty() => {} // heartbeat; the report is still coming
+            Ok(frame) => return Ok(decode_stats_report(&frame)?),
+            Err(TransportError::TimedOut) => {}
             Err(e) => return Err(e),
-        };
-        if frame.is_empty() {
-            continue; // heartbeat; the report is still coming
         }
-        return Ok(decode_stats_report(&frame)?);
     }
+    Err(TransportError::TimedOut)
 }

@@ -45,7 +45,7 @@ pub const BACKOFF_CEIL: Duration = Duration::from_secs(2);
 const PROBE_DEADLINE: Duration = Duration::from_millis(400);
 
 /// Per-TLD serial claims, as a HELLO carries them.
-pub type Claims = [(TldId, Option<Serial>)];
+type Claims = [(TldId, Option<Serial>)];
 
 #[derive(Debug, Clone, Default)]
 struct ReplicaHealth {
@@ -175,7 +175,7 @@ impl ReplicaSet {
 
     /// [`ReplicaSet::failed`] for a dial, handshake or probe that did
     /// not complete — the "replica unreachable" failover reason.
-    pub fn dial_failed(&mut self, at: usize, now: Instant) {
+    fn dial_failed(&mut self, at: usize, now: Instant) {
         self.dial_failures += 1;
         self.failed(at, now);
     }

@@ -29,7 +29,7 @@ use std::io::{ErrorKind, IoSlice, Write};
 
 /// Most frames one vectored write carries. Bounds the latency of the
 /// frame behind a long run and the `IoSlice` gather array.
-pub const MAX_COALESCE: usize = 32;
+const MAX_COALESCE: usize = 32;
 
 /// Frame-count capacity of one connection's ring.
 pub const MAX_RING_FRAMES: usize = 32;
@@ -37,7 +37,7 @@ pub const MAX_RING_FRAMES: usize = 32;
 /// Unsent-byte capacity of one connection's ring. A frame already
 /// accepted by the ring is never refused mid-flush; the cap gates new
 /// admissions ([`OutRing::has_room`]).
-pub const MAX_RING_BYTES: usize = 4 << 20;
+const MAX_RING_BYTES: usize = 4 << 20;
 
 /// What a ring frame was, replayed to the caller when the frame's last
 /// byte reaches the stream so counters and claims advance exactly once,

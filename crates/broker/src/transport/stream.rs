@@ -33,7 +33,7 @@ use crate::broker::{BrokerMessage, BrokerSubscription, SubscribeMode, Subscriber
 use crate::lockdep::{self, TrackedMutex};
 use bytes::Bytes;
 use darkdns_dns::wire::{
-    decode_hello_frame, delta_envelope_header, encode_evict_notice, encode_snapshot_chunks,
+    decode_hello, delta_envelope_header, encode_evict_notice, encode_snapshot_chunks,
     encode_stats_report, is_stats_query, peek_delta_push_serials, peek_snapshot_chunk_offset,
     HelloScope, SnapshotResume,
 };
@@ -275,7 +275,7 @@ impl SubscriberStream {
             conn.close_after_flush(CloseWhy::Quiet);
             return conn.reply(encode_stats_report(&build_stats_report(&self.inner)));
         }
-        let Ok(hello) = decode_hello_frame(&frame) else {
+        let Ok(hello) = decode_hello(&frame) else {
             return Some(CloseWhy::Rejected);
         };
         let wire_claims = hello.claims;

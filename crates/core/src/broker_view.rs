@@ -76,7 +76,7 @@ impl BrokerZoneView {
     }
 
     /// A view with no broker subscription, fed by a transport driver.
-    pub fn detached(tlds: &[TldId]) -> Self {
+    fn detached(tlds: &[TldId]) -> Self {
         BrokerZoneView {
             sub: None,
             tlds: tlds.to_vec(),
@@ -92,7 +92,7 @@ impl BrokerZoneView {
 
     /// Adopt `snapshot` as `tld`'s state (a bootstrap or rule-3
     /// catch-up). Always succeeds: a snapshot is self-contained.
-    pub fn ingest_snapshot(&mut self, tld: TldId, snapshot: ZoneSnapshot) {
+    fn ingest_snapshot(&mut self, tld: TldId, snapshot: ZoneSnapshot) {
         self.states.insert(tld, snapshot);
         self.snapshots_adopted += 1;
     }
@@ -102,7 +102,7 @@ impl BrokerZoneView {
     /// not chain (no bootstrap yet, a missed frame, or a duplicate
     /// delivery): a non-chaining delta is **never** applied, which is
     /// the no-double-apply guarantee the transport reconnect relies on.
-    pub fn ingest_delta(&mut self, tld: TldId, push: &DeltaPush) -> bool {
+    fn ingest_delta(&mut self, tld: TldId, push: &DeltaPush) -> bool {
         let Some(state) = self.states.get_mut(&tld) else {
             // Delta before any snapshot for this TLD: only possible
             // after losing the bootstrap.
@@ -205,7 +205,7 @@ impl BrokerZoneView {
     /// invoke this only once the replacement subscription/connection is
     /// actually established, so a failed reconnect attempt is never
     /// counted as a heal.
-    pub fn note_resynced(&mut self) {
+    fn note_resynced(&mut self) {
         self.resyncs += 1;
         self.lost_sync = false;
     }
@@ -572,7 +572,7 @@ impl<E> EndpointMap<E> {
     }
 
     /// Index of the route serving `tld`, if any.
-    pub fn route_for(&self, tld: TldId) -> Option<usize> {
+    fn route_for(&self, tld: TldId) -> Option<usize> {
         self.routes.iter().position(|r| r.tlds.contains(&tld))
     }
 
@@ -828,11 +828,6 @@ where
     /// True while every route has an established connection.
     pub fn is_connected(&self) -> bool {
         self.links.iter().all(UpstreamLink::is_connected)
-    }
-
-    /// The routing table this view was built over.
-    pub fn endpoint_map(&self) -> &EndpointMap<E> {
-        &self.map
     }
 
     /// The underlying view.

@@ -54,14 +54,6 @@ impl ExperimentConfig {
         cfg
     }
 
-    /// Heavier run for bench binaries (still scaled; the full-magnitude
-    /// run would generate ~23M records).
-    pub fn bench(seed: u64) -> Self {
-        let mut cfg = Self::paper(seed);
-        cfg.workload.scale = 0.02;
-        cfg
-    }
-
     pub fn window_days(&self) -> u64 {
         self.workload.window_days
     }

@@ -77,11 +77,6 @@ impl<'a, M: ZoneMembership> Detector<'a, M> {
         &mut self.membership
     }
 
-    /// Hand the zone view back (e.g. to the monitor stage).
-    pub fn into_membership(self) -> M {
-        self.membership
-    }
-
     /// Process one certstream entry, returning any new NRD candidates.
     /// The zone view is advanced to the entry's timestamp first, so
     /// membership answers are as fresh as the backend can be at that

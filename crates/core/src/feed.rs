@@ -35,7 +35,7 @@ static TOPIC_SUBS: LockClass = LockClass::new("core.topic_subs", 80);
 pub use darkdns_broker::OverflowPolicy;
 
 /// Default per-subscriber channel capacity.
-pub const DEFAULT_TOPIC_CAPACITY: usize = 4096;
+const DEFAULT_TOPIC_CAPACITY: usize = 4096;
 
 struct TopicSubscriber<T> {
     tx: Sender<T>,

@@ -62,7 +62,6 @@ pub mod membership;
 pub mod monitor;
 pub mod report;
 pub mod rzu_ablation;
-pub mod streaming;
 pub mod transient;
 pub mod validate;
 

@@ -91,11 +91,6 @@ pub struct SyncState {
 }
 
 impl SyncState {
-    /// A backend that can never desynchronise (oracle, direct view).
-    pub fn always_ready(tlds: usize) -> Self {
-        SyncState { health: SyncHealth::Ready, tlds_ready: tlds, tlds_total: tlds, resyncs: 0 }
-    }
-
     pub fn is_ready(&self) -> bool {
         self.health == SyncHealth::Ready
     }

@@ -18,7 +18,7 @@ use rand::Rng;
 use serde::Serialize;
 
 /// Maximum DV-token cache age (CA/Browser Forum baseline requirements).
-pub const DV_TOKEN_MAX_AGE_DAYS: u64 = 398;
+const DV_TOKEN_MAX_AGE_DAYS: u64 = 398;
 
 /// One CA's issuance profile.
 #[derive(Debug, Clone, Serialize)]

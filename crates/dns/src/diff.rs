@@ -81,16 +81,6 @@ impl ZoneDelta {
         self.added.len() + self.removed.len() + self.changed.len()
     }
 
-    /// Domains that are new in the target state — the "newly registered
-    /// domains per zone diff" population of Table 1's `Zone NRD` column.
-    pub fn added_domains(&self) -> impl Iterator<Item = &DomainName> {
-        self.added.iter().map(|(d, _)| d)
-    }
-
-    pub fn removed_domains(&self) -> impl Iterator<Item = &DomainName> {
-        self.removed.iter().map(|(d, _)| d)
-    }
-
     /// Apply this delta to `base`, producing the target snapshot (with the
     /// given serial/time metadata). Used by the RZU subscriber to maintain
     /// a live zone copy, and by tests to verify `apply(diff(a,b), a) == b`.

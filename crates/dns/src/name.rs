@@ -33,7 +33,7 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 /// Maximum name length stored inline (without interning).
@@ -98,8 +98,6 @@ pub struct NameTable {
     chunks: [AtomicPtr<AtomicPtr<&'static str>>; MAX_CHUNKS],
     /// Number of interned names (ids are `0..len`).
     len: AtomicU32,
-    /// Total bytes of interned string payload (stats only).
-    bytes: AtomicU64,
 }
 
 impl NameTable {
@@ -110,7 +108,6 @@ impl NameTable {
             map: RwLock::new(std::collections::HashMap::default()),
             chunks: [const { AtomicPtr::new(std::ptr::null_mut()) }; MAX_CHUNKS],
             len: AtomicU32::new(0),
-            bytes: AtomicU64::new(0),
         })
     }
 
@@ -121,11 +118,6 @@ impl NameTable {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total payload bytes held by the interner.
-    pub fn interned_bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed) as usize
     }
 
     /// Intern `s` (already validated, canonical lowercase), returning its id.
@@ -162,7 +154,6 @@ impl NameTable {
         // in range; all writers are serialized by the map mutex.
         unsafe { &*chunk.add(slot_idx) }.store(cell, Ordering::Release);
         map.insert(leaked, id);
-        self.bytes.fetch_add(s.len() as u64, Ordering::Relaxed);
         self.len.store(id + 1, Ordering::Release);
         id
     }

@@ -84,7 +84,8 @@ pub enum WireError {
     TrailingBytes(usize),
     /// A delta-push frame did not start with the `RZU1` magic.
     BadMagic,
-    /// A lookup answer row carried flag bits outside the defined set.
+    /// A flags byte outside the defined set: lookup answer or snapshot
+    /// chunk flag bits, or a HELLO scope this build does not know.
     BadFlags(u8),
     /// A snapshot continuation chunk's `(offset, count, total)` bounds
     /// are inconsistent (out of range, or the last-chunk flag disagrees
@@ -108,7 +109,7 @@ impl fmt::Display for WireError {
             }
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
             WireError::BadMagic => write!(f, "not an RZU1 delta-push frame"),
-            WireError::BadFlags(b) => write!(f, "unknown lookup answer flags {b:#04x}"),
+            WireError::BadFlags(b) => write!(f, "unknown flags byte {b:#04x}"),
             WireError::BadChunk { offset, count, total } => {
                 write!(f, "snapshot chunk bounds {offset}+{count} inconsistent with total {total}")
             }
@@ -533,6 +534,28 @@ impl<'a> Decoder<'a> {
         Ok(entries)
     }
 
+    /// Decode `count` claim rows — shared by the HELLO and the `RZUQ`
+    /// subscriber rows, and the one place a peer-chosen claim count is
+    /// checked: each row is exactly [`CLAIM_LEN`] bytes, so a count the
+    /// remaining buffer cannot hold is a truncation, caught before the
+    /// allocation is sized from it.
+    fn decode_claims(&mut self, count: usize) -> Result<Vec<TldClaim>, WireError> {
+        if count.checked_mul(CLAIM_LEN).is_none_or(|need| need > self.remaining()) {
+            return Err(WireError::Truncated);
+        }
+        let mut claims = Vec::with_capacity(count);
+        for _ in 0..count {
+            let tld = self.u16()?;
+            let has_serial = self.u8()?;
+            let serial = self.u32()?;
+            claims.push(TldClaim {
+                tld,
+                from_serial: (has_serial != 0).then(|| Serial::new(serial)),
+            });
+        }
+        Ok(claims)
+    }
+
     #[allow(clippy::type_complexity)]
     fn header(&mut self) -> Result<(Header, (u16, u16, u16, u16)), WireError> {
         let id = self.u16()?;
@@ -868,58 +891,21 @@ pub struct TldClaim {
     pub from_serial: Option<Serial>,
 }
 
-/// Encode a subscriber HELLO from per-TLD serial claims.
-///
-/// Layout: `"RZUH"`, `u16` claim count, then per claim `u16` TLD,
-/// `u8` has-serial flag, `u32` serial (zero when absent).
-pub fn encode_hello(claims: &[TldClaim]) -> Bytes {
+/// Bytes per encoded [`TldClaim`] row, in the HELLO and in the `RZUQ`
+/// subscriber rows alike.
+const CLAIM_LEN: usize = 7;
+
+/// Append a `u16` claim count and its rows: per claim `u16` TLD, `u8`
+/// has-serial flag, `u32` serial (zero when absent). The one writer of
+/// the claim row; [`Decoder::decode_claims`] is its one reader.
+fn put_claims(buf: &mut BytesMut, claims: &[TldClaim]) {
     debug_assert!(claims.len() <= u16::MAX as usize);
-    let mut buf = BytesMut::with_capacity(6 + claims.len() * 7);
-    buf.put_slice(HELLO_MAGIC);
     buf.put_u16(claims.len() as u16);
     for claim in claims {
         buf.put_u16(claim.tld);
-        match claim.from_serial {
-            Some(s) => {
-                buf.put_u8(1);
-                buf.put_u32(s.get());
-            }
-            None => {
-                buf.put_u8(0);
-                buf.put_u32(0);
-            }
-        }
+        buf.put_u8(claim.from_serial.is_some() as u8);
+        buf.put_u32(claim.from_serial.map_or(0, Serial::get));
     }
-    buf.freeze()
-}
-
-/// Decode a HELLO produced by [`encode_hello`]. The entire buffer must be
-/// consumed. The claim count is untrusted but bounded by construction:
-/// each claim is exactly 7 bytes, so a count the remaining buffer cannot
-/// hold is a truncation, caught before any allocation is sized from it.
-pub fn decode_hello(bytes: &[u8]) -> Result<Vec<TldClaim>, WireError> {
-    let mut dec = Decoder::new(bytes);
-    if dec.take(4)? != HELLO_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let count = dec.u16()? as usize;
-    if count.checked_mul(7).is_none_or(|need| need > dec.remaining()) {
-        return Err(WireError::Truncated);
-    }
-    let mut claims = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tld = dec.u16()?;
-        let has_serial = dec.u8()?;
-        let serial = dec.u32()?;
-        claims.push(TldClaim {
-            tld,
-            from_serial: (has_serial != 0).then(|| Serial::new(serial)),
-        });
-    }
-    if dec.pos != bytes.len() {
-        return Err(WireError::TrailingBytes(bytes.len() - dec.pos));
-    }
-    Ok(claims)
 }
 
 /// A subscriber's mid-snapshot progress claim: it holds the first
@@ -968,15 +954,18 @@ impl HelloScope {
         match byte {
             0 => Ok(HelloScope::Full),
             1 => Ok(HelloScope::DeltaOnly),
-            _ => Err(WireError::BadMagic),
+            // Not a wrong-protocol peer (the magic matched): a scope this
+            // build does not know, most likely from a newer one.
+            other => Err(WireError::BadFlags(other)),
         }
     }
 }
 
-/// A decoded HELLO: the per-TLD serial claims plus any mid-snapshot
-/// resume claims appended by a subscriber that was cut during a chunked
+/// A HELLO: the per-TLD serial claims plus any mid-snapshot resume
+/// claims appended by a subscriber that was cut during a chunked
 /// bootstrap, plus the subscription scope (absent on legacy frames,
-/// defaulting to [`HelloScope::Full`]).
+/// defaulting to [`HelloScope::Full`]). A claims-only sender writes
+/// `HelloFrame { claims, ..Default::default() }`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HelloFrame {
     pub claims: Vec<TldClaim>,
@@ -984,49 +973,27 @@ pub struct HelloFrame {
     pub scope: HelloScope,
 }
 
-/// Encode a HELLO with optional mid-snapshot resume claims.
+/// Encode a subscriber HELLO.
 ///
-/// With `resume` empty this emits byte-for-byte the legacy
-/// [`encode_hello`] layout. Otherwise the claim section is followed by a
-/// `u16` resume count and per row `u16` TLD, `u32` snapshot serial,
-/// `u32` entries-received (10 bytes each).
-pub fn encode_hello_frame(claims: &[TldClaim], resume: &[(u16, SnapshotResume)]) -> Bytes {
-    encode_hello_scoped(claims, resume, HelloScope::Full)
-}
-
-/// Encode a HELLO with resume claims and an explicit subscription scope.
-///
-/// With the default [`HelloScope::Full`] scope the scope section is
-/// omitted entirely, so the output is byte-identical to
-/// [`encode_hello_frame`] (and, with `resume` also empty, to the legacy
-/// [`encode_hello`] layout). A non-default scope appends the resume
-/// section unconditionally (count 0 if empty) followed by one scope
-/// byte — old decoders reject the frame rather than silently serving a
-/// full bootstrap to a delta-only subscriber.
-pub fn encode_hello_scoped(
-    claims: &[TldClaim],
-    resume: &[(u16, SnapshotResume)],
-    scope: HelloScope,
-) -> Bytes {
-    debug_assert!(claims.len() <= u16::MAX as usize);
+/// Layout: `"RZUH"`, the claims (`u16` count, then per claim `u16` TLD,
+/// `u8` has-serial flag, `u32` serial — zero when absent), then two
+/// optional sections. The resume section is a `u16` count and per row
+/// `u16` TLD, `u32` snapshot serial, `u32` entries-received (10 bytes
+/// each); the scope section is one byte. With `resume` empty and the
+/// default [`HelloScope::Full`] both are omitted and the frame is the
+/// legacy claims-only layout, byte for byte. A non-default scope appends
+/// the resume section unconditionally (count 0 if empty) so the scope
+/// byte is unambiguous — a decoder that predates scopes rejects the
+/// frame rather than silently serving a full bootstrap to a delta-only
+/// subscriber.
+pub fn encode_hello(hello: &HelloFrame) -> Bytes {
+    let HelloFrame { claims, resume, scope } = hello;
     debug_assert!(resume.len() <= u16::MAX as usize);
-    let mut buf = BytesMut::with_capacity(6 + claims.len() * 7 + 2 + resume.len() * 10 + 1);
+    let mut buf =
+        BytesMut::with_capacity(6 + claims.len() * CLAIM_LEN + 2 + resume.len() * 10 + 1);
     buf.put_slice(HELLO_MAGIC);
-    buf.put_u16(claims.len() as u16);
-    for claim in claims {
-        buf.put_u16(claim.tld);
-        match claim.from_serial {
-            Some(s) => {
-                buf.put_u8(1);
-                buf.put_u32(s.get());
-            }
-            None => {
-                buf.put_u8(0);
-                buf.put_u32(0);
-            }
-        }
-    }
-    if !resume.is_empty() || scope != HelloScope::Full {
+    put_claims(&mut buf, claims);
+    if !resume.is_empty() || *scope != HelloScope::Full {
         buf.put_u16(resume.len() as u16);
         for &(tld, r) in resume {
             buf.put_u16(tld);
@@ -1034,37 +1001,24 @@ pub fn encode_hello_scoped(
             buf.put_u32(r.entries);
         }
     }
-    if scope != HelloScope::Full {
+    if *scope != HelloScope::Full {
         buf.put_u8(scope.to_wire());
     }
     buf.freeze()
 }
 
-/// Decode a HELLO, accepting the legacy layout (claims only — the
-/// resume and scope sections are simply absent), the resume-extended
-/// layout of [`encode_hello_frame`], and the scoped layout of
-/// [`encode_hello_scoped`]. All counts are untrusted and bounded before
-/// any allocation is sized from them; an unknown scope byte is
-/// rejected, and the entire buffer must be consumed.
-pub fn decode_hello_frame(bytes: &[u8]) -> Result<HelloFrame, WireError> {
+/// Decode a HELLO produced by [`encode_hello`]: the legacy layout
+/// (claims only — the resume and scope sections are simply absent), the
+/// resume-extended layout, or the scoped one. All counts are untrusted
+/// and bounded before any allocation is sized from them; an unknown
+/// scope byte is rejected, and the entire buffer must be consumed.
+pub fn decode_hello(bytes: &[u8]) -> Result<HelloFrame, WireError> {
     let mut dec = Decoder::new(bytes);
     if dec.take(4)? != HELLO_MAGIC {
         return Err(WireError::BadMagic);
     }
     let count = dec.u16()? as usize;
-    if count.checked_mul(7).is_none_or(|need| need > dec.remaining()) {
-        return Err(WireError::Truncated);
-    }
-    let mut claims = Vec::with_capacity(count);
-    for _ in 0..count {
-        let tld = dec.u16()?;
-        let has_serial = dec.u8()?;
-        let serial = dec.u32()?;
-        claims.push(TldClaim {
-            tld,
-            from_serial: (has_serial != 0).then(|| Serial::new(serial)),
-        });
-    }
+    let claims = dec.decode_claims(count)?;
     let mut resume = Vec::new();
     let mut scope = HelloScope::Full;
     if dec.remaining() > 0 {
@@ -1424,9 +1378,6 @@ const STATS_SHARD_ROW_LEN: usize = 2 + 4 + 13 * 8;
 /// counters + a `u16` claim count (claims add 7 bytes each).
 const STATS_SUB_ROW_MIN_LEN: usize = 5 * 8 + 2;
 
-/// Bytes per encoded claim (shared with the HELLO layout).
-const CLAIM_LEN: usize = 7;
-
 /// Encode a stats query (the magic is the whole message).
 pub fn encode_stats_query() -> Bytes {
     Bytes::copy_from_slice(STATS_MAGIC)
@@ -1492,26 +1443,12 @@ pub fn encode_stats_report(report: &StatsReport) -> Bytes {
     }
     buf.put_u16(report.subs.len() as u16);
     for sub in &report.subs {
-        debug_assert!(sub.claims.len() <= u16::MAX as usize);
         for v in
             [sub.id, sub.queue_depth, sub.lag_drops, sub.coalesced_frames, sub.buffered_bytes]
         {
             buf.put_u64(v);
         }
-        buf.put_u16(sub.claims.len() as u16);
-        for claim in &sub.claims {
-            buf.put_u16(claim.tld);
-            match claim.from_serial {
-                Some(s) => {
-                    buf.put_u8(1);
-                    buf.put_u32(s.get());
-                }
-                None => {
-                    buf.put_u8(0);
-                    buf.put_u32(0);
-                }
-            }
-        }
+        put_claims(&mut buf, &sub.claims);
     }
     buf.freeze()
 }
@@ -1568,7 +1505,7 @@ pub fn decode_stats_report(bytes: &[u8]) -> Result<StatsReport, WireError> {
     // Same discipline as the shard rows: a subscriber row costs at least
     // STATS_SUB_ROW_MIN_LEN bytes, so a count the remaining buffer
     // cannot hold is rejected before the Vec is sized from it — and the
-    // nested claim count is re-checked per row against what remains.
+    // nested claim count is re-checked per row by `decode_claims`.
     if sub_count
         .checked_mul(STATS_SUB_ROW_MIN_LEN)
         .is_none_or(|need| need > dec.remaining())
@@ -1583,19 +1520,7 @@ pub fn decode_stats_report(bytes: &[u8]) -> Result<StatsReport, WireError> {
         let coalesced_frames = dec.u64()?;
         let buffered_bytes = dec.u64()?;
         let claim_count = dec.u16()? as usize;
-        if claim_count.checked_mul(CLAIM_LEN).is_none_or(|need| need > dec.remaining()) {
-            return Err(WireError::Truncated);
-        }
-        let mut claims = Vec::with_capacity(claim_count);
-        for _ in 0..claim_count {
-            let tld = dec.u16()?;
-            let has_serial = dec.u8()?;
-            let serial = dec.u32()?;
-            claims.push(TldClaim {
-                tld,
-                from_serial: (has_serial != 0).then(|| Serial::new(serial)),
-            });
-        }
+        let claims = dec.decode_claims(claim_count)?;
         subs.push(WireSubscriberStats {
             id,
             queue_depth,
@@ -2109,6 +2034,19 @@ mod tests {
         assert_eq!(decode_delta_push(&padded), Err(WireError::TrailingBytes(1)));
     }
 
+    fn hello(
+        claims: &[TldClaim],
+        resume: &[(u16, SnapshotResume)],
+        scope: HelloScope,
+    ) -> HelloFrame {
+        HelloFrame { claims: claims.to_vec(), resume: resume.to_vec(), scope }
+    }
+
+    /// Length of the legacy claims-only layout: magic, count, 7-byte rows.
+    fn legacy_len(claims: &[TldClaim]) -> usize {
+        6 + 7 * claims.len()
+    }
+
     #[test]
     fn hello_round_trips_with_mixed_claims() {
         let claims = vec![
@@ -2116,10 +2054,11 @@ mod tests {
             TldClaim { tld: 7, from_serial: None },
             TldClaim { tld: u16::MAX, from_serial: Some(Serial::new(u32::MAX)) },
         ];
-        let frame = encode_hello(&claims);
-        assert_eq!(decode_hello(&frame).unwrap(), claims);
+        let frame = HelloFrame { claims, ..Default::default() };
+        assert_eq!(decode_hello(&encode_hello(&frame)).unwrap(), frame);
         // Empty claim lists are legal (a fresh join names TLDs elsewhere).
-        assert_eq!(decode_hello(&encode_hello(&[])).unwrap(), vec![]);
+        let empty = HelloFrame::default();
+        assert_eq!(decode_hello(&encode_hello(&empty)).unwrap(), empty);
     }
 
     #[test]
@@ -2129,9 +2068,11 @@ mod tests {
         tiny.extend_from_slice(&u16::MAX.to_be_bytes());
         assert_eq!(decode_hello(&tiny), Err(WireError::Truncated));
         assert_eq!(decode_hello(b"NOPE"), Err(WireError::BadMagic));
-        let mut padded = encode_hello(&[TldClaim { tld: 1, from_serial: None }]).to_vec();
+        // One stray byte behind the claims is half a resume count.
+        let claim = [TldClaim { tld: 1, from_serial: None }];
+        let mut padded = encode_hello(&hello(&claim, &[], HelloScope::Full)).to_vec();
         padded.push(9);
-        assert_eq!(decode_hello(&padded), Err(WireError::TrailingBytes(1)));
+        assert_eq!(decode_hello(&padded), Err(WireError::Truncated));
     }
 
     #[test]
@@ -2140,72 +2081,81 @@ mod tests {
             TldClaim { tld: 2, from_serial: Some(Serial::new(9)) },
             TldClaim { tld: 5, from_serial: None },
         ];
-        // No resume section: byte-identical to the legacy encoder, and
-        // both decoders accept it.
-        assert_eq!(encode_hello_frame(&claims, &[]), encode_hello(&claims));
-        let legacy = decode_hello_frame(&encode_hello(&claims)).unwrap();
-        assert_eq!(legacy.claims, claims);
-        assert!(legacy.resume.is_empty());
+        // No resume section and the default scope: exactly the legacy
+        // claims-only layout (`tests/golden/rzuh.hex` pins its bytes).
+        let legacy = encode_hello(&hello(&claims, &[], HelloScope::Full));
+        assert_eq!(legacy.len(), legacy_len(&claims));
 
         let resume = vec![
             (5u16, SnapshotResume { serial: Serial::new(40), entries: 128 }),
             (2u16, SnapshotResume { serial: Serial::new(u32::MAX), entries: 0 }),
         ];
-        let frame = encode_hello_frame(&claims, &resume);
-        let decoded = decode_hello_frame(&frame).unwrap();
-        assert_eq!(decoded.claims, claims);
-        assert_eq!(decoded.resume, resume);
-        // The strict legacy decoder refuses the extended section rather
-        // than silently dropping it.
-        assert!(matches!(decode_hello(&frame), Err(WireError::TrailingBytes(_))));
+        let frame = encode_hello(&hello(&claims, &resume, HelloScope::Full));
+        // The extension is a suffix: a claims-only reader sees its own
+        // layout first.
+        assert_eq!(frame[..legacy.len()], legacy[..]);
+        assert_eq!(frame.len(), legacy.len() + 2 + 10 * resume.len());
+        assert_eq!(decode_hello(&frame).unwrap(), hello(&claims, &resume, HelloScope::Full));
     }
 
     #[test]
     fn hello_frame_rejects_oversized_resume_count_and_trailing() {
-        let mut frame =
-            encode_hello_frame(&[], &[(1, SnapshotResume { serial: Serial::new(1), entries: 1 })])
-                .to_vec();
+        let resumed =
+            hello(&[], &[(1, SnapshotResume { serial: Serial::new(1), entries: 1 })], HelloScope::Full);
+        let mut frame = encode_hello(&resumed).to_vec();
         // One trailing byte after the resume rows is a scope byte — an
-        // unknown scope value is rejected outright.
+        // unknown scope value is rejected outright, and as a flags error
+        // rather than a bad magic: the peer speaks RZUH, only a newer one.
         frame.push(9);
-        assert_eq!(decode_hello_frame(&frame), Err(WireError::BadMagic));
+        assert_eq!(decode_hello(&frame), Err(WireError::BadFlags(9)));
         // Bytes *after* a valid scope byte are trailing garbage.
         frame.pop();
         frame.push(0);
         frame.push(0);
-        assert_eq!(decode_hello_frame(&frame), Err(WireError::TrailingBytes(1)));
-        let mut oversized = encode_hello(&[]).to_vec();
+        assert_eq!(decode_hello(&frame), Err(WireError::TrailingBytes(1)));
+        let mut oversized = encode_hello(&HelloFrame::default()).to_vec();
         oversized.extend_from_slice(&u16::MAX.to_be_bytes()); // resume count
-        assert_eq!(decode_hello_frame(&oversized), Err(WireError::Truncated));
+        assert_eq!(decode_hello(&oversized), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn hello_unknown_scope_byte_is_bad_flags_not_bad_magic() {
+        // A scoped frame with its scope byte overwritten: every value
+        // this build does not define is reported as the flag it is, so a
+        // close-reason breakdown can tell a newer-protocol peer from a
+        // wrong-protocol one (which still fails on the magic).
+        let claims = [TldClaim { tld: 3, from_serial: None }];
+        let mut frame = encode_hello(&hello(&claims, &[], HelloScope::DeltaOnly)).to_vec();
+        let scope_at = frame.len() - 1;
+        for byte in 2..=u8::MAX {
+            frame[scope_at] = byte;
+            assert_eq!(decode_hello(&frame), Err(WireError::BadFlags(byte)));
+        }
+        frame[0] = b'X';
+        assert_eq!(decode_hello(&frame), Err(WireError::BadMagic));
     }
 
     #[test]
     fn hello_scope_round_trips_and_full_scope_stays_legacy_identical() {
         let claims = vec![TldClaim { tld: 3, from_serial: Some(Serial::new(7)) }];
-        // Full scope emits no scope section: byte-identical to the
-        // unscoped encoder at every resume arity.
-        assert_eq!(
-            encode_hello_scoped(&claims, &[], HelloScope::Full),
-            encode_hello_frame(&claims, &[])
-        );
         let resume = vec![(3u16, SnapshotResume { serial: Serial::new(7), entries: 64 })];
-        assert_eq!(
-            encode_hello_scoped(&claims, &resume, HelloScope::Full),
-            encode_hello_frame(&claims, &resume)
-        );
-
+        // Full scope emits no scope section at either resume arity.
+        for (resume, len) in
+            [(&[][..], legacy_len(&claims)), (&resume[..], legacy_len(&claims) + 2 + 10)]
+        {
+            let frame = encode_hello(&hello(&claims, resume, HelloScope::Full));
+            assert_eq!(frame.len(), len);
+            assert_eq!(decode_hello(&frame).unwrap().scope, HelloScope::Full);
+        }
         // Delta-only round-trips with and without resume rows; the
         // resume section is forced (count 0) so the scope byte is
         // unambiguous.
         for resume in [&[][..], &resume[..]] {
-            let frame = encode_hello_scoped(&claims, resume, HelloScope::DeltaOnly);
-            let decoded = decode_hello_frame(&frame).unwrap();
-            assert_eq!(decoded.claims, claims);
-            assert_eq!(decoded.resume, resume);
-            assert_eq!(decoded.scope, HelloScope::DeltaOnly);
+            let scoped = hello(&claims, resume, HelloScope::DeltaOnly);
+            let frame = encode_hello(&scoped);
+            assert_eq!(frame.len(), legacy_len(&claims) + 2 + 10 * resume.len() + 1);
+            assert_eq!(decode_hello(&frame).unwrap(), scoped);
         }
-        // Legacy frames decode with the default Full scope.
-        assert_eq!(decode_hello_frame(&encode_hello(&claims)).unwrap().scope, HelloScope::Full);
     }
 
     #[test]

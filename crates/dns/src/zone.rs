@@ -64,7 +64,7 @@ impl NsSet {
     }
 
     /// True when the set is known sorted + deduplicated.
-    pub fn is_canonical(&self) -> bool {
+    fn is_canonical(&self) -> bool {
         self.canonical
     }
 

@@ -22,7 +22,7 @@ use serde::Serialize;
 use std::collections::HashMap;
 
 /// The ten blocklists the paper monitored.
-pub const BLOCKLIST_NAMES: [&str; 10] = [
+const BLOCKLIST_NAMES: [&str; 10] = [
     "DBL",
     "PhishTank",
     "PhishingArmy",

@@ -3,7 +3,7 @@
 //! rules. No `syn`, no dependencies — the same vendored-shim discipline
 //! as the rest of the workspace, applied to the linter itself.
 //!
-//! Six rules:
+//! Seven rules:
 //!
 //! * **L1 `lock-level`** — every `Mutex`/`RwLock` declaration carries a
 //!   `// lock-level: N` annotation (or `lock-level: class` for generic
@@ -32,15 +32,22 @@
 //! * **L5 `one-reactor`** — `Epoll::new(` is legal only in
 //!   `broker/src/transport/reactor.rs`: one event loop serves every
 //!   protocol, and a second one starts with its own epoll instance.
-//! * **L6 `one-dialer`** — the HELLO-sending `TransportClient`
-//!   constructors beyond plain `connect(` (`connect_resuming(`,
-//!   `connect_scoped(`, `connect_salvaged(`) are called only from
-//!   `broker/src/transport/replica.rs` (and defined in `client.rs`): one
-//!   upstream-link driver dials, salvages and resumes for every
-//!   consumer. And inside `impl ReplicaSet`, `thread::sleep` and
-//!   `Instant::now()` are banned — the state machine under that driver
-//!   takes its clock as an argument, which is what lets its contract be
-//!   tested without threads or sleeps.
+//! * **L6 `one-dialer`** — the one HELLO-sending `TransportClient`
+//!   constructor beyond plain `connect(`, `connect_salvaged(`, is called
+//!   only from `broker/src/transport/replica.rs` (and defined in
+//!   `client.rs`): one upstream-link driver dials, salvages and resumes
+//!   for every consumer. And inside `impl ReplicaSet`, `thread::sleep`
+//!   and `Instant::now()` are banned — the state machine under that
+//!   driver takes its clock as an argument, which is what lets its
+//!   contract be tested without threads or sleeps.
+//! * **L7 `orphan-pub`** — a `pub fn` / `const` / `static` / `type` on a
+//!   non-test line of `crates/*/src` whose name occurs as a whole word
+//!   in the code of no other `.rs` file of the repository is an orphan:
+//!   public surface no caller reaches. Orphans are listed by every
+//!   workspace scan and may number at most [`ORPHAN_CEILING`], a
+//!   constant that only ever goes down. This is the one cross-file rule
+//!   ([`scan_orphans`]); it has no `lint: allow` — the ceiling is the
+//!   only slack.
 //!
 //! Escape hatch: a comment `// lint: allow(<rule>) <justification>` on
 //! the offending line (or the contiguous comment block above it)
@@ -49,7 +56,7 @@
 //!
 //! [`LockClass`]: https://docs.rs/ (see `darkdns_broker::lockdep`)
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -62,6 +69,7 @@ pub enum Rule {
     EncodeOnce,
     OneReactor,
     OneDialer,
+    OrphanPub,
 }
 
 impl Rule {
@@ -74,6 +82,7 @@ impl Rule {
             Rule::EncodeOnce => "encode-once",
             Rule::OneReactor => "one-reactor",
             Rule::OneDialer => "one-dialer",
+            Rule::OrphanPub => "orphan-pub",
         }
     }
 }
@@ -117,9 +126,8 @@ pub struct Profile {
     pub encode_once: bool,
     /// L5: no `Epoll::new(` — every file but the shared reactor.
     pub one_reactor: bool,
-    /// L6: no resuming/scoped `TransportClient` constructor calls —
-    /// every file but the upstream-link driver and their definition
-    /// site. (L6's clock ban inside `impl ReplicaSet` needs no flag: it
+    /// L6: no `TransportClient::connect_salvaged` calls — every file
+    /// but the upstream-link driver and the definition site. (L6's clock ban inside `impl ReplicaSet` needs no flag: it
     /// applies wherever such an impl appears.)
     pub one_dialer: bool,
 }
@@ -181,8 +189,8 @@ pub fn profile_for(path: &Path) -> Profile {
     // One event loop in the workspace: only the shared reactor may own
     // an epoll instance.
     profile.one_reactor = !p.ends_with("broker/src/transport/reactor.rs");
-    // One dialer: only the upstream-link driver calls the constructors
-    // that carry resume progress or a scope (client.rs defines them).
+    // One dialer: only the upstream-link driver calls the constructor
+    // that carries resume progress or a scope (client.rs defines it).
     profile.one_dialer = !(p.ends_with("broker/src/transport/replica.rs")
         || p.ends_with("broker/src/transport/client.rs"));
     profile
@@ -686,22 +694,16 @@ pub fn scan_source(
         }
 
         // L6: one dialer, and a clock-injected replica-set state machine.
-        if profile.one_dialer {
-            for ctor in DIALER_CTORS {
-                if code.contains(ctor) {
-                    push(
-                        &mut findings,
-                        idx,
-                        Rule::OneDialer,
-                        format!(
-                            "`{}` outside `broker/src/transport/replica.rs`: dialling with \
-                             salvaged progress or a scope is the upstream link's job — drive an \
-                             `UpstreamLink` instead of growing another dialer",
-                            ctor.trim_end_matches('(')
-                        ),
-                    );
-                }
-            }
+        if profile.one_dialer && code.contains("connect_salvaged(") {
+            push(
+                &mut findings,
+                idx,
+                Rule::OneDialer,
+                "`connect_salvaged` outside `broker/src/transport/replica.rs`: dialling with \
+                 salvaged progress or a scope is the upstream link's job — drive an \
+                 `UpstreamLink` instead of growing another dialer"
+                    .into(),
+            );
         }
         if code.contains("impl ReplicaSet") {
             replica_set_impl = Some(depth);
@@ -755,10 +757,6 @@ pub fn scan_source(
 /// The one function on a fan-out path that may call
 /// `encode_snapshot_chunks`: the broker stream handler's train-cache fill.
 const TRAIN_FILL_FN: &str = "snapshot_train";
-
-/// L6: the `TransportClient` constructors only the upstream-link driver
-/// may call.
-const DIALER_CTORS: [&str; 3] = ["connect_resuming(", "connect_scoped(", "connect_salvaged("];
 
 /// The name of a function declared on this line, if any.
 fn fn_header_name(code: &str) -> Option<String> {
@@ -947,26 +945,15 @@ fn first_ident(expr: &str) -> Option<String> {
     None
 }
 
+/// The identifier-shaped words of a code line (keywords and numeric
+/// literals included — callers compare against a known name).
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).filter(|w| !w.is_empty())
+}
+
 /// Does `ident` appear in `code` as a whole word?
 fn ident_appears(code: &str, ident: &str) -> bool {
-    let mut from = 0usize;
-    while let Some(pos) = code[from..].find(ident) {
-        let start = from + pos;
-        let end = start + ident.len();
-        let pre_ok = start == 0 || {
-            let c = code.as_bytes()[start - 1] as char;
-            !(c.is_ascii_alphanumeric() || c == '_')
-        };
-        let post_ok = end >= code.len() || {
-            let c = code.as_bytes()[end] as char;
-            !(c.is_ascii_alphanumeric() || c == '_')
-        };
-        if pre_ok && post_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
+    idents(code).any(|w| w == ident)
 }
 
 /// Direct slice/array indexing: a `[` immediately following an
@@ -993,21 +980,31 @@ fn has_slice_index(code: &str) -> bool {
 // Workspace walking
 // ---------------------------------------------------------------------------
 
-/// Directories never scanned: vendored shims, build output, test
-/// support trees, and the linter's own seeded-violation fixtures.
-fn skip_component(name: &str) -> bool {
-    matches!(name, "vendor" | "target" | "tests" | "benches" | "examples" | "fixtures" | ".git")
+/// Directories no scan enters: vendored shims, build output, and the
+/// linter's own seeded-violation fixtures.
+fn never_scanned(name: &str) -> bool {
+    matches!(name, "vendor" | "target" | "fixtures" | ".git")
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Directories the per-file rules skip on top of [`never_scanned`]:
+/// test support trees, which L7 alone reads (as callers).
+fn test_support(name: &str) -> bool {
+    matches!(name, "tests" | "benches" | "examples")
+}
+
+fn collect_rs_files(
+    dir: &Path,
+    skip: &dyn Fn(&str) -> bool,
+    out: &mut Vec<PathBuf>,
+) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if !skip_component(&name) {
-                collect_rs_files(&path, out)?;
+            if !skip(&name) {
+                collect_rs_files(&path, skip, out)?;
             }
         } else if name.ends_with(".rs") {
             out.push(path);
@@ -1016,27 +1013,34 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Every `.rs` file under the given top-level directories of `root`
+/// (those that exist), sorted, with its source text.
+fn read_sources(
+    root: &Path,
+    tops: &[&str],
+    skip: &dyn Fn(&str) -> bool,
+) -> std::io::Result<Vec<(PathBuf, String)>> {
+    let mut files = Vec::new();
+    for top in tops {
+        let dir = root.join(top);
+        if dir.is_dir() {
+            collect_rs_files(&dir, skip, &mut files)?;
+        }
+    }
+    files.sort();
+    files
+        .into_iter()
+        .map(|file| std::fs::read_to_string(&file).map(|source| (file, source)))
+        .collect()
+}
+
 /// Scan the workspace rooted at `root`: every non-vendored `.rs` file
 /// under `crates/*/src` and `src/`, with path-derived profiles and a
 /// two-pass (declarations, then checks) so cross-file receivers resolve
 /// when their names are workspace-unique.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        collect_rs_files(&crates, &mut files)?;
-    }
-    let src = root.join("src");
-    if src.is_dir() {
-        collect_rs_files(&src, &mut files)?;
-    }
-    files.sort();
-
-    let mut sources = Vec::new();
-    for file in files {
-        let source = std::fs::read_to_string(&file)?;
-        sources.push((file, source));
-    }
+    let sources =
+        read_sources(root, &["crates", "src"], &|d| never_scanned(d) || test_support(d))?;
 
     // Pass 1: the global declaration table (names with conflicting
     // levels across files are ambiguous and dropped — per-file tables
@@ -1064,6 +1068,122 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         findings.extend(scan_source(file, source, profile, &global));
     }
     Ok(findings)
+}
+
+// ---------------------------------------------------------------------------
+// L7: orphaned public items — the one cross-file rule
+// ---------------------------------------------------------------------------
+
+/// The most L7 orphans a workspace scan tolerates: what the tree held
+/// when the rule landed, every one of them still named by its own
+/// file's unit tests. Lower it with every orphan deleted or narrowed;
+/// never raise it (the same contract as the `lint: allow` site count).
+pub const ORPHAN_CEILING: usize = 64;
+
+/// The name a `pub fn` / `const` / `static` / `type` item declares on
+/// this line. `pub(crate)` and narrower are not public surface.
+fn pub_item_name(code: &str) -> Option<&str> {
+    let mut rest = code.trim_start().strip_prefix("pub ")?.trim_start();
+    let mut is_item = false;
+    loop {
+        let word_len = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        let (word, tail) = rest.split_at(word_len);
+        match word {
+            // `const` doubles as a `fn` qualifier; either way the name
+            // is the first word that is not a keyword.
+            "fn" | "type" | "const" | "static" => is_item = true,
+            "unsafe" | "async" | "mut" => {}
+            _ => return (is_item && word != "_" && !word.is_empty()).then_some(word),
+        }
+        if !tail.starts_with(' ') {
+            return None;
+        }
+        rest = tail.trim_start();
+    }
+}
+
+/// Does this file declare public surface L7 answers for? Crate sources
+/// only — not the paper binaries (no importer by construction) and not
+/// the linter itself.
+fn declares_surface(path: &Path) -> bool {
+    let p = path.to_string_lossy().replace('\\', "/");
+    p.contains("crates/") && p.contains("/src/") && !p.contains("/src/bin/") && !p.contains("crates/lint/")
+}
+
+/// L7 over an explicit file set. Every file is a caller of every other;
+/// the files `is_surface` accepts have their non-test `pub` items
+/// checked. Comments and string literals name nothing: a doc link is
+/// not a caller.
+pub fn scan_orphans(
+    sources: &[(PathBuf, String)],
+    is_surface: &dyn Fn(&Path) -> bool,
+) -> Vec<Finding> {
+    let cleaned: Vec<(Vec<Line>, Vec<bool>)> = sources
+        .iter()
+        .map(|(_, source)| {
+            let lines = clean(source);
+            let mask = test_mask(&lines);
+            (lines, mask)
+        })
+        .collect();
+    let words: Vec<HashSet<&str>> = cleaned
+        .iter()
+        .map(|(lines, _)| lines.iter().flat_map(|l| idents(&l.code)).collect())
+        .collect();
+
+    let mut findings = Vec::new();
+    for (at, ((path, _), (lines, mask))) in sources.iter().zip(&cleaned).enumerate() {
+        if !is_surface(path) {
+            continue;
+        }
+        for (idx, line) in lines.iter().enumerate() {
+            if mask[idx] {
+                continue;
+            }
+            let Some(name) = pub_item_name(&line.code) else { continue };
+            if words.iter().enumerate().any(|(other, w)| other != at && w.contains(name)) {
+                continue;
+            }
+            // Mentions in this file's test half (`true`) or code half.
+            let own = |tests: bool| -> usize {
+                lines
+                    .iter()
+                    .zip(mask)
+                    .filter(|(_, &masked)| masked == tests)
+                    .map(|(l, _)| idents(&l.code).filter(|w| *w == name).count())
+                    .sum()
+            };
+            let message = if own(true) > 0 {
+                format!("`{name}` is named by no other file; its own file's tests still name it")
+            } else if own(false) > 1 {
+                format!("`{name}` is named only inside its own file: narrow it to `pub(crate)` or private")
+            } else {
+                format!("`{name}` is named nowhere else: delete it")
+            };
+            findings.push(Finding {
+                file: path.clone(),
+                line: idx + 1,
+                rule: Rule::OrphanPub,
+                message,
+            });
+        }
+    }
+    findings
+}
+
+/// L7 over the workspace rooted at `root`: `pub` items of `crates/*/src`
+/// against every `.rs` file that could call them — crate sources, the
+/// root package, examples, integration tests, benches and the
+/// standalone benchmark package.
+pub fn scan_workspace_orphans(root: &Path) -> std::io::Result<Vec<Finding>> {
+    let sources = read_sources(
+        root,
+        &["crates", "src", "examples", "tests", "benches", "rzu_bench"],
+        &never_scanned,
+    )?;
+    Ok(scan_orphans(&sources, &declares_surface))
 }
 
 #[cfg(test)]
@@ -1134,6 +1254,25 @@ mod tests {
         let src = "trait T {\n    fn decode_x(&self);\n    fn other(&self) {\n        let v = Vec::with_capacity(n);\n    }\n}\n";
         let findings = scan(src, Profile { decode_bounds: true, ..Profile::default() });
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn pub_item_names_skip_qualifiers_and_narrower_visibility() {
+        for (code, name) in [
+            ("pub fn plain(x: u8) {", Some("plain")),
+            ("    pub const fn folded() -> u8 {", Some("folded")),
+            ("pub async unsafe fn both<T>() {", Some("both")),
+            ("pub const LIMIT: usize = 4;", Some("LIMIT")),
+            ("pub static mut COUNTER: u64 = 0;", Some("COUNTER")),
+            ("pub type Table<T> = Vec<T>;", Some("Table")),
+            ("pub const _: () = ();", None),
+            ("pub(crate) fn narrowed() {}", None),
+            ("pub struct NotTracked;", None),
+            ("pub use other::thing;", None),
+            ("fn private() {}", None),
+        ] {
+            assert_eq!(pub_item_name(code), name, "{code}");
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 // A file that passes every rule under the full profile: annotated
 // locks acquired in level order, a bounded decode, no panic tokens, no
 // direct indexing, no delta re-encode, one chunk-train encode at the
-// cache-fill site. Never compiled — scanned by tests/rules.rs.
+// cache-fill site, and (L7, scanned together with l7_bad.rs) no `pub`
+// item the other file does not name. Never compiled — scanned by
+// tests/rules.rs.
 use std::sync::Mutex;
 
 struct State {
@@ -31,11 +33,15 @@ pub fn decode_counts(bytes: &[u8]) -> Option<Vec<u16>> {
     Some(out)
 }
 
-pub fn snapshot_train(cache: &mut Cache, snapshot: &ZoneSnapshot, start: usize) -> Vec<Bytes> {
+fn snapshot_train(cache: &mut Cache, snapshot: &ZoneSnapshot, start: usize) -> Vec<Bytes> {
     if let Some(tail) = cache.tail_from(snapshot, start) {
         return tail;
     }
     let frames = encode_snapshot_chunks(cache.tld, snapshot, start, cache.chunk_bytes);
     cache.fill(snapshot, &frames);
     frames
+}
+
+fn first_counts(bytes: &[u8]) -> Option<Vec<u16>> {
+    reached_from_clean(bytes)
 }

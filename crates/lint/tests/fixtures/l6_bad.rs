@@ -3,8 +3,8 @@
 // that reads the clock and sleeps. Never compiled — scanned by
 // tests/rules.rs.
 fn relay_loop(conn: Box<dyn FrameConn>, claims: &Claims, partials: &mut Vec<SnapshotProgress>) {
-    let salvaged = std::mem::take(partials);
-    let _client = TransportClient::connect_resuming(conn, claims, salvaged);
+    let scope = HelloScope::Full;
+    let _client = TransportClient::connect_salvaged(conn, claims, partials, scope);
 }
 
 impl ReplicaSet {

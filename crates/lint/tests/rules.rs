@@ -3,14 +3,19 @@
 //! the fixtures `scripts/lint.sh` counts on to prove the linter is
 //! alive before trusting a clean workspace scan.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use darkdns_lint::{DeclTable, Finding, Profile, Rule, scan_source};
+use darkdns_lint::{scan_orphans, scan_source, DeclTable, Finding, Profile, Rule};
 
-fn scan_fixture(name: &str, profile: Profile) -> Vec<Finding> {
+fn read_fixture(name: &str) -> (PathBuf, String) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
     let source = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("read fixture {}: {e}", path.display()));
+    (path, source)
+}
+
+fn scan_fixture(name: &str, profile: Profile) -> Vec<Finding> {
+    let (path, source) = read_fixture(name);
     scan_source(&path, &source, profile, &DeclTable::new())
 }
 
@@ -75,12 +80,48 @@ fn l5_fires_on_a_second_event_loop() {
 #[test]
 fn l6_fires_on_a_second_dialer_and_on_a_clock_in_the_replica_set() {
     let findings = scan_fixture("l6_bad.rs", Profile { one_dialer: true, ..Profile::default() });
-    // The relay's private resuming dial, then `Instant::now()` and
+    // The relay's private salvaging dial, then `Instant::now()` and
     // `thread::sleep` inside `impl ReplicaSet` — and not the clock read
     // in the free function after the impl closes.
     assert_eq!(count(&findings, Rule::OneDialer), 3, "{findings:#?}");
     let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
     assert_eq!(lines, vec![7, 16, 19], "{findings:#?}");
+}
+
+#[test]
+fn l7_fires_on_pub_items_no_other_file_names() {
+    let sources = [read_fixture("l7_bad.rs"), read_fixture("clean.rs")];
+    let findings = scan_orphans(&sources, &|_| true);
+    assert_eq!(count(&findings, Rule::OrphanPub), findings.len());
+    // Every finding is in l7_bad.rs: clean.rs's one `pub fn` is called
+    // from there. In line order: never named, named only by its own
+    // code, named only by its own test — and not the item clean.rs
+    // calls, the narrower-than-`pub` ones or the test module's helper.
+    let found: Vec<(bool, usize, &str)> = findings
+        .iter()
+        .map(|f| (f.file.ends_with("l7_bad.rs"), f.line, f.message.as_str()))
+        .collect();
+    assert!(
+        matches!(
+            found[..],
+            [(true, 6, delete), (true, 11, narrow), (true, 19, tested)]
+                if delete.contains("`nobody_calls_this` is named nowhere else")
+                    && narrow.contains("`ONLY_USED_BELOW` is named only inside its own file")
+                    && tested.contains("`only_its_test_calls_this`")
+                    && tested.contains("its own file's tests still name it")
+        ),
+        "{findings:#?}"
+    );
+}
+
+#[test]
+fn l7_asks_nothing_of_files_outside_the_surface() {
+    // The same two files with l7_bad.rs demoted to a caller (what
+    // tests/, examples/ and rzu_bench/ are in a workspace scan): its
+    // items are nobody's business, and it still keeps clean.rs's alive.
+    let sources = [read_fixture("l7_bad.rs"), read_fixture("clean.rs")];
+    let findings = scan_orphans(&sources, &|path| path.ends_with("clean.rs"));
+    assert!(findings.is_empty(), "{findings:#?}");
 }
 
 #[test]

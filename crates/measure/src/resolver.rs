@@ -55,10 +55,6 @@ impl<'a> CachingResolver<'a> {
         Self::new(universe, landscape, SimDuration::from_secs(60))
     }
 
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -134,7 +130,7 @@ impl<'a> CachingResolver<'a> {
 }
 
 /// The stable v4 address of domain `id` within `host`'s pool.
-pub fn host_addr(host: &darkdns_registry::hosting::WebHost, id: u32) -> Ipv4Addr {
+fn host_addr(host: &darkdns_registry::hosting::WebHost, id: u32) -> Ipv4Addr {
     // Use the host's own prefix via contains() invariants: sample a
     // deterministic address by re-seeding from the id.
     use rand::rngs::SmallRng;

@@ -47,7 +47,7 @@ pub struct SnapshotSchedule {
 }
 
 /// Days of slack the transient classifier allows for late publication.
-pub const SLACK_DAYS: u64 = 3;
+const SLACK_DAYS: u64 = 3;
 
 impl SnapshotSchedule {
     /// Build the schedule for `window_days` of observation starting at

@@ -15,11 +15,11 @@ use darkdns_sim::time::{SimDuration, SimTime};
 use serde::Serialize;
 
 /// Add-grace period: deletions within it are refundable (tasting window).
-pub const ADD_GRACE: SimDuration = SimDuration::from_days(5);
+const ADD_GRACE: SimDuration = SimDuration::from_days(5);
 /// Redemption period after deletion (registrant can still restore).
-pub const REDEMPTION: SimDuration = SimDuration::from_days(30);
+const REDEMPTION: SimDuration = SimDuration::from_days(30);
 /// Pending-delete tail after redemption.
-pub const PENDING_DELETE: SimDuration = SimDuration::from_days(5);
+const PENDING_DELETE: SimDuration = SimDuration::from_days(5);
 
 /// The lifecycle phase of a registration at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]

@@ -26,14 +26,11 @@ pub struct TldId(pub u16);
 
 /// Number of observation months the calibration tables cover
 /// (Nov 2023, Dec 2023, Jan 2024).
-pub const MONTHS: usize = 3;
+const MONTHS: usize = 3;
 
 /// Day index (from window start) on which each month begins, plus the end
 /// sentinel: Nov = days 0..30, Dec = 30..61, Jan = 61..92.
 pub const MONTH_STARTS: [u64; MONTHS + 1] = [0, 30, 61, 92];
-
-/// The full observation window in days.
-pub const WINDOW_DAYS: u64 = 92;
 
 /// Month index for a day within the window (clamped to the last month for
 /// out-of-range days, which only occur in ±3-day slack handling).

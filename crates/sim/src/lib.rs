@@ -23,6 +23,6 @@ pub mod time;
 pub use cdf::Cdf;
 pub use dist::{LogNormal, Pareto, WeightedIndex};
 pub use event::EventQueue;
-pub use metrics::{Counter, Histogram};
+pub use metrics::Counter;
 pub use rng::RngPool;
 pub use time::{SimDuration, SimTime};

@@ -1,8 +1,7 @@
-//! Lightweight counters and histograms for experiment bookkeeping.
+//! Lightweight counters for experiment bookkeeping.
 //!
 //! These are plain single-threaded value types (the simulation kernel is
-//! synchronous); the streaming pipeline in `darkdns-core` wraps them in
-//! locks where it needs shared access.
+//! synchronous).
 
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -37,60 +36,6 @@ impl Counter {
         } else {
             Some(self.0 as f64 / denom as f64)
         }
-    }
-}
-
-/// A fixed-bucket histogram keyed by `u64` upper bucket edges, with an
-/// overflow bucket. Bucket `e` counts samples `x` with `x <= e`.
-#[derive(Debug, Clone, Serialize)]
-pub struct Histogram {
-    edges: Vec<u64>,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// # Panics
-    /// Panics if `edges` is empty or not strictly increasing.
-    pub fn new(edges: Vec<u64>) -> Self {
-        assert!(!edges.is_empty(), "histogram needs at least one edge");
-        assert!(edges.windows(2).all(|w| w[1] > w[0]), "edges must be strictly increasing");
-        let n = edges.len();
-        Histogram { edges, counts: vec![0; n], overflow: 0, total: 0 }
-    }
-
-    pub fn record(&mut self, x: u64) {
-        self.total += 1;
-        match self.edges.partition_point(|&e| e < x) {
-            i if i < self.edges.len() => self.counts[i] += 1,
-            _ => self.overflow += 1,
-        }
-    }
-
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Count in the bucket whose upper edge is `edge` (exact match).
-    pub fn bucket(&self, edge: u64) -> Option<u64> {
-        self.edges.iter().position(|&e| e == edge).map(|i| self.counts[i])
-    }
-
-    /// Cumulative fraction of samples at or below each edge.
-    pub fn cumulative_fractions(&self) -> Vec<(u64, f64)> {
-        let mut acc = 0u64;
-        let mut out = Vec::with_capacity(self.edges.len());
-        for (i, &e) in self.edges.iter().enumerate() {
-            acc += self.counts[i];
-            let frac = if self.total == 0 { 0.0 } else { acc as f64 / self.total as f64 };
-            out.push((e, frac));
-        }
-        out
     }
 }
 
@@ -166,37 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new(vec![10, 20, 30]);
-        for x in [5, 10, 11, 20, 25, 31, 100] {
-            h.record(x);
-        }
-        assert_eq!(h.bucket(10), Some(2)); // 5, 10
-        assert_eq!(h.bucket(20), Some(2)); // 11, 20
-        assert_eq!(h.bucket(30), Some(1)); // 25
-        assert_eq!(h.overflow(), 2); // 31, 100
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_cumulative() {
-        let mut h = Histogram::new(vec![1, 2, 4]);
-        for x in [1, 2, 2, 3, 4] {
-            h.record(x);
-        }
-        let cum = h.cumulative_fractions();
-        assert_eq!(cum[0], (1, 0.2));
-        assert_eq!(cum[1], (2, 0.6));
-        assert_eq!(cum[2], (4, 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_unsorted_edges() {
-        Histogram::new(vec![10, 10]);
-    }
-
-    #[test]
     fn labelled_counter_top_and_others() {
         let mut lc = LabelledCounter::new();
         lc.add("com", 100);
@@ -220,11 +134,5 @@ mod tests {
             lc.top(3),
             vec![("a".into(), 5), ("b".into(), 5), ("c".into(), 5)]
         );
-    }
-
-    #[test]
-    fn empty_histogram_cumulative_is_zero() {
-        let h = Histogram::new(vec![1, 2]);
-        assert_eq!(h.cumulative_fractions(), vec![(1, 0.0), (2, 0.0)]);
     }
 }

@@ -37,10 +37,6 @@ impl RngPool {
         RngPool { master_seed }
     }
 
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Derive the seed for the stream named `name`.
     pub fn seed_for(&self, name: &str) -> u64 {
         // SplitMix64 finalizer over (hash(name) ^ master) gives good

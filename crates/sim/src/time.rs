@@ -19,7 +19,7 @@ pub struct SimTime(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct SimDuration(pub u64);
 
-pub const SECS_PER_MINUTE: u64 = 60;
+const SECS_PER_MINUTE: u64 = 60;
 pub const SECS_PER_HOUR: u64 = 3_600;
 pub const SECS_PER_DAY: u64 = 86_400;
 
@@ -102,10 +102,6 @@ impl SimDuration {
 
     pub const fn as_secs(self) -> u64 {
         self.0
-    }
-
-    pub fn as_minutes_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_MINUTE as f64
     }
 
     pub fn as_hours_f64(self) -> f64 {

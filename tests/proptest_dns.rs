@@ -6,8 +6,8 @@
 use darkdns::dns::record::SoaData;
 use darkdns::dns::wire::{
     decode_delta_envelope, decode_delta_push, decode_hello, decode_snapshot_push, encode_hello,
-    encode_snapshot_push, Header, Message, Question, Rcode, TldClaim, DELTA_ENVELOPE_MAGIC,
-    DELTA_PUSH_MAGIC, HELLO_MAGIC, SNAPSHOT_PUSH_MAGIC,
+    encode_snapshot_push, Header, HelloFrame, Message, Question, Rcode, TldClaim,
+    DELTA_ENVELOPE_MAGIC, DELTA_PUSH_MAGIC, HELLO_MAGIC, SNAPSHOT_PUSH_MAGIC,
 };
 use darkdns::dns::{DomainName, PublicSuffixList, RData, RecordType, ResourceRecord, Serial};
 use darkdns::dns::ZoneSnapshot;
@@ -192,13 +192,14 @@ proptest! {
             .iter()
             .map(|&(tld, has, s)| TldClaim { tld, from_serial: has.then(|| Serial::new(s)) })
             .collect();
-        let frame = encode_hello(&claims);
-        prop_assert_eq!(decode_hello(&frame).unwrap(), claims);
+        let hello = HelloFrame { claims, ..Default::default() };
+        let frame = encode_hello(&hello);
+        // Claims only is the legacy layout: magic, count, 7-byte rows.
+        prop_assert_eq!(frame.len(), 6 + 7 * hello.claims.len());
+        prop_assert_eq!(decode_hello(&frame).unwrap(), hello);
         // Any strict prefix is rejected: the codec demands exactly one
         // whole message per frame.
-        if !frame.is_empty() {
-            prop_assert!(decode_hello(&frame[..frame.len() - 1]).is_err());
-        }
+        prop_assert!(decode_hello(&frame[..frame.len() - 1]).is_err());
     }
 
     #[test]
@@ -284,8 +285,8 @@ proptest! {
 mod chunk_codecs {
     use super::*;
     use darkdns::dns::wire::{
-        decode_hello_frame, decode_snapshot_chunk, encode_hello_frame, encode_snapshot_chunks,
-        SnapshotResume, SNAPSHOT_CHUNK_MAGIC,
+        decode_snapshot_chunk, encode_snapshot_chunks, HelloScope, SnapshotResume,
+        SNAPSHOT_CHUNK_MAGIC,
     };
 
     proptest! {
@@ -370,19 +371,20 @@ mod chunk_codecs {
                     (tld, SnapshotResume { serial: Serial::new(s), entries })
                 })
                 .collect();
-            let frame = encode_hello_frame(&claims, &resume);
-            let decoded = decode_hello_frame(&frame).unwrap();
-            prop_assert_eq!(&decoded.claims, &claims);
-            prop_assert_eq!(&decoded.resume, &resume);
-            // Backward compatibility both ways: with no resume claims
-            // the extended frame IS the legacy frame, and the legacy
-            // decoder still reads the claims of any legacy frame.
-            if resume.is_empty() {
-                prop_assert_eq!(&*frame, &*encode_hello(&claims));
-            }
-            prop_assert_eq!(decode_hello_frame(&encode_hello(&claims)).unwrap().claims, claims);
+            let hello = HelloFrame { claims, resume, scope: HelloScope::Full };
+            let frame = encode_hello(&hello);
+            prop_assert_eq!(&decode_hello(&frame).unwrap(), &hello);
+            // Backward compatibility both ways: the frame is the legacy
+            // (claims-only) frame plus a suffix, the suffix is empty
+            // exactly when there is nothing to resume, and the legacy
+            // frame reads back as the same claims.
+            let legacy = encode_hello(&HelloFrame { resume: Vec::new(), ..hello.clone() });
+            prop_assert_eq!(legacy.len(), 6 + 7 * hello.claims.len());
+            prop_assert_eq!(&frame[..legacy.len()], &legacy[..]);
+            prop_assert_eq!(frame.len() == legacy.len(), hello.resume.is_empty());
+            prop_assert_eq!(&decode_hello(&legacy).unwrap().claims, &hello.claims);
             // One whole message per frame.
-            prop_assert!(decode_hello_frame(&frame[..frame.len() - 1]).is_err());
+            prop_assert!(decode_hello(&frame[..frame.len() - 1]).is_err());
         }
 
         #[test]
@@ -391,8 +393,8 @@ mod chunk_codecs {
         ) {
             let mut framed = HELLO_MAGIC.to_vec();
             framed.extend_from_slice(&bytes);
-            let _ = decode_hello_frame(&framed);
-            let _ = decode_hello_frame(&bytes);
+            let _ = decode_hello(&framed);
+            let _ = decode_hello(&bytes);
         }
     }
 }
@@ -483,9 +485,7 @@ mod lookup_codecs {
 // decoder holds the no-panic line on adversarial bytes.
 mod scoped_hello {
     use super::*;
-    use darkdns::dns::wire::{
-        decode_hello_frame, encode_hello_frame, encode_hello_scoped, HelloScope, SnapshotResume,
-    };
+    use darkdns::dns::wire::{HelloScope, SnapshotResume};
 
     fn scope_strategy() -> impl Strategy<Value = HelloScope> {
         prop_oneof![Just(HelloScope::Full), Just(HelloScope::DeltaOnly)]
@@ -508,39 +508,33 @@ mod scoped_hello {
                     (tld, SnapshotResume { serial: Serial::new(s), entries })
                 })
                 .collect();
-            let frame = encode_hello_scoped(&claims, &resume, scope);
-            let decoded = decode_hello_frame(&frame).unwrap();
-            prop_assert_eq!(&decoded.claims, &claims);
-            prop_assert_eq!(&decoded.resume, &resume);
-            prop_assert_eq!(decoded.scope, scope);
+            let hello = HelloFrame { claims, resume, scope };
+            let frame = encode_hello(&hello);
+            prop_assert_eq!(&decode_hello(&frame).unwrap(), &hello);
 
-            // The scope byte is pay-for-what-you-use: a Full-scope
-            // frame is byte-identical to the scope-less encoding, so
-            // every existing subscriber's handshake bytes are
-            // unchanged; and every legacy frame decodes as Full.
-            if scope == HelloScope::Full {
-                prop_assert_eq!(&*frame, &*encode_hello_frame(&claims, &resume));
-            }
+            // The sections are pay-for-what-you-use, so every existing
+            // subscriber's handshake bytes are unchanged: Full scope
+            // costs no scope byte, Full scope with nothing to resume is
+            // the legacy layout, and DeltaOnly forces the resume count
+            // so its scope byte is unambiguous.
+            let resume_section = scope == HelloScope::DeltaOnly || !hello.resume.is_empty();
             prop_assert_eq!(
-                decode_hello_frame(&encode_hello_frame(&claims, &resume)).unwrap().scope,
-                HelloScope::Full
+                frame.len(),
+                6 + 7 * hello.claims.len()
+                    + if resume_section { 2 + 10 * hello.resume.len() } else { 0 }
+                    + usize::from(scope == HelloScope::DeltaOnly)
             );
-            if resume.is_empty() && scope == HelloScope::Full {
-                prop_assert_eq!(&*frame, &*encode_hello(&claims));
-            }
-            prop_assert_eq!(decode_hello_frame(&encode_hello(&claims)).unwrap().scope,
-                HelloScope::Full);
             // Truncation: a Full frame loses real payload, so a cut
             // byte is an error; a non-Full frame's last byte IS the
-            // scope, so cutting it re-reads as the legacy Full frame —
-            // same claims, same resume, default scope.
-            if scope == HelloScope::Full {
-                prop_assert!(decode_hello_frame(&frame[..frame.len() - 1]).is_err());
-            } else {
-                let trimmed = decode_hello_frame(&frame[..frame.len() - 1]).unwrap();
-                prop_assert_eq!(trimmed.scope, HelloScope::Full);
-                prop_assert_eq!(&trimmed.claims, &claims);
-                prop_assert_eq!(&trimmed.resume, &resume);
+            // scope, so cutting it re-reads as the Full frame — same
+            // claims, same resume, default scope.
+            let trimmed = decode_hello(&frame[..frame.len() - 1]);
+            match scope {
+                HelloScope::Full => prop_assert!(trimmed.is_err()),
+                HelloScope::DeltaOnly => prop_assert_eq!(
+                    trimmed.unwrap(),
+                    HelloFrame { scope: HelloScope::Full, ..hello }
+                ),
             }
         }
 
@@ -557,15 +551,16 @@ mod scoped_hello {
                 .iter()
                 .map(|&(tld, has, s)| TldClaim { tld, from_serial: has.then(|| Serial::new(s)) })
                 .collect();
-            let mut framed = encode_hello(&claims).to_vec();
+            let mut framed =
+                encode_hello(&HelloFrame { claims, ..Default::default() }).to_vec();
             framed.extend_from_slice(&tail);
-            if let Ok(decoded) = decode_hello_frame(&framed) {
+            if let Ok(decoded) = decode_hello(&framed) {
                 prop_assert!(
                     matches!(decoded.scope, HelloScope::Full | HelloScope::DeltaOnly),
                     "garbage decoded to an undefined scope"
                 );
             }
-            let _ = decode_hello_frame(&tail);
+            let _ = decode_hello(&tail);
         }
     }
 }

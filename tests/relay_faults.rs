@@ -25,7 +25,7 @@ use darkdns::broker::transport::{
 };
 use darkdns::broker::{Broker, BrokerConfig, BrokerServer, ClientEvent, TransportConfig};
 use darkdns::core::broker_view::{EndpointMap, RemoteZoneView, RoutedZoneView};
-use darkdns::dns::wire::encode_delta_push;
+use darkdns::dns::wire::{encode_delta_push, HelloScope};
 use darkdns::dns::{DomainName, NsSet, Serial, Zone, ZoneDelta, ZoneSnapshot};
 use darkdns::edge::{EdgeIndex, EdgeIndexConfig, RoutedEdgeFeed};
 use darkdns::registry::tld::{synthetic_fleet, TldId};
@@ -407,13 +407,14 @@ fn raw_joiner(
     tld: TldId,
     max_frame: usize,
     script: FaultScript,
-    partials: Vec<darkdns::broker::transport::SnapshotProgress>,
+    mut partials: Vec<darkdns::broker::transport::SnapshotProgress>,
 ) -> TransportClient {
     let (client_end, server_end) = duplex(1 << 16);
     server.spawn_conn(FaultInjectedConn::new(server_end, max_frame, script));
     let mut conn = LengthPrefixed::new(client_end);
     conn.set_recv_timeout(Some(Duration::from_millis(5))).unwrap();
-    TransportClient::connect_resuming(conn, &[(tld, None)], partials).unwrap()
+    TransportClient::connect_salvaged(conn, &[(tld, None)], &mut partials, HelloScope::Full)
+        .unwrap()
 }
 
 /// Read `client` until its bootstrap completes (`Ok`) or the stream dies

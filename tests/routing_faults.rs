@@ -609,13 +609,21 @@ fn delta_only_scope_joins_at_live_head_without_bootstrap() {
         conn.set_recv_timeout(Some(Duration::from_millis(5))).unwrap();
         conn
     };
-    let mut tap =
-        TransportClient::connect_scoped(tap_conn(&server), &[(tld, None)], Vec::new(), HelloScope::DeltaOnly)
-            .unwrap();
+    let mut tap = TransportClient::connect_salvaged(
+        tap_conn(&server),
+        &[(tld, None)],
+        &mut Vec::new(),
+        HelloScope::DeltaOnly,
+    )
+    .unwrap();
     // A Full-scope control with the same empty claims bootstraps.
-    let mut control =
-        TransportClient::connect_scoped(tap_conn(&server), &[(tld, None)], Vec::new(), HelloScope::Full)
-            .unwrap();
+    let mut control = TransportClient::connect_salvaged(
+        tap_conn(&server),
+        &[(tld, None)],
+        &mut Vec::new(),
+        HelloScope::Full,
+    )
+    .unwrap();
     wait_for("control bootstraps", || {
         matches!(control.next_event(), ClientEvent::Snapshot { .. })
     });

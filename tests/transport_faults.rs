@@ -19,17 +19,19 @@
 //! killed and reconnects mid-stream via its claims.
 
 use darkdns::broker::transport::{
-    duplex, fetch_stats, FaultInjectedConn, FaultScript, FrameConn, FrameFault, LengthPrefixed,
+    duplex, fetch_stats, fetch_stats_deadline, FaultInjectedConn, FaultScript, FrameConn, FrameFault, LengthPrefixed,
     PipeCutHandle, TransportClient, TransportError, MAX_FRAME_LEN,
 };
 use darkdns::broker::{
     Broker, BrokerConfig, BrokerServer, OverflowPolicy, RetentionConfig, TransportConfig,
 };
 use darkdns::core::broker_view::RemoteZoneView;
+use darkdns::dns::wire::{encode_stats_report, StatsReport, WireServerStats};
 use darkdns::dns::{DomainName, NsSet, Serial, Zone, ZoneDelta, ZoneSnapshot};
 use darkdns::registry::tld::TldId;
 use darkdns::sim::time::SimTime;
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -562,6 +564,69 @@ fn stats_query_round_trips_and_counts_itself() {
     assert_eq!(local.server, report.server);
     drop(sub);
     server.shutdown();
+}
+
+#[test]
+fn stats_probe_reads_the_report_behind_heartbeats() {
+    // Heartbeats ahead of the report are skipped, not mistaken for it:
+    // the probe returns the report a slow peer eventually sends.
+    let (probe_end, peer_end) = duplex(1 << 16);
+    let report = StatsReport {
+        server: WireServerStats { accepted: 3, stats_queries: 1, ..Default::default() },
+        ..Default::default()
+    };
+    let peer = std::thread::spawn({
+        let frame = encode_stats_report(&report);
+        move || {
+            let mut conn = LengthPrefixed::new(peer_end);
+            assert_eq!(&conn.recv_frame().expect("query")[..], b"RZUQ");
+            for _ in 0..3 {
+                conn.send_frame(&[]).expect("heartbeat");
+            }
+            conn.send_frame(&[&frame]).expect("report");
+        }
+    });
+    let got = fetch_stats_deadline(LengthPrefixed::new(probe_end), Duration::from_secs(30));
+    peer.join().expect("peer thread");
+    assert_eq!(got.expect("report behind heartbeats"), report);
+}
+
+#[test]
+fn stats_probe_deadline_holds_against_a_heartbeat_only_peer() {
+    // A peer that takes the `RZUQ` query and then answers with nothing
+    // but heartbeats: every `recv_frame` succeeds, so a deadline looked
+    // at only on receive timeouts never fires. The probe inside
+    // `UpstreamLink::connect` runs on the failover path; it must give
+    // up at its deadline whatever the peer keeps sending.
+    let (probe_end, peer_end) = duplex(1 << 16);
+    let stop = Arc::new(AtomicBool::new(false));
+    let peer = std::thread::spawn({
+        let stop = Arc::clone(&stop);
+        move || {
+            let mut conn = LengthPrefixed::new(peer_end);
+            assert_eq!(&conn.recv_frame().expect("query")[..], b"RZUQ");
+            while !stop.load(Ordering::Relaxed) && conn.send_frame(&[]).is_ok() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    });
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    // No receive timeout on the probe's side: the only way out is the
+    // deadline itself, not a scheduling gap between two heartbeats.
+    let probe = std::thread::spawn(move || {
+        let conn = LengthPrefixed::new(probe_end);
+        let _ = done_tx.send(fetch_stats_deadline(conn, Duration::from_millis(100)));
+    });
+    // The wall-clock bound is the guard: without the fix the probe
+    // never returns, and the test fails here instead of hanging.
+    let outcome = done_rx.recv_timeout(Duration::from_secs(10));
+    stop.store(true, Ordering::Relaxed);
+    peer.join().expect("peer thread");
+    probe.join().expect("probe thread");
+    match outcome.expect("the probe outlived its 100 ms deadline by 10 s") {
+        Err(TransportError::TimedOut) => {}
+        other => panic!("expected TimedOut, got {other:?}"),
+    }
 }
 
 #[test]

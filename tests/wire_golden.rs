@@ -11,12 +11,13 @@
 //! vectors" for the `Message`, `RZU1`, `RZUS`, `RZUC` and `RZUL` frames.
 //!
 //! The three `rzuh*` vectors pin the HELLO family the same way — bytes
-//! from the three encoders as they stood before the upstream-link
-//! refactor (commit 45429dd): the legacy claims-only layout, the
-//! resume-extended layout, and a `DeltaOnly`-scoped frame. The link in
-//! `broker/src/transport/replica.rs` is the only HELLO sender in crate
-//! code; whatever the three encoders collapse into next must keep
-//! emitting exactly these.
+//! from the three encoders that stood before the upstream-link refactor
+//! (commit 45429dd): the legacy claims-only layout, the resume-extended
+//! layout, and a `DeltaOnly`-scoped frame. One `encode_hello` over a
+//! `HelloFrame` has replaced the three and must keep emitting exactly
+//! these; `rzuq` pins the stats report — whose subscriber rows share
+//! the HELLO's claim-row codec — with bytes from the encoder as it
+//! stood before that collapse (commit ed71249).
 //!
 //! Fixture format: lower-case hex, wrapped at 32 bytes per line, one
 //! blank line between the frames of a multi-frame vector.
@@ -31,11 +32,11 @@
 
 use darkdns::dns::record::SoaData;
 use darkdns::dns::wire::{
-    decode_delta_push, decode_hello, decode_hello_frame, decode_lookup_request,
-    decode_snapshot_chunk, decode_snapshot_push, encode_delta_push, encode_hello,
-    encode_hello_frame, encode_hello_scoped, encode_lookup_request, encode_snapshot_chunks,
-    encode_snapshot_push, Header, HelloFrame, HelloScope, LookupQuery, Message, Rcode,
-    SnapshotResume, TldClaim, LOOKUP_ANY_TLD,
+    decode_delta_push, decode_hello, decode_lookup_request, decode_snapshot_chunk,
+    decode_snapshot_push, decode_stats_report, encode_delta_push, encode_hello,
+    encode_lookup_request, encode_snapshot_chunks, encode_snapshot_push, encode_stats_report,
+    Header, HelloFrame, HelloScope, LookupQuery, Message, Rcode, SnapshotResume, StatsReport,
+    TldClaim, WireError, WireServerStats, WireShardStats, WireSubscriberStats, LOOKUP_ANY_TLD,
 };
 use darkdns::dns::diff::NsChange;
 use darkdns::dns::{
@@ -208,6 +209,69 @@ fn hello_resume() -> Vec<(u16, SnapshotResume)> {
     ]
 }
 
+/// An `RZUQ` report with every server counter distinct and non-zero,
+/// two shard rows, and two subscriber rows: one with no claims, one
+/// with a bootstrap (`None`) claim and a serial claim.
+fn stats_report() -> StatsReport {
+    let shard = |tld: u16, base: u64| WireShardStats {
+        tld,
+        head_serial: Serial::new(0xFFFF_F000 + tld as u32),
+        subscribers: base + 1,
+        pushes: base + 2,
+        frame_bytes: base + 3,
+        checkpoints: base + 4,
+        retained_deltas: base + 5,
+        retired_deltas: base + 6,
+        deliveries: base + 7,
+        lagged_messages: base + 8,
+        evictions: base + 9,
+        snapshot_catchups: base + 10,
+        delta_catchups: base + 11,
+        lock_contentions: base + 12,
+        coalesced_frames: base + 13,
+    };
+    StatsReport {
+        server: WireServerStats {
+            accepted: 101,
+            handshakes: 102,
+            rejected_hellos: 103,
+            deltas_sent: 0x0102_0304_0506_0708,
+            snapshots_sent: 105,
+            evict_notices: 106,
+            disconnects: 107,
+            coalesced_writes: 108,
+            coalesced_frames: 109,
+            stats_queries: u64::MAX,
+        },
+        shards: vec![shard(0, 1_000), shard(513, 2_000_000_000_000)],
+        subs: vec![
+            WireSubscriberStats {
+                id: 7,
+                queue_depth: 1,
+                lag_drops: 2,
+                coalesced_frames: 3,
+                buffered_bytes: 4,
+                claims: vec![],
+            },
+            WireSubscriberStats {
+                id: u64::MAX - 1,
+                queue_depth: 64,
+                lag_drops: 0,
+                coalesced_frames: 9_000,
+                buffered_bytes: 1 << 20,
+                claims: vec![
+                    TldClaim { tld: 0, from_serial: None },
+                    TldClaim { tld: 513, from_serial: Some(Serial::new(0xFFFF_FFF0)) },
+                ],
+            },
+        ],
+    }
+}
+
+fn hello(resume: Vec<(u16, SnapshotResume)>, scope: HelloScope) -> HelloFrame {
+    HelloFrame { claims: hello_claims(), resume, scope }
+}
+
 /// Every vector: fixture name and the frames the current encoder makes.
 fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     let snap = snapshot();
@@ -222,12 +286,10 @@ fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         ("rzuc", train(0)),
         ("rzuc_resumed", train(29)),
         ("rzul", vec![rzul()]),
-        ("rzuh", vec![encode_hello(&hello_claims()).to_vec()]),
-        ("rzuh_resume", vec![encode_hello_frame(&hello_claims(), &hello_resume()).to_vec()]),
-        (
-            "rzuh_scoped",
-            vec![encode_hello_scoped(&hello_claims(), &[], HelloScope::DeltaOnly).to_vec()],
-        ),
+        ("rzuh", vec![encode_hello(&hello(vec![], HelloScope::Full)).to_vec()]),
+        ("rzuh_resume", vec![encode_hello(&hello(hello_resume(), HelloScope::Full)).to_vec()]),
+        ("rzuh_scoped", vec![encode_hello(&hello(vec![], HelloScope::DeltaOnly)).to_vec()]),
+        ("rzuq", vec![encode_stats_report(&stats_report()).to_vec()]),
     ]
 }
 
@@ -341,24 +403,53 @@ fn golden_frames_decode_to_their_inputs() {
     assert_eq!(queries.len(), 6);
     assert!(queries[4].name.is_root());
 
-    // The HELLO family: the legacy frame reads the same through the
-    // legacy decoder and the extended one, and each extension decodes
-    // to exactly the section it adds.
-    let hello = |resume, scope| HelloFrame { claims: hello_claims(), resume, scope };
-    assert_eq!(decode_hello(&fixture("rzuh")[0]).unwrap(), hello_claims());
-    assert_eq!(decode_hello_frame(&fixture("rzuh")[0]).unwrap(), hello(vec![], HelloScope::Full));
-    assert_eq!(
-        decode_hello_frame(&fixture("rzuh_resume")[0]).unwrap(),
-        hello(hello_resume(), HelloScope::Full)
-    );
-    assert_eq!(
-        decode_hello_frame(&fixture("rzuh_scoped")[0]).unwrap(),
-        hello(vec![], HelloScope::DeltaOnly)
-    );
-    assert!(
-        decode_hello(&fixture("rzuh_scoped")[0]).is_err(),
-        "a legacy decoder must reject a scoped HELLO, not serve it a full bootstrap"
-    );
+    // The HELLO family: each fixture decodes to exactly the sections
+    // it carries, the legacy one to claims alone.
+    for (vector, frame) in [
+        ("rzuh", hello(vec![], HelloScope::Full)),
+        ("rzuh_resume", hello(hello_resume(), HelloScope::Full)),
+        ("rzuh_scoped", hello(vec![], HelloScope::DeltaOnly)),
+    ] {
+        assert_eq!(decode_hello(&fixture(vector)[0]).unwrap(), frame, "{vector}");
+    }
+
+    assert_eq!(decode_stats_report(&fixture("rzuq")[0]).unwrap(), stats_report());
+}
+
+/// Offsets into the `rzuq` fixture: the `u16` shard count, the `u16`
+/// subscriber count behind the two 110-byte shard rows, and the second
+/// subscriber's `u16` claim count behind the first row's 42 bytes and
+/// its own five counters.
+const RZUQ_SHARD_COUNT_AT: usize = 4 + 10 * 8;
+const RZUQ_SUB_COUNT_AT: usize = RZUQ_SHARD_COUNT_AT + 2 + 2 * 110;
+const RZUQ_CLAIM_COUNT_AT: usize = RZUQ_SUB_COUNT_AT + 2 + 42 + 5 * 8;
+
+#[test]
+fn stats_report_rejects_oversized_counts_and_trailing_bytes() {
+    let golden = fixture("rzuq").remove(0);
+    assert_eq!(golden.len(), RZUQ_CLAIM_COUNT_AT + 2 + 2 * 7);
+    for (what, at) in [
+        ("shard", RZUQ_SHARD_COUNT_AT),
+        ("subscriber", RZUQ_SUB_COUNT_AT),
+        ("claim", RZUQ_CLAIM_COUNT_AT),
+    ] {
+        // One more row than the frame carries, and the largest count
+        // the field can hold: both must fail before any row is read
+        // past the end, never panic or over-allocate.
+        let held = u16::from_be_bytes([golden[at], golden[at + 1]]);
+        for count in [held + 1, u16::MAX] {
+            let mut frame = golden.clone();
+            frame[at..at + 2].copy_from_slice(&count.to_be_bytes());
+            assert_eq!(
+                decode_stats_report(&frame),
+                Err(WireError::Truncated),
+                "{what} count {count} over a frame that holds {held}"
+            );
+        }
+    }
+    let mut frame = golden.clone();
+    frame.push(0);
+    assert_eq!(decode_stats_report(&frame), Err(WireError::TrailingBytes(1)));
 }
 
 #[test]
