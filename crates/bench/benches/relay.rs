@@ -25,13 +25,10 @@
 //!   measured from the generation-bumped map landing to a sentinel
 //!   publish arriving through the successor replica (handoff plus
 //!   claim-carrying catch-up, no resync).
-//! * `relay/catchup-500k/{monolithic,chunked}-codec` — the cold
-//!   catch-up comparison: decoding one monolithic 500k-delegation
-//!   `RZUS` frame vs decoding the same checkpoint as a train of 1 MiB
-//!   `RZUC` chunks and reassembling. The chunked form is what the
-//!   transport actually ships (a monolithic 500k frame would blow the
-//!   frame bound); the bench pins that chunking costs no material
-//!   decode throughput. Gauges: chunk count and chunked entries/s.
+//! * `relay/catchup-500k/chunked-codec` — the cold catch-up codec:
+//!   decoding a 500k-delegation checkpoint as the train of 1 MiB
+//!   `RZUC` chunks the transport ships and reassembling it. Gauges:
+//!   chunk count and chunked entries/s.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use darkdns_broker::transport::{
@@ -39,9 +36,7 @@ use darkdns_broker::transport::{
 };
 use darkdns_broker::{Broker, BrokerConfig, BrokerServer, TransportConfig};
 use darkdns_core::broker_view::{EndpointMap, RemoteZoneView, RoutedZoneView};
-use darkdns_dns::wire::{
-    decode_snapshot_chunk, decode_snapshot_push, encode_snapshot_chunks, encode_snapshot_push,
-};
+use darkdns_dns::wire::{decode_snapshot_chunk, encode_snapshot_chunks};
 use darkdns_dns::{DomainName, NsSet, Serial, ZoneDelta, ZoneSnapshot};
 use darkdns_registry::tld::TldId;
 use darkdns_sim::time::SimTime;
@@ -302,28 +297,11 @@ fn bench_chunked_catchup(c: &mut Criterion) {
         .and_then(|s| s.parse().ok())
         .unwrap_or(500_000);
     let snap = shard_snapshot(entries);
-    let monolithic = encode_snapshot_push(0, &snap);
     let chunks = encode_snapshot_chunks(0, &snap, 0, 1 << 20);
     emit_metric("relay/catchup-500k/chunks", chunks.len() as f64);
-    emit_metric(
-        "relay/catchup-500k/monolithic_frame_bytes",
-        monolithic.len() as f64,
-    );
 
     let mut group = c.benchmark_group("relay");
     group.throughput(Throughput::Elements(entries as u64));
-    group.bench_with_input(
-        BenchmarkId::new("catchup-500k", "monolithic-codec"),
-        &(),
-        |b, _| {
-            b.iter(|| {
-                let (tld, decoded) = decode_snapshot_push(&monolithic).expect("decode");
-                assert_eq!(tld, 0);
-                assert_eq!(decoded.len(), entries);
-                decoded.serial()
-            })
-        },
-    );
     group.bench_with_input(BenchmarkId::new("catchup-500k", "chunked-codec"), &(), |b, _| {
         b.iter(|| {
             let mut assembled = Vec::with_capacity(entries);

@@ -1,11 +1,11 @@
-//! B1: zone-diff engine race.
+//! B1: zone diff — snapshot merge vs journal.
 //!
 //! Diffs snapshot pairs of increasing size (10k / 100k / 500k delegations,
-//! ~3% churn — a day of `.com`-like churn at reduced scale) across the
-//! three engines. The expected shape: sorted-merge wins on whole-snapshot
-//! diffs; the incremental journal answers the same question in time
-//! proportional to the churn, independent of the table size — which is
-//! the computational argument for RZU-style feeds.
+//! ~3% churn — a day of `.com`-like churn at reduced scale) with the
+//! sorted merge and with the incremental journal. The expected shape: the
+//! merge pays for the whole table; the journal answers the same question
+//! in time proportional to the churn, independent of the table size —
+//! which is the computational argument for RZU-style feeds.
 //!
 //! The `zone_apply` group is the other half of that argument: what one
 //! 100-name RZU push costs to *apply* as the zone grows from 10k to 1M
@@ -16,9 +16,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use darkdns_bench::synth::snapshot_pair;
-use darkdns_dns::diff::{
-    HashPartitionedDiff, JournalEvent, SortedMergeDiff, ZoneDiffEngine, ZoneJournal,
-};
+use darkdns_dns::diff::{sorted_merge_diff, JournalEvent, ZoneJournal};
 use darkdns_dns::{DomainName, NsSet, Serial, ZoneDelta, ZoneSnapshot};
 use darkdns_sim::time::SimTime;
 
@@ -28,14 +26,10 @@ fn bench_engines(c: &mut Criterion) {
         let (old, new) = snapshot_pair(size, 0.03, 7);
         group.throughput(Throughput::Elements(size as u64));
         group.bench_with_input(BenchmarkId::new("sorted-merge", size), &size, |b, _| {
-            b.iter(|| SortedMergeDiff.diff(&old, &new))
-        });
-        let hashed = HashPartitionedDiff::new(16);
-        group.bench_with_input(BenchmarkId::new("hash-partitioned", size), &size, |b, _| {
-            b.iter(|| hashed.diff(&old, &new))
+            b.iter(|| sorted_merge_diff(&old, &new))
         });
         // The journal only replays the churn events.
-        let delta = SortedMergeDiff.diff(&old, &new);
+        let delta = sorted_merge_diff(&old, &new);
         let mut journal = ZoneJournal::new();
         let mut serial = Serial::new(10);
         for (d, ns) in delta.added.iter() {

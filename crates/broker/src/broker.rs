@@ -156,7 +156,7 @@ pub struct ShardStats {
     pub lock_contentions: u64,
     /// Frames of this shard that rode inside a coalesced transport
     /// write (reported by transport writers via
-    /// [`Broker::record_coalesced_frame`]; each is one write syscall a
+    /// [`Broker::record_coalesced_frames`]; each is one write syscall a
     /// subscriber connection saved). Zero for brokers with no socket
     /// frontend.
     pub coalesced_frames: u64,
@@ -446,7 +446,7 @@ pub enum SubscribeMode {
 /// The sharded RZU distribution broker. Cheap to clone (`Arc`-shared);
 /// clones publish into and subscribe from the same state. `Send + Sync`:
 /// publishers of disjoint TLDs run fully in parallel (see
-/// [`crate::pool::PublishPool`]).
+/// [`crate::feed::UniverseFeed::publish_all_concurrent`]).
 #[derive(Clone)]
 pub struct Broker {
     inner: Arc<BrokerInner>,
@@ -865,20 +865,13 @@ impl Broker {
         Self::snapshot_shard_with(tld, handle, &mut |_| {})
     }
 
-    /// One-lock shard snapshot; `on_subscriber` sees every live
-    /// subscriber id under the same guard the counters are read under.
-    /// Credit one frame of `tld` delivered inside a coalesced transport
-    /// write. Lock-free (an atomic on the shard handle): transport
-    /// writer threads call this from strictly below the shard locks, so
-    /// the lock hierarchy is untouched. Unknown TLDs are ignored (the
-    /// frame was validated long before it reached a writer).
-    pub fn record_coalesced_frame(&self, tld: TldId) {
-        self.record_coalesced_frames([tld]);
-    }
-
-    /// Batch form of [`Broker::record_coalesced_frame`]: one directory
-    /// snapshot for the whole run, so a 32-frame batch costs one brief
-    /// shared read lock instead of one per frame.
+    /// Credit one frame per entry of `tlds` delivered inside a coalesced
+    /// transport write. Lock-free (an atomic on the shard handle):
+    /// transport writer threads call this from strictly below the shard
+    /// locks, so the lock hierarchy is untouched. Unknown TLDs are
+    /// ignored (the frame was validated long before it reached a
+    /// writer). One directory snapshot for the whole run, so a 32-frame
+    /// batch costs one brief shared read lock instead of one per frame.
     pub fn record_coalesced_frames<I: IntoIterator<Item = TldId>>(&self, tlds: I) {
         let dir = self.directory();
         for tld in tlds {
@@ -888,6 +881,8 @@ impl Broker {
         }
     }
 
+    /// One-lock shard snapshot; `on_subscriber` sees every live
+    /// subscriber id under the same guard the counters are read under.
     fn snapshot_shard_with(
         tld: TldId,
         handle: &ShardHandle,
@@ -1214,9 +1209,8 @@ mod tests {
     #[test]
     fn coalesced_frames_report_per_shard() {
         let broker = broker_with_com(BrokerConfig::default());
-        broker.record_coalesced_frame(TldId(0));
-        broker.record_coalesced_frame(TldId(0));
-        broker.record_coalesced_frame(TldId(9)); // unknown TLD: ignored
+        // TLD 9 is unknown: ignored.
+        broker.record_coalesced_frames([TldId(0), TldId(0), TldId(9)]);
         assert_eq!(broker.shard_stats(TldId(0)).unwrap().coalesced_frames, 2);
     }
 

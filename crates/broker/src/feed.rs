@@ -3,7 +3,6 @@
 //! [`Broker`] in global push-time order.
 
 use crate::broker::Broker;
-use crate::pool::PublishPool;
 use darkdns_dns::par::{available_workers, scoped_map};
 use darkdns_registry::rzu::{RzuZonePush, RzuZoneStream};
 use darkdns_registry::tld::{TldConfig, TldId};
@@ -26,9 +25,9 @@ impl UniverseFeed {
     /// is per-TLD independent and dominates fleet start-up, so the
     /// streams are built on scoped worker threads
     /// ([`darkdns_dns::par::scoped_map`]: round-robin lanes, one per
-    /// core — the same primitive the publish pool runs on). Output is
-    /// identical to a sequential build: each stream depends only on its
-    /// own TLD's slice of the universe.
+    /// core — the primitive [`UniverseFeed::publish_all_concurrent`]
+    /// runs on too). Output is identical to a sequential build: each
+    /// stream depends only on its own TLD's slice of the universe.
     pub fn build(
         universe: &Universe,
         tlds: &[TldConfig],
@@ -86,16 +85,6 @@ impl UniverseFeed {
         }
     }
 
-    /// The pushed-at instant of the globally earliest pending push
-    /// (no-op windows included), or `None` when every stream is drained.
-    pub fn next_push_at(&self) -> Option<SimTime> {
-        self.streams
-            .iter()
-            .zip(&self.cursors)
-            .filter_map(|(s, &c)| s.pushes.get(c).map(|p| p.pushed_at))
-            .min()
-    }
-
     /// Publish every pending push with `pushed_at <= upto`, in global
     /// push-time order, and stop there — the driver of a time-faithful
     /// consumer run (publish the broker up to a certstream entry's
@@ -141,14 +130,20 @@ impl UniverseFeed {
         published
     }
 
-    /// Publish everything still pending through `pool`, one per-TLD
-    /// batch per shard: each TLD's pushes stay in serial order on one
-    /// worker while different TLDs publish concurrently. Global
-    /// push-time order across TLDs is deliberately abandoned — shards
-    /// are independent concurrency units and subscribers replay per
-    /// shard. Returns the number of pushes published (no-op windows are
-    /// skipped, as in [`UniverseFeed::publish_next`]).
-    pub fn publish_all_concurrent(&mut self, broker: &Broker, pool: &PublishPool) -> usize {
+    /// Publish everything still pending on scoped worker threads, one
+    /// per-TLD batch per shard (round-robin lanes, which balance skewed
+    /// per-TLD volumes — `.com` dwarfs everything): each TLD's pushes
+    /// stay in serial order on one worker while different TLDs publish
+    /// concurrently. Global push-time order across TLDs is deliberately
+    /// abandoned — shards are independent concurrency units and
+    /// subscribers replay per shard. Returns the number of pushes
+    /// published (no-op windows are skipped, as in
+    /// [`UniverseFeed::publish_next`]).
+    ///
+    /// # Panics
+    /// Propagates a worker panic (no shard, serial regression — a
+    /// publisher bug).
+    pub fn publish_all_concurrent(&mut self, broker: &Broker) -> usize {
         // Workers publish straight out of the borrowed streams — each
         // delta is cloned one at a time at its publish, never the whole
         // backlog up front.
@@ -160,7 +155,7 @@ impl UniverseFeed {
                 spans.push((stream.tld, span));
             }
         }
-        pool.run(spans, |(tld, span)| {
+        scoped_map(spans, available_workers(), |(tld, span)| {
             let mut published = 0;
             for push in span {
                 if push.to_serial == push.from_serial {
@@ -171,6 +166,8 @@ impl UniverseFeed {
             }
             published
         })
+        .into_iter()
+        .sum()
     }
 
     /// Pushes not yet published, across all streams.
@@ -270,8 +267,7 @@ mod tests {
         let broker = Broker::new(BrokerConfig::default());
         feed.register_shards(&broker);
         let sub = broker.subscribe(&tld_ids, Some(Serial::new(0)));
-        let published =
-            feed.publish_all_concurrent(&broker, &crate::pool::PublishPool::with_workers(3));
+        let published = feed.publish_all_concurrent(&broker);
         assert!(published > 0);
         assert_eq!(feed.pending(), 0);
 
@@ -291,6 +287,11 @@ mod tests {
         }
         for (state, stream) in states.iter().zip(feed.streams()) {
             assert_eq!(state, &broker.head(stream.tld).unwrap());
+            // Each shard took its own stream's pushes, all of them, and
+            // ended on the stream's head serial.
+            assert_eq!(state.serial(), stream.head.serial());
+            let moved = stream.pushes.iter().filter(|p| p.to_serial != p.from_serial).count();
+            assert_eq!(broker.shard_stats(stream.tld).unwrap().pushes, moved as u64);
         }
         // Accounting: per-shard pushes sum to the published total.
         let total: u64 = broker.all_shard_stats().iter().map(|s| s.pushes).sum();
@@ -343,7 +344,6 @@ mod tests {
         for &tld in &tld_ids {
             assert_eq!(broker.head(tld).unwrap(), reference.head(tld).unwrap());
         }
-        assert_eq!(incremental.next_push_at(), None);
     }
 
     #[test]

@@ -26,13 +26,11 @@
 //!   the policy `darkdns-core`'s in-process `Topic` bounds its
 //!   subscribers with too. Per-shard accounting comes back as one
 //!   [`broker::ShardStats`] struct per TLD.
-//! * [`pool::PublishPool`] — fans independent-TLD publish batches across
-//!   scoped worker threads (the `HashPartitionedDiff` shape); with
-//!   per-shard locking this scales publishing with shard count when
-//!   cores allow.
 //! * [`feed`] — glue that materialises a multi-TLD universe's RZU pushes
 //!   as zone deltas and drives them through a broker, sequentially or
-//!   through the pool.
+//!   with independent-TLD batches fanned across scoped worker threads
+//!   ([`UniverseFeed::publish_all_concurrent`]); with per-shard locking
+//!   this scales publishing with shard count when cores allow.
 //! * [`transport`] — the socket layer: [`transport::BrokerServer`]
 //!   accepts length-prefixed frame connections (TCP, or an in-memory
 //!   duplex pipe in tests), answers the `RZUH` handshake with the same
@@ -51,10 +49,11 @@
 //! Transport frames are `u32`-length-prefixed; payload lengths are
 //! untrusted and bounded before any allocation. Payload kinds (codecs
 //! in `darkdns_dns::wire`): `RZUH` — the client's per-TLD serial
-//! claims; `RZUS` — a checkpoint-snapshot bootstrap; `RZUC` — a
-//! snapshot *continuation chunk*, the unit the server actually ships a
-//! bootstrap in so a 500k-delegation checkpoint traverses the frame
-//! bound as a resumable chunk train rather than one enormous frame;
+//! claims; `RZUS` — the monolithic snapshot push, retired in PR 22 —
+//! reserved, refused; `RZUC` — a snapshot *continuation chunk*, the
+//! unit the server ships a checkpoint bootstrap in so a
+//! 500k-delegation checkpoint traverses the frame bound as a resumable
+//! chunk train rather than one enormous frame;
 //! `RZUD` — a TLD tag plus the shard's refcount-shared `RZU1` frame
 //! written verbatim (the encode-once guarantee crosses the socket
 //! boundary intact); `RZUE` — an explicit eviction notice, after which
@@ -240,7 +239,6 @@
 pub mod broker;
 pub mod feed;
 pub mod lockdep;
-pub mod pool;
 pub mod shard;
 pub mod transport;
 
@@ -249,7 +247,6 @@ pub use broker::{
     BrokerSubscription, OverflowPolicy, ShardStats, SubscribeMode,
 };
 pub use feed::UniverseFeed;
-pub use pool::{PublishItem, PublishPool};
 pub use shard::{CatchUp, JournalShard, RetentionConfig, SealedDelta};
 pub use transport::{
     BrokerServer, ClientEvent, FrameConn, ServedConn, TransportClient, TransportConfig,

@@ -21,10 +21,11 @@
 //!    sites.
 //!
 //! Violations panic by default, so the test suite proves the hierarchy
-//! on every run; [`with_recording`] switches to collect-and-return for
-//! the deadlock-injection tests. In release builds the whole subsystem
-//! compiles to nothing: [`Held`] is a ZST and [`acquire`] is a no-op,
-//! so tracked locks cost exactly what their untracked versions do.
+//! on every run; the test-only `with_recording` switches to
+//! collect-and-return for the deadlock-injection tests. In release
+//! builds the whole subsystem compiles to nothing: [`Held`] is a ZST
+//! and [`acquire`] is a no-op, so tracked locks cost exactly what their
+//! untracked versions do.
 //!
 //! [`TrackedMutex`] / [`TrackedRwLock`] wrap the vendored
 //! `parking_lot` shims so a lock opts in by construction
@@ -192,6 +193,7 @@ mod imp {
     }
 
     /// Serialises [`with_recording`] callers. lock-level: 0
+    #[cfg(test)]
     fn record_gate() -> &'static Mutex<()> {
         static GATE: OnceLock<Mutex<()>> = OnceLock::new(); // lock-level: 0
         GATE.get_or_init(|| Mutex::new(()))
@@ -335,7 +337,10 @@ mod imp {
         HELD.with(|h| h.borrow().iter().filter(|e| e.id == id).count())
     }
 
-    pub fn with_recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Violation>) {
+    /// Run `f` with violations collected instead of panicking, and
+    /// return them: the deadlock-injection tests' hook.
+    #[cfg(test)]
+    pub(super) fn with_recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Violation>) {
         let _gate = record_gate().lock().unwrap_or_else(|p| p.into_inner());
         recorded().lock().unwrap_or_else(|p| p.into_inner()).clear();
         RECORDING.store(true, Ordering::SeqCst);
@@ -364,10 +369,6 @@ mod imp {
     pub fn held_count(_class: &'static LockClass) -> usize {
         0
     }
-
-    pub fn with_recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Violation>) {
-        (f(), Vec::new())
-    }
 }
 
 pub use imp::Held;
@@ -385,13 +386,6 @@ pub fn acquire(class: &'static LockClass) -> Held {
 /// in release builds.
 pub fn held_count(class: &'static LockClass) -> usize {
     imp::held_count(class)
-}
-
-/// Run `f` with violations collected instead of panicking, and return
-/// them. Serialised across callers; meant for deadlock-injection tests.
-/// In release builds `f` runs untracked and the list is empty.
-pub fn with_recording<R>(f: impl FnOnce() -> R) -> (R, Vec<Violation>) {
-    imp::with_recording(f)
 }
 
 // ---------------------------------------------------------------------------
@@ -516,6 +510,7 @@ impl<T> std::ops::DerefMut for TrackedWriteGuard<'_, T> {
 
 #[cfg(all(test, debug_assertions))]
 mod tests {
+    use super::imp::with_recording;
     use super::*;
 
     #[test]

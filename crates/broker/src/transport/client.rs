@@ -14,10 +14,10 @@
 use super::frame::{FrameConn, TransportError};
 use bytes::Bytes;
 use darkdns_dns::wire::{
-    decode_delta_envelope, decode_snapshot_chunk, decode_snapshot_push, decode_stats_report,
+    decode_delta_envelope, decode_snapshot_chunk, decode_stats_report,
     encode_hello, encode_stats_query, is_evict_notice, DeltaPush, HelloFrame, HelloScope,
     SnapshotChunk, SnapshotResume, StatsReport, TldClaim, DELTA_ENVELOPE_MAGIC,
-    EVICT_NOTICE_MAGIC, SNAPSHOT_CHUNK_MAGIC, SNAPSHOT_PUSH_MAGIC, WireError,
+    EVICT_NOTICE_MAGIC, SNAPSHOT_CHUNK_MAGIC, WireError,
 };
 use darkdns_dns::{DomainName, NsSet, Serial, ZoneSnapshot};
 use darkdns_registry::tld::TldId;
@@ -202,17 +202,6 @@ impl TransportClient {
                 return ClientEvent::Closed(WireError::Truncated.into());
             }
             match &frame[..4] {
-                magic if magic == SNAPSHOT_PUSH_MAGIC => match decode_snapshot_push(&frame) {
-                    Ok((tld, snapshot)) => {
-                        let tld = TldId(tld);
-                        // A monolithic snapshot supersedes any partial
-                        // chunked bootstrap for the same shard.
-                        self.partials.retain(|p| p.tld != tld);
-                        self.claim_set(tld, snapshot.serial());
-                        return ClientEvent::Snapshot { tld, snapshot };
-                    }
-                    Err(e) => return ClientEvent::Closed(e.into()),
-                },
                 magic if magic == SNAPSHOT_CHUNK_MAGIC => match decode_snapshot_chunk(&frame) {
                     Ok(chunk) => {
                         self.chunks_received += 1;

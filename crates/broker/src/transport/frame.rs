@@ -339,10 +339,11 @@ impl<S: ByteIo> LengthPrefixed<S> {
         }
     }
 
-    /// Write raw bytes beneath the framing layer. This exists for the
-    /// fault harness (emitting deliberately short frames); production
-    /// paths always go through `send_frame`.
-    pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
+    /// Write raw bytes beneath the framing layer: the fault tests' hook
+    /// for emitting deliberately short frames. Production paths always
+    /// go through `send_frame`.
+    #[cfg(test)]
+    fn send_raw(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
         self.stream.write_all(bytes)?;
         self.stream.flush()?;
         Ok(())

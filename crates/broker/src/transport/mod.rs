@@ -49,9 +49,10 @@
 //! |        |                  | bootstrap-then-deltas (byte-identical to  |
 //! |        |                  | the scope-less frame), DeltaOnly = join   |
 //! |        |                  | at the live head, never bootstrap         |
-//! | `RZUS` | server → client  | snapshot bootstrap (catch-up rule 3)      |
-//! | `RZUC` | server → client  | snapshot continuation chunk: servers ship |
-//! |        |                  | every bootstrap as a chunk train so a     |
+//! | `RZUS` | —                | monolithic snapshot push: retired in      |
+//! |        |                  | PR 22 — reserved, refused (`BadMagic`)    |
+//! | `RZUC` | server → client  | snapshot bootstrap (catch-up rule 3) as a |
+//! |        |                  | train of continuation chunks, so a        |
 //! |        |                  | 500k-entry checkpoint stays under the     |
 //! |        |                  | frame bound and resumes mid-train on      |
 //! |        |                  | reconnect (never restarts from entry 0);  |

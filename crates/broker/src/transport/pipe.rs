@@ -25,8 +25,8 @@
 //! mid-frame. A dropped end is the orderly version: the peer drains
 //! whatever was buffered, then sees EOF.
 //!
-//! Blocked-thread accounting ([`PipeEnd::peer_read_waiters`] /
-//! [`PipeEnd::peer_write_waiters`]) exists so tests can *handshake*
+//! Blocked-thread accounting (the test-only `peer_read_waiters` /
+//! `peer_write_waiters`) exists so this file's tests can *handshake*
 //! with a thread that is provably parked instead of sleeping and
 //! hoping it got there.
 
@@ -220,7 +220,8 @@ impl PipeEnd {
     /// waiting for bytes this end has not yet written. Test handshake:
     /// poll this before injecting a fault that must hit a *blocked*
     /// reader.
-    pub fn peer_read_waiters(&self) -> usize {
+    #[cfg(test)]
+    fn peer_read_waiters(&self) -> usize {
         self.tx.read_waiters.load(Ordering::Acquire)
     }
 
@@ -228,7 +229,8 @@ impl PipeEnd {
     /// blocked on this end's undrained inbound buffer. Test handshake:
     /// poll this to prove bounded-capacity backpressure engaged before
     /// draining.
-    pub fn peer_write_waiters(&self) -> usize {
+    #[cfg(test)]
+    fn peer_write_waiters(&self) -> usize {
         self.rx.write_waiters.load(Ordering::Acquire)
     }
 }

@@ -90,9 +90,9 @@ pub struct TransportConfig {
     /// Target payload size for one `RZUC` snapshot chunk. Bootstraps
     /// are always chunked: a checkpoint larger than the peer's frame
     /// bound crosses the wire as a resumable chunk train instead of one
-    /// oversized (and formerly truncating) `RZUS` frame. The broker's
-    /// handler clamps this to half the connection's frame bound so a
-    /// chunk that overshoots by one entry still fits.
+    /// oversized frame. The broker's handler clamps this to half the
+    /// connection's frame bound so a chunk that overshoots by one entry
+    /// still fits.
     pub snapshot_chunk_bytes: usize,
 }
 

@@ -150,7 +150,7 @@ impl ReplicaSet {
     /// stable, so equal scores keep rotation order and the cursor's
     /// replica wins ties; unscored replicas (their probe failed) drop
     /// out.
-    pub fn ranked(&self, order: Vec<usize>) -> Vec<usize> {
+    fn ranked(&self, order: Vec<usize>) -> Vec<usize> {
         let mut scored: Vec<(usize, u64)> =
             order.into_iter().filter_map(|at| self.health[at].score.map(|s| (at, s))).collect();
         scored.sort_by_key(|&(_, score)| std::cmp::Reverse(score));

@@ -44,10 +44,10 @@ const MAX_RING_BYTES: usize = 4 << 20;
 /// and exactly for bytes the kernel (or pipe) actually accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// One frame of a snapshot bootstrap for `tld` (a monolithic `RZUS`
-    /// push or one `RZUC` continuation chunk). `last` marks the frame
-    /// that completes the bootstrap — the sent-counter counts
-    /// bootstraps, not chunks, so only the final frame increments it.
+    /// One frame of a snapshot bootstrap for `tld` (one `RZUC`
+    /// continuation chunk). `last` marks the frame that completes the
+    /// bootstrap — the sent-counter counts bootstraps, not chunks, so
+    /// only the final frame increments it.
     Snapshot { tld: u16, last: bool },
     /// A delta envelope for `tld`; the connection's claim for that TLD
     /// advances to `to_serial` on completion.

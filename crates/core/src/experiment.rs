@@ -15,8 +15,8 @@
 //! The pipeline stages consume zone membership through the
 //! [`ZoneMembership`] contract. [`Experiment::run`] instantiates the
 //! daily-snapshot [`OracleMembership`] backend (the paper's batch
-//! shape); [`Experiment::run_with_membership`] lets a caller supply any
-//! other backend. For *time-faithful* runs against the push-cadence
+//! shape) over a pipeline that is generic in the backend. For
+//! *time-faithful* runs against the push-cadence
 //! backends — where publishing must interleave with observation — use
 //! [`LiveInputs`] + [`run_certstream_detection`], the harness the
 //! cross-backend equivalence tests and the detection-latency bench are
@@ -74,11 +74,9 @@ pub struct RunArtifacts {
 
 /// What [`Experiment::run_with_membership`] hands its factory: the
 /// borrowed substrates a backend may need.
-pub struct MembershipCtx<'a> {
-    pub oracle: &'a SnapshotOracle<'a>,
-    pub schedule: &'a SnapshotSchedule,
-    pub universe: &'a Universe,
-    pub config: &'a ExperimentConfig,
+struct MembershipCtx<'a> {
+    oracle: &'a SnapshotOracle<'a>,
+    universe: &'a Universe,
 }
 
 /// The deterministic substrate set every run shape builds the same way.
@@ -153,7 +151,7 @@ impl Experiment {
     /// the batch shape calls `advance_to` only as detection progresses —
     /// a backend whose *producer* must be driven in time order belongs
     /// in the [`run_certstream_detection`] harness instead.
-    pub fn run_with_membership(
+    fn run_with_membership(
         self,
         make: impl for<'a> FnOnce(MembershipCtx<'a>) -> Box<dyn ZoneMembership + 'a>,
     ) -> RunArtifacts {
@@ -164,12 +162,7 @@ impl Experiment {
         let Substrates { fleet, landscape, schedule, universe, stream, psl } =
             build_substrates(cfg, &pool);
         let oracle = SnapshotOracle::new(&schedule);
-        let mut membership = make(MembershipCtx {
-            oracle: &oracle,
-            schedule: &schedule,
-            universe: &universe,
-            config: cfg,
-        });
+        let mut membership = make(MembershipCtx { oracle: &oracle, universe: &universe });
 
         // --- step 1: detection --------------------------------------------
         let mut detector = Detector::new(&psl, &universe, &mut membership);
@@ -442,12 +435,13 @@ mod tests {
         // snapshot run but the pipeline itself is backend-agnostic.
         let cfg = ExperimentConfig::small(7);
         let tld_count = cfg.tlds.len() as u16;
+        let window_start = cfg.workload.window_start;
         let arts = Experiment::new(cfg).run_with_membership(|ctx| {
             let tlds: Vec<TldId> = (0..tld_count).map(TldId).collect();
             Box::new(UniverseZoneView::new(
                 ctx.universe,
                 &tlds,
-                ctx.config.workload.window_start,
+                window_start,
                 SimDuration::from_minutes(5),
             ))
         });

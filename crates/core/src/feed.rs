@@ -47,7 +47,6 @@ struct TopicSubscriber<T> {
 pub struct Topic<T: Clone> {
     // lock-level: 80
     subscribers: Arc<TrackedMutex<Vec<TopicSubscriber<T>>>>,
-    published: Arc<AtomicU64>,
     capacity: usize,
     overflow: OverflowPolicy,
 }
@@ -62,7 +61,6 @@ impl<T: Clone> Clone for Topic<T> {
     fn clone(&self) -> Self {
         Topic {
             subscribers: Arc::clone(&self.subscribers),
-            published: Arc::clone(&self.published),
             capacity: self.capacity,
             overflow: self.overflow,
         }
@@ -83,7 +81,6 @@ impl<T: Clone> Topic<T> {
         assert!(capacity > 0, "topic capacity must be positive");
         Topic {
             subscribers: Arc::new(TrackedMutex::new(&TOPIC_SUBS, Vec::new())),
-            published: Arc::new(AtomicU64::new(0)),
             capacity,
             overflow,
         }
@@ -114,12 +111,6 @@ impl<T: Clone> Topic<T> {
             },
             Err(TrySendError::Disconnected(_)) => false,
         });
-        self.published.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Messages published so far (delivered or not).
-    pub fn published_count(&self) -> u64 {
-        self.published.load(Ordering::Relaxed)
     }
 
     pub fn subscriber_count(&self) -> usize {
@@ -202,7 +193,6 @@ mod tests {
         topic.publish(1);
         topic.publish(2);
         assert_eq!(sub.drain(), vec![1, 2]);
-        assert_eq!(topic.published_count(), 2);
     }
 
     #[test]
@@ -252,7 +242,6 @@ mod tests {
         // The first 3 fit; the rest were dropped for this subscriber.
         assert_eq!(sub.drain(), vec![0, 1, 2]);
         assert_eq!(sub.dropped_count(), 7);
-        assert_eq!(topic.published_count(), 10);
         assert_eq!(topic.subscriber_count(), 1, "lagging subscriber stays registered");
     }
 

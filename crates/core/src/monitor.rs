@@ -65,7 +65,7 @@ impl<'a, M: ZoneMembership> Monitor<'a, M> {
         }
     }
 
-    pub fn monitor_one(&mut self, candidate: &NrdCandidate) -> MonitorReport {
+    fn monitor_one(&mut self, candidate: &NrdCandidate) -> MonitorReport {
         let report = self.pool.monitor(
             &self.authority,
             &mut self.resolver,
@@ -98,12 +98,6 @@ impl<'a, M: ZoneMembership> Monitor<'a, M> {
     /// The zone view the monitor consults.
     pub fn membership(&self) -> &M {
         &self.membership
-    }
-
-    /// Resolver cache statistics (for the resolver bench and sanity
-    /// checks).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.resolver.hits(), self.resolver.misses())
     }
 }
 
@@ -158,8 +152,6 @@ mod tests {
         let death = SimTime::from_hours(106);
         assert!(report.last_ns_ok.unwrap() < death);
         assert!(report.first_nxdomain.unwrap() >= death);
-        let (hits, misses) = m.cache_stats();
-        assert_eq!(hits + misses, 1); // exactly one A probe per domain
         // The domain died before the monitoring window closed: by then
         // the zone view no longer confirms it.
         assert_eq!(m.zone_stats(), MonitorZoneStats { confirmed_in_view: 0, never_in_view: 1 });

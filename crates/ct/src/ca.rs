@@ -13,12 +13,9 @@
 
 use crate::cert::CaId;
 use darkdns_sim::dist::LogNormal;
-use darkdns_sim::time::{SimDuration, SimTime, SECS_PER_DAY};
+use darkdns_sim::time::SimDuration;
 use rand::Rng;
 use serde::Serialize;
-
-/// Maximum DV-token cache age (CA/Browser Forum baseline requirements).
-const DV_TOKEN_MAX_AGE_DAYS: u64 = 398;
 
 /// One CA's issuance profile.
 #[derive(Debug, Clone, Serialize)]
@@ -101,31 +98,10 @@ impl CaFleet {
         &self.profiles[id.0 as usize]
     }
 
-    pub fn profiles(&self) -> &[CaProfile] {
-        &self.profiles
-    }
-
     /// Sample the issuing CA for a new certificate.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> &CaProfile {
         &self.profiles[self.shares.sample(rng)]
     }
-
-    /// Sample a CA that reuses DV tokens (for ghost issuance).
-    pub fn sample_token_reuser<R: Rng + ?Sized>(&self, rng: &mut R) -> &CaProfile {
-        loop {
-            let ca = self.sample(rng);
-            if ca.reuses_dv_tokens {
-                return ca;
-            }
-        }
-    }
-}
-
-/// Is a DV token obtained at `validated_at` still usable at `now`?
-pub fn dv_token_valid(validated_at: SimTime, now: SimTime) -> bool {
-    now >= validated_at
-        && now.saturating_since(validated_at)
-            <= SimDuration::from_secs(DV_TOKEN_MAX_AGE_DAYS * SECS_PER_DAY)
 }
 
 #[cfg(test)]
@@ -146,7 +122,7 @@ mod tests {
     fn latency_is_bounded_and_plausible() {
         let fleet = CaFleet::paper_fleet();
         let mut rng = SmallRng::seed_from_u64(1);
-        for ca in fleet.profiles() {
+        for ca in &fleet.profiles {
             let mut total = 0u64;
             for _ in 0..2_000 {
                 let l = ca.sample_latency(&mut rng).as_secs();
@@ -167,25 +143,6 @@ mod tests {
             counts[fleet.sample(&mut rng).id.0 as usize] += 1;
         }
         assert!(counts[0] > counts[1] && counts[1] > counts[3]);
-    }
-
-    #[test]
-    fn token_reuser_sampling_never_returns_non_reuser() {
-        let fleet = CaFleet::paper_fleet();
-        let mut rng = SmallRng::seed_from_u64(3);
-        for _ in 0..1_000 {
-            assert!(fleet.sample_token_reuser(&mut rng).reuses_dv_tokens);
-        }
-    }
-
-    #[test]
-    fn dv_token_validity_window() {
-        let validated = SimTime::from_days(100);
-        assert!(dv_token_valid(validated, SimTime::from_days(100)));
-        assert!(dv_token_valid(validated, SimTime::from_days(100 + 398)));
-        assert!(!dv_token_valid(validated, SimTime::from_days(100 + 399)));
-        // A token from the future is not valid.
-        assert!(!dv_token_valid(validated, SimTime::from_days(99)));
     }
 
     #[test]

@@ -39,12 +39,12 @@ fn hash_with_prefix(prefix: u8, data: &[u8]) -> NodeHash {
 }
 
 /// Leaf hash: `H(0x00 || leaf_bytes)`.
-pub fn leaf_hash(data: &[u8]) -> NodeHash {
+fn leaf_hash(data: &[u8]) -> NodeHash {
     hash_with_prefix(0x00, data)
 }
 
 /// Interior hash: `H(0x01 || left || right)`.
-pub fn node_hash(left: NodeHash, right: NodeHash) -> NodeHash {
+fn node_hash(left: NodeHash, right: NodeHash) -> NodeHash {
     let mut buf = [0u8; 32];
     buf[..16].copy_from_slice(&left.0);
     buf[16..].copy_from_slice(&right.0);

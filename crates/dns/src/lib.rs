@@ -18,8 +18,8 @@
 //! * [`zone`] — a TLD zone: delegations, SOA, point mutations;
 //! * [`snapshot`] — immutable zone snapshots plus a zone-file-like text
 //!   round-trip (the CZDS artifact);
-//! * [`diff`] — three zone-diff engines (sorted-merge, hash-partitioned,
-//!   incremental journal) that the bench harness races against each other.
+//! * [`diff`] — the snapshot diff (a sorted merge) and the incremental
+//!   journal, two independent ways to the same canonical delta.
 
 pub mod diff;
 pub mod hash;
@@ -32,7 +32,7 @@ pub mod snapshot;
 pub mod wire;
 pub mod zone;
 
-pub use diff::{ZoneDelta, ZoneDiffEngine};
+pub use diff::ZoneDelta;
 pub use name::{DomainName, NameError, NameTable};
 pub use psl::PublicSuffixList;
 pub use record::{RData, RecordClass, RecordType, ResourceRecord};

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 /// Maximum name length stored inline (without interning).
-pub const INLINE_LEN: usize = 22;
+const INLINE_LEN: usize = 22;
 
 /// Tag value marking the interned layout.
 const TAG_INTERNED: u8 = 0xFF;
@@ -257,11 +257,6 @@ impl DomainName {
             joined.push_str(label);
         }
         DomainName::parse(&joined)
-    }
-
-    /// True when this name is stored inline (not via the interner).
-    pub fn is_inline(&self) -> bool {
-        self.tag != TAG_INTERNED
     }
 
     /// The canonical spelling: empty for the root, otherwise the lowercase
@@ -597,16 +592,21 @@ mod tests {
 
     // ---- interner-specific coverage ----
 
+    /// Stored inline, not via the interner.
+    fn is_inline(name: &DomainName) -> bool {
+        name.tag != TAG_INTERNED
+    }
+
     #[test]
     fn inline_boundary_at_22_bytes() {
         // 18 + 4 = 22 bytes: the longest inline form.
         let at = DomainName::parse("a23456789012345678.com").unwrap();
         assert_eq!(at.as_str().len(), INLINE_LEN);
-        assert!(at.is_inline());
+        assert!(is_inline(&at));
         // 23 bytes: first interned form.
         let over = DomainName::parse("a2345678901234567890.cc").unwrap();
         assert_eq!(over.as_str().len(), INLINE_LEN + 1);
-        assert!(!over.is_inline());
+        assert!(!is_inline(&over));
         assert_eq!(over.as_str(), "a2345678901234567890.cc");
     }
 
@@ -622,7 +622,7 @@ mod tests {
     #[test]
     fn root_is_inline_and_copy_semantics_hold() {
         let root = DomainName::root();
-        assert!(root.is_inline());
+        assert!(is_inline(&root));
         let copy = root;
         assert_eq!(copy, root);
         assert_eq!(copy.as_str(), ".");
@@ -632,7 +632,7 @@ mod tests {
     fn sixtythree_octet_labels_intern_and_round_trip() {
         let label = "a".repeat(63);
         let name = DomainName::parse(&format!("{label}.com")).unwrap();
-        assert!(!name.is_inline());
+        assert!(!is_inline(&name));
         assert_eq!(name.labels()[0], label);
         assert_eq!(name.parent().unwrap().as_str(), "com");
         // Reparse from display form is identity.
@@ -642,7 +642,7 @@ mod tests {
     #[test]
     fn punycode_long_names_intern_cleanly() {
         let n = DomainName::parse("xn--bcher-kva.xn--vermgensberatung-pwb").unwrap();
-        assert!(!n.is_inline());
+        assert!(!is_inline(&n));
         assert_eq!(n.tld(), Some("xn--vermgensberatung-pwb"));
         assert_eq!(n.suffix(1).as_str(), "xn--vermgensberatung-pwb");
     }

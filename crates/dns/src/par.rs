@@ -1,15 +1,15 @@
 //! A minimal order-preserving scoped-thread map — the one parallel
-//! primitive this workspace needs, shared by the hash-partitioned diff
-//! engine and the broker's publish pool / fleet stream builder instead
-//! of three hand-rolled scope/spawn/join copies.
+//! primitive this workspace needs, shared by the broker feed's fleet
+//! stream builder and its concurrent publish instead of hand-rolled
+//! scope/spawn/join copies.
 //!
 //! Semantics: `scoped_map(items, workers, f)` returns exactly
 //! `items.map(f)` in input order. Items are distributed round-robin
 //! over at most `workers` lanes (round-robin balances skewed item costs
-//! better than contiguous chunking — zone shards and diff partitions
-//! are both skewed), each lane runs on one scoped thread, and a
-//! panicking worker propagates the panic to the caller. With one
-//! worker (or one item) no thread is spawned.
+//! better than contiguous chunking — zone shards are skewed), each lane
+//! runs on one scoped thread, and a panicking worker propagates the
+//! panic to the caller. With one worker (or one item) no thread is
+//! spawned.
 
 /// Order-preserving parallel map over scoped threads.
 ///

@@ -44,7 +44,7 @@ impl PublicSuffixList {
     }
 
     /// Add a single rule in PSL syntax.
-    pub fn add_rule(&mut self, rule: &str) {
+    fn add_rule(&mut self, rule: &str) {
         let rule = rule.trim().to_ascii_lowercase();
         if let Some(exception) = rule.strip_prefix('!') {
             self.exceptions.insert(exception.to_owned());
@@ -69,10 +69,6 @@ nl\nde\nuk\nco.uk\norg.uk\nac.uk\nus\nio\nco\nau\ncom.au\nnet.au\n\
 // wildcard + exception (as in the real PSL for .ck)
 *.ck\n!www.ck\n",
         )
-    }
-
-    pub fn rule_count(&self) -> usize {
-        self.exact.len() + self.wildcard_parents.len() + self.exceptions.len()
     }
 
     /// True if `name` itself is a public suffix.
@@ -228,7 +224,7 @@ mod tests {
     #[test]
     fn parse_ignores_comments_and_blanks() {
         let psl = PublicSuffixList::parse("// a comment\n\ncom\n  net  \n");
-        assert_eq!(psl.rule_count(), 2);
+        assert!(psl.is_public_suffix(&name("com")));
         assert!(psl.is_public_suffix(&name("net")));
     }
 

@@ -50,7 +50,7 @@ impl RecordType {
         })
     }
 
-    pub const fn mnemonic(self) -> &'static str {
+    const fn mnemonic(self) -> &'static str {
         match self {
             RecordType::A => "A",
             RecordType::Ns => "NS",
@@ -60,19 +60,6 @@ impl RecordType {
             RecordType::Txt => "TXT",
             RecordType::Aaaa => "AAAA",
         }
-    }
-
-    pub fn from_mnemonic(s: &str) -> Option<RecordType> {
-        Some(match s.to_ascii_uppercase().as_str() {
-            "A" => RecordType::A,
-            "NS" => RecordType::Ns,
-            "CNAME" => RecordType::Cname,
-            "SOA" => RecordType::Soa,
-            "MX" => RecordType::Mx,
-            "TXT" => RecordType::Txt,
-            "AAAA" => RecordType::Aaaa,
-            _ => return None,
-        })
     }
 }
 
@@ -215,15 +202,8 @@ mod tests {
             RecordType::Aaaa,
         ] {
             assert_eq!(RecordType::from_code(t.code()), Some(t));
-            assert_eq!(RecordType::from_mnemonic(t.mnemonic()), Some(t));
         }
         assert_eq!(RecordType::from_code(999), None);
-        assert_eq!(RecordType::from_mnemonic("PTR"), None);
-    }
-
-    #[test]
-    fn mnemonics_are_case_insensitive() {
-        assert_eq!(RecordType::from_mnemonic("aaaa"), Some(RecordType::Aaaa));
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!
 //! # Name codec: allocation-free, byte-identical
 //!
-//! Every message family here — `Message`, `RZU1`, `RZUS`, `RZUC`,
-//! `RZUL` — spells names through one `Encoder::name` / `Decoder::name`
+//! Every message family here — `Message`, `RZU1`, `RZUC`, `RZUL` —
+//! spells names through one `Encoder::name` / `Decoder::name`
 //! pair, so their cost is per-name overhead times hundreds of thousands
 //! of names per bootstrap:
 //!
@@ -518,11 +518,11 @@ impl<'a> Decoder<'a> {
         Ok(set)
     }
 
-    /// Decode `count` `(owner, NS set)` entries — the body shared by the
-    /// `RZUS` and `RZUC` frames. The count is untrusted: each entry costs
-    /// at least 3 bytes (a 1-byte root or pointer-free name plus a 2-byte
-    /// NS count), so a count the remaining buffer cannot hold is a
-    /// truncation, caught before the allocation is sized from it.
+    /// Decode `count` `(owner, NS set)` entries — the body of an `RZUC`
+    /// frame. The count is untrusted: each entry costs at least 3 bytes
+    /// (a 1-byte root or pointer-free name plus a 2-byte NS count), so a
+    /// count the remaining buffer cannot hold is a truncation, caught
+    /// before the allocation is sized from it.
     fn decode_entries(&mut self, count: usize) -> Result<Vec<(DomainName, NsSet)>, WireError> {
         if count.checked_mul(3).is_none_or(|need| need > self.remaining()) {
             return Err(WireError::Truncated);
@@ -851,8 +851,10 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
 //
 // * `RZUH` — subscriber HELLO (client -> server): the per-TLD serial
 //   claims the catch-up plan is computed from.
-// * `RZUS` — snapshot push (server -> client): a full shard bootstrap,
-//   sent when the catch-up decision rule answers with a checkpoint.
+// * `RZUS` — the monolithic snapshot push: retired in PR 22 — reserved,
+//   refused. Nothing encodes or decodes it; a checkpoint bootstrap
+//   travels as an `RZUC` chunk train (below), and a peer that sends the
+//   magic is closed with `BadMagic` like any unknown frame.
 // * `RZUD` — delta envelope (server -> client): a TLD tag followed by an
 //   embedded `RZU1` frame, verbatim — the server writes the broker's
 //   refcount-shared frame bytes with no per-subscriber re-encode.
@@ -875,8 +877,6 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
 
 /// Magic prefix of a subscriber HELLO frame.
 pub const HELLO_MAGIC: &[u8; 4] = b"RZUH";
-/// Magic prefix of a snapshot-push frame.
-pub const SNAPSHOT_PUSH_MAGIC: &[u8; 4] = b"RZUS";
 /// Magic prefix of a delta-envelope frame (TLD tag + embedded `RZU1`).
 pub const DELTA_ENVELOPE_MAGIC: &[u8; 4] = b"RZUD";
 /// Magic prefix (and entire body) of an eviction notice.
@@ -1043,54 +1043,8 @@ pub fn decode_hello(bytes: &[u8]) -> Result<HelloFrame, WireError> {
     Ok(HelloFrame { claims, resume, scope })
 }
 
-/// Encode a shard bootstrap snapshot for the transport.
-///
-/// Layout: `"RZUS"`, `u16` TLD, origin name, `u32` serial, `u64`
-/// taken-at, `u32` entry count, then per entry a name and an NS set.
-/// Names use the same frame-scoped compression as [`encode_delta_push`],
-/// so the handful of NS providers serving most delegations collapse to
-/// 2-byte pointers.
-pub fn encode_snapshot_push(tld: u16, snapshot: &crate::snapshot::ZoneSnapshot) -> Bytes {
-    let mut enc = Encoder::new();
-    enc.buf.put_slice(SNAPSHOT_PUSH_MAGIC);
-    enc.buf.put_u16(tld);
-    enc.name(snapshot.origin());
-    enc.buf.put_u32(snapshot.serial().get());
-    enc.buf.put_u64(snapshot.taken_at().as_secs());
-    enc.buf.put_u32(snapshot.len() as u32);
-    for (domain, ns) in snapshot.entries() {
-        enc.name(domain);
-        enc.ns_set(ns);
-    }
-    enc.buf.freeze()
-}
-
-/// Decode a frame produced by [`encode_snapshot_push`] into the TLD tag
-/// and the reconstructed snapshot. The entire buffer must be consumed;
-/// the entry count is untrusted (each entry costs at least 3 bytes).
-/// Repeated NS sets come back as shared [`NsSet`]s (per-frame memo).
-pub fn decode_snapshot_push(
-    bytes: &[u8],
-) -> Result<(u16, crate::snapshot::ZoneSnapshot), WireError> {
-    let mut dec = Decoder::new(bytes);
-    if dec.take(4)? != SNAPSHOT_PUSH_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let tld = dec.u16()?;
-    let origin = dec.name()?;
-    let serial = Serial::new(dec.u32()?);
-    let taken_at = SimTime::from_secs(dec.u64()?);
-    let count = dec.u32()? as usize;
-    let entries = dec.decode_entries(count)?;
-    if dec.pos != bytes.len() {
-        return Err(WireError::TrailingBytes(bytes.len() - dec.pos));
-    }
-    Ok((tld, crate::snapshot::ZoneSnapshot::from_ns_entries(origin, serial, taken_at, entries)))
-}
-
-/// Magic prefix of a snapshot continuation chunk — the chunked form of
-/// `RZUS`, used when a checkpoint snapshot must traverse the transport's
-/// frame bound in pieces.
+/// Magic prefix of a snapshot continuation chunk: a checkpoint snapshot
+/// traverses the transport's frame bound in pieces.
 pub const SNAPSHOT_CHUNK_MAGIC: &[u8; 4] = b"RZUC";
 
 /// One decoded snapshot continuation chunk: a contiguous `[offset,
@@ -1101,7 +1055,7 @@ pub const SNAPSHOT_CHUNK_MAGIC: &[u8; 4] = b"RZUC";
 /// [`SnapshotResume`] HELLO claim.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotChunk {
-    /// Transport-level TLD tag, as in the `RZUS` header.
+    /// Transport-level TLD tag.
     pub tld: u16,
     /// Zone origin of the snapshot being chunked.
     pub origin: DomainName,
@@ -1124,12 +1078,13 @@ pub struct SnapshotChunk {
 /// starting at entry `start_entry` (a resume offset; pass 0 for the full
 /// snapshot).
 ///
-/// Each chunk carries the `RZUS`-style header plus `u32` total, `u32`
-/// offset, `u8` flags (bit 0 = last chunk), `u32` entry count, then the
-/// entries. Name compression is scoped per chunk, so every chunk is an
-/// independently decodable frame. Entries are packed greedily: a chunk
-/// is closed once its encoding reaches `chunk_bytes`, so a chunk can
-/// overshoot the target by at most one entry's encoding — callers
+/// Each chunk carries `"RZUC"`, `u16` TLD, origin name, `u32` serial,
+/// `u64` taken-at, then `u32` total, `u32` offset, `u8` flags (bit 0 =
+/// last chunk), `u32` entry count, then the entries. Name compression
+/// is scoped per chunk, so every chunk is an independently decodable
+/// frame. Entries are packed greedily: a chunk is closed once its
+/// encoding reaches `chunk_bytes`, so a chunk can overshoot the target
+/// by at most one entry's encoding — callers
 /// deriving `chunk_bytes` from a hard frame bound must leave headroom
 /// for that (one entry is bounded by one 255-byte name plus a `u16`
 /// count of 255-byte NS host names, far below any sane frame bound).
@@ -1187,11 +1142,10 @@ pub fn encode_snapshot_chunks(
 
 /// Decode one frame produced by [`encode_snapshot_chunks`]. The entire
 /// buffer must be consumed; the entry count is untrusted (bounded before
-/// allocation, as in [`decode_snapshot_push`]), and the chunk's
-/// `(offset, count, total, last)` bookkeeping must be arithmetically
-/// consistent — a frame claiming entries past `total`, or a last flag
-/// that disagrees with `offset + count == total`, is a
-/// [`WireError::BadChunk`].
+/// allocation), and the chunk's `(offset, count, total, last)`
+/// bookkeeping must be arithmetically consistent — a frame claiming
+/// entries past `total`, or a last flag that disagrees with
+/// `offset + count == total`, is a [`WireError::BadChunk`].
 pub fn decode_snapshot_chunk(bytes: &[u8]) -> Result<SnapshotChunk, WireError> {
     let mut dec = Decoder::new(bytes);
     if dec.take(4)? != SNAPSHOT_CHUNK_MAGIC {
@@ -1290,7 +1244,7 @@ pub fn is_evict_notice(bytes: &[u8]) -> bool {
 
 /// Magic prefix of the stats round trip: alone it is the query; with a
 /// payload it is the report.
-pub const STATS_MAGIC: &[u8; 4] = b"RZUQ";
+const STATS_MAGIC: &[u8; 4] = b"RZUQ";
 
 /// Transport-level server counters as they cross the wire. Field
 /// meanings mirror the broker transport's `ServerStats`; this struct is
@@ -1398,11 +1352,17 @@ pub fn is_stats_query(bytes: &[u8]) -> bool {
 /// per subscriber the five `u64` counters in [`WireSubscriberStats`]
 /// field order followed by a `u16` claim count and its claims in HELLO
 /// encoding.
+///
+/// A `u16` count cannot say more than 65 535 rows, so no more are
+/// written: a server past that many live subscriber connections reports
+/// the first 65 535 (rows arrive in ascending id order, so the cut is
+/// deterministic). A wrapped count ahead of *all* the rows would fail
+/// every scrape and health probe of it with `TrailingBytes`.
 pub fn encode_stats_report(report: &StatsReport) -> Bytes {
-    debug_assert!(report.shards.len() <= u16::MAX as usize);
-    debug_assert!(report.subs.len() <= u16::MAX as usize);
+    let shards = &report.shards[..report.shards.len().min(u16::MAX as usize)];
+    let subs = &report.subs[..report.subs.len().min(u16::MAX as usize)];
     let mut buf =
-        BytesMut::with_capacity(4 + 80 + 2 + report.shards.len() * STATS_SHARD_ROW_LEN);
+        BytesMut::with_capacity(4 + 80 + 2 + shards.len() * STATS_SHARD_ROW_LEN);
     buf.put_slice(STATS_MAGIC);
     let s = &report.server;
     for v in [
@@ -1419,8 +1379,8 @@ pub fn encode_stats_report(report: &StatsReport) -> Bytes {
     ] {
         buf.put_u64(v);
     }
-    buf.put_u16(report.shards.len() as u16);
-    for shard in &report.shards {
+    buf.put_u16(shards.len() as u16);
+    for shard in shards {
         buf.put_u16(shard.tld);
         buf.put_u32(shard.head_serial.get());
         for v in [
@@ -1441,8 +1401,8 @@ pub fn encode_stats_report(report: &StatsReport) -> Bytes {
             buf.put_u64(v);
         }
     }
-    buf.put_u16(report.subs.len() as u16);
-    for sub in &report.subs {
+    buf.put_u16(subs.len() as u16);
+    for sub in subs {
         for v in
             [sub.id, sub.queue_depth, sub.lag_drops, sub.coalesced_frames, sub.buffered_bytes]
         {
@@ -2278,35 +2238,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_push_round_trips() {
-        let snap = crate::snapshot::ZoneSnapshot::from_entries(
-            name("com"),
-            Serial::new(17),
-            SimTime::from_secs(900),
-            vec![
-                (name("alpha.com"), vec![name("ns1.cloudflare.com"), name("ns2.cloudflare.com")]),
-                (name("bravo.com"), vec![name("ns1.cloudflare.com")]),
-            ],
-        );
-        let frame = encode_snapshot_push(3, &snap);
-        let (tld, decoded) = decode_snapshot_push(&frame).unwrap();
-        assert_eq!(tld, 3);
-        assert_eq!(decoded, snap);
-    }
-
-    #[test]
-    fn snapshot_push_rejects_oversized_counts_without_allocating() {
-        let mut frame = Vec::new();
-        frame.extend_from_slice(SNAPSHOT_PUSH_MAGIC);
-        frame.extend_from_slice(&0u16.to_be_bytes()); // tld
-        frame.push(0); // root origin
-        frame.extend_from_slice(&1u32.to_be_bytes()); // serial
-        frame.extend_from_slice(&0u64.to_be_bytes()); // taken_at
-        frame.extend_from_slice(&u32::MAX.to_be_bytes()); // entry count
-        assert_eq!(decode_snapshot_push(&frame), Err(WireError::Truncated));
-    }
-
-    #[test]
     fn delta_envelope_wraps_rzu1_verbatim() {
         let delta = sample_delta();
         let rzu1 = encode_delta_push(
@@ -2416,6 +2347,19 @@ mod tests {
         // Empty shard lists are legal (a server with no shards yet).
         let empty = StatsReport::default();
         assert_eq!(decode_stats_report(&encode_stats_report(&empty)).unwrap(), empty);
+    }
+
+    #[test]
+    fn stats_report_caps_rows_at_what_the_count_can_say() {
+        // One subscriber more than a `u16` count holds: the frame says
+        // 65 535 and carries exactly those rows, the lowest ids.
+        let subs: Vec<_> = (0..=u64::from(u16::MAX))
+            .map(|id| WireSubscriberStats { id, ..Default::default() })
+            .collect();
+        let report = StatsReport { subs, ..Default::default() };
+        let decoded = decode_stats_report(&encode_stats_report(&report)).unwrap();
+        assert_eq!(decoded.subs.len(), usize::from(u16::MAX));
+        assert_eq!(decoded.subs[..], report.subs[..usize::from(u16::MAX)]);
     }
 
     #[test]
@@ -2680,9 +2624,6 @@ mod tests {
         assert_eq!(chunk.entries.len(), 64);
         let shared = &chunk.entries[1].1;
         assert!(chunk.entries[2..].iter().all(|(_, ns)| ns.ptr_eq(shared)));
-        let (_, decoded) = decode_snapshot_push(&encode_snapshot_push(1, &snap)).unwrap();
-        assert_eq!(decoded, snap);
-        assert!(decoded.ns_column().iter().skip(2).all(|ns| ns.ptr_eq(&decoded.ns_column()[1])));
     }
 
     #[test]

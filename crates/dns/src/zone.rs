@@ -1,7 +1,7 @@
 //! A TLD zone: the registry's live, mutable view.
 //!
 //! A registry zone at the TLD level is essentially a map from registered
-//! domain to its delegation (NS set plus optional glue). Registrations,
+//! domain to its delegation (its NS set). Registrations,
 //! deletions and nameserver changes mutate the zone and bump the SOA serial
 //! — exactly the churn the paper measures through daily CZDS snapshots and
 //! proposes to expose through rapid zone updates.
@@ -16,7 +16,6 @@ use crate::record::{RData, ResourceRecord, SoaData};
 use crate::serial::Serial;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::net::IpAddr;
 use std::sync::Arc;
 
 /// An immutable, cheaply-clonable set of nameserver host names.
@@ -175,8 +174,6 @@ pub struct Delegation {
     /// Nameserver host names, kept sorted and deduplicated so that equality
     /// comparisons (and therefore diffs) are order-insensitive.
     ns: NsSet,
-    /// In-bailiwick glue addresses, keyed by nameserver host name.
-    glue: BTreeMap<DomainName, Vec<IpAddr>>,
 }
 
 impl Delegation {
@@ -185,7 +182,7 @@ impl Delegation {
     /// exist in a zone.
     pub fn new(ns: Vec<DomainName>) -> Self {
         assert!(!ns.is_empty(), "delegation requires at least one NS");
-        Delegation { ns: NsSet::new(ns), glue: BTreeMap::new() }
+        Delegation { ns: NsSet::new(ns) }
     }
 
     /// Unchecked-fast constructor for NS sets that are canonical (sorted,
@@ -198,12 +195,7 @@ impl Delegation {
             ns.windows(2).all(|w| w[0] < w[1]),
             "Delegation::from_sorted requires canonical NS order"
         );
-        Delegation { ns, glue: BTreeMap::new() }
-    }
-
-    pub fn with_glue(mut self, host: DomainName, addrs: Vec<IpAddr>) -> Self {
-        self.glue.insert(host, addrs);
-        self
+        Delegation { ns }
     }
 
     pub fn ns(&self) -> &[DomainName] {
@@ -214,16 +206,6 @@ impl Delegation {
     /// into snapshots, journals and deltas without copying.
     pub fn ns_set(&self) -> &NsSet {
         &self.ns
-    }
-
-    pub fn glue(&self) -> &BTreeMap<DomainName, Vec<IpAddr>> {
-        &self.glue
-    }
-
-    /// The registrable-domain ("SLD") of the first nameserver — the key the
-    /// paper aggregates DNS-hosting providers by (Table 4).
-    pub fn primary_ns(&self) -> &DomainName {
-        &self.ns[0]
     }
 }
 
@@ -448,7 +430,6 @@ mod tests {
     fn delegation_ns_sorted_dedup() {
         let d = Delegation::new(vec![name("b.net"), name("a.net"), name("b.net")]);
         assert_eq!(d.ns(), &[name("a.net"), name("b.net")]);
-        assert_eq!(d.primary_ns(), &name("a.net"));
     }
 
     #[test]
@@ -474,13 +455,6 @@ mod tests {
         let c = NsSet::new(vec![name("a.net"), name("b.net")]);
         assert!(!a.ptr_eq(&c));
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn glue_round_trip() {
-        let d = Delegation::new(ns("ns1.example.com"))
-            .with_glue(name("ns1.example.com"), vec!["192.0.2.53".parse().unwrap()]);
-        assert_eq!(d.glue().len(), 1);
     }
 
     #[test]

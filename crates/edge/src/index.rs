@@ -173,15 +173,9 @@ impl EdgeEpoch {
         self.shards.values().any(|s| s.contains(name))
     }
 
-    /// When `name` first appeared in `tld` within the hot NRD window.
-    pub fn nrd_first_seen(&self, tld: TldId, name: &DomainName) -> Option<SimTime> {
-        assert_no_shard_locks();
-        self.nrd.first_seen(tld, name)
-    }
-
     /// The most recent in-window first-seen for `name` across every
     /// served TLD.
-    pub fn nrd_first_seen_anywhere(&self, name: &DomainName) -> Option<SimTime> {
+    fn nrd_first_seen_anywhere(&self, name: &DomainName) -> Option<SimTime> {
         assert_no_shard_locks();
         self.shards.keys().filter_map(|&tld| self.nrd.first_seen(tld, name)).max()
     }
@@ -203,7 +197,7 @@ impl EdgeEpoch {
     /// answer); a TLD the edge does not serve answers absent with no
     /// serial, which is how a thin client discovers it asked the wrong
     /// edge.
-    pub fn answer_one(&self, query: &LookupQuery) -> LookupAnswer {
+    fn answer_one(&self, query: &LookupQuery) -> LookupAnswer {
         assert_no_shard_locks();
         if query.tld == LOOKUP_ANY_TLD {
             return LookupAnswer {
@@ -379,7 +373,7 @@ mod tests {
         index.adopt_snapshot(TldId(0), snap("com", 1, &["old.com"]));
         let epoch = index.load();
         assert_eq!(epoch.nrd_len(), 0, "bootstrap names are not NRDs");
-        assert_eq!(epoch.nrd_first_seen(TldId(0), &name("old.com")), None);
+        assert_eq!(epoch.nrd.first_seen(TldId(0), &name("old.com")), None);
 
         let push = push_for(&["fresh.com"], 1, 2, 1000);
         let next = push.delta.apply(epoch.shards.get(&TldId(0)).unwrap(), push.to_serial, push.pushed_at);
@@ -387,7 +381,7 @@ mod tests {
         let epoch = index.load();
         assert!(epoch.contains(TldId(0), &name("fresh.com")));
         assert_eq!(
-            epoch.nrd_first_seen(TldId(0), &name("fresh.com")),
+            epoch.nrd.first_seen(TldId(0), &name("fresh.com")),
             Some(SimTime::from_secs(1000))
         );
         assert_eq!(epoch.nrd_first_seen_anywhere(&name("fresh.com")), Some(SimTime::from_secs(1000)));
@@ -411,17 +405,17 @@ mod tests {
         apply(&["c.com"], 160, &index, &mut state);
         let epoch = index.load();
         // a.com (at 10) fell off the 100s window once c.com (160) landed.
-        assert_eq!(epoch.nrd_first_seen(TldId(0), &name("a.com")), None);
+        assert_eq!(epoch.nrd.first_seen(TldId(0), &name("a.com")), None);
         assert!(epoch.contains(TldId(0), &name("a.com")), "pruned from NRD, still delegated");
-        assert_eq!(epoch.nrd_first_seen(TldId(0), &name("b.com")), Some(SimTime::from_secs(70)));
+        assert_eq!(epoch.nrd.first_seen(TldId(0), &name("b.com")), Some(SimTime::from_secs(70)));
         assert_eq!(epoch.nrd_len(), 2);
 
         // Capacity cap: 5 adds in-window keep only the newest 4.
         apply(&["d.com", "e.com", "f.com", "g.com", "h.com"], 170, &index, &mut state);
         let epoch = index.load();
         assert_eq!(epoch.nrd_len(), 4);
-        assert_eq!(epoch.nrd_first_seen(TldId(0), &name("b.com")), None, "oldest evicted by cap");
-        assert_eq!(epoch.nrd_first_seen(TldId(0), &name("h.com")), Some(SimTime::from_secs(170)));
+        assert_eq!(epoch.nrd.first_seen(TldId(0), &name("b.com")), None, "oldest evicted by cap");
+        assert_eq!(epoch.nrd.first_seen(TldId(0), &name("h.com")), Some(SimTime::from_secs(170)));
     }
 
     #[test]
@@ -463,7 +457,7 @@ mod tests {
                         last_epoch = epoch.epoch();
                         for i in 0..200u32 {
                             let n = name(&format!("d{i}.com"));
-                            if epoch.nrd_first_seen(TldId(0), &n).is_some() {
+                            if epoch.nrd.first_seen(TldId(0), &n).is_some() {
                                 assert!(
                                     epoch.contains(TldId(0), &n),
                                     "NRD window ahead of the snapshot inside one epoch"

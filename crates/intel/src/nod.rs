@@ -109,10 +109,6 @@ impl NodFeed {
         self.observations.contains_key(&id)
     }
 
-    pub fn observed_at(&self, id: DomainId) -> Option<SimTime> {
-        self.observations.get(&id).copied()
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = (DomainId, SimTime)> + '_ {
         self.observations.iter().map(|(&id, &t)| (id, t))
     }
@@ -209,7 +205,7 @@ mod tests {
         let b = NodFeed::simulate(&u, &NodConfig::default(), start, &RngPool::new(5));
         assert_eq!(a.len(), b.len());
         for (id, t) in a.iter() {
-            assert_eq!(b.observed_at(id), Some(t));
+            assert_eq!(b.observations.get(&id), Some(&t));
         }
     }
 }

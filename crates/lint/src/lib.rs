@@ -43,11 +43,10 @@
 //! * **L7 `orphan-pub`** — a `pub fn` / `const` / `static` / `type` on a
 //!   non-test line of `crates/*/src` whose name occurs as a whole word
 //!   in the code of no other `.rs` file of the repository is an orphan:
-//!   public surface no caller reaches. Orphans are listed by every
-//!   workspace scan and may number at most [`ORPHAN_CEILING`], a
-//!   constant that only ever goes down. This is the one cross-file rule
-//!   ([`scan_orphans`]); it has no `lint: allow` — the ceiling is the
-//!   only slack.
+//!   public surface no caller reaches, and a finding like any other.
+//!   This is the one cross-file rule ([`scan_orphans`]); it has no
+//!   `lint: allow` and no slack — delete the item, drop its `pub`, or
+//!   gate a test hook behind `#[cfg(test)]`.
 //!
 //! Escape hatch: a comment `// lint: allow(<rule>) <justification>` on
 //! the offending line (or the contiguous comment block above it)
@@ -1037,7 +1036,8 @@ fn read_sources(
 /// Scan the workspace rooted at `root`: every non-vendored `.rs` file
 /// under `crates/*/src` and `src/`, with path-derived profiles and a
 /// two-pass (declarations, then checks) so cross-file receivers resolve
-/// when their names are workspace-unique.
+/// when their names are workspace-unique; then the one cross-file rule,
+/// L7, over every file that could name a `pub` item.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let sources =
         read_sources(root, &["crates", "src"], &|d| never_scanned(d) || test_support(d))?;
@@ -1067,18 +1067,13 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         let profile = profile_for(file);
         findings.extend(scan_source(file, source, profile, &global));
     }
+    findings.extend(scan_workspace_orphans(root)?);
     Ok(findings)
 }
 
 // ---------------------------------------------------------------------------
 // L7: orphaned public items — the one cross-file rule
 // ---------------------------------------------------------------------------
-
-/// The most L7 orphans a workspace scan tolerates: what the tree held
-/// when the rule landed, every one of them still named by its own
-/// file's unit tests. Lower it with every orphan deleted or narrowed;
-/// never raise it (the same contract as the `lint: allow` site count).
-pub const ORPHAN_CEILING: usize = 64;
 
 /// The name a `pub fn` / `const` / `static` / `type` item declares on
 /// this line. `pub(crate)` and narrower are not public surface.
@@ -1104,12 +1099,12 @@ fn pub_item_name(code: &str) -> Option<&str> {
     }
 }
 
-/// Does this file declare public surface L7 answers for? Crate sources
-/// only — not the paper binaries (no importer by construction) and not
-/// the linter itself.
+/// Does this file (path relative to the workspace root) declare public
+/// surface L7 answers for? Crate sources only — not the paper binaries
+/// (no importer by construction) and not the linter itself.
 fn declares_surface(path: &Path) -> bool {
     let p = path.to_string_lossy().replace('\\', "/");
-    p.contains("crates/") && p.contains("/src/") && !p.contains("/src/bin/") && !p.contains("crates/lint/")
+    p.starts_with("crates/") && p.contains("/src/") && !p.contains("/src/bin/") && !p.starts_with("crates/lint/")
 }
 
 /// L7 over an explicit file set. Every file is a caller of every other;
@@ -1156,7 +1151,10 @@ pub fn scan_orphans(
                     .sum()
             };
             let message = if own(true) > 0 {
-                format!("`{name}` is named by no other file; its own file's tests still name it")
+                format!(
+                    "`{name}` is named by no other file, only by its own file's tests: delete it \
+                     with those assertions, or gate a test hook behind `#[cfg(test)]`"
+                )
             } else if own(false) > 1 {
                 format!("`{name}` is named only inside its own file: narrow it to `pub(crate)` or private")
             } else {
@@ -1177,13 +1175,13 @@ pub fn scan_orphans(
 /// against every `.rs` file that could call them — crate sources, the
 /// root package, examples, integration tests, benches and the
 /// standalone benchmark package.
-pub fn scan_workspace_orphans(root: &Path) -> std::io::Result<Vec<Finding>> {
+fn scan_workspace_orphans(root: &Path) -> std::io::Result<Vec<Finding>> {
     let sources = read_sources(
         root,
         &["crates", "src", "examples", "tests", "benches", "rzu_bench"],
         &never_scanned,
     )?;
-    Ok(scan_orphans(&sources, &declares_surface))
+    Ok(scan_orphans(&sources, &|path| declares_surface(path.strip_prefix(root).unwrap_or(path))))
 }
 
 #[cfg(test)]

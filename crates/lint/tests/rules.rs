@@ -108,10 +108,30 @@ fn l7_fires_on_pub_items_no_other_file_names() {
                 if delete.contains("`nobody_calls_this` is named nowhere else")
                     && narrow.contains("`ONLY_USED_BELOW` is named only inside its own file")
                     && tested.contains("`only_its_test_calls_this`")
-                    && tested.contains("its own file's tests still name it")
+                    && tested.contains("only by its own file's tests")
         ),
         "{findings:#?}"
     );
+}
+
+#[test]
+fn l7_orphan_fails_a_workspace_scan_like_any_finding() {
+    // The binary `scripts/lint.sh` runs, over a one-crate workspace
+    // holding one orphan: the scan prints it and exits nonzero.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/orphan_ws");
+    let scan = std::process::Command::new(env!("CARGO_BIN_EXE_darkdns-lint"))
+        .arg(&root)
+        .output()
+        .expect("run darkdns-lint");
+    let stdout = String::from_utf8_lossy(&scan.stdout);
+    assert_eq!(scan.status.code(), Some(1), "{stdout}");
+    let orphans: Vec<&str> = stdout.lines().filter(|l| l.contains("[orphan-pub]")).collect();
+    assert!(
+        matches!(orphans[..], [line] if line.contains("lib.rs:11:")
+            && line.contains("`only_its_test_calls_this`")),
+        "{stdout}"
+    );
+    assert!(stdout.ends_with("darkdns-lint: 1 finding(s)\n"), "{stdout}");
 }
 
 #[test]

@@ -27,7 +27,7 @@ pub enum NsAnswer {
 /// instant (the §4.1 NS-infrastructure-change population); which provider
 /// they switch to is a deterministic function of the record so replays
 /// agree.
-pub fn provider_at(record: &DomainRecord, landscape: &HostingLandscape, t: SimTime) -> ProviderId {
+fn provider_at(record: &DomainRecord, landscape: &HostingLandscape, t: SimTime) -> ProviderId {
     match record.ns_change_at {
         Some(change) if t >= change => {
             let n = landscape.dns_providers().len() as u16;
@@ -57,14 +57,6 @@ impl<'a> TldAuthority<'a> {
             }
             _ => NsAnswer::NxDomain,
         }
-    }
-
-    pub fn landscape(&self) -> &HostingLandscape {
-        self.landscape
-    }
-
-    pub fn universe(&self) -> &Universe {
-        self.universe
     }
 }
 

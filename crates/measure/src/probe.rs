@@ -10,7 +10,7 @@ use darkdns_dns::DomainName;
 use darkdns_sim::time::{SimDuration, SimTime};
 
 /// Paper probe cadence.
-pub const PROBE_INTERVAL: SimDuration = SimDuration::from_minutes(10);
+const PROBE_INTERVAL: SimDuration = SimDuration::from_minutes(10);
 /// Paper monitoring horizon.
 pub const MONITOR_HORIZON: SimDuration = SimDuration::from_hours(48);
 
@@ -45,7 +45,7 @@ impl ProbePlan {
     }
 
     /// All probe instants: start, start+interval, ..., start+horizon.
-    pub fn instants(&self) -> impl Iterator<Item = SimTime> + '_ {
+    fn instants(&self) -> impl Iterator<Item = SimTime> + '_ {
         (0..self.len() as u64).map(move |i| self.start + SimDuration::from_secs(i * self.interval.as_secs()))
     }
 

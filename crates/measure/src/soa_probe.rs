@@ -35,7 +35,7 @@ impl<'a> SoaAuthority<'a> {
     }
 
     /// Serial visible at `now`: base + completed pushes.
-    pub fn serial_at(&self, now: SimTime) -> Serial {
+    fn serial_at(&self, now: SimTime) -> Serial {
         let cadence = self.tld.zone_update_interval.as_secs().max(1);
         let pushes = now.saturating_since(self.anchor).as_secs() / cadence;
         // RFC 1982 addition handles the wrap; pushes stay far below 2^31
@@ -46,7 +46,7 @@ impl<'a> SoaAuthority<'a> {
     /// Answer one SOA query **on the wire**: the query is encoded, the
     /// response built and encoded, and both sides round-trip the codec —
     /// this is what keeps the wire implementation honest under use.
-    pub fn query_soa_wire(&self, query_bytes: &[u8], now: SimTime) -> Result<Vec<u8>, String> {
+    fn query_soa_wire(&self, query_bytes: &[u8], now: SimTime) -> Result<Vec<u8>, String> {
         let query = Message::decode(query_bytes).map_err(|e| e.to_string())?;
         let question = query.questions.first().ok_or("no question")?;
         if question.qtype != RecordType::Soa {

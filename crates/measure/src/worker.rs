@@ -72,7 +72,7 @@ impl MonitorPool {
     }
 
     /// Stable worker assignment for a domain.
-    pub fn worker_for(&self, name: &DomainName) -> u16 {
+    fn worker_for(&self, name: &DomainName) -> u16 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in name.as_str().as_bytes() {
             h ^= u64::from(b);

@@ -144,10 +144,6 @@ impl HostingLandscape {
         &self.dns_providers[id.0 as usize]
     }
 
-    pub fn dns_provider_by_name(&self, name: &str) -> Option<&DnsProvider> {
-        self.dns_providers.iter().find(|p| p.name == name)
-    }
-
     pub fn dns_providers(&self) -> &[DnsProvider] {
         &self.dns_providers
     }
@@ -184,6 +180,10 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    fn dns_provider<'a>(land: &'a HostingLandscape, name: &str) -> &'a DnsProvider {
+        land.dns_providers().iter().find(|p| p.name == name).expect("provider in landscape")
+    }
+
     #[test]
     fn transient_dns_mix_matches_table4() {
         let land = HostingLandscape::paper_landscape();
@@ -193,7 +193,7 @@ mod tests {
         for _ in 0..n {
             counts[land.sample_dns(&mut rng, true).0 as usize] += 1;
         }
-        let cf = land.dns_provider_by_name("Cloudflare").unwrap().id.0 as usize;
+        let cf = dns_provider(&land, "Cloudflare").id.0 as usize;
         let frac = counts[cf] as f64 / n as f64;
         assert!((frac - 0.495).abs() < 0.01, "Cloudflare share {frac}");
         // Cloudflare ranks first among transients.
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn ns_hosts_are_under_provider_sld() {
         let land = HostingLandscape::paper_landscape();
-        let cf = land.dns_provider_by_name("Cloudflare").unwrap();
+        let cf = dns_provider(&land, "Cloudflare");
         let hosts = cf.ns_hosts();
         assert_eq!(hosts.len(), 2);
         assert!(hosts[0].as_str().ends_with("cloudflare.com"));
@@ -249,8 +249,8 @@ mod tests {
         for _ in 0..n {
             counts[land.sample_dns(&mut rng, false).0 as usize] += 1;
         }
-        let gd = land.dns_provider_by_name("GoDaddy").unwrap().id.0 as usize;
-        let cf = land.dns_provider_by_name("Cloudflare").unwrap().id.0 as usize;
+        let gd = dns_provider(&land, "GoDaddy").id.0 as usize;
+        let cf = dns_provider(&land, "Cloudflare").id.0 as usize;
         // In the ordinary mix GoDaddy (domaincontrol.com) beats Cloudflare.
         assert!(counts[gd] > counts[cf]);
     }

@@ -49,14 +49,6 @@ impl LifecyclePhase {
             LifecyclePhase::PendingDelete => vec!["pendingDelete"],
         }
     }
-
-    /// Is the delegation published in the zone during this phase?
-    /// (Redemption and pending-delete names are withheld from the zone —
-    /// which is exactly why zone-level removal is the abuse-takedown
-    /// signal the paper measures.)
-    pub fn in_zone(self) -> bool {
-        matches!(self, LifecyclePhase::AddPeriod | LifecyclePhase::Active)
-    }
 }
 
 /// Lifecycle phase of `record` at `t`.
@@ -82,15 +74,6 @@ pub fn phase_at(record: &DomainRecord, t: SimTime) -> LifecyclePhase {
                 LifecyclePhase::Active
             }
         }
-    }
-}
-
-/// Was the deletion inside the add-grace window (a refundable, possibly
-/// legitimate "tasting" deletion)?
-pub fn deleted_in_add_grace(record: &DomainRecord) -> bool {
-    match record.removed {
-        Some(removed) => removed.saturating_since(record.created) < ADD_GRACE,
-        None => false,
     }
 }
 
@@ -135,11 +118,14 @@ mod tests {
 
     #[test]
     fn zone_membership_tracks_phase() {
+        // Redemption and pending-delete names are withheld from the zone
+        // — which is exactly why zone-level removal is the
+        // abuse-takedown signal the paper measures.
         let r = record(100, Some(120), DomainKind::EarlyRemoved);
         for day in [101u64, 110, 121, 151, 156] {
             let phase = phase_at(&r, SimTime::from_days(day));
             assert_eq!(
-                phase.in_zone(),
+                matches!(phase, LifecyclePhase::AddPeriod | LifecyclePhase::Active),
                 r.in_zone_at(SimTime::from_days(day)),
                 "phase {phase:?} vs zone at day {day}"
             );
@@ -154,16 +140,7 @@ mod tests {
         // everyone else.
         let mut r = record(100, None, DomainKind::Transient);
         r.removed = Some(r.created + SimDuration::from_hours(6));
-        assert!(deleted_in_add_grace(&r));
         assert_eq!(phase_at(&r, r.created + SimDuration::from_hours(3)), LifecyclePhase::AddPeriod);
-    }
-
-    #[test]
-    fn long_lived_deletion_is_not_tasting() {
-        let r = record(100, Some(160), DomainKind::EarlyRemoved);
-        assert!(!deleted_in_add_grace(&r));
-        let alive = record(100, None, DomainKind::LongLived);
-        assert!(!deleted_in_add_grace(&alive));
     }
 
     #[test]
@@ -177,7 +154,5 @@ mod tests {
         assert!(LifecyclePhase::AddPeriod.epp_statuses().contains(&"addPeriod"));
         assert!(LifecyclePhase::RedemptionPeriod.epp_statuses().contains(&"redemptionPeriod"));
         assert!(LifecyclePhase::Released.epp_statuses().is_empty());
-        assert!(!LifecyclePhase::RedemptionPeriod.in_zone());
-        assert!(LifecyclePhase::Active.in_zone());
     }
 }

@@ -44,11 +44,6 @@ impl LabelGen {
         LabelGen { seq: 0 }
     }
 
-    /// Labels emitted so far.
-    pub fn emitted(&self) -> u64 {
-        self.seq
-    }
-
     fn next_seq(&mut self) -> u64 {
         let s = self.seq;
         self.seq += 1;
@@ -139,7 +134,7 @@ mod tests {
             let label = lg.label(&mut rng, style);
             assert!(seen.insert(label.clone()), "duplicate label {label}");
         }
-        assert_eq!(lg.emitted(), 10_000);
+        assert_eq!(lg.seq, 10_000);
     }
 
     #[test]

@@ -91,13 +91,6 @@ impl RzuFeed {
         &self.pushes
     }
 
-    /// Pushes emitted in `(after, upto]`.
-    pub fn pushes_between(&self, after: SimTime, upto: SimTime) -> &[RzuPush] {
-        let start = self.pushes.partition_point(|p| p.pushed_at <= after);
-        let end = self.pushes.partition_point(|p| p.pushed_at <= upto);
-        &self.pushes[start..end]
-    }
-
     /// Total number of events across all pushes.
     pub fn event_count(&self) -> usize {
         self.pushes.iter().map(|p| p.events.len()).sum()
@@ -331,15 +324,6 @@ mod tests {
         assert_eq!(feed.pushes()[1].pushed_at, SimTime::from_secs(600));
         assert_eq!(feed.pushes()[1].events.len(), 1);
         assert_eq!(feed.event_count(), 4);
-    }
-
-    #[test]
-    fn pushes_between_is_half_open() {
-        let events = vec![ev(10, 1, RegistryEventKind::Created), ev(400, 2, RegistryEventKind::Created)];
-        let feed = RzuFeed::build(TldId(0), SimTime::ZERO, SimDuration::from_minutes(5), &events);
-        let got = feed.pushes_between(SimTime::from_secs(300), SimTime::from_secs(600));
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].pushed_at, SimTime::from_secs(600));
     }
 
     #[test]

@@ -88,14 +88,6 @@ impl Cdf {
     pub fn series(&self, edges: &[f64]) -> Vec<(f64, f64)> {
         edges.iter().map(|&e| (e, self.fraction_at_or_below(e))).collect()
     }
-
-    /// Merge two CDFs (the union of their samples).
-    pub fn merged(&self, other: &Cdf) -> Cdf {
-        let mut all = Vec::with_capacity(self.sorted.len() + other.sorted.len());
-        all.extend_from_slice(&self.sorted);
-        all.extend_from_slice(&other.sorted);
-        Cdf::from_samples(all)
-    }
 }
 
 /// The x-axis tick marks of Figure 1 (detection latency), in seconds:
@@ -167,15 +159,6 @@ mod tests {
     fn duplicates_count_fully() {
         let cdf = Cdf::from_samples(vec![2.0, 2.0, 2.0, 5.0]);
         assert_eq!(cdf.fraction_at_or_below(2.0), 0.75);
-    }
-
-    #[test]
-    fn merged_unions_samples() {
-        let a = Cdf::from_samples(vec![1.0, 3.0]);
-        let b = Cdf::from_samples(vec![2.0, 4.0]);
-        let m = a.merged(&b);
-        assert_eq!(m.len(), 4);
-        assert_eq!(m.quantile(0.5), 2.0);
     }
 
     #[test]

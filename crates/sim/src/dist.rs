@@ -1,11 +1,10 @@
 //! Distribution samplers used by the ecosystem simulator.
 //!
 //! Implemented from first principles on top of `Rng::gen::<f64>()` rather
-//! than pulling in `rand_distr`: the workspace only needs three continuous
-//! families (log-normal for latencies, Pareto for heavy-tailed lifetimes,
-//! exponential for inter-arrivals) and a weighted categorical, and keeping
-//! them here lets the tests pin down the exact sampling algorithm that the
-//! paper-reproduction numbers depend on.
+//! than pulling in `rand_distr`: the workspace only needs one continuous
+//! family (log-normal, for latencies) and a weighted categorical, and
+//! keeping them here lets the tests pin down the exact sampling algorithm
+//! that the paper-reproduction numbers depend on.
 
 use rand::Rng;
 
@@ -50,58 +49,11 @@ impl LogNormal {
 /// the single-value form (discarding the second variate) so consumption of
 /// the RNG stream is a fixed two draws per sample — simpler to reason about
 /// for reproducibility than a cached-pair implementation.
-pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 in (0,1]: avoid ln(0).
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Pareto (type I) distribution with scale `x_min` and shape `alpha`.
-/// CDF: `1 - (x_min / x)^alpha` for `x >= x_min`.
-///
-/// Used for heavy-tailed benign domain lifetimes (most registrations live
-/// for a year or more; a tail is dropped quickly).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// # Panics
-    /// Panics unless `x_min > 0` and `alpha > 0`.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(x_min > 0.0 && alpha > 0.0, "bad pareto params");
-        Pareto { x_min, alpha }
-    }
-
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // Inverse-CDF sampling; u in (0,1].
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        self.x_min / u.powf(1.0 / self.alpha)
-    }
-}
-
-/// Exponential inter-arrival sampler with the given rate (events per unit
-/// time). Used to scatter registrations across a day as a Poisson process.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// # Panics
-    /// Panics unless `rate > 0`.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        Exponential { rate }
-    }
-
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        -u.ln() / self.rate
-    }
 }
 
 /// Weighted categorical sampler over `0..weights.len()` using cumulative
@@ -147,18 +99,6 @@ impl WeightedIndex {
         // exceeds x, i.e. category i is chosen with probability w_i / total.
         self.cumulative.partition_point(|&c| c <= x).min(self.cumulative.len() - 1)
     }
-
-    /// Probability mass of category `i`.
-    pub fn probability(&self, i: usize) -> f64 {
-        let prev = if i == 0 { 0.0 } else { self.cumulative[i - 1] };
-        (self.cumulative[i] - prev) / self.total
-    }
-}
-
-/// Sample uniformly from `[lo, hi)` seconds, returned as whole seconds.
-pub fn uniform_secs<R: Rng + ?Sized>(rng: &mut R, lo: u64, hi: u64) -> u64 {
-    assert!(lo < hi, "empty range");
-    rng.gen_range(lo..hi)
 }
 
 #[cfg(test)]
@@ -197,37 +137,8 @@ mod tests {
     }
 
     #[test]
-    fn pareto_respects_x_min_and_tail() {
-        let d = Pareto::new(10.0, 1.5);
-        let mut r = rng();
-        let n = 20_000;
-        let mut above_20 = 0;
-        for _ in 0..n {
-            let x = d.sample(&mut r);
-            assert!(x >= 10.0);
-            if x > 20.0 {
-                above_20 += 1;
-            }
-        }
-        // P(X > 20) = (10/20)^1.5 ≈ 0.3536
-        let frac = above_20 as f64 / n as f64;
-        assert!((frac - 0.3536).abs() < 0.02, "tail mass off: {frac}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let d = Exponential::new(0.25); // mean 4
-        let mut r = rng();
-        let n = 50_000;
-        let mean: f64 = (0..n).map(|_| d.sample(&mut r)).sum::<f64>() / n as f64;
-        assert!((mean - 4.0).abs() < 0.1, "mean off: {mean}");
-    }
-
-    #[test]
     fn weighted_index_distribution() {
         let w = WeightedIndex::new(&[1.0, 3.0, 6.0]);
-        assert!((w.probability(0) - 0.1).abs() < 1e-12);
-        assert!((w.probability(2) - 0.6).abs() < 1e-12);
         let mut counts = [0usize; 3];
         let mut r = rng();
         let n = 30_000;
@@ -269,14 +180,5 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean off: {mean}");
         assert!((var - 1.0).abs() < 0.05, "var off: {var}");
-    }
-
-    #[test]
-    fn uniform_secs_bounds() {
-        let mut r = rng();
-        for _ in 0..1_000 {
-            let x = uniform_secs(&mut r, 100, 200);
-            assert!((100..200).contains(&x));
-        }
     }
 }

@@ -9,20 +9,17 @@
 //!
 //! The kernel is intentionally small and synchronous: the paper's pipeline
 //! is a streaming system, but its *evaluation* is a post-hoc analysis over
-//! three months of events, so a single-threaded event queue with
-//! deterministic tie-breaking ([`event::EventQueue`]) is both sufficient and
-//! far easier to validate than a multi-threaded runtime.
+//! three months of events, so single-threaded value types over a seeded
+//! clock are both sufficient and far easier to validate than a
+//! multi-threaded runtime.
 
 pub mod cdf;
 pub mod dist;
-pub mod event;
 pub mod metrics;
 pub mod rng;
 pub mod time;
 
 pub use cdf::Cdf;
-pub use dist::{LogNormal, Pareto, WeightedIndex};
-pub use event::EventQueue;
-pub use metrics::Counter;
+pub use dist::{LogNormal, WeightedIndex};
 pub use rng::RngPool;
 pub use time::{SimDuration, SimTime};

@@ -6,39 +6,6 @@
 use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// A monotonically increasing counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// This counter as a fraction of `denom`, or `None` when the denominator
-    /// is zero. Keeping the division here avoids scattering NaN checks over
-    /// report code.
-    pub fn fraction_of(&self, denom: u64) -> Option<f64> {
-        if denom == 0 {
-            None
-        } else {
-            Some(self.0 as f64 / denom as f64)
-        }
-    }
-}
-
 /// A counter keyed by string label — used for per-TLD / per-registrar /
 /// per-provider tallies that become the paper's tables. `BTreeMap` keeps
 /// iteration (and therefore report output) deterministic.
@@ -99,16 +66,6 @@ impl LabelledCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.fraction_of(10), Some(0.5));
-        assert_eq!(c.fraction_of(0), None);
-    }
 
     #[test]
     fn labelled_counter_top_and_others() {

@@ -38,7 +38,7 @@ impl RngPool {
     }
 
     /// Derive the seed for the stream named `name`.
-    pub fn seed_for(&self, name: &str) -> u64 {
+    fn seed_for(&self, name: &str) -> u64 {
         // SplitMix64 finalizer over (hash(name) ^ master) gives good
         // avalanche even for similar names like "tld.com" / "tld.net".
         let mut z = fnv1a(name.as_bytes()) ^ self.master_seed.rotate_left(32);

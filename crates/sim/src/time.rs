@@ -57,19 +57,9 @@ impl SimTime {
         self.0 % SECS_PER_DAY
     }
 
-    /// Start of the containing day.
-    pub const fn floor_day(self) -> SimTime {
-        SimTime(self.0 - self.0 % SECS_PER_DAY)
-    }
-
     /// The elapsed duration since `earlier`, or zero if `earlier` is later.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Signed difference `self - other` in seconds.
-    pub fn signed_delta(self, other: SimTime) -> i64 {
-        self.0 as i64 - other.0 as i64
     }
 
     pub fn checked_sub(self, d: SimDuration) -> Option<SimTime> {
@@ -102,14 +92,6 @@ impl SimDuration {
 
     pub const fn as_secs(self) -> u64 {
         self.0
-    }
-
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_HOUR as f64
-    }
-
-    pub fn as_days_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_DAY as f64
     }
 
     pub const fn saturating_sub(self, other: SimDuration) -> SimDuration {
@@ -207,7 +189,6 @@ mod tests {
         let t = SimTime::from_days(5) + SimDuration::from_hours(7);
         assert_eq!(t.day(), 5);
         assert_eq!(t.second_of_day(), 7 * 3_600);
-        assert_eq!(t.floor_day(), SimTime::from_days(5));
     }
 
     #[test]
@@ -223,22 +204,6 @@ mod tests {
         let b = SimTime::from_secs(40);
         assert_eq!(a.saturating_since(b), SimDuration::from_secs(60));
         assert_eq!(b.saturating_since(a), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn signed_delta_is_symmetric() {
-        let a = SimTime::from_secs(100);
-        let b = SimTime::from_secs(130);
-        assert_eq!(a.signed_delta(b), -30);
-        assert_eq!(b.signed_delta(a), 30);
-    }
-
-    #[test]
-    fn duration_conversions() {
-        let d = SimDuration::from_hours(36);
-        assert_eq!(d.as_days_f64(), 1.5);
-        assert_eq!(d.as_hours_f64(), 36.0);
-        assert_eq!(SimDuration::from_minutes(90).as_hours_f64(), 1.5);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Builds a 50-TLD universe (the paper's gTLD table extended with a
 //! synthetic long tail), materialises every TLD's RZU feed as a zone
-//! delta stream, and publishes all of them through a `PublishPool`: one
+//! delta stream, and publishes all of them on scoped threads: one
 //! worker per core, each TLD's pushes in serial order on one worker,
 //! different TLDs in parallel — possible because every TLD owns its own
 //! shard lock and no global lock sits on the publish path. A
@@ -18,9 +18,10 @@
 //! ```
 
 use darkdns::broker::{
-    Broker, BrokerConfig, OverflowPolicy, PublishPool, RetentionConfig, UniverseFeed,
+    Broker, BrokerConfig, OverflowPolicy, RetentionConfig, UniverseFeed,
 };
 use darkdns::core::broker_view::BrokerZoneView;
+use darkdns::dns::par::available_workers;
 use darkdns::registry::tld::{synthetic_fleet, TldId};
 use darkdns::registry::workload::{build_fleet_universe, WorkloadConfig};
 use darkdns::sim::time::SimDuration;
@@ -49,18 +50,17 @@ fn main() {
         lag_slo: None,
     });
     feed.register_shards(&broker);
-    let pool = PublishPool::new();
     println!(
         "fleet of {FLEET} TLD shards (seed {seed}): {} pushes pending, {} publish workers",
         feed.pending(),
-        pool.workers(),
+        available_workers(),
     );
 
     // One view over the whole fleet, up before the publish storm.
     let mut view = BrokerZoneView::subscribe(&broker, &tld_ids);
 
     let started = Instant::now();
-    let published = feed.publish_all_concurrent(&broker, &pool);
+    let published = feed.publish_all_concurrent(&broker);
     let publish_time = started.elapsed();
     view.pump();
     println!(

@@ -39,13 +39,10 @@ raw_path, out_path = sys.argv[1], sys.argv[2]
 # the full perf trajectory, not just its own delta.
 BASELINE = {
     "zone_diff/sorted-merge/10000": {"median_ns": 225288.0, "elems_per_sec": 44387634.1},
-    "zone_diff/hash-partitioned/10000": {"median_ns": 3445120.4, "elems_per_sec": 2902656.2},
     "zone_diff/incremental-journal/10000": {"median_ns": 90991.8, "elems_per_sec": 109899970.0},
     "zone_diff/sorted-merge/100000": {"median_ns": 1985205.8, "elems_per_sec": 50372611.6},
-    "zone_diff/hash-partitioned/100000": {"median_ns": 56414718.7, "elems_per_sec": 1772587.1},
     "zone_diff/incremental-journal/100000": {"median_ns": 1136737.3, "elems_per_sec": 87971070.0},
     "zone_diff/sorted-merge/500000": {"median_ns": 19360699.7, "elems_per_sec": 25825512.9},
-    "zone_diff/hash-partitioned/500000": {"median_ns": 556402176.0, "elems_per_sec": 898630.6},
     "zone_diff/incremental-journal/500000": {"median_ns": 7207062.6, "elems_per_sec": 69376391.7},
     "pipeline/detector/certstream": {"median_ns": 4678959.7, "elems_per_sec": 897208.0},
     "pipeline/experiment/small": {"median_ns": 420460661.0, "elems_per_sec": 9984.3},
@@ -108,14 +105,6 @@ DERIVED_PAIRS = {
         "relay/publish-to-leaf/depth3",
         "relay/publish-to-leaf/depth1",
     ),
-    # PR 8: decoding a 500k-delegation checkpoint as the RZUC chunk
-    # train the transport actually ships vs one monolithic RZUS frame.
-    # ~1.0 means chunking (which keeps every frame under the bound and
-    # makes catch-up resumable) costs no decode throughput.
-    "relay_catchup_chunked_vs_monolithic": (
-        "relay/catchup-500k/chunked-codec",
-        "relay/catchup-500k/monolithic-codec",
-    ),
 }
 derived = {
     name: round(current[slow]["median_ns"] / current[fast]["median_ns"], 2)
@@ -157,7 +146,6 @@ GAUGES = {
     "relay_filtered_subset_share": "relay/filtered/subset_share",
     "relay_drain_handoff_ns_p50": "relay/drain/handoff_ns_p50",
     "relay_catchup_chunks": "relay/catchup-500k/chunks",
-    "relay_catchup_monolithic_frame_bytes": "relay/catchup-500k/monolithic_frame_bytes",
     "relay_catchup_chunked_entries_per_sec": "relay/catchup-500k/chunked_entries_per_sec",
 }
 gauges = {

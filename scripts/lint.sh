@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # The correctness-analysis leg: build darkdns-lint, prove its rules
 # still fire on the seeded-violation fixtures, then scan the workspace.
-# Exits nonzero on any finding, or when the L7 orphan list (printed by
-# the same scan) outgrows its ceiling. See docs/INVARIANTS.md for the
-# rule catalogue the linter enforces.
+# Exits nonzero on any finding. See docs/INVARIANTS.md for the rule
+# catalogue the linter enforces.
 #
 # Usage:
 #   scripts/lint.sh

@@ -9,8 +9,10 @@
 //! feed, and a rapid-zone-update (RZU) service.
 //!
 //! This facade crate re-exports the member crates under stable module
-//! names. See `DESIGN.md` for the system inventory and `EXPERIMENTS.md`
-//! for the paper-versus-measured record of every table and figure.
+//! names. See `ROADMAP.md` for the system inventory and open directions,
+//! `docs/INVARIANTS.md` for the machine-checked invariants, and
+//! `crates/bench/src/bin/` for the binaries that print the
+//! paper-versus-measured record of every table and figure.
 //!
 //! ## Quickstart
 //!

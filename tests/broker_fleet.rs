@@ -1,13 +1,13 @@
 //! End-to-end multi-TLD fleet run: a 50-TLD universe built by the
 //! registry workload generator, materialised as per-TLD RZU zone
 //! streams, published concurrently through the broker's per-shard locks
-//! via the `PublishPool`, and consumed by a `BrokerZoneView` — the
+//! and consumed by a `BrokerZoneView` — the
 //! acceptance pin for the per-shard concurrency refactor. The run must
 //! complete with zero gap-resync failures and per-shard `ShardStats`
 //! accounting that sums exactly to the published totals.
 
 use darkdns::broker::{
-    Broker, BrokerConfig, OverflowPolicy, PublishPool, RetentionConfig, UniverseFeed,
+    Broker, BrokerConfig, OverflowPolicy, RetentionConfig, UniverseFeed,
 };
 use darkdns::core::broker_view::BrokerZoneView;
 use darkdns::registry::tld::{synthetic_fleet, TldId};
@@ -46,7 +46,7 @@ fn fifty_tld_universe_publishes_concurrently_and_converges() {
 
     let pending = feed.pending();
     assert!(pending > 0, "expected a non-trivial universe");
-    let published = feed.publish_all_concurrent(&broker, &PublishPool::with_workers(8));
+    let published = feed.publish_all_concurrent(&broker);
     assert!(published > 0 && published <= pending);
     assert_eq!(feed.pending(), 0);
 

@@ -8,7 +8,7 @@
 
 use darkdns::broker::{Broker, BrokerConfig, BrokerMessage, BrokerSubscription, RetentionConfig};
 use darkdns::core::broker_view::BrokerZoneView;
-use darkdns::dns::diff::{SortedMergeDiff, ZoneDiffEngine};
+use darkdns::dns::diff::sorted_merge_diff;
 use darkdns::dns::{decode_delta_push, DomainName, Serial, Zone, ZoneSnapshot};
 use darkdns::registry::tld::TldId;
 use darkdns::sim::time::SimTime;
@@ -53,7 +53,7 @@ fn publish_sequence(
     let snaps: Vec<_> =
         (0..states.len()).map(|i| snapshot_of(origin, &states[i], i as u32)).collect();
     for i in from.max(1)..=upto {
-        let delta = SortedMergeDiff.diff(&snaps[i - 1], &snaps[i]);
+        let delta = sorted_merge_diff(&snaps[i - 1], &snaps[i]);
         broker.publish(tld, delta, Serial::new(i as u32), SimTime::from_secs(i as u64));
     }
     snaps
@@ -151,11 +151,11 @@ proptest! {
             let pick_a = (interleave >> (bit % 64)) & 1 == 0;
             bit += 1;
             if (pick_a && ia < snaps_a.len()) || ib >= snaps_b.len() {
-                let delta = SortedMergeDiff.diff(&snaps_a[ia - 1], &snaps_a[ia]);
+                let delta = sorted_merge_diff(&snaps_a[ia - 1], &snaps_a[ia]);
                 broker.publish(com, delta, Serial::new(ia as u32), SimTime::from_secs(ia as u64));
                 ia += 1;
             } else {
-                let delta = SortedMergeDiff.diff(&snaps_b[ib - 1], &snaps_b[ib]);
+                let delta = sorted_merge_diff(&snaps_b[ib - 1], &snaps_b[ib]);
                 broker.publish(net, delta, Serial::new(ib as u32), SimTime::from_secs(ib as u64));
                 ib += 1;
             }
@@ -239,7 +239,7 @@ proptest! {
                 let (tld, from) = (tlds[k], join_at[k] + 1);
                 scope.spawn(move || {
                     for i in from..states.len() {
-                        let delta = SortedMergeDiff.diff(&snaps[i - 1], &snaps[i]);
+                        let delta = sorted_merge_diff(&snaps[i - 1], &snaps[i]);
                         broker.publish(tld, delta, Serial::new(i as u32), SimTime::from_secs(i as u64));
                     }
                 });
@@ -394,7 +394,7 @@ proptest! {
             if cuts.contains(&step) {
                 cut_and_heal(&mut view, &mut cuts_done);
             }
-            let delta = SortedMergeDiff.diff(&snaps[k][i - 1], &snaps[k][i]);
+            let delta = sorted_merge_diff(&snaps[k][i - 1], &snaps[k][i]);
             broker.publish(tlds[k], delta, Serial::new(i as u32), SimTime::from_secs(i as u64));
             view.pump(64);
         }

@@ -1,10 +1,8 @@
-//! Property-based tests for the zone-diff engines, the segment-shared
+//! Property-based tests for the snapshot diff, the segment-shared
 //! delta apply, the incremental journal, the RZU grid, the CDF type and
 //! the token bucket.
 
-use darkdns::dns::diff::{
-    HashPartitionedDiff, JournalEvent, NsChange, SortedMergeDiff, ZoneDiffEngine, ZoneJournal,
-};
+use darkdns::dns::diff::{sorted_merge_diff, JournalEvent, NsChange, ZoneJournal};
 use darkdns::dns::snapshot::SEGMENT_SPAN;
 use darkdns::dns::{DomainName, NsSet, Serial, Zone, ZoneDelta, ZoneSnapshot};
 use darkdns::dns::zone::Delegation;
@@ -277,11 +275,11 @@ proptest! {
     fn diff_engines_agree(old in zone_state_strategy(), new in zone_state_strategy()) {
         let a = snapshot_of(&old, 1);
         let b = snapshot_of(&new, 2);
-        let merge = SortedMergeDiff.diff(&a, &b);
-        for partitions in [1usize, 4, 64] {
-            let hashed = HashPartitionedDiff::new(partitions).diff(&a, &b);
-            prop_assert_eq!(&hashed, &merge, "partitions={}", partitions);
-        }
+        // The journal is the independent cross-check: it never reads
+        // the snapshots, only the events between them.
+        let journal = journal_between(&a, &b);
+        let head = journal.head().unwrap_or(Serial::new(100));
+        prop_assert_eq!(journal.delta_between(Serial::new(100), head), sorted_merge_diff(&a, &b));
     }
 
     #[test]
@@ -290,15 +288,11 @@ proptest! {
         new in zone_state_strategy(),
     ) {
         // Interned (>22-byte) names exercise the id-equality fast paths;
-        // all three engines — both snapshot diffs and the incremental
-        // journal — must produce byte-identical canonical deltas.
+        // the snapshot diff and the incremental journal must produce
+        // identical canonical deltas.
         let a = interned_snapshot_of(&old, 1);
         let b = interned_snapshot_of(&new, 2);
-        let merge = SortedMergeDiff.diff(&a, &b);
-        for partitions in [1usize, 4, 64] {
-            let hashed = HashPartitionedDiff::new(partitions).diff(&a, &b);
-            prop_assert_eq!(&hashed, &merge, "partitions={}", partitions);
-        }
+        let merge = sorted_merge_diff(&a, &b);
         let journal = journal_between(&a, &b);
         let head = journal.head().unwrap_or(Serial::new(100));
         prop_assert_eq!(&journal.delta_between(Serial::new(100), head), &merge);
@@ -310,7 +304,7 @@ proptest! {
     fn apply_diff_reconstructs_target(old in zone_state_strategy(), new in zone_state_strategy()) {
         let a = snapshot_of(&old, 1);
         let b = snapshot_of(&new, 2);
-        let delta = SortedMergeDiff.diff(&a, &b);
+        let delta = sorted_merge_diff(&a, &b);
         let rebuilt = delta.apply(&a, b.serial(), b.taken_at());
         prop_assert_eq!(rebuilt, b);
     }
@@ -333,9 +327,8 @@ proptest! {
             if delta.is_empty() {
                 prop_assert_eq!(applied.segments_shared_with(&base), base.segment_lens().len());
             }
-            // And the engines read the new cuts like any others.
-            prop_assert_eq!(&SortedMergeDiff.diff(&base, &applied), &delta);
-            prop_assert_eq!(&HashPartitionedDiff::new(4).diff(&base, &applied), &delta);
+            // And the diff reads the new cuts like any others.
+            prop_assert_eq!(&sorted_merge_diff(&base, &applied), &delta);
         }
     }
 
@@ -363,7 +356,7 @@ proptest! {
     fn diff_sets_are_disjoint_and_complete(old in zone_state_strategy(), new in zone_state_strategy()) {
         let a = snapshot_of(&old, 1);
         let b = snapshot_of(&new, 2);
-        let delta = SortedMergeDiff.diff(&a, &b);
+        let delta = sorted_merge_diff(&a, &b);
         for (d, _) in &delta.added {
             prop_assert!(!a.contains(d) && b.contains(d));
         }
@@ -432,7 +425,7 @@ proptest! {
         }
         let after = ZoneSnapshot::capture(&zone, SimTime::from_secs(1));
         let from_journal = journal.delta_between(s_before, zone.serial());
-        let from_snapshots = SortedMergeDiff.diff(&before, &after);
+        let from_snapshots = sorted_merge_diff(&before, &after);
         prop_assert_eq!(from_journal, from_snapshots);
     }
 
@@ -472,15 +465,15 @@ proptest! {
     ) {
         // "Byte-identical canonical deltas": pin the serialized form, not
         // just `PartialEq`, so canonicalisation order can never drift
-        // between engines.
+        // between the merge and the journal.
         let a = snapshot_of(&old, 1);
         let b = snapshot_of(&new, 2);
-        let merge_json = serde_json::to_string(&SortedMergeDiff.diff(&a, &b)).unwrap();
-        for partitions in [1usize, 16] {
-            let hashed_json =
-                serde_json::to_string(&HashPartitionedDiff::new(partitions).diff(&a, &b)).unwrap();
-            prop_assert_eq!(&hashed_json, &merge_json, "partitions={}", partitions);
-        }
+        let merge_json = serde_json::to_string(&sorted_merge_diff(&a, &b)).unwrap();
+        let journal = journal_between(&a, &b);
+        let head = journal.head().unwrap_or(Serial::new(100));
+        let journal_json =
+            serde_json::to_string(&journal.delta_between(Serial::new(100), head)).unwrap();
+        prop_assert_eq!(journal_json, merge_json);
     }
 
     #[test]
@@ -512,9 +505,8 @@ proptest! {
 }
 
 /// A deterministic 100k-delegation churn workload: `apply(diff(a, b), a)`
-/// must reconstruct `b` exactly, and the sorted-merge and hash-partitioned
-/// engines must agree, at a scale where any per-entry clone or map rebuild
-/// in the hot paths would be visible as a timeout.
+/// must reconstruct `b` exactly, at a scale where any per-entry clone or
+/// map rebuild in the hot paths would be visible as a timeout.
 #[test]
 fn apply_roundtrip_at_100k_entries() {
     const SIZE: u32 = 100_000;
@@ -548,9 +540,8 @@ fn apply_roundtrip_at_100k_entries() {
     }
     let a = ZoneSnapshot::from_entries(origin, Serial::new(1), SimTime::ZERO, old);
     let b = ZoneSnapshot::from_entries(origin, Serial::new(2), SimTime::from_secs(86_400), new);
-    let delta = SortedMergeDiff.diff(&a, &b);
+    let delta = sorted_merge_diff(&a, &b);
     assert!(!delta.is_empty(), "workload must have churn");
-    assert_eq!(delta, HashPartitionedDiff::new(16).diff(&a, &b));
     let rebuilt = delta.apply(&a, b.serial(), b.taken_at());
     assert_eq!(rebuilt, b);
     // Reconstructing a live zone from the rebuilt snapshot exercises the

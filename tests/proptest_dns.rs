@@ -1,13 +1,13 @@
 //! Property-based tests for the DNS substrate: names, PSL, RFC 1982
 //! serials, the RFC 1035 wire codec, and the RZU transport codecs
-//! (handshake, snapshot push, delta envelope) against adversarial
-//! bytes.
+//! (handshake, snapshot chunk train, delta envelope) against
+//! adversarial bytes.
 
 use darkdns::dns::record::SoaData;
 use darkdns::dns::wire::{
-    decode_delta_envelope, decode_delta_push, decode_hello, decode_snapshot_push, encode_hello,
-    encode_snapshot_push, Header, HelloFrame, Message, Question, Rcode, TldClaim,
-    DELTA_ENVELOPE_MAGIC, DELTA_PUSH_MAGIC, HELLO_MAGIC, SNAPSHOT_PUSH_MAGIC,
+    decode_delta_envelope, decode_delta_push, decode_hello, decode_snapshot_chunk, encode_hello,
+    encode_snapshot_chunks, Header, HelloFrame, Message, Question, Rcode, TldClaim,
+    DELTA_ENVELOPE_MAGIC, DELTA_PUSH_MAGIC, HELLO_MAGIC,
 };
 use darkdns::dns::{DomainName, PublicSuffixList, RData, RecordType, ResourceRecord, Serial};
 use darkdns::dns::ZoneSnapshot;
@@ -161,7 +161,6 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..512),
     ) {
         let _ = decode_hello(&bytes);
-        let _ = decode_snapshot_push(&bytes);
         let _ = decode_delta_envelope(&bytes);
         let _ = decode_delta_push(&bytes);
     }
@@ -171,15 +170,13 @@ proptest! {
     // stopping at `BadMagic`.
     #[test]
     fn transport_decoders_never_panic_behind_valid_magics(
-        magic_pick in 0usize..4,
+        magic_pick in 0usize..3,
         bytes in prop::collection::vec(any::<u8>(), 0..256),
     ) {
-        let magics: [&[u8; 4]; 4] =
-            [HELLO_MAGIC, SNAPSHOT_PUSH_MAGIC, DELTA_ENVELOPE_MAGIC, DELTA_PUSH_MAGIC];
+        let magics: [&[u8; 4]; 3] = [HELLO_MAGIC, DELTA_ENVELOPE_MAGIC, DELTA_PUSH_MAGIC];
         let mut framed = magics[magic_pick].to_vec();
         framed.extend_from_slice(&bytes);
         let _ = decode_hello(&framed);
-        let _ = decode_snapshot_push(&framed);
         let _ = decode_delta_envelope(&framed);
         let _ = decode_delta_push(&framed);
     }
@@ -218,9 +215,16 @@ proptest! {
             SimTime::from_secs(u64::from(serial)),
             entries,
         );
-        let frame = encode_snapshot_push(tld, &snap);
-        let (decoded_tld, decoded) = decode_snapshot_push(&frame).unwrap();
-        prop_assert_eq!(decoded_tld, tld);
+        // One chunk size, well above any of these zones: the whole
+        // snapshot crosses as a train and reassembles to an equal one.
+        let mut entries = Vec::new();
+        for frame in encode_snapshot_chunks(tld, &snap, 0, 1 << 16) {
+            let chunk = decode_snapshot_chunk(&frame).unwrap();
+            prop_assert_eq!(chunk.tld, tld);
+            entries.extend(chunk.entries);
+        }
+        let decoded =
+            ZoneSnapshot::from_ns_entries(*snap.origin(), snap.serial(), snap.taken_at(), entries);
         prop_assert_eq!(decoded, snap);
     }
 
@@ -284,10 +288,7 @@ proptest! {
 // exact from any resume offset).
 mod chunk_codecs {
     use super::*;
-    use darkdns::dns::wire::{
-        decode_snapshot_chunk, encode_snapshot_chunks, HelloScope, SnapshotResume,
-        SNAPSHOT_CHUNK_MAGIC,
-    };
+    use darkdns::dns::wire::{HelloScope, SnapshotResume, SNAPSHOT_CHUNK_MAGIC};
 
     proptest! {
         #[test]

@@ -8,7 +8,10 @@
 //! exactly, so a codec "optimisation" that moves a single compression
 //! pointer is a protocol change, not a refactor — these vectors are what
 //! says so. They double as ROADMAP's "legacy layouts as pinned test
-//! vectors" for the `Message`, `RZU1`, `RZUS`, `RZUC` and `RZUL` frames.
+//! vectors" for the `Message`, `RZU1`, `RZUC` and `RZUL` frames.
+//! `rzus.hex` is the monolithic snapshot push as its encoder last wrote
+//! it: the family was retired in PR 22, nothing encodes or decodes it,
+//! and the vector now feeds the test that a client refuses it.
 //!
 //! The three `rzuh*` vectors pin the HELLO family the same way — bytes
 //! from the three encoders that stood before the upstream-link refactor
@@ -30,11 +33,14 @@
 //! 16 KiB, where a name first seen past offset 0x3FFF can never become
 //! a pointer target and must be spelled out on every later occurrence.
 
+use darkdns::broker::transport::{
+    duplex, ClientEvent, FrameConn, LengthPrefixed, TransportClient, TransportError,
+};
 use darkdns::dns::record::SoaData;
 use darkdns::dns::wire::{
     decode_delta_push, decode_hello, decode_lookup_request, decode_snapshot_chunk,
-    decode_snapshot_push, decode_stats_report, encode_delta_push, encode_hello,
-    encode_lookup_request, encode_snapshot_chunks, encode_snapshot_push, encode_stats_report,
+    decode_stats_report, encode_delta_push, encode_hello, encode_lookup_request,
+    encode_snapshot_chunks, encode_stats_report,
     Header, HelloFrame, HelloScope, LookupQuery, Message, Rcode, SnapshotResume, StatsReport,
     TldClaim, WireError, WireServerStats, WireShardStats, WireSubscriberStats, LOOKUP_ANY_TLD,
 };
@@ -42,6 +48,7 @@ use darkdns::dns::diff::NsChange;
 use darkdns::dns::{
     DomainName, NsSet, RData, RecordType, ResourceRecord, Serial, ZoneDelta, ZoneSnapshot,
 };
+use darkdns::registry::tld::TldId;
 use darkdns::sim::time::SimTime;
 
 fn name(s: &str) -> DomainName {
@@ -282,7 +289,6 @@ fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         ("message", vec![message().encode()]),
         ("rzu1", vec![rzu1()]),
         ("rzu1_big", vec![rzu1_big()]),
-        ("rzus", vec![encode_snapshot_push(3, &snap).to_vec()]),
         ("rzuc", train(0)),
         ("rzuc_resumed", train(29)),
         ("rzul", vec![rzul()]),
@@ -381,9 +387,6 @@ fn golden_frames_decode_to_their_inputs() {
     assert_eq!(big.delta.added[650].1.as_slice()[0], name("late.never-a-pointer-target.example"));
 
     let snap = snapshot();
-    let (tld, decoded) = decode_snapshot_push(&fixture("rzus")[0]).unwrap();
-    assert_eq!((tld, &decoded), (3, &snap));
-
     for (vector, start) in [("rzuc", 0usize), ("rzuc_resumed", 29)] {
         let mut offset = start;
         for frame in fixture(vector) {
@@ -414,6 +417,43 @@ fn golden_frames_decode_to_their_inputs() {
     }
 
     assert_eq!(decode_stats_report(&fixture("rzuq")[0]).unwrap(), stats_report());
+}
+
+#[test]
+fn retired_rzus_frame_is_refused_with_claims_and_chunk_progress_untouched() {
+    // `RZUS` was retired in PR 22: the vector is the last frame its
+    // encoder wrote, and a client must treat it as any unknown magic —
+    // close with `BadMagic`, adopt nothing. The frame is tagged TLD 3,
+    // so the client holds a claim and a half-received chunk train for
+    // that very shard: the receive arm this replaces would have
+    // overwritten the one and dropped the other.
+    let rzus = fixture("rzus").remove(0);
+    assert_eq!(&rzus[..6], b"RZUS\x00\x03");
+    let claims = [(TldId(3), Some(Serial::new(5))), (TldId(7), None)];
+    let (client_end, peer_end) = duplex(1 << 16);
+    let mut client = TransportClient::connect(LengthPrefixed::new(client_end), &claims).unwrap();
+    let mut peer = LengthPrefixed::new(peer_end);
+    peer.recv_frame().expect("hello");
+
+    let train = encode_snapshot_chunks(3, &snapshot(), 0, 256);
+    let first = decode_snapshot_chunk(&train[0]).unwrap();
+    assert!(!first.last && !first.entries.is_empty());
+    peer.send_frame(&[&train[0]]).unwrap();
+    peer.send_frame(&[]).unwrap();
+    assert!(matches!(client.next_event(), ClientEvent::Idle));
+    assert!(client.has_snapshot_in_flight());
+
+    peer.send_frame(&[&rzus]).unwrap();
+    match client.next_event() {
+        ClientEvent::Closed(TransportError::Wire(WireError::BadMagic)) => {}
+        other => panic!("expected Closed(BadMagic), got {other:?}"),
+    }
+    assert_eq!(client.claimed_serials(), &claims);
+    assert_eq!(client.snapshot_chunks_received(), 1);
+    let progress = client.take_snapshot_progress();
+    assert_eq!(progress.len(), 1);
+    assert_eq!(progress[0].tld(), TldId(3));
+    assert_eq!(progress[0].entries_received(), first.entries.len());
 }
 
 /// Offsets into the `rzuq` fixture: the `u16` shard count, the `u16`
