@@ -764,6 +764,41 @@ impl Broker {
         });
     }
 
+    /// The `RZUC` frames that take a peer holding the first `start`
+    /// entries of `snapshot` to its end, at `chunk_bytes` a chunk — from
+    /// the shard's cached train when `snapshot` is its checkpoint (that
+    /// very capture) and `start` is one of the train's chunk boundaries,
+    /// otherwise from `encode`, which must produce exactly those frames.
+    ///
+    /// The shard lock is held to clone frame refcounts and to store a
+    /// whole train (`start == 0`), never across `encode`: two bootstraps
+    /// racing on an empty slot may both encode, and a train whose
+    /// checkpoint was refreshed meanwhile is returned but not kept. An
+    /// unknown `tld` is encoded and not kept.
+    pub fn snapshot_train(
+        &self,
+        tld: TldId,
+        snapshot: &ZoneSnapshot,
+        start: usize,
+        chunk_bytes: usize,
+        encode: impl FnOnce() -> Vec<Bytes>,
+    ) -> Vec<Bytes> {
+        let dir = self.directory();
+        let Some(handle) = dir.get(&tld) else { return encode() };
+        if let Some(tail) =
+            lock_shard(handle, false).shard.checkpoint_train(snapshot, chunk_bytes, start)
+        {
+            return tail.to_vec();
+        }
+        let frames = encode();
+        if start == 0 {
+            lock_shard(handle, false).shard.store_checkpoint_train(snapshot, chunk_bytes, &frames);
+        }
+        frames
+    }
+
+    /// Seal and fan out. `delta` is only borrowed by the shard: it is
+    /// this call's to drop, after the shard guard is released.
     fn publish_inner(
         &self,
         tld: TldId,
@@ -788,8 +823,8 @@ impl Broker {
         let mut st = lock_shard(&handle, true);
         let ShardShared { shard, subs, counters } = &mut *st;
         let sealed = match frame {
-            Some(frame) => shard.publish_with_frame(delta, new_serial, pushed_at, frame, &retention),
-            None => shard.publish(delta, new_serial, pushed_at, &retention),
+            Some(frame) => shard.publish_with_frame(&delta, new_serial, pushed_at, frame, &retention),
+            None => shard.publish(&delta, new_serial, pushed_at, &retention),
         };
         counters.pushes += 1;
         counters.frame_bytes += sealed.frame.len() as u64;
@@ -1204,6 +1239,75 @@ mod tests {
         assert!(probe.is_evicted());
         assert_eq!(probe.queued(), 0);
         sub.set_waker(None);
+    }
+
+    #[test]
+    fn snapshot_train_encodes_once_per_checkpoint_and_never_keeps_a_raced_capture() {
+        use darkdns_dns::wire::encode_snapshot_chunks;
+        const CHUNK: usize = 512;
+        let config = BrokerConfig {
+            retention: RetentionConfig::new(4, 2),
+            ..BrokerConfig::default()
+        };
+        let broker = broker_with_com(config);
+        for i in 1..=200u32 {
+            broker.publish(TldId(0), add_delta(&format!("d{i:03}.com")), Serial::new(i), SimTime::ZERO);
+        }
+        // The checkpoint, as a bootstrapping subscriber is handed it.
+        let checkpoint = |broker: &Broker| match broker.subscribe(&[TldId(0)], None).try_next() {
+            Some(BrokerMessage::Snapshot { snapshot, .. }) => snapshot,
+            other => panic!("expected a bootstrap, got {other:?}"),
+        };
+        let encodes = std::cell::Cell::new(0);
+        let train = |snapshot: &ZoneSnapshot, start: usize, during: &dyn Fn()| {
+            broker.snapshot_train(TldId(0), snapshot, start, CHUNK, || {
+                encodes.set(encodes.get() + 1);
+                during();
+                encode_snapshot_chunks(0, snapshot, start, CHUNK)
+            })
+        };
+
+        // Two bootstraps of one capture: one encode, shared frames.
+        let capture = checkpoint(&broker);
+        let first = train(&capture, 0, &|| {});
+        let second = train(&capture, 0, &|| {});
+        assert!(first.len() >= 3, "the train must be several chunks");
+        assert_eq!(encodes.get(), 1);
+        assert!(first.iter().zip(&second).all(|(a, b)| a.ptr_eq(b)));
+        // A resume on a chunk boundary is the cached tail; one between
+        // boundaries is encoded for that caller and not kept.
+        let boundary =
+            darkdns_dns::wire::peek_snapshot_chunk_offset(&first[1]).unwrap() as usize;
+        let tail = train(&capture, boundary, &|| {});
+        assert!(tail.iter().zip(&first[1..]).all(|(a, b)| a.ptr_eq(b)));
+        assert_eq!(tail.len(), first.len() - 1);
+        train(&capture, boundary + 1, &|| {});
+        assert_eq!(encodes.get(), 2);
+
+        // The checkpoint refreshes while its train is being encoded
+        // (outside the lock, so nothing stops it): the caller gets its
+        // frames, the shard keeps nothing — not for the old capture...
+        let publish_two = || {
+            let next = broker.head(TldId(0)).unwrap().serial().0 + 1;
+            for i in next..next + 2 {
+                broker.publish(TldId(0), add_delta(&format!("d{i:03}.com")), Serial::new(i), SimTime::ZERO);
+            }
+        };
+        publish_two();
+        let raced = checkpoint(&broker);
+        assert!(!raced.same_capture(&capture));
+        let served = train(&raced, 0, &publish_two);
+        assert_eq!(encodes.get(), 3);
+        assert_eq!(served, encode_snapshot_chunks(0, &raced, 0, CHUNK));
+        train(&raced, 0, &|| {});
+        assert_eq!(encodes.get(), 4, "a capture the checkpoint moved on from is never stored");
+        // ...and not under the new one's name.
+        let current = checkpoint(&broker);
+        assert!(!current.same_capture(&raced));
+        assert_eq!(train(&current, 0, &|| {}), encode_snapshot_chunks(0, &current, 0, CHUNK));
+        assert_eq!(encodes.get(), 5);
+        train(&current, 0, &|| {});
+        assert_eq!(encodes.get(), 5);
     }
 
     #[test]

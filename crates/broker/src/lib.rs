@@ -17,7 +17,12 @@
 //!   [`darkdns_dns::ZoneSnapshot`]. Snapshots are persistent —
 //!   `Arc`'d segments under an `Arc`'d top level — so a checkpoint costs
 //!   one pointer copy, and a publish copies the segments its delta
-//!   touches, not a million-entry table.
+//!   touches, not a million-entry table. A sealed delta is its `RZU1`
+//!   frame and nothing else: the ring keeps the bytes it will serve
+//!   again, never the decoded delta beside them. What a tier retains is
+//!   its zone, shared by refcount, plus those bytes — at most
+//!   `max_deltas` frames per shard and one encoded bootstrap train per
+//!   live checkpoint (`docs/INVARIANTS.md`, "What a tier retains").
 //! * [`broker::Broker`] — `subscribe(tlds, from_serial)` answers with a
 //!   catch-up plan and a live bounded buffer; `publish` seals each delta
 //!   into a wire frame **once** ([`darkdns_dns::wire::encode_delta_push`])

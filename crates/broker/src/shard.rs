@@ -1,9 +1,14 @@
 //! Per-TLD journal shards with bounded retention and checkpoints.
 //!
 //! A [`JournalShard`] is the publisher-side state for one TLD: the live
-//! head snapshot, a periodic checkpoint snapshot, and a bounded ring of
-//! [`SealedDelta`]s — each the net change of one RZU push, already
-//! encoded into its wire frame. The shard is single-threaded by design:
+//! head snapshot, a periodic checkpoint snapshot, a bounded ring of
+//! [`SealedDelta`]s — each one RZU push as the wire frame it was encoded
+//! into, and nothing else — and at most one encoded bootstrap train of
+//! the checkpoint. What a shard retains is therefore zone state shared
+//! by refcount (head and checkpoint hold one copy of every segment no
+//! delta between them touched) plus bytes it will serve again; the
+//! decoded [`ZoneDelta`] of a push is borrowed for the encode and the
+//! apply and stays the caller's. The shard is single-threaded by design:
 //! it owns no lock of its own and is always driven under its owner's
 //! per-shard mutex (`broker::Broker` wraps one `JournalShard` per TLD in
 //! its shard handle, so publishers of different TLDs never serialise
@@ -16,7 +21,7 @@
 //! rule 3) can always reconstruct the head exactly.
 
 use bytes::Bytes;
-use darkdns_dns::wire::encode_delta_push;
+use darkdns_dns::wire::{encode_delta_push, peek_snapshot_chunk_offset};
 use darkdns_dns::{Serial, ZoneDelta, ZoneSnapshot};
 use darkdns_registry::tld::TldId;
 use darkdns_sim::time::SimTime;
@@ -52,17 +57,18 @@ impl Default for RetentionConfig {
     }
 }
 
-/// One published delta, sealed: serial range, the net changes, and the
-/// wire frame encoded exactly once. Shared via `Arc` between the shard's
-/// retention ring and every subscriber queue it is fanned out to.
+/// One published delta, sealed: its serial range and the wire frame,
+/// encoded exactly once. The frame is all of it — what a subscriber is
+/// sent, in-process or remote, and what it decodes
+/// ([`darkdns_dns::decode_delta_push`]) to get the net changes; the ring
+/// keeps no parsed copy beside the bytes. Shared via `Arc` between the
+/// shard's retention ring and whoever published it.
 #[derive(Debug)]
 pub struct SealedDelta {
     pub tld: TldId,
     pub from_serial: Serial,
     pub to_serial: Serial,
     pub pushed_at: SimTime,
-    /// The net changes (NS sets `Arc`-shared with the snapshots).
-    pub delta: ZoneDelta,
     /// The `RZU1` wire frame; clones share storage.
     pub frame: Bytes,
 }
@@ -72,10 +78,11 @@ pub struct SealedDelta {
 pub enum CatchUp {
     /// Subscriber is at the head already.
     UpToDate,
-    /// The retained ring covers the gap: replay these deltas in order.
+    /// The retained ring covers the gap: replay these deltas' frames in
+    /// order.
     Deltas(Vec<Arc<SealedDelta>>),
     /// Too far behind (or unknown): bootstrap from the checkpoint
-    /// snapshot, then apply the deltas sealed after it.
+    /// snapshot, then apply the frames sealed after it.
     SnapshotThenDeltas { snapshot: ZoneSnapshot, deltas: Vec<Arc<SealedDelta>> },
 }
 
@@ -90,12 +97,24 @@ impl CatchUp {
     }
 }
 
+/// The checkpoint's bootstrap, already encoded: its whole `RZUC` train
+/// at one chunk size.
+#[derive(Debug)]
+struct CheckpointTrain {
+    chunk_bytes: usize,
+    frames: Vec<Bytes>,
+}
+
 /// Publisher-side state for one TLD.
 #[derive(Debug)]
 pub struct JournalShard {
     tld: TldId,
     head: ZoneSnapshot,
     checkpoint: ZoneSnapshot,
+    /// The encoded train of `checkpoint` — of that very capture, so the
+    /// slot is emptied wherever `checkpoint` is assigned and a train
+    /// never outlives the snapshot it encodes.
+    train: Option<CheckpointTrain>,
     deltas: VecDeque<Arc<SealedDelta>>,
     publishes_since_checkpoint: usize,
     dropped_deltas: u64,
@@ -109,6 +128,7 @@ impl JournalShard {
             tld,
             checkpoint: initial.clone(),
             head: initial,
+            train: None,
             deltas: VecDeque::new(),
             publishes_since_checkpoint: 0,
             dropped_deltas: 0,
@@ -144,19 +164,21 @@ impl JournalShard {
     }
 
     /// Advance the head by `delta`, sealing it into a shareable frame.
+    /// The delta is borrowed: encoded, applied, and left with the caller
+    /// — the ring keeps the frame only.
     ///
     /// # Panics
     /// Panics if `new_serial` is not newer than the head serial, or if
     /// the delta does not apply to the head (a publisher bug).
     pub fn publish(
         &mut self,
-        delta: ZoneDelta,
+        delta: &ZoneDelta,
         new_serial: Serial,
         pushed_at: SimTime,
         retention: &RetentionConfig,
     ) -> Arc<SealedDelta> {
         let frame =
-            encode_delta_push(self.head.origin(), self.head.serial(), new_serial, pushed_at, &delta);
+            encode_delta_push(self.head.origin(), self.head.serial(), new_serial, pushed_at, delta);
         self.publish_with_frame(delta, new_serial, pushed_at, frame, retention)
     }
 
@@ -172,7 +194,7 @@ impl JournalShard {
     /// in the first place).
     pub fn publish_with_frame(
         &mut self,
-        delta: ZoneDelta,
+        delta: &ZoneDelta,
         new_serial: Serial,
         pushed_at: SimTime,
         frame: Bytes,
@@ -190,7 +212,6 @@ impl JournalShard {
             from_serial,
             to_serial: new_serial,
             pushed_at,
-            delta,
             frame,
         });
         self.deltas.push_back(Arc::clone(&sealed));
@@ -200,6 +221,7 @@ impl JournalShard {
             // not a table copy — and as the head moves on, the two keep
             // sharing every segment no later delta routes to.
             self.checkpoint = self.head.clone();
+            self.train = None;
             self.publishes_since_checkpoint = 0;
             self.checkpoints += 1;
         }
@@ -226,9 +248,48 @@ impl JournalShard {
     /// them).
     pub fn reset_to(&mut self, snapshot: ZoneSnapshot) {
         self.checkpoint = snapshot.clone();
+        self.train = None;
         self.head = snapshot;
         self.deltas.clear();
         self.publishes_since_checkpoint = 0;
+    }
+
+    /// The cached frames that take a peer holding the first `start`
+    /// entries of `snapshot` to its end, if `snapshot` is the checkpoint
+    /// (this very capture), its train was stored at `chunk_bytes` and
+    /// `start` is one of that train's chunk boundaries: chunks are packed
+    /// greedily from their first entry, so the train's tail from a
+    /// boundary is the train from that entry.
+    pub fn checkpoint_train(
+        &self,
+        snapshot: &ZoneSnapshot,
+        chunk_bytes: usize,
+        start: usize,
+    ) -> Option<&[Bytes]> {
+        let train = self.train.as_ref().filter(|t| t.chunk_bytes == chunk_bytes)?;
+        if !self.checkpoint.same_capture(snapshot) {
+            return None;
+        }
+        let starts_here =
+            |frame: &Bytes| peek_snapshot_chunk_offset(frame).is_ok_and(|at| at as usize == start);
+        train.frames.get(train.frames.iter().position(starts_here)?..)
+    }
+
+    /// Keep `frames` — the whole train of `snapshot` at `chunk_bytes` —
+    /// for the next bootstrap, unless the checkpoint has moved on from
+    /// that capture since it was handed out or already has a train: one
+    /// train per checkpoint, so servers with different chunk sizes over
+    /// one broker share the slot first come, and the others encode per
+    /// bootstrap.
+    pub fn store_checkpoint_train(
+        &mut self,
+        snapshot: &ZoneSnapshot,
+        chunk_bytes: usize,
+        frames: &[Bytes],
+    ) {
+        if self.train.is_none() && self.checkpoint.same_capture(snapshot) {
+            self.train = Some(CheckpointTrain { chunk_bytes, frames: frames.to_vec() });
+        }
     }
 
     /// Compute the catch-up plan for a subscriber claiming `from`.
@@ -276,9 +337,14 @@ mod tests {
 
     /// Publish n single-add deltas with serials 1..=n.
     fn publish_n(shard: &mut JournalShard, retention: &RetentionConfig, n: u32) {
-        for i in 1..=n {
+        publish_n_from(shard, retention, 1, n);
+    }
+
+    /// Publish single-add deltas with serials first..=last.
+    fn publish_n_from(shard: &mut JournalShard, retention: &RetentionConfig, first: u32, last: u32) {
+        for i in first..=last {
             shard.publish(
-                add_delta(&format!("d{i:04}.com")),
+                &add_delta(&format!("d{i:04}.com")),
                 Serial::new(i),
                 SimTime::from_secs(u64::from(i) * 300),
                 retention,
@@ -300,11 +366,12 @@ mod tests {
     fn frames_are_encoded_once_and_shared() {
         let retention = RetentionConfig::default();
         let mut shard = JournalShard::new(TldId(0), empty_snap());
-        let sealed = shard.publish(add_delta("a.com"), Serial::new(1), SimTime::ZERO, &retention);
+        let delta = add_delta("a.com");
+        let sealed = shard.publish(&delta, Serial::new(1), SimTime::ZERO, &retention);
         let from_ring = shard.retained().next().unwrap();
         assert!(sealed.frame.ptr_eq(&from_ring.frame));
         let decoded = darkdns_dns::decode_delta_push(&sealed.frame).unwrap();
-        assert_eq!(decoded.delta, sealed.delta);
+        assert_eq!(decoded.delta, delta);
         assert_eq!(decoded.to_serial, Serial::new(1));
     }
 
@@ -360,7 +427,8 @@ mod tests {
                     let mut state = snapshot;
                     for d in &deltas {
                         assert_eq!(d.from_serial, state.serial());
-                        state = d.delta.apply(&state, d.to_serial, d.pushed_at);
+                        let push = darkdns_dns::decode_delta_push(&d.frame).unwrap();
+                        state = push.delta.apply(&state, d.to_serial, d.pushed_at);
                     }
                     assert_eq!(state, *shard.head());
                 }
@@ -390,18 +458,57 @@ mod tests {
         // `checkpoint_every` publishes refresh the checkpoint: it *is*
         // the head, whole.
         for (serial, domain) in (1..=4).zip(["d0100x.com", "d0300x.com", "d0500x.com", "d0700x.com"]) {
-            shard.publish(add_delta(domain), Serial::new(serial), SimTime::ZERO, &retention);
+            shard.publish(&add_delta(domain), Serial::new(serial), SimTime::ZERO, &retention);
         }
         assert_eq!(shard.checkpoint().serial(), Serial::new(4));
         assert!(shard.checkpoint().same_capture(shard.head()));
         // Two more, into two other segments: the head is a new value,
         // but only those two segments are its own.
-        shard.publish(add_delta("d0200x.com"), Serial::new(5), SimTime::ZERO, &retention);
-        shard.publish(add_delta("d0900x.com"), Serial::new(6), SimTime::ZERO, &retention);
+        shard.publish(&add_delta("d0200x.com"), Serial::new(5), SimTime::ZERO, &retention);
+        shard.publish(&add_delta("d0900x.com"), Serial::new(6), SimTime::ZERO, &retention);
         assert_eq!(shard.checkpoint().serial(), Serial::new(4));
         assert!(!shard.checkpoint().same_capture(shard.head()));
         assert_eq!(shard.head().segment_lens().len(), segments);
         assert_eq!(shard.head().segments_shared_with(shard.checkpoint()), segments - 2);
+    }
+
+    #[test]
+    fn a_train_is_kept_for_its_checkpoint_only_and_dies_with_it() {
+        let retention = RetentionConfig::new(8, 4);
+        let mut shard = JournalShard::new(TldId(0), empty_snap());
+        publish_n(&mut shard, &retention, 2);
+        let capture = shard.checkpoint().clone();
+        let frames = darkdns_dns::wire::encode_snapshot_chunks(0, &capture, 0, 4096);
+        assert!(shard.checkpoint_train(&capture, 4096, 0).is_none());
+        shard.store_checkpoint_train(&capture, 4096, &frames);
+        let cached = shard.checkpoint_train(&capture, 4096, 0).expect("stored");
+        assert!(cached.iter().zip(&frames).all(|(a, b)| a.ptr_eq(b)));
+        // Another chunk size, or an equal snapshot that is not this
+        // capture, misses — and the slot is taken: a second train of the
+        // same checkpoint is not kept beside (or instead of) the first.
+        assert!(shard.checkpoint_train(&capture, 8192, 0).is_none());
+        assert!(shard.checkpoint_train(&empty_snap(), 4096, 0).is_none());
+        shard.store_checkpoint_train(&capture, 8192, &frames);
+        assert!(shard.checkpoint_train(&capture, 8192, 0).is_none());
+        assert!(shard.checkpoint_train(&capture, 4096, 0).is_some());
+
+        // A periodic refresh empties the slot, and a train of the old
+        // capture arriving late (encoded outside the lock while the
+        // checkpoint moved on) is not stored.
+        publish_n_from(&mut shard, &retention, 3, 4);
+        assert_eq!(shard.checkpoints(), 1);
+        assert!(shard.checkpoint_train(&capture, 4096, 0).is_none());
+        shard.store_checkpoint_train(&capture, 4096, &frames);
+        let refreshed = shard.checkpoint().clone();
+        assert!(shard.checkpoint_train(&refreshed, 4096, 0).is_none());
+
+        // So does a reset.
+        let frames = darkdns_dns::wire::encode_snapshot_chunks(0, &refreshed, 0, 4096);
+        shard.store_checkpoint_train(&refreshed, 4096, &frames);
+        assert!(shard.checkpoint_train(&refreshed, 4096, 0).is_some());
+        shard.reset_to(capture.clone());
+        assert!(shard.checkpoint_train(&refreshed, 4096, 0).is_none());
+        assert!(shard.checkpoint_train(&capture, 4096, 0).is_none());
     }
 
     #[test]
@@ -410,7 +517,7 @@ mod tests {
         let retention = RetentionConfig::default();
         let mut shard = JournalShard::new(TldId(0), empty_snap());
         publish_n(&mut shard, &retention, 2);
-        shard.publish(add_delta("x.com"), Serial::new(2), SimTime::ZERO, &retention);
+        shard.publish(&add_delta("x.com"), Serial::new(2), SimTime::ZERO, &retention);
     }
 
     #[test]

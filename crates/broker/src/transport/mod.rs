@@ -84,21 +84,24 @@
 //! verbatim behind a 6-byte envelope header: publishing still encodes
 //! once per push, regardless of subscriber count.
 //!
-//! Bootstraps are encode-once too. The stream handler keeps, per shard,
-//! the `RZUC` train of the checkpoint it last served at the server's
-//! default chunk size (the **train cache**: one train per shard,
-//! replaced when a newer checkpoint is served, no knob). A fresh joiner
-//! of that checkpoint, and a resume whose claimed entry count is a chunk
-//! boundary of that train — which is where a client cut mid-train always
-//! stands — is staged from refcount-shared clones of the cached frames:
-//! N concurrent joiners hold one copy of the bytes and none of them
-//! makes the single transport thread re-encode the zone. The tail of a
-//! train from one of its boundaries is byte-identical to a train encoded
-//! from that entry (chunks compress and pack independently), so the
-//! wire cannot tell the difference. A connection with its own frame
-//! bound (hence chunk size) or a resume off the cached boundaries (a
-//! client failing over from a replica configured differently) is
-//! encoded for that connection alone. [`ServerStats`]
+//! Bootstraps are encode-once too. Beside its checkpoint, and for
+//! exactly as long, a shard keeps that checkpoint's `RZUC` train at the
+//! server's default chunk size (the **train cache**: at most one train
+//! per live checkpoint, emptied when the checkpoint is refreshed or
+//! reset, no knob; the stream handler itself holds no snapshot and no
+//! train between calls). A fresh joiner of that checkpoint, and a
+//! resume whose claimed entry count is a chunk boundary of that train —
+//! which is where a client cut mid-train always stands — is staged from
+//! refcount-shared clones of the cached frames: N concurrent joiners
+//! hold one copy of the bytes and none of them makes the single
+//! transport thread re-encode the zone. The tail of a train from one of
+//! its boundaries is byte-identical to a train encoded from that entry
+//! (chunks compress and pack independently), so the wire cannot tell
+//! the difference. A connection with its own frame bound (hence chunk
+//! size), a resume off the cached boundaries (a client failing over
+//! from a replica configured differently) or a snapshot whose
+//! checkpoint has since been refreshed is encoded for that connection
+//! alone, always outside the shard lock. [`ServerStats`]
 //! `snapshot_trains_encoded` counts encodes; it is in-process only.
 //!
 //! # Reconnection

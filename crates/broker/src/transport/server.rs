@@ -61,9 +61,10 @@ pub struct ServerStats {
     /// `RZUQ` stats queries answered (scrape connections).
     pub stats_queries: u64,
     /// `RZUC` chunk trains encoded — cache fills plus bootstraps the
-    /// per-shard train cache could not serve (own chunk size,
-    /// off-boundary resume). N joiners of one checkpoint move this by
-    /// one. In-process only: not part of the `RZUQ` wire report.
+    /// shard's cached train could not serve (own chunk size,
+    /// off-boundary resume, a checkpoint refreshed meanwhile). N joiners
+    /// of one checkpoint move this by one. In-process only: not part of
+    /// the `RZUQ` wire report.
     pub snapshot_trains_encoded: u64,
 }
 

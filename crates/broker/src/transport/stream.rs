@@ -15,14 +15,17 @@
 //! The handler runs on the reactor thread, **below** the broker's
 //! two-level hierarchy, exactly where writer threads sat. It takes
 //! subscriber queue locks (level 2, via `try_next`/`is_evicted`) and
-//! its own leaf state (the stats-row table, a row's claim map); the one
-//! brush with level 1 is the handshake's `subscribe_scoped` call,
-//! before the connection streams. The waker it installs on a
-//! subscription runs under that subscriber's queue lock (possibly under
-//! a shard lock) and touches only the reactor's pending mailbox and
-//! eventfd — leaves under level 2. The train cache is plain handler
-//! state: every connection is serviced on this thread, so it needs no
-//! lock.
+//! its own leaf state (the stats-row table, a row's claim map); it
+//! reaches level 1 twice, each time holding nothing else: the
+//! handshake's `subscribe_scoped` call, before the connection streams,
+//! and [`Broker::snapshot_train`] when a bootstrap is staged. The waker
+//! it installs on a subscription runs under that subscriber's queue lock
+//! (possibly under a shard lock) and touches only the reactor's pending
+//! mailbox and eventfd — leaves under level 2. The handler itself holds
+//! no snapshot and no train across calls: an encoded train lives in its
+//! shard, beside the checkpoint it encodes.
+//!
+//! [`Broker::snapshot_train`]: crate::broker::Broker::snapshot_train
 //!
 //! [`BrokerServer`]: super::BrokerServer
 
@@ -34,8 +37,7 @@ use crate::lockdep::{self, TrackedMutex};
 use bytes::Bytes;
 use darkdns_dns::wire::{
     decode_hello, delta_envelope_header, encode_evict_notice, encode_snapshot_chunks,
-    encode_stats_report, is_stats_query, peek_delta_push_serials, peek_snapshot_chunk_offset,
-    HelloScope, SnapshotResume,
+    encode_stats_report, is_stats_query, peek_delta_push_serials, HelloScope, SnapshotResume,
 };
 use darkdns_dns::{Serial, ZoneSnapshot};
 use darkdns_registry::tld::TldId;
@@ -71,22 +73,8 @@ pub(super) struct Subscriber {
     resume: BTreeMap<u16, SnapshotResume>,
 }
 
-/// One shard's bootstrap, already encoded: the `RZUC` train of the
-/// checkpoint this server last served at its default chunk size.
-struct CachedTrain {
-    /// The capture the chunks encode, held to recognise it again by
-    /// storage identity ([`ZoneSnapshot::same_capture`]) — normally the
-    /// very value the broker's checkpoint holds, so no extra copy.
-    snapshot: ZoneSnapshot,
-    /// The whole train, from entry 0.
-    frames: Vec<Bytes>,
-}
-
 pub(super) struct SubscriberStream {
     inner: Arc<ServerInner>,
-    /// Encode-once bootstraps: one cached train per shard, replaced when
-    /// a newer checkpoint is served.
-    trains: BTreeMap<u16, CachedTrain>,
 }
 
 impl Protocol for SubscriberStream {
@@ -147,7 +135,7 @@ impl Protocol for SubscriberStream {
                     // ring's byte cap gates admission of *further*
                     // messages, same backpressure the single monolithic
                     // frame produced). The frames themselves come from
-                    // the per-shard train cache whenever they can: see
+                    // the shard's cached train whenever they can: see
                     // `snapshot_train`.
                     let start = subscriber
                         .resume
@@ -258,7 +246,7 @@ impl Protocol for SubscriberStream {
 
 impl SubscriberStream {
     pub(super) fn new(inner: Arc<ServerInner>) -> Self {
-        SubscriberStream { inner, trains: BTreeMap::new() }
+        SubscriberStream { inner }
     }
 
     /// The handshake: an `RZUQ` scrape gets the stats report and
@@ -343,50 +331,39 @@ impl SubscriberStream {
     /// Chunks are independently decodable and packed greedily from
     /// their first entry, so the tail of a train from any of its chunk
     /// boundaries is byte-identical to a train encoded from that entry.
-    /// The handler therefore keeps, per shard, the whole train of the
-    /// checkpoint it last served at the server's default chunk size, and
-    /// every later bootstrap of that capture — and every resume that
-    /// lands on one of its chunk boundaries, which is where a client cut
-    /// mid-train always resumes — stages refcount-shared clones: N
-    /// joiners hold one copy, and none of them waits on an O(zone)
-    /// encode on the fleet's only transport thread. Anything else (a
-    /// connection with its own frame bound, hence its own chunk size; a
-    /// resume offset that is not a boundary of the cached train) is
-    /// encoded for that connection alone, as every bootstrap used to be.
+    /// The shard therefore keeps, beside its checkpoint and for exactly
+    /// as long, that checkpoint's whole train at the server's default
+    /// chunk size ([`Broker::snapshot_train`]), and every later
+    /// bootstrap of that capture — and every resume that lands on one of
+    /// its chunk boundaries, which is where a client cut mid-train
+    /// always resumes — stages refcount-shared clones: N joiners hold
+    /// one copy, and none of them waits on an O(zone) encode on the
+    /// fleet's only transport thread. Anything else (a connection with
+    /// its own frame bound, hence its own chunk size; a resume offset
+    /// that is not a boundary of the cached train; a snapshot the
+    /// checkpoint has already moved on from) is encoded for that
+    /// connection alone, as every bootstrap used to be.
     ///
     /// This is the only `encode_snapshot_chunks` call the transport may
-    /// contain (`docs/INVARIANTS.md` L4).
+    /// contain (`docs/INVARIANTS.md` L4); it runs with no lock held.
+    ///
+    /// [`Broker::snapshot_train`]: crate::broker::Broker::snapshot_train
     fn snapshot_train(
-        &mut self,
+        &self,
         tld: u16,
         snapshot: &ZoneSnapshot,
         start: usize,
         max_frame: usize,
     ) -> Vec<Bytes> {
         let chunk_bytes = self.chunk_bytes_for(max_frame);
-        let shareable = chunk_bytes == self.chunk_bytes_for(self.inner.config.max_frame_len);
-        if shareable {
-            let tail = self
-                .trains
-                .get(&tld)
-                .filter(|train| train.snapshot.same_capture(snapshot))
-                .and_then(|train| {
-                    let starts_here = |frame: &Bytes| {
-                        peek_snapshot_chunk_offset(frame).is_ok_and(|at| at as usize == start)
-                    };
-                    train.frames.get(train.frames.iter().position(starts_here)?..)
-                });
-            if let Some(tail) = tail {
-                return tail.to_vec();
-            }
+        let encode = || {
+            self.inner.stats.snapshot_trains_encoded.fetch_add(1, Ordering::Relaxed);
+            encode_snapshot_chunks(tld, snapshot, start, chunk_bytes)
+        };
+        if chunk_bytes != self.chunk_bytes_for(self.inner.config.max_frame_len) {
+            return encode();
         }
-        let frames = encode_snapshot_chunks(tld, snapshot, start, chunk_bytes);
-        self.inner.stats.snapshot_trains_encoded.fetch_add(1, Ordering::Relaxed);
-        if shareable && start == 0 {
-            let train = CachedTrain { snapshot: snapshot.clone(), frames: frames.clone() };
-            self.trains.insert(tld, train);
-        }
-        frames
+        self.inner.broker.snapshot_train(TldId(tld), snapshot, start, chunk_bytes, encode)
     }
 
     /// Leave the streaming state: deregister the stats row and drop the

@@ -41,6 +41,14 @@
 //! set, and the diff engines still walk the entries without touching
 //! the allocator.
 //!
+//! NS sets are shared the same way, across segments: however a snapshot
+//! was built, equal host lists are one allocation. The wire decoders
+//! memoise per frame, [`ZoneSnapshot::capture`] takes the zone's own
+//! sets, and [`ZoneSnapshot::from_entries`] — raw host lists, the
+//! root's and the text format's way in — freezes each *distinct* list
+//! once, through a content-keyed memo that lives for the build only. A
+//! shard over sixteen provider sets holds sixteen of them at any size.
+//!
 //! [`ZoneSnapshot::same_capture`] compares the top-level `Arc` by
 //! pointer: it witnesses "this very value", which neither equal content
 //! nor any amount of shared segments implies. Equality (`==`) is by
@@ -53,6 +61,7 @@ use crate::name::DomainName;
 use crate::serial::Serial;
 use crate::zone::{NsSet, Zone};
 use darkdns_sim::time::SimTime;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -240,7 +249,13 @@ impl ZoneSnapshot {
     }
 
     /// Build from parts. Entries are sorted and deduplicated by domain
-    /// (last occurrence wins); NS sets are taken as given.
+    /// (last occurrence wins). Each *distinct* host list is frozen once
+    /// and equal lists share that storage, so the snapshot holds one
+    /// allocation per provider set, as a wire-decoded one does, not one
+    /// per entry. Nothing a reader can see depends on the sharing: the
+    /// order within a list and its canonical flag are the given ones, so
+    /// `==`, `Hash`, [`ZoneSnapshot::to_text`] and every diff are what
+    /// they would be with a private copy per entry.
     pub fn from_entries(
         origin: DomainName,
         serial: Serial,
@@ -248,10 +263,26 @@ impl ZoneSnapshot {
         mut entries: Vec<(DomainName, Vec<DomainName>)>,
     ) -> Self {
         sort_last_wins(&mut entries);
+        // Content-keyed and dropped with the build. A hit clones the
+        // pointer and frees the duplicate list; a miss freezes the list
+        // as it always was and adds one table slot pointing at it, never
+        // a second copy of the hosts. Default (keyed) hasher: the lists
+        // may come from a zone file.
+        let mut memo: HashSet<NsSet> = HashSet::new();
         // Frozen in entry order, which is the order every diff engine
         // walks the NS sets in.
         let len = entries.len();
-        let frozen = entries.into_iter().map(|(d, hosts)| (d, NsSet::from_raw(hosts)));
+        let frozen = entries.into_iter().map(|(d, hosts)| {
+            let ns = match memo.get(hosts.as_slice()) {
+                Some(shared) => shared.clone(),
+                None => {
+                    let ns = NsSet::from_raw(hosts);
+                    memo.insert(ns.clone());
+                    ns
+                }
+            };
+            (d, ns)
+        });
         Self::from_sorted(origin, serial, taken_at, len, frozen)
     }
 
@@ -488,9 +519,21 @@ fn sort_last_wins<T>(entries: &mut Vec<(DomainName, T)>) {
     if entries.windows(2).all(|w| w[0].0 < w[1].0) {
         return;
     }
-    // `sort_by`, not `sort_by_key`: the key would be a 23-byte copy per
-    // comparison side, and 50k-entry shard builds measured 35 % slower.
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    // Sorted through a cached key: the name's first eight bytes as a
+    // big-endian integer — which orders as the name does wherever two
+    // prefixes differ — and then the name. Almost every comparison is
+    // two integers side by side; a full `DomainName::cmp` (for an
+    // interned name two dependent atomic loads and a string chase, per
+    // side) is paid only between equal prefixes, and the entries move
+    // once, at the end. Stable, which last-wins needs.
+    let prefix = |domain: &DomainName| {
+        let mut head = [0u8; 8];
+        let bytes = domain.raw().as_bytes();
+        let n = bytes.len().min(8);
+        head[..n].copy_from_slice(&bytes[..n]);
+        u64::from_be_bytes(head)
+    };
+    entries.sort_by_cached_key(|entry| (prefix(&entry.0), entry.0));
     entries.dedup_by(|later, earlier| {
         if later.0 == earlier.0 {
             // `dedup_by` removes `later` when true; keep the later value
@@ -714,6 +757,50 @@ mod tests {
         );
         assert_eq!(snap.len(), 2);
         assert_eq!(snap.ns_of(&name("b.com")).unwrap(), &[name("ns.new.net")]);
+    }
+
+    #[test]
+    fn unsorted_input_lands_in_full_name_order_whatever_the_first_eight_bytes() {
+        // Names that agree on their first eight bytes (inline and
+        // interned), names shorter than eight, a name that is another's
+        // prefix, and a repeat whose later list must win.
+        let spelled = [
+            "shared-prefix-zz.com",
+            "shared-prefix-aa.com",
+            "b.com",
+            "shared-p.com",
+            "shared-prefix-past-the-inline-bound-zz.com",
+            "a.com",
+            "shared-prefix-past-the-inline-bound-aa.com",
+            "ab.com",
+            "shared-prefix-aa.com",
+            "shared-pr.com",
+        ];
+        let entries: Vec<_> = spelled
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (name(s), vec![name(&format!("ns{i}.x.net"))]))
+            .collect();
+        let expect: std::collections::BTreeMap<_, _> = entries.iter().cloned().collect();
+        let snap = ZoneSnapshot::from_entries(name("com"), Serial::new(1), SimTime::ZERO, entries);
+        assert_eq!(snap.len(), spelled.len() - 1);
+        assert!(snap.iter().map(|(d, ns)| (d, ns.to_vec())).eq(expect));
+        assert_eq!(snap.ns_of(&name("shared-prefix-aa.com")).unwrap(), &[name("ns8.x.net")]);
+    }
+
+    #[test]
+    fn from_entries_freezes_each_distinct_host_list_once() {
+        let hosts = |p: usize| vec![name(&format!("ns2.p{p}.net")), name(&format!("ns1.p{p}.net"))];
+        let entries = (0..300).map(|i| (name(&format!("d{i:03}.com")), hosts(i % 3))).collect();
+        let snap = ZoneSnapshot::from_entries(name("com"), Serial::new(1), SimTime::ZERO, entries);
+        assert!(snap.segment_lens().len() > 1);
+        let first: Vec<&NsSet> = snap.ns_column().iter().take(3).collect();
+        for (i, ns) in snap.ns_column().iter().enumerate() {
+            // Shared across segments, in the order given (not sorted).
+            assert!(ns.ptr_eq(first[i % 3]));
+            assert_eq!(ns.as_slice(), hosts(i % 3));
+        }
+        assert!(!first[0].ptr_eq(first[1]) && !first[1].ptr_eq(first[2]));
     }
 
     #[test]

@@ -111,6 +111,14 @@ impl std::hash::Hash for NsSet {
     }
 }
 
+/// By host sequence, as `Eq` and `Hash` are: a set in a hashed container
+/// can be looked up by a plain host slice.
+impl std::borrow::Borrow<[DomainName]> for NsSet {
+    fn borrow(&self) -> &[DomainName] {
+        &self.hosts
+    }
+}
+
 impl PartialEq<Vec<DomainName>> for NsSet {
     fn eq(&self, other: &Vec<DomainName>) -> bool {
         self.as_slice() == other.as_slice()

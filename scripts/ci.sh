@@ -49,6 +49,15 @@ cargo test -q --release --test proptest_broker --test broker_fleet --test transp
 echo "==> cargo test -q --release (relay fault suite)"
 cargo test -q --release --test relay_faults
 
+# The fleet's bounded-memory contract, in release like the fleet it
+# describes: root -> relay -> leaf under a process-wide live-bytes
+# allocator, growth since bootstrap within the retained frames' bytes
+# plus a fixed slack, and none between three and six ring-fulls. A tier
+# that starts keeping something per publish that is neither zone state
+# nor bytes it serves fails here, not in a resident-set figure weeks on.
+echo "==> cargo test -q --release (fleet footprint)"
+cargo test -q --release --test footprint
+
 # The routing fault matrix again in release: live endpoint-map drains
 # race the chunk train they must not interrupt, health probes race the
 # failover path they steer, and the dead-endpoint backoff pin is a

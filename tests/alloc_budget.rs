@@ -1,5 +1,5 @@
-//! Allocation budgets for the RZU name codec, the bootstrap assembly and
-//! the delta apply.
+//! Allocation budgets for the RZU name codec, the bootstrap assembly,
+//! the delta apply, the root's zone build and the retention ring.
 //!
 //! PR 12's traces showed a 100k-entry catch-up making 3.7 M allocations
 //! — 37 per entry: a label `Vec`, a `String` per label, a joined
@@ -16,6 +16,11 @@
 //! regression gate for "O(delta) apply" that a wall-clock sweep on a
 //! shared host cannot be.
 //!
+//! The last two are budgets on what is *kept*: a zone built from raw
+//! host lists holds one allocation per distinct list, not per entry, and
+//! a shard's ring holds its frames' bytes and a fixed header each — the
+//! size of the deltas that were published is in neither formula.
+//!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`. Counts are kept per thread, so the tests can
 //! run in parallel without seeing each other.
@@ -24,8 +29,10 @@ use darkdns::dns::wire::{
     decode_delta_push, decode_snapshot_chunk, encode_delta_push, encode_lookup_request,
     encode_snapshot_chunks, LookupQuery,
 };
+use darkdns::broker::{JournalShard, RetentionConfig};
 use darkdns::dns::snapshot::SEGMENT_SPAN;
 use darkdns::dns::{DomainName, NsSet, Serial, ZoneDelta, ZoneSnapshot};
+use darkdns::registry::tld::TldId;
 use darkdns::sim::time::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -37,6 +44,9 @@ thread_local! {
     // allocator can itself never allocate.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    // Bytes this thread allocated and has not freed (wrapping: a block
+    // freed here may have been allocated elsewhere).
+    static LIVE: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -46,11 +56,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
         BYTES.with(|n| n.set(n.get() + layout.size() as u64));
+        LIVE.with(|n| n.set(n.get().wrapping_add(layout.size() as u64)));
         // SAFETY: same layout, forwarded to the system allocator.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.with(|n| n.set(n.get().wrapping_sub(layout.size() as u64)));
         // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -58,6 +70,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
         BYTES.with(|n| n.set(n.get() + new_size as u64));
+        LIVE.with(|n| {
+            n.set(n.get().wrapping_add(new_size as u64).wrapping_sub(layout.size() as u64))
+        });
         // SAFETY: `ptr` came from this allocator with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -78,6 +93,15 @@ fn measuring<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
     (out, ALLOCS.with(Cell::get) - before.0, BYTES.with(Cell::get) - before.1)
+}
+
+/// Run `f`, returning its result and by how many bytes this thread's
+/// live heap grew (what `f` allocated and did not free, less what it
+/// freed of earlier allocations).
+fn retaining<R>(f: impl FnOnce() -> R) -> (R, i64) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (out, LIVE.with(Cell::get).wrapping_sub(before) as i64)
 }
 
 const PROVIDERS: usize = 16;
@@ -302,4 +326,132 @@ fn a_100_name_apply_costs_the_same_at_10k_and_at_1m_beside_the_top_level() {
         tail_10k.1,
         tail_1m.1
     );
+}
+
+/// `size` delegations with raw host lists — what a root builds its
+/// shards from — over `lists` distinct lists (`None`: every entry its
+/// own), a quarter of the owners interned, ascending.
+fn raw_entries(size: usize, lists: Option<usize>) -> Vec<(DomainName, Vec<DomainName>)> {
+    let mut out: Vec<_> = (0..size)
+        .map(|i| {
+            let owner = if i % 4 == 3 {
+                name(&format!("an-owner-past-the-inline-bound-{i:06}.com"))
+            } else {
+                name(&format!("owner-{i:06}.com"))
+            };
+            let p = lists.map_or(i, |lists| (i * 7 + i / 13) % lists);
+            let hosts = vec![
+                name(&format!("ns1.provider-{p:06}.alloc-budget-hosting.net")),
+                name(&format!("ns2.provider-{p:06}.alloc-budget-hosting.net")),
+            ];
+            (owner, hosts)
+        })
+        .collect();
+    out.sort_by_key(|entry| entry.0);
+    out
+}
+
+/// Allocations of a hash table that grows from empty to `items`: one
+/// per doubling, the first at four buckets.
+fn table_doublings(items: usize) -> u64 {
+    u64::from((items * 8 / 7 + 1).next_power_of_two().max(4).trailing_zeros()) - 1
+}
+
+#[test]
+fn a_zone_built_from_raw_host_lists_allocates_per_segment_and_per_distinct_list() {
+    let build = |entries| {
+        counting(|| ZoneSnapshot::from_entries(name("com"), Serial::new(1), SimTime::ZERO, entries))
+    };
+    let mut beside_segments = Vec::new();
+    for size in [10_000, 40_000] {
+        let (snapshot, allocs) = build(raw_entries(size, Some(PROVIDERS)));
+        let segments = snapshot.segment_lens().len() as u64;
+        // Per segment one allocation, per distinct list one, the memo's
+        // doublings; per snapshot the top level's `Arc` and three
+        // columns and the builder's run buffer. Exactly — and the entry
+        // count enters through the segments alone.
+        let fixed = PROVIDERS as u64 + table_doublings(PROVIDERS) + 5;
+        assert_eq!(allocs, segments + fixed, "allocations to build {size} entries");
+        beside_segments.push(allocs - segments);
+
+        // Equal lists are one allocation, whichever segments their
+        // entries fell into: as many pointers as lists.
+        let mut distinct: Vec<*const DomainName> =
+            snapshot.ns_column().iter().map(|ns| ns.as_slice().as_ptr()).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), PROVIDERS);
+    }
+    assert_eq!(beside_segments[0], beside_segments[1]);
+
+    // Unsorted input pays for the sort keys, once.
+    let mut shuffled = raw_entries(10_000, Some(PROVIDERS));
+    shuffled.reverse();
+    let (snapshot, allocs) = build(shuffled);
+    assert_eq!(allocs, beside_segments[0] + snapshot.segment_lens().len() as u64 + 1);
+
+    // The worst case, every list its own: what freezing each entry's
+    // list always cost, plus the memo's table — one slot per entry,
+    // reached in doublings — and nothing of it left once built.
+    const DISTINCT: usize = 10_000;
+    let (snapshot, allocs) = build(raw_entries(DISTINCT, None));
+    let segments = snapshot.segment_lens().len() as u64;
+    assert_eq!(allocs, segments + DISTINCT as u64 + table_doublings(DISTINCT) + 5);
+    let (shared, kept_shared) = retaining(|| {
+        ZoneSnapshot::from_entries(name("com"), Serial::new(1), SimTime::ZERO, raw_entries(DISTINCT, None))
+    });
+    let (private, kept_private) = retaining(|| {
+        let frozen = raw_entries(DISTINCT, None)
+            .into_iter()
+            .map(|(owner, hosts)| (owner, NsSet::from_raw(hosts)))
+            .collect();
+        ZoneSnapshot::from_ns_entries(name("com"), Serial::new(1), SimTime::ZERO, frozen)
+    });
+    assert_eq!(shared, private);
+    assert_eq!(kept_shared, kept_private, "live bytes of an all-distinct build");
+}
+
+#[test]
+fn a_ring_retains_its_frames_and_a_fixed_header_each_whatever_the_deltas_held() {
+    const ZONE: usize = 2_000;
+    const NAMES: usize = 100;
+    let retention = RetentionConfig::default();
+    let sets = providers(PROVIDERS);
+    let zone =
+        ZoneSnapshot::from_ns_entries(name("com"), Serial::new(0), SimTime::ZERO, entries(ZONE, &sets));
+    let block: Vec<(DomainName, NsSet)> = (0..NAMES)
+        .map(|j| (name(&format!("zz-nrd-{j:04}.com")), sets[j % PROVIDERS].clone()))
+        .collect();
+
+    let mut shard = JournalShard::new(TldId(0), zone);
+    let publishes = 2 * retention.max_deltas as u32;
+    let ((), grown) = retaining(|| {
+        for serial in 1..=publishes {
+            // Add the block, remove the block: the zone ends as it began.
+            let delta = if serial % 2 == 1 {
+                ZoneDelta { added: block.clone(), ..ZoneDelta::default() }
+            } else {
+                ZoneDelta { removed: block.clone(), ..ZoneDelta::default() }
+            };
+            shard.publish(&delta, Serial::new(serial), SimTime::from_secs(u64::from(serial)), &retention);
+        }
+    });
+    assert_eq!(shard.retained().len(), retention.max_deltas);
+    let frame_bytes: usize = shard.retained().map(|d| d.frame.len()).sum();
+    assert!(frame_bytes > retention.max_deltas * NAMES, "100-name frames, {frame_bytes} bytes");
+
+    // What the shard holds beyond its zone state: keep head and
+    // checkpoint (refcounts, no allocation), let everything else go.
+    let (head, checkpoint) = (shard.head().clone(), shard.checkpoint().clone());
+    let ((), freed) = retaining(|| drop(shard));
+    let beyond = usize::try_from(-freed).expect("dropping a shard frees");
+    let budget = frame_bytes + retention.max_deltas * 160;
+    assert!(
+        (frame_bytes..=budget).contains(&beyond),
+        "{beyond} bytes live beyond head and checkpoint for {frame_bytes} frame bytes, budget {budget}"
+    );
+    // And the ring is all that grew: the zone is the size it was.
+    assert_eq!(head.len(), ZONE);
+    assert!(checkpoint.same_capture(&head));
+    assert!(grown as usize <= budget + (2 * SEGMENT_SPAN * 48 + 64) * 4, "{grown} bytes grown");
 }

@@ -310,6 +310,55 @@ proptest! {
     }
 
     #[test]
+    fn an_interned_build_is_the_per_entry_frozen_build(
+        // Unsorted, with repeated domains (last wins) and host lists in
+        // any order, repeats included: what `from_entries` must take.
+        raw in prop::collection::vec((0u16..300, prop::collection::vec(0u8..4, 1..4)), 0..200),
+    ) {
+        let com = DomainName::parse("com").unwrap();
+        let owner = |i: u16| DomainName::parse(&format!("d{i:04}.com")).unwrap();
+        let build = |entries| ZoneSnapshot::from_entries(com, Serial::new(1), SimTime::ZERO, entries);
+        let hosts = |picks: &[u8]| picks.iter().map(|&p| ns_host(p)).collect::<Vec<_>>();
+        let interned = build(raw.iter().map(|(i, picks)| (owner(*i), hosts(picks))).collect());
+
+        // The oracle: what `from_entries` built before it shared
+        // anything — every entry's list frozen on its own.
+        let last: BTreeMap<u16, &Vec<u8>> = raw.iter().map(|(i, picks)| (*i, picks)).collect();
+        let oracle = ZoneSnapshot::from_ns_entries(
+            com,
+            Serial::new(1),
+            SimTime::ZERO,
+            last.iter().map(|(i, picks)| (owner(*i), NsSet::from_raw(hosts(picks)))).collect(),
+        );
+        prop_assert_eq!(&interned, &oracle);
+        prop_assert_eq!(interned.to_text(), oracle.to_text());
+        prop_assert!(sorted_merge_diff(&interned, &oracle).is_empty());
+        prop_assert!(sorted_merge_diff(&oracle, &interned).is_empty());
+        // Order within a list is the given one, and the canonical flag
+        // (which `Zone::from_snapshot` trusts) is the list's own.
+        for ((_, ns), picks) in interned.iter().zip(last.values()) {
+            prop_assert_eq!(ns, &hosts(picks));
+        }
+        prop_assert_eq!(Zone::from_snapshot(&interned), Zone::from_snapshot(&oracle));
+        // Equal lists are one allocation; the oracle's never are.
+        let sets: Vec<&NsSet> = interned.ns_column().iter().collect();
+        for (k, a) in sets.iter().enumerate() {
+            for b in &sets[k + 1..] {
+                prop_assert_eq!(a.ptr_eq(b), a == b);
+            }
+        }
+
+        // The text format keeps canonical lists as they are, and reads
+        // them back through the same build.
+        let canonical = build(
+            last.iter().map(|(i, picks)| (owner(*i), NsSet::new(hosts(picks)).to_vec())).collect(),
+        );
+        let reread = ZoneSnapshot::parse_text(&canonical.to_text()).unwrap();
+        prop_assert_eq!(&reread, &canonical);
+        prop_assert!(sorted_merge_diff(&canonical, &reread).is_empty());
+    }
+
+    #[test]
     fn segment_routed_apply_equals_the_flat_reference(
         zone in segmented_zone_strategy(),
         seed in any::<u64>(),
