@@ -22,6 +22,7 @@ use crate::lockdep::{self, TrackedMutex, TrackedRwLock};
 use crate::shard::{CatchUp, JournalShard, RetentionConfig, SealedDelta};
 use bytes::Bytes;
 use darkdns_dns::hash::NameMap;
+pub use darkdns_dns::wire::ShardStats;
 use darkdns_dns::{Serial, ZoneDelta, ZoneSnapshot};
 use darkdns_registry::tld::TldId;
 use darkdns_sim::time::SimTime;
@@ -112,54 +113,6 @@ pub struct BrokerStats {
     pub snapshot_catchups: u64,
     /// Catch-ups answered with a delta replay (rule 2).
     pub delta_catchups: u64,
-}
-
-/// Point-in-time accounting for one TLD shard: everything the bench and
-/// monitor layers need in one struct — journal progress (pushes sealed,
-/// checkpoints refreshed, ring retention), fan-out outcomes (deliveries,
-/// lag drops, evictions), catch-up plans served, and publish-path lock
-/// health (`lock_contentions` stays 0 as long as no two threads touch
-/// the same shard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    pub tld: TldId,
-    /// Shard head serial at snapshot time.
-    pub head_serial: Serial,
-    /// Live subscribers registered with this shard.
-    pub subscribers: usize,
-    /// Deltas published into this shard (= wire frames sealed, each
-    /// encoded exactly once).
-    pub pushes: u64,
-    /// Total encoded frame bytes (before refcount sharing).
-    pub frame_bytes: u64,
-    /// Checkpoint snapshot refreshes.
-    pub checkpoints: u64,
-    /// Sealed deltas currently retained in the ring.
-    pub retained_deltas: usize,
-    /// Sealed deltas retired from the ring (now served only via
-    /// checkpoint).
-    pub retired_deltas: u64,
-    /// Messages enqueued to this shard's subscribers.
-    pub deliveries: u64,
-    /// Live pushes dropped under the Lag policy.
-    pub lagged_messages: u64,
-    /// Subscribers evicted from this shard for falling behind.
-    pub evictions: u64,
-    /// Catch-ups answered with a checkpoint snapshot (rule 3).
-    pub snapshot_catchups: u64,
-    /// Catch-ups answered with a delta replay (rule 2).
-    pub delta_catchups: u64,
-    /// Times a *publisher* found this shard's lock already held and had
-    /// to block (monitor reads and subscribe traffic are not counted).
-    /// Publishers on disjoint TLDs never contend, so a
-    /// single-publisher-per-shard deployment keeps this at zero.
-    pub lock_contentions: u64,
-    /// Frames of this shard that rode inside a coalesced transport
-    /// write (reported by transport writers via
-    /// [`Broker::record_coalesced_frames`]; each is one write syscall a
-    /// subscriber connection saved). Zero for brokers with no socket
-    /// frontend.
-    pub coalesced_frames: u64,
 }
 
 /// Per-shard monotonic counters, mutated under the shard lock (plain
@@ -930,12 +883,12 @@ impl Broker {
         for e in &st.subs {
             on_subscriber(e.shared.id);
         }
-        let retained_deltas = st.shard.retained().len();
+        let retained_deltas = st.shard.retained().len() as u64;
         let c = &st.counters;
-        let stats = ShardStats {
-            tld,
+        ShardStats {
+            tld: tld.0,
             head_serial: st.shard.head().serial(),
-            subscribers: st.subs.len(),
+            subscribers: st.subs.len() as u64,
             pushes: c.pushes,
             frame_bytes: c.frame_bytes,
             checkpoints: st.shard.checkpoints(),
@@ -948,8 +901,7 @@ impl Broker {
             delta_catchups: c.delta_catchups,
             lock_contentions: contentions,
             coalesced_frames: coalesced,
-        };
-        stats
+        }
     }
 
     /// The aggregate counters: every shard's [`ShardStats`] summed, plus

@@ -321,8 +321,7 @@ impl TransportClient {
     }
 }
 
-/// How long [`fetch_stats`] keeps polling for the report when the
-/// connection has a short receive timeout configured.
+/// How long [`fetch_stats`] waits for the report.
 const FETCH_STATS_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Scrape a broker server's stats over a fresh frame connection: send
@@ -331,11 +330,11 @@ const FETCH_STATS_DEADLINE: Duration = Duration::from_secs(30);
 /// path for reading per-shard `ShardStats` and transport `ServerStats`
 /// through the same framing, bounds and dial machinery subscribers use.
 ///
-/// Receive timeouts on `conn` are poll intervals, not failures: a
-/// `TimedOut` (whose contract keeps partial frame progress) is retried
-/// until an overall 30 s deadline, so the subscriber dial pattern —
-/// which configures millisecond receive timeouts — works unchanged for
-/// scraping.
+/// Whatever receive timeout `conn` came with is replaced: each receive
+/// waits for what is left of an overall 30 s deadline, so the
+/// subscriber dial pattern — which configures millisecond receive
+/// timeouts — works unchanged for scraping, and a peer that accepts the
+/// query and then says nothing is given up on at the deadline.
 pub fn fetch_stats(conn: impl FrameConn) -> Result<StatsReport, TransportError> {
     fetch_stats_deadline(conn, FETCH_STATS_DEADLINE)
 }
@@ -352,10 +351,16 @@ pub fn fetch_stats_deadline(
 ) -> Result<StatsReport, TransportError> {
     conn.send_frame(&[&encode_stats_query()])?;
     let deadline = std::time::Instant::now() + deadline;
-    // The deadline is checked once per turn, whatever the turn brought:
-    // a peer that answers with heartbeats for ever must not outlast it
-    // any more than a silent one.
-    while std::time::Instant::now() < deadline {
+    // The deadline bounds every turn, whatever the turn brings: a peer
+    // that answers with heartbeats for ever is caught by the check
+    // between receives, a peer that says nothing at all by the receive
+    // timeout, which is whatever is left of the deadline.
+    loop {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        if left.is_zero() {
+            return Err(TransportError::TimedOut);
+        }
+        conn.set_recv_timeout(Some(left))?;
         match conn.recv_frame() {
             Ok(frame) if frame.is_empty() => {} // heartbeat; the report is still coming
             Ok(frame) => return Ok(decode_stats_report(&frame)?),
@@ -363,5 +368,4 @@ pub fn fetch_stats_deadline(
             Err(e) => return Err(e),
         }
     }
-    Err(TransportError::TimedOut)
 }

@@ -61,14 +61,21 @@
 //! | `RZUD` | server → client  | TLD tag + embedded `RZU1` delta frame     |
 //! | `RZUE` | server → client  | evicted: reconnect with your claims       |
 //! | `RZUQ` | both             | stats round trip: bare magic queries, the |
-//! |        |                  | reply carries `ServerStats` + per-shard   |
-//! |        |                  | `ShardStats` rows ([`fetch_stats`])       |
+//! |        |                  | reply carries a [`StatsReport`]: the      |
+//! |        |                  | [`ServerStats`] row, a [`ShardStats`] row |
+//! |        |                  | per shard, a row per live subscriber      |
+//! |        |                  | ([`fetch_stats`])                         |
 //! | empty  | server → client  | idle heartbeat / dead-peer probe          |
 //!
 //! The `RZUQ` reply carries the transport counters, per-shard rows, and
 //! one row per live subscriber connection (queue depth, lag drops,
 //! coalesced frames, buffered ring bytes, per-TLD claims) — every
 //! length field bounded before allocation, as for all untrusted input.
+//! Which counters a row carries, and in what order, is one field list
+//! per row type, declared beside the codec (`darkdns_dns::wire`,
+//! `counter_set!`): [`ServerStats`] there is also the struct
+//! [`BrokerServer::stats`] returns and the cells the handler bumps, so
+//! a new counter is one declaration line and its increment.
 //!
 //! Consecutive messages found queued when a connection's ring is pumped
 //! are coalesced into a single vectored write; framing on the wire is
@@ -133,7 +140,9 @@ mod stream;
 pub use client::{fetch_stats, fetch_stats_deadline, ClientEvent, SnapshotProgress, TransportClient};
 pub use relay::{RelayHandle, RelayStats};
 pub use replica::{ReplicaSet, UpstreamLink};
-pub use darkdns_dns::wire::{StatsReport, WireServerStats, WireShardStats, WireSubscriberStats};
+// The `RZUQ` report and its rows are declared beside their codec; the
+// server row is the transport's own `ServerStats`.
+pub use darkdns_dns::wire::{ServerStats, ShardStats, StatsReport, WireSubscriberStats};
 pub use bytes::Bytes;
 pub use fault::{FaultInjectedConn, FaultScript, FrameFault};
 pub use frame::{
@@ -144,4 +153,4 @@ pub use pipe::{duplex, PipeCutHandle, PipeEnd};
 // lookup answerer) implements to be served by the same event loop.
 pub use reactor::{CloseWhy, Conn, Protocol, ReactorHandle, ServedConn, TransportConfig};
 pub use ring::MAX_RING_FRAMES;
-pub use server::{BrokerServer, ServerStats};
+pub use server::BrokerServer;

@@ -40,6 +40,15 @@
 //! `FrameAssembler` reads exact frame lengths, so nothing is stranded
 //! in user space while the gate is shut.
 //!
+//! The same bound stops [`Protocol::fill`]: a streaming protocol with
+//! more queued than the ring holds is cut off at a full ring, and its
+//! wake source has already fired for what is still queued. So one
+//! service re-enters `read → fill → flush` whenever the ring was left
+//! full — by the gate or by `fill` — and the flush made room, until the
+//! socket blocks or the source runs dry; otherwise the rest of the
+//! queue would wait for the next enqueue or the idle sweep, one
+//! `writer_tick` per ring-full.
+//!
 //! # Lock hierarchy
 //!
 //! The loop itself takes one lock: the pending mailbox (level 50), a
@@ -753,16 +762,18 @@ impl<P: Protocol> Reactor<P> {
         let read_side = readable || matches!(conn.io, ConnIo::Pipe(_));
         let close = loop {
             let read = if read_side { self.read_inbound(&mut conn) } else { None };
-            // Reading stops at a dry stream with room left, so a full
-            // ring here means it stopped at the gate.
-            let gated = read_side && !conn.ring.has_room();
-            let close = read
-                .or_else(|| self.handler.fill(&mut conn))
-                .or_else(|| self.flush(&mut conn));
-            // Gated, and the flush made room: pull what the peer
-            // pipelined meanwhile. No readiness event will say so — for
-            // a pipe the bytes already arrived.
-            if close.is_some() || !gated || !conn.ring.has_room() {
+            let close = read.or_else(|| self.handler.fill(&mut conn));
+            // Reading stops at a dry stream and `fill` at a dry source,
+            // each with room left: a full ring here means one of them
+            // stopped at the bound, with more perhaps waiting.
+            let full = !conn.ring.has_room();
+            let close = close.or_else(|| self.flush(&mut conn));
+            // Full, and the flush made room: pull what the peer
+            // pipelined, or the protocol queued, meanwhile. No readiness
+            // event will say so — for a pipe the bytes already arrived,
+            // and a queue wakes the loop per enqueue, not per message
+            // still waiting.
+            if close.is_some() || !full || !conn.ring.has_room() {
                 break close;
             }
         };

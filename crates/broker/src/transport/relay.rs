@@ -73,54 +73,59 @@ use super::server::BrokerServer;
 use crate::broker::Broker;
 use crate::transport::ClientEvent;
 use darkdns_registry::tld::TldId;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long the relay blocks per receive before checking the stop flag.
 const RELAY_RECV_TIMEOUT: Duration = Duration::from_millis(50);
 
-/// Monotonic counters for one upstream attachment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RelayStats {
-    /// Upstream connections established (the first is the bootstrap).
-    pub connects: u64,
-    /// Faults healed by a reconnect-with-claims (successful redials
-    /// after a dead connection; failed dial attempts are not counted).
-    pub resyncs: u64,
-    /// Upstream `RZU1` frames re-published verbatim into the local
-    /// broker.
-    pub frames_relayed: u64,
-    /// Replayed upstream deltas skipped because they did not advance
-    /// the local head (duplicate deliveries after a reconnect).
-    pub frames_skipped: u64,
-    /// Upstream snapshots adopted via [`Broker::install_snapshot`]
-    /// (bootstraps and ring-overrun resyncs).
-    pub snapshots_installed: u64,
-    /// Snapshot continuation chunks received from upstream (pins that
-    /// a resumed bootstrap skipped the chunks it already had).
-    pub snapshot_chunks: u64,
-    /// Dial attempts that failed outright (connection refused, dead
-    /// endpoint, or a HELLO that could not be written) — the "why"
-    /// behind a slow resync: many dial failures with few resyncs means
-    /// the upstream was unreachable, not that the stream was faulty.
-    pub dial_failures: u64,
-    /// Established streams that died (peer closed, eviction, corrupt
-    /// frame, or a gap that forced a redial) — each precedes at most
-    /// one resync.
-    pub stream_faults: u64,
+darkdns_dns::counter_set! {
+    /// Monotonic counters for one upstream attachment.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RelayStats, cells RelayCells {
+        local {
+            /// Upstream connections established (the first is the
+            /// bootstrap).
+            connects,
+            /// Faults healed by a reconnect-with-claims (successful
+            /// redials after a dead connection; failed dial attempts are
+            /// not counted).
+            resyncs,
+            /// Upstream `RZU1` frames re-published verbatim into the
+            /// local broker.
+            frames_relayed,
+            /// Replayed upstream deltas skipped because they did not
+            /// advance the local head (duplicate deliveries after a
+            /// reconnect).
+            frames_skipped,
+            /// Upstream snapshots adopted via [`Broker::install_snapshot`]
+            /// (bootstraps and ring-overrun resyncs). Bumped with
+            /// `Release`, after `snapshot_chunks` is stored and declared
+            /// before it: a reader that sees an install counted sees the
+            /// chunks of the train that delivered it.
+            snapshots_installed,
+            /// Snapshot continuation chunks received from upstream (pins
+            /// that a resumed bootstrap skipped the chunks it already
+            /// had).
+            snapshot_chunks,
+            /// Dial attempts that failed outright (connection refused,
+            /// dead endpoint, or a HELLO that could not be written) — the
+            /// "why" behind a slow resync: many dial failures with few
+            /// resyncs means the upstream was unreachable, not that the
+            /// stream was faulty.
+            dial_failures,
+            /// Established streams that died (peer closed, eviction,
+            /// corrupt frame, or a gap that forced a redial) — each
+            /// precedes at most one resync.
+            stream_faults,
+        }
+    }
 }
 
 #[derive(Default)]
 struct RelayShared {
-    connects: AtomicU64,
-    resyncs: AtomicU64,
-    frames_relayed: AtomicU64,
-    frames_skipped: AtomicU64,
-    snapshots_installed: AtomicU64,
-    snapshot_chunks: AtomicU64,
-    dial_failures: AtomicU64,
-    stream_faults: AtomicU64,
+    counters: RelayCells,
     connected: AtomicBool,
 }
 
@@ -135,17 +140,7 @@ pub struct RelayHandle {
 impl RelayHandle {
     /// A point-in-time copy of the relay counters.
     pub fn stats(&self) -> RelayStats {
-        let s = &self.shared;
-        RelayStats {
-            connects: s.connects.load(Ordering::Relaxed),
-            resyncs: s.resyncs.load(Ordering::Relaxed),
-            frames_relayed: s.frames_relayed.load(Ordering::Relaxed),
-            frames_skipped: s.frames_skipped.load(Ordering::Relaxed),
-            snapshots_installed: s.snapshots_installed.load(Ordering::Acquire),
-            snapshot_chunks: s.snapshot_chunks.load(Ordering::Relaxed),
-            dial_failures: s.dial_failures.load(Ordering::Relaxed),
-            stream_faults: s.stream_faults.load(Ordering::Relaxed),
-        }
+        self.shared.counters.load()
     }
 
     /// True while the upstream connection is established (it may still
@@ -181,6 +176,7 @@ impl BrokerServer {
         let reactor = self.reactor.clone();
         let thread = std::thread::spawn(move || {
             let mut link = UpstreamLink::new(ReplicaSet::new(1, 0));
+            let counters = &shared.counters;
             // What this node has *durably* reached — its own broker
             // heads — is both the HELLO's claims and what the link's
             // lockstep check compares a dying client's claims against:
@@ -192,7 +188,7 @@ impl BrokerServer {
             while !reactor.is_stopping() {
                 if !link.is_connected() {
                     let healed = link.connect(&heads(), |_| dial());
-                    shared.dial_failures.store(link.replicas().dial_failures(), Ordering::Relaxed);
+                    counters.dial_failures.store(link.replicas().dial_failures(), Ordering::Relaxed);
                     let Ok(healed) = healed else {
                         // Wait out the backoff window, in slices no
                         // longer than the stop-flag poll.
@@ -206,9 +202,9 @@ impl BrokerServer {
                         link.retire(&heads());
                         continue;
                     }
-                    shared.connects.fetch_add(1, Ordering::Relaxed);
+                    counters.connects.fetch_add(1, Ordering::Relaxed);
                     if healed {
-                        shared.resyncs.fetch_add(1, Ordering::Relaxed);
+                        counters.resyncs.fetch_add(1, Ordering::Relaxed);
                     }
                     shared.connected.store(true, Ordering::Relaxed);
                 }
@@ -218,12 +214,12 @@ impl BrokerServer {
                         broker.install_snapshot(tld, snapshot);
                         // The train that delivered it first: a stats()
                         // reader that sees the install counted must see
-                        // its chunks counted (Release here, Acquire on
-                        // the load in `stats`).
-                        shared
+                        // its chunks counted (Release here, and `load`
+                        // reads installs before chunks, with Acquire).
+                        counters
                             .snapshot_chunks
                             .store(link.snapshot_chunks_received(), Ordering::Relaxed);
-                        shared.snapshots_installed.fetch_add(1, Ordering::Release);
+                        counters.snapshots_installed.fetch_add(1, Ordering::Release);
                         false
                     }
                     ClientEvent::Delta { tld, push, frame } => {
@@ -235,7 +231,7 @@ impl BrokerServer {
                                 // readers must never observe a
                                 // delivered frame the counter has
                                 // not reached yet.
-                                shared.frames_relayed.fetch_add(1, Ordering::Relaxed);
+                                counters.frames_relayed.fetch_add(1, Ordering::Relaxed);
                                 broker.publish_frame(
                                     tld,
                                     push.delta,
@@ -246,7 +242,7 @@ impl BrokerServer {
                                 false
                             }
                             Relayed::Replay => {
-                                shared.frames_skipped.fetch_add(1, Ordering::Relaxed);
+                                counters.frames_skipped.fetch_add(1, Ordering::Relaxed);
                                 false
                             }
                             Relayed::Gap => true, // corrupt stream: redial
@@ -254,11 +250,11 @@ impl BrokerServer {
                     }
                     ClientEvent::Evicted | ClientEvent::Closed(_) => true,
                 };
-                shared.snapshot_chunks.store(link.snapshot_chunks_received(), Ordering::Relaxed);
+                counters.snapshot_chunks.store(link.snapshot_chunks_received(), Ordering::Relaxed);
                 if faulted {
                     shared.connected.store(false, Ordering::Relaxed);
                     link.retire(&heads());
-                    shared.stream_faults.store(link.stream_faults(), Ordering::Relaxed);
+                    counters.stream_faults.store(link.stream_faults(), Ordering::Relaxed);
                 }
             }
             shared.connected.store(false, Ordering::Relaxed);

@@ -22,71 +22,18 @@
 
 use super::reactor::{ReactorHandle, ServedConn, TransportConfig};
 use super::stream::{ConnStatsEntry, SubscriberStream};
-use crate::broker::{Broker, ShardStats};
+use crate::broker::Broker;
 use crate::lockdep::{self, TrackedMutex};
-use darkdns_dns::wire::{
-    StatsReport, TldClaim, WireServerStats, WireShardStats, WireSubscriberStats,
-};
+use darkdns_dns::wire::{ServerCells, ServerStats, StatsReport, TldClaim, WireSubscriberStats};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Monotonic transport-side counters (a point-in-time copy comes back
-/// from [`BrokerServer::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Connections registered with the reactor.
-    pub accepted: u64,
-    /// Handshakes that produced a live subscription.
-    pub handshakes: u64,
-    /// Connections dropped during the handshake (timeout, bad frame,
-    /// unknown TLD claim).
-    pub rejected_hellos: u64,
-    /// Delta envelopes fully flushed (each wraps the shard's shared
-    /// `RZU1` frame verbatim — never re-encoded per subscriber).
-    pub deltas_sent: u64,
-    /// Snapshot bootstraps fully flushed.
-    pub snapshots_sent: u64,
-    /// `RZUE` eviction notices composed (connection drains and closes).
-    pub evict_notices: u64,
-    /// Connections that died mid-stream (peer gone, write stall).
-    pub disconnects: u64,
-    /// Vectored writes that carried more than one message frame
-    /// (several queued messages coalesced into one syscall).
-    pub coalesced_writes: u64,
-    /// Frames that rode in a vectored write behind another frame — each
-    /// is one write syscall saved at fan-out.
-    pub coalesced_frames: u64,
-    /// `RZUQ` stats queries answered (scrape connections).
-    pub stats_queries: u64,
-    /// `RZUC` chunk trains encoded — cache fills plus bootstraps the
-    /// shard's cached train could not serve (own chunk size,
-    /// off-boundary resume, a checkpoint refreshed meanwhile). N joiners
-    /// of one checkpoint move this by one. In-process only: not part of
-    /// the `RZUQ` wire report.
-    pub snapshot_trains_encoded: u64,
-}
-
-#[derive(Default)]
-pub(super) struct StatsInner {
-    pub(super) accepted: AtomicU64,
-    pub(super) handshakes: AtomicU64,
-    pub(super) rejected_hellos: AtomicU64,
-    pub(super) deltas_sent: AtomicU64,
-    pub(super) snapshots_sent: AtomicU64,
-    pub(super) evict_notices: AtomicU64,
-    pub(super) disconnects: AtomicU64,
-    pub(super) coalesced_writes: AtomicU64,
-    pub(super) coalesced_frames: AtomicU64,
-    pub(super) stats_queries: AtomicU64,
-    pub(super) snapshot_trains_encoded: AtomicU64,
-}
 
 pub(super) struct ServerInner {
     pub(super) broker: Broker,
     pub(super) config: TransportConfig,
-    pub(super) stats: StatsInner,
+    pub(super) stats: ServerCells,
     /// Live subscriber connections by subscriber id (sorted, so the
     /// report rows come out in a stable order).
     // lock-level: 14 (held while probing subscriber queues, hence
@@ -110,7 +57,7 @@ impl BrokerServer {
         let inner = Arc::new(ServerInner {
             broker,
             config,
-            stats: StatsInner::default(),
+            stats: ServerCells::default(),
             conns: TrackedMutex::new(&lockdep::CONNS, BTreeMap::new()),
         });
         let reactor = ReactorHandle::spawn(SubscriberStream::new(Arc::clone(&inner)), config);
@@ -144,20 +91,7 @@ impl BrokerServer {
 
     /// A point-in-time copy of the transport counters.
     pub fn stats(&self) -> ServerStats {
-        let s = &self.inner.stats;
-        ServerStats {
-            accepted: s.accepted.load(Ordering::Relaxed),
-            handshakes: s.handshakes.load(Ordering::Relaxed),
-            rejected_hellos: s.rejected_hellos.load(Ordering::Relaxed),
-            deltas_sent: s.deltas_sent.load(Ordering::Relaxed),
-            snapshots_sent: s.snapshots_sent.load(Ordering::Relaxed),
-            evict_notices: s.evict_notices.load(Ordering::Relaxed),
-            disconnects: s.disconnects.load(Ordering::Relaxed),
-            coalesced_writes: s.coalesced_writes.load(Ordering::Relaxed),
-            coalesced_frames: s.coalesced_frames.load(Ordering::Relaxed),
-            stats_queries: s.stats_queries.load(Ordering::Relaxed),
-            snapshot_trains_encoded: s.snapshot_trains_encoded.load(Ordering::Relaxed),
-        }
+        self.inner.stats.load()
     }
 
     /// The `RZUQ` payload: transport counters, one row per shard, and
@@ -185,20 +119,8 @@ impl BrokerServer {
 /// Build the `RZUQ` report payload from the server's counters, every
 /// shard's accounting, and every live subscriber connection's row.
 pub(super) fn build_stats_report(inner: &ServerInner) -> StatsReport {
-    let s = &inner.stats;
-    let server = WireServerStats {
-        accepted: s.accepted.load(Ordering::Relaxed),
-        handshakes: s.handshakes.load(Ordering::Relaxed),
-        rejected_hellos: s.rejected_hellos.load(Ordering::Relaxed),
-        deltas_sent: s.deltas_sent.load(Ordering::Relaxed),
-        snapshots_sent: s.snapshots_sent.load(Ordering::Relaxed),
-        evict_notices: s.evict_notices.load(Ordering::Relaxed),
-        disconnects: s.disconnects.load(Ordering::Relaxed),
-        coalesced_writes: s.coalesced_writes.load(Ordering::Relaxed),
-        coalesced_frames: s.coalesced_frames.load(Ordering::Relaxed),
-        stats_queries: s.stats_queries.load(Ordering::Relaxed),
-    };
-    let shards = inner.broker.all_shard_stats().iter().map(wire_shard_stats).collect();
+    let server = inner.stats.load();
+    let shards = inner.broker.all_shard_stats();
     let subs = inner
         .conns
         .lock()
@@ -218,25 +140,4 @@ pub(super) fn build_stats_report(inner: &ServerInner) -> StatsReport {
         })
         .collect();
     StatsReport { server, shards, subs }
-}
-
-/// Project one shard's accounting onto the wire struct.
-fn wire_shard_stats(s: &ShardStats) -> WireShardStats {
-    WireShardStats {
-        tld: s.tld.0,
-        head_serial: s.head_serial,
-        subscribers: s.subscribers as u64,
-        pushes: s.pushes,
-        frame_bytes: s.frame_bytes,
-        checkpoints: s.checkpoints,
-        retained_deltas: s.retained_deltas as u64,
-        retired_deltas: s.retired_deltas,
-        deliveries: s.deliveries,
-        lagged_messages: s.lagged_messages,
-        evictions: s.evictions,
-        snapshot_catchups: s.snapshot_catchups,
-        delta_catchups: s.delta_catchups,
-        lock_contentions: s.lock_contentions,
-        coalesced_frames: s.coalesced_frames,
-    }
 }

@@ -461,6 +461,15 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_be_bytes(b.try_into().map_err(|_| WireError::Truncated)?))
     }
 
+    /// `N` consecutive `u64`s: one counter row of an `RZUQ` report.
+    fn u64s<const N: usize>(&mut self) -> Result<[u64; N], WireError> {
+        let mut row = [0u64; N];
+        for v in &mut row {
+            *v = self.u64()?;
+        }
+        Ok(row)
+    }
+
     /// Advance past an encoded name without materialising it: labels are
     /// skipped in place and a compression pointer (2 bytes) ends the
     /// walk — the allocation-free half of [`Decoder::name`], for callers
@@ -863,7 +872,7 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
 // * `RZUQ` — stats round trip. As a client -> server frame the magic
 //   alone is the query; the server answers with an `RZUQ` report frame
 //   carrying its transport counters plus one row per TLD shard
-//   ([`WireServerStats`] / [`WireShardStats`]), then closes. Operators
+//   ([`ServerStats`] / [`ShardStats`]), then closes. Operators
 //   scrape a broker by dialing a fresh connection and sending `RZUQ`
 //   instead of `RZUH` — the monitor path shares the subscriber path's
 //   framing, bounds and client API without interleaving into a live
@@ -1246,91 +1255,253 @@ pub fn is_evict_notice(bytes: &[u8]) -> bool {
 /// payload it is the report.
 const STATS_MAGIC: &[u8; 4] = b"RZUQ";
 
-/// Transport-level server counters as they cross the wire. Field
-/// meanings mirror the broker transport's `ServerStats`; this struct is
-/// codec-neutral (plain integers) so the wire layer does not depend on
-/// the broker crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireServerStats {
-    pub accepted: u64,
-    pub handshakes: u64,
-    pub rejected_hellos: u64,
-    pub deltas_sent: u64,
-    pub snapshots_sent: u64,
-    pub evict_notices: u64,
-    pub disconnects: u64,
-    /// Syscall batches that carried more than one frame (writer
-    /// coalescing).
-    pub coalesced_writes: u64,
-    /// Frames that rode in a batch behind another frame — each is one
-    /// write syscall saved.
-    pub coalesced_frames: u64,
-    /// `RZUQ` queries answered.
-    pub stats_queries: u64,
+/// Declare one counter set: the `pub` snapshot struct, one `u64` field
+/// per counter, and whatever else the one field list can say about it.
+///
+/// * `key { name: Type, }` — fields that identify a row and are not
+///   counters (the codec writes them by hand).
+/// * `wire { name, }` — the counters an `RZUQ` row carries, **in wire
+///   order**. A set with this section gets the `[u64; N]` view the codec
+///   loops over; the view is private to the declaring module, so such a
+///   set is declared here, beside the codec. Appending a counter to a
+///   `wire` list changes the pinned layout (`tests/golden/`) and is
+///   refused at compile time by the width assertion below.
+/// * `local { name, }` — counters a tier keeps in-process only; the
+///   codec skips them and a decoded row reads them as zero.
+/// * `, cells Name` after the struct name — also the `AtomicU64` cell
+///   struct a tier increments (`cells.name.fetch_add(..)`), with one
+///   `load()` returning the snapshot struct. `load` reads the cells in
+///   declaration order with `Acquire`: a cell bumped with `Release`
+///   publishes what was stored before the bump to the cells declared
+///   after it; every other writer may stay `Relaxed`.
+///
+/// The snapshot struct must derive `Default` (pass the derives in).
+#[macro_export]
+macro_rules! counter_set {
+    (
+        $(#[$meta:meta])*
+        pub struct $Stats:ident, cells $Cells:ident {
+            $(wire { $($(#[$wm:meta])* $wf:ident,)* })?
+            $(local { $($(#[$lm:meta])* $lf:ident,)* })?
+        }
+    ) => {
+        $crate::counter_set! {
+            $(#[$meta])*
+            pub struct $Stats {
+                $(wire { $($(#[$wm])* $wf,)* })?
+                $(local { $($(#[$lm])* $lf,)* })?
+            }
+        }
+
+        #[doc = concat!("The live cells behind a [`", stringify!($Stats), "`].")]
+        #[derive(Default)]
+        pub struct $Cells {
+            $($(pub $wf: ::std::sync::atomic::AtomicU64,)*)?
+            $($(pub $lf: ::std::sync::atomic::AtomicU64,)*)?
+        }
+
+        impl $Cells {
+            /// A point-in-time copy of every cell.
+            pub fn load(&self) -> $Stats {
+                use ::std::sync::atomic::Ordering::Acquire;
+                $Stats {
+                    $($($wf: self.$wf.load(Acquire),)*)?
+                    $($($lf: self.$lf.load(Acquire),)*)?
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $Stats:ident {
+            $(key { $($(#[$km:meta])* $kf:ident: $kt:ty,)* })?
+            $(wire { $($(#[$wm:meta])* $wf:ident,)* })?
+            $(local { $($(#[$lm:meta])* $lf:ident,)* })?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $Stats {
+            $($($(#[$km])* pub $kf: $kt,)*)?
+            $($($(#[$wm])* pub $wf: u64,)*)?
+            $($($(#[$lm])* pub $lf: u64,)*)?
+        }
+
+        $(impl $Stats {
+            /// How many `u64` counters one wire row of this set carries.
+            const WIRE_COUNTERS: usize = [$(stringify!($wf)),*].len();
+
+            /// The wire counters, in wire order.
+            fn wire_row(&self) -> [u64; Self::WIRE_COUNTERS] {
+                [$(self.$wf),*]
+            }
+
+            /// A decoded row; everything the wire does not carry is zero.
+            fn from_wire_row(row: [u64; Self::WIRE_COUNTERS]) -> Self {
+                let [$($wf),*] = row;
+                Self { $($wf,)* ..Default::default() }
+            }
+        })?
+    };
 }
 
-/// One TLD shard's counters as they cross the wire (mirrors the
-/// broker's per-shard `ShardStats`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireShardStats {
-    pub tld: u16,
-    pub head_serial: Serial,
-    pub subscribers: u64,
-    pub pushes: u64,
-    pub frame_bytes: u64,
-    pub checkpoints: u64,
-    pub retained_deltas: u64,
-    pub retired_deltas: u64,
-    pub deliveries: u64,
-    pub lagged_messages: u64,
-    pub evictions: u64,
-    pub snapshot_catchups: u64,
-    pub delta_catchups: u64,
-    pub lock_contentions: u64,
-    /// Frames of this shard delivered inside a coalesced writer batch.
-    pub coalesced_frames: u64,
+counter_set! {
+    /// Transport-side counters of one server: the `RZUQ` report's server
+    /// row, and (through [`ServerCells`]) what `BrokerServer::stats`
+    /// copies out. Monotonic.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ServerStats, cells ServerCells {
+        wire {
+            /// Connections registered with the reactor.
+            accepted,
+            /// Handshakes that produced a live subscription.
+            handshakes,
+            /// Connections dropped during the handshake (timeout, bad
+            /// frame, unknown TLD claim).
+            rejected_hellos,
+            /// Delta envelopes fully flushed (each wraps the shard's
+            /// shared `RZU1` frame verbatim — never re-encoded per
+            /// subscriber).
+            deltas_sent,
+            /// Snapshot bootstraps fully flushed.
+            snapshots_sent,
+            /// `RZUE` eviction notices composed (connection drains and
+            /// closes).
+            evict_notices,
+            /// Connections that died mid-stream (peer gone, write stall).
+            disconnects,
+            /// Vectored writes that carried more than one message frame
+            /// (several queued messages coalesced into one syscall).
+            coalesced_writes,
+            /// Frames that rode in a vectored write behind another frame
+            /// — each is one write syscall saved at fan-out.
+            coalesced_frames,
+            /// `RZUQ` stats queries answered (scrape connections).
+            stats_queries,
+        }
+        local {
+            /// `RZUC` chunk trains encoded — cache fills plus bootstraps
+            /// the shard's cached train could not serve (own chunk size,
+            /// off-boundary resume, a checkpoint refreshed meanwhile). N
+            /// joiners of one checkpoint move this by one.
+            snapshot_trains_encoded,
+        }
+    }
 }
 
-/// One live subscriber connection's row in the `RZUQ` report — the
-/// fleet-ops view of *who* is keeping up: queue depth and outbound
-/// buffer occupancy say how far behind the connection is right now,
-/// `lag_drops` how much it has already lost, `coalesced_frames` how
-/// hard the writer is batching for it, and `claims` the per-TLD serial
-/// the server has verifiably streamed it up to (the HELLO claims,
-/// advanced as delta frames reach the wire).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireSubscriberStats {
-    /// The broker-assigned subscription id.
-    pub id: u64,
-    /// Messages waiting in the subscriber's broker queue.
-    pub queue_depth: u64,
-    /// Live pushes dropped for this subscriber under the Lag policy.
-    pub lag_drops: u64,
-    /// Frames delivered to this connection inside a coalesced batch.
-    pub coalesced_frames: u64,
-    /// Bytes composed into the connection's outbound ring but not yet
-    /// accepted by the socket.
-    pub buffered_bytes: u64,
-    /// Per-TLD serial reached, in HELLO claim encoding.
-    pub claims: Vec<TldClaim>,
+counter_set! {
+    /// Point-in-time accounting for one TLD shard — the `RZUQ` report's
+    /// shard row, and what `Broker::shard_stats` returns: journal
+    /// progress (pushes sealed, checkpoints refreshed, ring retention),
+    /// fan-out outcomes (deliveries, lag drops, evictions), catch-up
+    /// plans served, and publish-path lock health (`lock_contentions`
+    /// stays 0 as long as no two threads touch the same shard).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ShardStats {
+        key {
+            /// The TLD index as the wire carries it (the registry's
+            /// `TldId` payload).
+            tld: u16,
+            /// Shard head serial at snapshot time.
+            head_serial: Serial,
+        }
+        wire {
+            /// Live subscribers registered with this shard.
+            subscribers,
+            /// Deltas published into this shard (= wire frames sealed,
+            /// each encoded exactly once).
+            pushes,
+            /// Total encoded frame bytes (before refcount sharing).
+            frame_bytes,
+            /// Checkpoint snapshot refreshes.
+            checkpoints,
+            /// Sealed deltas currently retained in the ring.
+            retained_deltas,
+            /// Sealed deltas retired from the ring (now served only via
+            /// checkpoint).
+            retired_deltas,
+            /// Messages enqueued to this shard's subscribers.
+            deliveries,
+            /// Live pushes dropped under the Lag policy.
+            lagged_messages,
+            /// Subscribers evicted from this shard for falling behind.
+            evictions,
+            /// Catch-ups answered with a checkpoint snapshot (rule 3).
+            snapshot_catchups,
+            /// Catch-ups answered with a delta replay (rule 2).
+            delta_catchups,
+            /// Times a *publisher* found this shard's lock already held
+            /// and had to block (monitor reads and subscribe traffic are
+            /// not counted). Publishers on disjoint TLDs never contend,
+            /// so a single-publisher-per-shard deployment keeps this at
+            /// zero.
+            lock_contentions,
+            /// Frames of this shard that rode inside a coalesced
+            /// transport write (each is one write syscall a subscriber
+            /// connection saved). Zero for brokers with no socket
+            /// frontend.
+            coalesced_frames,
+        }
+    }
 }
+
+counter_set! {
+    /// One live subscriber connection's row in the `RZUQ` report — the
+    /// fleet-ops view of *who* is keeping up: queue depth and outbound
+    /// buffer occupancy say how far behind the connection is right now,
+    /// `lag_drops` how much it has already lost, `coalesced_frames` how
+    /// hard the writer is batching for it, and `claims` the per-TLD
+    /// serial the server has verifiably streamed it up to (the HELLO
+    /// claims, advanced as delta frames reach the wire).
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct WireSubscriberStats {
+        key {
+            /// Per-TLD serial reached, in HELLO claim encoding (on the
+            /// wire the claims follow the counters).
+            claims: Vec<TldClaim>,
+        }
+        wire {
+            /// The broker-assigned subscription id.
+            id,
+            /// Messages waiting in the subscriber's broker queue.
+            queue_depth,
+            /// Live pushes dropped for this subscriber under the Lag
+            /// policy.
+            lag_drops,
+            /// Frames delivered to this connection inside a coalesced
+            /// batch.
+            coalesced_frames,
+            /// Bytes composed into the connection's outbound ring but not
+            /// yet accepted by the socket.
+            buffered_bytes,
+        }
+    }
+}
+
+// The legacy `RZUQ` layout (`tests/golden/rzuq.hex`) is these widths. A
+// counter added to a `wire` list changes them: that is a new layout with
+// a new golden vector beside the old one, not an edit here.
+const _: () = assert!(
+    ServerStats::WIRE_COUNTERS == 10
+        && ShardStats::WIRE_COUNTERS == 13
+        && WireSubscriberStats::WIRE_COUNTERS == 5
+);
 
 /// The full `RZUQ` report: server-wide transport counters, one row per
 /// registered shard, and one row per live subscriber connection.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsReport {
-    pub server: WireServerStats,
-    pub shards: Vec<WireShardStats>,
+    pub server: ServerStats,
+    pub shards: Vec<ShardStats>,
     pub subs: Vec<WireSubscriberStats>,
 }
 
-/// Bytes per encoded [`WireShardStats`] row: `u16` TLD + `u32` serial +
-/// 13 `u64` counters.
-const STATS_SHARD_ROW_LEN: usize = 2 + 4 + 13 * 8;
+/// Bytes per encoded [`ShardStats`] row: `u16` TLD + `u32` serial + its
+/// `u64` counters.
+const STATS_SHARD_ROW_LEN: usize = 2 + 4 + ShardStats::WIRE_COUNTERS * 8;
 
-/// Minimum bytes per encoded [`WireSubscriberStats`] row: 5 `u64`
+/// Minimum bytes per encoded [`WireSubscriberStats`] row: its `u64`
 /// counters + a `u16` claim count (claims add 7 bytes each).
-const STATS_SUB_ROW_MIN_LEN: usize = 5 * 8 + 2;
+const STATS_SUB_ROW_MIN_LEN: usize = WireSubscriberStats::WIRE_COUNTERS * 8 + 2;
 
 /// Encode a stats query (the magic is the whole message).
 pub fn encode_stats_query() -> Bytes {
@@ -1343,15 +1514,21 @@ pub fn is_stats_query(bytes: &[u8]) -> bool {
     bytes == STATS_MAGIC
 }
 
+fn put_u64s(buf: &mut BytesMut, row: &[u64]) {
+    for &v in row {
+        buf.put_u64(v);
+    }
+}
+
 /// Encode a stats report.
 ///
-/// Layout: `"RZUQ"`, the ten `u64` server counters in
-/// [`WireServerStats`] field order, `u16` shard count, then per shard a
-/// `u16` TLD, `u32` head serial and the thirteen `u64` counters in
-/// [`WireShardStats`] field order; then a `u16` subscriber count and
-/// per subscriber the five `u64` counters in [`WireSubscriberStats`]
-/// field order followed by a `u16` claim count and its claims in HELLO
-/// encoding.
+/// Layout: `"RZUQ"`, the server row; a `u16` shard count, then per shard
+/// a `u16` TLD, the `u32` head serial and the shard row; a `u16`
+/// subscriber count, then per subscriber its row followed by a `u16`
+/// claim count and its claims in HELLO encoding. A row is the set's
+/// `u64` counters, big-endian, in the order the `wire` section of its
+/// declaration lists them ([`ServerStats`], [`ShardStats`],
+/// [`WireSubscriberStats`]) — that list is the layout.
 ///
 /// A `u16` count cannot say more than 65 535 rows, so no more are
 /// written: a server past that many live subscriber connections reports
@@ -1361,53 +1538,20 @@ pub fn is_stats_query(bytes: &[u8]) -> bool {
 pub fn encode_stats_report(report: &StatsReport) -> Bytes {
     let shards = &report.shards[..report.shards.len().min(u16::MAX as usize)];
     let subs = &report.subs[..report.subs.len().min(u16::MAX as usize)];
-    let mut buf =
-        BytesMut::with_capacity(4 + 80 + 2 + shards.len() * STATS_SHARD_ROW_LEN);
+    let mut buf = BytesMut::with_capacity(
+        4 + ServerStats::WIRE_COUNTERS * 8 + 2 + shards.len() * STATS_SHARD_ROW_LEN,
+    );
     buf.put_slice(STATS_MAGIC);
-    let s = &report.server;
-    for v in [
-        s.accepted,
-        s.handshakes,
-        s.rejected_hellos,
-        s.deltas_sent,
-        s.snapshots_sent,
-        s.evict_notices,
-        s.disconnects,
-        s.coalesced_writes,
-        s.coalesced_frames,
-        s.stats_queries,
-    ] {
-        buf.put_u64(v);
-    }
+    put_u64s(&mut buf, &report.server.wire_row());
     buf.put_u16(shards.len() as u16);
     for shard in shards {
         buf.put_u16(shard.tld);
         buf.put_u32(shard.head_serial.get());
-        for v in [
-            shard.subscribers,
-            shard.pushes,
-            shard.frame_bytes,
-            shard.checkpoints,
-            shard.retained_deltas,
-            shard.retired_deltas,
-            shard.deliveries,
-            shard.lagged_messages,
-            shard.evictions,
-            shard.snapshot_catchups,
-            shard.delta_catchups,
-            shard.lock_contentions,
-            shard.coalesced_frames,
-        ] {
-            buf.put_u64(v);
-        }
+        put_u64s(&mut buf, &shard.wire_row());
     }
     buf.put_u16(subs.len() as u16);
     for sub in subs {
-        for v in
-            [sub.id, sub.queue_depth, sub.lag_drops, sub.coalesced_frames, sub.buffered_bytes]
-        {
-            buf.put_u64(v);
-        }
+        put_u64s(&mut buf, &sub.wire_row());
         put_claims(&mut buf, &sub.claims);
     }
     buf.freeze()
@@ -1422,18 +1566,7 @@ pub fn decode_stats_report(bytes: &[u8]) -> Result<StatsReport, WireError> {
     if dec.take(4)? != STATS_MAGIC {
         return Err(WireError::BadMagic);
     }
-    let server = WireServerStats {
-        accepted: dec.u64()?,
-        handshakes: dec.u64()?,
-        rejected_hellos: dec.u64()?,
-        deltas_sent: dec.u64()?,
-        snapshots_sent: dec.u64()?,
-        evict_notices: dec.u64()?,
-        disconnects: dec.u64()?,
-        coalesced_writes: dec.u64()?,
-        coalesced_frames: dec.u64()?,
-        stats_queries: dec.u64()?,
-    };
+    let server = ServerStats::from_wire_row(dec.u64s()?);
     let count = dec.u16()? as usize;
     if count
         .checked_mul(STATS_SHARD_ROW_LEN)
@@ -1443,23 +1576,9 @@ pub fn decode_stats_report(bytes: &[u8]) -> Result<StatsReport, WireError> {
     }
     let mut shards = Vec::with_capacity(count);
     for _ in 0..count {
-        shards.push(WireShardStats {
-            tld: dec.u16()?,
-            head_serial: Serial::new(dec.u32()?),
-            subscribers: dec.u64()?,
-            pushes: dec.u64()?,
-            frame_bytes: dec.u64()?,
-            checkpoints: dec.u64()?,
-            retained_deltas: dec.u64()?,
-            retired_deltas: dec.u64()?,
-            deliveries: dec.u64()?,
-            lagged_messages: dec.u64()?,
-            evictions: dec.u64()?,
-            snapshot_catchups: dec.u64()?,
-            delta_catchups: dec.u64()?,
-            lock_contentions: dec.u64()?,
-            coalesced_frames: dec.u64()?,
-        });
+        let tld = dec.u16()?;
+        let head_serial = Serial::new(dec.u32()?);
+        shards.push(ShardStats { tld, head_serial, ..ShardStats::from_wire_row(dec.u64s()?) });
     }
     let sub_count = dec.u16()? as usize;
     // Same discipline as the shard rows: a subscriber row costs at least
@@ -1474,21 +1593,10 @@ pub fn decode_stats_report(bytes: &[u8]) -> Result<StatsReport, WireError> {
     }
     let mut subs = Vec::with_capacity(sub_count);
     for _ in 0..sub_count {
-        let id = dec.u64()?;
-        let queue_depth = dec.u64()?;
-        let lag_drops = dec.u64()?;
-        let coalesced_frames = dec.u64()?;
-        let buffered_bytes = dec.u64()?;
+        let row = dec.u64s()?;
         let claim_count = dec.u16()? as usize;
         let claims = dec.decode_claims(claim_count)?;
-        subs.push(WireSubscriberStats {
-            id,
-            queue_depth,
-            lag_drops,
-            coalesced_frames,
-            buffered_bytes,
-            claims,
-        });
+        subs.push(WireSubscriberStats { claims, ..WireSubscriberStats::from_wire_row(row) });
     }
     if dec.pos != bytes.len() {
         return Err(WireError::TrailingBytes(bytes.len() - dec.pos));
@@ -2267,7 +2375,7 @@ mod tests {
 
     fn sample_stats_report() -> StatsReport {
         StatsReport {
-            server: WireServerStats {
+            server: ServerStats {
                 accepted: 9,
                 handshakes: 8,
                 rejected_hellos: 1,
@@ -2278,9 +2386,10 @@ mod tests {
                 coalesced_writes: 40,
                 coalesced_frames: 120,
                 stats_queries: 5,
+                ..Default::default()
             },
             shards: vec![
-                WireShardStats {
+                ShardStats {
                     tld: 0,
                     head_serial: Serial::new(700),
                     subscribers: 8,
@@ -2297,7 +2406,7 @@ mod tests {
                     lock_contentions: 0,
                     coalesced_frames: 90,
                 },
-                WireShardStats {
+                ShardStats {
                     tld: u16::MAX,
                     head_serial: Serial::new(u32::MAX),
                     subscribers: 0,

@@ -37,34 +37,39 @@
 //! # The `RZUQ` report, edge dialect
 //!
 //! The edge answers stats scrapes with the same [`StatsReport`] wire
-//! payload the broker uses, so [`fetch_stats`] and the fleet monitor
-//! work unchanged against either endpoint. The counters are mapped —
-//! a monitor scraping an edge should render edge labels:
+//! payload the broker uses — the broker's row types, the broker's
+//! layout (`tests/golden/rzuq_edge.hex`) — so [`fetch_stats`] and the
+//! fleet monitor work unchanged against either endpoint. The edge's own
+//! counters ([`EdgeServerStats`]) are not a wire row; they are *mapped*
+//! onto the broker's, and a monitor scraping an edge should render edge
+//! labels:
 //!
 //! * `server.handshakes` carries **lookup batches answered**,
 //! * `server.deltas_sent` carries **names answered**,
 //! * `server.rejected_hellos` carries **bad frames**,
 //! * `server.accepted` / `disconnects` / `stats_queries` keep their
-//!   transport meaning; the remaining server counters are zero.
+//!   transport meaning;
 //! * one shard row per TLD the current epoch serves: `head_serial` is
 //!   the epoch's serial for that TLD, `subscribers` the live connection
 //!   count, and `pushes` carries the index **epoch generation** (the
-//!   same value in every row); the other shard counters are zero.
+//!   same value in every row).
 //!
-//! In-process callers get the unmapped counters from
-//! [`EdgeServer::stats`].
+//! The mapping is a policy and is written out once, in this module's
+//! `build_stats_report`; every counter it does not name is zero, and
+//! there are no subscriber rows. In-process callers get the unmapped
+//! counters from [`EdgeServer::stats`].
 
 use crate::index::{EdgeEpoch, EdgeIndex};
 use darkdns_broker::transport::{
-    Bytes, CloseWhy, Conn, Protocol, ReactorHandle, ServedConn, StatsReport, TransportConfig,
-    MAX_FRAME_LEN,
+    Bytes, CloseWhy, Conn, Protocol, ReactorHandle, ServedConn, ServerStats, ShardStats,
+    StatsReport, TransportConfig, MAX_FRAME_LEN,
 };
 use darkdns_dns::wire::{
     decode_lookup_request, encode_lookup_response, encode_stats_report, is_stats_query,
-    WireServerStats, WireShardStats, LOOKUP_REQUEST_MAGIC,
+    LOOKUP_REQUEST_MAGIC,
 };
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -91,41 +96,34 @@ impl Default for EdgeConfig {
     }
 }
 
-/// Monotonic edge-server counters (a point-in-time copy comes back from
-/// [`EdgeServer::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EdgeServerStats {
-    /// Connections registered with the reactor.
-    pub accepted: u64,
-    /// Connections currently open (a gauge, not a counter).
-    pub open_conns: u64,
-    /// `RZUL` batches answered.
-    pub lookup_batches: u64,
-    /// Individual names answered across all batches.
-    pub lookup_names: u64,
-    /// `RZUQ` scrapes answered.
-    pub stats_queries: u64,
-    /// Frames that failed validation (connection closed).
-    pub bad_frames: u64,
-    /// Connections that died mid-stream (peer gone, write stall, bad
-    /// frame).
-    pub disconnects: u64,
-}
-
-#[derive(Default)]
-struct StatsInner {
-    accepted: AtomicU64,
-    open_conns: AtomicU64,
-    lookup_batches: AtomicU64,
-    lookup_names: AtomicU64,
-    stats_queries: AtomicU64,
-    bad_frames: AtomicU64,
-    disconnects: AtomicU64,
+darkdns_dns::counter_set! {
+    /// Monotonic edge-server counters (a point-in-time copy comes back
+    /// from [`EdgeServer::stats`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EdgeServerStats, cells EdgeServerCells {
+        local {
+            /// Connections registered with the reactor.
+            accepted,
+            /// Connections currently open (a gauge, not a counter).
+            open_conns,
+            /// `RZUL` batches answered.
+            lookup_batches,
+            /// Individual names answered across all batches.
+            lookup_names,
+            /// `RZUQ` scrapes answered.
+            stats_queries,
+            /// Frames that failed validation (connection closed).
+            bad_frames,
+            /// Connections that died mid-stream (peer gone, write stall,
+            /// bad frame).
+            disconnects,
+        }
+    }
 }
 
 struct EdgeInner {
     index: Arc<EdgeIndex>,
-    stats: StatsInner,
+    stats: EdgeServerCells,
 }
 
 /// The edge query server: cheap to clone, all clones share the reactor.
@@ -138,7 +136,7 @@ pub struct EdgeServer {
 impl EdgeServer {
     /// Build the server over `index` and start its reactor thread.
     pub fn new(index: Arc<EdgeIndex>, config: EdgeConfig) -> Self {
-        let inner = Arc::new(EdgeInner { index, stats: StatsInner::default() });
+        let inner = Arc::new(EdgeInner { index, stats: EdgeServerCells::default() });
         let transport = TransportConfig {
             max_frame_len: config.max_frame_len,
             writer_tick: config.writer_tick,
@@ -169,16 +167,7 @@ impl EdgeServer {
 
     /// A point-in-time copy of the edge counters.
     pub fn stats(&self) -> EdgeServerStats {
-        let s = &self.inner.stats;
-        EdgeServerStats {
-            accepted: s.accepted.load(Ordering::Relaxed),
-            open_conns: s.open_conns.load(Ordering::Relaxed),
-            lookup_batches: s.lookup_batches.load(Ordering::Relaxed),
-            lookup_names: s.lookup_names.load(Ordering::Relaxed),
-            stats_queries: s.stats_queries.load(Ordering::Relaxed),
-            bad_frames: s.bad_frames.load(Ordering::Relaxed),
-            disconnects: s.disconnects.load(Ordering::Relaxed),
-        }
+        self.inner.stats.load()
     }
 
     /// The `RZUQ` payload in the edge dialect (see the module docs for
@@ -202,41 +191,28 @@ impl EdgeServer {
 }
 
 /// Project the edge counters and the current epoch onto the broker's
-/// `RZUQ` report shape (counter mapping in the module docs).
+/// `RZUQ` report shape. The mapping below *is* the edge dialect (module
+/// docs): what is not named is zero.
 fn build_stats_report(inner: &EdgeInner, epoch: &EdgeEpoch) -> StatsReport {
-    let s = &inner.stats;
-    let server = WireServerStats {
-        accepted: s.accepted.load(Ordering::Relaxed),
-        handshakes: s.lookup_batches.load(Ordering::Relaxed),
-        rejected_hellos: s.bad_frames.load(Ordering::Relaxed),
-        deltas_sent: s.lookup_names.load(Ordering::Relaxed),
-        snapshots_sent: 0,
-        evict_notices: 0,
-        disconnects: s.disconnects.load(Ordering::Relaxed),
-        coalesced_writes: 0,
-        coalesced_frames: 0,
-        stats_queries: s.stats_queries.load(Ordering::Relaxed),
+    let s = inner.stats.load();
+    let server = ServerStats {
+        accepted: s.accepted,
+        handshakes: s.lookup_batches,
+        rejected_hellos: s.bad_frames,
+        deltas_sent: s.lookup_names,
+        disconnects: s.disconnects,
+        stats_queries: s.stats_queries,
+        ..Default::default()
     };
-    let open = s.open_conns.load(Ordering::Relaxed);
     let shards = epoch
         .tlds()
         .into_iter()
-        .map(|tld| WireShardStats {
+        .map(|tld| ShardStats {
             tld: tld.0,
             head_serial: epoch.serial(tld).unwrap_or_default(),
-            subscribers: open,
+            subscribers: s.open_conns,
             pushes: epoch.epoch(),
-            frame_bytes: 0,
-            checkpoints: 0,
-            retained_deltas: 0,
-            retired_deltas: 0,
-            deliveries: 0,
-            lagged_messages: 0,
-            evictions: 0,
-            snapshot_catchups: 0,
-            delta_catchups: 0,
-            lock_contentions: 0,
-            coalesced_frames: 0,
+            ..Default::default()
         })
         .collect();
     StatsReport { server, shards, subs: Vec::new() }

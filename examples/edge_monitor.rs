@@ -156,6 +156,15 @@ fn main() {
     );
     assert!(final_edge.lookup_batches > 0, "thin clients must have been served");
     assert_eq!(final_edge.bad_frames, 0);
+    // The clients are joined, so only a scrape moves a counter now: one
+    // last report must carry the in-process counters in the slots the
+    // edge dialect maps them to.
+    let scraped = fetch_stats(tcp_connect(edge_addr).expect("dial")).expect("scrape edge").server;
+    assert_eq!(
+        (scraped.handshakes, scraped.deltas_sent, scraped.rejected_hellos),
+        (final_edge.lookup_batches, final_edge.lookup_names, final_edge.bad_frames),
+        "batches, names and bad frames ride handshakes, deltas_sent and rejected_hellos"
+    );
     edge_server.shutdown();
     broker_server.shutdown();
 }

@@ -80,7 +80,7 @@ fn main() {
         "tld", "pushes", "head", "ckpts", "deliveries", "catchups", "retained", "contended"
     );
     for stats in &all {
-        let tld_name = &tlds[stats.tld.0 as usize].name;
+        let tld_name = &tlds[stats.tld as usize].name;
         println!(
             "{:<6} {:>6} {:>7} {:>6} {:>10} {:>8} {:>8} {:>9}",
             tld_name,

@@ -75,6 +75,15 @@ echo "==> cargo test -q --release (edge crate + edge equivalence)"
 cargo test -q --release -p darkdns-edge
 cargo test -q --release --test edge_equivalence
 
+# The two consumers of the `RZUQ` report plane, run — `--all-targets`
+# only builds them. Each scrapes a live fleet over loopback and checks
+# what it reads against the fleet's own state (heads, lag, answered
+# lookups), exiting non-zero on a failed scrape: a report that decodes
+# but carries a counter in the wrong slot fails here.
+echo "==> report-plane consumers (edge_monitor, fleet_lag_walker)"
+cargo run --release --example edge_monitor
+cargo run --release --example fleet_lag_walker
+
 # Scaled-down fan-out smoke: the 10k-subscriber reactor bench at 256
 # subscribers with a minimal sampling budget. This exercises the whole
 # child-process fleet path (re-exec, epoll client loop, round

@@ -72,7 +72,7 @@ fn fifty_tld_universe_publishes_concurrently_and_converges() {
     // Deliveries: every push reaches the fleet view; shard 0's also reach
     // the extra subscriber.
     let shard0 = &all[0];
-    assert_eq!(shard0.tld, TldId(0));
+    assert_eq!(shard0.tld, 0);
     assert_eq!(agg.deliveries, pushes + shard0.pushes);
     assert_eq!(shard0.deliveries, 2 * shard0.pushes);
     assert_eq!(shard0.subscribers, 2);
@@ -80,9 +80,10 @@ fn fifty_tld_universe_publishes_concurrently_and_converges() {
     // Every shard's view state sits exactly at the shard head, and the
     // per-shard serials in the stats snapshot agree.
     for stats in &all {
-        assert_eq!(view.serial(stats.tld), Some(stats.head_serial));
-        let head = broker.head(stats.tld).unwrap();
-        assert_eq!(view.snapshot(stats.tld).unwrap(), &head);
+        let tld = TldId(stats.tld);
+        assert_eq!(view.serial(tld), Some(stats.head_serial));
+        let head = broker.head(tld).unwrap();
+        assert_eq!(view.snapshot(tld).unwrap(), &head);
     }
 
     // The single-TLD subscriber replays shard 0 gap-free to its head.

@@ -181,7 +181,7 @@ fn a_fleet_retains_its_zones_and_its_rings_frames_and_does_not_grow() {
 
     for broker in [&root, &relay, &leaf] {
         let stats = broker.all_shard_stats();
-        assert!(stats.iter().all(|s| s.retained_deltas == ring as usize), "{stats:?}");
+        assert!(stats.iter().all(|s| s.retained_deltas == u64::from(ring)), "{stats:?}");
         assert_eq!(broker.head(TldId(0)).unwrap().len(), ZONE);
     }
     // `retained_bytes` is one broker's, all its shards together.

@@ -565,3 +565,94 @@ mod scoped_hello {
         }
     }
 }
+
+// The `RZUQ` stats report: a server row, bounded-count shard rows and
+// subscriber rows with nested claim rows. Round trip over arbitrary
+// counters and row counts, and the bound discipline from the outside:
+// no strict prefix of a valid report decodes (every cut lands inside a
+// fixed-width field or short of a counted row), none panics, and the
+// whole buffer must be consumed.
+mod stats_codec {
+    use super::*;
+    use darkdns::dns::wire::{
+        decode_stats_report, encode_stats_report, ServerStats, ShardStats, StatsReport, WireError,
+        WireSubscriberStats,
+    };
+
+    fn shard_strategy() -> impl Strategy<Value = ShardStats> {
+        (any::<u16>(), any::<u32>(), prop::collection::vec(any::<u64>(), 13)).prop_map(
+            |(tld, serial, c)| ShardStats {
+                tld,
+                head_serial: Serial::new(serial),
+                subscribers: c[0],
+                pushes: c[1],
+                frame_bytes: c[2],
+                checkpoints: c[3],
+                retained_deltas: c[4],
+                retired_deltas: c[5],
+                deliveries: c[6],
+                lagged_messages: c[7],
+                evictions: c[8],
+                snapshot_catchups: c[9],
+                delta_catchups: c[10],
+                lock_contentions: c[11],
+                coalesced_frames: c[12],
+            },
+        )
+    }
+
+    fn sub_strategy() -> impl Strategy<Value = WireSubscriberStats> {
+        (
+            prop::collection::vec(any::<u64>(), 5),
+            prop::collection::vec((any::<u16>(), any::<bool>(), any::<u32>()), 0..=5),
+        )
+            .prop_map(|(c, claims)| WireSubscriberStats {
+                id: c[0],
+                queue_depth: c[1],
+                lag_drops: c[2],
+                coalesced_frames: c[3],
+                buffered_bytes: c[4],
+                claims: claims
+                    .into_iter()
+                    .map(|(tld, has, s)| TldClaim { tld, from_serial: has.then(|| Serial::new(s)) })
+                    .collect(),
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn stats_report_round_trips_and_every_strict_prefix_is_refused(
+            c in prop::collection::vec(any::<u64>(), 10),
+            shards in prop::collection::vec(shard_strategy(), 0..=8),
+            subs in prop::collection::vec(sub_strategy(), 0..=8),
+        ) {
+            let server = ServerStats {
+                accepted: c[0],
+                handshakes: c[1],
+                rejected_hellos: c[2],
+                deltas_sent: c[3],
+                snapshots_sent: c[4],
+                evict_notices: c[5],
+                disconnects: c[6],
+                coalesced_writes: c[7],
+                coalesced_frames: c[8],
+                stats_queries: c[9],
+                // What the wire does not carry stays zero.
+                ..Default::default()
+            };
+            let report = StatsReport { server, shards, subs };
+            let frame = encode_stats_report(&report);
+            prop_assert_eq!(&decode_stats_report(&frame).unwrap(), &report);
+            for cut in 0..frame.len() {
+                prop_assert!(
+                    decode_stats_report(&frame[..cut]).is_err(),
+                    "a {cut}-byte prefix of a {}-byte report decoded",
+                    frame.len()
+                );
+            }
+            let mut padded = frame.to_vec();
+            padded.push(0);
+            prop_assert_eq!(decode_stats_report(&padded), Err(WireError::TrailingBytes(1)));
+        }
+    }
+}

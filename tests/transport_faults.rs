@@ -19,14 +19,15 @@
 //! killed and reconnects mid-stream via its claims.
 
 use darkdns::broker::transport::{
-    duplex, fetch_stats, fetch_stats_deadline, FaultInjectedConn, FaultScript, FrameConn, FrameFault, LengthPrefixed,
-    PipeCutHandle, TransportClient, TransportError, MAX_FRAME_LEN,
+    duplex, fetch_stats, fetch_stats_deadline, ClientEvent, FaultInjectedConn, FaultScript,
+    FrameConn, FrameFault, LengthPrefixed, PipeCutHandle, TransportClient, TransportError,
+    MAX_FRAME_LEN, MAX_RING_FRAMES,
 };
 use darkdns::broker::{
     Broker, BrokerConfig, BrokerServer, OverflowPolicy, RetentionConfig, TransportConfig,
 };
 use darkdns::core::broker_view::RemoteZoneView;
-use darkdns::dns::wire::{encode_stats_report, StatsReport, WireServerStats};
+use darkdns::dns::wire::{encode_stats_report, ServerStats, StatsReport};
 use darkdns::dns::{DomainName, NsSet, Serial, Zone, ZoneDelta, ZoneSnapshot};
 use darkdns::registry::tld::TldId;
 use darkdns::sim::time::SimTime;
@@ -572,7 +573,7 @@ fn stats_probe_reads_the_report_behind_heartbeats() {
     // the probe returns the report a slow peer eventually sends.
     let (probe_end, peer_end) = duplex(1 << 16);
     let report = StatsReport {
-        server: WireServerStats { accepted: 3, stats_queries: 1, ..Default::default() },
+        server: ServerStats { accepted: 3, stats_queries: 1, ..Default::default() },
         ..Default::default()
     };
     let peer = std::thread::spawn({
@@ -591,13 +592,13 @@ fn stats_probe_reads_the_report_behind_heartbeats() {
     assert_eq!(got.expect("report behind heartbeats"), report);
 }
 
-#[test]
-fn stats_probe_deadline_holds_against_a_heartbeat_only_peer() {
-    // A peer that takes the `RZUQ` query and then answers with nothing
-    // but heartbeats: every `recv_frame` succeeds, so a deadline looked
-    // at only on receive timeouts never fires. The probe inside
-    // `UpstreamLink::connect` runs on the failover path; it must give
-    // up at its deadline whatever the peer keeps sending.
+/// Probe a peer that takes the `RZUQ` query and never sends the report
+/// — it answers with heartbeats only, or with nothing at all — on a
+/// connection with no receive timeout of its own: the only way out is
+/// the probe's 100 ms deadline. The probe inside `UpstreamLink::connect`
+/// runs on the failover path; it must give up at that deadline whatever
+/// the peer does.
+fn probe_a_peer_that_never_reports(heartbeats: bool) {
     let (probe_end, peer_end) = duplex(1 << 16);
     let stop = Arc::new(AtomicBool::new(false));
     let peer = std::thread::spawn({
@@ -605,28 +606,99 @@ fn stats_probe_deadline_holds_against_a_heartbeat_only_peer() {
         move || {
             let mut conn = LengthPrefixed::new(peer_end);
             assert_eq!(&conn.recv_frame().expect("query")[..], b"RZUQ");
-            while !stop.load(Ordering::Relaxed) && conn.send_frame(&[]).is_ok() {
+            // Either way the pipe stays open until the test is done.
+            while !stop.load(Ordering::Relaxed) && (!heartbeats || conn.send_frame(&[]).is_ok()) {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
     });
     let (done_tx, done_rx) = std::sync::mpsc::channel();
-    // No receive timeout on the probe's side: the only way out is the
-    // deadline itself, not a scheduling gap between two heartbeats.
     let probe = std::thread::spawn(move || {
         let conn = LengthPrefixed::new(probe_end);
-        let _ = done_tx.send(fetch_stats_deadline(conn, Duration::from_millis(100)));
+        let started = Instant::now();
+        let outcome = fetch_stats_deadline(conn, Duration::from_millis(100));
+        let _ = done_tx.send((outcome, started.elapsed()));
     });
-    // The wall-clock bound is the guard: without the fix the probe
-    // never returns, and the test fails here instead of hanging.
+    // The wall-clock bound is the guard: a probe that never returns
+    // fails the test here instead of hanging it.
     let outcome = done_rx.recv_timeout(Duration::from_secs(10));
     stop.store(true, Ordering::Relaxed);
     peer.join().expect("peer thread");
+    let (outcome, took) = outcome.expect("the probe outlived its 100 ms deadline by 10 s");
     probe.join().expect("probe thread");
-    match outcome.expect("the probe outlived its 100 ms deadline by 10 s") {
-        Err(TransportError::TimedOut) => {}
-        other => panic!("expected TimedOut, got {other:?}"),
+    assert!(matches!(outcome, Err(TransportError::TimedOut)), "expected TimedOut, got {outcome:?}");
+    assert!(took >= Duration::from_millis(100), "gave up before its deadline: {took:?}");
+}
+
+#[test]
+fn stats_probe_deadline_holds_against_a_heartbeat_only_peer() {
+    // Every `recv_frame` succeeds, so a deadline looked at only on
+    // receive timeouts never fires.
+    probe_a_peer_that_never_reports(true);
+}
+
+#[test]
+fn stats_probe_deadline_holds_against_a_silent_peer() {
+    // No receive ever returns, so a deadline looked at only between
+    // receives is never looked at again: it must bound the receive.
+    probe_a_peer_that_never_reports(false);
+}
+
+/// Three shards with one ring-full of retained deltas each, replayed to
+/// a client that claims serial 0 everywhere: how long from the HELLO to
+/// the last of the 96 deltas, on a quiet broker (nothing enqueues after
+/// the handshake, so no waker fires again). Over loopback TCP, not a
+/// pipe: a pipe's ready hook fires on every client read, which would
+/// re-service the connection and hide a stranded queue; a socket whose
+/// ring flushed in one write raises no further event.
+fn claims_replay_time(config: TransportConfig) -> Duration {
+    const SHARDS: u16 = 3;
+    let per_shard = MAX_RING_FRAMES as u32;
+    let broker = Broker::new(BrokerConfig::default());
+    for tld in 0..SHARDS {
+        broker.add_shard(TldId(tld), empty_snap("com"));
+        for i in 1..=per_shard {
+            let delta = add_delta(&format!("d{i}.com"));
+            broker.publish(TldId(tld), delta, Serial::new(i), SimTime::ZERO);
+        }
     }
+    let server = BrokerServer::new(broker.clone(), config);
+    let addr = server.listen_tcp("127.0.0.1:0").expect("bind loopback");
+    let mut conn = LengthPrefixed::new(TcpStream::connect(addr).expect("dial loopback"));
+    conn.set_recv_timeout(Some(Duration::from_millis(5))).expect("timeout");
+    let claims: Vec<_> = (0..SHARDS).map(|tld| (TldId(tld), Some(Serial::new(0)))).collect();
+    let started = Instant::now();
+    let mut client = TransportClient::connect(conn, &claims).expect("hello");
+    let mut deltas = 0;
+    while deltas < u32::from(SHARDS) * per_shard {
+        match client.next_event() {
+            ClientEvent::Delta { .. } => deltas += 1,
+            ClientEvent::Idle => {}
+            other => panic!("replay stream broke after {deltas} deltas: {other:?}"),
+        }
+        if started.elapsed() > Duration::from_secs(5) {
+            break; // stranded; the caller's bound reports it
+        }
+    }
+    let took = started.elapsed();
+    server.shutdown();
+    took
+}
+
+#[test]
+fn a_queue_longer_than_the_ring_drains_without_waiting_for_a_tick() {
+    // `fill` stops at a full ring (32 frames) and the flush empties it
+    // in one write; what is still queued must go out in the same
+    // service, not one ring-full per idle-heartbeat sweep. With the
+    // tick out of reach the whole replay arrives well inside it…
+    let slow_tick = TransportConfig { writer_tick: Duration::from_secs(4), ..Default::default() };
+    let took = claims_replay_time(slow_tick);
+    assert!(took < Duration::from_secs(1), "3 × 32 deltas took {took:?} at a 4 s tick");
+    // …and at the default tick (50 ms) it arrives in a fraction of one:
+    // a strand costs two ticks here. Best of five, so a descheduled
+    // test thread is not mistaken for one.
+    let best = (0..5).map(|_| claims_replay_time(TransportConfig::default())).min();
+    assert!(best < Some(Duration::from_millis(25)), "3 × 32 deltas took {best:?} at best");
 }
 
 #[test]

@@ -20,7 +20,11 @@
 //! `HelloFrame` has replaced the three and must keep emitting exactly
 //! these; `rzuq` pins the stats report — whose subscriber rows share
 //! the HELLO's claim-row codec — with bytes from the encoder as it
-//! stood before that collapse (commit ed71249).
+//! stood before that collapse (commit ed71249). `rzuq_edge` is the same
+//! family in the shape an edge server reports (mapped server row, shard
+//! rows carrying serial, connections and epoch, no subscriber rows),
+//! written by the hand-unrolled encoder as it last stood (commit
+//! 37417d2), before the row-loop codec replaced it.
 //!
 //! Fixture format: lower-case hex, wrapped at 32 bytes per line, one
 //! blank line between the frames of a multi-frame vector.
@@ -41,8 +45,8 @@ use darkdns::dns::wire::{
     decode_delta_push, decode_hello, decode_lookup_request, decode_snapshot_chunk,
     decode_stats_report, encode_delta_push, encode_hello, encode_lookup_request,
     encode_snapshot_chunks, encode_stats_report,
-    Header, HelloFrame, HelloScope, LookupQuery, Message, Rcode, SnapshotResume, StatsReport,
-    TldClaim, WireError, WireServerStats, WireShardStats, WireSubscriberStats, LOOKUP_ANY_TLD,
+    Header, HelloFrame, HelloScope, LookupQuery, Message, Rcode, ServerStats, ShardStats,
+    SnapshotResume, StatsReport, TldClaim, WireError, WireSubscriberStats, LOOKUP_ANY_TLD,
 };
 use darkdns::dns::diff::NsChange;
 use darkdns::dns::{
@@ -220,7 +224,7 @@ fn hello_resume() -> Vec<(u16, SnapshotResume)> {
 /// two shard rows, and two subscriber rows: one with no claims, one
 /// with a bootstrap (`None`) claim and a serial claim.
 fn stats_report() -> StatsReport {
-    let shard = |tld: u16, base: u64| WireShardStats {
+    let shard = |tld: u16, base: u64| ShardStats {
         tld,
         head_serial: Serial::new(0xFFFF_F000 + tld as u32),
         subscribers: base + 1,
@@ -238,7 +242,7 @@ fn stats_report() -> StatsReport {
         coalesced_frames: base + 13,
     };
     StatsReport {
-        server: WireServerStats {
+        server: ServerStats {
             accepted: 101,
             handshakes: 102,
             rejected_hellos: 103,
@@ -249,6 +253,7 @@ fn stats_report() -> StatsReport {
             coalesced_writes: 108,
             coalesced_frames: 109,
             stats_queries: u64::MAX,
+            ..Default::default()
         },
         shards: vec![shard(0, 1_000), shard(513, 2_000_000_000_000)],
         subs: vec![
@@ -275,6 +280,34 @@ fn stats_report() -> StatsReport {
     }
 }
 
+/// An `RZUQ` report in the shape `EdgeServer::stats_report()` builds
+/// (the edge dialect): the server row carries only the mapped counters,
+/// each shard row only `head_serial`, `subscribers` (open connections)
+/// and `pushes` (the epoch generation, the same in every row), and
+/// there are no subscriber rows.
+fn edge_stats_report() -> StatsReport {
+    let shard = |tld: u16, serial: u32| ShardStats {
+        tld,
+        head_serial: Serial::new(serial),
+        subscribers: 12,
+        pushes: 0x0000_0001_0000_0002,
+        ..Default::default()
+    };
+    StatsReport {
+        server: ServerStats {
+            accepted: 201,
+            handshakes: 202,
+            rejected_hellos: 203,
+            deltas_sent: 0x1112_1314_1516_1718,
+            disconnects: 207,
+            stats_queries: 210,
+            ..Default::default()
+        },
+        shards: vec![shard(2, 5), shard(513, 0xFFFF_FFF0)],
+        subs: vec![],
+    }
+}
+
 fn hello(resume: Vec<(u16, SnapshotResume)>, scope: HelloScope) -> HelloFrame {
     HelloFrame { claims: hello_claims(), resume, scope }
 }
@@ -296,6 +329,7 @@ fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         ("rzuh_resume", vec![encode_hello(&hello(hello_resume(), HelloScope::Full)).to_vec()]),
         ("rzuh_scoped", vec![encode_hello(&hello(vec![], HelloScope::DeltaOnly)).to_vec()]),
         ("rzuq", vec![encode_stats_report(&stats_report()).to_vec()]),
+        ("rzuq_edge", vec![encode_stats_report(&edge_stats_report()).to_vec()]),
     ]
 }
 
@@ -417,6 +451,7 @@ fn golden_frames_decode_to_their_inputs() {
     }
 
     assert_eq!(decode_stats_report(&fixture("rzuq")[0]).unwrap(), stats_report());
+    assert_eq!(decode_stats_report(&fixture("rzuq_edge")[0]).unwrap(), edge_stats_report());
 }
 
 #[test]
