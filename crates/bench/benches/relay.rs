@@ -36,6 +36,7 @@ use darkdns_broker::transport::{
 };
 use darkdns_broker::{Broker, BrokerConfig, BrokerServer, TransportConfig};
 use darkdns_core::broker_view::{EndpointMap, RemoteZoneView, RoutedZoneView};
+use darkdns_dns::snapshot::SnapshotBuilder;
 use darkdns_dns::wire::{decode_snapshot_chunk, encode_snapshot_chunks};
 use darkdns_dns::{DomainName, NsSet, Serial, ZoneDelta, ZoneSnapshot};
 use darkdns_registry::tld::TldId;
@@ -302,20 +303,20 @@ fn bench_chunked_catchup(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("relay");
     group.throughput(Throughput::Elements(entries as u64));
+    // What `TransportClient` does with a train: decode each chunk and
+    // append it to the builder as it arrives.
+    let assemble = || {
+        let mut assembled = SnapshotBuilder::default();
+        for frame in &chunks {
+            let chunk = decode_snapshot_chunk(frame).expect("decode chunk");
+            assert_eq!(chunk.offset as usize, assembled.len());
+            assembled.append(chunk.entries).expect("an encoder's train ascends");
+        }
+        assembled.finish(name("com"), snap.serial(), snap.taken_at())
+    };
     group.bench_with_input(BenchmarkId::new("catchup-500k", "chunked-codec"), &(), |b, _| {
         b.iter(|| {
-            let mut assembled = Vec::with_capacity(entries);
-            for frame in &chunks {
-                let chunk = decode_snapshot_chunk(frame).expect("decode chunk");
-                assert_eq!(chunk.offset as usize, assembled.len());
-                assembled.extend(chunk.entries);
-            }
-            let decoded = ZoneSnapshot::from_ns_entries(
-                name("com"),
-                snap.serial(),
-                snap.taken_at(),
-                assembled,
-            );
+            let decoded = assemble();
             assert_eq!(decoded.len(), entries);
             decoded.serial()
         })
@@ -325,13 +326,7 @@ fn bench_chunked_catchup(c: &mut Criterion) {
     // The chunked entries/s gauge, measured once outside Criterion so
     // the report carries an absolute number next to the ratio.
     let start = Instant::now();
-    let mut assembled = Vec::with_capacity(entries);
-    for frame in &chunks {
-        let chunk = decode_snapshot_chunk(frame).expect("decode chunk");
-        assembled.extend(chunk.entries);
-    }
-    let snapshot =
-        ZoneSnapshot::from_ns_entries(name("com"), snap.serial(), snap.taken_at(), assembled);
+    let snapshot = assemble();
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(snapshot.len(), entries);
     emit_metric("relay/catchup-500k/chunked_entries_per_sec", entries as f64 / secs);

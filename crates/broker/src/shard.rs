@@ -449,9 +449,9 @@ mod tests {
     #[test]
     fn head_and_checkpoint_share_all_but_the_segments_touched_since() {
         let retention = RetentionConfig::new(8, 4);
-        let ns = nsset(&["ns1.provider0.net"]);
-        let entries = (0..1000).map(|i| (name(&format!("d{i:04}.com")), ns.clone())).collect();
-        let initial = ZoneSnapshot::from_ns_entries(name("com"), Serial::new(0), SimTime::ZERO, entries);
+        let entries =
+            (0..1000).map(|i| (name(&format!("d{i:04}.com")), vec![name("ns1.provider0.net")])).collect();
+        let initial = ZoneSnapshot::from_entries(name("com"), Serial::new(0), SimTime::ZERO, entries);
         let segments = initial.segment_lens().len();
         assert!(segments >= 10);
         let mut shard = JournalShard::new(TldId(0), initial);

@@ -19,7 +19,8 @@ use darkdns_dns::wire::{
     SnapshotChunk, SnapshotResume, StatsReport, TldClaim, DELTA_ENVELOPE_MAGIC,
     EVICT_NOTICE_MAGIC, SNAPSHOT_CHUNK_MAGIC, WireError,
 };
-use darkdns_dns::{DomainName, NsSet, Serial, ZoneSnapshot};
+use darkdns_dns::snapshot::SnapshotBuilder;
+use darkdns_dns::{DomainName, Serial, ZoneSnapshot};
 use darkdns_registry::tld::TldId;
 use darkdns_sim::time::SimTime;
 use std::time::Duration;
@@ -46,11 +47,16 @@ pub enum ClientEvent {
 }
 
 /// Accumulated progress of a chunked snapshot bootstrap (`RZUC`
-/// frames). Lives inside [`TransportClient`] while the sequence is in
-/// flight; on disconnect [`TransportClient::take_snapshot_progress`]
-/// extracts it so the reconnect HELLO can carry a [`SnapshotResume`]
-/// claim and the server can resume from the last received chunk
-/// boundary instead of restarting the bootstrap.
+/// frames), already in segments: each chunk is appended to the builder
+/// as it arrives and dropped, so a bootstrap in flight holds what the
+/// finished snapshot will plus the chunk in hand — never a flat copy of
+/// the train. The builder's top level grows with what has arrived; it
+/// is never reserved from the peer's declared `total`. Lives inside
+/// [`TransportClient`] while the sequence is in flight; on disconnect
+/// [`TransportClient::take_snapshot_progress`] extracts it so the
+/// reconnect HELLO can carry a [`SnapshotResume`] claim and the server
+/// can resume from the last received chunk boundary instead of
+/// restarting the bootstrap.
 #[derive(Debug, Clone)]
 pub struct SnapshotProgress {
     tld: TldId,
@@ -58,13 +64,32 @@ pub struct SnapshotProgress {
     serial: Serial,
     taken_at: SimTime,
     total: u32,
-    /// Owners with the NS sets the chunk decoder handed out — shared
-    /// within each chunk, so a bootstrap in flight holds a handful of
-    /// `Arc`s per chunk, not one per entry.
-    entries: Vec<(DomainName, NsSet)>,
+    assembled: SnapshotBuilder,
 }
 
 impl SnapshotProgress {
+    /// A train that `chunk` (at offset 0) starts.
+    fn start(tld: TldId, chunk: &SnapshotChunk) -> Self {
+        SnapshotProgress {
+            tld,
+            origin: chunk.origin,
+            serial: chunk.serial,
+            taken_at: chunk.taken_at,
+            total: chunk.total,
+            assembled: SnapshotBuilder::default(),
+        }
+    }
+
+    /// True when `chunk` is the next chunk of this very train: the same
+    /// header throughout, at the boundary reached so far.
+    fn continued_by(&self, chunk: &SnapshotChunk) -> bool {
+        chunk.origin == self.origin
+            && chunk.serial == self.serial
+            && chunk.taken_at == self.taken_at
+            && chunk.total == self.total
+            && chunk.offset as usize == self.assembled.len()
+    }
+
     /// The TLD this partial bootstrap belongs to.
     pub fn tld(&self) -> TldId {
         self.tld
@@ -72,12 +97,12 @@ impl SnapshotProgress {
 
     /// Entries received so far (a chunk boundary by construction).
     pub fn entries_received(&self) -> usize {
-        self.entries.len()
+        self.assembled.len()
     }
 
     /// The HELLO resume claim this progress corresponds to.
     fn resume_claim(&self) -> SnapshotResume {
-        SnapshotResume { serial: self.serial, entries: self.entries.len() as u32 }
+        SnapshotResume { serial: self.serial, entries: self.assembled.len() as u32 }
     }
 }
 
@@ -182,12 +207,15 @@ impl TransportClient {
     /// frame) keeps a pump loop's control inversion honest — the caller
     /// regains control at least once per heartbeat interval.
     ///
-    /// A non-final snapshot continuation chunk is folded into the
-    /// in-flight [`SnapshotProgress`] and the loop keeps reading: the
-    /// caller only sees the assembled [`ClientEvent::Snapshot`] when the
-    /// final chunk lands (claims advance at that point, never
-    /// mid-sequence). A receive timeout mid-sequence returns `Idle` with
-    /// the partial progress retained.
+    /// A non-final snapshot continuation chunk is appended to the
+    /// in-flight [`SnapshotProgress`] — cut into segments and dropped —
+    /// and the loop keeps reading: the caller only sees the assembled
+    /// [`ClientEvent::Snapshot`] when the final chunk lands (claims
+    /// advance at that point, never mid-sequence). A chunk that does not
+    /// continue the train — another header, the wrong offset, owners out
+    /// of order — closes the stream with [`WireError::BadChunk`], the
+    /// partial kept at its last good boundary. A receive timeout
+    /// mid-sequence returns `Idle` with the partial progress retained.
     pub fn next_event(&mut self) -> ClientEvent {
         loop {
             let frame = match self.conn.recv_frame() {
@@ -236,66 +264,44 @@ impl TransportClient {
         }
     }
 
-    /// Fold one continuation chunk into the per-TLD partial state.
+    /// Append one continuation chunk to the per-TLD partial state.
     /// Returns the assembled snapshot on the final chunk. A chunk at
     /// offset 0 (re)starts the sequence — that is how the server signals
     /// it could not honour a resume claim; any other offset must extend
-    /// the existing partial exactly (same serial and totals, offset at
-    /// the current boundary), otherwise the stream is corrupt.
+    /// the existing partial exactly (same origin, serial, capture time
+    /// and total, offset at the current boundary), and every chunk's
+    /// owners must continue the strictly ascending order, otherwise the
+    /// stream is corrupt. A refused chunk leaves the partial at its last
+    /// good boundary.
     fn ingest_chunk(
         &mut self,
         tld: TldId,
         chunk: SnapshotChunk,
     ) -> Result<Option<ZoneSnapshot>, TransportError> {
-        let bad = || -> TransportError {
-            WireError::BadChunk {
-                offset: chunk.offset,
-                count: chunk.entries.len() as u32,
-                total: chunk.total,
-            }
-            .into()
+        let bad = WireError::BadChunk {
+            offset: chunk.offset,
+            count: chunk.entries.len() as u32,
+            total: chunk.total,
         };
-        let idx = match self.partials.iter().position(|p| p.tld == tld) {
+        let at = self.partials.iter().position(|p| p.tld == tld);
+        let idx = match at {
+            Some(i) if self.partials[i].continued_by(&chunk) => i,
+            _ if chunk.offset != 0 => return Err(bad.into()),
             Some(i) => {
-                let p = &self.partials[i];
-                let extends = chunk.serial == p.serial
-                    && chunk.total == p.total
-                    && chunk.offset as usize == p.entries.len();
-                if !extends {
-                    if chunk.offset != 0 {
-                        return Err(bad());
-                    }
-                    self.partials[i] = SnapshotProgress {
-                        tld,
-                        origin: chunk.origin.clone(),
-                        serial: chunk.serial,
-                        taken_at: chunk.taken_at,
-                        total: chunk.total,
-                        entries: Vec::new(),
-                    };
-                }
+                self.partials[i] = SnapshotProgress::start(tld, &chunk);
                 i
             }
             None => {
-                if chunk.offset != 0 {
-                    return Err(bad());
-                }
-                self.partials.push(SnapshotProgress {
-                    tld,
-                    origin: chunk.origin.clone(),
-                    serial: chunk.serial,
-                    taken_at: chunk.taken_at,
-                    total: chunk.total,
-                    entries: Vec::new(),
-                });
+                self.partials.push(SnapshotProgress::start(tld, &chunk));
                 self.partials.len() - 1
             }
         };
-        let p = &mut self.partials[idx];
-        p.entries.extend(chunk.entries);
+        if self.partials[idx].assembled.append(chunk.entries).is_err() {
+            return Err(bad.into());
+        }
         if chunk.last {
             let p = self.partials.swap_remove(idx);
-            Ok(Some(ZoneSnapshot::from_ns_entries(p.origin, p.serial, p.taken_at, p.entries)))
+            Ok(Some(p.assembled.finish(p.origin, p.serial, p.taken_at)))
         } else {
             Ok(None)
         }

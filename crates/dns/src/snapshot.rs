@@ -41,6 +41,13 @@
 //! set, and the diff engines still walk the entries without touching
 //! the allocator.
 //!
+//! A snapshot that crosses the wire as an `RZUC` chunk train is
+//! assembled as it arrives: each decoded chunk is
+//! [`SnapshotBuilder::append`]ed — order-checked, its full spans cut
+//! straight into segments — and dropped, so a bootstrap in flight holds
+//! the segments built so far plus the chunk in hand, never a flat copy
+//! of the train. The cuts fall where a one-piece build puts them.
+//!
 //! NS sets are shared the same way, across segments: however a snapshot
 //! was built, equal host lists are one allocation. The wire decoders
 //! memoise per frame, [`ZoneSnapshot::capture`] takes the zone's own
@@ -108,7 +115,7 @@ pub(crate) type Entry = (DomainName, NsSet);
 pub(crate) type Segment = Arc<[Entry]>;
 
 /// The top level: one row per segment, in entry order (module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Segments {
     fences: Vec<DomainName>,
     starts: Vec<u32>,
@@ -142,11 +149,27 @@ impl Segments {
 
 /// Assembles a snapshot front to back: segments taken over from another
 /// snapshot are [`SnapshotBuilder::share`]d as they are, fresh entries
-/// are [`SnapshotBuilder::push`]ed onto a run that is cut into new
-/// segments. Everything must arrive in strictly ascending owner order.
-pub(crate) struct SnapshotBuilder {
+/// are [`SnapshotBuilder::push`]ed or [`SnapshotBuilder::append`]ed
+/// onto a run that is cut into new segments. Everything must arrive in
+/// strictly ascending owner order; `append`, the way in from outside
+/// this crate, checks that it does.
+#[derive(Debug, Clone)]
+pub struct SnapshotBuilder {
     top: Segments,
     run: Vec<Entry>,
+}
+
+/// Why [`SnapshotBuilder::append`] refused a run: some owner in it was
+/// not strictly above the one before it (in the run, or already
+/// appended).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfOrder;
+
+/// An empty builder. Its top level grows with what is appended.
+impl Default for SnapshotBuilder {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
 }
 
 impl SnapshotBuilder {
@@ -159,19 +182,69 @@ impl SnapshotBuilder {
                 segs: Vec::with_capacity(segments),
                 len: 0,
             },
-            // The run never outgrows this (`push` cuts it first).
+            // The run never outgrows this (`push` and `extend` cut it
+            // first).
             run: Vec::with_capacity(SEGMENT_MAX + 1),
         }
     }
 
-    /// Append one entry to the run, cutting a full-span segment off its
-    /// front once it outgrows the upper span bound — so the run, and
-    /// the copy a cut shifts down, stay bounded however much arrives.
+    /// Entries taken so far, cut or not.
+    pub fn len(&self) -> usize {
+        self.top.len + self.run.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Take a run of entries — a decoded chunk of a train, say — that
+    /// continues the snapshot: strictly ascending, and above every
+    /// owner taken so far. Checked before anything moves; a run that
+    /// breaks the order is refused whole and the builder is as it was.
+    /// Full spans are cut straight out of `entries`, each entry moved
+    /// once, into its segment; only what is left over waits in the run.
+    pub fn append(&mut self, entries: Vec<(DomainName, NsSet)>) -> Result<(), OutOfOrder> {
+        let last = self.run.last().or_else(|| self.top.segs.last().and_then(|seg| seg.last()));
+        let continues = match (last, entries.first()) {
+            (Some(last), Some(first)) => last.0 < first.0,
+            _ => true,
+        };
+        if !continues || !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(OutOfOrder);
+        }
+        self.extend(entries.into_iter());
+        Ok(())
+    }
+
+    /// Append one entry (ascending, unchecked) to the run: the cutting
+    /// rule of [`SnapshotBuilder::extend`], one entry at a time — the
+    /// delta apply's per-entry loop, kept free of iterator set-up.
     pub(crate) fn push(&mut self, domain: DomainName, ns: NsSet) {
         self.run.push((domain, ns));
         if self.run.len() > SEGMENT_MAX {
             self.seal(SEGMENT_SPAN);
         }
+    }
+
+    /// The cutting rule, for entries known to continue the order: while
+    /// the run and what is still to come hold more than the upper span
+    /// bound, their first [`SEGMENT_SPAN`] become a segment — taken
+    /// straight from `entries` when the run is empty, else by topping
+    /// the run up to a span and cutting it. So the run, and the copy a
+    /// cut shifts down, stay bounded however much arrives, and where
+    /// the cuts fall does not depend on how the entries were batched.
+    fn extend(&mut self, mut entries: impl ExactSizeIterator<Item = Entry>) {
+        while self.run.len() + entries.len() > SEGMENT_MAX {
+            if self.run.is_empty() {
+                let seg: Segment = entries.by_ref().take(SEGMENT_SPAN).collect();
+                self.push_segment(seg);
+            } else {
+                let short = SEGMENT_SPAN.saturating_sub(self.run.len());
+                self.run.extend(entries.by_ref().take(short));
+                self.seal(SEGMENT_SPAN);
+            }
+        }
+        self.run.extend(entries);
     }
 
     /// Entries pushed since the last cut.
@@ -205,7 +278,8 @@ impl SnapshotBuilder {
         self.top.segs.push(seg);
     }
 
-    pub(crate) fn finish(
+    /// Close the run and stamp the header: the snapshot.
+    pub fn finish(
         mut self,
         origin: DomainName,
         serial: Serial,
@@ -245,7 +319,7 @@ impl ZoneSnapshot {
         // BTreeMap iteration is already sorted by owner name; NS sets are
         // shared with the live zone, not copied.
         let entries = zone.iter().map(|(d, delegation)| (*d, delegation.ns_set().clone()));
-        Self::from_sorted(*zone.origin(), zone.serial(), taken_at, zone.len(), entries)
+        Self::from_sorted(*zone.origin(), zone.serial(), taken_at, entries)
     }
 
     /// Build from parts. Entries are sorted and deduplicated by domain
@@ -271,7 +345,6 @@ impl ZoneSnapshot {
         let mut memo: HashSet<NsSet> = HashSet::new();
         // Frozen in entry order, which is the order every diff engine
         // walks the NS sets in.
-        let len = entries.len();
         let frozen = entries.into_iter().map(|(d, hosts)| {
             let ns = match memo.get(hosts.as_slice()) {
                 Some(shared) => shared.clone(),
@@ -283,7 +356,7 @@ impl ZoneSnapshot {
             };
             (d, ns)
         });
-        Self::from_sorted(origin, serial, taken_at, len, frozen)
+        Self::from_sorted(origin, serial, taken_at, frozen)
     }
 
     /// [`ZoneSnapshot::from_entries`] over already-frozen (typically
@@ -298,22 +371,21 @@ impl ZoneSnapshot {
         mut entries: Vec<(DomainName, NsSet)>,
     ) -> Self {
         sort_last_wins(&mut entries);
-        Self::from_sorted(origin, serial, taken_at, entries.len(), entries.into_iter())
+        Self::from_sorted(origin, serial, taken_at, entries.into_iter())
     }
 
-    /// Cut `len` entries, already in strictly ascending owner order, into
-    /// fresh segments.
+    /// Cut entries, already in strictly ascending owner order, into
+    /// fresh segments — by the rule [`SnapshotBuilder::append`] cuts a
+    /// chunk train by, so a snapshot's cuts do not depend on how its
+    /// entries arrived.
     fn from_sorted(
         origin: DomainName,
         serial: Serial,
         taken_at: SimTime,
-        len: usize,
-        entries: impl Iterator<Item = (DomainName, NsSet)>,
+        entries: impl ExactSizeIterator<Item = (DomainName, NsSet)>,
     ) -> Self {
-        let mut builder = SnapshotBuilder::with_capacity(len / SEGMENT_SPAN + 1);
-        for (domain, ns) in entries {
-            builder.push(domain, ns);
-        }
+        let mut builder = SnapshotBuilder::with_capacity(entries.len() / SEGMENT_SPAN + 1);
+        builder.extend(entries);
         builder.finish(origin, serial, taken_at)
     }
 

@@ -2246,7 +2246,7 @@ mod tests {
         // the snapshot exactly and reassemble to an equal snapshot.
         let frames = encode_snapshot_chunks(7, &snap, 0, 256);
         assert!(frames.len() > 1, "byte target must force splitting");
-        let mut rebuilt = Vec::new();
+        let mut rebuilt = crate::snapshot::SnapshotBuilder::default();
         let mut expected_offset = 0u32;
         for (i, frame) in frames.iter().enumerate() {
             assert!(frame.len() <= 256 + 1024, "chunk overshoot is bounded by one entry");
@@ -2258,16 +2258,13 @@ mod tests {
             assert_eq!(chunk.offset, expected_offset);
             assert_eq!(chunk.last, i == frames.len() - 1);
             expected_offset += chunk.entries.len() as u32;
-            rebuilt.extend(chunk.entries);
+            rebuilt.append(chunk.entries).unwrap();
+            assert_eq!(rebuilt.len(), expected_offset as usize);
         }
         assert_eq!(expected_offset as usize, snap.len());
-        let reassembled = crate::snapshot::ZoneSnapshot::from_ns_entries(
-            name("com"),
-            Serial::new(33),
-            SimTime::from_secs(120),
-            rebuilt,
-        );
+        let reassembled = rebuilt.finish(name("com"), Serial::new(33), SimTime::from_secs(120));
         assert_eq!(reassembled, snap);
+        assert!(reassembled.segment_lens().eq(snap.segment_lens()), "the train's cuts");
 
         // A resume offset mid-snapshot starts the sequence there.
         let resumed = encode_snapshot_chunks(7, &snap, 40, 256);

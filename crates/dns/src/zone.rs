@@ -348,7 +348,7 @@ impl Zone {
         LookupOutcome::NxDomain
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (&DomainName, &Delegation)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&DomainName, &Delegation)> {
         self.delegations.iter()
     }
 

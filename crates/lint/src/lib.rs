@@ -177,8 +177,11 @@ pub fn profile_for(path: &Path) -> Profile {
     // The upstream-link driver runs on the relay thread and under every
     // consumer pump: the panic ban, without the indexing ban — its
     // replica indices never come from a peer (`ReplicaSet` hands out
-    // the only ones it later accepts).
-    if p.ends_with("broker/src/transport/replica.rs") {
+    // the only ones it later accepts). The client it drives decodes
+    // and assembles peer frames under the same pumps, chunk by chunk:
+    // the same ban; its one index is a partial it just looked up.
+    if p.ends_with("broker/src/transport/replica.rs") || p.ends_with("broker/src/transport/client.rs")
+    {
         profile.panic_free = true;
     }
     // Relay / fan-out paths must never re-encode a delta.

@@ -166,6 +166,9 @@ fn workspace_profiles_map_paths_to_rules() {
     assert!(relay.panic_free && relay.one_dialer, "the relay drives the link, it does not dial");
     let link = darkdns_lint::profile_for(Path::new("crates/broker/src/transport/replica.rs"));
     assert!(link.panic_free && !link.panic_index);
+    // The client assembles peer chunk trains under every consumer pump.
+    let client = darkdns_lint::profile_for(Path::new("crates/broker/src/transport/client.rs"));
+    assert!(client.panic_free && !client.panic_index && client.encode_once);
     for dialer in ["replica.rs", "client.rs"] {
         let path = format!("crates/broker/src/transport/{dialer}");
         assert!(!darkdns_lint::profile_for(Path::new(&path)).one_dialer, "{dialer}");

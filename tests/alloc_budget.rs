@@ -21,6 +21,12 @@
 //! a shard's ring holds its frames' bytes and a fixed header each — the
 //! size of the deltas that were published is in neither formula.
 //!
+//! One budget is on a *peak*: a chunk train assembled the way the
+//! transport client assembles it never stands higher on the live heap
+//! than the finished snapshot plus its largest decoded chunk and a
+//! constant — one copy of the zone in flight, not a flat vector of the
+//! train beside the segments cut from it.
+//!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`. Counts are kept per thread, so the tests can
 //! run in parallel without seeing each other.
@@ -30,7 +36,7 @@ use darkdns::dns::wire::{
     encode_snapshot_chunks, LookupQuery,
 };
 use darkdns::broker::{JournalShard, RetentionConfig};
-use darkdns::dns::snapshot::SEGMENT_SPAN;
+use darkdns::dns::snapshot::{SnapshotBuilder, SEGMENT_SPAN};
 use darkdns::dns::{DomainName, NsSet, Serial, ZoneDelta, ZoneSnapshot};
 use darkdns::registry::tld::TldId;
 use darkdns::sim::time::SimTime;
@@ -47,6 +53,22 @@ thread_local! {
     // Bytes this thread allocated and has not freed (wrapping: a block
     // freed here may have been allocated elsewhere).
     static LIVE: Cell<u64> = const { Cell::new(0) };
+    // The highest `LIVE` has stood since `peaking` last reset it.
+    static PEAK: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Move `LIVE` by `grow` bytes, raising `PEAK` if it is passed
+/// (compared by wrapping distance, as `LIVE` itself wraps).
+fn live_add(grow: u64) {
+    let live = LIVE.with(|n| {
+        n.set(n.get().wrapping_add(grow));
+        n.get()
+    });
+    PEAK.with(|p| {
+        if (live.wrapping_sub(p.get()) as i64) > 0 {
+            p.set(live);
+        }
+    });
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -56,7 +78,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
         BYTES.with(|n| n.set(n.get() + layout.size() as u64));
-        LIVE.with(|n| n.set(n.get().wrapping_add(layout.size() as u64)));
+        live_add(layout.size() as u64);
         // SAFETY: same layout, forwarded to the system allocator.
         unsafe { System.alloc(layout) }
     }
@@ -70,9 +92,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
         BYTES.with(|n| n.set(n.get() + new_size as u64));
-        LIVE.with(|n| {
-            n.set(n.get().wrapping_add(new_size as u64).wrapping_sub(layout.size() as u64))
-        });
+        live_add((new_size as u64).wrapping_sub(layout.size() as u64));
         // SAFETY: `ptr` came from this allocator with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -102,6 +122,15 @@ fn retaining<R>(f: impl FnOnce() -> R) -> (R, i64) {
     let before = LIVE.with(Cell::get);
     let out = f();
     (out, LIVE.with(Cell::get).wrapping_sub(before) as i64)
+}
+
+/// Run `f`, returning its result and the most this thread's live heap
+/// stood above where it started at any point meanwhile.
+fn peaking<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let out = f();
+    (out, PEAK.with(Cell::get).wrapping_sub(before))
 }
 
 const PROVIDERS: usize = 16;
@@ -153,38 +182,36 @@ fn chunk_train_decode_and_assembly_is_per_chunk_and_per_set() {
     let chunks = train.len() as u64;
     assert!(chunks >= 4, "the train must be several chunks, got {chunks}");
 
-    // What `TransportClient` does with a train: decode each chunk,
-    // append its entries, assemble on the last one.
-    let (assembled, allocs) = counting(|| {
-        let mut assembled = Vec::new();
-        for frame in &train {
-            assembled.extend(decode_snapshot_chunk(frame).unwrap().entries);
-        }
-        assembled
+    let (decoded, allocs) = counting(|| {
+        train.iter().map(|frame| decode_snapshot_chunk(frame).unwrap().entries).collect::<Vec<_>>()
     });
     // Per chunk: the entry vector, the memo's doublings up to one slot
     // per distinct set, and per distinct set at most two decoded copies
     // (its first-seen spelled-out form, then the shared pointer form) of
-    // two allocations each. Plus the growing assembled vector.
+    // two allocations each. Plus the list the chunks are kept in here.
     let per_chunk = 1 + 8 + 4 * PROVIDERS as u64;
-    let budget = chunks * per_chunk + 24;
+    let budget = chunks * per_chunk + 1;
     assert!(allocs <= budget, "{allocs} allocations for {chunks} chunks, budget {budget}");
     assert!(allocs < ENTRIES as u64 / 10, "{allocs} allocations is per-entry territory");
 
+    // What `TransportClient` does with a train: append each chunk to a
+    // builder as it arrives, finish on the last one.
     let (rebuilt, allocs) = counting(|| {
-        ZoneSnapshot::from_ns_entries(
-            *snapshot.origin(),
-            snapshot.serial(),
-            snapshot.taken_at(),
-            assembled,
-        )
+        let mut builder = SnapshotBuilder::default();
+        for entries in decoded {
+            builder.append(entries).unwrap();
+        }
+        builder.finish(*snapshot.origin(), snapshot.serial(), snapshot.taken_at())
     });
     assert_eq!(rebuilt, snapshot);
-    // The assembly: one allocation per segment; per snapshot the top
-    // level's `Arc` and three columns and the builder's run buffer.
+    // The assembly: one allocation per segment, cut straight out of the
+    // chunks; per snapshot the top level's `Arc` and the builder's run
+    // buffer, and the three columns growing from empty — the builder
+    // reserves nothing from the train's declared total.
     let segments = rebuilt.segment_lens().len() as u64;
     assert_eq!(segments, (ENTRIES / SEGMENT_SPAN) as u64);
-    assert_eq!(allocs, segments + 5, "allocations to assemble {segments} segments");
+    let columns = 3 * vec_growths(segments as usize);
+    assert_eq!(allocs, segments + columns + 2, "allocations to assemble {segments} segments");
 
     // And the point of the memo: the assembled snapshot holds a handful
     // of NS sets per chunk, not one per entry.
@@ -197,6 +224,56 @@ fn chunk_train_decode_and_assembly_is_per_chunk_and_per_set() {
         "{} distinct NS allocations in the assembled snapshot",
         distinct.len()
     );
+}
+
+/// Allocations of a `Vec` pushed from empty to `items`: its first
+/// (four-slot) buffer, then one per doubling.
+fn vec_growths(items: usize) -> u64 {
+    u64::from(items.max(4).next_power_of_two().trailing_zeros()) - 1
+}
+
+#[test]
+fn a_chunk_train_is_assembled_in_one_copy_of_the_zone() {
+    // Beside the segments built so far, a bootstrap in flight holds the
+    // chunk in hand and a fixed amount: the run (at most twice the span)
+    // and a decoder's memo. A flat vector of the train, or a second copy
+    // of it, grows with the entries and cannot fit.
+    const SLACK: u64 = 32 << 10;
+    let sets = providers(PROVIDERS);
+    for size in [10_000, 40_000] {
+        let snapshot = ZoneSnapshot::from_ns_entries(
+            name("com"),
+            Serial::new(9),
+            SimTime::from_secs(60),
+            entries(size, &sets),
+        );
+        let train = encode_snapshot_chunks(4, &snapshot, 0, 64 << 10);
+        assert!(train.len() >= 4, "a {size}-entry train must be several chunks");
+        // The largest chunk as decoded: its entry vector and NS sets.
+        let largest = train
+            .iter()
+            .map(|frame| retaining(|| decode_snapshot_chunk(frame).unwrap()).1 as u64)
+            .max()
+            .unwrap();
+
+        let ((assembled, peak), kept) = retaining(|| {
+            peaking(|| {
+                let mut builder = SnapshotBuilder::default();
+                for frame in &train {
+                    builder.append(decode_snapshot_chunk(frame).unwrap().entries).unwrap();
+                }
+                builder.finish(*snapshot.origin(), snapshot.serial(), snapshot.taken_at())
+            })
+        });
+        assert_eq!(assembled, snapshot);
+        assert!(assembled.segment_lens().eq(snapshot.segment_lens()), "cuts at {size}");
+        let kept = kept as u64;
+        assert!(
+            peak <= kept + largest + SLACK,
+            "{size} entries: live peak {peak} bytes for a {kept}-byte snapshot and a \
+             {largest}-byte largest chunk"
+        );
+    }
 }
 
 #[test]

@@ -400,6 +400,126 @@ mod chunk_codecs {
     }
 }
 
+// Assembling a chunk train the way the transport client does: each
+// decoded chunk appended to a `SnapshotBuilder` as it arrives, the
+// builder salvaged (cloned) partway and the rest resumed on the copy.
+// Whatever the zone, chunk size and salvage point, the result is the
+// source snapshot with the cuts a one-piece build makes, and a train
+// whose owners stop ascending is refused at exactly the chunk that
+// breaks the order, the builder left at its last good boundary.
+mod train_assembly {
+    use super::*;
+    use darkdns::dns::snapshot::{OutOfOrder, SnapshotBuilder};
+    use darkdns::dns::NsSet;
+
+    type Chunk = Vec<(DomainName, NsSet)>;
+
+    /// Append `chunks` in order: the index of the first one refused,
+    /// after checking that a refusal moved nothing.
+    fn first_refused(chunks: &[Chunk]) -> Result<Option<usize>, TestCaseError> {
+        let mut builder = SnapshotBuilder::default();
+        for (i, chunk) in chunks.iter().enumerate() {
+            let before = builder.len();
+            match builder.append(chunk.clone()) {
+                Ok(()) => prop_assert_eq!(builder.len(), before + chunk.len()),
+                Err(OutOfOrder) => {
+                    prop_assert_eq!(builder.len(), before, "a refused chunk moved entries");
+                    return Ok(Some(i));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// The chunk holding entry `pos` of the train.
+    fn chunk_of(chunks: &[Chunk], pos: usize) -> usize {
+        let mut end = 0;
+        chunks.iter().position(|c| {
+            end += c.len();
+            pos < end
+        })
+        .expect("position inside the train")
+    }
+
+    proptest! {
+        #[test]
+        fn a_train_appended_in_any_chunks_and_resumed_anywhere_is_the_source(
+            origin in name_strategy(),
+            serial in any::<u32>(),
+            entries in prop::collection::vec(
+                (name_strategy(), prop::collection::vec(name_strategy(), 1..3)),
+                0..400,
+            ),
+            chunk_bytes in 64usize..6000,
+            split_frac in 0.0f64..1.0,
+            pick in any::<u32>(),
+        ) {
+            let snap = ZoneSnapshot::from_entries(
+                origin,
+                Serial::new(serial),
+                SimTime::from_secs(u64::from(serial)),
+                entries,
+            );
+            let chunks: Vec<Chunk> = encode_snapshot_chunks(0, &snap, 0, chunk_bytes)
+                .iter()
+                .map(|frame| decode_snapshot_chunk(frame).unwrap().entries)
+                .collect();
+
+            // The first k chunks on one builder, the rest on its clone.
+            let k = (split_frac * chunks.len() as f64) as usize;
+            let mut salvaged = SnapshotBuilder::default();
+            for chunk in &chunks[..k] {
+                prop_assert!(salvaged.append(chunk.clone()).is_ok());
+            }
+            let mut resumed = salvaged.clone();
+            prop_assert_eq!(resumed.len(), chunks[..k].iter().map(Vec::len).sum::<usize>());
+            for chunk in &chunks[k..] {
+                prop_assert!(resumed.append(chunk.clone()).is_ok());
+            }
+            prop_assert_eq!(salvaged.len(), chunks[..k].iter().map(Vec::len).sum::<usize>());
+            let assembled = resumed.finish(*snap.origin(), snap.serial(), snap.taken_at());
+            prop_assert_eq!(&assembled, &snap);
+            prop_assert_eq!(assembled.to_text(), snap.to_text());
+            let flat: Chunk = chunks.concat();
+            let one_piece =
+                ZoneSnapshot::from_ns_entries(*snap.origin(), snap.serial(), snap.taken_at(), flat.clone());
+            prop_assert_eq!(
+                assembled.segment_lens().collect::<Vec<_>>(),
+                one_piece.segment_lens().collect::<Vec<_>>()
+            );
+            prop_assert_eq!(first_refused(&chunks)?, None);
+
+            // One adjacent swap: refused at the chunk holding the entry
+            // that moved down (in its own chunk, or as the first entry
+            // of the next one, below the last of the previous).
+            if flat.len() >= 2 {
+                let p = pick as usize % (flat.len() - 1);
+                let mut swapped = chunks.clone();
+                let (a, b) = (chunk_of(&chunks, p), chunk_of(&chunks, p + 1));
+                let (ia, ib) = (
+                    p - chunks[..a].iter().map(Vec::len).sum::<usize>(),
+                    p + 1 - chunks[..b].iter().map(Vec::len).sum::<usize>(),
+                );
+                let moved = std::mem::replace(&mut swapped[b][ib], flat[p].clone());
+                swapped[a][ia] = moved;
+                prop_assert_eq!(first_refused(&swapped)?, Some(b));
+            }
+
+            // A duplicate across a chunk boundary: the next chunk opens
+            // with the last owner of the one before.
+            let boundaries: Vec<usize> =
+                (1..chunks.len()).filter(|&j| !chunks[j - 1].is_empty()).collect();
+            if !boundaries.is_empty() {
+                let j = boundaries[pick as usize % boundaries.len()];
+                let mut duplicated = chunks.clone();
+                let last = chunks[j - 1].last().unwrap().clone();
+                duplicated[j].insert(0, last);
+                prop_assert_eq!(first_refused(&duplicated)?, Some(j));
+            }
+        }
+    }
+}
+
 // The edge lookup codecs (`RZUL`/`RZUR`): same adversarial discipline
 // as the transport decoders above — arbitrary garbage is an error,
 // never a panic or an unbounded allocation, and every valid message

@@ -27,7 +27,10 @@ use darkdns::broker::{
     Broker, BrokerConfig, BrokerServer, OverflowPolicy, RetentionConfig, TransportConfig,
 };
 use darkdns::core::broker_view::RemoteZoneView;
-use darkdns::dns::wire::{encode_stats_report, ServerStats, StatsReport};
+use darkdns::dns::wire::{
+    decode_snapshot_chunk, encode_snapshot_chunks, encode_stats_report, ServerStats, StatsReport,
+    WireError,
+};
 use darkdns::dns::{DomainName, NsSet, Serial, Zone, ZoneDelta, ZoneSnapshot};
 use darkdns::registry::tld::TldId;
 use darkdns::sim::time::SimTime;
@@ -342,6 +345,52 @@ fn hello_claiming_unknown_tld_is_rejected() {
     wait_for("rejection counted", || server.stats().rejected_hellos == 1);
     assert_eq!(broker.subscriber_count(), 0);
     server.shutdown();
+}
+
+#[test]
+fn a_continuation_chunk_that_changes_the_trains_header_is_refused() {
+    // Two captures of the same entries, a minute apart: chunk 0 of the
+    // first and chunk 1 of the second tile the entry range exactly, and
+    // differ only in `taken_at`. The second chunk is not a continuation
+    // of the first train, so the client must close rather than assemble
+    // a snapshot that carries chunk 0's header over chunk 1's capture.
+    let entries: Vec<_> = (0..40)
+        .map(|i| (name(&format!("d{i:03}.com")), vec![name("ns1.provider0.net")]))
+        .collect();
+    let capture = |taken_at| {
+        let snap = ZoneSnapshot::from_entries(name("com"), Serial::new(7), taken_at, entries.clone());
+        // Two thirds of the one-chunk encoding: exactly two chunks.
+        let whole = encode_snapshot_chunks(0, &snap, 0, usize::MAX)[0].len();
+        encode_snapshot_chunks(0, &snap, 0, whole * 2 / 3)
+    };
+    let (early, late) = (capture(SimTime::from_secs(60)), capture(SimTime::from_secs(120)));
+    assert_eq!((early.len(), late.len()), (2, 2));
+
+    let (client_end, peer_end) = duplex(1 << 16);
+    let mut peer = LengthPrefixed::new(peer_end);
+    peer.send_frame(&[&early[0]]).expect("chunk 0");
+    peer.send_frame(&[&late[1]]).expect("chunk 1, another capture");
+    let mut conn = LengthPrefixed::new(client_end);
+    conn.set_recv_timeout(Some(Duration::from_millis(5))).unwrap();
+    let mut client = TransportClient::connect(conn, &[(TldId(0), None)]).expect("hello");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        match client.next_event() {
+            ClientEvent::Closed(TransportError::Wire(WireError::BadChunk { offset, .. })) => {
+                assert_ne!(offset, 0, "refused at the continuation, not at the start");
+                break;
+            }
+            ClientEvent::Idle => assert!(Instant::now() < deadline, "the train was never refused"),
+            other => panic!("a spliced train must close with BadChunk, got {other:?}"),
+        }
+    }
+    // What was good of it stays salvageable: chunk 0, at its boundary.
+    let progress = client.take_snapshot_progress();
+    assert_eq!(progress.len(), 1);
+    assert_eq!(
+        progress[0].entries_received(),
+        decode_snapshot_chunk(&early[0]).unwrap().entries.len()
+    );
 }
 
 // ---------------------------------------------------------------------
