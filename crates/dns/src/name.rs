@@ -17,7 +17,11 @@
 //! * **interned** — longer names hold a `u32` id into the process-global
 //!   [`NameTable`], an append-only interner. Interning happens once per
 //!   unique spelling; every subsequent parse of the same name returns the
-//!   same id.
+//!   same id. The spelling is stored once, length-prefixed, in a leaked
+//!   64 KiB arena block that the id's slot points straight at, and the
+//!   spelling → id index is a set of the 4-byte ids themselves: a new
+//!   spelling of `len` bytes costs about `len + 17` bytes for the process
+//!   lifetime, and no allocation of its own.
 //!
 //! Equality and hashing are O(1) byte/id comparisons in both layouts
 //! (equal interned strings always share one id, and an inline name can
@@ -72,32 +76,94 @@ impl fmt::Display for NameError {
 
 impl std::error::Error for NameError {}
 
-// Interner geometry: ids index a two-level table of string slots so that
-// resolution is lock-free and existing slots are never moved. 4096 chunks
-// of 32768 slots bound the table at ~134M unique long names — comfortably
-// above .com scale.
+// Interner geometry: ids index a two-level table of spelling slots so
+// that resolution is lock-free and existing slots are never moved. 4096
+// chunks of 32768 slots (256 KiB each) bound the table at ~134M unique
+// long names — comfortably above .com scale.
 const CHUNK_BITS: u32 = 15;
 const CHUNK_SLOTS: usize = 1 << CHUNK_BITS;
 const MAX_CHUNKS: usize = 4096;
 
+/// Bytes in one arena block. Spellings (at most 254 bytes with their
+/// length prefix) are bump-allocated from the current block; the tail a
+/// spelling does not fit in is abandoned with it.
+const BLOCK_BYTES: usize = 64 << 10;
+
 /// The process-global domain-name interner.
 ///
 /// Append-only: names are interned once and live for the process lifetime
-/// (their storage is intentionally leaked). Insertion takes a mutex;
-/// id-to-string resolution is a pair of atomic loads, so the diff engines'
-/// comparison hot paths never contend.
+/// (their storage is intentionally leaked). A spelling is stored once, as
+/// a length byte and its bytes, in a leaked 64 KiB arena block; its id's
+/// slot points straight at it, and the spelling → id index is a set of
+/// 4-byte ids hashed and compared by the spelling they resolve to. A new
+/// spelling of `len` bytes therefore costs `len + 1` arena bytes, an
+/// 8-byte slot and one id in the index (≈ 5–11 bytes at its load) — no
+/// per-name allocation. Insertion takes the write lock; id-to-string
+/// resolution is a pair of atomic loads, so the diff engines' comparison
+/// hot paths never contend.
 pub struct NameTable {
-    /// Spelling → id. Re-parsing an already-interned spelling (the common
-    /// case once a universe is built) takes only the read lock. A leaf in
-    /// the workspace hierarchy; `dns` sits below the broker in the crate
-    /// graph, so the lock is annotated rather than runtime-tracked.
+    /// The write side. Re-parsing an already-interned spelling (the
+    /// common case once a universe is built) takes only the read lock. A
+    /// leaf in the workspace hierarchy; `dns` sits below the broker in
+    /// the crate graph, so the lock is annotated rather than
+    /// runtime-tracked.
     // lock-level: 90
-    map: RwLock<std::collections::HashMap<&'static str, u32, crate::hash::FxBuildHasher>>,
-    /// Two-level id → string table. Chunks are allocated on demand and
-    /// published with release stores; slots likewise.
-    chunks: [AtomicPtr<AtomicPtr<&'static str>>; MAX_CHUNKS],
+    index: RwLock<Index>,
+    /// Two-level id → spelling table. Chunks are allocated on demand and
+    /// published with release stores; slots likewise, each pointing at a
+    /// length-prefixed spelling in the arena.
+    chunks: [AtomicPtr<AtomicPtr<u8>>; MAX_CHUNKS],
     /// Number of interned names (ids are `0..len`).
     len: AtomicU32,
+}
+
+/// What [`NameTable`]'s lock guards.
+#[derive(Default)]
+struct Index {
+    /// Spelling → id, as the set of ids itself.
+    ids: std::collections::HashSet<NameId, crate::hash::FxBuildHasher>,
+    arena: Arena,
+}
+
+/// Where spellings are stored: bump-allocated from leaked blocks.
+#[derive(Default)]
+struct Arena {
+    /// The unused tail of the current block.
+    free: &'static mut [u8],
+}
+
+impl Arena {
+    /// Store `s` (at most 253 bytes) as its length byte and its bytes,
+    /// for the process lifetime.
+    fn store(&mut self, s: &str) -> &'static [u8] {
+        let stored = 1 + s.len();
+        if self.free.len() < stored {
+            self.free = Box::leak(vec![0u8; BLOCK_BYTES].into_boxed_slice());
+        }
+        let (spelling, rest) = std::mem::take(&mut self.free).split_at_mut(stored);
+        self.free = rest;
+        spelling[0] = s.len() as u8;
+        spelling[1..].copy_from_slice(s.as_bytes());
+        spelling
+    }
+}
+
+/// An interned id as a member of [`Index::ids`]: hashed and compared as
+/// the spelling it resolves to, so the set is looked up by `&str`. Equal
+/// ids are equal spellings and, the table being a bijection, the reverse.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct NameId(u32);
+
+impl std::hash::Hash for NameId {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        std::borrow::Borrow::<str>::borrow(self).hash(state);
+    }
+}
+
+impl std::borrow::Borrow<str> for NameId {
+    fn borrow(&self) -> &str {
+        NameTable::global().resolve(self.0)
+    }
 }
 
 impl NameTable {
@@ -105,31 +171,22 @@ impl NameTable {
     pub fn global() -> &'static NameTable {
         static TABLE: OnceLock<NameTable> = OnceLock::new();
         TABLE.get_or_init(|| NameTable {
-            map: RwLock::new(std::collections::HashMap::default()),
+            index: RwLock::new(Index::default()),
             chunks: [const { AtomicPtr::new(std::ptr::null_mut()) }; MAX_CHUNKS],
             len: AtomicU32::new(0),
         })
     }
 
-    /// Number of unique names interned so far.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire) as usize
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Intern `s` (already validated, canonical lowercase), returning its id.
     fn intern(&self, s: &str) -> u32 {
-        if let Some(&id) =
-            self.map.read().unwrap_or_else(|poison| poison.into_inner()).get(s)
+        if let Some(&NameId(id)) =
+            self.index.read().unwrap_or_else(|poison| poison.into_inner()).ids.get(s)
         {
             return id;
         }
-        let mut map = self.map.write().unwrap_or_else(|poison| poison.into_inner());
+        let mut index = self.index.write().unwrap_or_else(|poison| poison.into_inner());
         // Re-check: another thread may have interned between the locks.
-        if let Some(&id) = map.get(s) {
+        if let Some(&NameId(id)) = index.ids.get(s) {
             return id;
         }
         let id = self.len.load(Ordering::Relaxed);
@@ -138,22 +195,21 @@ impl NameTable {
             "NameTable capacity exhausted ({} names)",
             id
         );
-        // The string and its slot cell live for the process lifetime.
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let cell: &'static mut &'static str = Box::leak(Box::new(leaked));
+        let spelling = index.arena.store(s);
         let chunk_idx = (id >> CHUNK_BITS) as usize;
         let slot_idx = (id as usize) & (CHUNK_SLOTS - 1);
         let mut chunk = self.chunks[chunk_idx].load(Ordering::Acquire);
         if chunk.is_null() {
-            let fresh: Box<[AtomicPtr<&'static str>]> =
+            let fresh: Box<[AtomicPtr<u8>]> =
                 (0..CHUNK_SLOTS).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect();
             chunk = Box::leak(fresh).as_mut_ptr();
             self.chunks[chunk_idx].store(chunk, Ordering::Release);
         }
         // Safety: `chunk` points at CHUNK_SLOTS live slots and slot_idx is
-        // in range; all writers are serialized by the map mutex.
-        unsafe { &*chunk.add(slot_idx) }.store(cell, Ordering::Release);
-        map.insert(leaked, id);
+        // in range; all writers are serialized by the index lock.
+        unsafe { &*chunk.add(slot_idx) }.store(spelling.as_ptr().cast_mut(), Ordering::Release);
+        // Published before the insert, which hashes the id by its spelling.
+        index.ids.insert(NameId(id));
         self.len.store(id + 1, Ordering::Release);
         id
     }
@@ -165,9 +221,14 @@ impl NameTable {
         // Safety: a live id implies its chunk and slot were published with
         // release stores before the id escaped the interner.
         let slot = unsafe { &*chunk.add((id as usize) & (CHUNK_SLOTS - 1)) };
-        let cell = slot.load(Ordering::Acquire);
-        debug_assert!(!cell.is_null(), "resolve of unpublished name id {id}");
-        unsafe { *cell }
+        let spelling = slot.load(Ordering::Acquire).cast_const();
+        debug_assert!(!spelling.is_null(), "resolve of unpublished name id {id}");
+        // A length byte and that many ASCII bytes, in a leaked arena block.
+        // Safety: written before the slot's release store, never again.
+        unsafe {
+            let len = usize::from(*spelling);
+            std::str::from_utf8_unchecked(std::slice::from_raw_parts(spelling.add(1), len))
+        }
     }
 }
 
@@ -612,11 +673,119 @@ mod tests {
 
     #[test]
     fn interned_names_share_one_id() {
+        // Identity, not a count: sibling tests intern concurrently.
         let a = DomainName::parse("this-is-a-rather-long.example.com").unwrap();
-        let before = NameTable::global().len();
-        let b = DomainName::parse("THIS-IS-A-RATHER-LONG.Example.COM.").unwrap();
-        assert_eq!(a, b);
-        assert_eq!(NameTable::global().len(), before, "reparse must not re-intern");
+        for reparse in [
+            "THIS-IS-A-RATHER-LONG.Example.COM.",
+            "this-is-a-rather-long.example.com.",
+            "This-Is-A-Rather-Long.example.com",
+        ] {
+            let b = DomainName::parse(reparse).unwrap();
+            assert_eq!(a, b, "{reparse}");
+            assert_eq!(a.as_str().as_ptr(), b.as_str().as_ptr(), "{reparse} re-interned");
+        }
+    }
+
+    /// A valid name of exactly `len` (23..=253) bytes whose first label
+    /// is `tag` (10 bytes) and `i`: padded, then 50-byte labels.
+    fn name_of_len(tag: &str, i: usize, len: usize) -> String {
+        let first = format!("{tag}{i:07}");
+        assert_eq!(first.len(), 10);
+        let full = (len - first.len()) / 51;
+        let mut name = format!("{first:x<width$}", width = len - 51 * full);
+        for _ in 0..full {
+            name.push('.');
+            name.push_str(&"a".repeat(50));
+        }
+        assert_eq!(name.len(), len);
+        name
+    }
+
+    #[test]
+    fn arena_blocks_fill_exactly_and_spellings_span_them() {
+        let mut arena = Arena::default();
+        let mut stored: Vec<(String, &'static [u8])> = Vec::new();
+        let mut blocks = 0;
+        let mut lens = (23..=253).cycle();
+        while blocks < 3 {
+            // Close the first block with a spelling that fills it exactly.
+            let free = arena.free.len();
+            let len = match lens.next().unwrap() {
+                _ if blocks == 1 && (24..=254).contains(&free) => free - 1,
+                len if blocks == 1 && free > 254 => len.min(free - 25),
+                len => len,
+            };
+            let s = name_of_len("arn", stored.len(), len);
+            let opens = arena.free.len() < 1 + len;
+            let bytes = arena.store(&s);
+            if opens {
+                // The first spelling of a block: the previous one was
+                // exactly full when this block was the second to open.
+                assert!(blocks != 1 || free == 0, "block 1 left {free} bytes");
+                blocks += 1;
+                assert_eq!(arena.free.len(), BLOCK_BYTES - (1 + len));
+            }
+            stored.push((s, bytes));
+        }
+        for (s, bytes) in &stored {
+            assert_eq!(usize::from(bytes[0]), s.len());
+            assert_eq!(&bytes[1..], s.as_bytes());
+        }
+    }
+
+    #[test]
+    fn long_spellings_resolve_across_blocks() {
+        // Spellings of every length 23..=253, over twice a block's worth:
+        // at least three blocks, however other tests interleave.
+        let names: Vec<String> = (0..1200).map(|i| name_of_len("spn", i, 23 + i % 231)).collect();
+        let stored: usize = names.iter().map(|s| 1 + s.len()).sum();
+        assert!(stored > 2 * BLOCK_BYTES, "{stored} bytes");
+        let parsed: Vec<DomainName> = names.iter().map(|s| DomainName::parse(s).unwrap()).collect();
+        for (s, name) in names.iter().zip(&parsed) {
+            assert!(!is_inline(name));
+            assert_eq!(name.as_str(), s);
+            let id = u32::from_le_bytes(name.data[..4].try_into().unwrap());
+            assert_eq!(NameTable::global().resolve(id), s);
+            assert_eq!(NameTable::global().intern(s), id);
+        }
+    }
+
+    #[test]
+    fn concurrent_interning_gives_one_id_per_spelling() {
+        // Four threads over overlapping windows of one pool of spellings.
+        let pool: Vec<String> = (0..400).map(|i| name_of_len("thr", i, 23 + i % 100)).collect();
+        let pool = std::sync::Arc::new(pool);
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let (pool, start) = (pool.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    (t * 50..t * 50 + 250)
+                        .map(|i| (i, DomainName::parse(&pool[i]).unwrap()))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut seen: Vec<Option<DomainName>> = vec![None; pool.len()];
+        for h in handles {
+            for (i, name) in h.join().unwrap() {
+                assert_eq!(name.as_str(), pool[i]);
+                let first = *seen[i].get_or_insert(name);
+                assert_eq!(first, name, "{}", pool[i]);
+                assert_eq!(first.as_str().as_ptr(), name.as_str().as_ptr());
+            }
+        }
+        // Distinct spellings, distinct ids.
+        let mut ids: Vec<u32> = seen
+            .iter()
+            .flatten()
+            .map(|n| u32::from_le_bytes(n.data[..4].try_into().unwrap()))
+            .collect();
+        let interned = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), interned);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! — exactly the churn the paper measures through daily CZDS snapshots and
 //! proposes to expose through rapid zone updates.
 //!
-//! NS sets are held as [`NsSet`] — an immutable, shared `Arc<[DomainName]>`
-//! — so that snapshot capture, diffing, journaling and delta application
-//! pass them around by reference-count bump instead of deep-cloning
-//! per-domain vectors.
+//! NS sets are held as [`NsSet`] — one thin pointer to an immutable,
+//! shared host list — so that snapshot capture, diffing, journaling and
+//! delta application pass them around by reference-count bump instead of
+//! deep-cloning per-domain vectors, and a delegation `(DomainName,
+//! NsSet)` is 32 bytes wherever it is stored.
 
 use crate::name::DomainName;
 use crate::record::{RData, ResourceRecord, SoaData};
@@ -20,27 +21,42 @@ use std::sync::Arc;
 
 /// An immutable, cheaply-clonable set of nameserver host names.
 ///
-/// Cloning bumps a reference count; comparing starts with a pointer check
-/// so snapshot entries that share storage (the common case along the
-/// capture → diff → apply pipeline) compare in O(1). Equality is by host
-/// sequence, matching the previous `Vec<DomainName>` semantics; the
-/// canonical sorted/deduplicated form is established by [`NsSet::new`] (or
-/// by the caller for [`NsSet::from_sorted`]).
+/// One thin pointer (8 bytes) to a shared header holding the hosts and
+/// the canonical flag: a delegation stored beside its 23-byte owner is
+/// 32 bytes, and the 16 bytes a fat slice pointer and its flag would add
+/// are paid once per distinct set, not once per entry. Cloning bumps a
+/// reference count; comparing starts with a pointer check so snapshot
+/// entries that share storage (the common case along the capture → diff
+/// → apply pipeline) compare in O(1). Equality is by host sequence,
+/// matching the previous `Vec<DomainName>` semantics; the canonical
+/// sorted/deduplicated form is established by [`NsSet::new`] (or by the
+/// caller for [`NsSet::from_sorted`]).
 #[derive(Clone)]
-pub struct NsSet {
-    hosts: Arc<[DomainName]>,
+pub struct NsSet(Arc<NsHosts>);
+
+/// What an [`NsSet`] points at, one per distinct frozen list.
+struct NsHosts {
+    hosts: Box<[DomainName]>,
     /// True when `hosts` is known to be strictly sorted and deduplicated —
     /// lets zone reconstruction take the `Delegation::from_sorted` fast
     /// path without rescanning. Ignored by equality/hashing.
     canonical: bool,
 }
 
+// The per-entry layout every snapshot segment, delta and zone pays for.
+const _: () =
+    assert!(std::mem::size_of::<NsSet>() == 8 && std::mem::size_of::<(DomainName, NsSet)>() == 32);
+
 impl NsSet {
+    fn freeze(hosts: Vec<DomainName>, canonical: bool) -> Self {
+        NsSet(Arc::new(NsHosts { hosts: hosts.into_boxed_slice(), canonical }))
+    }
+
     /// Canonicalise (sort + dedup) and freeze a host list.
     pub fn new(mut hosts: Vec<DomainName>) -> Self {
         hosts.sort_unstable();
         hosts.dedup();
-        NsSet { hosts: hosts.into(), canonical: true }
+        NsSet::freeze(hosts, true)
     }
 
     /// Freeze an already-sorted, already-deduplicated host list without
@@ -51,7 +67,7 @@ impl NsSet {
             hosts.windows(2).all(|w| w[0] < w[1]),
             "NsSet::from_sorted requires strictly sorted hosts"
         );
-        NsSet { hosts: hosts.into(), canonical: true }
+        NsSet::freeze(hosts, true)
     }
 
     /// Freeze a host list as-is, preserving the given order. Used where
@@ -59,33 +75,33 @@ impl NsSet {
     /// equality (snapshot text round-trips).
     pub fn from_raw(hosts: Vec<DomainName>) -> Self {
         let canonical = hosts.windows(2).all(|w| w[0] < w[1]);
-        NsSet { hosts: hosts.into(), canonical }
+        NsSet::freeze(hosts, canonical)
     }
 
     /// True when the set is known sorted + deduplicated.
     fn is_canonical(&self) -> bool {
-        self.canonical
+        self.0.canonical
     }
 
     pub fn as_slice(&self) -> &[DomainName] {
-        &self.hosts
+        &self.0.hosts
     }
 
     pub fn len(&self) -> usize {
-        self.hosts.len()
+        self.0.hosts.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty()
+        self.0.hosts.is_empty()
     }
 
     pub fn iter(&self) -> std::slice::Iter<'_, DomainName> {
-        self.hosts.iter()
+        self.0.hosts.iter()
     }
 
     /// True when both sets share the same storage (O(1) equality witness).
     pub fn ptr_eq(&self, other: &NsSet) -> bool {
-        Arc::ptr_eq(&self.hosts, &other.hosts)
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
@@ -93,13 +109,13 @@ impl std::ops::Deref for NsSet {
     type Target = [DomainName];
 
     fn deref(&self) -> &[DomainName] {
-        &self.hosts
+        self.as_slice()
     }
 }
 
 impl PartialEq for NsSet {
     fn eq(&self, other: &Self) -> bool {
-        self.ptr_eq(other) || self.hosts == other.hosts
+        self.ptr_eq(other) || self.as_slice() == other.as_slice()
     }
 }
 
@@ -107,7 +123,7 @@ impl Eq for NsSet {}
 
 impl std::hash::Hash for NsSet {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.hosts.hash(state);
+        self.as_slice().hash(state);
     }
 }
 
@@ -115,7 +131,7 @@ impl std::hash::Hash for NsSet {
 /// can be looked up by a plain host slice.
 impl std::borrow::Borrow<[DomainName]> for NsSet {
     fn borrow(&self) -> &[DomainName] {
-        &self.hosts
+        self.as_slice()
     }
 }
 
@@ -139,7 +155,7 @@ impl<const N: usize> PartialEq<[DomainName; N]> for NsSet {
 
 impl std::fmt::Debug for NsSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.hosts.iter()).finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -160,13 +176,13 @@ impl<'a> IntoIterator for &'a NsSet {
     type IntoIter = std::slice::Iter<'a, DomainName>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.hosts.iter()
+        self.iter()
     }
 }
 
 impl serde::Serialize for NsSet {
     fn to_value(&self) -> serde::Value {
-        serde::Value::Seq(self.hosts.iter().map(serde::Serialize::to_value).collect())
+        serde::Value::Seq(self.iter().map(serde::Serialize::to_value).collect())
     }
 }
 

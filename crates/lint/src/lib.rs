@@ -3,7 +3,7 @@
 //! rules. No `syn`, no dependencies — the same vendored-shim discipline
 //! as the rest of the workspace, applied to the linter itself.
 //!
-//! Seven rules:
+//! Eight rules:
 //!
 //! * **L1 `lock-level`** — every `Mutex`/`RwLock` declaration carries a
 //!   `// lock-level: N` annotation (or `lock-level: class` for generic
@@ -47,6 +47,10 @@
 //!   This is the one cross-file rule ([`scan_orphans`]); it has no
 //!   `lint: allow` and no slack — delete the item, drop its `pub`, or
 //!   gate a test hook behind `#[cfg(test)]`.
+//! * **L8 `unsafe-confined`** — `unsafe` appears on non-test lines of
+//!   one file only, the interner (`crates/dns/src/name.rs`), and every
+//!   occurrence there carries a `// Safety:` comment on its line or
+//!   within the two lines above it. No `lint: allow` either.
 //!
 //! Escape hatch: a comment `// lint: allow(<rule>) <justification>` on
 //! the offending line (or the contiguous comment block above it)
@@ -69,6 +73,7 @@ pub enum Rule {
     OneReactor,
     OneDialer,
     OrphanPub,
+    UnsafeConfined,
 }
 
 impl Rule {
@@ -82,6 +87,7 @@ impl Rule {
             Rule::OneReactor => "one-reactor",
             Rule::OneDialer => "one-dialer",
             Rule::OrphanPub => "orphan-pub",
+            Rule::UnsafeConfined => "unsafe-confined",
         }
     }
 }
@@ -129,6 +135,10 @@ pub struct Profile {
     /// but the upstream-link driver and the definition site. (L6's clock ban inside `impl ReplicaSet` needs no flag: it
     /// applies wherever such an impl appears.)
     pub one_dialer: bool,
+    /// L8: no `unsafe` — every file but the interner. (L8's `Safety:`
+    /// comment check needs no flag: it applies wherever `unsafe` is
+    /// legal.)
+    pub unsafe_confined: bool,
 }
 
 impl Profile {
@@ -143,6 +153,7 @@ impl Profile {
             encode_once: true,
             one_reactor: true,
             one_dialer: true,
+            unsafe_confined: true,
         }
     }
 }
@@ -195,6 +206,8 @@ pub fn profile_for(path: &Path) -> Profile {
     // that carries resume progress or a scope (client.rs defines it).
     profile.one_dialer = !(p.ends_with("broker/src/transport/replica.rs")
         || p.ends_with("broker/src/transport/client.rs"));
+    // One unsafe module: the interner's lock-free id → spelling table.
+    profile.unsafe_confined = !p.ends_with(UNSAFE_HOME);
     profile
 }
 
@@ -727,6 +740,31 @@ pub fn scan_source(
             }
         }
 
+        // L8: `unsafe` only in the interner, each one explained. Not
+        // through `push`: the rule has no `lint: allow`.
+        if ident_appears(&code, "unsafe") {
+            let explained = lines[idx.saturating_sub(2)..=idx]
+                .iter()
+                .any(|l| l.comment.to_ascii_lowercase().contains("safety:"));
+            // (One message per line: the line cleaner blanks a string
+            // only up to the end of the line it opens on.)
+            let message = if profile.unsafe_confined {
+                Some(format!("`unsafe` outside `{UNSAFE_HOME}`, the workspace's one unsafe module"))
+            } else if !explained {
+                Some("`unsafe` with no `// Safety:` comment on its line or the two above".into())
+            } else {
+                None
+            };
+            if let Some(message) = message {
+                findings.push(Finding {
+                    file: path.to_path_buf(),
+                    line: idx + 1,
+                    rule: Rule::UnsafeConfined,
+                    message,
+                });
+            }
+        }
+
         // Brace accounting, then scope-based releases.
         for c in code.chars() {
             match c {
@@ -755,6 +793,9 @@ pub fn scan_source(
     }
     findings
 }
+
+/// The one file that may hold `unsafe` (L8).
+const UNSAFE_HOME: &str = "crates/dns/src/name.rs";
 
 /// The one function on a fan-out path that may call
 /// `encode_snapshot_chunks`: the broker stream handler's train-cache fill.

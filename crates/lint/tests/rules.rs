@@ -145,6 +145,35 @@ fn l7_asks_nothing_of_files_outside_the_surface() {
 }
 
 #[test]
+fn l8_fires_on_unexplained_unsafe_and_on_any_unsafe_outside_the_interner() {
+    let interner = darkdns_lint::profile_for(Path::new("crates/dns/src/name.rs"));
+    // As the interner: the block whose `Safety:` sits four lines up and
+    // the one with none — not the explained one, nor the test module's.
+    let findings = scan_fixture("l8_bad.rs", interner);
+    assert_eq!(count(&findings, Rule::UnsafeConfined), findings.len());
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![12, 16], "{findings:#?}");
+    assert!(findings.iter().all(|f| f.message.contains("`// Safety:`")), "{findings:#?}");
+    // As any other file: every `unsafe`, explained or not.
+    let elsewhere = Profile { unsafe_confined: true, ..Profile::default() };
+    let findings = scan_fixture("l8_bad.rs", elsewhere);
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![9, 12, 16], "{findings:#?}");
+    assert!(findings.iter().all(|f| f.message.contains("outside `crates/dns/src/name.rs`")));
+}
+
+#[test]
+fn l8_passes_explained_unsafe_in_the_interner_only() {
+    let interner = darkdns_lint::profile_for(Path::new("crates/dns/src/name.rs"));
+    let findings = scan_fixture("l8_good.rs", interner);
+    assert!(findings.is_empty(), "{findings:#?}");
+    let elsewhere = Profile { unsafe_confined: true, ..Profile::default() };
+    let findings = scan_fixture("l8_good.rs", elsewhere);
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![9, 13, 17], "{findings:#?}");
+}
+
+#[test]
 fn clean_fixture_passes_every_rule() {
     let findings = scan_fixture("clean.rs", Profile::all());
     assert!(findings.is_empty(), "{findings:#?}");
@@ -179,4 +208,10 @@ fn workspace_profiles_map_paths_to_rules() {
 
     let cold = darkdns_lint::profile_for(Path::new("crates/intel/src/lib.rs"));
     assert!(cold.lock_level && !cold.panic_free && !cold.encode_once);
+
+    // One file may hold `unsafe`.
+    assert!(!darkdns_lint::profile_for(Path::new("crates/dns/src/name.rs")).unsafe_confined);
+    for file in ["crates/dns/src/wire.rs", "crates/broker/src/transport/reactor.rs", "src/lib.rs"] {
+        assert!(darkdns_lint::profile_for(Path::new(file)).unsafe_confined, "{file}");
+    }
 }

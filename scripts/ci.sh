@@ -13,8 +13,8 @@ echo "==> cargo build --release"
 cargo build --release
 
 # The static-analysis plane first: darkdns-lint's rule fixtures, then a
-# workspace scan for lock-level, decode-bounds, panic-freedom and
-# encode-once violations (docs/INVARIANTS.md). Cheap, and a finding
+# workspace scan for the rules L1–L8 — lock levels through unsafe
+# confined to the interner (docs/INVARIANTS.md). Cheap, and a finding
 # here explains test failures further down.
 echo "==> scripts/lint.sh"
 scripts/lint.sh

@@ -16,10 +16,13 @@
 //! regression gate for "O(delta) apply" that a wall-clock sweep on a
 //! shared host cannot be.
 //!
-//! The last two are budgets on what is *kept*: a zone built from raw
-//! host lists holds one allocation per distinct list, not per entry, and
-//! a shard's ring holds its frames' bytes and a fixed header each — the
-//! size of the deltas that were published is in neither formula.
+//! Four are budgets on what is *kept*: a zone built from raw host lists
+//! holds one allocation per distinct list, not per entry; a shard's ring
+//! holds its frames' bytes and a fixed header each — the size of the
+//! deltas that were published is in neither formula; a snapshot holds
+//! under 33 bytes per delegation beside its shared NS sets; and a new
+//! long spelling costs the interner its length and a fixed few bytes
+//! more.
 //!
 //! One budget is on a *peak*: a chunk train assembled the way the
 //! transport client assembles it never stands higher on the live heap
@@ -42,6 +45,7 @@ use darkdns::registry::tld::TldId;
 use darkdns::sim::time::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::RwLock;
 
 struct CountingAlloc;
 
@@ -135,7 +139,17 @@ fn peaking<R>(f: impl FnOnce() -> R) -> (R, u64) {
 
 const PROVIDERS: usize = 16;
 
+/// Bytes one delegation takes in a segment.
+const ENTRY: usize = std::mem::size_of::<(DomainName, NsSet)>();
+
+/// Every name this binary parses goes through [`name`] under the read
+/// side; the interner budget holds the write side, so the spellings it
+/// counts are the only ones interned meanwhile and every table growth,
+/// arena block and slot chunk of its window lands on its thread.
+static INTERNING: RwLock<()> = RwLock::new(());
+
 fn name(s: &str) -> DomainName {
+    let _shared = INTERNING.read().unwrap_or_else(|poison| poison.into_inner());
     DomainName::parse(s).unwrap()
 }
 
@@ -369,10 +383,10 @@ fn apply_within_budget(size: usize) -> [(u64, u64); 2] {
         // Bytes: the top level reserves a 43-byte row (fence, start,
         // pointer and length) per base segment plus room for the delta's
         // splits — the one term that grows with the zone. The rest is
-        // the run buffer, and 48 bytes per entry of a rebuilt segment
+        // the run buffer, and `ENTRY` bytes per entry of a rebuilt segment
         // (at most twice the span) with its header.
         let top = 43 * (base.segment_lens().len() + NAMES / SEGMENT_SPAN + 2) as u64;
-        let per_segment = (2 * SEGMENT_SPAN * 48 + 64) as u64;
+        let per_segment = (2 * SEGMENT_SPAN * ENTRY + 64) as u64;
         let budget = top + 8 * 1024 + rebuilt as u64 * per_segment;
         assert!(
             (top..=budget).contains(&bytes),
@@ -398,7 +412,7 @@ fn a_100_name_apply_costs_the_same_at_10k_and_at_1m_beside_the_top_level() {
     // be: one segment more or less.
     assert!(tail_10k.0.abs_diff(tail_1m.0) <= 1);
     assert!(
-        tail_10k.1.abs_diff(tail_1m.1) <= (2 * SEGMENT_SPAN * 48) as u64,
+        tail_10k.1.abs_diff(tail_1m.1) <= (2 * SEGMENT_SPAN * ENTRY) as u64,
         "tail: {} bytes beside the top level at 10k, {} at 1M",
         tail_10k.1,
         tail_1m.1
@@ -530,5 +544,59 @@ fn a_ring_retains_its_frames_and_a_fixed_header_each_whatever_the_deltas_held() 
     // And the ring is all that grew: the zone is the size it was.
     assert_eq!(head.len(), ZONE);
     assert!(checkpoint.same_capture(&head));
-    assert!(grown as usize <= budget + (2 * SEGMENT_SPAN * 48 + 64) * 4, "{grown} bytes grown");
+    assert!(grown as usize <= budget + (2 * SEGMENT_SPAN * ENTRY + 64) * 4, "{grown} bytes grown");
+}
+
+#[test]
+fn a_delegation_holds_32_bytes_beside_its_shared_ns_set() {
+    // Owner and NS-set pointer, plus the segment headers and top-level
+    // rows amortised over the span: under 33 bytes an entry. A fat
+    // slice pointer and its flag in every entry were 48.
+    const ENTRIES: usize = 100_000;
+    let sets = providers(PROVIDERS);
+    let snapshot = ZoneSnapshot::from_ns_entries(
+        name("com"),
+        Serial::new(1),
+        SimTime::ZERO,
+        entries(ENTRIES, &sets),
+    );
+    assert_eq!(snapshot.len(), ENTRIES);
+    // What the snapshot holds on its own: the sets outlive it in `sets`,
+    // its interned owners outlive it in the interner.
+    let ((), freed) = retaining(|| drop(snapshot));
+    let held = usize::try_from(-freed).expect("dropping a snapshot frees");
+    let budget = 33 * ENTRIES + 4096;
+    assert!(
+        held <= budget,
+        "{held} bytes for {ENTRIES} entries ({:.1} B each), budget {budget}",
+        held as f64 / ENTRIES as f64
+    );
+}
+
+#[test]
+fn a_new_long_spelling_costs_its_bytes_and_a_fixed_few_more() {
+    // Arena bytes, the slot's share of its chunk and the index's share of
+    // its table: `len + 25` amortised. The chunks themselves are the
+    // exception: 256 KiB when an id opens one, at most two for this run
+    // of consecutive ids.
+    const SPELLINGS: usize = 50_000;
+    const LEN: usize = 27;
+    const SLOT_CHUNK: usize = 256 << 10;
+    const SLOT_CHUNK_IDS: usize = 1 << 15;
+    let _exclusive = INTERNING.write().unwrap_or_else(|poison| poison.into_inner());
+    let ((), grown) = retaining(|| {
+        for i in 0..SPELLINGS {
+            let spelling = format!("new-spelling-{i:07}.budget");
+            debug_assert_eq!(spelling.len(), LEN);
+            DomainName::parse(&spelling).unwrap();
+        }
+    });
+    let chunks = SPELLINGS / SLOT_CHUNK_IDS + 1;
+    let budget = SPELLINGS * (LEN + 25) + chunks * SLOT_CHUNK;
+    let grown = usize::try_from(grown).expect("interning grows the heap");
+    assert!(
+        grown <= budget,
+        "{grown} bytes for {SPELLINGS} new {LEN}-byte spellings ({:.1} B each), budget {budget}",
+        grown as f64 / SPELLINGS as f64
+    );
 }
