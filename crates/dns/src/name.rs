@@ -31,9 +31,20 @@
 //!
 //! Validation follows RFC 1035 §2.3.4 sizes (labels 1..=63 octets, name
 //! ≤ 253 octets in presentation form) with the LDH rule of RFC 3696:
-//! labels may not begin or end with a hyphen. Internationalised names are
-//! expected in their punycode (`xn--`) form, as they appear in zone files
-//! and CT log entries.
+//! labels may not begin or end with a hyphen. `_` is accepted anywhere in
+//! a label (`_dmarc` service labels, and the host names CT log entries
+//! carry). Internationalised names are expected in their punycode (`xn--`)
+//! form, as they appear in zone files and CT log entries.
+//!
+//! # One label rule, one pass
+//!
+//! That rule is spelled once, as a byte table (`fold_label`), and every
+//! name is built through it in one pass: [`DomainName::parse`],
+//! [`DomainName::child`] (and [`DomainName::from_labels`], through
+//! `parse`) and the wire decoder all append labels to a `NameBuf`, which
+//! checks and lowercases each label as it copies it, and the value is
+//! built straight from those bytes. Only a refused label is looked at
+//! again, to name the first check it fails.
 
 use std::fmt;
 use std::str::FromStr;
@@ -55,8 +66,8 @@ pub enum NameError {
     EmptyLabel,
     /// A label exceeds 63 octets.
     LabelTooLong(String),
-    /// A label contains a character outside `[a-z0-9-]` (after lowercasing)
-    /// or an underscore outside the permitted service-label position.
+    /// A label contains a character outside `[a-z0-9_-]` (after
+    /// lowercasing). `_` may stand anywhere in a label.
     BadCharacter(char),
     /// A label begins or ends with a hyphen.
     HyphenEdge(String),
@@ -253,6 +264,13 @@ impl DomainName {
 
     /// Parse and validate a name. Accepts an optional trailing root dot and
     /// uppercase input (both normalised away).
+    ///
+    /// One pass: each label is checked by the label rule and lowercased
+    /// as it is copied into a stack buffer, and the value is built from
+    /// those bytes, with no heap allocation on the (dominant) inline path.
+    /// A name over 253 bytes is refused first; otherwise the error is the
+    /// first failed check (empty, longer than 63 bytes, a bad character, a
+    /// hyphen at an edge) of the first label the rule refuses.
     pub fn parse(input: &str) -> Result<Self, NameError> {
         let trimmed = input.strip_suffix('.').unwrap_or(input);
         if trimmed.is_empty() {
@@ -261,24 +279,17 @@ impl DomainName {
         if trimmed.len() > 253 {
             return Err(NameError::TooLong(trimmed.len()));
         }
-        // Validate and lowercase in one pass over a stack buffer: no heap
-        // allocation on the (dominant) inline path.
-        let mut buf = [0u8; 253];
-        let mut pos = 0usize;
-        for label in trimmed.split('.') {
-            validate_label(label)?;
-            if pos > 0 {
-                buf[pos] = b'.';
-                pos += 1;
+        let mut name = NameBuf::new();
+        let mut at = 0;
+        // Split as bytes: `str::split('.')` costs more than the rule.
+        for label in trimmed.as_bytes().split(|&b| b == b'.') {
+            // The whole fits, so only the rule can refuse a label.
+            if !name.push(label) {
+                return Err(label_error(&trimmed[at..at + label.len()]));
             }
-            for b in label.bytes() {
-                buf[pos] = b.to_ascii_lowercase();
-                pos += 1;
-            }
+            at += label.len() + 1;
         }
-        // Safety: validated labels are pure ASCII.
-        let canonical = unsafe { std::str::from_utf8_unchecked(&buf[..pos]) };
-        Ok(Self::from_canonical(canonical))
+        Ok(name.finish())
     }
 
     /// Build from an already-canonical (lowercase, validated, no trailing
@@ -406,13 +417,15 @@ impl DomainName {
 
     /// Prepend a label, producing `label.self`.
     pub fn child(&self, label: &str) -> Result<DomainName, NameError> {
-        validate_label(label)?;
-        let child = if self.is_root() {
-            label.to_ascii_lowercase()
-        } else {
-            format!("{}.{}", label.to_ascii_lowercase(), self.raw())
-        };
-        DomainName::parse(&child)
+        let mut name = NameBuf::new();
+        if !name.push(label.as_bytes()) {
+            return Err(label_error(label));
+        }
+        // The parent's labels obey the rule: only the length can refuse one.
+        if !self.is_root() && !self.raw().as_bytes().split(|&b| b == b'.').all(|l| name.push(l)) {
+            return Err(NameError::TooLong(label.len() + 1 + self.raw().len()));
+        }
+        Ok(name.finish())
     }
 
     /// Keep only the rightmost `n` labels (e.g. `n = 2` on
@@ -445,26 +458,103 @@ impl DomainName {
     }
 }
 
-fn validate_label(label: &str) -> Result<(), NameError> {
-    if label.is_empty() {
-        return Err(NameError::EmptyLabel);
-    }
-    if label.len() > 63 {
-        return Err(NameError::LabelTooLong(label.to_owned()));
-    }
-    for c in label.chars() {
-        // `_` is tolerated as a leading character for service labels
-        // (e.g. `_dmarc`), which occur in CT log SAN entries. Uppercase is
-        // accepted here and lowercased by the caller.
-        let ok = c.is_ascii_alphanumeric() || c == '-' || c == '_';
-        if !ok {
-            return Err(NameError::BadCharacter(c));
+/// The label rule's alphabet, indexed by byte: the byte lowercased if a
+/// label may hold it (an ASCII letter or digit, `-` or `_`), else 0.
+const FOLD: [u8; 256] = {
+    let mut fold = [0u8; 256];
+    let mut b = 0;
+    while b < fold.len() {
+        let c = b as u8;
+        if c.is_ascii_alphanumeric() || c == b'-' || c == b'_' {
+            fold[b] = c.to_ascii_lowercase();
         }
+        b += 1;
     }
-    if label.starts_with('-') || label.ends_with('-') {
-        return Err(NameError::HyphenEdge(label.to_owned()));
+    fold
+};
+
+/// The label rule: 1..=63 bytes of `FOLD`'s alphabet, neither beginning
+/// nor ending with `-`. `_` may stand anywhere in the label, as in
+/// `_dmarc` and in the host names CT log entries carry. Copies `label`
+/// lowercased into `dst` (of its length) and reports whether it obeys;
+/// on `false`, `dst` holds garbage.
+#[inline]
+fn fold_label(label: &[u8], dst: &mut [u8]) -> bool {
+    let (Some(&first), Some(&last)) = (label.first(), label.last()) else {
+        return false;
+    };
+    if label.len() > 63 || first == b'-' || last == b'-' {
+        return false;
     }
-    Ok(())
+    let mut obeys = true;
+    for (folded, &b) in dst.iter_mut().zip(label) {
+        *folded = FOLD[usize::from(b)];
+        obeys &= *folded != 0;
+    }
+    obeys
+}
+
+/// Why the label rule refuses `label`: the first check it fails, in the
+/// order empty, longer than 63 bytes, a character outside the alphabet
+/// (the first such, decoded), a hyphen at an edge.
+#[cold]
+fn label_error(label: &str) -> NameError {
+    if label.is_empty() {
+        NameError::EmptyLabel
+    } else if label.len() > 63 {
+        NameError::LabelTooLong(label.to_owned())
+    } else if let Some(c) = label.chars().find(|&c| !c.is_ascii() || FOLD[c as usize] == 0) {
+        NameError::BadCharacter(c)
+    } else {
+        NameError::HyphenEdge(label.to_owned())
+    }
+}
+
+/// A name assembled label by label, most specific first, through the
+/// label rule: each label is checked and lowercased as it is copied in,
+/// so the bytes build a [`DomainName`] with no second look. The one pass
+/// [`DomainName::parse`], [`DomainName::child`] and the wire decoder
+/// build names through.
+pub(crate) struct NameBuf {
+    /// `bytes[..len]`: labels the rule passed, lowercased, joined by dots.
+    bytes: [u8; 253],
+    len: usize,
+}
+
+impl NameBuf {
+    #[inline]
+    pub(crate) fn new() -> Self {
+        NameBuf { bytes: [0; 253], len: 0 }
+    }
+
+    /// Append `label` behind a dot, checked by the label rule and
+    /// lowercased. `false`, with nothing appended, if the rule refuses it
+    /// or it would take the name past 253 bytes.
+    #[inline]
+    pub(crate) fn push(&mut self, label: &[u8]) -> bool {
+        let sep = usize::from(self.len > 0);
+        let end = self.len + sep + label.len();
+        let Some(dst) = self.bytes.get_mut(self.len..end) else {
+            return false;
+        };
+        if !fold_label(label, &mut dst[sep..]) {
+            return false;
+        }
+        if sep == 1 {
+            dst[0] = b'.';
+        }
+        self.len = end;
+        true
+    }
+
+    /// The name the pushed labels spell; the root if there were none.
+    #[inline]
+    pub(crate) fn finish(&self) -> DomainName {
+        // Safety: `push` extends `len` only over bytes it wrote: `FOLD`'s
+        // ASCII alphabet and dots.
+        let spelling = unsafe { std::str::from_utf8_unchecked(&self.bytes[..self.len]) };
+        DomainName::from_canonical(spelling)
+    }
 }
 
 impl PartialOrd for DomainName {
@@ -572,6 +662,51 @@ mod tests {
     fn accepts_punycode_and_service_labels() {
         assert!(DomainName::parse("xn--bcher-kva.example").is_ok());
         assert!(DomainName::parse("_dmarc.example.com").is_ok());
+    }
+
+    #[test]
+    fn underscore_is_accepted_anywhere_in_a_label() {
+        // The wire decoders and the paper binaries depend on this: `_` is
+        // not confined to a service label's first character.
+        let example = DomainName::parse("example.com").unwrap();
+        for accepted in ["a_b", "ab_", "_dmarc", "A_B"] {
+            let name = DomainName::parse(&format!("{accepted}.example.com")).unwrap();
+            assert_eq!(name.as_str(), format!("{}.example.com", accepted.to_ascii_lowercase()));
+            assert_eq!(example.child(accepted), Ok(name));
+        }
+        assert_eq!(DomainName::parse("a b.example.com"), Err(NameError::BadCharacter(' ')));
+    }
+
+    #[test]
+    fn a_labels_first_failed_check_is_its_error() {
+        let err = |name: &str| DomainName::parse(name).unwrap_err();
+        let long = |first: char, fill: char| format!("{first}{}", fill.to_string().repeat(63));
+        // Empty, then too long, then a bad character, then a hyphen edge:
+        // a label failing several reports the earliest of them.
+        assert_eq!(err("a..b"), NameError::EmptyLabel);
+        assert_eq!(err(".a"), NameError::EmptyLabel);
+        let too_long_and_bad = long('-', '!');
+        assert_eq!(err(&too_long_and_bad), NameError::LabelTooLong(too_long_and_bad.clone()));
+        assert_eq!(err("-a!b?-.com"), NameError::BadCharacter('!'));
+        assert_eq!(err("-é-.com"), NameError::BadCharacter('é'));
+        assert_eq!(err("-Ab.com"), NameError::HyphenEdge("-Ab".into()));
+        assert_eq!(err("Ab-.com"), NameError::HyphenEdge("Ab-".into()));
+        // Labels are checked in order; the name's length before any.
+        assert_eq!(err("-a.b!"), NameError::HyphenEdge("-a".into()));
+        assert_eq!(err("a!.-b"), NameError::BadCharacter('!'));
+        assert_eq!(
+            err(&format!("{}.x!", vec!["a".repeat(63); 4].join("."))),
+            NameError::TooLong(258)
+        );
+        // `child` checks its label by the same rule, before the length.
+        let com = DomainName::parse("com").unwrap();
+        assert_eq!(com.child(""), Err(NameError::EmptyLabel));
+        assert_eq!(com.child("-X"), Err(NameError::HyphenEdge("-X".into())));
+        assert_eq!(com.child("a.b"), Err(NameError::BadCharacter('.')));
+        assert_eq!(com.child(&long('a', 'b')), Err(NameError::LabelTooLong(long('a', 'b'))));
+        let wide = DomainName::parse(&vec!["a".repeat(63); 3].join(".")).unwrap();
+        assert_eq!(wide.child(&"b".repeat(61)).unwrap().as_str().len(), 253);
+        assert_eq!(wide.child(&"b".repeat(62)), Err(NameError::TooLong(254)));
     }
 
     #[test]

@@ -32,10 +32,13 @@
 //!   string, no owned keys. The wire rules are unchanged: a suffix
 //!   becomes a pointer to its first occurrence, and an occurrence that
 //!   starts past offset 0x3FFF is never a pointer target.
-//! * **Decode** assembles the presentation form in a stack buffer and
-//!   hands it to [`DomainName::parse`] (inline names never touch the
-//!   allocator). A wire label containing `.` is rejected: it would
-//!   otherwise re-parse as several labels, giving one name two
+//! * **Decode** checks and lowercases each wire label by the label rule
+//!   of `name.rs` as it copies it into a stack buffer, and builds the
+//!   name from those bytes (inline names never touch the allocator). A
+//!   name the rule refuses is walked again through its text form and
+//!   [`DomainName::parse`], only to build the error, so every error is
+//!   what that route gives. A wire label containing `.` is rejected: it
+//!   would otherwise re-parse as several labels, giving one name two
 //!   encodings.
 //! * **NS sets** decode through a per-frame memo. The wire bytes of a
 //!   set are a context-free function of the frame (labels are literal,
@@ -53,7 +56,7 @@
 
 use crate::diff::{NsChange, ZoneDelta};
 use crate::hash::FxBuildHasher;
-use crate::name::{DomainName, NameError};
+use crate::name::{DomainName, NameBuf, NameError};
 use crate::record::{RData, RecordClass, RecordType, ResourceRecord, SoaData};
 use crate::serial::Serial;
 use crate::zone::NsSet;
@@ -586,12 +589,64 @@ impl<'a> Decoder<'a> {
     }
 
     /// Decode a (possibly compressed) name starting at the current cursor.
-    /// The presentation form is assembled on the stack and validated by
-    /// [`DomainName::parse`]; nothing is allocated unless the name is
-    /// long enough to be interned and new to the interner.
+    /// Each label is checked by the label rule and lowercased as it is
+    /// copied (`NameBuf`), and the name is built straight from those
+    /// bytes: no UTF-8 check, no re-split, no second validation. Nothing
+    /// is allocated unless the name is long enough to be interned and new
+    /// to the interner. A name the rule refuses is walked again by
+    /// [`Decoder::name_via_text`], only to build its error.
     fn name(&mut self) -> Result<DomainName, WireError> {
+        let start = self.pos;
+        let mut name = NameBuf::new();
+        // The error is discarded: any refusal takes the slow walk.
+        match self.labels(|label| name.push(label).then_some(()).ok_or(WireError::Truncated)) {
+            Ok(()) => Ok(name.finish()),
+            Err(_) => {
+                self.pos = start;
+                self.name_via_text()
+            }
+        }
+    }
+
+    /// What the name at the cursor gives through its text form: labels
+    /// copied verbatim and joined by dots, a label holding a dot refused,
+    /// then `from_utf8` and [`DomainName::parse`]. Every error a refused
+    /// wire name yields is built here.
+    #[cold]
+    fn name_via_text(&mut self) -> Result<DomainName, WireError> {
         let mut text = [0u8; 253];
         let mut text_len = 0usize;
+        self.labels(|label| {
+            // A dot inside a label would re-parse as a label boundary:
+            // one name, two encodings.
+            if label.contains(&b'.') {
+                return Err(WireError::BadName("`.` inside a wire label".into()));
+            }
+            let sep = usize::from(text_len > 0);
+            let grown = text_len + sep + label.len();
+            let Some(dst) = text.get_mut(text_len..grown) else {
+                return Err(WireError::BadName(NameError::TooLong(grown).to_string()));
+            };
+            if sep == 1 {
+                dst[0] = b'.';
+            }
+            dst[sep..].copy_from_slice(label);
+            text_len = grown;
+            Ok(())
+        })?;
+        let text = std::str::from_utf8(&text[..text_len])
+            .map_err(|_| WireError::BadName("non-ASCII label".into()))?;
+        DomainName::parse(text).map_err(|e| WireError::BadName(e.to_string()))
+    }
+
+    /// Walk the (possibly compressed) name at the cursor, handing each
+    /// label's bytes to `visit` in order, and leave the cursor past the
+    /// name's bytes in place. Stops at the first error: a truncation, a
+    /// bad pointer or label type, or one `visit` returns.
+    fn labels(
+        &mut self,
+        mut visit: impl FnMut(&[u8]) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
         let mut cursor = self.pos;
         let mut followed_pointer = false;
         let mut hops = 0usize;
@@ -607,29 +662,14 @@ impl<'a> Decoder<'a> {
                         if !followed_pointer {
                             self.pos = cursor;
                         }
-                        break;
+                        return Ok(());
                     }
                     let start = cursor + 1;
                     let end = start + len as usize;
                     if end > self.bytes.len() {
                         return Err(WireError::Truncated);
                     }
-                    let label = &self.bytes[start..end];
-                    // A dot inside a label would re-parse as a label
-                    // boundary: one name, two encodings.
-                    if label.contains(&b'.') {
-                        return Err(WireError::BadName("`.` inside a wire label".into()));
-                    }
-                    let sep = usize::from(text_len > 0);
-                    let grown = text_len + sep + label.len();
-                    let Some(dst) = text.get_mut(text_len..grown) else {
-                        return Err(WireError::BadName(NameError::TooLong(grown).to_string()));
-                    };
-                    if sep == 1 {
-                        dst[0] = b'.';
-                    }
-                    dst[sep..].copy_from_slice(label);
-                    text_len = grown;
+                    visit(&self.bytes[start..end])?;
                     cursor = end;
                     if !followed_pointer {
                         self.pos = cursor;
@@ -657,9 +697,6 @@ impl<'a> Decoder<'a> {
                 other => return Err(WireError::BadLabelType(other)),
             }
         }
-        let text = std::str::from_utf8(&text[..text_len])
-            .map_err(|_| WireError::BadName("non-ASCII label".into()))?;
-        DomainName::parse(text).map_err(|e| WireError::BadName(e.to_string()))
     }
 
     fn question(&mut self) -> Result<Question, WireError> {
@@ -2688,6 +2725,33 @@ mod tests {
         );
         let spaced = lookup_frame_with_labels(&[b"a b", b"com"]);
         assert!(matches!(decode_lookup_request(&spaced), Err(WireError::BadName(_))));
+    }
+
+    #[test]
+    fn a_refused_wire_name_keeps_the_error_its_text_form_gives() {
+        let decode = |labels: &[&[u8]]| decode_lookup_request(&lookup_frame_with_labels(labels));
+        let bad_name = |e: NameError| Err(WireError::BadName(e.to_string()));
+        // The first label the rule refuses names the error, in the case
+        // the wire spelled it.
+        assert_eq!(decode(&[b"A!", b"-b"]), bad_name(NameError::BadCharacter('!')));
+        assert_eq!(decode(&[b"ok", b"-AB", b"c!"]), bad_name(NameError::HyphenEdge("-AB".into())));
+        assert_eq!(decode(&["é".as_bytes(), b"com"]), bad_name(NameError::BadCharacter('é')));
+        // The walk's own refusals come first, wherever they sit: a dotted
+        // label, the length bound, invalid UTF-8, then the labels' rule.
+        assert_eq!(
+            decode(&[b"a!", b"b.c"]),
+            Err(WireError::BadName("`.` inside a wire label".into()))
+        );
+        let l63 = [b'a'; 63];
+        assert_eq!(decode(&[b"a!", &l63, &l63, &l63, &l63]), bad_name(NameError::TooLong(258)));
+        assert_eq!(
+            decode(&[b"a!", &[0xC3]]),
+            Err(WireError::BadName("non-ASCII label".into()))
+        );
+        assert_eq!(decode(&[b"a!", &[b'a'; 64]]), Err(WireError::BadLabelType(0x40)));
+        // And an accepted name is lowercased on the way in.
+        let (_, queries) = decode(&[b"Mixed_Case", b"COM"]).unwrap();
+        assert_eq!(queries[0].name.as_str(), "mixed_case.com");
     }
 
     #[test]

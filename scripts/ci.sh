@@ -112,6 +112,13 @@ DARKDNS_BENCH_ONLY=zone-apply DARKDNS_BENCH_SAMPLES=3 DARKDNS_BENCH_MS=200 \
 echo "==> rzu_bench harness self-tests"
 cargo test -q --release --offline --manifest-path rzu_bench/Cargo.toml
 
+# The paper binaries, byte for byte: every table, figure and the JSON
+# report against the digests in scripts/paper_outputs.sha256. They all
+# run through the name parser and the codecs, so a change there that
+# moves a reported number fails here (~2 min).
+echo "==> paper outputs (byte-identical)"
+scripts/paper_outputs.sh
+
 echo "==> RUSTFLAGS=-Dwarnings cargo build --all-targets"
 RUSTFLAGS="-Dwarnings" cargo build --all-targets
 

@@ -290,20 +290,47 @@ fn a_chunk_train_is_assembled_in_one_copy_of_the_zone() {
     }
 }
 
-#[test]
-fn delta_decode_is_per_distinct_ns_set() {
-    const ENTRIES: usize = 100;
-    const SETS: usize = 4;
-    let sets = providers(SETS);
-    let delta = ZoneDelta { added: entries(ENTRIES, &sets), ..ZoneDelta::default() };
+/// Allocations to decode the `RZU1` frame of a delta adding `added`.
+fn delta_decode_allocs(added: Vec<(DomainName, NsSet)>) -> u64 {
+    let delta = ZoneDelta { added, ..ZoneDelta::default() };
     let frame =
         encode_delta_push(&name("com"), Serial::new(1), Serial::new(2), SimTime::ZERO, &delta);
     let (push, allocs) = counting(|| decode_delta_push(&frame).unwrap());
     assert_eq!(push.delta, delta);
+    allocs
+}
+
+#[test]
+fn delta_decode_is_per_distinct_ns_set() {
+    const ENTRIES: usize = 100;
+    const SETS: usize = 4;
+    let allocs = delta_decode_allocs(entries(ENTRIES, &providers(SETS)));
     // The section vector, the memo's doublings, and per distinct set two
     // decoded copies of two allocations each.
     let budget = 1 + 4 + 4 * SETS as u64;
     assert!(allocs <= budget, "{allocs} allocations for {SETS} distinct sets, budget {budget}");
+
+    // The names add nothing: the same frame with every owner and host
+    // inline decodes in exactly as many.
+    let inline_sets: Vec<NsSet> = (0..SETS)
+        .map(|p| NsSet::new(vec![name(&format!("ns1.p{p}.net")), name(&format!("ns2.p{p}.net"))]))
+        .collect();
+    let inline: Vec<_> = (0..ENTRIES)
+        .map(|i| (name(&format!("owner-{i:06}.com")), inline_sets[(i * 7 + i / 13) % SETS].clone()))
+        .collect();
+    assert!(inline.iter().all(|(owner, _)| owner.as_str().len() <= 22));
+    assert_eq!(delta_decode_allocs(inline), allocs, "an all-inline 100-entry frame");
+}
+
+#[test]
+fn a_name_is_parsed_without_allocating() {
+    let (inline, allocs) = counting(|| name("Owner-000042.COM."));
+    assert_eq!((inline.as_str(), allocs), ("owner-000042.com", 0), "an inline name");
+    // A long name the interner already holds: found under its read lock.
+    let long = "An-Owner-Past-The-Inline-Bound-000042.com";
+    let interned = name(long);
+    let (again, allocs) = counting(|| name(long));
+    assert_eq!((again, allocs), (interned, 0), "a long name already interned");
 }
 
 #[test]

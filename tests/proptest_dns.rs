@@ -279,6 +279,198 @@ proptest! {
     }
 }
 
+// One acceptance rule, two entry points. A wire name and its dotted text
+// go through the same label rule: whatever bytes the labels hold, the
+// name `decode_lookup_request` returns — or its error — is what
+// `DomainName::parse` makes of the text, after the walk's own refusals
+// (a label too long to encode, a dotted label, the 253-byte bound,
+// invalid UTF-8). And `parse` agrees with a reference checker written
+// here from the rules, not from the parser.
+mod one_label_rule {
+    use super::*;
+    use darkdns::dns::wire::{decode_lookup_request, WireError, LOOKUP_REQUEST_MAGIC};
+    use darkdns::dns::NameError;
+
+    /// A byte of the rule's alphabet: a letter in either case or a digit,
+    /// one in twenty a hyphen and one in twenty an underscore.
+    fn alphabet() -> impl Strategy<Value = u8> {
+        (0u8..20, b'a'..=b'z', b'0'..=b'9').prop_map(|(roll, letter, digit)| match roll {
+            0 => b'-',
+            1 => b'_',
+            2..=5 => letter.to_ascii_uppercase(),
+            6..=9 => digit,
+            _ => letter,
+        })
+    }
+
+    /// One label as arbitrary bytes: the rule's alphabet (hyphens at the
+    /// edges by chance), 1–12 bytes, or one in twenty-five 63 and one in
+    /// twenty-five 64 bytes, and one in eight with a byte swapped for a
+    /// dot, a space, or a valid or invalid UTF-8 sequence.
+    fn label_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let intruders: [&[u8]; 6] = [b".", b" ", "é".as_bytes(), "€".as_bytes(), &[0xFF], &[0xC3]];
+        (prop::collection::vec(alphabet(), 64), 0u32..100, 1usize..=12, 0usize..48, any::<u32>())
+            .prop_map(move |(pool, len_roll, short, intruder, at)| {
+                let len = match len_roll {
+                    0..=3 => 63,
+                    4..=7 => 64,
+                    _ => short,
+                };
+                let mut label = pool[..len].to_vec();
+                if let Some(&bytes) = intruders.get(intruder) {
+                    let at = at as usize % len;
+                    label.splice(at..=at, bytes.iter().copied());
+                }
+                label
+            })
+    }
+
+    /// A name's labels: one to four drawn as above, or (one time in
+    /// four) three 63-byte labels and a fourth bringing the total to
+    /// 252–255 bytes.
+    fn name_labels() -> impl Strategy<Value = Vec<Vec<u8>>> {
+        let short = || prop::collection::vec(label_bytes(), 1..5);
+        let long =
+            (prop::collection::vec(alphabet(), 252), 60usize..=63).prop_map(|(pool, last)| {
+                vec![
+                    pool[..63].to_vec(),
+                    pool[63..126].to_vec(),
+                    pool[126..189].to_vec(),
+                    pool[189..189 + last].to_vec(),
+                ]
+            });
+        prop_oneof![short(), short(), short(), long]
+    }
+
+    /// The labels joined by dots.
+    fn dotted(labels: &[Vec<u8>]) -> Vec<u8> {
+        labels.join(&b'.')
+    }
+
+    /// What the decoder has always made of a wire name: its walk refuses
+    /// a label whose length byte is not a length, a label holding a dot,
+    /// and a name past 253 bytes, in label order; then the text must be
+    /// UTF-8; then it is whatever `parse` makes of it.
+    fn via_text(labels: &[Vec<u8>]) -> Result<DomainName, WireError> {
+        let mut len = 0;
+        for label in labels {
+            if label.len() > 63 {
+                return Err(WireError::BadLabelType(label.len() as u8 & 0xC0));
+            }
+            if label.contains(&b'.') {
+                return Err(WireError::BadName("`.` inside a wire label".into()));
+            }
+            len += usize::from(len > 0) + label.len();
+            if len > 253 {
+                return Err(WireError::BadName(NameError::TooLong(len).to_string()));
+            }
+        }
+        let text = dotted(labels);
+        let text = std::str::from_utf8(&text)
+            .map_err(|_| WireError::BadName("non-ASCII label".into()))?;
+        DomainName::parse(text).map_err(|e| WireError::BadName(e.to_string()))
+    }
+
+    /// The rules, read independently of the parser: a trailing root dot
+    /// dropped, at most 253 bytes, then per label in order — not empty,
+    /// at most 63 bytes, only ASCII letters, digits, `-` and `_`, no `-`
+    /// at either end. The canonical spelling is the lowercased text.
+    fn reference(text: &str) -> Result<String, NameError> {
+        let text = text.strip_suffix('.').unwrap_or(text);
+        if text.is_empty() {
+            return Ok(".".into());
+        }
+        if text.len() > 253 {
+            return Err(NameError::TooLong(text.len()));
+        }
+        for label in text.split('.') {
+            if label.is_empty() {
+                return Err(NameError::EmptyLabel);
+            }
+            if label.len() > 63 {
+                return Err(NameError::LabelTooLong(label.into()));
+            }
+            let allowed = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+            if let Some(c) = label.chars().find(|&c| !allowed(c)) {
+                return Err(NameError::BadCharacter(c));
+            }
+            if label.starts_with('-') || label.ends_with('-') {
+                return Err(NameError::HyphenEdge(label.into()));
+            }
+        }
+        Ok(text.to_ascii_lowercase())
+    }
+
+    proptest! {
+        #[test]
+        fn a_wire_name_decodes_to_what_parse_makes_of_its_text(
+            stash in name_labels(),
+            own in prop::collection::vec(label_bytes(), 0..3),
+            cut in any::<u32>(),
+            point in any::<bool>(),
+        ) {
+            // Two queries: the second spells `own` labels and then, if
+            // `point`, a compression pointer into the first's labels.
+            let mut frame = LOOKUP_REQUEST_MAGIC.to_vec();
+            frame.extend_from_slice(&1u64.to_be_bytes());
+            frame.extend_from_slice(&2u16.to_be_bytes());
+            frame.extend_from_slice(&0u16.to_be_bytes());
+            let mut offsets = Vec::new();
+            for label in &stash {
+                offsets.push(frame.len());
+                frame.push(label.len() as u8);
+                frame.extend_from_slice(label);
+            }
+            frame.push(0);
+            frame.extend_from_slice(&1u16.to_be_bytes());
+            for label in &own {
+                frame.push(label.len() as u8);
+                frame.extend_from_slice(label);
+            }
+            let mut second = own.clone();
+            if point {
+                let k = cut as usize % stash.len();
+                frame.extend_from_slice(&(0xC000 | offsets[k] as u16).to_be_bytes());
+                second.extend_from_slice(&stash[k..]);
+            } else {
+                frame.push(0);
+            }
+
+            let expected = via_text(&stash).and_then(|first| Ok((first, via_text(&second)?)));
+            let decoded = decode_lookup_request(&frame).map(|(_, q)| (q[0].name, q[1].name));
+            prop_assert_eq!(decoded, expected);
+
+            for labels in [&stash, &second] {
+                if let Ok(text) = std::str::from_utf8(&dotted(labels)) {
+                    let parsed = DomainName::parse(text).map(|n| n.as_str().to_owned());
+                    prop_assert_eq!(parsed, reference(text), "{:?}", text);
+                }
+            }
+        }
+
+        #[test]
+        fn parse_agrees_with_the_reference_rules(
+            labels in prop::collection::vec(
+                prop_oneof![label_bytes(), label_bytes(), label_bytes(), Just(Vec::new())],
+                0..5,
+            ),
+            long in name_labels(),
+            root_dot in any::<bool>(),
+        ) {
+            for labels in [&labels, &long] {
+                let mut text = dotted(labels);
+                if root_dot {
+                    text.push(b'.');
+                }
+                if let Ok(text) = std::str::from_utf8(&text) {
+                    let parsed = DomainName::parse(text).map(|n| n.as_str().to_owned());
+                    prop_assert_eq!(parsed, reference(text), "{:?}", text);
+                }
+            }
+        }
+    }
+}
+
 // The chunked-snapshot codecs (`RZUC` continuation chunks and the
 // extended HELLO with resume claims): the frames a 500k-delegation
 // checkpoint rides across the frame bound, and the claims that make a
