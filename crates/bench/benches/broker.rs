@@ -52,7 +52,7 @@ use darkdns_broker::transport::{
     tcp_connect, ClientEvent, FrameConn, LengthPrefixed, TransportClient,
 };
 use darkdns_broker::{
-    Broker, BrokerConfig, BrokerMessage, BrokerServer, OverflowPolicy, RetentionConfig,
+    Broker, BrokerConfig, BrokerMessage, BrokerServer, RetentionConfig,
     TransportConfig,
 };
 use darkdns_core::broker_view::{BrokerZoneView, RemoteZoneView};
@@ -140,7 +140,6 @@ fn fanout_broker(tlds: usize, subs_per_tld: usize, shard_size: usize) -> (Broker
         // Small bound + Lag: queues saturate and stay flat, so steady-
         // state publish cost is measured, not queue growth.
         subscriber_capacity: 8,
-        overflow: OverflowPolicy::Lag,
     });
     let mut ids = Vec::with_capacity(tlds);
     for t in 0..tlds {
@@ -306,7 +305,6 @@ fn bench_tcp_fanout(c: &mut Criterion) {
         let broker = Broker::new(BrokerConfig {
             retention: RetentionConfig::new(64, 16),
             subscriber_capacity: 4096,
-            overflow: OverflowPolicy::Lag,
         });
         let tld = TldId(0);
         broker.add_shard(tld, shard_snapshot("com", 10_000));
@@ -344,7 +342,7 @@ fn bench_tcp_fanout(c: &mut Criterion) {
                                 received[i].store(push.to_serial.get(), Ordering::Release);
                             }
                             ClientEvent::Snapshot { .. } | ClientEvent::Idle => {}
-                            ClientEvent::Evicted | ClientEvent::Closed(_) => return,
+                            ClientEvent::Closed(_) => return,
                         }
                     }
                 })
@@ -602,7 +600,6 @@ fn bench_tcp_fanout_10k(c: &mut Criterion) {
     let broker = Broker::new(BrokerConfig {
         retention: RetentionConfig::new(64, 16),
         subscriber_capacity: 64,
-        overflow: OverflowPolicy::Lag,
     });
     let tld = TldId(0);
     broker.add_shard(tld, shard_snapshot("com", 10_000));

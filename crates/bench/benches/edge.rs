@@ -24,7 +24,7 @@
 //!   mid-ramp steady state, p99 ≈ peak throughput at full fan-in).
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use darkdns_broker::{Broker, BrokerConfig, OverflowPolicy, RetentionConfig};
+use darkdns_broker::{Broker, BrokerConfig, RetentionConfig};
 use darkdns_edge::{EdgeClient, EdgeConfig, EdgeFeed, EdgeIndex, EdgeIndexConfig, EdgeServer};
 use darkdns_dns::diff::NsChange;
 use darkdns_dns::wire::{LookupQuery, LOOKUP_ANY_TLD};
@@ -148,7 +148,6 @@ fn bench_edge_qps(c: &mut Criterion) {
     let broker = Broker::new(BrokerConfig {
         retention: RetentionConfig::new(64, 16),
         subscriber_capacity: 1 << 16,
-        overflow: OverflowPolicy::Lag,
     });
     let tld_ids: Vec<TldId> = (0..SHARDS).map(|t| TldId(t as u16)).collect();
     let publishers: Vec<FlipPublisher> = tld_ids

@@ -32,31 +32,19 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What the broker does with a subscriber whose live buffer is full.
-/// (The in-process `Topic` bus in `darkdns_core::feed` always lags.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverflowPolicy {
-    /// Drop the new message for that subscriber and count it
-    /// ([`BrokerSubscription::dropped_count`]); the subscriber lags and
-    /// must resubscribe to heal the gap.
-    #[default]
-    Lag,
-    /// Evict the subscriber outright: its queue is cleared and no
-    /// further messages are delivered.
-    Evict,
-}
-
 /// Broker tuning. Catch-up has no knob: every subscription is brought
 /// to the head by the one decision rule (crate docs), bootstrap
-/// included, and the publish path reads no clock.
+/// included, and the publish path reads no clock. Overflow has none
+/// either: a publish that finds a subscriber's live buffer full drops
+/// the message for that subscriber and counts it
+/// ([`BrokerSubscription::dropped_count`]); the subscriber lags and
+/// heals the gap by resubscribing with its claims.
 #[derive(Debug, Clone, Copy)]
 pub struct BrokerConfig {
     pub retention: RetentionConfig,
     /// Live-push buffer bound per subscriber (catch-up messages are
     /// exempt; their depth is bounded by the retention ring instead).
     pub subscriber_capacity: usize,
-    /// What a publish does to a subscriber whose live buffer is full.
-    pub overflow: OverflowPolicy,
 }
 
 impl Default for BrokerConfig {
@@ -64,7 +52,6 @@ impl Default for BrokerConfig {
         BrokerConfig {
             retention: RetentionConfig::default(),
             subscriber_capacity: 1024,
-            overflow: OverflowPolicy::Lag,
         }
     }
 }
@@ -93,10 +80,8 @@ pub struct BrokerStats {
     pub frame_bytes_encoded: u64,
     /// Messages enqueued to subscriber buffers.
     pub deliveries: u64,
-    /// Messages dropped because a subscriber buffer was full (Lag).
+    /// Messages dropped because a subscriber buffer was full.
     pub lagged_messages: u64,
-    /// Subscribers evicted for falling behind (Evict).
-    pub evictions: u64,
     /// Catch-ups answered with a checkpoint snapshot (rule 3).
     pub snapshot_catchups: u64,
     /// Catch-ups answered with a delta replay (rule 2).
@@ -111,7 +96,6 @@ struct ShardCounters {
     frame_bytes: u64,
     deliveries: u64,
     lagged_messages: u64,
-    evictions: u64,
     snapshot_catchups: u64,
     delta_catchups: u64,
 }
@@ -127,8 +111,7 @@ struct QueuedMessage {
 }
 
 /// Cross-thread readiness callback a reactor installs on a subscription
-/// ([`BrokerSubscription::set_waker`]): invoked on every enqueue and on
-/// eviction.
+/// ([`BrokerSubscription::set_waker`]): invoked on every enqueue.
 type SubWaker = Arc<dyn Fn() + Send + Sync>;
 
 /// Queue state shared between the broker and one subscription handle.
@@ -137,11 +120,10 @@ struct SubShared {
     // lock-level: 30
     queue: TrackedMutex<VecDeque<QueuedMessage>>,
     /// Readiness hook for consumers that multiplex many subscriptions on
-    /// one thread (the transport reactor): fired on every enqueue and on
-    /// eviction — the only wake path there is. The
-    /// callback runs under the subscriber queue lock and must only touch
-    /// leaf state (the reactor's pending list and wakeup fd) — see the
-    /// crate-level lock hierarchy.
+    /// one thread (the transport reactor): fired on every enqueue — the
+    /// only wake path there is. The callback runs under the subscriber
+    /// queue lock and must only touch leaf state (the reactor's pending
+    /// list and wakeup fd) — see the crate-level lock hierarchy.
     // lock-level: 40
     waker: TrackedMutex<Option<SubWaker>>,
     /// Catch-up messages still queued; their depth is bounded by the
@@ -149,22 +131,24 @@ struct SubShared {
     /// bound.
     catchup_pending: AtomicU64,
     dropped: AtomicU64,
-    evicted: AtomicBool,
     closed: AtomicBool,
 }
 
 impl SubShared {
     fn is_live(&self) -> bool {
-        !self.closed.load(Ordering::Relaxed) && !self.evicted.load(Ordering::Relaxed)
+        !self.closed.load(Ordering::Relaxed)
     }
 
-    /// Retire `n` popped catch-up messages (saturating: an eviction may
-    /// have zeroed the counter while the pop was in flight).
+    /// Retire `n` popped catch-up messages. Nothing clears a queue, so
+    /// every catch-up message is counted in under the queue lock that
+    /// queues it and counted out once, after its own pop: the counter
+    /// never underflows. It may run ahead of the queued catch-up
+    /// messages while a pop is in flight, which the publish path's
+    /// `saturating_sub` absorbs.
     fn retire_catchup(&self, n: u64) {
         if n > 0 {
-            let _ = self.catchup_pending.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-                Some(c.saturating_sub(n))
-            });
+            let before = self.catchup_pending.fetch_sub(n, Ordering::Relaxed);
+            debug_assert!(before >= n, "retired {n} catch-up messages of {before} counted");
         }
     }
 
@@ -217,23 +201,19 @@ impl BrokerSubscription {
         self.shared.queue.lock().len()
     }
 
-    /// Messages dropped for this subscriber under the Lag policy.
+    /// Live pushes dropped for this subscriber because its buffer was
+    /// full.
     pub fn dropped_count(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
     }
 
-    /// True once the broker evicted this subscriber for falling behind.
-    pub fn is_evicted(&self) -> bool {
-        self.shared.evicted.load(Ordering::Relaxed)
-    }
-
     /// Install (or clear) a readiness waker: a callback fired whenever
-    /// a message is enqueued or this subscriber is evicted. This is how
-    /// a reactor multiplexes thousands of subscriptions on one thread:
-    /// each queue pokes the shared event loop. The callback runs under the subscriber queue lock (itself
-    /// possibly under a shard lock) and must only touch leaf state;
-    /// anything already queued before installation is NOT re-signalled,
-    /// so install the waker first and then drain once.
+    /// a message is enqueued. This is how a reactor multiplexes
+    /// thousands of subscriptions on one thread: each queue pokes the
+    /// shared event loop. The callback runs under the subscriber queue
+    /// lock (itself possibly under a shard lock) and must only touch
+    /// leaf state; anything already queued before installation is NOT
+    /// re-signalled, so install the waker first and then drain once.
     pub fn set_waker(&self, waker: Option<SubWaker>) {
         *self.shared.waker.lock() = waker;
     }
@@ -264,13 +244,9 @@ impl SubscriberProbe {
         self.shared.queue.lock().len()
     }
 
-    /// Live pushes dropped under the Lag policy.
+    /// Live pushes dropped because the buffer was full.
     pub fn dropped_count(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
-    }
-
-    pub fn is_evicted(&self) -> bool {
-        self.shared.evicted.load(Ordering::Relaxed)
     }
 }
 
@@ -460,8 +436,8 @@ impl Broker {
         Some(head)
     }
 
-    /// Distinct live subscribers across all shards (pruning closed and
-    /// evicted registrations as a side effect).
+    /// Distinct live subscribers across all shards (pruning closed
+    /// registrations as a side effect).
     pub fn subscriber_count(&self) -> usize {
         let dir = self.directory();
         let mut ids = std::collections::HashSet::new();
@@ -504,7 +480,6 @@ impl Broker {
             waker: TrackedMutex::new(&lockdep::SUB_WAKER, None),
             catchup_pending: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            evicted: AtomicBool::new(false),
             closed: AtomicBool::new(false),
         });
         let dir = self.directory();
@@ -523,20 +498,7 @@ impl Broker {
             let mut st = lock_shard(handle, false);
             let plan = st.shard.catch_up(claim);
             let backlog = plan.message_count() as u64;
-            // Enqueue under the queue lock, which an eviction (on an
-            // already-registered shard's publish path) also holds while
-            // it clears the queue: the evicted check below is therefore
-            // race-free — either the eviction completed and we observe
-            // it, or it runs after us and clears what we enqueue.
             let mut queue = shared.queue.lock();
-            if shared.evicted.load(Ordering::Relaxed) {
-                // A concurrent publisher on an earlier-registered shard
-                // evicted this subscriber mid-subscribe. Enqueuing more
-                // shards' catch-ups into the cleared queue would hand a
-                // torn stream to a dead handle; stop here and let the
-                // caller observe `is_evicted` and resubscribe.
-                break;
-            }
             match plan {
                 CatchUp::UpToDate => {}
                 CatchUp::Deltas(deltas) => {
@@ -695,7 +657,6 @@ impl Broker {
         let handle = self.handle(tld);
         let retention = self.inner.config.retention;
         let capacity = self.inner.config.subscriber_capacity;
-        let overflow = self.inner.config.overflow;
         // Seal and fan out under the shard lock (subscriber queues nest
         // inside it, same order as subscribe): releasing the shard before
         // fan-out would let a subscriber compute a catch-up plan that
@@ -717,7 +678,7 @@ impl Broker {
             let mut queue = sub.queue.lock();
             // Only *live* pushes count against the capacity bound; an
             // undrained catch-up backlog (bounded by the retention ring)
-            // must not get a fresh subscriber lagged or evicted.
+            // must not get a fresh subscriber lagged.
             let catchup = sub.catchup_pending.load(Ordering::Relaxed) as usize;
             let live_len = queue.len().saturating_sub(catchup);
             if live_len < capacity {
@@ -727,21 +688,11 @@ impl Broker {
                 });
                 counters.deliveries += 1;
                 sub.wake();
-                return true;
-            }
-            if overflow == OverflowPolicy::Lag {
+            } else {
                 sub.dropped.fetch_add(1, Ordering::Relaxed);
                 counters.lagged_messages += 1;
-                return true;
             }
-            queue.clear();
-            sub.catchup_pending.store(0, Ordering::Relaxed);
-            sub.evicted.store(true, Ordering::Relaxed);
-            counters.evictions += 1;
-            // Wake the consumer so it observes the eviction now, not
-            // at its next timeout tick.
-            sub.wake();
-            false
+            true
         });
         sealed
     }
@@ -809,7 +760,7 @@ impl Broker {
             retired_deltas: st.shard.dropped_deltas(),
             deliveries: c.deliveries,
             lagged_messages: c.lagged_messages,
-            evictions: c.evictions,
+            evictions: 0,
             snapshot_catchups: c.snapshot_catchups,
             delta_catchups: c.delta_catchups,
             lock_contentions: contentions,
@@ -833,7 +784,6 @@ impl Broker {
             agg.frame_bytes_encoded += shard.frame_bytes;
             agg.deliveries += shard.deliveries;
             agg.lagged_messages += shard.lagged_messages;
-            agg.evictions += shard.evictions;
             agg.snapshot_catchups += shard.snapshot_catchups;
             agg.delta_catchups += shard.delta_catchups;
         }
@@ -967,50 +917,32 @@ mod tests {
 
     #[test]
     fn lag_policy_counts_drops() {
-        let config = BrokerConfig {
-            subscriber_capacity: 2,
-            overflow: OverflowPolicy::Lag,
-            ..BrokerConfig::default()
-        };
-        let broker = broker_with_com(config);
-        let sub = broker.subscribe(&[TldId(0)], Some(Serial::new(0)));
-        for i in 1..=5u32 {
-            broker.publish(TldId(0), add_delta(&format!("d{i}.com")), Serial::new(i), SimTime::ZERO);
-        }
-        assert_eq!(sub.queued(), 2);
-        assert_eq!(sub.dropped_count(), 3);
-        assert!(!sub.is_evicted());
-        assert_eq!(broker.stats().lagged_messages, 3);
-    }
-
-    #[test]
-    fn evict_policy_removes_slow_subscriber() {
-        let config = BrokerConfig {
-            subscriber_capacity: 1,
-            overflow: OverflowPolicy::Evict,
-            ..BrokerConfig::default()
-        };
+        let config = BrokerConfig { subscriber_capacity: 2, ..BrokerConfig::default() };
         let broker = broker_with_com(config);
         let slow = broker.subscribe(&[TldId(0)], Some(Serial::new(0)));
+        // A second subscriber that keeps up is never dropped: a full
+        // buffer lags only its own subscriber.
         let fast = broker.subscribe(&[TldId(0)], Some(Serial::new(0)));
-        broker.publish(TldId(0), add_delta("d1.com"), Serial::new(1), SimTime::ZERO);
-        fast.drain(); // fast keeps up
-        broker.publish(TldId(0), add_delta("d2.com"), Serial::new(2), SimTime::ZERO);
-        assert!(slow.is_evicted());
-        assert_eq!(slow.queued(), 0, "evicted queue is cleared");
-        assert_eq!(fast.queued(), 1);
-        assert_eq!(broker.subscriber_count(), 1);
-        assert_eq!(broker.stats().evictions, 1);
+        let mut state = empty_snap();
+        for i in 1..=5u32 {
+            broker.publish(TldId(0), add_delta(&format!("d{i}.com")), Serial::new(i), SimTime::ZERO);
+            state = replay(&fast, state);
+        }
+        assert_eq!(slow.queued(), 2);
+        assert_eq!(slow.dropped_count(), 3);
+        assert_eq!(fast.dropped_count(), 0);
+        assert_eq!(state, broker.head(TldId(0)).unwrap());
+        assert_eq!(broker.subscriber_count(), 2, "a lagging subscriber stays registered");
+        assert_eq!(broker.stats().lagged_messages, 3);
     }
 
     #[test]
     fn catch_up_backlog_is_exempt_from_the_live_capacity_bound() {
         // A fresh subscriber with a catch-up backlog larger than its
-        // live capacity must not be lagged or evicted by the next push.
+        // live capacity must not be lagged by the next push.
         let config = BrokerConfig {
             retention: RetentionConfig::new(16, 16),
             subscriber_capacity: 2,
-            overflow: OverflowPolicy::Evict,
         };
         let broker = broker_with_com(config);
         for i in 1..=10u32 {
@@ -1021,19 +953,17 @@ mod tests {
         assert_eq!(sub.queued(), 11);
         broker.publish(TldId(0), add_delta("live1.com"), Serial::new(11), SimTime::ZERO);
         broker.publish(TldId(0), add_delta("live2.com"), Serial::new(12), SimTime::ZERO);
-        assert!(!sub.is_evicted(), "catch-up backlog must not trigger eviction");
-        // A third live push exceeds the live bound and evicts.
+        assert_eq!(sub.queued(), 13, "both live pushes queue behind the backlog");
+        assert_eq!(sub.dropped_count(), 0, "catch-up backlog must not count as lag");
+        // A third live push exceeds the live bound and is dropped.
         broker.publish(TldId(0), add_delta("live3.com"), Serial::new(13), SimTime::ZERO);
-        assert!(sub.is_evicted());
+        assert_eq!(sub.queued(), 13);
+        assert_eq!(sub.dropped_count(), 1);
     }
 
     #[test]
-    fn waker_fires_on_delivery_and_eviction() {
-        let config = BrokerConfig {
-            subscriber_capacity: 1,
-            overflow: OverflowPolicy::Evict,
-            ..BrokerConfig::default()
-        };
+    fn waker_fires_on_delivery() {
+        let config = BrokerConfig { subscriber_capacity: 1, ..BrokerConfig::default() };
         let broker = broker_with_com(config);
         let sub = broker.subscribe(&[TldId(0)], Some(Serial::new(0)));
         let fired = Arc::new(AtomicU64::new(0));
@@ -1043,16 +973,15 @@ mod tests {
         })));
         broker.publish(TldId(0), add_delta("d1.com"), Serial::new(1), SimTime::ZERO);
         assert_eq!(fired.load(Ordering::Relaxed), 1, "delivery must fire the waker");
-        // Second publish overflows the un-drained queue and evicts: the
-        // eviction signal must also reach the waker.
+        // Second publish overflows the un-drained queue: it is dropped
+        // and counted, and there is nothing new to wake the consumer for.
         broker.publish(TldId(0), add_delta("d2.com"), Serial::new(2), SimTime::ZERO);
-        assert_eq!(fired.load(Ordering::Relaxed), 2, "eviction must fire the waker");
-        assert!(sub.is_evicted());
+        assert_eq!(fired.load(Ordering::Relaxed), 1, "a dropped push must not fire the waker");
         // A probe sees the same state without consuming anything.
         let probe = sub.probe();
         assert_eq!(probe.id(), sub.id());
-        assert!(probe.is_evicted());
-        assert_eq!(probe.queued(), 0);
+        assert_eq!(probe.queued(), 1);
+        assert_eq!(probe.dropped_count(), 1);
         sub.set_waker(None);
     }
 
@@ -1149,26 +1078,6 @@ mod tests {
         broker.publish(TldId(0), add_delta("a.com"), Serial::new(1), SimTime::ZERO);
         assert_eq!(broker.subscriber_count(), 0);
         assert_eq!(broker.stats().deliveries, 0);
-    }
-
-    #[test]
-    fn evicted_subscriber_can_resubscribe_and_recover() {
-        let config = BrokerConfig {
-            retention: RetentionConfig::new(8, 4),
-            subscriber_capacity: 1,
-            overflow: OverflowPolicy::Evict,
-        };
-        let broker = broker_with_com(config);
-        let slow = broker.subscribe(&[TldId(0)], Some(Serial::new(0)));
-        for i in 1..=6u32 {
-            broker.publish(TldId(0), add_delta(&format!("d{i}.com")), Serial::new(i), SimTime::ZERO);
-        }
-        assert!(slow.is_evicted());
-        drop(slow);
-        // Rejoin with no claimed state: snapshot catch-up to the head.
-        let again = broker.subscribe(&[TldId(0)], None);
-        let state = replay(&again, empty_snap());
-        assert_eq!(state, broker.head(TldId(0)).unwrap());
     }
 
     #[test]

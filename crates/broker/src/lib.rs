@@ -26,10 +26,11 @@
 //! * [`broker::Broker`] — `subscribe(tlds, from_serial)` answers with a
 //!   catch-up plan and a live bounded buffer; `publish` seals each delta
 //!   into a wire frame **once** ([`darkdns_dns::wire::encode_delta_push`])
-//!   and fans the refcount-shared bytes out to every subscriber. Slow
-//!   subscribers lag (counted) or are evicted, per [`OverflowPolicy`] —
-//!   the policy `darkdns-core`'s in-process `Topic` bounds its
-//!   subscribers with too. Per-shard accounting comes back as one
+//!   and fans the refcount-shared bytes out to every subscriber. A slow
+//!   subscriber lags: a push that finds its live buffer full is dropped
+//!   for it and counted, and it rejoins by its claims — the one rule
+//!   `darkdns-core`'s in-process `Topic` bounds its subscribers with
+//!   too. Per-shard accounting comes back as one
 //!   [`broker::ShardStats`] struct per TLD.
 //! * [`feed`] — glue that materialises a multi-TLD universe's RZU pushes
 //!   as zone deltas and drives them through a broker, sequentially or
@@ -61,9 +62,8 @@
 //! chunk train rather than one enormous frame;
 //! `RZUD` — a TLD tag plus the shard's refcount-shared `RZU1` frame
 //! written verbatim (the encode-once guarantee crosses the socket
-//! boundary intact); `RZUE` — an explicit eviction notice, after which
-//! the server closes and the client reconnects claiming the serials it
-//! verifiably reached; empty — an idle heartbeat doubling as dead-peer
+//! boundary intact); `RZUE` — the former eviction notice, retired —
+//! reserved, refused; empty — an idle heartbeat doubling as dead-peer
 //! detection. A reconnect HELLO may additionally carry per-TLD
 //! *chunk-resume* rows (serial + entries already received), so a
 //! connection cut mid-bootstrap resumes the chunk train at its offset
@@ -202,9 +202,9 @@
 //! pending-list mutex and an eventfd — so publisher → reactor
 //! signalling can never invert the hierarchy. A wedged socket fills
 //! its ring, which stops its queue drain, which back-pressures only
-//! its own queue — where the overflow policy (lag or evict, signalled
-//! explicitly through [`BrokerSubscription::is_evicted`] and an `RZUE`
-//! notice) bounds the damage to that subscriber.
+//! its own queue — where the one overflow rule (lag and count, see
+//! [`BrokerSubscription::dropped_count`]) bounds the damage to that
+//! subscriber.
 //!
 //! The edge tier (`darkdns-edge`) extends this map with a rule rather
 //! than a new level: its lookup path holds **no lock from either
@@ -244,7 +244,7 @@ pub mod transport;
 
 pub use broker::{
     shard_locks_held_by_current_thread, Broker, BrokerConfig, BrokerMessage, BrokerStats,
-    BrokerSubscription, OverflowPolicy, ShardStats,
+    BrokerSubscription, ShardStats,
 };
 pub use feed::UniverseFeed;
 pub use shard::{CatchUp, JournalShard, RetentionConfig, SealedDelta};

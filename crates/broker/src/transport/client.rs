@@ -6,7 +6,7 @@
 //! values. The client tracks its **per-TLD claimed serials** as frames
 //! chain: a snapshot adopts the shard serial outright, a delta advances
 //! the claim only when its `from_serial` matches (a replayed or gapped
-//! frame leaves the claim untouched). On disconnect or eviction those
+//! frame leaves the claim untouched). On disconnect or a serial gap those
 //! claims are exactly what the next HELLO should carry, so reconnection
 //! costs a delta replay of the missed churn, not a snapshot bootstrap —
 //! the paper's rapid-update economics, preserved across faults.
@@ -15,9 +15,9 @@ use super::frame::{FrameConn, TransportError};
 use bytes::Bytes;
 use darkdns_dns::wire::{
     decode_delta_envelope, decode_snapshot_chunk, decode_stats_report,
-    encode_hello, encode_stats_query, is_evict_notice, DeltaPush, HelloFrame,
-    SnapshotChunk, SnapshotResume, StatsReport, TldClaim, DELTA_ENVELOPE_MAGIC,
-    EVICT_NOTICE_MAGIC, SNAPSHOT_CHUNK_MAGIC, WireError,
+    encode_hello, encode_stats_query, DeltaPush, HelloFrame, SnapshotChunk,
+    SnapshotResume, StatsReport, TldClaim, DELTA_ENVELOPE_MAGIC, SNAPSHOT_CHUNK_MAGIC,
+    WireError,
 };
 use darkdns_dns::snapshot::SnapshotBuilder;
 use darkdns_dns::{DomainName, Serial, ZoneSnapshot};
@@ -36,9 +36,6 @@ pub enum ClientEvent {
     /// downstream without re-encoding it (and a leaf can pin
     /// byte-identity against the root's encoding).
     Delta { tld: TldId, push: DeltaPush, frame: Bytes },
-    /// The server evicted this subscriber for falling behind; reconnect
-    /// with [`TransportClient::claimed_serials`].
-    Evicted,
     /// No frame within the receive timeout; the stream is still up.
     Idle,
     /// The connection is unusable (peer closed, i/o failure, or a frame
@@ -250,9 +247,6 @@ impl TransportClient {
                     }
                     Err(e) => return ClientEvent::Closed(e.into()),
                 },
-                magic if magic == EVICT_NOTICE_MAGIC && is_evict_notice(&frame) => {
-                    return ClientEvent::Evicted;
-                }
                 _ => return ClientEvent::Closed(WireError::BadMagic.into()),
             }
         }

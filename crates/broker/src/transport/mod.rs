@@ -55,7 +55,8 @@
 //! |        |                  | the train is encoded once per checkpoint  |
 //! |        |                  | and shared by every joiner (train cache)  |
 //! | `RZUD` | server → client  | TLD tag + embedded `RZU1` delta frame     |
-//! | `RZUE` | server → client  | evicted: reconnect with your claims       |
+//! | `RZUE` | —                | eviction notice: retired — reserved,      |
+//! |        |                  | refused (`BadMagic`)                      |
 //! | `RZUQ` | both             | stats round trip: bare magic queries, the |
 //! |        |                  | reply carries a [`StatsReport`]: the      |
 //! |        |                  | [`ServerStats`] row, a [`ShardStats`] row |
@@ -110,10 +111,11 @@
 //! # Reconnection
 //!
 //! [`TransportClient`] tracks the serial it has verifiably reached per
-//! TLD. On any fault — mid-frame disconnect, corrupt frame, eviction —
-//! the consumer reconnects carrying those claims, and the catch-up rule
-//! turns the outage into a delta replay of the missed churn (or a
-//! checkpoint bootstrap if it slept past the retention ring). The
+//! TLD. On any fault — mid-frame disconnect, corrupt frame, a serial
+//! gap left by lag drops — the consumer reconnects carrying those
+//! claims, and the catch-up rule turns the outage into a delta replay
+//! of the missed churn (or a checkpoint bootstrap if it slept past the
+//! retention ring). The
 //! driver side of that loop is written once, in [`replica`]: an
 //! [`UpstreamLink`] (the connection, salvaged chunk progress, heal and
 //! drain accounting) over a pure [`ReplicaSet`] (candidate order, the

@@ -108,8 +108,8 @@ darkdns_dns::counter_set! {
             /// resyncs means the upstream was unreachable, not that the
             /// stream was faulty.
             dial_failures,
-            /// Established streams that died (peer closed, eviction,
-            /// corrupt frame, or a gap that forced a redial) — each
+            /// Established streams that died (peer closed, corrupt
+            /// frame, or a gap that forced a redial) — each
             /// precedes at most one resync.
             stream_faults,
         }
@@ -241,7 +241,7 @@ impl BrokerServer {
                             Relayed::Gap => true, // corrupt stream: redial
                         }
                     }
-                    ClientEvent::Evicted | ClientEvent::Closed(_) => true,
+                    ClientEvent::Closed(_) => true,
                 };
                 counters.snapshot_chunks.store(link.snapshot_chunks_received(), Ordering::Relaxed);
                 if faulted {

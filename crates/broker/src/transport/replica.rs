@@ -295,7 +295,7 @@ impl UpstreamLink {
         self.draining
     }
 
-    /// Established streams retired by a fault (eviction, cut, bad delta,
+    /// Established streams retired by a fault (cut, gap, bad delta,
     /// refused snapshot); each precedes at most one resync.
     pub fn stream_faults(&self) -> u64 {
         self.stream_faults

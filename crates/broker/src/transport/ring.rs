@@ -14,7 +14,7 @@
 //! [`MAX_RING_BYTES`] unsent bytes): it is a *staging* buffer, not a
 //! second queue. When it fills, the reactor stops transferring from the
 //! subscriber's broker queue, so a stalled peer backs pressure up into
-//! the queue where the broker's overflow policy (lag or evict) — not
+//! the queue where the broker's one overflow rule (lag and count) — not
 //! unbounded transport memory — absorbs the damage.
 //!
 //! Completion accounting rides out of [`OutRing::flush_into`] as
@@ -52,8 +52,6 @@ pub enum FrameKind {
     /// A delta envelope for `tld`; the connection's claim for that TLD
     /// advances to `to_serial` on completion.
     Delta { tld: u16, to_serial: u32 },
-    /// An `RZUE` eviction notice — the connection drains and closes.
-    Evict,
     /// An idle heartbeat (empty frame).
     Heartbeat,
     /// A request's reply: an `RZUQ` stats report, an `RZUR` lookup
@@ -197,8 +195,8 @@ impl OutRing {
     /// Whether the ring admits more. The caps gate the two places
     /// backpressure must bite: a handler's fill (the broker-queue
     /// drain) and the reactor's inbound reads, whose replies land here.
-    /// A frame the transport itself owes the peer (evict notice,
-    /// heartbeat, the reply to a frame already read) is pushed
+    /// A frame the transport itself owes the peer (a heartbeat, the
+    /// reply to a frame already read) is pushed
     /// regardless.
     pub fn has_room(&self) -> bool {
         self.frames.len() < MAX_RING_FRAMES && self.unsent < MAX_RING_BYTES

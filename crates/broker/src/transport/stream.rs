@@ -5,7 +5,7 @@
 //! writer threads once spoke: the handshake (`RZUH` →
 //! subscribe-with-claims, `RZUQ` → stats reply and close), the
 //! subscriber-queue → ring transfer with the chunked, encode-once
-//! snapshot bootstrap, eviction notices, and completion accounting
+//! snapshot bootstrap, and completion accounting
 //! (sent counters, per-connection claims, coalescing credits). The
 //! loop, the ring flush, heartbeats, deadlines and fault scripts are
 //! the reactor's.
@@ -14,7 +14,7 @@
 //!
 //! The handler runs on the reactor thread, **below** the broker's
 //! two-level hierarchy, exactly where writer threads sat. It takes
-//! subscriber queue locks (level 2, via `try_next`/`is_evicted`) and
+//! subscriber queue locks (level 2, via `try_next`) and
 //! its own leaf state (the stats-row table, a row's claim map); it
 //! reaches level 1 twice, each time holding nothing else: the
 //! handshake's `subscribe_with` call, before the connection streams,
@@ -36,8 +36,8 @@ use crate::broker::{BrokerMessage, BrokerSubscription, SubscriberProbe};
 use crate::lockdep::{self, TrackedMutex};
 use bytes::Bytes;
 use darkdns_dns::wire::{
-    decode_hello, delta_envelope_header, encode_evict_notice, encode_snapshot_chunks,
-    encode_stats_report, is_stats_query, peek_delta_push_serials, SnapshotResume,
+    decode_hello, delta_envelope_header, encode_snapshot_chunks, encode_stats_report,
+    is_stats_query, peek_delta_push_serials, SnapshotResume,
 };
 use darkdns_dns::{Serial, ZoneSnapshot};
 use darkdns_registry::tld::TldId;
@@ -63,7 +63,7 @@ pub(super) struct ConnStatsEntry {
 
 /// A connection past its handshake: queue→ring transfer plus
 /// heartbeats. Before the handshake, and once the stream has ended
-/// (stats reply, eviction notice or scripted tear draining), the
+/// (stats reply or scripted tear draining), the
 /// connection's state is `None`.
 pub(super) struct Subscriber {
     sub: BrokerSubscription,
@@ -99,8 +99,9 @@ impl Protocol for SubscriberStream {
 
     /// Transfer queued broker messages into the outbound ring while it
     /// has room. The ring caps are the backpressure valve: a stalled
-    /// peer stops the transfer here and the broker's overflow policy
-    /// handles the rest at the queue.
+    /// peer stops the transfer here, and once its queue is full the
+    /// broker drops and counts further pushes for it (lag); the peer
+    /// heals the gap by reconnecting with its claims.
     fn fill(&mut self, conn: &mut Conn<Self::State>) -> Option<CloseWhy> {
         loop {
             if conn.is_closing() {
@@ -111,17 +112,7 @@ impl Protocol for SubscriberStream {
                 return None;
             }
             let Some(subscriber) = &mut conn.state else { return None };
-            let Some(msg) = subscriber.sub.try_next() else {
-                if subscriber.sub.is_evicted() {
-                    // The explicit slow-subscriber signal: tell the
-                    // peer, flush, close — it reconnects with claims.
-                    self.inner.stats.evict_notices.fetch_add(1, Ordering::Relaxed);
-                    self.end_streaming(&mut conn.state);
-                    conn.close_after_flush(CloseWhy::Quiet);
-                    return conn.stage(None, encode_evict_notice(), FrameKind::Evict);
-                }
-                return None;
-            };
+            let msg = subscriber.sub.try_next()?;
             let close = match msg {
                 BrokerMessage::Snapshot { tld, snapshot } => {
                     // Chunked bootstrap: the snapshot is encoded as a
@@ -206,9 +197,7 @@ impl Protocol for SubscriberStream {
                         }
                         tld
                     }
-                    FrameKind::Evict | FrameKind::Heartbeat | FrameKind::Reply | FrameKind::Torn => {
-                        continue
-                    }
+                    FrameKind::Heartbeat | FrameKind::Reply | FrameKind::Torn => continue,
                 };
                 if messages > 0 {
                     ride_along.push(TldId(tld));

@@ -126,11 +126,6 @@ impl BrokerZoneView {
     /// is detected; the view then reports [`BrokerZoneView::lost_sync`]
     /// until [`BrokerZoneView::resync`] is called. Detached views have
     /// nothing to pump and return 0.
-    ///
-    /// Eviction counts as losing sync: an evicted subscriber's queue was
-    /// cleared and receives nothing further, so the gap could never be
-    /// observed through a next frame — without this check a view under
-    /// `OverflowPolicy::Evict` would stall forever looking healthy.
     pub fn pump(&mut self) -> usize {
         self.pump_with(&mut ())
     }
@@ -139,9 +134,6 @@ impl BrokerZoneView {
     /// message the view accepts, immediately post-apply — how the
     /// in-process edge feed mirrors the attached stream into its index.
     pub fn pump_with(&mut self, sink: &mut impl RouteSink) -> usize {
-        if self.sub.as_ref().is_some_and(|sub| sub.is_evicted()) {
-            self.lost_sync = true;
-        }
         if self.lost_sync {
             return 0;
         }
@@ -157,11 +149,6 @@ impl BrokerZoneView {
                 }
             }
             applied += 1;
-        }
-        // An eviction racing the drain (a concurrent publisher's
-        // overflow decision) is surfaced now, not on the next pump.
-        if self.sub.as_ref().is_some_and(|sub| sub.is_evicted()) {
-            self.lost_sync = true;
         }
         applied
     }
@@ -339,8 +326,8 @@ pub fn pump_until_serials<T>(
 /// [`RoutedZoneView`]. A planned drain is finished when ready, a dead
 /// link is reconnected through `connect` (the resync is counted only
 /// once the replacement stream is established), and any stream fault —
-/// eviction, disconnect, a frame that failed validation, a delta that
-/// does not chain — retires the connection. Returns the number of
+/// disconnect, a frame that failed validation, a delta that does not
+/// chain — retires the connection. Returns the number of
 /// events applied; sets `progressed` when anything at all happened.
 fn pump_link(
     view: &mut BrokerZoneView,
@@ -384,9 +371,7 @@ fn pump_link(
                 ClientEvent::Delta { tld, push, .. } if view.advance(tld, &push, sink) => applied += 1,
                 // A duplicate or gapped delta: the stream can no longer
                 // be trusted; rejoin from our claims.
-                ClientEvent::Delta { .. } | ClientEvent::Evicted | ClientEvent::Closed(_) => {
-                    link.retire(&claims(view));
-                }
+                ClientEvent::Delta { .. } | ClientEvent::Closed(_) => link.retire(&claims(view)),
             }
         }
         *progressed = true;
@@ -802,8 +787,8 @@ where
         self.links.iter().map(|link| link.replicas().dial_failures()).sum()
     }
 
-    /// Established streams retired by a fault (eviction, cut, bad
-    /// delta, stale snapshot) — the "stream fault" failover reason.
+    /// Established streams retired by a fault (cut, gap, bad delta,
+    /// stale snapshot) — the "stream fault" failover reason.
     pub fn stream_faults(&self) -> u64 {
         self.links.iter().map(UpstreamLink::stream_faults).sum()
     }
@@ -844,7 +829,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darkdns_broker::{BrokerConfig, OverflowPolicy, RetentionConfig};
+    use darkdns_broker::{BrokerConfig, RetentionConfig};
     use darkdns_dns::{NsSet, ZoneDelta};
     use darkdns_sim::time::SimTime;
 
@@ -909,7 +894,6 @@ mod tests {
         let config = BrokerConfig {
             retention: RetentionConfig::new(8, 4),
             subscriber_capacity: 2,
-            overflow: OverflowPolicy::Lag,
         };
         let broker = Broker::new(config);
         broker.add_shard(TldId(0), empty_snap("com"));
@@ -940,33 +924,6 @@ mod tests {
         // a delta replay — no second snapshot bootstrap.
         assert_eq!(broker.stats().delta_catchups, 1);
         assert_eq!(view.snapshots_adopted(), 1);
-    }
-
-    #[test]
-    fn evicted_view_loses_sync_and_recovers_via_resync() {
-        // Under the Evict policy no further frames arrive after an
-        // eviction, so the serial-gap path can never fire; pump must
-        // surface the eviction itself or the view stalls forever.
-        let config = BrokerConfig {
-            retention: RetentionConfig::new(16, 8),
-            subscriber_capacity: 2,
-            overflow: OverflowPolicy::Evict,
-        };
-        let broker = Broker::new(config);
-        broker.add_shard(TldId(0), empty_snap("com"));
-        let mut view = BrokerZoneView::subscribe(&broker, &[TldId(0)]);
-        view.pump(); // apply the (empty) bootstrap snapshot
-        // 3 live pushes against a capacity-2 buffer: the third evicts.
-        for i in 1..=3u32 {
-            broker.publish(TldId(0), add_delta(&format!("d{i}.com")), Serial::new(i), SimTime::ZERO);
-        }
-        assert_eq!(view.pump(), 0, "evicted view must not apply from a cleared queue");
-        assert!(view.lost_sync(), "eviction must surface as lost sync");
-        view.resync(&broker);
-        view.pump();
-        assert!(view.synced_with(&broker));
-        assert_eq!(view.len(TldId(0)), Some(3));
-        assert_eq!(view.resync_count(), 1);
     }
 
     #[test]

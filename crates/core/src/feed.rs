@@ -9,12 +9,11 @@
 //! Topics are **bounded**: every subscriber has a channel of fixed
 //! capacity, and a publisher never blocks on a slow consumer. On
 //! overflow the topic drops the message for that subscriber and counts
-//! it ([`Subscription::dropped_count`]); no subscriber is ever evicted.
-//! This replaces the earlier unbounded semantics, under which one
-//! stalled consumer grew its queue without limit — at zone scale, an
-//! OOM with extra steps. The RZU distribution broker
-//! (`darkdns_broker`) lags the same way by default and additionally
-//! offers snapshot catch-up for subscribers that fell behind.
+//! it ([`Subscription::dropped_count`]). This replaces the earlier
+//! unbounded semantics, under which one stalled consumer grew its queue
+//! without limit — at zone scale, an OOM with extra steps. The RZU distribution broker
+//! (`darkdns_broker`) lags the same way and additionally offers
+//! snapshot catch-up for subscribers that fell behind.
 
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use darkdns_broker::lockdep::{LockClass, TrackedMutex};

@@ -72,7 +72,7 @@ pub enum SyncHealth {
     /// Some TLDs have not bootstrapped yet; answers for them are
     /// vacuously negative.
     Bootstrapping,
-    /// A gap, eviction or transport fault left the view unable to
+    /// A serial gap or transport fault left the view unable to
     /// advance; answers are stale until a resync completes.
     LostSync,
 }

@@ -1000,8 +1000,10 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
 // * `RZUD` — delta envelope (server -> client): a TLD tag followed by an
 //   embedded `RZU1` frame, verbatim — the server writes the broker's
 //   refcount-shared frame bytes with no per-subscriber re-encode.
-// * `RZUE` — eviction notice (server -> client): the subscriber fell
-//   behind and was evicted; it must reconnect with its claims.
+// * `RZUE` — the former eviction notice: retired — reserved, refused.
+//   A subscriber that falls behind is never dropped; its lagged pushes
+//   are counted, and it heals by reconnecting with its claims. A peer
+//   that sends the magic is closed with `BadMagic`.
 // * `RZUQ` — stats round trip. As a client -> server frame the magic
 //   alone is the query; the server answers with an `RZUQ` report frame
 //   carrying its transport counters plus one row per TLD shard
@@ -1021,8 +1023,6 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
 pub const HELLO_MAGIC: &[u8; 4] = b"RZUH";
 /// Magic prefix of a delta-envelope frame (TLD tag + embedded `RZU1`).
 pub const DELTA_ENVELOPE_MAGIC: &[u8; 4] = b"RZUD";
-/// Magic prefix (and entire body) of an eviction notice.
-pub const EVICT_NOTICE_MAGIC: &[u8; 4] = b"RZUE";
 
 /// One shard claim in a HELLO: the TLD index (transport-level `u16`, the
 /// registry's `TldId` payload) and the serial the subscriber claims to
@@ -1344,16 +1344,6 @@ pub fn peek_delta_push_serials(bytes: &[u8]) -> Result<(Serial, Serial), WireErr
     Ok((from, to))
 }
 
-/// Encode an eviction notice (the magic is the whole message).
-pub fn encode_evict_notice() -> Bytes {
-    Bytes::copy_from_slice(EVICT_NOTICE_MAGIC)
-}
-
-/// True when `bytes` is exactly an eviction notice.
-pub fn is_evict_notice(bytes: &[u8]) -> bool {
-    bytes == EVICT_NOTICE_MAGIC
-}
-
 /// Magic prefix of the stats round trip: alone it is the query; with a
 /// payload it is the report.
 const STATS_MAGIC: &[u8; 4] = b"RZUQ";
@@ -1467,8 +1457,10 @@ counter_set! {
             deltas_sent,
             /// Snapshot bootstraps fully flushed.
             snapshots_sent,
-            /// `RZUE` eviction notices composed (connection drains and
-            /// closes).
+            /// Retired: always 0. It counted `RZUE` eviction notices,
+            /// which nothing sends any more; the row stays so the legacy
+            /// layout keeps its bytes, and the table-driven layout of
+            /// ROADMAP direction 4c leaves it out.
             evict_notices,
             /// Connections that died mid-stream (peer gone, write stall).
             disconnects,
@@ -1495,7 +1487,7 @@ counter_set! {
     /// Point-in-time accounting for one TLD shard — the `RZUQ` report's
     /// shard row, and what `Broker::shard_stats` returns: journal
     /// progress (pushes sealed, checkpoints refreshed, ring retention),
-    /// fan-out outcomes (deliveries, lag drops, evictions), catch-up
+    /// fan-out outcomes (deliveries, lag drops), catch-up
     /// plans served, and publish-path lock health (`lock_contentions`
     /// stays 0 as long as no two threads touch the same shard).
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1524,9 +1516,12 @@ counter_set! {
             retired_deltas,
             /// Messages enqueued to this shard's subscribers.
             deliveries,
-            /// Live pushes dropped under the Lag policy.
+            /// Live pushes dropped because a subscriber's buffer was full.
             lagged_messages,
-            /// Subscribers evicted from this shard for falling behind.
+            /// Retired: always 0. It counted subscribers evicted for
+            /// falling behind, which no broker does any more; the row
+            /// stays so the legacy layout keeps its bytes, and the
+            /// table-driven layout of ROADMAP direction 4c leaves it out.
             evictions,
             /// Catch-ups answered with a checkpoint snapshot (rule 3).
             snapshot_catchups,
@@ -2420,13 +2415,6 @@ mod tests {
         // A corrupt embedded frame surfaces as the inner codec's error.
         assert_eq!(decode_delta_envelope(&frame[..frame.len() - 2]), Err(WireError::Truncated));
         assert_eq!(decode_delta_envelope(b"RZUD"), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn evict_notice_is_recognised() {
-        assert!(is_evict_notice(&encode_evict_notice()));
-        assert!(!is_evict_notice(b"RZUD"));
-        assert!(!is_evict_notice(b""));
     }
 
     fn sample_stats_report() -> StatsReport {

@@ -69,8 +69,8 @@ impl EdgeFeed {
     }
 
     /// Drain everything queued into the view and the index. Returns the
-    /// number of messages applied; stops early on a serial gap or
-    /// eviction (the view latches lost-sync until [`EdgeFeed::resync`]).
+    /// number of messages applied; stops early on a serial gap (the
+    /// view latches lost-sync until [`EdgeFeed::resync`]).
     pub fn pump(&mut self) -> usize {
         self.view.pump_with(&mut self.sink)
     }

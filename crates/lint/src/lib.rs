@@ -9,7 +9,11 @@
 //!   `// lock-level: N` annotation (or `lock-level: class` for generic
 //!   wrappers whose level is carried by a runtime [`LockClass`]), and no
 //!   function textually acquires a class at a level less than or equal
-//!   to one still in scope. The static pass sees same-function nestings;
+//!   to one still in scope. An acquisition is a `.lock()` / `.read()` /
+//!   `.write()` on a declared receiver, or a call to a *lock helper*: a
+//!   non-test `fn` whose body calls `lockdep::acquire(&lockdep::NAME)`,
+//!   acquired at `NAME`'s `LockClass::new` level (`lock_shard(`,
+//!   `lock_half(`). The static pass sees same-function nestings;
 //!   the runtime `lockdep` subsystem in `darkdns-broker` covers
 //!   cross-function and cross-thread orders. And the classes agree with
 //!   the documented level table ([`scan_level_table`]): every non-test
@@ -468,8 +472,69 @@ fn decl_name(code: &str) -> Option<String> {
 // The per-file scan
 // ---------------------------------------------------------------------------
 
-/// A lock declaration table: receiver name → hierarchy level.
+/// A lock declaration table: receiver name → hierarchy level. A lock
+/// helper is keyed by its name plus `(` (`lock_shard(`), the way its
+/// call sites spell it, so it never shadows a receiver.
 pub type DeclTable = HashMap<String, u32>;
+
+/// What makes a function a lock helper (L1): its body registers the
+/// acquisition of the class `NAME` that follows.
+const HELPER_ACQUIRE: &str = "lockdep::acquire(&lockdep::";
+
+/// The global declaration table of a workspace: every file's annotated
+/// declarations ([`collect_decls`]) and every lock helper, each helper
+/// at the level of the `LockClass` static it acquires. A name declared
+/// at two different levels is ambiguous and dropped — per-file tables
+/// still resolve receivers locally.
+pub fn collect_global_decls(sources: &[(PathBuf, String)]) -> DeclTable {
+    let mut class_levels: HashMap<String, u32> = HashMap::new();
+    for (_, source) in sources {
+        class_levels.extend(lock_classes(source).into_iter().map(|(ident, c)| (ident, c.level)));
+    }
+    let mut global = DeclTable::new();
+    let mut conflicted: Vec<String> = Vec::new();
+    for (_, source) in sources {
+        let helpers = lock_helpers(source).into_iter().filter_map(|(helper, class)| {
+            class_levels.get(&class).map(|&level| (format!("{helper}("), level))
+        });
+        for (name, level) in collect_decls(source).into_iter().chain(helpers) {
+            match global.get(&name) {
+                Some(&existing) if existing != level => conflicted.push(name),
+                _ => {
+                    global.insert(name, level);
+                }
+            }
+        }
+    }
+    for name in conflicted {
+        global.remove(&name);
+    }
+    global
+}
+
+/// The lock helpers `source` defines: each non-test `fn` whose body
+/// calls `lockdep::acquire(&lockdep::NAME)`, with that `NAME`.
+fn lock_helpers(source: &str) -> Vec<(String, String)> {
+    let lines = clean(source);
+    let mask = test_mask(&lines);
+    let mut helpers = Vec::new();
+    let mut current: Option<String> = None;
+    for (idx, line) in lines.iter().enumerate() {
+        if mask[idx] {
+            continue;
+        }
+        if let Some(name) = fn_header_name(&line.code) {
+            current = Some(name);
+        }
+        let (Some(pos), Some(helper)) = (line.code.find(HELPER_ACQUIRE), &current) else {
+            continue;
+        };
+        if let Some(class) = first_ident(&line.code[pos + HELPER_ACQUIRE.len()..]) {
+            helpers.push((helper.clone(), class));
+        }
+    }
+    helpers
+}
 
 /// Collect the `name → level` table from one file's annotated lock
 /// declarations (the first pass of a workspace scan).
@@ -572,13 +637,13 @@ pub fn scan_source(
 
         // L1b: textual acquisitions, checked against in-scope guards.
         if profile.lock_level {
-            for (pos, kind) in acquisition_sites(&code) {
-                let Some(receiver) = receiver_name(&code, pos) else { continue };
+            for site in acquisition_sites(&code) {
                 let level = file_decls
-                    .get(&receiver)
-                    .or_else(|| global_decls.get(&receiver))
+                    .get(&site.key)
+                    .or_else(|| global_decls.get(&site.key))
                     .copied();
                 let Some(level) = level else { continue };
+                let class = site.key.trim_end_matches('(');
                 for g in &guards {
                     if g.level >= level {
                         push(
@@ -586,7 +651,7 @@ pub fn scan_source(
                             idx,
                             Rule::LockLevel,
                             format!(
-                                "acquiring `{receiver}` (level {level}) while `{}` (level {}) \
+                                "acquiring `{class}` (level {level}) while `{}` (level {}) \
                                  is still in scope; levels must strictly increase",
                                 g.class, g.level
                             ),
@@ -594,15 +659,9 @@ pub fn scan_source(
                         break;
                     }
                 }
-                if let Some(bound) = guard_binding(&code, pos) {
-                    guards.push(Guard {
-                        name: Some(bound),
-                        class: receiver.clone(),
-                        level,
-                        depth,
-                    });
+                if let Some(bound) = guard_binding(&code, site.start, site.end) {
+                    guards.push(Guard { name: Some(bound), class: class.to_string(), level, depth });
                 }
-                let _ = kind;
             }
             // Explicit early release.
             if let Some(dropped) = drop_target(&code) {
@@ -832,81 +891,85 @@ fn fn_header_name(code: &str) -> Option<String> {
         .then_some(name)
 }
 
-/// Byte offsets (and token text) of textual lock acquisitions:
-/// `.lock()`, `.read()`, `.write()` with empty argument lists (I/O
-/// reads and writes always pass a buffer).
-fn acquisition_sites(code: &str) -> Vec<(usize, &'static str)> {
+/// One textual lock acquisition on a code line.
+struct Acquisition {
+    /// The acquiring expression spans `start..end`: the receiver chain
+    /// through `.lock()`, or the helper's name through its `)`.
+    start: usize,
+    end: usize,
+    /// The [`DeclTable`] key its level is found under: the receiver's
+    /// name, or the helper's name plus `(`.
+    key: String,
+}
+
+/// Textual lock acquisitions, in line order: `.lock()`, `.read()`,
+/// `.write()` with empty argument lists (I/O reads and writes always
+/// pass a buffer) on a named receiver — the last path segment of the
+/// identifier chain (`self.inner.threads.lock()` → `threads`); a call
+/// result is unresolvable and left to the runtime lockdep — and every
+/// free call `name(…)`, which is an acquisition when the tables hold
+/// `name(` (a lock helper).
+fn acquisition_sites(code: &str) -> Vec<Acquisition> {
+    let ident_char = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let mut sites = Vec::new();
     for token in [".lock()", ".read()", ".write()"] {
         let mut from = 0usize;
         while let Some(pos) = code[from..].find(token) {
-            sites.push((from + pos, token));
-            from += pos + token.len();
+            let pos = from + pos;
+            from = pos + token.len();
+            let chain_len =
+                code[..pos].chars().rev().take_while(|&c| ident_char(c) || c == '.').count();
+            let chain = &code[pos - chain_len..pos];
+            let receiver = chain.rsplit('.').next().unwrap_or_default();
+            if receiver.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') {
+                let key = receiver.to_string();
+                sites.push(Acquisition { start: pos - chain_len, end: from, key });
+            }
         }
     }
-    sites.sort_unstable();
+    for (open, _) in code.match_indices('(') {
+        let name_len = code[..open].chars().rev().take_while(|&c| ident_char(c)).count();
+        let start = open - name_len;
+        let head = code[..start].trim_end();
+        if name_len == 0 || head.ends_with('.') || head.ends_with("fn") {
+            continue;
+        }
+        let end = open + 1 + paren_arg(code, open + 1).len() + 1;
+        sites.push(Acquisition { start, end: end.min(code.len()), key: code[start..=open].into() });
+    }
+    sites.sort_unstable_by_key(|site| site.start);
     sites
 }
 
-/// The receiver of an acquisition at `pos`: the last path segment of
-/// the identifier chain ending there (`self.inner.threads.lock()` →
-/// `threads`). `None` when the receiver is a call result or otherwise
-/// unresolvable — the runtime lockdep covers those sites.
-fn receiver_name(code: &str, pos: usize) -> Option<String> {
-    let head = &code[..pos];
-    let chain: String = head
-        .chars()
-        .rev()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '.')
-        .collect::<String>()
-        .chars()
-        .rev()
-        .collect();
-    let last = chain.rsplit('.').next()?.trim();
-    (!last.is_empty() && last.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_'))
-        .then_some(last.to_string())
-}
-
-/// If the acquisition at `pos` is bound to a named guard
-/// (`let g = receiver.lock();`), the guard's name. Temporaries (no
-/// binding, or a trailing method chain that consumes the guard) return
-/// `None` and are released at end of line.
-fn guard_binding(code: &str, pos: usize) -> Option<String> {
+/// If the acquisition spanning `start..end` is bound to a named guard
+/// (`let g = receiver.lock();`, `let (_held, g) = lock_half(h);`), the
+/// guard's name — a tuple pattern's last. Temporaries (no binding, or a
+/// trailing method chain that consumes the guard) return `None` and are
+/// released at end of line.
+fn guard_binding(code: &str, start: usize, end: usize) -> Option<String> {
     let t = code.trim_start();
     let indent = code.len() - t.len();
     if !t.starts_with("let ") {
         return None;
     }
     let eq = code.find('=')?;
-    if eq > pos {
+    if eq > start {
         return None;
     }
-    // Between `=` and the receiver chain: only borrows/derefs.
-    let chain_start = {
-        let head = &code[..pos];
-        let tail_len = head
-            .chars()
-            .rev()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '.')
-            .count();
-        pos - tail_len
-    };
-    let between = code[eq + 1..chain_start].trim();
+    // Between `=` and the acquisition: only borrows/derefs.
+    let between = code[eq + 1..start].trim();
     if !between.chars().all(|c| c == '&' || c == '*' || c.is_whitespace()) {
         return None;
     }
     // After the acquisition: `;`, or a poison-recovery combinator.
-    let after = &code[pos..];
-    let close = after.find(')')? + 1;
-    let tail = after[close..].trim();
-    if !(tail.is_empty()
-        || tail.starts_with(';')
-        || tail.starts_with(".unwrap_or_else("))
-    {
+    let tail = code[end..].trim();
+    if !(tail.is_empty() || tail.starts_with(';') || tail.starts_with(".unwrap_or_else(")) {
         return None;
     }
-    // The bound name: `let [mut] name = ...`.
-    let binding = code[indent + 4..eq].trim().trim_start_matches("mut ").trim();
+    // The bound name: `let [mut] name = ...`, or a tuple's last.
+    let pattern = code[indent + 4..eq].trim();
+    let pattern = pattern.strip_prefix('(').and_then(|p| p.strip_suffix(')')).unwrap_or(pattern);
+    let binding = pattern.rsplit(',').next()?.trim().trim_start_matches("mut ").trim();
     (binding.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') && !binding.is_empty())
         .then(|| binding.to_string())
 }
@@ -1100,24 +1163,8 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let sources =
         read_sources(root, &["crates", "src"], &|d| never_scanned(d) || test_support(d))?;
 
-    // Pass 1: the global declaration table (names with conflicting
-    // levels across files are ambiguous and dropped — per-file tables
-    // still resolve them locally).
-    let mut global = DeclTable::new();
-    let mut conflicted: Vec<String> = Vec::new();
-    for (_, source) in &sources {
-        for (name, level) in collect_decls(source) {
-            match global.get(&name) {
-                Some(&existing) if existing != level => conflicted.push(name),
-                _ => {
-                    global.insert(name, level);
-                }
-            }
-        }
-    }
-    for name in conflicted {
-        global.remove(&name);
-    }
+    // Pass 1: the global declaration table.
+    let global = collect_global_decls(&sources);
 
     // Pass 2: checks.
     let mut findings = Vec::new();
@@ -1157,6 +1204,30 @@ fn class_args(raw: &str) -> Option<(String, u32)> {
     Some((name.to_string(), rest[..digits].parse().ok()?))
 }
 
+/// Every non-test `LockClass::new("name", N)` in `source`, with the
+/// identifier of the static it initialises (`SHARD` for
+/// `static SHARD: LockClass = …`; empty when the line names none).
+fn lock_classes(source: &str) -> Vec<(String, ClassSite)> {
+    let lines = clean(source);
+    let mask = test_mask(&lines);
+    let mut classes = Vec::new();
+    for ((idx, line), raw) in lines.iter().enumerate().zip(source.lines()) {
+        // The cleaned code has the class name blanked: the raw line
+        // carries it.
+        if mask[idx] || !line.code.contains("LockClass::new(") {
+            continue;
+        }
+        let Some((name, level)) = class_args(raw) else { continue };
+        let ident = line
+            .code
+            .split_once("static ")
+            .and_then(|(_, rest)| first_ident(rest))
+            .unwrap_or_default();
+        classes.push((ident, ClassSite { name, level, line: idx + 1 }));
+    }
+    classes
+}
+
 /// The rows of the level table (the `### The level table` section) whose
 /// class cell is backticked, each with whether its Why cell says
 /// "annotation only" — a documented level no `LockClass` carries.
@@ -1193,18 +1264,7 @@ fn level_table_rows(doc: &str) -> Vec<(ClassSite, bool)> {
 pub fn scan_level_table(sources: &[(PathBuf, String)], doc_path: &Path, doc: &str) -> Vec<Finding> {
     let mut statics = Vec::new();
     for (path, source) in sources {
-        let lines = clean(source);
-        let mask = test_mask(&lines);
-        for ((idx, line), raw) in lines.iter().enumerate().zip(source.lines()) {
-            // The cleaned code has the class name blanked: the raw line
-            // carries it.
-            if mask[idx] || !line.code.contains("LockClass::new(") {
-                continue;
-            }
-            if let Some((name, level)) = class_args(raw) {
-                statics.push((path, ClassSite { name, level, line: idx + 1 }));
-            }
-        }
+        statics.extend(lock_classes(source).into_iter().map(|(_, class)| (path, class)));
     }
     let rows = level_table_rows(doc);
     let same = |a: &ClassSite, b: &ClassSite| a.name == b.name && a.level == b.level;
@@ -1445,9 +1505,17 @@ mod tests {
     fn guard_binding_vs_temporary() {
         // A let-bound Arc::clone around a read guard is a temporary,
         // not a held guard.
-        assert_eq!(guard_binding("let cur = Arc::clone(&self.current.read());", 25), None);
-        let code = "let mut subs = self.subscribers.lock();";
-        let pos = code.find(".lock()").unwrap();
-        assert_eq!(guard_binding(code, pos), Some("subs".to_string()));
+        let bound = |code: &str| {
+            let site = acquisition_sites(code).into_iter().find(|s| s.key == "current")?;
+            guard_binding(code, site.start, site.end)
+        };
+        assert_eq!(bound("let cur = Arc::clone(&self.current.read());"), None);
+        assert_eq!(bound("let mut cur = self.current.lock();"), Some("cur".to_string()));
+        let helper = |code: &str| {
+            let site = acquisition_sites(code).into_iter().find(|s| s.key == "lock_half(")?;
+            guard_binding(code, site.start, site.end)
+        };
+        assert_eq!(helper("let (_held, mut st) = lock_half(&self.rx);"), Some("st".to_string()));
+        assert_eq!(helper("let n = lock_half(&self.rx).1.buf.len();"), None);
     }
 }

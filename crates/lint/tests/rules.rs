@@ -6,7 +6,8 @@
 use std::path::{Path, PathBuf};
 
 use darkdns_lint::{
-    scan_level_table, scan_orphans, scan_source, DeclTable, Finding, Profile, Rule,
+    collect_global_decls, scan_level_table, scan_orphans, scan_source, DeclTable, Finding,
+    Profile, Rule,
 };
 
 fn read_fixture(name: &str) -> (PathBuf, String) {
@@ -35,6 +36,41 @@ fn l1_fires_on_unannotated_decl_and_inverted_order() {
     let messages: Vec<&str> = findings.iter().map(|f| f.message.as_str()).collect();
     assert!(messages.iter().any(|m| m.contains("no `lock-level: N` annotation")), "{messages:?}");
     assert!(messages.iter().any(|m| m.contains("strictly increase")), "{messages:?}");
+}
+
+/// L1 findings on a fixture scanned as a workspace of one file, so its
+/// lock helpers resolve through the global table: `(line, message)`.
+fn helper_findings(name: &str) -> Vec<(usize, String)> {
+    let (path, source) = read_fixture(name);
+    let global = collect_global_decls(&[(path.clone(), source.clone())]);
+    let profile = Profile { lock_level: true, ..Profile::default() };
+    let findings = scan_source(&path, &source, profile, &global);
+    assert_eq!(count(&findings, Rule::LockLevel), findings.len(), "{findings:#?}");
+    findings.into_iter().map(|f| (f.line, f.message)).collect()
+}
+
+#[test]
+fn l1_sees_a_shard_lock_helper_called_under_a_queue_guard() {
+    // The helper's call under the queue guard, and not the legal
+    // shard → queue order, the temporary or the helper's own body.
+    let found = helper_findings("l1_helper_shard_bad.rs");
+    assert!(
+        matches!(&found[..], [(19, m)]
+            if m.contains("`lock_shard` (level 20)") && m.contains("`queue` (level 30)")),
+        "{found:#?}"
+    );
+}
+
+#[test]
+fn l1_sees_a_pipe_half_helper_called_under_a_level_50_lock() {
+    // The tuple-bound helper guard under the pending lock, and not the
+    // reverse order.
+    let found = helper_findings("l1_helper_half_bad.rs");
+    assert!(
+        matches!(&found[..], [(18, m)]
+            if m.contains("`lock_half` (level 46)") && m.contains("`pending` (level 50)")),
+        "{found:#?}"
+    );
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! cargo run --release --example broker_subscriber [seed]
 //! ```
 
-use darkdns::broker::{Broker, BrokerConfig, OverflowPolicy, RetentionConfig, UniverseFeed};
+use darkdns::broker::{Broker, BrokerConfig, RetentionConfig, UniverseFeed};
 use darkdns::core::broker_view::BrokerZoneView;
 use darkdns::registry::czds::SnapshotSchedule;
 use darkdns::registry::hosting::HostingLandscape;
@@ -51,7 +51,6 @@ fn main() {
     let broker = Broker::new(BrokerConfig {
         retention: RetentionConfig::new(64, 16),
         subscriber_capacity: 4096,
-        overflow: OverflowPolicy::Lag,
     });
     feed.register_shards(&broker);
     println!("broker over 3 TLDs (seed {seed}): {} pushes pending", feed.pending());
@@ -118,13 +117,12 @@ fn main() {
     let stats = broker.stats();
     println!(
         "\nbroker stats: {} frames encoded once ({} KiB), {} deliveries to {} subscribers, \
-         {} lagged, {} evicted",
+         {} lagged",
         stats.frames_encoded,
         stats.frame_bytes_encoded / 1024,
         stats.deliveries,
         stats.subscribers,
         stats.lagged_messages,
-        stats.evictions,
     );
     let mut nrd_log = Vec::new();
     live.drain_new_domains(&mut nrd_log);

@@ -18,9 +18,7 @@
 //! ```
 
 use darkdns::broker::transport::{fetch_stats, tcp_connect, FrameConn, StatsReport, TransportClient};
-use darkdns::broker::{
-    Broker, BrokerConfig, BrokerServer, OverflowPolicy, TransportConfig, UniverseFeed,
-};
+use darkdns::broker::{Broker, BrokerConfig, BrokerServer, TransportConfig, UniverseFeed};
 use darkdns::core::broker_view::RemoteZoneView;
 use darkdns::dns::wire::{LookupQuery, LOOKUP_ANY_TLD};
 use darkdns::dns::DomainName;
@@ -53,7 +51,6 @@ fn main() {
 
     let broker = Broker::new(BrokerConfig {
         subscriber_capacity: 1 << 16,
-        overflow: OverflowPolicy::Lag,
         ..BrokerConfig::default()
     });
     feed.register_shards(&broker);

@@ -30,9 +30,7 @@
 //! ```
 
 use darkdns::broker::transport::{fetch_stats, tcp_connect, FrameConn, StatsReport, TransportError};
-use darkdns::broker::{
-    Broker, BrokerConfig, BrokerServer, OverflowPolicy, TransportConfig, UniverseFeed,
-};
+use darkdns::broker::{Broker, BrokerConfig, BrokerServer, TransportConfig, UniverseFeed};
 use darkdns::core::broker_view::EndpointMap;
 use darkdns::dns::Serial;
 use darkdns::edge::{EdgeConfig, EdgeIndex, EdgeIndexConfig, EdgeServer, RoutedEdgeFeed};
@@ -117,7 +115,6 @@ fn main() {
 
     let root_broker = Broker::new(BrokerConfig {
         subscriber_capacity: 1 << 16,
-        overflow: OverflowPolicy::Lag,
         ..BrokerConfig::default()
     });
     feed.register_shards(&root_broker);
@@ -136,7 +133,6 @@ fn main() {
         let server = BrokerServer::new(
             Broker::new(BrokerConfig {
                 subscriber_capacity: 1 << 16,
-                overflow: OverflowPolicy::Lag,
                 ..BrokerConfig::default()
             }),
             TransportConfig { writer_tick: Duration::from_millis(2), ..TransportConfig::default() },

@@ -20,7 +20,7 @@
 //! Run with: `cargo run --release --example membership_backends`
 
 use darkdns::broker::transport::{fetch_stats, tcp_connect, FrameConn, TransportClient};
-use darkdns::broker::{Broker, BrokerConfig, BrokerServer, OverflowPolicy, TransportConfig};
+use darkdns::broker::{Broker, BrokerConfig, BrokerServer, TransportConfig};
 use darkdns::core::broker_view::{BrokerZoneView, RemoteZoneView};
 use darkdns::core::experiment::{run_certstream_detection, LiveDetection, LiveInputs};
 use darkdns::core::monitor::Monitor;
@@ -33,7 +33,6 @@ use std::time::Duration;
 fn roomy_broker() -> Broker {
     Broker::new(BrokerConfig {
         subscriber_capacity: 1 << 20,
-        overflow: OverflowPolicy::Lag,
         ..BrokerConfig::default()
     })
 }

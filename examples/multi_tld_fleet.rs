@@ -17,9 +17,7 @@
 //! cargo run --release --example multi_tld_fleet [seed]
 //! ```
 
-use darkdns::broker::{
-    Broker, BrokerConfig, OverflowPolicy, RetentionConfig, UniverseFeed,
-};
+use darkdns::broker::{Broker, BrokerConfig, RetentionConfig, UniverseFeed};
 use darkdns::core::broker_view::BrokerZoneView;
 use darkdns::dns::par::available_workers;
 use darkdns::registry::tld::{synthetic_fleet, TldId};
@@ -46,7 +44,6 @@ fn main() {
     let broker = Broker::new(BrokerConfig {
         retention: RetentionConfig::new(64, 16),
         subscriber_capacity: 1 << 16,
-        overflow: OverflowPolicy::Lag,
     });
     feed.register_shards(&broker);
     println!(
@@ -98,13 +95,12 @@ fn main() {
     let contended: u64 = all.iter().map(|s| s.lock_contentions).sum();
     println!(
         "\ntotals: {} pushes ({} KiB of frames, each encoded once), {} deliveries to {} \
-         subscriber(s), {} lagged, {} evicted, {} shard-lock contentions",
+         subscriber(s), {} lagged, {} shard-lock contentions",
         agg.frames_encoded,
         agg.frame_bytes_encoded / 1024,
         agg.deliveries,
         agg.subscribers,
         agg.lagged_messages,
-        agg.evictions,
         contended,
     );
     assert_eq!(pushes, published as u64, "per-shard pushes must sum to the published total");

@@ -34,9 +34,7 @@
 //! ```
 
 use darkdns::broker::transport::{fetch_stats, tcp_connect, FrameConn, TransportError};
-use darkdns::broker::{
-    Broker, BrokerConfig, BrokerServer, OverflowPolicy, TransportConfig, UniverseFeed,
-};
+use darkdns::broker::{Broker, BrokerConfig, BrokerServer, TransportConfig, UniverseFeed};
 use darkdns::core::broker_view::EndpointMap;
 use darkdns::dns::Serial;
 use darkdns::edge::{
@@ -66,7 +64,6 @@ struct Relay {
 fn spawn_relay(name: &'static str, root_addr: SocketAddr, tld_ids: &[TldId]) -> Relay {
     let broker = Broker::new(BrokerConfig {
         subscriber_capacity: 1 << 16,
-        overflow: OverflowPolicy::Lag,
         ..BrokerConfig::default()
     });
     let server = BrokerServer::new(
@@ -104,7 +101,6 @@ fn main() {
     // Tier 1: the root broker, the only node that ever encodes a delta.
     let root_broker = Broker::new(BrokerConfig {
         subscriber_capacity: 1 << 16,
-        overflow: OverflowPolicy::Lag,
         ..BrokerConfig::default()
     });
     feed.register_shards(&root_broker);

@@ -15,7 +15,7 @@
 
 use darkdns::broker::transport::{FrameConn, LengthPrefixed, TransportClient, TransportError};
 use darkdns::broker::{
-    Broker, BrokerConfig, BrokerServer, OverflowPolicy, RetentionConfig, TransportConfig,
+    Broker, BrokerConfig, BrokerServer, RetentionConfig, TransportConfig,
     UniverseFeed,
 };
 use darkdns::core::broker_view::RemoteZoneView;
@@ -77,7 +77,6 @@ fn main() {
     let broker = Broker::new(BrokerConfig {
         retention: RetentionConfig::new(256, 32),
         subscriber_capacity: 4096,
-        overflow: OverflowPolicy::Lag,
     });
     feed.register_shards(&broker);
 
@@ -132,10 +131,8 @@ fn main() {
 
     let stats = server.stats();
     println!(
-        "\ntransport: {} handshakes, {} delta envelopes + {} snapshots sent, \
-         {} evict notices, {} disconnects",
-        stats.handshakes, stats.deltas_sent, stats.snapshots_sent, stats.evict_notices,
-        stats.disconnects,
+        "\ntransport: {} handshakes, {} delta envelopes + {} snapshots sent, {} disconnects",
+        stats.handshakes, stats.deltas_sent, stats.snapshots_sent, stats.disconnects,
     );
     for (i, view) in views.iter().enumerate() {
         println!(

@@ -21,7 +21,7 @@
 //! bug — a missed delta, a double apply, snapshot leakage into the NRD
 //! window, an epoch torn between shards — shows up as a field diff.
 
-use darkdns::broker::{Broker, BrokerConfig, BrokerMessage, OverflowPolicy};
+use darkdns::broker::{Broker, BrokerConfig, BrokerMessage};
 use darkdns::core::broker_view::BrokerZoneView;
 use darkdns::core::{ExperimentConfig, LiveInputs};
 use darkdns::dns::wire::{LookupQuery, LOOKUP_ANY_TLD};
@@ -36,7 +36,6 @@ use std::time::Duration;
 fn roomy_broker() -> Broker {
     Broker::new(BrokerConfig {
         subscriber_capacity: 1 << 20,
-        overflow: OverflowPolicy::Lag,
         ..BrokerConfig::default()
     })
 }

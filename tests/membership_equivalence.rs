@@ -22,7 +22,7 @@
 //! here as a candidate-set diff.
 
 use darkdns::broker::transport::{tcp_connect, FrameConn, TransportClient};
-use darkdns::broker::{Broker, BrokerConfig, BrokerServer, OverflowPolicy, TransportConfig};
+use darkdns::broker::{Broker, BrokerConfig, BrokerServer, TransportConfig};
 use darkdns::core::broker_view::{BrokerZoneView, RemoteZoneView};
 use darkdns::core::experiment::{run_certstream_detection, LiveInputs};
 use darkdns::core::membership::{SyncHealth, ZoneMembership};
@@ -32,11 +32,10 @@ use darkdns::sim::time::SimDuration;
 use std::time::Duration;
 
 /// A broker sized so a live, regularly-pumped subscriber can never lag
-/// or evict — equivalence must measure the backends, not the tuning.
+/// — equivalence must measure the backends, not the tuning.
 fn roomy_broker() -> Broker {
     Broker::new(BrokerConfig {
         subscriber_capacity: 1 << 20,
-        overflow: OverflowPolicy::Lag,
         ..BrokerConfig::default()
     })
 }

@@ -4,8 +4,9 @@
 //! consumer over the in-memory duplex pipe — the same framing state
 //! machine and decoders as the TCP path — and injects scripted faults
 //! at the frame boundary: mid-frame disconnects, corrupt and truncated
-//! frames, duplicate deliveries, and a stalled reader that trips the
-//! broker's slow-subscriber eviction. The invariants pinned throughout:
+//! frames, duplicate deliveries, and a stalled reader whose overflowing
+//! pushes the broker drops and counts (lag). The invariants pinned
+//! throughout:
 //!
 //! * the consumer always converges to `Zone::from_snapshot` of the
 //!   publisher's head, whatever the fault;
@@ -23,9 +24,7 @@ use darkdns::broker::transport::{
     FrameConn, FrameFault, LengthPrefixed, PipeCutHandle, TransportClient, TransportError,
     MAX_FRAME_LEN, MAX_RING_FRAMES,
 };
-use darkdns::broker::{
-    Broker, BrokerConfig, BrokerServer, OverflowPolicy, RetentionConfig, TransportConfig,
-};
+use darkdns::broker::{Broker, BrokerConfig, BrokerServer, RetentionConfig, TransportConfig};
 use darkdns::core::broker_view::RemoteZoneView;
 use darkdns::dns::wire::{
     decode_snapshot_chunk, encode_snapshot_chunks, encode_stats_report, ServerStats, StatsReport,
@@ -244,17 +243,15 @@ fn duplicate_delivery_is_never_applied_twice() {
 }
 
 #[test]
-fn stalled_reader_is_evicted_and_recovers_via_claims() {
+fn stalled_reader_lags_and_recovers_via_claims() {
     // A tiny pipe (simulating a full TCP send buffer) plus a tiny live
-    // queue bound under Evict: the consumer stops reading, the writer
-    // wedges, the broker evicts, the writer reports RZUE and closes,
-    // and the reconnect-with-claims heals the gap.
-    let config = BrokerConfig {
-        retention: RetentionConfig::new(64, 16),
-        subscriber_capacity: 2,
-        overflow: OverflowPolicy::Evict,
-        ..BrokerConfig::default()
-    };
+    // queue bound: the consumer stops reading, the writer wedges, and
+    // the broker drops and counts every push the full queue cannot
+    // take. Nothing tells the consumer: it applies what was queued and
+    // sits silently behind until the next publish shows it the gap,
+    // and the reconnect-with-claims heals it.
+    const PUSHES: u32 = 48;
+    let config = BrokerConfig { retention: RetentionConfig::new(64, 16), subscriber_capacity: 2 };
     let (broker, server, net) = one_tld_rig(config, vec![]);
     let net = net.with_capacity(256);
     let mut view = RemoteZoneView::connect(&[TldId(0)], net.dialer()).unwrap();
@@ -264,24 +261,59 @@ fn stalled_reader_is_evicted_and_recovers_via_claims() {
         view.pump(64);
         view.view().serial(TldId(0)).is_some()
     });
-    // The reader now stalls (no pumping) while the publisher floods: the
-    // pipe fills, the writer blocks, the live queue overflows, eviction.
-    // More pushes than the outbound ring (32 frames), the 256-byte pipe
-    // and the 2-slot queue hold between them, so the overflow happens
-    // even when the reactor drains every push the moment it lands (30
-    // pushes fit, and on a loaded host occasionally did: no eviction,
-    // and the wait below timed out).
-    for i in 1..=48u32 {
+    // The reader now stalls (no pumping) while the publisher floods.
+    // Until the outbound ring is full behind the full 256-byte pipe,
+    // each push waits for the reactor to take it, so a slow reactor
+    // cannot overflow the 2-slot queue early: every drop lands on the
+    // tail of the stream. 48 pushes are more than the ring (32 frames),
+    // the pipe and the queue hold between them.
+    let mut wedged = false;
+    for i in 1..=PUSHES {
         broker.publish(TldId(0), add_delta(&format!("d{i}.com")), Serial::new(i), SimTime::ZERO);
+        wait_for("the reactor to take the push or wedge", || {
+            if wedged {
+                return true;
+            }
+            let depth = server.stats_report().subs[0].queue_depth;
+            let in_ring = (u64::from(i) - depth).saturating_sub(server.stats().deltas_sent);
+            wedged = in_ring >= MAX_RING_FRAMES as u64;
+            depth == 0 || wedged
+        });
     }
-    wait_for("eviction", || broker.stats().evictions == 1);
-    // Resume reading: drain the stale frames, observe the eviction
-    // notice, reconnect with claims, converge.
+    // A publish drops and counts on the spot: the figure is final.
+    let lagged = broker.stats().lagged_messages;
+    assert!(lagged > 0, "the wedged queue must have overflowed");
+    // The stats plane reports the lag on the subscriber's row; the
+    // retired eviction rows of the legacy layout read 0.
+    let (scrape_end, scrape_server_end) = duplex(1 << 16);
+    server.spawn_conn(LengthPrefixed::new(scrape_server_end));
+    let report = fetch_stats(LengthPrefixed::new(scrape_end)).expect("scrape");
+    assert_eq!(report.subs.len(), 1, "one live subscriber row: {:?}", report.subs);
+    assert_eq!(report.subs[0].lag_drops, lagged);
+    assert_eq!(report.subs[0].queue_depth, 2, "the wedged queue holds its bound");
+    assert_eq!(report.server.evict_notices, 0);
+    assert_eq!(report.shards[0].evictions, 0);
+    assert_eq!(report.shards[0].lagged_messages, lagged);
+    // Resume reading: the view applies everything queued before the
+    // drops and stays silently behind — nothing yet shows it the gap.
+    let behind = Serial::new(PUSHES - lagged as u32);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while view.view().serial(TldId(0)) != Some(behind) {
+        assert!(Instant::now() < deadline, "view never drained the pre-drop stream");
+        view.pump(64);
+    }
+    assert_eq!(view.view().resync_count(), 0, "a lagged consumer learns nothing until a push");
+    // The next push does not chain: the view rejoins by its claims and
+    // the ring replays the dropped range.
+    broker.publish(TldId(0), add_delta("d49.com"), Serial::new(PUSHES + 1), SimTime::ZERO);
     pump_until_synced(&mut view, &broker, &[TldId(0)]);
     assert_zone_converged(&view, &broker, TldId(0));
-    assert_eq!(view.view().resync_count(), 1, "one eviction, one resync");
-    assert_eq!(view.view().frames_applied(), 48, "every serial applied exactly once");
-    assert_eq!(server.stats().evict_notices, 1, "writer announced the eviction explicitly");
+    assert_eq!(view.view().resync_count(), 1, "one gap, one resync");
+    assert_eq!(
+        view.view().frames_applied(),
+        u64::from(PUSHES + 1),
+        "every serial applied exactly once"
+    );
     server.shutdown();
 }
 

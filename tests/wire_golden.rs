@@ -508,34 +508,39 @@ fn retired_rzus_frame_is_refused_with_claims_and_chunk_progress_untouched() {
     // close with `BadMagic`, adopt nothing. The frame is tagged TLD 3,
     // so the client holds a claim and a half-received chunk train for
     // that very shard: the receive arm this replaces would have
-    // overwritten the one and dropped the other.
+    // overwritten the one and dropped the other. `RZUE`, the eviction
+    // notice whose magic was its whole body, is retired the same way.
     let rzus = fixture("rzus").remove(0);
     assert_eq!(&rzus[..6], b"RZUS\x00\x03");
-    let claims = [(TldId(3), Some(Serial::new(5))), (TldId(7), None)];
-    let (client_end, peer_end) = duplex(1 << 16);
-    let mut client = TransportClient::connect(LengthPrefixed::new(client_end), &claims).unwrap();
-    let mut peer = LengthPrefixed::new(peer_end);
-    peer.recv_frame().expect("hello");
+    for retired in [&rzus[..], &b"RZUE"[..]] {
+        let magic = String::from_utf8_lossy(&retired[..4]).into_owned();
+        let claims = [(TldId(3), Some(Serial::new(5))), (TldId(7), None)];
+        let (client_end, peer_end) = duplex(1 << 16);
+        let mut client =
+            TransportClient::connect(LengthPrefixed::new(client_end), &claims).unwrap();
+        let mut peer = LengthPrefixed::new(peer_end);
+        peer.recv_frame().expect("hello");
 
-    let train = encode_snapshot_chunks(3, &snapshot(), 0, 256);
-    let first = decode_snapshot_chunk(&train[0]).unwrap();
-    assert!(!first.last && !first.entries.is_empty());
-    peer.send_frame(&[&train[0]]).unwrap();
-    peer.send_frame(&[]).unwrap();
-    assert!(matches!(client.next_event(), ClientEvent::Idle));
-    assert!(client.has_snapshot_in_flight());
+        let train = encode_snapshot_chunks(3, &snapshot(), 0, 256);
+        let first = decode_snapshot_chunk(&train[0]).unwrap();
+        assert!(!first.last && !first.entries.is_empty());
+        peer.send_frame(&[&train[0]]).unwrap();
+        peer.send_frame(&[]).unwrap();
+        assert!(matches!(client.next_event(), ClientEvent::Idle));
+        assert!(client.has_snapshot_in_flight());
 
-    peer.send_frame(&[&rzus]).unwrap();
-    match client.next_event() {
-        ClientEvent::Closed(TransportError::Wire(WireError::BadMagic)) => {}
-        other => panic!("expected Closed(BadMagic), got {other:?}"),
+        peer.send_frame(&[retired]).unwrap();
+        match client.next_event() {
+            ClientEvent::Closed(TransportError::Wire(WireError::BadMagic)) => {}
+            other => panic!("{magic}: expected Closed(BadMagic), got {other:?}"),
+        }
+        assert_eq!(client.claimed_serials(), &claims, "{magic}");
+        assert_eq!(client.snapshot_chunks_received(), 1, "{magic}");
+        let progress = client.take_snapshot_progress();
+        assert_eq!(progress.len(), 1, "{magic}");
+        assert_eq!(progress[0].tld(), TldId(3), "{magic}");
+        assert_eq!(progress[0].entries_received(), first.entries.len(), "{magic}");
     }
-    assert_eq!(client.claimed_serials(), &claims);
-    assert_eq!(client.snapshot_chunks_received(), 1);
-    let progress = client.take_snapshot_progress();
-    assert_eq!(progress.len(), 1);
-    assert_eq!(progress[0].tld(), TldId(3));
-    assert_eq!(progress[0].entries_received(), first.entries.len());
 }
 
 #[test]
