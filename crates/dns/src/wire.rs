@@ -21,7 +21,7 @@
 //!
 //! # Name codec: allocation-free, byte-identical
 //!
-//! Every message family here — `Message`, `RZU1`, `RZUC`, `RZUL` —
+//! Every message family here — `Message`, `RZU2`, `RZUC`, `RZUL` —
 //! spells names through one `Encoder::name` / `Decoder::name`
 //! pair, so their cost is per-name overhead times hundreds of thousands
 //! of names per bootstrap:
@@ -40,22 +40,17 @@
 //!   what that route gives. A wire label containing `.` is rejected: it
 //!   would otherwise re-parse as several labels, giving one name two
 //!   encodings.
-//! * **NS sets** travel two ways. An `RZU1` frame spells every set out
-//!   and decodes it through a per-frame memo: the wire bytes of a set
-//!   are a context-free function of the frame (labels are literal,
-//!   pointer targets absolute), so they key a shared [`NsSet`], and a
-//!   repeated set — two 2-byte pointers per host, typically — is found
-//!   by skipping over it. The memo borrows from the frame and holds at
-//!   most one entry per NS set the frame spells: it is bounded by the
-//!   bytes it indexes, never by a decoded count. An `RZUC` chunk names
-//!   each entry's set by its index in a chunk-local table instead, the
-//!   first use defining it inline, so a repeated set costs one byte
-//!   whatever offset it was defined at, and decodes by a `Vec` lookup
-//!   with no hashing: a 100k-entry bootstrap holds one `NsSet` per
-//!   distinct provider set and chunk instead of 100k private ones.
+//! * **NS sets** travel one way, in `RZU2` delta frames and `RZUC`
+//!   chunks alike: each entry names its set by its index in a
+//!   frame-local table, the first use defining it inline
+//!   (`Encoder::ns_ref` / `Decoder::table_ns`). A repeated set costs one
+//!   byte whatever offset it was defined at, and decodes by a `Vec`
+//!   lookup with no hashing: every use of a set in a frame shares one
+//!   [`NsSet`], and a 100k-entry bootstrap holds one per distinct
+//!   provider set and chunk instead of 100k private ones.
 //!
-//! `tests/wire_golden.rs` pins the encoders to the bytes of the previous
-//! (`String`-keyed) implementation; `tests/alloc_budget.rs` pins the
+//! `tests/wire_golden.rs` pins every encoder's bytes and keeps the
+//! retired layouts as refusal vectors; `tests/alloc_budget.rs` pins the
 //! allocation counts.
 
 use crate::diff::{NsChange, ZoneDelta};
@@ -89,7 +84,8 @@ pub enum WireError {
     RdataLength { declared: usize, actual: usize },
     /// Bytes remained after the message was fully parsed.
     TrailingBytes(usize),
-    /// A delta-push frame did not start with the `RZU1` magic.
+    /// A frame did not start with the magic its decoder reads — a
+    /// retired family's (`RZU1`, `RZUS`, `RZUE`) included.
     BadMagic,
     /// A flags byte outside the defined set: lookup answer or snapshot
     /// chunk flag bits this build does not know. A snapshot chunk
@@ -100,8 +96,8 @@ pub enum WireError {
     /// are inconsistent (out of range, or the last-chunk flag disagrees
     /// with the arithmetic).
     BadChunk { offset: u32, count: u32, total: u32 },
-    /// A snapshot chunk entry's NS-set reference names a set past the
-    /// `defined` ones the chunk has spelled so far (or the next one,
+    /// A delta or snapshot chunk entry's NS-set reference names a set
+    /// past the `defined` ones the frame has spelled so far (or the next one,
     /// which it would define). A reference that is not the minimal
     /// LEB128 spelling of a `u32` reads as `index: u32::MAX`.
     BadNsRef { index: u32, defined: u32 },
@@ -122,7 +118,7 @@ impl fmt::Display for WireError {
                 write!(f, "RDLENGTH {declared} but RDATA is {actual} bytes")
             }
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
-            WireError::BadMagic => write!(f, "not an RZU1 delta-push frame"),
+            WireError::BadMagic => write!(f, "unknown or retired frame magic"),
             WireError::BadFlags(b) => write!(f, "unknown flags byte {b:#04x}"),
             WireError::BadChunk { offset, count, total } => {
                 write!(f, "snapshot chunk bounds {offset}+{count} inconsistent with total {total}")
@@ -307,9 +303,9 @@ struct Encoder<'a> {
     /// the keys are this process's own zone state, as for every
     /// name-keyed map in the crate.
     compression: HashMap<&'a str, u16, FxBuildHasher>,
-    /// `RZUC` only: NS-set content -> its index in the chunk's set
-    /// table. Keyed by content, so equal sets held in separate
-    /// allocations share one index; Fx as above.
+    /// NS-set content -> its index in the frame's set table. Keyed by
+    /// content, so equal sets held in separate allocations share one
+    /// index; Fx as above.
     ns_table: HashMap<&'a [DomainName], u32, FxBuildHasher>,
 }
 
@@ -385,19 +381,10 @@ impl<'a> Encoder<'a> {
         self.buf.put_u8(0);
     }
 
-    /// Encode an NS set as a u16 count followed by the host names.
-    fn ns_set(&mut self, ns: &'a NsSet) {
-        debug_assert!(ns.len() <= u16::MAX as usize);
-        self.buf.put_u16(ns.len() as u16);
-        for host in ns {
-            self.name(host);
-        }
-    }
-
-    /// Encode an `RZUC` entry's NS set as a minimal LEB128 reference into
-    /// the chunk's set table: the index of its earlier definition, or the
-    /// next index followed by the set spelled out ([`Encoder::ns_set`]),
-    /// which defines it.
+    /// Encode an entry's NS set as a minimal LEB128 reference into the
+    /// frame's set table: the index of its earlier definition, or the
+    /// next index followed by the set spelled out (`u16` host count, then
+    /// the host names), which defines it.
     fn ns_ref(&mut self, ns: &'a NsSet) {
         let next = self.ns_table.len() as u32;
         let index = *self.ns_table.entry(ns.as_slice()).or_insert(next);
@@ -408,7 +395,11 @@ impl<'a> Encoder<'a> {
         }
         self.buf.put_u8(rest as u8);
         if index == next {
-            self.ns_set(ns);
+            debug_assert!(ns.len() <= u16::MAX as usize);
+            self.buf.put_u16(ns.len() as u16);
+            for host in ns {
+                self.name(host);
+            }
         }
     }
 
@@ -463,16 +454,11 @@ impl<'a> Encoder<'a> {
 struct Decoder<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Raw wire bytes of an NS set -> the set they decoded to. Keys
-    /// borrow from the frame and only sets the frame actually spells are
-    /// inserted, so the memo is bounded by the frame's length (L2).
-    /// Default (keyed) hasher: the keys are peer-chosen bytes.
-    ns_memo: HashMap<&'a [u8], NsSet>,
 }
 
 impl<'a> Decoder<'a> {
     fn new(bytes: &'a [u8]) -> Self {
-        Decoder { bytes, pos: 0, ns_memo: HashMap::new() }
+        Decoder { bytes, pos: 0 }
     }
 
     fn remaining(&self) -> usize {
@@ -553,7 +539,7 @@ impl<'a> Decoder<'a> {
         Ok(count)
     }
 
-    /// Decode an NS set spelled out by [`Encoder::ns_set`] into a fresh
+    /// Decode an NS set spelled out by [`Encoder::ns_ref`] into a fresh
     /// [`NsSet`]. Host order is preserved as encoded.
     fn ns_spelled(&mut self) -> Result<NsSet, WireError> {
         let count = self.ns_count()?;
@@ -564,32 +550,9 @@ impl<'a> Decoder<'a> {
         Ok(NsSet::from_raw(hosts))
     }
 
-    /// Decode an `RZU1` NS set ([`Decoder::ns_spelled`]) through the
-    /// frame's memo.
-    ///
-    /// The set's raw bytes decode to the same value wherever in the
-    /// frame they stand — labels are literal, pointer targets are
-    /// absolute offsets, and a pointer legal at an earlier position is
-    /// legal at every later one — so they are memoised: the second and
-    /// later occurrences of a spelling share the first one's [`NsSet`].
-    fn ns_set(&mut self) -> Result<NsSet, WireError> {
-        let start = self.pos;
-        for _ in 0..self.ns_count()? {
-            self.skip_name()?;
-        }
-        let raw = &self.bytes[start..self.pos];
-        if let Some(shared) = self.ns_memo.get(raw) {
-            return Ok(shared.clone());
-        }
-        self.pos = start;
-        let set = self.ns_spelled()?;
-        self.ns_memo.insert(raw, set.clone());
-        Ok(set)
-    }
-
-    /// Read an `RZUC` entry's NS-set reference, a minimal LEB128 `u32`,
-    /// and check it against the `defined` sets so far: it names one of
-    /// them, or equals `defined` and announces the next definition.
+    /// Read an entry's NS-set reference, a minimal LEB128 `u32`, and
+    /// check it against the `defined` sets so far: it names one of them,
+    /// or equals `defined` and announces the next definition.
     fn ns_ref(&mut self, defined: u32) -> Result<u32, WireError> {
         let mut index = 0u32;
         for shift in [0, 7, 14, 21, 28] {
@@ -611,33 +574,43 @@ impl<'a> Decoder<'a> {
         Err(WireError::BadNsRef { index: u32::MAX, defined })
     }
 
+    /// Read an entry's NS set through the frame's set table `sets`: a
+    /// reference ([`Decoder::ns_ref`]) to an earlier definition, or the
+    /// next index followed by the set spelled out, which defines it. So
+    /// every use of a set in the frame, the first included, shares one
+    /// [`NsSet`]. The table needs no bound of its own: it grows one slot
+    /// per definition read, and a definition costs at least 3 bytes
+    /// (reference and `u16` host count), so the frame's length bounds it.
+    fn table_ns(&mut self, sets: &mut Vec<NsSet>) -> Result<NsSet, WireError> {
+        let index = self.ns_ref(sets.len() as u32)?;
+        match sets.get(index as usize) {
+            Some(set) => Ok(set.clone()),
+            None => {
+                let set = self.ns_spelled()?;
+                sets.push(set.clone());
+                Ok(set)
+            }
+        }
+    }
+
     /// Decode `count` `(owner, NS-set reference)` entries — the body of
-    /// an `RZUC` chunk — building the chunk's set table as definitions
-    /// arrive, so each distinct set decodes to one shared [`NsSet`]. The
-    /// count is untrusted: each entry costs at least 2 bytes (a 1-byte
-    /// root or pointer-free name plus a 1-byte reference), so a count
-    /// the remaining buffer cannot hold is a truncation, caught before
-    /// the allocation is sized from it. The table needs no bound of its
-    /// own: it grows one slot per definition read, and a definition
-    /// costs at least 3 bytes (reference and `u16` host count).
-    fn decode_entries(&mut self, count: usize) -> Result<Vec<(DomainName, NsSet)>, WireError> {
+    /// an `RZUC` chunk and an `RZU2` frame's added and removed sections —
+    /// against the frame's set table `sets`. The count is untrusted: each
+    /// entry costs at least 2 bytes (a 1-byte root or pointer-free name
+    /// plus a 1-byte reference), so a count the remaining buffer cannot
+    /// hold is a truncation, caught before the allocation is sized from
+    /// it.
+    fn decode_entries(
+        &mut self,
+        count: usize,
+        sets: &mut Vec<NsSet>,
+    ) -> Result<Vec<(DomainName, NsSet)>, WireError> {
         if count.checked_mul(2).is_none_or(|need| need > self.remaining()) {
             return Err(WireError::Truncated);
         }
         let mut entries = Vec::with_capacity(count);
-        let mut sets: Vec<NsSet> = Vec::new();
         for _ in 0..count {
-            let owner = self.name()?;
-            let index = self.ns_ref(sets.len() as u32)?;
-            let ns = match sets.get(index as usize) {
-                Some(set) => set.clone(),
-                None => {
-                    let set = self.ns_spelled()?;
-                    sets.push(set.clone());
-                    set
-                }
-            };
-            entries.push((owner, ns));
+            entries.push((self.name()?, self.table_ns(sets)?));
         }
         Ok(entries)
     }
@@ -865,8 +838,10 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Magic prefix of an RZU delta-push frame ("RZU1").
-pub const DELTA_PUSH_MAGIC: &[u8; 4] = b"RZU1";
+/// Magic prefix of an RZU delta-push frame ("RZU2"). `RZU1`, the layout
+/// that spelled every NS set out, is retired: reserved, and refused with
+/// [`WireError::BadMagic`] like any unknown magic.
+pub const DELTA_PUSH_MAGIC: &[u8; 4] = b"RZU2";
 
 /// A decoded RZU delta-push frame: the net zone change that advanced one
 /// shard from `from_serial` to `to_serial`.
@@ -885,7 +860,9 @@ pub struct DeltaPush {
     pub to_serial: Serial,
     /// Publisher-side timestamp of the push.
     pub pushed_at: SimTime,
-    /// The net changes, in canonical (sorted-by-domain) order.
+    /// The net changes, in canonical (sorted-by-domain) order. Each
+    /// distinct NS set of the frame is one [`NsSet`], shared by every
+    /// entry (and both sides of a change) that names it.
     pub delta: ZoneDelta,
 }
 
@@ -894,18 +871,24 @@ pub struct DeltaPush {
 /// Layout (all integers big-endian):
 ///
 /// ```text
-/// "RZU1"                     magic, 4 bytes
+/// "RZU2"                     magic, 4 bytes
 /// origin                     wire-format name (compression target)
 /// from_serial u32, to_serial u32, pushed_at u64
 /// added u32, removed u32, changed u32        section counts
-/// added:   (name, u16 ns_count, ns names...) per entry
-/// removed: (name, u16 ns_count, ns names...) per entry
-/// changed: (name, u16 old_count, old..., u16 new_count, new...) per entry
+/// added:   (name, ns_ref) per entry
+/// removed: (name, ns_ref) per entry
+/// changed: (name, old ns_ref, new ns_ref) per entry
 /// ```
 ///
-/// Names use RFC 1035 label encoding with compression pointers scoped to
-/// the frame, so the heavily repeated NS host names (a handful of DNS
-/// providers serve most delegations) collapse to 2-byte pointers.
+/// An `ns_ref` names an NS set by its index in one frame-wide table,
+/// exactly as an `RZUC` chunk entry does: a minimal LEB128 `u32` `r`
+/// read against the `d` sets defined so far in any section, where
+/// `r < d` names set `r` and `r == d` is followed by the set spelled out
+/// (`u16` host count, then the host names) and defines set `d`. Names
+/// use RFC 1035 label encoding with compression pointers scoped to the
+/// frame, so the heavily repeated NS host names (a handful of DNS
+/// providers serve most delegations) are spelled once per frame and a
+/// repeated set costs one byte.
 pub fn encode_delta_push(
     origin: &DomainName,
     from_serial: Serial,
@@ -924,12 +907,12 @@ pub fn encode_delta_push(
     enc.buf.put_u32(delta.changed.len() as u32);
     for (domain, ns) in delta.added.iter().chain(&delta.removed) {
         enc.name(domain);
-        enc.ns_set(ns);
+        enc.ns_ref(ns);
     }
     for chg in &delta.changed {
         enc.name(&chg.domain);
-        enc.ns_set(&chg.old_ns);
-        enc.ns_set(&chg.new_ns);
+        enc.ns_ref(&chg.old_ns);
+        enc.ns_ref(&chg.new_ns);
     }
     enc.buf.freeze()
 }
@@ -937,7 +920,9 @@ pub fn encode_delta_push(
 /// Decode a frame produced by [`encode_delta_push`]. The entire buffer
 /// must be consumed. Section order within the frame is preserved, so a
 /// frame encoded from a canonical [`ZoneDelta`] decodes to a canonical
-/// one (a property [`ZoneDelta::apply`] re-verifies before applying).
+/// one (a property [`ZoneDelta::apply`] re-verifies before applying). An
+/// NS-set reference past the next definition (or not minimally spelled)
+/// is a [`WireError::BadNsRef`].
 pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
     let mut dec = Decoder::new(bytes);
     if dec.take(4)? != DELTA_PUSH_MAGIC {
@@ -950,37 +935,35 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
     let added_count = dec.u32()? as usize;
     let removed_count = dec.u32()? as usize;
     let changed_count = dec.u32()? as usize;
-    // Counts are untrusted: every entry costs at least 3 bytes (a 1-byte
-    // root/pointer-free name plus a 2-byte NS count), so counts the
+    // Counts are untrusted: an added or removed entry costs at least 2
+    // bytes (a 1-byte root/pointer-free name plus a 1-byte set
+    // reference), a changed one 3 (two references), so counts the
     // remaining buffer cannot possibly hold are a truncation, caught
     // here before any allocation is sized from them.
     let min_bytes = (added_count + removed_count)
-        .checked_mul(3)
-        .and_then(|n| n.checked_add(changed_count.checked_mul(5)?))
+        .checked_mul(2)
+        .and_then(|n| n.checked_add(changed_count.checked_mul(3)?))
         .ok_or(WireError::Truncated)?;
     if min_bytes > dec.remaining() {
         return Err(WireError::Truncated);
     }
-    let mut delta = ZoneDelta::default();
-    delta.added.reserve_exact(added_count);
-    for _ in 0..added_count {
-        delta.added.push((dec.name()?, dec.ns_set()?));
-    }
-    delta.removed.reserve_exact(removed_count);
-    for _ in 0..removed_count {
-        delta.removed.push((dec.name()?, dec.ns_set()?));
-    }
-    delta.changed.reserve_exact(changed_count);
+    // One set table for the whole frame: a `changed` entry may name a
+    // set an `added` one defined.
+    let mut sets = Vec::new();
+    let added = dec.decode_entries(added_count, &mut sets)?;
+    let removed = dec.decode_entries(removed_count, &mut sets)?;
+    let mut changed = Vec::with_capacity(changed_count);
     for _ in 0..changed_count {
-        delta.changed.push(NsChange {
+        changed.push(NsChange {
             domain: dec.name()?,
-            old_ns: dec.ns_set()?,
-            new_ns: dec.ns_set()?,
+            old_ns: dec.table_ns(&mut sets)?,
+            new_ns: dec.table_ns(&mut sets)?,
         });
     }
     if dec.pos != bytes.len() {
         return Err(WireError::TrailingBytes(bytes.len() - dec.pos));
     }
+    let delta = ZoneDelta { added, removed, changed };
     Ok(DeltaPush { origin, from_serial, to_serial, pushed_at, delta })
 }
 
@@ -998,7 +981,7 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
 //   travels as an `RZUC` chunk train (below), and a peer that sends the
 //   magic is closed with `BadMagic` like any unknown frame.
 // * `RZUD` — delta envelope (server -> client): a TLD tag followed by an
-//   embedded `RZU1` frame, verbatim — the server writes the broker's
+//   embedded `RZU2` frame, verbatim — the server writes the broker's
 //   refcount-shared frame bytes with no per-subscriber re-encode.
 // * `RZUE` — the former eviction notice: retired — reserved, refused.
 //   A subscriber that falls behind is never dropped; its lagged pushes
@@ -1021,7 +1004,7 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
 
 /// Magic prefix of a subscriber HELLO frame.
 pub const HELLO_MAGIC: &[u8; 4] = b"RZUH";
-/// Magic prefix of a delta-envelope frame (TLD tag + embedded `RZU1`).
+/// Magic prefix of a delta-envelope frame (TLD tag + embedded `RZU2`).
 pub const DELTA_ENVELOPE_MAGIC: &[u8; 4] = b"RZUD";
 
 /// One shard claim in a HELLO: the TLD index (transport-level `u16`, the
@@ -1277,7 +1260,7 @@ pub fn decode_snapshot_chunk(bytes: &[u8]) -> Result<SnapshotChunk, WireError> {
     let count = dec.u32()?;
     // Entries first: a count the buffer cannot hold is a truncation
     // whatever the bookkeeping around it claims.
-    let entries = dec.decode_entries(count as usize)?;
+    let entries = dec.decode_entries(count as usize, &mut Vec::new())?;
     let end = offset as u64 + count as u64;
     if end > total as u64 || last != (end == total as u64) {
         return Err(WireError::BadChunk { offset, count, total });
@@ -1305,7 +1288,7 @@ pub fn peek_snapshot_chunk_offset(bytes: &[u8]) -> Result<u32, WireError> {
 
 /// The fixed 6-byte header of a delta envelope: magic plus the TLD tag.
 /// The transport writer sends this header followed by the broker's
-/// refcount-shared `RZU1` frame bytes verbatim — composing the envelope
+/// refcount-shared `RZU2` frame bytes verbatim — composing the envelope
 /// never re-encodes or copies the delta per subscriber.
 pub fn delta_envelope_header(tld: u16) -> [u8; 6] {
     let mut header = [0u8; 6];
@@ -1327,7 +1310,7 @@ pub fn decode_delta_envelope(bytes: &[u8]) -> Result<(u16, DeltaPush), WireError
     Ok((tld, push))
 }
 
-/// Peek the `(from_serial, to_serial)` pair of a bare `RZU1` delta-push
+/// Peek the `(from_serial, to_serial)` pair of a bare `RZU2` delta-push
 /// frame without decoding its body — the origin name is skipped in
 /// place, nothing is allocated. This is what lets a relay (or the
 /// server's per-subscriber accounting) track how far a verbatim-
@@ -1452,7 +1435,7 @@ counter_set! {
             /// frame, unknown TLD claim).
             rejected_hellos,
             /// Delta envelopes fully flushed (each wraps the shard's
-            /// shared `RZU1` frame verbatim — never re-encoded per
+            /// shared `RZU2` frame verbatim — never re-encoded per
             /// subscriber).
             deltas_sent,
             /// Snapshot bootstraps fully flushed.
@@ -2167,25 +2150,54 @@ mod tests {
         assert_eq!(decode_delta_push(&frame).unwrap().delta, delta);
     }
 
-    #[test]
-    fn delta_push_rejects_oversized_counts_without_allocating() {
-        // A tiny frame claiming u32::MAX entries must fail cleanly
-        // (Truncated), not size allocations from the claimed counts.
+    /// An `RZU2` header over a root origin with the given section
+    /// counts, then `body`.
+    fn delta_frame(counts: [u32; 3], body: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
-        frame.extend_from_slice(b"RZU1");
+        frame.extend_from_slice(DELTA_PUSH_MAGIC);
         frame.push(0); // root origin name
         frame.extend_from_slice(&41u32.to_be_bytes()); // from_serial
         frame.extend_from_slice(&42u32.to_be_bytes()); // to_serial
         frame.extend_from_slice(&0u64.to_be_bytes()); // pushed_at
-        frame.extend_from_slice(&u32::MAX.to_be_bytes()); // added count
-        frame.extend_from_slice(&0u32.to_be_bytes());
-        frame.extend_from_slice(&0u32.to_be_bytes());
-        assert_eq!(decode_delta_push(&frame), Err(WireError::Truncated));
+        for count in counts {
+            frame.extend_from_slice(&count.to_be_bytes());
+        }
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    #[test]
+    fn delta_push_rejects_oversized_counts_without_allocating() {
+        // A tiny frame claiming u32::MAX entries must fail cleanly
+        // (Truncated), not size allocations from the claimed counts.
+        for counts in [[u32::MAX, 0, 0], [0, u32::MAX, 0], [0, 0, u32::MAX]] {
+            assert_eq!(decode_delta_push(&delta_frame(counts, &[])), Err(WireError::Truncated));
+        }
+        // The bound is the per-entry minimum: a root owner and a 1-byte
+        // reference for an added or removed entry (2 B), and one more
+        // reference for a changed one (3 B). One byte short of the
+        // minimum is a truncation before anything is read.
+        for (counts, min) in [([5, 0, 0], 10), ([0, 5, 0], 10), ([0, 0, 5], 15), ([2, 3, 4], 22)] {
+            let short = delta_frame(counts, &vec![0; min - 1]);
+            assert_eq!(decode_delta_push(&short), Err(WireError::Truncated), "{counts:?}");
+        }
+        // At the minimum the bound passes and the entry itself is read:
+        // a root owner, then a reference past the next definition.
+        let at_min: [([u32; 3], &[u8]); 3] =
+            [([1, 0, 0], &[0, 1]), ([0, 1, 0], &[0, 1]), ([0, 0, 1], &[0, 1, 0])];
+        for (counts, body) in at_min {
+            let bad_ref = Err(WireError::BadNsRef { index: 1, defined: 0 });
+            assert_eq!(decode_delta_push(&delta_frame(counts, body)), bad_ref, "{counts:?}");
+        }
     }
 
     #[test]
     fn delta_push_rejects_bad_magic_and_truncation() {
         assert_eq!(decode_delta_push(b"NOPE"), Err(WireError::BadMagic));
+        // The retired layout that spelled every set out is refused too.
+        let mut retired = delta_frame([0, 0, 0], &[]);
+        retired[..4].copy_from_slice(b"RZU1");
+        assert_eq!(decode_delta_push(&retired), Err(WireError::BadMagic));
         assert_eq!(decode_delta_push(b"RZ"), Err(WireError::Truncated));
         let frame = encode_delta_push(
             &name("com"),
@@ -2399,7 +2411,7 @@ mod tests {
     #[test]
     fn delta_envelope_wraps_rzu1_verbatim() {
         let delta = sample_delta();
-        let rzu1 = encode_delta_push(
+        let push_frame = encode_delta_push(
             &name("com"),
             Serial::new(4),
             Serial::new(5),
@@ -2407,7 +2419,7 @@ mod tests {
             &delta,
         );
         let mut frame = delta_envelope_header(9).to_vec();
-        frame.extend_from_slice(&rzu1);
+        frame.extend_from_slice(&push_frame);
         let (tld, push) = decode_delta_envelope(&frame).unwrap();
         assert_eq!(tld, 9);
         assert_eq!(push.delta, delta);
@@ -2776,16 +2788,19 @@ mod tests {
         );
         let push = decode_delta_push(&frame).unwrap();
         assert_eq!(push.delta, delta);
-        // alpha.com spells the cloudflare pair inline (first seen);
-        // bravo.com and moved.com's new set spell it as two pointers and
-        // share one decoded set.
-        let bravo = &push.delta.added[1].1;
-        assert!(bravo.ptr_eq(&push.delta.changed[0].new_ns));
-        assert!(!bravo.ptr_eq(&push.delta.added[0].1));
+        // Every use of a set shares one `Arc`, the defining first use
+        // included, across all three sections: the cloudflare pair is
+        // alpha.com's (defined), bravo.com's and moved.com's new set; the
+        // domaincontrol one gone.com's (defined) and moved.com's old set.
+        let d = &push.delta;
+        let cloudflare = &d.added[0].1;
+        assert!(d.added[1].1.ptr_eq(cloudflare) && d.changed[0].new_ns.ptr_eq(cloudflare));
+        let domaincontrol = &d.removed[0].1;
+        assert!(d.changed[0].old_ns.ptr_eq(domaincontrol));
+        assert!(!cloudflare.ptr_eq(domaincontrol));
 
-        // Across a chunk: 64 entries on one provider pair are two
-        // distinct `Arc`s (the inline first occurrence, then the shared
-        // pointer form), not 64.
+        // Across a chunk: 64 entries on one provider pair are one `Arc`,
+        // not 64.
         let entries: Vec<_> = (0..64)
             .map(|i| {
                 (
@@ -2802,8 +2817,83 @@ mod tests {
         );
         let chunk = decode_snapshot_chunk(&encode_snapshot_chunks(1, &snap, 0, 1 << 16)[0]).unwrap();
         assert_eq!(chunk.entries.len(), 64);
-        let shared = &chunk.entries[1].1;
-        assert!(chunk.entries[2..].iter().all(|(_, ns)| ns.ptr_eq(shared)));
+        let shared = &chunk.entries[0].1;
+        assert!(chunk.entries.iter().all(|(_, ns)| ns.ptr_eq(shared)));
+    }
+
+    /// An entry of a hand-written `RZU2` body: owner `label` under the
+    /// root, then the reference bytes `reference`, then — when `hosts` is
+    /// given — the set it defines, spelled out without compression.
+    fn delta_entry(label: &str, reference: &[u8], hosts: Option<&[&str]>) -> Vec<u8> {
+        let mut entry = vec![label.len() as u8];
+        entry.extend_from_slice(label.as_bytes());
+        entry.push(0);
+        entry.extend_from_slice(reference);
+        if let Some(hosts) = hosts {
+            entry.extend_from_slice(&(hosts.len() as u16).to_be_bytes());
+            for host in hosts {
+                for label in host.split('.') {
+                    entry.push(label.len() as u8);
+                    entry.extend_from_slice(label.as_bytes());
+                }
+                entry.push(0);
+            }
+        }
+        entry
+    }
+
+    #[test]
+    fn delta_push_refuses_a_reference_past_the_next_definition() {
+        // One set defined; 1 would define the next, 2 is past it.
+        let defined = delta_entry("a", &[0], Some(&["ns.x"]));
+        for (index, pos) in [(2u32, &[2u8][..]), (0x80, &[0x80, 0x01])] {
+            let body = [defined.clone(), delta_entry("b", pos, None)].concat();
+            assert_eq!(
+                decode_delta_push(&delta_frame([2, 0, 0], &body)),
+                Err(WireError::BadNsRef { index, defined: 1 })
+            );
+        }
+        // The first reference of an empty table may only define set 0.
+        let body = delta_entry("a", &[1], Some(&["ns.x"]));
+        assert_eq!(
+            decode_delta_push(&delta_frame([0, 1, 0], &body)),
+            Err(WireError::BadNsRef { index: 1, defined: 0 })
+        );
+        // The same frame with reference 1 defining the second set decodes.
+        let body = [defined, delta_entry("b", &[1], Some(&["ns.y"]))].concat();
+        let push = decode_delta_push(&delta_frame([2, 0, 0], &body)).unwrap();
+        assert_eq!(push.delta.added[1].1.as_slice(), &[name("ns.y")]);
+    }
+
+    #[test]
+    fn delta_push_refuses_a_non_minimal_reference() {
+        // Set 0 spelled in two bytes (a zero last group), and in five with
+        // bits past the `u32` in the fifth: each reads as `u32::MAX`.
+        let defined = delta_entry("a", &[0], Some(&["ns.x"]));
+        for long in [&[0x80, 0x00][..], &[0x80, 0x80, 0x80, 0x80, 0x10]] {
+            let body = [defined.clone(), delta_entry("b", long, None)].concat();
+            assert_eq!(
+                decode_delta_push(&delta_frame([2, 0, 0], &body)),
+                Err(WireError::BadNsRef { index: u32::MAX, defined: 1 }),
+                "{long:02x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_changed_entry_may_name_a_set_an_added_one_defined() {
+        // The table spans the frame: `b`'s old set is `a`'s, by index 0,
+        // and its new set is defined in the changed section itself.
+        let mut body = delta_entry("a", &[0], Some(&["ns.x", "ns.y"]));
+        body.extend(delta_entry("b", &[0], None));
+        body.push(1);
+        body.extend_from_slice(&1u16.to_be_bytes());
+        body.extend_from_slice(b"\x02ns\x01z\x00");
+        let push = decode_delta_push(&delta_frame([1, 0, 1], &body)).unwrap();
+        let (added, change) = (&push.delta.added[0].1, &push.delta.changed[0]);
+        assert_eq!(added.as_slice(), &[name("ns.x"), name("ns.y")]);
+        assert!(change.old_ns.ptr_eq(added));
+        assert_eq!(change.new_ns.as_slice(), &[name("ns.z")]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ cargo test -q --release --test proptest_broker --test broker_fleet --test transp
 
 # The relay fault suite again in release: the relay thread races the
 # root's writer, the leaf's pump and the fault scripts, and its
-# byte-identity pin (depth-2/3 leaves see the root's exact RZU1 bytes)
+# byte-identity pin (depth-2/3 leaves see the root's exact RZU2 bytes)
 # plus the chunked-snapshot resume accounting are exactly the kind of
 # invariants that only break under optimised timing.
 echo "==> cargo test -q --release (relay fault suite)"
@@ -119,7 +119,7 @@ cargo test -q --release --offline --manifest-path rzu_bench/Cargo.toml
 # also passing its own correctness gate. The figures are ROADMAP's
 # standing contract; a change that moves them on purpose edits both.
 echo "==> rzu_bench wire bytes (exact)"
-for expect in relay_chain=2450 edge_visibility=2580 edge_lookup=314 cold_catchup=2040578; do
+for expect in relay_chain=2046 edge_visibility=2176 edge_lookup=314 cold_catchup=2038154; do
     workload=${expect%=*}
     bytes=${expect#*=}
     result=$(cargo run --release --quiet --offline --manifest-path rzu_bench/Cargo.toml -- \

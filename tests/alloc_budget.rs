@@ -322,7 +322,7 @@ fn a_chunk_train_is_assembled_in_one_copy_of_the_zone() {
     }
 }
 
-/// Allocations to decode the `RZU1` frame of a delta adding `added`.
+/// Allocations to decode the `RZU2` frame of a delta adding `added`.
 fn delta_decode_allocs(added: Vec<(DomainName, NsSet)>) -> u64 {
     let delta = ZoneDelta { added, ..ZoneDelta::default() };
     let frame =
@@ -337,9 +337,10 @@ fn delta_decode_is_per_distinct_ns_set() {
     const ENTRIES: usize = 100;
     const SETS: usize = 4;
     let allocs = delta_decode_allocs(entries(ENTRIES, &providers(SETS)));
-    // The section vector, the memo's doublings, and per distinct set two
-    // decoded copies of two allocations each.
-    let budget = 1 + 4 + 4 * SETS as u64;
+    // The section vector, the frame's set table (one allocation up to
+    // four sets), and per distinct set one decoded copy of two
+    // allocations: every later use shares it.
+    let budget = 2 + 2 * SETS as u64;
     assert!(allocs <= budget, "{allocs} allocations for {SETS} distinct sets, budget {budget}");
 
     // The names add nothing: the same frame with every owner and host

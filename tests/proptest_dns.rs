@@ -720,11 +720,15 @@ mod train_assembly {
 // layout's rules alone (no name compression) decodes the same; a
 // damaged chunk decodes or errs, never panics; and a reference past the
 // next definition, a reference spelled long, and a chunk without the
-// table bit each give their own error.
+// table bit each give their own error. An `RZU2` delta frame names its
+// sets through the same table, one per frame across all three
+// sections: any delta round-trips, every use of a set shares one
+// `NsSet`, and a set named again costs one byte.
 mod ns_table {
     use super::*;
-    use darkdns::dns::wire::WireError;
-    use darkdns::dns::NsSet;
+    use darkdns::dns::diff::NsChange;
+    use darkdns::dns::wire::{encode_delta_push, WireError};
+    use darkdns::dns::{NsSet, ZoneDelta};
     use std::collections::{HashMap, HashSet};
 
     /// splitmix64: the zone below is a function of one seed, so a
@@ -919,6 +923,73 @@ mod ns_table {
                 Err(WireError::BadNsRef { index: u32::MAX, defined }),
                 "reference {} spelled long", index
             );
+        }
+
+        #[test]
+        fn a_delta_frame_round_trips_and_names_a_repeated_set_in_one_byte(
+            origin in name_strategy(),
+            serials in (any::<u32>(), any::<u32>(), any::<u32>()),
+            pool in prop::collection::vec(prop::collection::vec(name_strategy(), 1..4), 1..=5),
+            added in prop::collection::vec((name_strategy(), any::<u8>()), 0..12),
+            removed in prop::collection::vec((name_strategy(), any::<u8>()), 0..12),
+            changed in prop::collection::vec(
+                (name_strategy(), any::<u8>(), any::<u8>()),
+                0..12,
+            ),
+        ) {
+            // A small pool, so sets repeat within and across sections.
+            let pool: Vec<NsSet> = pool.into_iter().map(NsSet::new).collect();
+            let pick = |i: &u8| pool[*i as usize % pool.len()].clone();
+            let delta = ZoneDelta {
+                added: added.iter().map(|(owner, i)| (*owner, pick(i))).collect(),
+                removed: removed.iter().map(|(owner, i)| (*owner, pick(i))).collect(),
+                changed: changed
+                    .iter()
+                    .map(|(domain, old, new)| NsChange {
+                        domain: *domain,
+                        old_ns: pick(old),
+                        new_ns: pick(new),
+                    })
+                    .collect(),
+            };
+            let (from, to, at) = serials;
+            let encode = |delta: &ZoneDelta| {
+                let at = SimTime::from_secs(u64::from(at));
+                encode_delta_push(&origin, Serial::new(from), Serial::new(to), at, delta)
+            };
+            let frame = encode(&delta);
+            let push = decode_delta_push(&frame).unwrap();
+            prop_assert_eq!(push.origin, origin);
+            prop_assert_eq!((push.from_serial, push.to_serial), (Serial::new(from), Serial::new(to)));
+            prop_assert_eq!(push.pushed_at, SimTime::from_secs(u64::from(at)));
+            prop_assert_eq!(&push.delta, &delta);
+
+            // One `NsSet` per distinct set, whichever sections name it.
+            let d = &push.delta;
+            let uses: Vec<&NsSet> = d
+                .added
+                .iter()
+                .chain(&d.removed)
+                .map(|(_, ns)| ns)
+                .chain(d.changed.iter().flat_map(|c| [&c.old_ns, &c.new_ns]))
+                .collect();
+            let by_content: HashSet<&[DomainName]> = uses.iter().map(|ns| ns.as_slice()).collect();
+            let by_allocation: HashSet<*const DomainName> =
+                uses.iter().map(|ns| ns.as_slice().as_ptr()).collect();
+            prop_assert_eq!(by_allocation.len(), by_content.len(), "NsSets per distinct set");
+
+            // An added entry naming a set the section already defined
+            // costs its owner's spelling and a 1-byte reference. The
+            // owner's labels are longer than any generated one, so no
+            // suffix of it compresses and none of it is a later name's.
+            if let Some((_, set)) = delta.added.last() {
+                let owner = DomainName::parse("appended-owner-label.unshared-suffix-label").unwrap();
+                let mut longer = delta.clone();
+                longer.added.push((owner, set.clone()));
+                let grown = encode(&longer);
+                prop_assert_eq!(grown.len(), frame.len() + owner.as_str().len() + 2 + 1);
+                prop_assert_eq!(decode_delta_push(&grown).unwrap().delta, longer);
+            }
         }
     }
 }

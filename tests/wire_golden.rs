@@ -4,14 +4,20 @@
 //! keyed, `labels()`-walking encoder of PR 12 (commit 46f065f) produced
 //! for the inputs built below; the allocation-free encoder that replaced
 //! it must reproduce every one of them byte for byte. Relays re-serve
-//! `RZU1` frames verbatim and the benchmark gates `wire_bytes_per_op`
+//! delta frames verbatim and the benchmark gates `wire_bytes_per_op`
 //! exactly, so a codec "optimisation" that moves a single compression
 //! pointer is a protocol change, not a refactor — these vectors are what
 //! says so. They double as ROADMAP's "legacy layouts as pinned test
-//! vectors" for the `Message`, `RZU1`, `RZUC` and `RZUL` frames.
+//! vectors" for the `Message`, `RZU2`, `RZUC` and `RZUL` frames.
 //! `rzus.hex` is the monolithic snapshot push as its encoder last wrote
 //! it: the family was retired in PR 22, nothing encodes or decodes it,
 //! and the vector now feeds the test that a client refuses it.
+//!
+//! `rzu1.hex` and `rzu1_big.hex` are delta frames in the retired `RZU1`
+//! layout, which spelled every NS set out: a decoder and a client must
+//! refuse them on their magic. `rzu2.hex` and `rzu2_big.hex` are the
+//! same two deltas in the `RZU2` layout, whose NS sets are named through
+//! a frame-wide table like an `RZUC` chunk's.
 //!
 //! Two more are refusal vectors now: `rzuc.hex` and `rzuc_resumed.hex`
 //! are chunk trains in the pre-table `RZUC` layout (every entry's NS
@@ -48,10 +54,10 @@
 //! compress against the origin, against an earlier owner name and
 //! against an earlier NS host; all three delta sections; a chunk train
 //! from offset 0 and from a resume offset; and two frames longer than
-//! 16 KiB: in `RZU1`, a name first seen past offset 0x3FFF can never
-//! become a pointer target and must be spelled out on every later
-//! occurrence; in `RZUC`, an NS set first used there is referenced by
-//! its table index, like any other.
+//! 16 KiB: in a delta frame, a host name first seen past offset 0x3FFF
+//! can never become a pointer target and must be spelled out in every
+//! later set that holds it; in `RZUC`, an NS set first used there is
+//! referenced by its table index, like any other.
 
 use darkdns::broker::transport::{
     duplex, ClientEvent, FrameConn, LengthPrefixed, TransportClient, TransportError,
@@ -60,10 +66,11 @@ use darkdns::broker::{Broker, BrokerConfig, BrokerServer, TransportConfig};
 use darkdns::dns::record::SoaData;
 use darkdns::dns::wire::{
     decode_delta_push, decode_hello, decode_lookup_request, decode_snapshot_chunk,
-    decode_stats_report, encode_delta_push, encode_hello, encode_lookup_request,
-    encode_snapshot_chunks, encode_stats_report,
-    Header, HelloFrame, LookupQuery, Message, Rcode, ServerStats, ShardStats,
-    SnapshotResume, StatsReport, TldClaim, WireError, WireSubscriberStats, LOOKUP_ANY_TLD,
+    decode_stats_report, delta_envelope_header, encode_delta_push, encode_hello,
+    encode_lookup_request, encode_snapshot_chunks, encode_stats_report,
+    peek_delta_push_serials, Header, HelloFrame, LookupQuery, Message, Rcode, ServerStats,
+    ShardStats, SnapshotResume, StatsReport, TldClaim, WireError, WireSubscriberStats,
+    LOOKUP_ANY_TLD,
 };
 use darkdns::dns::diff::NsChange;
 use darkdns::dns::{
@@ -127,9 +134,9 @@ fn message() -> Message {
 }
 
 /// A root-origin delta with all three sections: inline and interned
-/// owners, NS hosts repeated within and across sections, and owners that
-/// are themselves suffixes of later NS hosts.
-fn rzu1_delta() -> ZoneDelta {
+/// owners, NS sets and hosts repeated within and across sections, and
+/// owners that are themselves suffixes of later NS hosts.
+fn delta() -> ZoneDelta {
     let cloudflare = ns(&["ns1.cloudflare.com", "ns2.cloudflare.com"]);
     let long = ns(&["ns1.a-dns-provider-with-a-long-name.example", "ns2.cloudflare.com"]);
     let self_hosted = ns(&["ns1.alpha.com", "ns2.alpha.com"]);
@@ -148,23 +155,24 @@ fn rzu1_delta() -> ZoneDelta {
     delta
 }
 
-fn rzu1() -> Vec<u8> {
+fn rzu2() -> Vec<u8> {
     encode_delta_push(
         &DomainName::root(),
         Serial::new(41),
         Serial::new(45),
         SimTime::from_secs(1_700_000_000),
-        &rzu1_delta(),
+        &delta(),
     )
     .to_vec()
 }
 
 /// Longer than 16 KiB. Every entry brings a first-seen NS host, so the
 /// compression table is still being fed when the write offset crosses
-/// 0x3FFF; `late.never-a-pointer-target.example` (no suffix of which
-/// occurs earlier) first appears after that point and is then reused by
-/// the remaining entries — spelled out in full every time.
-fn rzu1_big() -> Vec<u8> {
+/// 0x3FFF, and every entry's set is distinct, so each is defined inline;
+/// `late.never-a-pointer-target.example` (no suffix of which occurs
+/// earlier) first appears after that point and is then reused by the
+/// remaining entries' sets — spelled out in full every time.
+fn rzu2_big() -> Vec<u8> {
     let mut delta = ZoneDelta::default();
     for i in 0..700u32 {
         let own = format!("ns.host-{i:04}.provider{}.net", i % 7);
@@ -368,8 +376,8 @@ fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     };
     vec![
         ("message", vec![message().encode()]),
-        ("rzu1", vec![rzu1()]),
-        ("rzu1_big", vec![rzu1_big()]),
+        ("rzu2", vec![rzu2()]),
+        ("rzu2_big", vec![rzu2_big()]),
         ("rzuc_table", train(snapshot(), 0, 256)),
         ("rzuc_table_resumed", train(snapshot(), 29, 256)),
         ("rzuc_table_big", train(big_snapshot(), 0, 1 << 20)),
@@ -459,12 +467,12 @@ fn golden_frames_decode_to_their_inputs() {
     // the parent's bytes fails this test.
     assert_eq!(Message::decode(&fixture("message")[0]).unwrap(), message());
 
-    let push = decode_delta_push(&fixture("rzu1")[0]).unwrap();
+    let push = decode_delta_push(&fixture("rzu2")[0]).unwrap();
     assert!(push.origin.is_root());
     assert_eq!((push.from_serial, push.to_serial), (Serial::new(41), Serial::new(45)));
-    assert_eq!(push.delta, rzu1_delta());
+    assert_eq!(push.delta, delta());
 
-    let big = decode_delta_push(&fixture("rzu1_big")[0]).unwrap();
+    let big = decode_delta_push(&fixture("rzu2_big")[0]).unwrap();
     assert_eq!(big.delta.added.len(), 700);
     assert_eq!(big.delta.added[650].1.as_slice()[0], name("late.never-a-pointer-target.example"));
 
@@ -501,6 +509,38 @@ fn golden_frames_decode_to_their_inputs() {
     assert_eq!(decode_stats_report(&fixture("rzuq_edge")[0]).unwrap(), edge_stats_report());
 }
 
+/// Feed `retired` to a client that holds a claim and a half-received
+/// chunk train for TLD 3 (the shard every retired vector is tagged with)
+/// and check it closes with `BadMagic` and adopts nothing: the claims
+/// and the train's progress are what they were.
+fn assert_client_refuses(retired: &[u8], what: &str) {
+    let claims = [(TldId(3), Some(Serial::new(5))), (TldId(7), None)];
+    let (client_end, peer_end) = duplex(1 << 16);
+    let mut client = TransportClient::connect(LengthPrefixed::new(client_end), &claims).unwrap();
+    let mut peer = LengthPrefixed::new(peer_end);
+    peer.recv_frame().expect("hello");
+
+    let train = encode_snapshot_chunks(3, &snapshot(), 0, 256);
+    let first = decode_snapshot_chunk(&train[0]).unwrap();
+    assert!(!first.last && !first.entries.is_empty());
+    peer.send_frame(&[&train[0]]).unwrap();
+    peer.send_frame(&[]).unwrap();
+    assert!(matches!(client.next_event(), ClientEvent::Idle));
+    assert!(client.has_snapshot_in_flight());
+
+    peer.send_frame(&[retired]).unwrap();
+    match client.next_event() {
+        ClientEvent::Closed(TransportError::Wire(WireError::BadMagic)) => {}
+        other => panic!("{what}: expected Closed(BadMagic), got {other:?}"),
+    }
+    assert_eq!(client.claimed_serials(), &claims, "{what}");
+    assert_eq!(client.snapshot_chunks_received(), 1, "{what}");
+    let progress = client.take_snapshot_progress();
+    assert_eq!(progress.len(), 1, "{what}");
+    assert_eq!(progress[0].tld(), TldId(3), "{what}");
+    assert_eq!(progress[0].entries_received(), first.entries.len(), "{what}");
+}
+
 #[test]
 fn retired_rzus_frame_is_refused_with_claims_and_chunk_progress_untouched() {
     // `RZUS` was retired in PR 22: the vector is the last frame its
@@ -513,34 +553,26 @@ fn retired_rzus_frame_is_refused_with_claims_and_chunk_progress_untouched() {
     let rzus = fixture("rzus").remove(0);
     assert_eq!(&rzus[..6], b"RZUS\x00\x03");
     for retired in [&rzus[..], &b"RZUE"[..]] {
-        let magic = String::from_utf8_lossy(&retired[..4]).into_owned();
-        let claims = [(TldId(3), Some(Serial::new(5))), (TldId(7), None)];
-        let (client_end, peer_end) = duplex(1 << 16);
-        let mut client =
-            TransportClient::connect(LengthPrefixed::new(client_end), &claims).unwrap();
-        let mut peer = LengthPrefixed::new(peer_end);
-        peer.recv_frame().expect("hello");
-
-        let train = encode_snapshot_chunks(3, &snapshot(), 0, 256);
-        let first = decode_snapshot_chunk(&train[0]).unwrap();
-        assert!(!first.last && !first.entries.is_empty());
-        peer.send_frame(&[&train[0]]).unwrap();
-        peer.send_frame(&[]).unwrap();
-        assert!(matches!(client.next_event(), ClientEvent::Idle));
-        assert!(client.has_snapshot_in_flight());
-
-        peer.send_frame(&[retired]).unwrap();
-        match client.next_event() {
-            ClientEvent::Closed(TransportError::Wire(WireError::BadMagic)) => {}
-            other => panic!("{magic}: expected Closed(BadMagic), got {other:?}"),
-        }
-        assert_eq!(client.claimed_serials(), &claims, "{magic}");
-        assert_eq!(client.snapshot_chunks_received(), 1, "{magic}");
-        let progress = client.take_snapshot_progress();
-        assert_eq!(progress.len(), 1, "{magic}");
-        assert_eq!(progress[0].tld(), TldId(3), "{magic}");
-        assert_eq!(progress[0].entries_received(), first.entries.len(), "{magic}");
+        assert_client_refuses(retired, &String::from_utf8_lossy(&retired[..4]));
     }
+}
+
+#[test]
+fn retired_rzu1_frames_are_refused_by_codec_and_client() {
+    // The delta layout that spelled every NS set out: its magic is
+    // reserved, and both the decoder and the serial peek a relay runs
+    // refuse it rather than misread a `u16` host count as a reference.
+    for vector in ["rzu1", "rzu1_big"] {
+        let frame = fixture(vector).remove(0);
+        assert_eq!(&frame[..4], b"RZU1", "{vector}");
+        assert_eq!(decode_delta_push(&frame), Err(WireError::BadMagic), "{vector}");
+        assert_eq!(peek_delta_push_serials(&frame), Err(WireError::BadMagic), "{vector}");
+    }
+    // Carried in a delta envelope for the shard the client is mid-train
+    // on, it closes the connection like any unknown magic.
+    let mut envelope = delta_envelope_header(3).to_vec();
+    envelope.extend_from_slice(&fixture("rzu1")[0]);
+    assert_client_refuses(&envelope, "RZUD + RZU1");
 }
 
 #[test]
@@ -684,9 +716,10 @@ fn entry_refs(frame: &[u8]) -> Vec<EntryRef> {
 
 #[test]
 fn the_big_table_vector_names_late_sets_in_one_byte() {
-    // `rzu1_big`'s pathology, undone: a set first used past 0x3FFF is a
-    // table index like any other, so every later use is one byte where
-    // name compression spelled the set out in full each time.
+    // The big delta vectors' pathology, undone: a set first used past
+    // 0x3FFF is a table index like any other, so every later use is one
+    // byte where name compression alone spelled its late host out in
+    // full each time.
     let frame = &fixture("rzuc_table_big")[0];
     assert!(frame.len() > 0x4000 + 1024, "only {} bytes", frame.len());
     let refs = entry_refs(frame);
@@ -745,22 +778,26 @@ fn stats_report_rejects_oversized_counts_and_trailing_bytes() {
 
 #[test]
 fn the_big_vector_crosses_the_pointer_horizon() {
-    // Guards the fixture itself: the property it exists for is that a
-    // name is first seen past 0x3FFF and then repeated uncompressed.
-    let frame = &fixture("rzu1_big")[0];
-    assert!(frame.len() > 0x4000 + 1024, "only {} bytes", frame.len());
+    // Guards the fixtures themselves: the property they exist for is
+    // that a name is first seen past 0x3FFF and then repeated
+    // uncompressed, in the retired layout and in the current one.
     let mut needle = Vec::new();
     for label in ["late", "never-a-pointer-target", "example"] {
         needle.push(label.len() as u8);
         needle.extend_from_slice(label.as_bytes());
     }
     needle.push(0);
-    let hits: Vec<usize> = frame
-        .windows(needle.len())
-        .enumerate()
-        .filter(|(_, w)| *w == needle.as_slice())
-        .map(|(at, _)| at)
-        .collect();
-    assert_eq!(hits.len(), 100, "every late host must be spelled out");
-    assert!(hits[0] > 0x3FFF, "first occurrence at {:#x} is a legal pointer target", hits[0]);
+    for vector in ["rzu1_big", "rzu2_big"] {
+        let frame = &fixture(vector)[0];
+        assert!(frame.len() > 0x4000 + 1024, "{vector}: only {} bytes", frame.len());
+        let hits: Vec<usize> = frame
+            .windows(needle.len())
+            .enumerate()
+            .filter(|(_, w)| *w == needle.as_slice())
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(hits.len(), 100, "{vector}: every late host must be spelled out");
+        let first = hits[0];
+        assert!(first > 0x3FFF, "{vector}: first occurrence at {first:#x} is a pointer target");
+    }
 }
