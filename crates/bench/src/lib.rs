@@ -21,11 +21,6 @@ pub fn run_paper(seed: u64) -> RunArtifacts {
     Experiment::new(ExperimentConfig::paper(seed)).run_with_artifacts()
 }
 
-/// Run the small (CI-friendly) experiment.
-pub fn run_small(seed: u64) -> RunArtifacts {
-    Experiment::new(ExperimentConfig::small(seed)).run_with_artifacts()
-}
-
 /// Build a synthetic pair of zone snapshots with `size` entries and
 /// `churn` fraction added/removed/changed — the diff-bench workload.
 pub mod synth {

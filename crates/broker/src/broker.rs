@@ -196,11 +196,6 @@ impl BrokerSubscription {
         drained.into_iter().map(|m| m.msg).collect()
     }
 
-    /// Messages queued right now.
-    pub fn queued(&self) -> usize {
-        self.shared.queue.lock().len()
-    }
-
     /// Live pushes dropped for this subscriber because its buffer was
     /// full.
     pub fn dropped_count(&self) -> u64 {
@@ -235,10 +230,6 @@ pub struct SubscriberProbe {
 }
 
 impl SubscriberProbe {
-    pub fn id(&self) -> u64 {
-        self.shared.id
-    }
-
     /// Messages queued right now.
     pub fn queued(&self) -> usize {
         self.shared.queue.lock().len()
@@ -365,10 +356,6 @@ impl Broker {
         }
     }
 
-    pub fn config(&self) -> &BrokerConfig {
-        &self.inner.config
-    }
-
     /// The current routing map: a cheap `Arc` clone taken under a brief
     /// shared read lock, then used entirely lock-free.
     fn directory(&self) -> Arc<ShardDirectory> {
@@ -419,13 +406,6 @@ impl Broker {
     /// contract meant for in-process callers).
     pub fn has_shard(&self, tld: TldId) -> bool {
         self.directory().get(&tld).is_some()
-    }
-
-    /// Registered TLDs, ascending.
-    pub fn tlds(&self) -> Vec<TldId> {
-        let mut tlds: Vec<TldId> = self.directory().keys().copied().collect();
-        tlds.sort_unstable();
-        tlds
     }
 
     /// Current head snapshot of a shard (an `Arc`-shared clone).
@@ -928,7 +908,7 @@ mod tests {
             broker.publish(TldId(0), add_delta(&format!("d{i}.com")), Serial::new(i), SimTime::ZERO);
             state = replay(&fast, state);
         }
-        assert_eq!(slow.queued(), 2);
+        assert_eq!(slow.probe().queued(), 2);
         assert_eq!(slow.dropped_count(), 3);
         assert_eq!(fast.dropped_count(), 0);
         assert_eq!(state, broker.head(TldId(0)).unwrap());
@@ -950,14 +930,14 @@ mod tests {
         }
         // Backlog: snapshot + 10 deltas = 11 messages >> capacity 2.
         let sub = broker.subscribe(&[TldId(0)], None);
-        assert_eq!(sub.queued(), 11);
+        assert_eq!(sub.probe().queued(), 11);
         broker.publish(TldId(0), add_delta("live1.com"), Serial::new(11), SimTime::ZERO);
         broker.publish(TldId(0), add_delta("live2.com"), Serial::new(12), SimTime::ZERO);
-        assert_eq!(sub.queued(), 13, "both live pushes queue behind the backlog");
+        assert_eq!(sub.probe().queued(), 13, "both live pushes queue behind the backlog");
         assert_eq!(sub.dropped_count(), 0, "catch-up backlog must not count as lag");
         // A third live push exceeds the live bound and is dropped.
         broker.publish(TldId(0), add_delta("live3.com"), Serial::new(13), SimTime::ZERO);
-        assert_eq!(sub.queued(), 13);
+        assert_eq!(sub.probe().queued(), 13);
         assert_eq!(sub.dropped_count(), 1);
     }
 
@@ -979,7 +959,6 @@ mod tests {
         assert_eq!(fired.load(Ordering::Relaxed), 1, "a dropped push must not fire the waker");
         // A probe sees the same state without consuming anything.
         let probe = sub.probe();
-        assert_eq!(probe.id(), sub.id());
         assert_eq!(probe.queued(), 1);
         assert_eq!(probe.dropped_count(), 1);
         sub.set_waker(None);
@@ -1085,7 +1064,7 @@ mod tests {
         let broker = broker_with_com(BrokerConfig::default());
         let sub = broker.subscribe(&[TldId(0), TldId(0), TldId(0)], Some(Serial::new(0)));
         broker.publish(TldId(0), add_delta("a.com"), Serial::new(1), SimTime::ZERO);
-        assert_eq!(sub.queued(), 1, "duplicate claims must not double deliveries");
+        assert_eq!(sub.probe().queued(), 1, "duplicate claims must not double deliveries");
         let stats = broker.shard_stats(TldId(0)).unwrap();
         assert_eq!(stats.subscribers, 1);
         assert_eq!(stats.deliveries, 1);

@@ -411,16 +411,6 @@ impl<T> TrackedMutex<T> {
         let held = acquire(self.class);
         TrackedMutexGuard { guard: self.inner.lock(), _held: held }
     }
-
-    /// Non-blocking acquire: `None` if the lock is held elsewhere.
-    /// A failed try is not an acquisition, so lockdep only records the
-    /// success path.
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<TrackedMutexGuard<'_, T>> {
-        let guard = self.inner.try_lock()?;
-        let held = acquire(self.class);
-        Some(TrackedMutexGuard { guard, _held: held })
-    }
 }
 
 /// Guard for [`TrackedMutex`]: the inner std guard plus the lockdep

@@ -136,10 +136,6 @@ impl JournalShard {
         }
     }
 
-    pub fn tld(&self) -> TldId {
-        self.tld
-    }
-
     pub fn head(&self) -> &ZoneSnapshot {
         &self.head
     }

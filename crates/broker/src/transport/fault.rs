@@ -52,11 +52,6 @@ impl FaultScript {
         FaultScript { plan: Arc::new(Mutex::new(faults.into_iter().collect())) }
     }
 
-    /// Append a fault while the connection is live.
-    pub fn push(&self, fault: FrameFault) {
-        self.plan.lock().unwrap_or_else(|p| p.into_inner()).push_back(fault);
-    }
-
     /// Pop the fault for the next protocol frame.
     pub(super) fn next_fault(&self) -> FrameFault {
         self.plan
@@ -65,16 +60,11 @@ impl FaultScript {
             .pop_front()
             .unwrap_or(FrameFault::Deliver)
     }
-
-    /// Faults not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.plan.lock().unwrap_or_else(|p| p.into_inner()).len()
-    }
 }
 
 /// The server-side test double: a pipe-backed connection whose outgoing
 /// frames suffer scripted faults. Hand it to
-/// [`BrokerServer::spawn_conn`](super::BrokerServer::spawn_conn) — the
+/// [`BrokerServer::serve_conn`](super::BrokerServer::serve_conn) — the
 /// reactor applies the script where the old per-connection writer
 /// thread used to, at the frame boundary.
 pub struct FaultInjectedConn {

@@ -60,7 +60,7 @@
 //! reactor thread with no reactor lock held.
 
 use super::fault::{FaultInjectedConn, FaultScript, FrameFault};
-use super::frame::{FrameAssembler, FrameProgress, LengthPrefixed};
+use super::frame::{FrameAssembler, FrameProgress, LengthPrefixed, MAX_FRAME_LEN};
 use super::pipe::{PipeEnd, ReadyHook};
 use super::ring::{CompletedFrame, FrameKind, OutRing, RingFrame};
 use crate::lockdep::{self, TrackedMutex};
@@ -77,23 +77,24 @@ use std::time::{Duration, Instant};
 /// The wakeup eventfd's reserved token (slot tokens are slab indices).
 const WAKE_TOKEN: usize = usize::MAX;
 
-/// Transport tuning.
+/// How long a fresh connection of a handshaking protocol may take to
+/// send its HELLO.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Transport tuning. The receive bound is [`MAX_FRAME_LEN`] unless a
+/// [`ServedConn`] carries its own.
 #[derive(Debug, Clone, Copy)]
 pub struct TransportConfig {
-    /// Per-frame payload bound enforced on receive.
-    pub max_frame_len: usize,
     /// Idle tick: the reactor's epoll-wait bound, and how long a quiet
     /// connection stays silent before it gets a heartbeat frame (an
     /// empty frame the client skips, which doubles as dead-peer
     /// detection while a subscriber is quiet).
     pub writer_tick: Duration,
-    /// How long a fresh connection may take to send its HELLO.
-    pub handshake_timeout: Duration,
     /// How long a connection's outbound ring may sit non-empty without
     /// the peer accepting a single byte before the reactor declares the
     /// connection dead. This bounds the damage of a wedged-but-open
-    /// peer: its ring (and, upstream, its broker queue under the
-    /// overflow policy) cannot be held hostage forever, and
+    /// peer: its ring (and, upstream, its broker queue, which lags and
+    /// counts) cannot be held hostage forever, and
     /// [`ReactorHandle::shutdown`] never waits on it.
     pub write_timeout: Duration,
     /// Target payload size for one `RZUC` snapshot chunk. Bootstraps
@@ -108,9 +109,7 @@ pub struct TransportConfig {
 impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
-            max_frame_len: super::frame::MAX_FRAME_LEN,
             writer_tick: Duration::from_millis(50),
-            handshake_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(10),
             snapshot_chunk_bytes: 1 << 20,
         }
@@ -139,7 +138,7 @@ pub trait Protocol: Send + 'static {
 
     /// Whether a fresh connection must complete a handshake
     /// ([`Conn::establish`]) within
-    /// [`TransportConfig::handshake_timeout`]. Until it does it gets no
+    /// [`HANDSHAKE_TIMEOUT`]. Until it does it gets no
     /// heartbeats and its failures count as [`CloseWhy::Rejected`].
     const HANDSHAKE: bool;
 
@@ -729,7 +728,7 @@ impl<P: Protocol> Reactor<P> {
         script: Option<FaultScript>,
     ) -> Box<Conn<P::State>> {
         let now = Instant::now();
-        let max_frame = max_frame_len.unwrap_or(self.config.max_frame_len);
+        let max_frame = max_frame_len.unwrap_or(MAX_FRAME_LEN);
         Box::new(Conn {
             state: self.handler.open(),
             io,
@@ -740,7 +739,7 @@ impl<P: Protocol> Reactor<P> {
             token,
             shared: Arc::clone(&self.shared),
             queued: Arc::new(AtomicBool::new(false)),
-            handshake_deadline: P::HANDSHAKE.then(|| now + self.config.handshake_timeout),
+            handshake_deadline: P::HANDSHAKE.then(|| now + HANDSHAKE_TIMEOUT),
             closing: None,
             last_io: now,
             last_progress: now,
@@ -942,13 +941,11 @@ mod tests {
     }
 
     const TICK: Duration = Duration::from_millis(10);
-    const HANDSHAKE: Duration = Duration::from_secs(5);
     const STALL: Duration = Duration::from_secs(10);
 
     fn config() -> TransportConfig {
         TransportConfig {
             writer_tick: TICK,
-            handshake_timeout: HANDSHAKE,
             write_timeout: STALL,
             ..TransportConfig::default()
         }
@@ -1047,7 +1044,7 @@ mod tests {
         let opened = Instant::now();
         rig.reactor.sweep(opened + TICK);
         assert!(rig.closes().is_empty(), "well before the deadline");
-        rig.reactor.sweep(opened + HANDSHAKE + TICK);
+        rig.reactor.sweep(opened + HANDSHAKE_TIMEOUT + TICK);
         assert_eq!(rig.closes(), [CloseWhy::Rejected]);
         assert_eq!(client.read(&mut [0; 1]).unwrap(), 0, "the peer sees EOF");
     }

@@ -14,11 +14,9 @@
 //! tests and benches to assert on).
 //!
 //! This type keeps the cross-thread surface: construction, connection
-//! hand-off ([`BrokerServer::spawn_conn`] — the name survives from the
-//! writer-thread era; today it *stages* rather than spawns),
-//! listeners, stats, and shutdown. All of it reaches the reactor
-//! through its [`ReactorHandle`], never by touching connection state
-//! directly.
+//! hand-off ([`BrokerServer::serve_conn`]), listeners, stats, and
+//! shutdown. All of it reaches the reactor through its
+//! [`ReactorHandle`], never by touching connection state directly.
 
 use super::reactor::{ReactorHandle, ServedConn, TransportConfig};
 use super::stream::{ConnStatsEntry, SubscriberStream};
@@ -66,11 +64,9 @@ impl BrokerServer {
 
     /// Hand one already-established in-memory connection to the reactor
     /// (the path tests and the fault harness use; TCP connections
-    /// arrive via [`BrokerServer::listen_tcp`] instead). The name is a
-    /// holdover from the writer-thread transport: nothing is spawned —
-    /// the connection is staged in the reactor's mailbox and serviced
-    /// on its thread.
-    pub fn spawn_conn(&self, conn: impl Into<ServedConn>) {
+    /// arrive via [`BrokerServer::listen_tcp`] instead): it is staged in
+    /// the reactor's mailbox and serviced on its thread.
+    pub fn serve_conn(&self, conn: impl Into<ServedConn>) {
         self.reactor.serve_conn(conn.into());
     }
 
@@ -100,11 +96,6 @@ impl BrokerServer {
     /// without a socket.
     pub fn stats_report(&self) -> StatsReport {
         build_stats_report(&self.inner)
-    }
-
-    /// The broker this server fronts.
-    pub fn broker(&self) -> &Broker {
-        &self.inner.broker
     }
 
     /// Stop the reactor and join it: every connection and listener

@@ -29,6 +29,7 @@
 //!
 //! [`BrokerServer`]: super::BrokerServer
 
+use super::frame::MAX_FRAME_LEN;
 use super::reactor::{CloseWhy, Conn, Protocol};
 use super::ring::{CompletedFrame, FrameKind};
 use super::server::{build_stats_report, ServerInner};
@@ -344,7 +345,7 @@ impl SubscriberStream {
             self.inner.stats.snapshot_trains_encoded.fetch_add(1, Ordering::Relaxed);
             encode_snapshot_chunks(tld, snapshot, start, chunk_bytes)
         };
-        if chunk_bytes != self.chunk_bytes_for(self.inner.config.max_frame_len) {
+        if chunk_bytes != self.chunk_bytes_for(MAX_FRAME_LEN) {
             return encode();
         }
         self.inner.broker.snapshot_train(TldId(tld), snapshot, start, chunk_bytes, encode)

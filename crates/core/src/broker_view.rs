@@ -182,7 +182,7 @@ impl BrokerZoneView {
     /// view is current on (or only slightly behind) then catch up via
     /// the cheap delta-replay path; only shards beyond the retention
     /// ring pay for a snapshot bootstrap.
-    pub fn claims(&self) -> Vec<(TldId, Option<Serial>)> {
+    fn claims(&self) -> Vec<(TldId, Option<Serial>)> {
         self.tlds.iter().map(|&t| (t, self.serial(t))).collect()
     }
 
@@ -226,11 +226,6 @@ impl BrokerZoneView {
     /// The view's serial for `tld` (None before the bootstrap arrived).
     pub fn serial(&self, tld: TldId) -> Option<Serial> {
         self.states.get(&tld).map(|s| s.serial())
-    }
-
-    /// Delegation count for `tld`.
-    pub fn len(&self, tld: TldId) -> Option<usize> {
-        self.states.get(&tld).map(|s| s.len())
     }
 
     /// The view's snapshot of `tld`, if bootstrapped.
@@ -278,7 +273,8 @@ impl BrokerZoneView {
         self.snapshots_adopted
     }
 
-    /// Frames the broker dropped for this subscriber (Lag policy).
+    /// Frames the broker dropped for this subscriber because its queue
+    /// was full: it lags, and the drop is counted here.
     /// Detached views have no in-process queue to drop from.
     pub fn dropped_count(&self) -> u64 {
         self.sub.as_ref().map_or(0, |sub| sub.dropped_count())
@@ -439,12 +435,6 @@ where
             &mut false,
             &mut (),
         )
-    }
-
-    /// True while a connection is established (it may still be found
-    /// dead on the next pump).
-    pub fn is_connected(&self) -> bool {
-        self.link.is_connected()
     }
 
     /// Pump until the view reaches `targets` or `timeout` elapses (see
@@ -886,7 +876,7 @@ mod tests {
         view.pump();
         assert!(view.contains_anywhere(&name("a.com")));
         assert!(!view.contains(TldId(1), &name("a.com")));
-        assert_eq!(view.len(TldId(1)), Some(0));
+        assert_eq!(view.snapshot(TldId(1)).map(ZoneSnapshot::len), Some(0));
     }
 
     #[test]
@@ -919,7 +909,7 @@ mod tests {
         assert!(!view.lost_sync());
         assert!(view.synced_with(&broker));
         assert_eq!(view.resync_count(), 1);
-        assert_eq!(view.len(TldId(0)), Some(7));
+        assert_eq!(view.snapshot(TldId(0)).map(ZoneSnapshot::len), Some(7));
         // The resync claimed the view's actual serial, so the ring served
         // a delta replay — no second snapshot bootstrap.
         assert_eq!(broker.stats().delta_catchups, 1);
@@ -938,7 +928,7 @@ mod tests {
         let mut view = BrokerZoneView::subscribe(&broker, &[TldId(0)]);
         view.pump();
         assert!(view.synced_with(&broker));
-        assert_eq!(view.len(TldId(0)), Some(20));
+        assert_eq!(view.snapshot(TldId(0)).map(ZoneSnapshot::len), Some(20));
         // Bootstrap came from a checkpoint, so only post-checkpoint
         // additions count as NRDs observed live.
         let mut nrds = Vec::new();

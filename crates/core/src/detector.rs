@@ -66,11 +66,6 @@ impl<'a, M: ZoneMembership> Detector<'a, M> {
         self.stats
     }
 
-    /// The zone view the detector consults.
-    pub fn membership(&self) -> &M {
-        &self.membership
-    }
-
     /// Mutable access to the zone view — harnesses use this to drive a
     /// push-fed backend (publish / pump / sync) between observations.
     pub fn membership_mut(&mut self) -> &mut M {
@@ -302,7 +297,7 @@ mod tests {
                 + stats.discarded_unresolvable
                 + stats.discarded_no_baseline
         );
-        assert!(detector.membership().sync_state().is_ready());
+        assert!(detector.membership_mut().sync_state().is_ready());
         // The live view also surfaces the zone-NRD log.
         let mut nrds = Vec::new();
         detector.membership_mut().drain_new_domains(&mut nrds);

@@ -125,10 +125,6 @@ impl Experiment {
         Experiment { config, nrd_feed }
     }
 
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.config
-    }
-
     /// Run the full experiment and return just the report.
     pub fn run(self) -> Report {
         self.run_with_artifacts().report

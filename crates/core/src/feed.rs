@@ -9,7 +9,7 @@
 //! Topics are **bounded**: every subscriber has a channel of fixed
 //! capacity, and a publisher never blocks on a slow consumer. On
 //! overflow the topic drops the message for that subscriber and counts
-//! it ([`Subscription::dropped_count`]). This replaces the earlier
+//! it ([`Topic::dropped_total`]). This replaces the earlier
 //! unbounded semantics, under which one stalled consumer grew its queue
 //! without limit — at zone scale, an OOM with extra steps. The RZU distribution broker
 //! (`darkdns_broker`) lags the same way and additionally offers
@@ -20,7 +20,6 @@ use darkdns_broker::lockdep::{LockClass, TrackedMutex};
 use darkdns_dns::DomainName;
 use darkdns_sim::time::SimTime;
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The topic subscriber registry's lock class: a leaf — `publish`
@@ -33,7 +32,7 @@ const DEFAULT_TOPIC_CAPACITY: usize = 4096;
 
 struct TopicSubscriber<T> {
     tx: Sender<T>,
-    dropped: Arc<AtomicU64>,
+    dropped: u64,
 }
 
 /// A broadcast topic: every subscriber receives every message published
@@ -61,7 +60,7 @@ impl<T: Clone> Clone for Topic<T> {
 
 impl<T: Clone> Topic<T> {
     /// A topic with the default per-subscriber capacity.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Topic::with_capacity(DEFAULT_TOPIC_CAPACITY)
     }
 
@@ -78,50 +77,39 @@ impl<T: Clone> Topic<T> {
     /// the topic's per-subscriber capacity.
     pub fn subscribe(&self) -> Subscription<T> {
         let (tx, rx) = bounded(self.capacity);
-        let dropped = Arc::new(AtomicU64::new(0));
-        self.subscribers.lock().push(TopicSubscriber { tx, dropped: Arc::clone(&dropped) });
-        Subscription { rx, dropped }
+        self.subscribers.lock().push(TopicSubscriber { tx, dropped: 0 });
+        Subscription { rx }
     }
 
     /// Publish to all live subscribers. Dropped subscribers are pruned;
     /// a full one misses this message and counts it.
     pub fn publish(&self, message: T) {
-        self.subscribers.lock().retain(|sub| match sub.tx.try_send(message.clone()) {
+        self.subscribers.lock().retain_mut(|sub| match sub.tx.try_send(message.clone()) {
             Ok(()) => true,
             Err(TrySendError::Full(_)) => {
-                sub.dropped.fetch_add(1, Ordering::Relaxed);
+                sub.dropped += 1;
                 true
             }
             Err(TrySendError::Disconnected(_)) => false,
         });
     }
 
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.lock().len()
-    }
-
     /// Messages dropped across all *current* subscribers (a dropped
     /// subscription no longer counts). A publisher that must not lose
     /// records checks this after the run instead of trusting silence.
     pub fn dropped_total(&self) -> u64 {
-        self.subscribers.lock().iter().map(|s| s.dropped.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Per-subscriber channel capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        self.subscribers.lock().iter().map(|s| s.dropped).sum()
     }
 }
 
 /// A consumer handle for a [`Topic`].
 pub struct Subscription<T> {
     rx: Receiver<T>,
-    dropped: Arc<AtomicU64>,
 }
 
 impl<T> Subscription<T> {
     /// Non-blocking poll.
-    pub fn try_next(&self) -> Option<T> {
+    fn try_next(&self) -> Option<T> {
         match self.rx.try_recv() {
             Ok(v) => Some(v),
             Err(TryRecvError::Empty | TryRecvError::Disconnected) => None,
@@ -135,11 +123,6 @@ impl<T> Subscription<T> {
             out.push(v);
         }
         out
-    }
-
-    /// Messages this subscriber missed because its buffer was full.
-    pub fn dropped_count(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 }
 
@@ -195,17 +178,19 @@ mod tests {
         topic.publish("x");
         assert_eq!(a.drain(), vec!["x"]);
         assert_eq!(b.drain(), vec!["x"]);
-        assert_eq!(topic.subscriber_count(), 2);
     }
 
     #[test]
     fn dropped_subscribers_are_pruned() {
-        let topic: Topic<u32> = Topic::new();
+        let topic: Topic<u32> = Topic::with_capacity(1);
         {
             let _sub = topic.subscribe();
+            topic.publish(1);
+            topic.publish(2); // full: counted against the live subscriber
+            assert_eq!(topic.dropped_total(), 1);
         }
-        topic.publish(5); // send fails; subscriber pruned
-        assert_eq!(topic.subscriber_count(), 0);
+        topic.publish(5); // send fails; subscriber pruned, its count with it
+        assert_eq!(topic.dropped_total(), 0);
     }
 
     #[test]
@@ -224,8 +209,7 @@ mod tests {
         }
         // The first 3 fit; the rest were dropped for this subscriber.
         assert_eq!(sub.drain(), vec![0, 1, 2]);
-        assert_eq!(sub.dropped_count(), 7);
-        assert_eq!(topic.subscriber_count(), 1, "lagging subscriber stays registered");
+        assert_eq!(topic.dropped_total(), 7, "lagging subscriber stays registered");
     }
 
     #[test]
@@ -238,7 +222,7 @@ mod tests {
         assert_eq!(sub.drain(), vec![1, 2]);
         topic.publish(4); // fits again after the drain
         assert_eq!(sub.drain(), vec![4]);
-        assert_eq!(sub.dropped_count(), 1);
+        assert_eq!(topic.dropped_total(), 1);
     }
 
     #[test]
@@ -249,8 +233,12 @@ mod tests {
         topic.publish(1);
         busy.drain();
         topic.publish(2); // idle is full, busy is not
-        assert_eq!(busy.dropped_count(), 0);
-        assert_eq!(idle.dropped_count(), 1);
+        assert_eq!(topic.dropped_total(), 1);
+        // Pruning busy leaves the total unchanged: the drop was idle's.
+        drop(busy);
+        topic.publish(3); // idle is still full
+        assert_eq!(topic.dropped_total(), 2);
+        assert_eq!(idle.drain(), vec![1]);
     }
 
     #[test]

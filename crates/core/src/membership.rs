@@ -214,12 +214,6 @@ impl<'a> OracleMembership<'a> {
     pub fn new(oracle: &'a SnapshotOracle<'a>, universe: &'a Universe) -> Self {
         OracleMembership { oracle, universe, now: SimTime::ZERO }
     }
-
-    /// The instant the view currently answers for (the furthest
-    /// `advance_to` has reached — the clock never rewinds).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
 }
 
 impl ZoneMembership for OracleMembership<'_> {

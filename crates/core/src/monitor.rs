@@ -94,11 +94,6 @@ impl<'a, M: ZoneMembership> Monitor<'a, M> {
     pub fn zone_stats(&self) -> MonitorZoneStats {
         self.zone_stats
     }
-
-    /// The zone view the monitor consults.
-    pub fn membership(&self) -> &M {
-        &self.membership
-    }
 }
 
 #[cfg(test)]

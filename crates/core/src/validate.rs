@@ -42,12 +42,6 @@ impl ValidatedCandidate {
             Err(_) => false,
         }
     }
-
-    /// Paper's validation criterion: RDAP and CT timestamps consistent
-    /// within 24 hours.
-    pub fn is_consistent(&self) -> bool {
-        matches!(self.detection_latency_secs(), Some(d) if d <= 86_400)
-    }
 }
 
 /// Step-2/4 runner.
@@ -74,7 +68,7 @@ impl<'a, 'u> Validator<'a, 'u> {
     }
 
     /// Collect RDAP for one candidate.
-    pub fn validate(&mut self, candidate: NrdCandidate) -> ValidatedCandidate {
+    fn validate(&mut self, candidate: NrdCandidate) -> ValidatedCandidate {
         let delay = self.queue_delay.sample(&mut self.rng).min(6.0 * 3_600.0) as u64;
         let earliest = candidate.detected_at + SimDuration::from_secs(delay);
         let collection = self.client.collect(self.directory, &candidate.domain, earliest);
@@ -123,7 +117,6 @@ mod tests {
             rdap: ok_response(8_000),
         };
         assert_eq!(v.detection_latency_secs(), Some(2_000));
-        assert!(v.is_consistent());
     }
 
     #[test]
@@ -134,7 +127,6 @@ mod tests {
             rdap: Err(RdapError::NotFound),
         };
         assert_eq!(v.detection_latency_secs(), None);
-        assert!(!v.is_consistent());
         assert!(!v.is_misclassified(SimTime::from_secs(0)));
     }
 
@@ -147,7 +139,6 @@ mod tests {
             rdap: ok_response(100 * 86_400),
         };
         assert!(v.is_misclassified(window_start));
-        assert!(!v.is_consistent()); // months-old creation is inconsistent
     }
 
     #[test]
@@ -158,7 +149,6 @@ mod tests {
             queried_at: SimTime::from_secs(3 * 86_400 + 60),
             rdap: ok_response(86_400), // detected 2 days after creation
         };
-        assert!(!v.is_consistent());
         assert!(!v.is_misclassified(window_start));
         assert_eq!(v.detection_latency_secs(), Some(2 * 86_400));
     }

@@ -86,18 +86,6 @@ impl CaFleet {
         CaFleet { profiles, shares }
     }
 
-    pub fn len(&self) -> usize {
-        self.profiles.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
-    }
-
-    pub fn get(&self, id: CaId) -> &CaProfile {
-        &self.profiles[id.0 as usize]
-    }
-
     /// Sample the issuing CA for a new certificate.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> &CaProfile {
         &self.profiles[self.shares.sample(rng)]
@@ -113,9 +101,10 @@ mod tests {
     #[test]
     fn fleet_shape() {
         let fleet = CaFleet::paper_fleet();
-        assert_eq!(fleet.len(), 4);
-        assert!(fleet.get(CaId(0)).reuses_dv_tokens);
-        assert!(!fleet.get(CaId(3)).reuses_dv_tokens);
+        assert_eq!(fleet.profiles.len(), 4);
+        assert!(fleet.profiles.iter().enumerate().all(|(i, ca)| ca.id == CaId(i as u16)));
+        assert!(fleet.profiles[0].reuses_dv_tokens);
+        assert!(!fleet.profiles[3].reuses_dv_tokens);
     }
 
     #[test]
@@ -154,8 +143,8 @@ mod tests {
             v.sort_unstable();
             v[2_000]
         };
-        let m0 = median(fleet.get(CaId(0)), &mut rng);
-        let m3 = median(fleet.get(CaId(3)), &mut rng);
+        let m0 = median(&fleet.profiles[0], &mut rng);
+        let m3 = median(&fleet.profiles[3], &mut rng);
         assert!(m0 < m3, "fast CA median {m0} should beat slow CA {m3}");
     }
 }

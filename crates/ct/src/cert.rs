@@ -32,7 +32,7 @@ impl Certificate {
     /// All names covered by this certificate: CN plus SANs, deduplicated,
     /// in first-occurrence order. This is exactly the name set Step 1 of
     /// the pipeline extracts.
-    pub fn names(&self) -> Vec<DomainName> {
+    fn names(&self) -> Vec<DomainName> {
         let mut out = Vec::with_capacity(1 + self.san.len());
         out.push(self.cn.clone());
         for n in &self.san {

@@ -51,16 +51,8 @@ impl CtLog {
         self.entries.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     pub fn get(&self, index: usize) -> &LogEntry {
         &self.entries[index]
-    }
-
-    pub fn entries(&self) -> &[LogEntry] {
-        &self.entries
     }
 
     /// Current tree head.

@@ -67,22 +67,10 @@ pub struct MerkleTree {
 }
 
 impl MerkleTree {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Append a leaf, returning its index.
     pub fn append(&mut self, leaf_bytes: &[u8]) -> usize {
         self.leaves.push(leaf_hash(leaf_bytes));
         self.leaves.len() - 1
-    }
-
-    pub fn len(&self) -> usize {
-        self.leaves.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
     }
 
     /// Root over the current leaves.
@@ -173,14 +161,14 @@ mod tests {
 
     #[test]
     fn single_leaf_root_is_leaf_hash() {
-        let mut t = MerkleTree::new();
+        let mut t = MerkleTree::default();
         t.append(b"hello");
         assert_eq!(t.root(), leaf_hash(b"hello"));
     }
 
     #[test]
     fn root_changes_with_each_append() {
-        let mut t = MerkleTree::new();
+        let mut t = MerkleTree::default();
         let mut roots = Vec::new();
         for i in 0..20u32 {
             t.append(&i.to_be_bytes());
@@ -194,7 +182,7 @@ mod tests {
     #[test]
     fn inclusion_proofs_verify_for_all_leaves() {
         let leaves: Vec<Vec<u8>> = (0..13u32).map(|i| i.to_be_bytes().to_vec()).collect();
-        let mut t = MerkleTree::new();
+        let mut t = MerkleTree::default();
         for l in &leaves {
             t.append(l);
         }
@@ -210,7 +198,7 @@ mod tests {
 
     #[test]
     fn wrong_leaf_fails_verification() {
-        let mut t = MerkleTree::new();
+        let mut t = MerkleTree::default();
         for i in 0..8u32 {
             t.append(&i.to_be_bytes());
         }
@@ -220,7 +208,7 @@ mod tests {
 
     #[test]
     fn tampered_proof_fails_verification() {
-        let mut t = MerkleTree::new();
+        let mut t = MerkleTree::default();
         for i in 0..8u32 {
             t.append(&i.to_be_bytes());
         }
@@ -234,7 +222,7 @@ mod tests {
 
     #[test]
     fn proof_length_is_logarithmic() {
-        let mut t = MerkleTree::new();
+        let mut t = MerkleTree::default();
         for i in 0..1024u32 {
             t.append(&i.to_be_bytes());
         }
@@ -256,6 +244,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "root of empty tree")]
     fn empty_root_panics() {
-        MerkleTree::new().root();
+        MerkleTree::default().root();
     }
 }

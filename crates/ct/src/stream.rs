@@ -130,10 +130,6 @@ impl CertStream {
         self.entries.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     pub fn entries(&self) -> &[CertStreamEntry] {
         &self.entries
     }

@@ -295,7 +295,7 @@ pub enum JournalEvent {
 }
 
 impl JournalEvent {
-    pub fn domain(&self) -> &DomainName {
+    fn domain(&self) -> &DomainName {
         match self {
             JournalEvent::Added { domain, .. }
             | JournalEvent::Removed { domain, .. }
@@ -333,14 +333,6 @@ impl ZoneJournal {
             assert!(serial.is_newer_than(*last), "journal serials must increase");
         }
         self.events.push((serial, event));
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Serial of the newest recorded event.

@@ -179,7 +179,7 @@ impl std::borrow::Borrow<str> for NameId {
 
 impl NameTable {
     /// The global interner instance.
-    pub fn global() -> &'static NameTable {
+    fn global() -> &'static NameTable {
         static TABLE: OnceLock<NameTable> = OnceLock::new();
         TABLE.get_or_init(|| NameTable {
             index: RwLock::new(Index::default()),
@@ -388,15 +388,6 @@ impl DomainName {
         match raw.find('.') {
             Some(i) => Some(DomainName::from_canonical(&raw[i + 1..])),
             None => Some(DomainName::root()),
-        }
-    }
-
-    /// The last (rightmost) label — the TLD — or `None` for the root.
-    pub fn tld(&self) -> Option<&str> {
-        if self.is_root() {
-            None
-        } else {
-            Some(self.raw().rsplit('.').next().expect("non-empty name has a label"))
         }
     }
 
@@ -715,7 +706,7 @@ mod tests {
         assert_eq!(n.labels(), vec!["a", "b", "example", "com"]);
         assert_eq!(n.label_count(), 4);
         assert_eq!(n.parent().unwrap().as_str(), "b.example.com");
-        assert_eq!(n.tld(), Some("com"));
+        assert_eq!(n.suffix(1).as_str(), "com");
         let tld = DomainName::parse("com").unwrap();
         assert_eq!(tld.parent(), Some(DomainName::root()));
         assert_eq!(DomainName::root().parent(), None);
@@ -947,7 +938,6 @@ mod tests {
     fn punycode_long_names_intern_cleanly() {
         let n = DomainName::parse("xn--bcher-kva.xn--vermgensberatung-pwb").unwrap();
         assert!(!is_inline(&n));
-        assert_eq!(n.tld(), Some("xn--vermgensberatung-pwb"));
         assert_eq!(n.suffix(1).as_str(), "xn--vermgensberatung-pwb");
     }
 

@@ -24,14 +24,14 @@ pub struct PublicSuffixList {
 }
 
 impl PublicSuffixList {
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Parse rules from PSL text format: one rule per line, `//` comments
     /// and blank lines ignored, `*.` prefix for wildcards, `!` prefix for
     /// exceptions. Rules are lowercased.
-    pub fn parse(text: &str) -> Self {
+    fn parse(text: &str) -> Self {
         let mut psl = PublicSuffixList::new();
         for line in text.lines() {
             let line = line.trim();

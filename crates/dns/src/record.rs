@@ -119,7 +119,7 @@ pub enum RData {
 }
 
 impl RData {
-    pub fn record_type(&self) -> RecordType {
+    fn record_type(&self) -> RecordType {
         match self {
             RData::A(_) => RecordType::A,
             RData::Aaaa(_) => RecordType::Aaaa,

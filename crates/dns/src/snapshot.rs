@@ -195,10 +195,6 @@ impl SnapshotBuilder {
         self.top.len + self.run.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Take a run of entries — a decoded chunk of a train, say — that
     /// continues the snapshot: strictly ascending, and above every
     /// owner taken so far. Checked before anything moves; a run that
@@ -420,10 +416,6 @@ impl ZoneSnapshot {
         self.top.len
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.top.len == 0
-    }
-
     pub fn contains(&self, domain: &DomainName) -> bool {
         self.top.find(domain).is_some()
     }
@@ -473,10 +465,6 @@ impl ZoneSnapshot {
             entries.advance(offset);
         }
         entries
-    }
-
-    pub fn domains(&self) -> impl Iterator<Item = &DomainName> {
-        self.domain_column().iter()
     }
 
     /// Entries per segment, in order (module docs: the span bounds).
@@ -700,10 +688,6 @@ impl<'a, T: 'a> Column<'a, T> {
         self.top.len
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.top.len == 0
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = &'a T> + 'a {
         self.top.segs.iter().flat_map(|seg| seg.iter()).map(self.of)
     }
@@ -898,7 +882,7 @@ mod tests {
         ];
         let snap =
             ZoneSnapshot::from_ns_entries(name("com"), Serial::new(1), SimTime::ZERO, shuffled);
-        assert!(snap.domains().eq(&[name("a.com"), name("b.com")]));
+        assert!(snap.domain_column().iter().eq(&[name("a.com"), name("b.com")]));
         assert!(snap.ns_set_of(&name("b.com")).unwrap().ptr_eq(&newer));
     }
 
@@ -1033,7 +1017,7 @@ mod tests {
     #[test]
     fn entries_from_starts_anywhere_without_stepping_there() {
         let snap = wide_snapshot(300);
-        let all: Vec<DomainName> = snap.domains().copied().collect();
+        let all: Vec<DomainName> = snap.domain_column().iter().copied().collect();
         for start in [0, 1, SEGMENT_SPAN - 1, SEGMENT_SPAN, SEGMENT_SPAN + 1, 299, 300, 301] {
             let rest = snap.entries_from(start);
             assert_eq!(rest.len(), 300usize.saturating_sub(start));
@@ -1050,7 +1034,7 @@ mod tests {
     #[test]
     fn empty_snapshot() {
         let snap = ZoneSnapshot::from_entries(name("com"), Serial::new(1), SimTime::ZERO, vec![]);
-        assert!(snap.is_empty());
+        assert_eq!(snap.len(), 0);
         let rt = ZoneSnapshot::parse_text(&snap.to_text()).unwrap();
         assert_eq!(rt, snap);
     }
@@ -1059,7 +1043,7 @@ mod tests {
     fn domains_iterator() {
         let z = sample_zone();
         let snap = ZoneSnapshot::capture(&z, SimTime::ZERO);
-        let names: Vec<_> = snap.domains().map(|d| d.as_str().to_owned()).collect();
+        let names: Vec<_> = snap.domain_column().iter().map(|d| d.as_str().to_owned()).collect();
         assert_eq!(names, vec!["alpha.com", "bravo.com"]);
     }
 

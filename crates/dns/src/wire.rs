@@ -147,7 +147,7 @@ pub enum Rcode {
 }
 
 impl Rcode {
-    pub const fn code(self) -> u8 {
+    const fn code(self) -> u8 {
         match self {
             Rcode::NoError => 0,
             Rcode::FormErr => 1,
@@ -187,7 +187,7 @@ pub struct Header {
 }
 
 impl Header {
-    pub fn query(id: u16) -> Self {
+    fn query(id: u16) -> Self {
         Header {
             id,
             is_response: false,
@@ -1545,8 +1545,8 @@ counter_set! {
             id,
             /// Messages waiting in the subscriber's broker queue.
             queue_depth,
-            /// Live pushes dropped for this subscriber under the Lag
-            /// policy.
+            /// Live pushes dropped for this subscriber because its
+            /// queue was full (it lags, and the drop is counted).
             lag_drops,
             /// Frames delivered to this connection inside a coalesced
             /// batch.

@@ -13,7 +13,7 @@
 //! NsSet)` is 32 bytes wherever it is stored.
 
 use crate::name::DomainName;
-use crate::record::{RData, ResourceRecord, SoaData};
+use crate::record::SoaData;
 use crate::serial::Serial;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -62,14 +62,6 @@ impl NsSet {
     /// Freeze an already-sorted, already-deduplicated host list without
     /// re-canonicalising — the fast path for snapshot-load and diff-apply,
     /// where the input is canonical by construction.
-    pub fn from_sorted(hosts: Vec<DomainName>) -> Self {
-        debug_assert!(
-            hosts.windows(2).all(|w| w[0] < w[1]),
-            "NsSet::from_sorted requires strictly sorted hosts"
-        );
-        NsSet::freeze(hosts, true)
-    }
-
     /// Freeze a host list as-is, preserving the given order. Used where
     /// the legacy text formats supply sets whose order is meaningful to
     /// equality (snapshot text round-trips).
@@ -91,7 +83,7 @@ impl NsSet {
         self.0.hosts.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.0.hosts.is_empty()
     }
 
@@ -222,10 +214,6 @@ impl Delegation {
         Delegation { ns }
     }
 
-    pub fn ns(&self) -> &[DomainName] {
-        &self.ns
-    }
-
     /// The shared NS set — clone this (a refcount bump) to carry the set
     /// into snapshots, journals and deltas without copying.
     pub fn ns_set(&self) -> &NsSet {
@@ -275,23 +263,8 @@ impl Zone {
         self.serial
     }
 
-    /// Current SOA record (serial reflects all mutations so far).
-    pub fn soa(&self) -> ResourceRecord {
-        let mut soa = self.soa_template.clone();
-        soa.serial = self.serial.get();
-        ResourceRecord::new(self.origin, 900, RData::Soa(soa))
-    }
-
     pub fn len(&self) -> usize {
         self.delegations.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.delegations.is_empty()
-    }
-
-    pub fn contains(&self, domain: &DomainName) -> bool {
-        self.delegations.contains_key(domain)
     }
 
     fn assert_in_bailiwick(&self, domain: &DomainName) {
@@ -391,10 +364,11 @@ mod tests {
         let mut z = com_zone();
         z.upsert(name("example.com"), Delegation::new(ns("ns1.cloudflare.com")));
         match z.lookup(&name("example.com")) {
-            LookupOutcome::Delegated(d) => assert_eq!(d.ns()[0], name("ns1.cloudflare.com")),
+            LookupOutcome::Delegated(d) => {
+                assert_eq!(d.ns_set().as_slice()[0], name("ns1.cloudflare.com"))
+            }
             other => panic!("expected delegation, got {other:?}"),
         }
-        assert!(z.contains(&name("example.com")));
         assert_eq!(z.len(), 1);
     }
 
@@ -425,17 +399,7 @@ mod tests {
         assert_eq!(z.serial(), s1);
         z.remove(&name("a.com"));
         assert!(z.serial().is_newer_than(s1));
-        assert!(z.is_empty());
-    }
-
-    #[test]
-    fn soa_reflects_current_serial() {
-        let mut z = com_zone();
-        z.upsert(name("a.com"), Delegation::new(ns("ns1.x.net")));
-        match &z.soa().rdata {
-            RData::Soa(s) => assert_eq!(s.serial, z.serial().get()),
-            other => panic!("expected SOA, got {other:?}"),
-        }
+        assert_eq!(z.len(), 0);
     }
 
     #[test]
@@ -453,7 +417,7 @@ mod tests {
     #[test]
     fn delegation_ns_sorted_dedup() {
         let d = Delegation::new(vec![name("b.net"), name("a.net"), name("b.net")]);
-        assert_eq!(d.ns(), &[name("a.net"), name("b.net")]);
+        assert_eq!(d.ns_set().as_slice(), &[name("a.net"), name("b.net")]);
     }
 
     #[test]
@@ -464,9 +428,9 @@ mod tests {
 
     #[test]
     fn delegation_from_sorted_skips_canonicalisation() {
-        let canonical = NsSet::from_sorted(vec![name("a.net"), name("b.net")]);
+        let canonical = NsSet::new(vec![name("a.net"), name("b.net")]);
         let d = Delegation::from_sorted(canonical.clone());
-        assert_eq!(d.ns(), canonical.as_slice());
+        assert_eq!(d.ns_set().as_slice(), canonical.as_slice());
         // The set is shared, not copied.
         assert!(d.ns_set().ptr_eq(&canonical));
     }
@@ -494,7 +458,7 @@ mod tests {
         assert_eq!(rebuilt.len(), 2);
         match rebuilt.lookup(&name("a.com")) {
             LookupOutcome::Delegated(d) => {
-                assert_eq!(d.ns(), &[name("ns1.x.net"), name("ns2.x.net")]);
+                assert_eq!(d.ns_set().as_slice(), &[name("ns1.x.net"), name("ns2.x.net")]);
                 // The NS set is shared with the snapshot (and the source
                 // zone), not copied or re-sorted.
                 assert!(d.ns_set().ptr_eq(snap.ns_set_of(&name("a.com")).unwrap()));
@@ -539,7 +503,7 @@ mod tests {
         let mut z = com_zone();
         z.upsert(name("a.com"), Delegation::new(ns("ns1.x.net")));
         let prev = z.upsert(name("a.com"), Delegation::new(ns("ns2.y.net")));
-        assert_eq!(prev.unwrap().ns()[0], name("ns1.x.net"));
+        assert_eq!(prev.unwrap().ns_set().as_slice()[0], name("ns1.x.net"));
         assert_eq!(z.len(), 1);
     }
 }

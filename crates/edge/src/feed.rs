@@ -28,7 +28,7 @@ use crate::index::EdgeIndex;
 use darkdns_broker::transport::{FrameConn, TransportError};
 use darkdns_broker::Broker;
 use darkdns_core::broker_view::{
-    pump_until_serials, BrokerZoneView, EndpointMap, RouteSink, RouteStatus, RoutedZoneView,
+    pump_until_serials, BrokerZoneView, EndpointMap, RouteSink, RoutedZoneView,
 };
 use darkdns_dns::wire::DeltaPush;
 use darkdns_dns::{DomainName, Serial, ZoneSnapshot};
@@ -70,15 +70,9 @@ impl EdgeFeed {
 
     /// Drain everything queued into the view and the index. Returns the
     /// number of messages applied; stops early on a serial gap (the
-    /// view latches lost-sync until [`EdgeFeed::resync`]).
+    /// view latches [`BrokerZoneView::lost_sync`]).
     pub fn pump(&mut self) -> usize {
         self.view.pump_with(&mut self.sink)
-    }
-
-    /// Rejoin the broker carrying the view's per-TLD serial claims; the
-    /// catch-up heals the gap via delta replay or checkpoint.
-    pub fn resync(&mut self, broker: &Broker) {
-        self.view.resync(broker);
     }
 
     /// Pump until the index's serial matches `targets` for every listed
@@ -98,10 +92,6 @@ impl EdgeFeed {
     pub fn drain_new_domains(&mut self, out: &mut Vec<DomainName>) {
         self.view.drain_new_domains(out);
     }
-
-    pub fn index(&self) -> &Arc<EdgeIndex> {
-        &self.sink.index
-    }
 }
 
 /// An edge feed spanning a **partitioned, replicated** broker fleet:
@@ -109,11 +99,12 @@ impl EdgeFeed {
 /// into one shared view + index pair — the socket-deployed edge feed
 /// (one route with one replica is the single-upstream case). All
 /// routing behaviour (per-route replica failover, resume-with-claims
-/// recovery, health-based replica selection, dead-with-backoff, live
-/// endpoint-map updates with graceful drains) comes from wrapping
-/// [`darkdns_core::broker_view::RoutedZoneView`] and mirroring its
-/// applied stream through a [`RouteSink`] — the edge adds no routing
-/// logic of its own.
+/// recovery, health-based replica selection, dead-with-backoff) comes
+/// from wrapping [`darkdns_core::broker_view::RoutedZoneView`] and
+/// mirroring its applied stream through a [`RouteSink`] — the edge adds
+/// no routing logic of its own. The feed serves the map it connected
+/// with: a live endpoint-map update is a [`RoutedZoneView`]'s
+/// (`apply_endpoint_update`), not this feed's.
 pub struct RoutedEdgeFeed<E, D>
 where
     D: FnMut(&E) -> Result<Box<dyn FrameConn>, TransportError>,
@@ -155,36 +146,9 @@ where
         pump_until_serials(self, targets, timeout, |s| s.routed.view(), |s| s.pump(1024))
     }
 
-    /// Swap in a newer [`EndpointMap`] without restarting the feed —
-    /// see [`RoutedZoneView::apply_endpoint_update`] for the
-    /// generation gating and graceful-drain semantics.
-    pub fn apply_endpoint_update(&mut self, new: EndpointMap<E>) -> bool
-    where
-        E: PartialEq,
-    {
-        self.routed.apply_endpoint_update(new)
-    }
-
     /// Replica switches so far, fleet-wide.
     pub fn failover_count(&self) -> u64 {
         self.routed.failover_count()
-    }
-
-    /// Snapshot continuation chunks received across every route and
-    /// connection generation.
-    pub fn snapshot_chunks_received(&self) -> u64 {
-        self.routed.snapshot_chunks_received()
-    }
-
-    /// Planned drain handoffs completed cleanly (no resync).
-    pub fn drains_completed(&self) -> u64 {
-        self.routed.drains_completed()
-    }
-
-    /// Per-route health/rotation status (see
-    /// [`darkdns_core::broker_view::RouteStatus`]).
-    pub fn route_status(&self) -> Vec<RouteStatus> {
-        self.routed.route_status()
     }
 
     /// True while every route has an established connection.
@@ -221,7 +185,7 @@ mod tests {
         let server = BrokerServer::new(broker.clone(), TransportConfig::default());
         let dial = |_: &()| {
             let (client_end, server_end) = duplex(1 << 16);
-            server.spawn_conn(server_end);
+            server.serve_conn(server_end);
             let mut conn = LengthPrefixed::new(client_end);
             conn.set_recv_timeout(Some(Duration::from_millis(5)))?;
             Ok(Box::new(conn) as Box<dyn FrameConn>)

@@ -168,7 +168,7 @@ impl EdgeEpoch {
     }
 
     /// Is `name` delegated in any TLD the edge serves?
-    pub fn contains_anywhere(&self, name: &DomainName) -> bool {
+    fn contains_anywhere(&self, name: &DomainName) -> bool {
         assert_no_shard_locks();
         self.shards.values().any(|s| s.contains(name))
     }
@@ -254,10 +254,6 @@ impl EdgeIndex {
         }
     }
 
-    pub fn config(&self) -> &EdgeIndexConfig {
-        &self.config
-    }
-
     /// The read path: clone the current epoch's `Arc` and answer from
     /// it lock-free. Two queries answered from one loaded epoch are
     /// mutually consistent; reload to observe writer progress.
@@ -291,16 +287,6 @@ impl EdgeIndex {
         self.swap_with(|next| {
             next.shards.insert(tld, snapshot);
             next.nrd.extend_from_push(tld, push, &config);
-        });
-    }
-
-    /// Writer path: drop every shard and NRD record, keeping the epoch
-    /// counter moving — the feed calls this when it lost sync and must
-    /// re-bootstrap, so clients never read a torn half-old index.
-    pub fn clear(&self) {
-        self.swap_with(|next| {
-            next.shards.clear();
-            next.nrd = NrdWindow::default();
         });
     }
 

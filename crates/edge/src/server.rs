@@ -61,8 +61,8 @@
 
 use crate::index::{EdgeEpoch, EdgeIndex};
 use darkdns_broker::transport::{
-    Bytes, CloseWhy, Conn, Protocol, ReactorHandle, ServedConn, ServerStats, ShardStats,
-    StatsReport, TransportConfig, MAX_FRAME_LEN,
+    Bytes, CloseWhy, Conn, Protocol, ReactorHandle, ServerStats, ShardStats,
+    StatsReport, TransportConfig,
 };
 use darkdns_dns::wire::{
     decode_lookup_request, encode_lookup_response, encode_stats_report, is_stats_query,
@@ -73,11 +73,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Edge transport tuning.
+/// Edge transport tuning. The receive bound is
+/// [`MAX_FRAME_LEN`](darkdns_broker::transport::MAX_FRAME_LEN).
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeConfig {
-    /// Per-frame payload bound enforced on receive.
-    pub max_frame_len: usize,
     /// Idle tick: the reactor's epoll-wait bound, and how long a quiet
     /// connection stays silent before it gets a heartbeat frame.
     pub writer_tick: Duration,
@@ -89,7 +88,6 @@ pub struct EdgeConfig {
 impl Default for EdgeConfig {
     fn default() -> Self {
         EdgeConfig {
-            max_frame_len: MAX_FRAME_LEN,
             writer_tick: Duration::from_millis(50),
             write_timeout: Duration::from_secs(10),
         }
@@ -138,7 +136,6 @@ impl EdgeServer {
     pub fn new(index: Arc<EdgeIndex>, config: EdgeConfig) -> Self {
         let inner = Arc::new(EdgeInner { index, stats: EdgeServerCells::default() });
         let transport = TransportConfig {
-            max_frame_len: config.max_frame_len,
             writer_tick: config.writer_tick,
             write_timeout: config.write_timeout,
             ..TransportConfig::default()
@@ -154,33 +151,16 @@ impl EdgeServer {
     }
 
     /// Hand one already-established in-memory connection to the reactor
-    /// (deterministic tests; thin clients arrive via
+    /// (the pipe-driven tests; thin clients arrive via
     /// [`EdgeServer::listen_tcp`]).
-    pub fn serve_conn(&self, conn: impl Into<ServedConn>) {
+    #[cfg(test)]
+    fn serve_conn(&self, conn: impl Into<darkdns_broker::transport::ServedConn>) {
         self.reactor.serve_conn(conn.into());
-    }
-
-    /// The index this server answers from.
-    pub fn index(&self) -> &Arc<EdgeIndex> {
-        &self.inner.index
     }
 
     /// A point-in-time copy of the edge counters.
     pub fn stats(&self) -> EdgeServerStats {
         self.inner.stats.load()
-    }
-
-    /// The `RZUQ` payload in the edge dialect (see the module docs for
-    /// the counter mapping) — what a scrape connection receives, and
-    /// what in-process monitors can read without a socket.
-    pub fn stats_report(&self) -> StatsReport {
-        build_stats_report(&self.inner, &self.inner.index.load())
-    }
-
-    /// How many OS threads the edge transport owns: `1` regardless of
-    /// listener or connection count, `0` after shutdown.
-    pub fn transport_threads(&self) -> usize {
-        self.reactor.threads()
     }
 
     /// Stop the reactor and join it: every connection and listener
@@ -360,7 +340,6 @@ mod tests {
         assert_eq!(stats.lookup_names, 5);
         assert_eq!(stats.disconnects, 0);
         server.shutdown();
-        assert_eq!(server.transport_threads(), 0);
     }
 
     #[test]
@@ -381,9 +360,6 @@ mod tests {
         assert_eq!(report.shards[0].head_serial, Serial::new(5));
         assert_eq!(report.shards[0].pushes, index.epoch(), "epoch rides the pushes counter");
         assert!(report.subs.is_empty());
-        // In-process report matches the scraped one modulo the scrape
-        // accounting itself.
-        assert_eq!(server.stats_report().server.stats_queries, 1);
         server.shutdown();
     }
 
@@ -450,7 +426,7 @@ mod tests {
         let index = Arc::new(EdgeIndex::default());
         index.adopt_snapshot(TldId(0), snap("com", 7, &["a.com"]));
         let server = EdgeServer::new(
-            index,
+            Arc::clone(&index),
             EdgeConfig {
                 writer_tick: Duration::from_millis(10),
                 write_timeout: Duration::from_millis(200),
@@ -479,7 +455,7 @@ mod tests {
         assert_eq!(stats.open_conns, 0);
         // What was answered sits in the pipe (whole replies, plus one
         // partly flushed) or in the ring — nowhere else.
-        let answers = server.index().load().answer(&a_com());
+        let answers = index.load().answer(&a_com());
         let reply_len = 4 + encode_lookup_response(1, 1, &answers).len();
         let bound = (MAX_RING_FRAMES + cap / reply_len + 1) as u64;
         let answered = stats.lookup_batches;

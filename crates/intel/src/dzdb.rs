@@ -51,21 +51,9 @@ impl DzdbArchive {
         DzdbArchive { entries }
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Was this name ever registered in the past?
     pub fn contains(&self, name: &DomainName) -> bool {
         self.entries.contains_key(name)
-    }
-
-    pub fn lookup(&self, name: &DomainName) -> Option<ArchiveEntry> {
-        self.entries.get(name).copied()
     }
 }
 
@@ -106,8 +94,8 @@ mod tests {
         let archive = DzdbArchive::build(&u, SimTime::from_days(400));
         assert!(archive.contains(&DomainName::parse("old.com").unwrap()));
         assert!(!archive.contains(&DomainName::parse("new.com").unwrap()));
-        assert_eq!(archive.len(), 1);
-        let entry = archive.lookup(&DomainName::parse("old.com").unwrap()).unwrap();
+        assert_eq!(archive.entries.len(), 1);
+        let entry = archive.entries[&DomainName::parse("old.com").unwrap()];
         assert_eq!(entry.first_seen, SimTime::from_days(100));
     }
 
@@ -124,7 +112,6 @@ mod tests {
     #[test]
     fn empty_universe_gives_empty_archive() {
         let archive = DzdbArchive::build(&Universe::new(), SimTime::from_days(400));
-        assert!(archive.is_empty());
-        assert_eq!(archive.lookup(&DomainName::parse("x.com").unwrap()), None);
+        assert!(archive.entries.is_empty());
     }
 }

@@ -97,14 +97,6 @@ impl NodFeed {
         NodFeed { observations }
     }
 
-    pub fn len(&self) -> usize {
-        self.observations.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.observations.is_empty()
-    }
-
     pub fn observed(&self, id: DomainId) -> bool {
         self.observations.contains_key(&id)
     }
@@ -151,7 +143,7 @@ mod tests {
                     && r.cert_timing != CertTiming::Never
             })
             .count();
-        let ratio = feed.len() as f64 / cert_count as f64;
+        let ratio = feed.observations.len() as f64 / cert_count as f64;
         // NOD sees ≈5% more than the CT method overall; generous band.
         assert!((0.8..1.4).contains(&ratio), "NOD/CT ratio {ratio}");
     }
@@ -203,7 +195,7 @@ mod tests {
         let (u, start) = build_universe();
         let a = NodFeed::simulate(&u, &NodConfig::default(), start, &RngPool::new(5));
         let b = NodFeed::simulate(&u, &NodConfig::default(), start, &RngPool::new(5));
-        assert_eq!(a.len(), b.len());
+        assert_eq!(a.observations.len(), b.observations.len());
         for (id, t) in a.iter() {
             assert_eq!(b.observations.get(&id), Some(&t));
         }

@@ -1,7 +1,8 @@
 //! `darkdns-lint`: a token-level scanner enforcing the workspace's
 //! invariant catalogue (`docs/INVARIANTS.md`) as machine-checkable
 //! rules. No `syn`, no dependencies — the same vendored-shim discipline
-//! as the rest of the workspace, applied to the linter itself.
+//! as the rest of the workspace, applied to the linter itself; L7 asks
+//! rustc (through `cargo check`) instead.
 //!
 //! Eight rules:
 //!
@@ -50,10 +51,11 @@
 //!   the non-test code of the broker's `broker.rs` and `shard.rs`:
 //!   publish and subscribe read no clock and never wait.
 //! * **L7 `orphan-pub`** — a `pub fn` / `const` / `static` / `type` on a
-//!   non-test line of `crates/*/src` whose name occurs as a whole word
-//!   in the code of no other `.rs` file of the repository is an orphan:
-//!   public surface no caller reaches, and a finding like any other.
-//!   This is the one cross-file rule ([`scan_orphans`]); it has no
+//!   non-test line of `crates/*/src` that no other `.rs` file of the
+//!   repository references is an orphan: public surface no caller
+//!   reaches, and a finding like any other. A reference is a use rustc
+//!   resolves to the item, not a spelling of its name: this is the one
+//!   rule that builds the tree ([`scan_orphans`]). It has no
 //!   `lint: allow` and no slack — delete the item, drop its `pub`, or
 //!   gate a test hook behind `#[cfg(test)]`.
 //! * **L8 `unsafe-confined`** — `unsafe` appears on non-test lines of
@@ -312,40 +314,48 @@ fn clean(source: &str) -> Vec<Line> {
 
 /// Mark every line belonging to a `#[cfg(test)]`-gated item (including
 /// `#[cfg(all(test, ...))]`): the attribute line itself through the end
-/// of the braced item it gates.
+/// of the item it gates.
 fn test_mask(lines: &[Line]) -> Vec<bool> {
+    gated_mask(lines, |code| code.find("#[cfg(test)]").or_else(|| code.find("#[cfg(all(test")))
+}
+
+/// Mark every line in the extent of a gate `find_gate` finds (at that
+/// byte of the line's code): from the gate to the `;` or the closing
+/// brace that ends the item it gates.
+fn gated_mask(lines: &[Line], find_gate: impl Fn(&str) -> Option<usize>) -> Vec<bool> {
     let mut mask = vec![false; lines.len()];
     let mut i = 0usize;
     while i < lines.len() {
-        let code = &lines[i].code;
-        if code.contains("#[cfg(test)]") || code.contains("#[cfg(all(test") {
-            let start = i;
-            let mut depth = 0i64;
-            let mut opened = false;
-            let mut j = i;
-            while j < lines.len() {
-                for c in lines[j].code.chars() {
-                    match c {
-                        '{' => {
-                            depth += 1;
-                            opened = true;
-                        }
-                        '}' => depth -= 1,
-                        _ => {}
-                    }
-                }
-                if opened && depth <= 0 {
-                    break;
-                }
-                j += 1;
-            }
-            for m in mask.iter_mut().take((j + 1).min(lines.len())).skip(start) {
-                *m = true;
-            }
-            i = j + 1;
-        } else {
+        let Some(at) = find_gate(&lines[i].code) else {
             i += 1;
+            continue;
+        };
+        let mut depth = 0i64;
+        let mut opened = false;
+        let mut j = i;
+        let mut from = at;
+        'extent: while j < lines.len() {
+            for c in lines[j].code[from..].chars() {
+                match c {
+                    '(' | '[' => depth += 1,
+                    '{' => {
+                        depth += 1;
+                        opened = true;
+                    }
+                    ')' | ']' | '}' => depth -= 1,
+                    ';' if depth == 0 => break 'extent,
+                    _ => {}
+                }
+                if opened && depth == 0 {
+                    break 'extent;
+                }
+            }
+            j += 1;
+            from = 0;
         }
+        let end = j.min(lines.len() - 1);
+        mask[i..=end].iter_mut().for_each(|m| *m = true);
+        i = end + 1;
     }
     mask
 }
@@ -1100,31 +1110,22 @@ fn has_slice_index(code: &str) -> bool {
 // Workspace walking
 // ---------------------------------------------------------------------------
 
-/// Directories no scan enters: vendored shims, build output, and the
-/// linter's own seeded-violation fixtures.
+/// Directories the token rules never enter: vendored shims, build
+/// output, the linter's own seeded-violation fixtures, and test support
+/// trees.
 fn never_scanned(name: &str) -> bool {
-    matches!(name, "vendor" | "target" | "fixtures" | ".git")
+    matches!(name, "vendor" | "target" | "fixtures" | ".git" | "tests" | "benches" | "examples")
 }
 
-/// Directories the per-file rules skip on top of [`never_scanned`]:
-/// test support trees, which L7 alone reads (as callers).
-fn test_support(name: &str) -> bool {
-    matches!(name, "tests" | "benches" | "examples")
-}
-
-fn collect_rs_files(
-    dir: &Path,
-    skip: &dyn Fn(&str) -> bool,
-    out: &mut Vec<PathBuf>,
-) -> std::io::Result<()> {
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if !skip(&name) {
-                collect_rs_files(&path, skip, out)?;
+            if !never_scanned(&name) {
+                collect_rs_files(&path, out)?;
             }
         } else if name.ends_with(".rs") {
             out.push(path);
@@ -1133,18 +1134,14 @@ fn collect_rs_files(
     Ok(())
 }
 
-/// Every `.rs` file under the given top-level directories of `root`
-/// (those that exist), sorted, with its source text.
-fn read_sources(
-    root: &Path,
-    tops: &[&str],
-    skip: &dyn Fn(&str) -> bool,
-) -> std::io::Result<Vec<(PathBuf, String)>> {
+/// Every `.rs` file under `crates/` and `src/` of `root` (those that
+/// exist), sorted, with its source text.
+fn read_sources(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
     let mut files = Vec::new();
-    for top in tops {
+    for top in ["crates", "src"] {
         let dir = root.join(top);
         if dir.is_dir() {
-            collect_rs_files(&dir, skip, &mut files)?;
+            collect_rs_files(&dir, &mut files)?;
         }
     }
     files.sort();
@@ -1154,14 +1151,13 @@ fn read_sources(
         .collect()
 }
 
-/// Scan the workspace rooted at `root`: every non-vendored `.rs` file
-/// under `crates/*/src` and `src/`, with path-derived profiles and a
-/// two-pass (declarations, then checks) so cross-file receivers resolve
-/// when their names are workspace-unique; then the one cross-file rule,
-/// L7, over every file that could name a `pub` item.
+/// Scan the workspace rooted at `root` with the token rules: every
+/// non-vendored `.rs` file under `crates/*/src` and `src/`, with
+/// path-derived profiles and a two-pass (declarations, then checks) so
+/// cross-file receivers resolve when their names are workspace-unique.
+/// L7 is its own pass, [`scan_orphans`]: it builds the tree.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let sources =
-        read_sources(root, &["crates", "src"], &|d| never_scanned(d) || test_support(d))?;
+    let sources = read_sources(root)?;
 
     // Pass 1: the global declaration table.
     let global = collect_global_decls(&sources);
@@ -1176,7 +1172,6 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     if doc.is_file() {
         findings.extend(scan_level_table(&sources, &doc, &std::fs::read_to_string(&doc)?));
     }
-    findings.extend(scan_workspace_orphans(root)?);
     Ok(findings)
 }
 
@@ -1300,7 +1295,7 @@ pub fn scan_level_table(sources: &[(PathBuf, String)], doc_path: &Path, doc: &st
 }
 
 // ---------------------------------------------------------------------------
-// L7: orphaned public items — the one cross-file rule
+// L7: orphaned public items — the one cross-file rule, resolved by rustc
 // ---------------------------------------------------------------------------
 
 /// The name a `pub fn` / `const` / `static` / `type` item declares on
@@ -1335,81 +1330,228 @@ fn declares_surface(path: &Path) -> bool {
     p.starts_with("crates/") && p.contains("/src/") && !p.contains("/src/bin/") && !p.starts_with("crates/lint/")
 }
 
-/// L7 over an explicit file set. Every file is a caller of every other;
-/// the files `is_surface` accepts have their non-test `pub` items
-/// checked. Comments and string literals name nothing: a doc link is
-/// not a caller.
-pub fn scan_orphans(
-    sources: &[(PathBuf, String)],
-    is_surface: &dyn Fn(&Path) -> bool,
-) -> Vec<Finding> {
-    let cleaned: Vec<(Vec<Line>, Vec<bool>)> = sources
-        .iter()
-        .map(|(_, source)| {
-            let lines = clean(source);
-            let mask = test_mask(&lines);
-            (lines, mask)
-        })
-        .collect();
-    let words: Vec<HashSet<&str>> = cleaned
-        .iter()
-        .map(|(lines, _)| lines.iter().flat_map(|l| idents(&l.code)).collect())
-        .collect();
+/// Where the L7 pass writes, relative to the workspace root: the
+/// annotated copy of the tree and the build of it.
+const L7_DIR: &str = "target/l7";
 
-    let mut findings = Vec::new();
-    for (at, ((path, _), (lines, mask))) in sources.iter().zip(&cleaned).enumerate() {
-        if !is_surface(path) {
+/// The note every probed item carries in the copy, and the prefix a
+/// rustc deprecation warning quotes it by.
+const PROBE_NOTE: &str = "L7 ";
+
+/// The `pub` items of one surface file L7 probes, as `(0-based line,
+/// name)`: every `pub fn` / `const` / `static` / `type` that is not
+/// under a `#[cfg(…)]` gate (`test` included) or inside a
+/// `macro_rules!` body — what one check profile cannot see whole.
+fn probes(lines: &[Line]) -> Vec<(usize, &str)> {
+    let gated =
+        gated_mask(lines, |code| code.find("#[cfg(").or_else(|| code.find("macro_rules!")));
+    lines
+        .iter()
+        .enumerate()
+        .filter(|(idx, _)| !gated[*idx])
+        .filter_map(|(idx, line)| pub_item_name(&line.code).map(|name| (idx, name)))
+        .collect()
+}
+
+/// `source` with `#[deprecated(note = "L7 <rel>:<line>")]` in front of
+/// each probed item, on the item's own line so every line keeps its
+/// number.
+fn annotate(rel: &str, source: &str, probed: &[(usize, &str)]) -> String {
+    let mut out = String::with_capacity(source.len() + probed.len() * 64);
+    let mut next = probed.iter().map(|(idx, _)| *idx).peekable();
+    for (idx, raw) in source.split_inclusive('\n').enumerate() {
+        if next.next_if_eq(&idx).is_some() {
+            let indent = raw.len() - raw.trim_start().len();
+            out.push_str(&raw[..indent]);
+            out.push_str(&format!("#[deprecated(note = \"{PROBE_NOTE}{rel}:{}\")] ", idx + 1));
+            out.push_str(&raw[indent..]);
+        } else {
+            out.push_str(raw);
+        }
+    }
+    out
+}
+
+/// One reference as rustc reports it: the use site and the probed item
+/// it resolves to, both as workspace-relative paths and 1-based lines.
+#[derive(Debug, PartialEq, Eq)]
+struct Reference {
+    at: (PathBuf, usize),
+    item: (PathBuf, usize),
+}
+
+/// Read one line of `cargo check --message-format=short` output as a
+/// reference, if it is a deprecation warning quoting an L7 note. The
+/// use site is resolved against `cwd` (where cargo ran) and made
+/// relative to `tree` (the copy's root); a site outside it is none.
+fn parse_reference(line: &str, cwd: &Path, tree: &Path) -> Option<Reference> {
+    let (site, message) = line.split_once(": warning: use of deprecated ")?;
+    let (_, note) = message.rsplit_once(&format!(": {PROBE_NOTE}"))?;
+    let (item_file, item_line) = note.trim_end().rsplit_once(':')?;
+    let mut parts = site.rsplitn(3, ':');
+    let (_col, at_line, at_file) = (parts.next()?, parts.next()?, parts.next()?);
+    let mut at = PathBuf::new();
+    for part in cwd.join(at_file).components() {
+        match part {
+            std::path::Component::ParentDir => {
+                at.pop();
+            }
+            std::path::Component::CurDir => {}
+            other => at.push(other),
+        }
+    }
+    Some(Reference {
+        at: (at.strip_prefix(tree).ok()?.to_path_buf(), at_line.parse().ok()?),
+        item: (PathBuf::from(item_file), item_line.parse().ok()?),
+    })
+}
+
+/// Write `bytes` to `path` unless it already holds them, so an
+/// unchanged file keeps the mtime cargo fingerprints it by.
+fn sync_file(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    if std::fs::read(path).is_ok_and(|old| old == bytes) {
+        return Ok(());
+    }
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, bytes)
+}
+
+/// Every file under `dir` (relative to `base`), skipping `.git` and
+/// every `target` directory.
+fn tree_files(base: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            if !path.ends_with(".git") && !path.ends_with("target") {
+                tree_files(base, &path, out)?;
+            }
+        } else if let Ok(rel) = path.strip_prefix(base) {
+            out.push(rel.to_path_buf());
+        }
+    }
+    Ok(())
+}
+
+/// Run `cargo check --all-targets` on the manifest in `dir` and return
+/// the references its warnings report. A failed check is an error: a
+/// tree that does not build resolves nothing.
+fn check_references(dir: &Path, tree: &Path, build: &Path) -> std::io::Result<Vec<Reference>> {
+    let out = std::process::Command::new("cargo")
+        .args(["check", "--offline", "--all-targets", "--message-format=short"])
+        .current_dir(dir)
+        .env("CARGO_TARGET_DIR", build)
+        .env("RUSTFLAGS", "--cap-lints warn")
+        .env_remove("CARGO_ENCODED_RUSTFLAGS")
+        .output()?;
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    if !out.status.success() {
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.contains("error")).take(20).collect();
+        return Err(std::io::Error::other(format!(
+            "cargo check failed in {}:\n{}",
+            dir.display(),
+            errors.join("\n")
+        )));
+    }
+    Ok(stderr.lines().filter_map(|line| parse_reference(line, dir, tree)).collect())
+}
+
+/// The outcome of the L7 pass: its findings, and how many references
+/// each `cargo check` reported (the workspace's, then `rzu_bench`'s).
+#[derive(Debug, Default)]
+pub struct OrphanScan {
+    pub findings: Vec<Finding>,
+    pub references: Vec<usize>,
+}
+
+/// L7 over the workspace rooted at `root`. The tree is mirrored into
+/// `target/l7/tree` with every probed `pub` item of `crates/*/src`
+/// marked `#[deprecated]`, then checked with all targets — the
+/// workspace, and the standalone `rzu_bench/` package when there is
+/// one — into `target/l7/build`. Each deprecation warning is one
+/// reference, at its use site: rustc resolves the path, so a same-named
+/// item of another type is no caller, and a doc link never is. An item
+/// with a use in another file has a caller; otherwise its own file's
+/// code (which wins) or tests decide the verdict.
+pub fn scan_orphans(shown_root: &Path) -> std::io::Result<OrphanScan> {
+    let root = &shown_root.canonicalize()?;
+    let l7 = root.join(L7_DIR);
+    let tree = l7.join("tree");
+    let build = l7.join("build");
+
+    let mut files = Vec::new();
+    tree_files(root, root, &mut files)?;
+    files.sort();
+    // The surface files, in path order, with each one's test mask for
+    // the verdict.
+    let mut surface = Vec::new();
+    for rel in &files {
+        let bytes = std::fs::read(root.join(rel))?;
+        let is_surface = rel.extension().is_some_and(|e| e == "rs") && declares_surface(rel);
+        let source = match std::str::from_utf8(&bytes) {
+            Ok(source) if is_surface => source,
+            _ => {
+                sync_file(&tree.join(rel), &bytes)?;
+                continue;
+            }
+        };
+        let lines = clean(source);
+        let rel_str = rel.to_string_lossy().replace('\\', "/");
+        sync_file(&tree.join(rel), annotate(&rel_str, source, &probes(&lines)).as_bytes())?;
+        let mask = test_mask(&lines);
+        surface.push((rel, lines, mask));
+    }
+    // A file the tree no longer holds must not build in the copy.
+    let mut copied = Vec::new();
+    if tree.is_dir() {
+        tree_files(&tree, &tree, &mut copied)?;
+    }
+    let kept: HashSet<&PathBuf> = files.iter().collect();
+    for stale in copied.iter().filter(|rel| !kept.contains(rel)) {
+        std::fs::remove_file(tree.join(stale))?;
+    }
+
+    let mut scan = OrphanScan::default();
+    let mut uses: HashMap<(PathBuf, usize), Vec<(PathBuf, usize)>> = HashMap::new();
+    for dir in [tree.clone(), tree.join("rzu_bench")] {
+        if !dir.join("Cargo.toml").is_file() {
             continue;
         }
-        for (idx, line) in lines.iter().enumerate() {
-            if mask[idx] {
+        let refs = check_references(&dir, &tree, &build)?;
+        scan.references.push(refs.len());
+        for r in refs {
+            uses.entry(r.item).or_default().push(r.at);
+        }
+    }
+
+    for (path, lines, mask) in &surface {
+        for (idx, name) in probes(lines) {
+            let sites = uses.get(&(path.to_path_buf(), idx + 1)).map(Vec::as_slice).unwrap_or_default();
+            if sites.iter().any(|(file, _)| file != *path) {
                 continue;
             }
-            let Some(name) = pub_item_name(&line.code) else { continue };
-            if words.iter().enumerate().any(|(other, w)| other != at && w.contains(name)) {
-                continue;
-            }
-            // Mentions in this file's test half (`true`) or code half.
-            let own = |tests: bool| -> usize {
-                lines
-                    .iter()
-                    .zip(mask)
-                    .filter(|(_, &masked)| masked == tests)
-                    .map(|(l, _)| idents(&l.code).filter(|w| *w == name).count())
-                    .sum()
-            };
-            let message = if own(true) > 0 {
+            // In-file uses from the code half, then from the test half.
+            let own = |tests: bool| sites.iter().any(|(_, line)| mask.get(line - 1) == Some(&tests));
+            let message = if own(false) {
+                format!("`{name}` is named only inside its own file: narrow it to `pub(crate)` or private")
+            } else if own(true) {
                 format!(
                     "`{name}` is named by no other file, only by its own file's tests: delete it \
                      with those assertions, or gate a test hook behind `#[cfg(test)]`"
                 )
-            } else if own(false) > 1 {
-                format!("`{name}` is named only inside its own file: narrow it to `pub(crate)` or private")
             } else {
                 format!("`{name}` is named nowhere else: delete it")
             };
-            findings.push(Finding {
-                file: path.clone(),
+            scan.findings.push(Finding {
+                file: shown_root.join(path),
                 line: idx + 1,
                 rule: Rule::OrphanPub,
                 message,
             });
         }
     }
-    findings
-}
-
-/// L7 over the workspace rooted at `root`: `pub` items of `crates/*/src`
-/// against every `.rs` file that could call them — crate sources, the
-/// root package, examples, integration tests, benches and the
-/// standalone benchmark package.
-fn scan_workspace_orphans(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let sources = read_sources(
-        root,
-        &["crates", "src", "examples", "tests", "benches", "rzu_bench"],
-        &never_scanned,
-    )?;
-    Ok(scan_orphans(&sources, &|path| declares_surface(path.strip_prefix(root).unwrap_or(path))))
+    Ok(scan)
 }
 
 #[cfg(test)]
@@ -1499,6 +1641,49 @@ mod tests {
         ] {
             assert_eq!(pub_item_name(code), name, "{code}");
         }
+    }
+
+    #[test]
+    fn l7_probes_skip_cfg_gated_items_and_macro_bodies() {
+        let src = "pub fn kept() {}
+#[cfg(not(debug_assertions))]
+mod imp {
+    pub fn twin() {}
+}
+#[cfg(debug_assertions)] pub const GATED: u8 = 1;
+pub const AFTER: u8 = 2;
+macro_rules! m {
+    () => { pub fn load() {} };
+}
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+}
+";
+        let lines = clean(src);
+        assert_eq!(probes(&lines), [(0, "kept"), (6, "AFTER")]);
+        // The note goes on the item's own line: every line keeps its number.
+        let annotated = annotate("a/b.rs", src, &probes(&lines));
+        assert_eq!(annotated.lines().count(), src.lines().count());
+        assert!(annotated.starts_with("#[deprecated(note = \"L7 a/b.rs:1\")] pub fn kept() {}\n"));
+    }
+
+    #[test]
+    fn l7_references_resolve_to_tree_relative_use_sites() {
+        let tree = Path::new("/w/target/l7/tree");
+        let line = "../crates/dns/src/wire.rs:13:21: warning: use of deprecated method \
+                    `x::Y::get`: L7 crates/dns/src/zone.rs:10";
+        assert_eq!(
+            parse_reference(line, &tree.join("rzu_bench"), tree),
+            Some(Reference {
+                at: (PathBuf::from("crates/dns/src/wire.rs"), 13),
+                item: (PathBuf::from("crates/dns/src/zone.rs"), 10),
+            })
+        );
+        // Not a probe's note, or not a deprecation at all: no reference.
+        let other = "src/a.rs:1:1: warning: use of deprecated function `f`: use g instead";
+        assert_eq!(parse_reference(other, tree, tree), None);
+        assert_eq!(parse_reference("src/a.rs:1:1: warning: unused variable: `L7 x:1`", tree, tree), None);
     }
 
     #[test]

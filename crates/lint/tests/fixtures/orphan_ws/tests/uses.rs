@@ -1,7 +1,8 @@
-// The caller side of the `orphan_ws` fixture: an integration-test tree
-// keeps a crate's `pub` item alive. Never compiled.
+//! The integration-test tree: a caller like any other file.
 
 #[test]
-fn t() {
-    assert_eq!(demo::reached_from_the_test_tree(), 7);
+fn callers() {
+    assert_eq!(demo::verdicts::reached_from_the_test_tree(b"abcdef"), 4);
+    assert_eq!(demo::report::total(&demo::meters::Counter(2)), 2);
+    assert_eq!(demo::gated::held_count(), if cfg!(debug_assertions) { 1 } else { 0 });
 }

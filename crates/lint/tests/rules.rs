@@ -4,10 +4,10 @@
 //! alive before trusting a clean workspace scan.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use darkdns_lint::{
-    collect_global_decls, scan_level_table, scan_orphans, scan_source, DeclTable, Finding,
-    Profile, Rule,
+    collect_global_decls, scan_level_table, scan_source, DeclTable, Finding, Profile, Rule,
 };
 
 fn read_fixture(name: &str) -> (PathBuf, String) {
@@ -208,60 +208,162 @@ fn l1_fires_on_a_class_or_a_row_that_outlives_the_other() {
     );
 }
 
+/// Copy the tree at `from` to `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        let dest = to.join(path.file_name().unwrap());
+        if path.is_dir() {
+            copy_tree(&path, &dest);
+        } else {
+            std::fs::copy(&path, &dest).unwrap();
+        }
+    }
+}
+
+/// Run the `darkdns-lint` binary `scripts/lint.sh` runs on the
+/// workspace at `root`: its exit code and stdout.
+fn lint_binary(root: &Path) -> (Option<i32>, String) {
+    let scan = std::process::Command::new(env!("CARGO_BIN_EXE_darkdns-lint"))
+        .arg(root)
+        .output()
+        .expect("run darkdns-lint");
+    assert!(scan.stderr.is_empty(), "{}", String::from_utf8_lossy(&scan.stderr));
+    (scan.status.code(), String::from_utf8_lossy(&scan.stdout).into_owned())
+}
+
+/// The `orphan_ws` fixture, copied under the test temp dir (so the L7
+/// pass writes its annotated tree and build there) and scanned once for
+/// every test that reads it: exit code, and each L7 finding as
+/// `(file, line, message)` with the file relative to the copy.
+fn orphan_ws_scan() -> &'static (Option<i32>, Vec<(String, usize, String)>) {
+    static SCAN: OnceLock<(Option<i32>, Vec<(String, usize, String)>)> = OnceLock::new();
+    SCAN.get_or_init(|| {
+        let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("orphan_ws");
+        // A fresh copy: a file the fixture no longer holds must not linger.
+        let _ = std::fs::remove_dir_all(&root);
+        copy_tree(&Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/orphan_ws"), &root);
+        let (code, stdout) = lint_binary(&root);
+        let prefix = format!("{}/", root.display());
+        let orphans = stdout
+            .lines()
+            .filter_map(|l| l.strip_prefix(&prefix)?.split_once(": [orphan-pub] "))
+            .map(|(at, message)| {
+                let (file, line) = at.rsplit_once(':').unwrap();
+                (file.to_string(), line.parse().unwrap(), message.to_string())
+            })
+            .collect();
+        (code, orphans)
+    })
+}
+
+#[test]
+fn l7_finds_a_method_whose_name_another_type_calls() {
+    // `Gauge::get` has no caller; `report.rs` calls `Counter::get`.
+    // rustc resolves the call, so the spelling keeps nothing alive.
+    let (_, orphans) = orphan_ws_scan();
+    let in_meters: Vec<_> =
+        orphans.iter().filter(|(file, _, _)| file == "crates/demo/src/meters.rs").collect();
+    assert!(
+        matches!(in_meters[..], [(_, 15, m)] if m == "`get` is named nowhere else: delete it"),
+        "{orphans:#?}"
+    );
+}
+
 #[test]
 fn l7_fires_on_pub_items_no_other_file_names() {
-    let sources = [read_fixture("l7_bad.rs"), read_fixture("clean.rs")];
-    let findings = scan_orphans(&sources, &|_| true);
-    assert_eq!(count(&findings, Rule::OrphanPub), findings.len());
-    // Every finding is in l7_bad.rs: clean.rs's one `pub fn` is called
-    // from there. In line order: never named, named only by its own
-    // code, named only by its own test — and not the item clean.rs
-    // calls, the narrower-than-`pub` ones or the test module's helper.
-    let found: Vec<(bool, usize, &str)> = findings
+    // The three verdicts, in line order: referenced nowhere (a doc link
+    // and a string elsewhere are no callers); referenced by its own
+    // code and its own tests — the code wins; referenced by its own
+    // tests alone. Not the item the test tree calls, the narrower-than-
+    // `pub` ones or the test module's helper.
+    let (_, orphans) = orphan_ws_scan();
+    let verdicts: Vec<(usize, &str)> = orphans
         .iter()
-        .map(|f| (f.file.ends_with("l7_bad.rs"), f.line, f.message.as_str()))
+        .filter(|(file, _, _)| file == "crates/demo/src/verdicts.rs")
+        .map(|(_, line, message)| (*line, message.as_str()))
         .collect();
+    assert_eq!(
+        verdicts,
+        [
+            (4, "`nobody_calls_this` is named nowhere else: delete it"),
+            (
+                10,
+                "`ONLY_USED_HERE` is named only inside its own file: narrow it to `pub(crate)` or \
+                 private"
+            ),
+            (
+                17,
+                "`only_its_test_calls_this` is named by no other file, only by its own file's \
+                 tests: delete it with those assertions, or gate a test hook behind `#[cfg(test)]`"
+            ),
+        ],
+        "{orphans:#?}"
+    );
+}
+
+#[test]
+fn l7_keeps_an_item_only_the_test_tree_calls() {
+    // `reached_from_the_test_tree` and `report::total` are called from
+    // the root package's `tests/` alone; so are the gated twins.
+    let (_, orphans) = orphan_ws_scan();
     assert!(
-        matches!(
-            found[..],
-            [(true, 6, delete), (true, 11, narrow), (true, 19, tested)]
-                if delete.contains("`nobody_calls_this` is named nowhere else")
-                    && narrow.contains("`ONLY_USED_BELOW` is named only inside its own file")
-                    && tested.contains("`only_its_test_calls_this`")
-                    && tested.contains("only by its own file's tests")
-        ),
-        "{findings:#?}"
+        !orphans.iter().any(|(_, _, m)| m.contains("reached_from_the_test_tree")
+            || m.contains("`total`")),
+        "{orphans:#?}"
+    );
+}
+
+#[test]
+fn l7_does_not_probe_cfg_gated_twins_or_macro_bodies() {
+    // The release-only `held_count` is dead to a debug check, and the
+    // `cells!` body's `load` has no caller: neither is probed.
+    let (_, orphans) = orphan_ws_scan();
+    assert!(!orphans.iter().any(|(file, _, _)| file.ends_with("gated.rs")), "{orphans:#?}");
+}
+
+#[test]
+fn l7_asks_nothing_of_files_outside_the_surface() {
+    // The root package's `src/` and a crate's `src/bin/` each hold a
+    // `pub fn` with no caller: callers' files, not surface. What is
+    // left is exactly the four findings above, and they fail the scan.
+    let (code, orphans) = orphan_ws_scan();
+    assert_eq!(*code, Some(1), "{orphans:#?}");
+    let files: Vec<&str> = orphans.iter().map(|(file, _, _)| file.as_str()).collect();
+    assert_eq!(
+        files,
+        [
+            "crates/demo/src/meters.rs",
+            "crates/demo/src/verdicts.rs",
+            "crates/demo/src/verdicts.rs",
+            "crates/demo/src/verdicts.rs",
+        ]
     );
 }
 
 #[test]
 fn l7_orphan_fails_a_workspace_scan_like_any_finding() {
-    // The binary `scripts/lint.sh` runs, over a one-crate workspace
-    // holding one orphan: the scan prints it and exits nonzero.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/orphan_ws");
-    let scan = std::process::Command::new(env!("CARGO_BIN_EXE_darkdns-lint"))
-        .arg(&root)
-        .output()
-        .expect("run darkdns-lint");
-    let stdout = String::from_utf8_lossy(&scan.stdout);
-    assert_eq!(scan.status.code(), Some(1), "{stdout}");
+    // A one-crate workspace holding one orphan and nothing else: the
+    // scan prints it and exits nonzero. No count is tolerated.
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("one_orphan_ws");
+    let write = |rel: &str, text: &str| {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, text).unwrap();
+    };
+    write("Cargo.toml", "[workspace]\nmembers = [\"crates/one\"]\n");
+    write("crates/one/Cargo.toml", "[package]\nname = \"one\"\nversion = \"0.1.0\"\nedition = \"2021\"\n");
+    write("crates/one/src/lib.rs", "pub fn lonely() -> u8 {\n    1\n}\n");
+    let (code, stdout) = lint_binary(&root);
+    assert_eq!(code, Some(1), "{stdout}");
     let orphans: Vec<&str> = stdout.lines().filter(|l| l.contains("[orphan-pub]")).collect();
     assert!(
-        matches!(orphans[..], [line] if line.contains("lib.rs:11:")
-            && line.contains("`only_its_test_calls_this`")),
+        matches!(orphans[..], [line] if line.contains("crates/one/src/lib.rs:1:")
+            && line.contains("`lonely` is named nowhere else")),
         "{stdout}"
     );
     assert!(stdout.ends_with("darkdns-lint: 1 finding(s)\n"), "{stdout}");
-}
-
-#[test]
-fn l7_asks_nothing_of_files_outside_the_surface() {
-    // The same two files with l7_bad.rs demoted to a caller (what
-    // tests/, examples/ and rzu_bench/ are in a workspace scan): its
-    // items are nobody's business, and it still keeps clean.rs's alive.
-    let sources = [read_fixture("l7_bad.rs"), read_fixture("clean.rs")];
-    let findings = scan_orphans(&sources, &|path| path.ends_with("clean.rs"));
-    assert!(findings.is_empty(), "{findings:#?}");
 }
 
 #[test]

@@ -36,12 +36,8 @@ impl ProbePlan {
     }
 
     /// Number of probes in the plan.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         (self.horizon.as_secs() / self.interval.as_secs()) as usize + 1
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false // a plan always contains at least the initial probe
     }
 
     /// All probe instants: start, start+interval, ..., start+horizon.

@@ -30,7 +30,7 @@ pub struct SoaAuthority<'a> {
 }
 
 impl<'a> SoaAuthority<'a> {
-    pub fn new(tld: &'a TldConfig, anchor: SimTime, base_serial: Serial) -> Self {
+    fn new(tld: &'a TldConfig, anchor: SimTime, base_serial: Serial) -> Self {
         SoaAuthority { tld, anchor, base_serial }
     }
 

@@ -57,7 +57,7 @@ pub struct MonitorPool {
 impl MonitorPool {
     /// # Panics
     /// Panics if `workers == 0`.
-    pub fn new(workers: u16) -> Self {
+    fn new(workers: u16) -> Self {
         assert!(workers > 0, "need at least one worker");
         MonitorPool { workers }
     }
@@ -65,10 +65,6 @@ impl MonitorPool {
     /// The paper's deployment: sixteen instances.
     pub fn paper_pool() -> Self {
         MonitorPool::new(16)
-    }
-
-    pub fn workers(&self) -> u16 {
-        self.workers
     }
 
     /// Stable worker assignment for a domain.

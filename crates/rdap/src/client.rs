@@ -34,7 +34,7 @@ pub struct RdapClient {
 impl RdapClient {
     /// # Panics
     /// Panics if `workers == 0`.
-    pub fn new(workers: u16, min_gap: SimDuration) -> Self {
+    fn new(workers: u16, min_gap: SimDuration) -> Self {
         assert!(workers > 0, "need at least one worker");
         RdapClient {
             workers,
@@ -48,10 +48,6 @@ impl RdapClient {
     /// (i.e. a 4-second gap per worker).
     pub fn paper_client() -> Self {
         RdapClient::new(4, SimDuration::from_secs(4))
-    }
-
-    pub fn workers(&self) -> u16 {
-        self.workers
     }
 
     /// Issue one query for `name`, not before `earliest`. The actual send
@@ -144,7 +140,7 @@ mod tests {
         let name = DomainName::parse("a.com").unwrap();
         let c = client.collect(&mut dir, &name, SimTime::from_days(3));
         assert!(c.queried_at >= SimTime::from_days(3));
-        assert_eq!(client.workers(), 4);
+        assert_eq!(client.workers, 4);
     }
 
     #[test]

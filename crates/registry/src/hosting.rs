@@ -58,7 +58,7 @@ impl WebHost {
 
     /// True if `addr` belongs to this network's pool — the reverse mapping
     /// ("IP → ASN") the paper performs on measured A records.
-    pub fn contains(&self, addr: Ipv4Addr) -> bool {
+    fn contains(&self, addr: Ipv4Addr) -> bool {
         let o = addr.octets();
         (o[0], o[1]) == self.prefix
     }
@@ -146,10 +146,6 @@ impl HostingLandscape {
 
     pub fn dns_providers(&self) -> &[DnsProvider] {
         &self.dns_providers
-    }
-
-    pub fn web_hosts(&self) -> &[WebHost] {
-        &self.web_hosts
     }
 
     pub fn web_host_by_asn(&self, asn: u32) -> Option<&WebHost> {

@@ -87,24 +87,8 @@ impl RegistrarFleet {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.registrars.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.registrars.is_empty()
-    }
-
     pub fn get(&self, id: RegistrarId) -> &Registrar {
         &self.registrars[id.0 as usize]
-    }
-
-    pub fn by_name(&self, name: &str) -> Option<&Registrar> {
-        self.registrars.iter().find(|r| r.name == name)
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &Registrar> {
-        self.registrars.iter()
     }
 
     /// Sample the sponsoring registrar for an ordinary registration.
@@ -125,14 +109,18 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    fn by_name<'f>(fleet: &'f RegistrarFleet, name: &str) -> Option<&'f Registrar> {
+        fleet.registrars.iter().find(|r| r.name == name)
+    }
+
     #[test]
     fn fleet_has_named_plus_pool() {
         let fleet = RegistrarFleet::paper_fleet();
-        assert_eq!(fleet.len(), 35);
-        assert!(fleet.by_name("GoDaddy").is_some());
-        assert!(fleet.by_name("Metaregistrar").is_some());
-        assert!(fleet.by_name("Registrar Pool 01").is_some());
-        assert!(fleet.by_name("Nonexistent Registrar").is_none());
+        assert_eq!(fleet.registrars.len(), 35);
+        assert!(by_name(&fleet, "GoDaddy").is_some());
+        assert!(by_name(&fleet, "Metaregistrar").is_some());
+        assert!(by_name(&fleet, "Registrar Pool 01").is_some());
+        assert!(by_name(&fleet, "Nonexistent Registrar").is_none());
     }
 
     #[test]
@@ -140,12 +128,12 @@ mod tests {
         let fleet = RegistrarFleet::paper_fleet();
         let mut rng = SmallRng::seed_from_u64(1);
         let n = 100_000;
-        let mut counts = vec![0u64; fleet.len()];
+        let mut counts = vec![0u64; fleet.registrars.len()];
         for _ in 0..n {
             counts[fleet.sample_transient(&mut rng).0 as usize] += 1;
         }
         let share = |name: &str| {
-            let id = fleet.by_name(name).unwrap().id;
+            let id = by_name(&fleet, name).unwrap().id;
             counts[id.0 as usize] as f64 / n as f64
         };
         // Table 3: GoDaddy 19.39%, Hostinger 15.2%, NameCheap 9.9%.
@@ -154,7 +142,7 @@ mod tests {
         assert!((share("NameCheap") - 0.099).abs() < 0.01);
         // GoDaddy must rank first (paper: "market leader GoDaddy topped").
         let max = counts.iter().max().unwrap();
-        assert_eq!(counts[fleet.by_name("GoDaddy").unwrap().id.0 as usize], *max);
+        assert_eq!(counts[by_name(&fleet, "GoDaddy").unwrap().id.0 as usize], *max);
     }
 
     #[test]
@@ -162,22 +150,22 @@ mod tests {
         let fleet = RegistrarFleet::paper_fleet();
         let mut rng = SmallRng::seed_from_u64(2);
         let n = 100_000;
-        let mut benign = vec![0u64; fleet.len()];
-        let mut transient = vec![0u64; fleet.len()];
+        let mut benign = vec![0u64; fleet.registrars.len()];
+        let mut transient = vec![0u64; fleet.registrars.len()];
         for _ in 0..n {
             benign[fleet.sample_benign(&mut rng).0 as usize] += 1;
             transient[fleet.sample_transient(&mut rng).0 as usize] += 1;
         }
         // Hostinger is over-represented among transients relative to its
         // ordinary market share (15.2% vs ~5%).
-        let h = fleet.by_name("Hostinger").unwrap().id.0 as usize;
+        let h = by_name(&fleet, "Hostinger").unwrap().id.0 as usize;
         assert!(transient[h] as f64 > 2.0 * benign[h] as f64);
     }
 
     #[test]
     fn registrar_ids_are_dense_and_stable() {
         let fleet = RegistrarFleet::paper_fleet();
-        for (i, r) in fleet.iter().enumerate() {
+        for (i, r) in fleet.registrars.iter().enumerate() {
             assert_eq!(r.id.0 as usize, i);
             assert_eq!(fleet.get(r.id).name, r.name);
         }

@@ -42,7 +42,7 @@ impl RzuFeed {
     ///
     /// # Panics
     /// Panics if `cadence` is zero or events are out of order.
-    pub fn build(
+    fn build(
         tld: TldId,
         anchor: SimTime,
         cadence: SimDuration,

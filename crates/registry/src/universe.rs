@@ -163,10 +163,6 @@ impl Universe {
         self.records.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     pub fn get(&self, id: DomainId) -> &DomainRecord {
         &self.records[id.0 as usize]
     }

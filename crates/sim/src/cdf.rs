@@ -14,10 +14,6 @@ pub struct Cdf {
 }
 
 impl Cdf {
-    pub fn new() -> Self {
-        Cdf::default()
-    }
-
     /// Build from samples; non-finite values are rejected.
     ///
     /// # Panics
@@ -26,13 +22,6 @@ impl Cdf {
         assert!(samples.iter().all(|x| x.is_finite()), "non-finite sample");
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples compare"));
         Cdf { sorted: samples }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        assert!(x.is_finite(), "non-finite sample");
-        // Insertion keeping sort order; bulk use should prefer from_samples.
-        let idx = self.sorted.partition_point(|&y| y <= x);
-        self.sorted.insert(idx, x);
     }
 
     pub fn len(&self) -> usize {
@@ -68,18 +57,6 @@ impl Cdf {
 
     pub fn min(&self) -> Option<f64> {
         self.sorted.first().copied()
-    }
-
-    pub fn max(&self) -> Option<f64> {
-        self.sorted.last().copied()
-    }
-
-    pub fn mean(&self) -> Option<f64> {
-        if self.sorted.is_empty() {
-            None
-        } else {
-            Some(self.sorted.iter().sum::<f64>() / self.sorted.len() as f64)
-        }
     }
 
     /// Evaluate the CDF at each of the given bucket edges, producing
@@ -121,13 +98,10 @@ mod tests {
     }
 
     #[test]
-    fn push_maintains_order() {
-        let mut cdf = Cdf::new();
-        for x in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            cdf.push(x);
-        }
+    fn from_samples_sorts() {
+        let cdf = Cdf::from_samples(vec![5.0, 1.0, 3.0, 2.0, 4.0]);
         assert_eq!(cdf.min(), Some(1.0));
-        assert_eq!(cdf.max(), Some(5.0));
+        assert_eq!(cdf.quantile(1.0), 5.0);
         assert_eq!(cdf.median(), 3.0);
     }
 
@@ -142,29 +116,22 @@ mod tests {
 
     #[test]
     fn empty_cdf_behaviour() {
-        let cdf = Cdf::new();
+        let cdf = Cdf::default();
         assert!(cdf.is_empty());
         assert_eq!(cdf.fraction_at_or_below(10.0), 0.0);
-        assert_eq!(cdf.mean(), None);
         assert_eq!(cdf.min(), None);
     }
 
     #[test]
     #[should_panic(expected = "quantile of empty CDF")]
     fn quantile_of_empty_panics() {
-        Cdf::new().quantile(0.5);
+        Cdf::default().quantile(0.5);
     }
 
     #[test]
     fn duplicates_count_fully() {
         let cdf = Cdf::from_samples(vec![2.0, 2.0, 2.0, 5.0]);
         assert_eq!(cdf.fraction_at_or_below(2.0), 0.75);
-    }
-
-    #[test]
-    fn mean_of_known_samples() {
-        let cdf = Cdf::from_samples(vec![1.0, 2.0, 3.0]);
-        assert!((cdf.mean().unwrap() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -23,28 +23,12 @@ impl LabelledCounter {
         self.add(label, 1);
     }
 
-    pub fn add(&mut self, label: &str, n: u64) {
+    fn add(&mut self, label: &str, n: u64) {
         *self.counts.entry(label.to_owned()).or_insert(0) += n;
-    }
-
-    pub fn get(&self, label: &str) -> u64 {
-        self.counts.get(label).copied().unwrap_or(0)
     }
 
     pub fn total(&self) -> u64 {
         self.counts.values().sum()
-    }
-
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counts.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Labels sorted by descending count (ties broken by label for
@@ -78,7 +62,6 @@ mod tests {
         assert_eq!(top2, vec![("com".into(), 100), ("net".into(), 50)]);
         assert_eq!(lc.others_beyond_top(2), 35);
         assert_eq!(lc.total(), 185);
-        assert_eq!(lc.get("missing"), 0);
     }
 
     #[test]

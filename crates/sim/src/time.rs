@@ -31,10 +31,6 @@ impl SimTime {
         SimTime(secs)
     }
 
-    pub const fn from_minutes(m: u64) -> Self {
-        SimTime(m * SECS_PER_MINUTE)
-    }
-
     pub const fn from_hours(h: u64) -> Self {
         SimTime(h * SECS_PER_HOUR)
     }
@@ -62,18 +58,12 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    pub fn checked_sub(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_sub(d.0).map(SimTime)
-    }
-
     pub fn saturating_sub(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_sub(d.0))
     }
 }
 
 impl SimDuration {
-    pub const ZERO: SimDuration = SimDuration(0);
-
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs)
     }
@@ -94,20 +84,8 @@ impl SimDuration {
         self.0
     }
 
-    pub const fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
     pub const fn min(self, other: SimDuration) -> SimDuration {
         if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    pub const fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
             self
         } else {
             other
@@ -178,7 +156,6 @@ mod tests {
 
     #[test]
     fn construction_units_agree() {
-        assert_eq!(SimTime::from_minutes(1), SimTime::from_secs(60));
         assert_eq!(SimTime::from_hours(2), SimTime::from_secs(7_200));
         assert_eq!(SimTime::from_days(1), SimTime::from_secs(86_400));
         assert_eq!(SimDuration::from_days(3).as_secs(), 3 * 86_400);
@@ -203,7 +180,7 @@ mod tests {
         let a = SimTime::from_secs(100);
         let b = SimTime::from_secs(40);
         assert_eq!(a.saturating_since(b), SimDuration::from_secs(60));
-        assert_eq!(b.saturating_since(a), SimDuration::ZERO);
+        assert_eq!(b.saturating_since(a), SimDuration::from_secs(0));
     }
 
     #[test]
@@ -219,11 +196,10 @@ mod tests {
     }
 
     #[test]
-    fn checked_sub_underflow() {
-        assert_eq!(SimTime::from_secs(5).checked_sub(SimDuration::from_secs(10)), None);
+    fn saturating_sub_clamps_at_zero() {
         assert_eq!(
-            SimTime::from_secs(10).checked_sub(SimDuration::from_secs(4)),
-            Some(SimTime::from_secs(6))
+            SimTime::from_secs(10).saturating_sub(SimDuration::from_secs(4)),
+            SimTime::from_secs(6)
         );
         assert_eq!(
             SimTime::from_secs(5).saturating_sub(SimDuration::from_secs(10)),

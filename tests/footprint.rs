@@ -115,7 +115,7 @@ fn dialer(
     let upstream = upstream.clone();
     move || {
         let (client_end, server_end) = duplex(1 << 16);
-        upstream.spawn_conn(LengthPrefixed::new(server_end));
+        upstream.serve_conn(LengthPrefixed::new(server_end));
         Ok(Box::new(LengthPrefixed::new(client_end)))
     }
 }

@@ -355,7 +355,7 @@ proptest! {
             move |claims: &[(TldId, Option<Serial>)]| {
                 let (client_end, server_end) = duplex(1 << 16);
                 *last_cut.lock().unwrap() = Some(client_end.cut_handle());
-                server.spawn_conn(LengthPrefixed::new(server_end));
+                server.serve_conn(LengthPrefixed::new(server_end));
                 let mut conn = LengthPrefixed::new(client_end);
                 conn.set_recv_timeout(Some(Duration::from_millis(2)))?;
                 TransportClient::connect(conn, claims)

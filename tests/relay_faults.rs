@@ -93,7 +93,7 @@ fn relay_dialer(
             let mut scripts = scripts.lock().unwrap();
             if scripts.is_empty() { FaultScript::default() } else { scripts.remove(0) }
         };
-        upstream.spawn_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
+        upstream.serve_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
         Ok(Box::new(LengthPrefixed::new(client_end)))
     }
 }
@@ -113,7 +113,7 @@ fn leaf_dialer(
             let mut scripts = scripts.lock().unwrap();
             if scripts.is_empty() { FaultScript::default() } else { scripts.remove(0) }
         };
-        server.spawn_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
+        server.serve_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
         let mut conn = LengthPrefixed::new(client_end);
         conn.set_recv_timeout(Some(Duration::from_millis(5)))?;
         TransportClient::connect(conn, claims)
@@ -302,7 +302,7 @@ impl Endpoints {
                 let mut s = scripts[e].lock().unwrap();
                 if s.is_empty() { FaultScript::default() } else { s.remove(0) }
             };
-            servers[e].spawn_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
+            servers[e].serve_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
             let mut conn = LengthPrefixed::new(client_end);
             conn.set_recv_timeout(Some(Duration::from_millis(5)))?;
             Ok(Box::new(conn) as Box<dyn FrameConn>)
@@ -410,7 +410,7 @@ fn raw_joiner(
     mut partials: Vec<darkdns::broker::transport::SnapshotProgress>,
 ) -> TransportClient {
     let (client_end, server_end) = duplex(1 << 16);
-    server.spawn_conn(FaultInjectedConn::new(server_end, max_frame, script));
+    server.serve_conn(FaultInjectedConn::new(server_end, max_frame, script));
     let mut conn = LengthPrefixed::new(client_end);
     conn.set_recv_timeout(Some(Duration::from_millis(5))).unwrap();
     TransportClient::connect_salvaged(conn, &[(tld, None)], &mut partials).unwrap()

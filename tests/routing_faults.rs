@@ -95,7 +95,7 @@ fn relay_dialer(
             let mut scripts = scripts.lock().unwrap();
             if scripts.is_empty() { FaultScript::default() } else { scripts.remove(0) }
         };
-        upstream.spawn_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
+        upstream.serve_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
         Ok(Box::new(LengthPrefixed::new(client_end)))
     }
 }
@@ -209,7 +209,7 @@ impl Endpoints {
                 let mut s = scripts[e].lock().unwrap();
                 if s.is_empty() { FaultScript::default() } else { s.remove(0) }
             };
-            servers[e].spawn_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
+            servers[e].serve_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
             let mut conn = LengthPrefixed::new(client_end);
             conn.set_recv_timeout(Some(Duration::from_millis(5)))?;
             Ok(Box::new(conn) as Box<dyn FrameConn>)
@@ -547,7 +547,7 @@ fn filtered_relay_re_serves_subset_and_heals_subset_only() {
 
     // Byte-identity for the subscribed subset at a relay subscriber.
     let (client_end, server_end) = duplex(1 << 16);
-    relay_server.spawn_conn(FaultInjectedConn::new(
+    relay_server.serve_conn(FaultInjectedConn::new(
         server_end,
         MAX_FRAME_LEN,
         FaultScript::default(),

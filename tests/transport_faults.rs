@@ -103,7 +103,7 @@ impl PipeNet {
                 let mut scripts = scripts.lock().unwrap();
                 if scripts.is_empty() { FaultScript::default() } else { scripts.remove(0) }
             };
-            server.spawn_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
+            server.serve_conn(FaultInjectedConn::new(server_end, MAX_FRAME_LEN, script));
             let mut conn = LengthPrefixed::new(client_end);
             conn.set_recv_timeout(Some(Duration::from_millis(5)))?;
             TransportClient::connect(conn, claims)
@@ -286,7 +286,7 @@ fn stalled_reader_lags_and_recovers_via_claims() {
     // The stats plane reports the lag on the subscriber's row; the
     // retired eviction rows of the legacy layout read 0.
     let (scrape_end, scrape_server_end) = duplex(1 << 16);
-    server.spawn_conn(LengthPrefixed::new(scrape_server_end));
+    server.serve_conn(LengthPrefixed::new(scrape_server_end));
     let report = fetch_stats(LengthPrefixed::new(scrape_end)).expect("scrape");
     assert_eq!(report.subs.len(), 1, "one live subscriber row: {:?}", report.subs);
     assert_eq!(report.subs[0].lag_drops, lagged);
@@ -569,7 +569,7 @@ fn catchup_backlog_is_coalesced_into_batched_writes() {
     let dial_server = server.clone();
     let mut view = RemoteZoneView::connect(&[TldId(0)], move |claims| {
         let (client_end, server_end) = duplex(1 << 16);
-        dial_server.spawn_conn(LengthPrefixed::new(server_end));
+        dial_server.serve_conn(LengthPrefixed::new(server_end));
         let mut conn = LengthPrefixed::new(client_end);
         conn.set_recv_timeout(Some(Duration::from_millis(5)))?;
         TransportClient::connect(conn, claims)
@@ -601,7 +601,7 @@ fn stats_query_round_trips_and_counts_itself() {
     }
     // One live subscriber so the report has a handshake to show.
     let (sub_end, sub_server_end) = duplex(1 << 16);
-    server.spawn_conn(LengthPrefixed::new(sub_server_end));
+    server.serve_conn(LengthPrefixed::new(sub_server_end));
     let mut sub_conn = LengthPrefixed::new(sub_end);
     sub_conn.set_recv_timeout(Some(Duration::from_millis(5))).expect("timeout");
     let sub = TransportClient::connect(sub_conn, &[(TldId(0), Some(Serial::new(0)))])
@@ -615,7 +615,7 @@ fn stats_query_round_trips_and_counts_itself() {
     wait_for("catch-up deltas written", || server.stats().deltas_sent == 3);
 
     let (scrape_end, scrape_server_end) = duplex(1 << 16);
-    server.spawn_conn(LengthPrefixed::new(scrape_server_end));
+    server.serve_conn(LengthPrefixed::new(scrape_server_end));
     let report = fetch_stats(LengthPrefixed::new(scrape_end)).expect("scrape");
     assert_eq!(report.server.handshakes, 1, "the subscriber, not the scrape");
     assert_eq!(report.server.stats_queries, 1, "the reply counts its own query");
@@ -661,7 +661,7 @@ fn a_duplicate_claim_is_reported_as_the_one_the_broker_planned_from() {
     let head = Serial::new(3);
     let server = server_over(&broker);
     let (sub_end, sub_server_end) = duplex(1 << 16);
-    server.spawn_conn(LengthPrefixed::new(sub_server_end));
+    server.serve_conn(LengthPrefixed::new(sub_server_end));
     let sub = TransportClient::connect(
         LengthPrefixed::new(sub_end),
         &[(TldId(0), Some(head)), (TldId(0), None)],

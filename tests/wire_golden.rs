@@ -334,7 +334,7 @@ fn stats_report() -> StatsReport {
     }
 }
 
-/// An `RZUQ` report in the shape `EdgeServer::stats_report()` builds
+/// An `RZUQ` report in the shape an edge server's scrape reply carries
 /// (the edge dialect): the server row carries only the mapped counters,
 /// each shard row only `head_serial`, `subscribers` (open connections)
 /// and `pushes` (the epoch generation, the same in every row), and
@@ -594,7 +594,7 @@ fn scoped_hello_is_refused_on_its_trailing_byte_by_codec_and_live_server() {
     let server = BrokerServer::new(broker.clone(), TransportConfig::default());
     let send = |frame: &[u8]| {
         let (client_end, server_end) = duplex(1 << 16);
-        server.spawn_conn(LengthPrefixed::new(server_end));
+        server.serve_conn(LengthPrefixed::new(server_end));
         let mut conn = LengthPrefixed::new(client_end);
         conn.send_frame(&[frame]).expect("hello");
         conn
