@@ -257,9 +257,9 @@ struct ShardShared {
 
 /// One TLD's concurrency unit. The `contended` and `coalesced` counters
 /// live outside the mutex: `contended` so the uncontended fast path
-/// (`try_lock` succeeds) is observable, `coalesced` so transport writer
-/// threads — which sit strictly below the shard locks in the hierarchy
-/// — can report batching without ever acquiring a shard lock.
+/// (`try_lock` succeeds) is observable, `coalesced` so the transport's
+/// reactor thread — which sits strictly below the shard locks in the
+/// hierarchy — can report batching without ever acquiring a shard lock.
 struct ShardHandle {
     // lock-level: 20 (acquired via `lock_shard`, which registers the
     // acquisition with `lockdep::SHARD`)
@@ -698,12 +698,13 @@ impl Broker {
     }
 
     /// Credit one frame per entry of `tlds` delivered inside a coalesced
-    /// transport write. Lock-free (an atomic on the shard handle):
-    /// transport writer threads call this from strictly below the shard
-    /// locks, so the lock hierarchy is untouched. Unknown TLDs are
+    /// transport write. Lock-free (an atomic on the shard handle): the
+    /// reactor's subscriber stream calls this from strictly below the
+    /// shard locks, so the lock hierarchy is untouched. Unknown TLDs are
     /// ignored (the frame was validated long before it reached a
-    /// writer). One directory snapshot for the whole run, so a 32-frame
-    /// batch costs one brief shared read lock instead of one per frame.
+    /// connection's ring). One directory snapshot for the whole run, so
+    /// a 32-frame batch costs one brief shared read lock instead of one
+    /// per frame.
     pub fn record_coalesced_frames<I: IntoIterator<Item = TldId>>(&self, tlds: I) {
         let dir = self.directory();
         for tld in tlds {

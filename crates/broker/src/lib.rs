@@ -28,10 +28,8 @@
 //!   into a wire frame **once** ([`darkdns_dns::wire::encode_delta_push`])
 //!   and fans the refcount-shared bytes out to every subscriber. A slow
 //!   subscriber lags: a push that finds its live buffer full is dropped
-//!   for it and counted, and it rejoins by its claims — the one rule
-//!   `darkdns-core`'s in-process `Topic` bounds its subscribers with
-//!   too. Per-shard accounting comes back as one
-//!   [`broker::ShardStats`] struct per TLD.
+//!   for it and counted, and it rejoins by its claims. Per-shard
+//!   accounting comes back as one [`broker::ShardStats`] struct per TLD.
 //! * [`feed`] — glue that materialises a multi-TLD universe's RZU pushes
 //!   as zone deltas and drives them through a broker, sequentially or
 //!   with independent-TLD batches fanned across scoped worker threads

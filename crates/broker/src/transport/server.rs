@@ -79,8 +79,7 @@ impl BrokerServer {
 
     /// How many OS threads the transport currently owns. The reactor
     /// model's headline invariant: this is `1` regardless of listener
-    /// or connection count (it was `listeners + connections` in the
-    /// writer-thread transport), and `0` after shutdown.
+    /// or connection count, and `0` after shutdown.
     pub fn transport_threads(&self) -> usize {
         self.reactor.threads()
     }

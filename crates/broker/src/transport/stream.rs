@@ -1,29 +1,27 @@
 //! The broker's protocol on the shared reactor: the subscriber stream.
 //!
 //! [`SubscriberStream`] is the [`Protocol`] handler [`BrokerServer`]
-//! runs on [`super::reactor`]. Per connection it is the protocol the
-//! writer threads once spoke: the handshake (`RZUH` →
-//! subscribe-with-claims, `RZUQ` → stats reply and close), the
-//! subscriber-queue → ring transfer with the chunked, encode-once
-//! snapshot bootstrap, and completion accounting
-//! (sent counters, per-connection claims, coalescing credits). The
-//! loop, the ring flush, heartbeats, deadlines and fault scripts are
-//! the reactor's.
+//! runs on [`super::reactor`]. Per connection it speaks the broker's
+//! protocol: the handshake (`RZUH` → subscribe-with-claims, `RZUQ` →
+//! stats reply and close), the subscriber-queue → ring transfer with
+//! the chunked, encode-once snapshot bootstrap, and completion
+//! accounting (sent counters, per-connection claims, coalescing
+//! credits). The loop, the ring flush, heartbeats, deadlines and fault
+//! scripts are the reactor's.
 //!
 //! # Lock hierarchy
 //!
 //! The handler runs on the reactor thread, **below** the broker's
-//! two-level hierarchy, exactly where writer threads sat. It takes
-//! subscriber queue locks (level 2, via `try_next`) and
-//! its own leaf state (the stats-row table, a row's claim map); it
-//! reaches level 1 twice, each time holding nothing else: the
-//! handshake's `subscribe_with` call, before the connection streams,
-//! and [`Broker::snapshot_train`] when a bootstrap is staged. The waker
-//! it installs on a subscription runs under that subscriber's queue lock
-//! (possibly under a shard lock) and touches only the reactor's pending
-//! mailbox and eventfd — leaves under level 2. The handler itself holds
-//! no snapshot and no train across calls: an encoded train lives in its
-//! shard, beside the checkpoint it encodes.
+//! two-level hierarchy. It takes subscriber queue locks (level 2, via
+//! `try_next`) and its own leaf state (the stats-row table, a row's
+//! claim map); it reaches level 1 twice, each time holding nothing
+//! else: the handshake's `subscribe_with` call, before the connection
+//! streams, and [`Broker::snapshot_train`] when a bootstrap is staged.
+//! The waker it installs on a subscription runs under that subscriber's
+//! queue lock (possibly under a shard lock) and touches only the
+//! reactor's pending mailbox and eventfd — leaves under level 2. The
+//! handler itself holds no snapshot and no train across calls: an
+//! encoded train lives in its shard, beside the checkpoint it encodes.
 //!
 //! [`Broker::snapshot_train`]: crate::broker::Broker::snapshot_train
 //!
@@ -89,8 +87,7 @@ impl Protocol for SubscriberStream {
 
     fn on_frame(&mut self, conn: &mut Conn<Self::State>, frame: Bytes) -> Option<CloseWhy> {
         // Post-handshake inbound frames have no meaning in the
-        // protocol; they are drained and ignored, as the writer-thread
-        // server (which never read after the handshake) effectively did.
+        // protocol; they are drained and ignored.
         if conn.is_handshaking() {
             self.classify_first_frame(conn, frame)
         } else {

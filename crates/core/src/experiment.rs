@@ -5,8 +5,8 @@
 //! 1. build the calibrated registry universe (workload generator);
 //! 2. build the CZDS snapshot schedule and the certificate stream;
 //! 3. run the five-step pipeline (detect → RDAP → monitor → validate →
-//!    transient classification), publishing every candidate onto the
-//!    public NRD feed;
+//!    transient classification); the public NRD feed is read off the
+//!    result ([`RunArtifacts::zonestream`]);
 //! 4. simulate the comparison sources (blocklists, NOD, DZDB);
 //! 5. assemble the [`Report`].
 //!
@@ -24,7 +24,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::detector::{Detector, DetectorStats, NrdCandidate};
-use crate::feed::{NrdFeed, NrdFeedRecord};
+use crate::feed::NrdFeedRecord;
 use crate::membership::{OracleMembership, ZoneMembership};
 use crate::monitor::{Monitor, MonitorZoneStats};
 use crate::report::{self, Report, ReportInputs};
@@ -53,9 +53,6 @@ use darkdns_sim::time::{SimDuration, SimTime};
 /// A configured, runnable experiment.
 pub struct Experiment {
     config: ExperimentConfig,
-    /// The public zonestream feed; subscribe before calling `run` to
-    /// receive every published NRD record.
-    pub nrd_feed: NrdFeed,
 }
 
 /// Everything a run produces (report plus the artifacts tests and benches
@@ -70,6 +67,23 @@ pub struct RunArtifacts {
     /// candidates the membership backend confirmed within their
     /// monitoring window).
     pub monitor_zone: MonitorZoneStats,
+}
+
+impl RunArtifacts {
+    /// The public zonestream feed the paper releases: one record per
+    /// validated candidate, in detection order.
+    pub fn zonestream(&self) -> impl Iterator<Item = NrdFeedRecord> + '_ {
+        self.classified.iter().map(|c| {
+            let v = &c.validated;
+            let rdap = v.rdap.as_ref().ok();
+            NrdFeedRecord {
+                domain: v.candidate.domain.clone(),
+                detected_at: v.candidate.detected_at,
+                rdap_created: rdap.map(|r| r.created),
+                registrar: rdap.map(|r| r.registrar.clone()),
+            }
+        })
+    }
 }
 
 /// What [`Experiment::run_with_membership`] hands its factory: the
@@ -117,12 +131,7 @@ fn build_substrates(cfg: &ExperimentConfig, pool: &RngPool) -> Substrates {
 
 impl Experiment {
     pub fn new(config: ExperimentConfig) -> Self {
-        // The zonestream feed is the released artifact: its subscribers
-        // legitimately drain once at the end of a run, so it gets the
-        // archive capacity, not the live-consumer default — a paper-scale
-        // run must not silently truncate the artifact.
-        let nrd_feed = NrdFeed::with_capacity(crate::feed::ARTIFACT_FEED_CAPACITY);
-        Experiment { config, nrd_feed }
+        Experiment { config }
     }
 
     /// Run the full experiment and return just the report.
@@ -173,24 +182,6 @@ impl Experiment {
             pool.stream("core.validator"),
         );
         let validated = validator.validate_all(candidates);
-
-        // Publish the zonestream feed (the paper's released artifact).
-        for v in &validated {
-            self.nrd_feed.publish(NrdFeedRecord {
-                domain: v.candidate.domain.clone(),
-                detected_at: v.candidate.detected_at,
-                rdap_created: v.rdap.as_ref().ok().map(|r| r.created),
-                registrar: v.rdap.as_ref().ok().map(|r| r.registrar.clone()),
-            });
-        }
-        // Release builds are exactly where paper-scale runs happen, so
-        // this must not be a debug-only check: a truncated released
-        // artifact is a hard error, not a silent drop.
-        assert_eq!(
-            self.nrd_feed.dropped_total(),
-            0,
-            "zonestream artifact truncated; raise ARTIFACT_FEED_CAPACITY"
-        );
 
         // --- step 3: monitoring ---------------------------------------------
         let mut monitor = Monitor::new(&universe, &landscape, &mut membership);
@@ -384,11 +375,29 @@ mod tests {
 
     #[test]
     fn feed_publishes_every_validated_candidate() {
-        let exp = Experiment::new(ExperimentConfig::small(19));
-        let sub = exp.nrd_feed.subscribe();
-        let arts = exp.run_with_artifacts();
-        let records = sub.drain();
+        let arts = run_small(19);
+        let records: Vec<_> = arts.zonestream().collect();
         assert_eq!(records.len(), arts.classified.len());
+        let mut rdap_ok = 0;
+        for (rec, c) in records.iter().zip(&arts.classified) {
+            let v = &c.validated;
+            assert_eq!(rec.domain, v.candidate.domain);
+            assert_eq!(rec.detected_at, v.candidate.detected_at);
+            match &v.rdap {
+                Ok(r) => {
+                    rdap_ok += 1;
+                    assert_eq!(rec.rdap_created, Some(r.created));
+                    assert_eq!(rec.registrar.as_deref(), Some(r.registrar.as_str()));
+                }
+                Err(_) => {
+                    assert_eq!(rec.rdap_created, None);
+                    assert_eq!(rec.registrar, None);
+                }
+            }
+        }
+        assert!(rdap_ok > 0 && rdap_ok < records.len(), "both RDAP outcomes are covered");
+        let again: Vec<_> = run_small(19).zonestream().collect();
+        assert_eq!(records, again, "same seed, same artifact");
     }
 
     #[test]

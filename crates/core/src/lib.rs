@@ -42,10 +42,11 @@
 //!
 //! [`experiment`] wires the substrates together, runs the pipeline over a
 //! calibrated universe and produces a [`report::Report`] containing every
-//! table and figure of the paper's evaluation. [`feed`] implements the
-//! in-memory topic bus (the simulation's Kafka) plus the public
-//! "zonestream" NRD feed the paper releases. [`rzu_ablation`] sweeps
-//! snapshot/push cadences to quantify the value of rapid zone updates —
+//! table and figure of the paper's evaluation. [`feed`] holds the record
+//! format of the public "zonestream" NRD feed the paper releases, read
+//! off a run by [`experiment::RunArtifacts::zonestream`].
+//! [`rzu_ablation`] sweeps snapshot/push cadences to quantify the value
+//! of rapid zone updates —
 //! the §5 argument, turned into an experiment — and scores what a
 //! deployed backend *actually* captured
 //! ([`rzu_ablation::observed_capture`]). [`broker_view`] holds the RZU

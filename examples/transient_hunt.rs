@@ -2,8 +2,8 @@
 //!
 //! The paper's motivating scenario: a security researcher subscribes to
 //! the released "zonestream" feed of newly registered domains and builds
-//! abuse signals *before* blocklists catch up. This example subscribes to
-//! the feed, applies two cheap heuristics the paper's data motivates —
+//! abuse signals *before* blocklists catch up. This example reads the
+//! feed off a run, applies two cheap heuristics the paper's data motivates —
 //! phishing-style labels (keyword-hyphen-digit compounds) and
 //! bulk-series names — and then scores its verdicts against the
 //! simulation's ground truth.
@@ -27,13 +27,12 @@ fn looks_suspicious(label: &str) -> bool {
 
 fn main() {
     let seed = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(7);
-    let experiment = Experiment::new(ExperimentConfig::small(seed));
-    // Subscribe to the public feed before the pipeline runs.
-    let feed = experiment.nrd_feed.subscribe();
-    let arts = experiment.run_with_artifacts();
+    let arts = Experiment::new(ExperimentConfig::small(seed)).run_with_artifacts();
 
+    let mut received = 0usize;
     let mut flagged = Vec::new();
-    for record in feed.drain() {
+    for record in arts.zonestream() {
+        received += 1;
         let label = record.domain.labels()[0].to_owned();
         if looks_suspicious(&label) {
             flagged.push(record);
@@ -56,7 +55,7 @@ fn main() {
         .count() as u64;
 
     println!("transient hunt (seed {seed})");
-    println!("feed records received:        {}", arts.classified.len());
+    println!("feed records received:        {received}");
     println!("flagged by label heuristics:  {}", flagged.len());
     println!(
         "precision vs ground truth:    {:.1}%",

@@ -84,6 +84,12 @@ echo "==> report-plane consumers (edge_monitor, fleet_lag_walker)"
 cargo run --release --example edge_monitor
 cargo run --release --example fleet_lag_walker
 
+# The released artifact's one consumer, run: `transient_hunt` reads the
+# zonestream feed off a small pipeline run (`RunArtifacts::zonestream`)
+# and scores its label heuristics against ground truth (≈ 0.3 s built).
+echo "==> zonestream consumer (transient_hunt)"
+cargo run --release --example transient_hunt
+
 # Scaled-down fan-out smoke: the 10k-subscriber reactor bench at 256
 # subscribers with a minimal sampling budget. This exercises the whole
 # child-process fleet path (re-exec, epoll client loop, round
