@@ -3,7 +3,7 @@
 //!
 //! The relay tier's claim is that encode-once survives depth: a delta
 //! crosses every tier of a root → relay → … → leaf chain as the same
-//! refcount-shared `RZU2` bytes, so adding a tier costs one socket hop
+//! refcount-shared `RZU3` bytes, so adding a tier costs one socket hop
 //! of latency and one link of bandwidth — never a re-encode. Measured
 //! here over loopback TCP chains of depth 1, 2 and 3:
 //!

@@ -30,7 +30,7 @@ use std::time::Duration;
 pub enum ClientEvent {
     /// Adopt this snapshot as the shard state (catch-up rule 3).
     Snapshot { tld: TldId, snapshot: ZoneSnapshot },
-    /// Apply one validated delta push. `frame` is the embedded `RZU2`
+    /// Apply one validated delta push. `frame` is the embedded `RZU3`
     /// bytes exactly as the publisher encoded them — a refcount-shared
     /// slice of the received envelope, so a relay can re-serve the delta
     /// downstream without re-encoding it (and a leaf can pin
@@ -241,9 +241,9 @@ impl TransportClient {
                         let tld = TldId(tld);
                         self.claim_advance(tld, &push);
                         // Skip the 6-byte envelope header: the rest is
-                        // the publisher's RZU2 frame, refcount-shared.
-                        let rzu2 = frame.slice(6..);
-                        return ClientEvent::Delta { tld, push, frame: rzu2 };
+                        // the publisher's RZU3 frame, refcount-shared.
+                        let push_frame = frame.slice(6..);
+                        return ClientEvent::Delta { tld, push, frame: push_frame };
                     }
                     Err(e) => return ClientEvent::Closed(e.into()),
                 },

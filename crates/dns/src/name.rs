@@ -538,11 +538,34 @@ impl NameBuf {
         true
     }
 
+    /// Append the canonical spelling of a name (its `raw` form: the root
+    /// is empty) behind a dot, unchecked: the name's labels obeyed the
+    /// rule when it was built. `false`, with nothing appended, if it
+    /// would take the name past 253 bytes.
+    #[inline]
+    pub(crate) fn push_canonical(&mut self, spelling: &str) -> bool {
+        if spelling.is_empty() {
+            return true;
+        }
+        let sep = usize::from(self.len > 0);
+        let end = self.len + sep + spelling.len();
+        let Some(dst) = self.bytes.get_mut(self.len..end) else {
+            return false;
+        };
+        dst[sep..].copy_from_slice(spelling.as_bytes());
+        if sep == 1 {
+            dst[0] = b'.';
+        }
+        self.len = end;
+        true
+    }
+
     /// The name the pushed labels spell; the root if there were none.
     #[inline]
     pub(crate) fn finish(&self) -> DomainName {
-        // Safety: `push` extends `len` only over bytes it wrote: `FOLD`'s
-        // ASCII alphabet and dots.
+        // `push` writes `FOLD`'s ASCII alphabet and dots, `push_canonical`
+        // a dot and a whole `&str`: UTF-8 pieces joined at their bounds.
+        // Safety: `len` only ever grows over bytes those two wrote.
         let spelling = unsafe { std::str::from_utf8_unchecked(&self.bytes[..self.len]) };
         DomainName::from_canonical(spelling)
     }

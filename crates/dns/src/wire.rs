@@ -21,7 +21,7 @@
 //!
 //! # Name codec: allocation-free, byte-identical
 //!
-//! Every message family here — `Message`, `RZU2`, `RZUC`, `RZUL` —
+//! Every message family here — `Message`, `RZU3`, `RZUC`, `RZUL` —
 //! spells names through one `Encoder::name` / `Decoder::name`
 //! pair, so their cost is per-name overhead times hundreds of thousands
 //! of names per bootstrap:
@@ -40,7 +40,13 @@
 //!   what that route gives. A wire label containing `.` is rejected: it
 //!   would otherwise re-parse as several labels, giving one name two
 //!   encodings.
-//! * **NS sets** travel one way, in `RZU2` delta frames and `RZUC`
+//! * **Owners** of `RZU3` delta and `RZUC` chunk entries are children
+//!   of the frame's origin almost always, and travel as that one label
+//!   (`Encoder::entry` / `Decoder::owner`): a length byte and the label,
+//!   with the origin's spelling appended on decode, never re-checked.
+//!   Any other owner is a `0x00` escape and the name through the pair
+//!   above.
+//! * **NS sets** travel one way, in `RZU3` delta frames and `RZUC`
 //!   chunks alike: each entry names its set by its index in a
 //!   frame-local table, the first use defining it inline
 //!   (`Encoder::ns_ref` / `Decoder::table_ns`). A repeated set costs one
@@ -74,7 +80,9 @@ pub enum WireError {
     ForwardPointer { at: usize, target: usize },
     /// Compression pointers form a loop (or exceed the hop limit).
     PointerLoop,
-    /// A label byte has the reserved `10`/`01` top-bit pattern.
+    /// A label byte has the reserved `10`/`01` top-bit pattern, or an
+    /// entry's owner field starts with a byte that is neither a label
+    /// length (1..=63) nor the `0x00` escape.
     BadLabelType(u8),
     /// The decoded name is not valid presentation-form DNS.
     BadName(String),
@@ -85,12 +93,12 @@ pub enum WireError {
     /// Bytes remained after the message was fully parsed.
     TrailingBytes(usize),
     /// A frame did not start with the magic its decoder reads — a
-    /// retired family's (`RZU1`, `RZUS`, `RZUE`) included.
+    /// retired family's (`RZU1`, `RZU2`, `RZUS`, `RZUE`) included.
     BadMagic,
     /// A flags byte outside the defined set: lookup answer or snapshot
     /// chunk flag bits this build does not know. A snapshot chunk
-    /// without its NS-table bit is in the pre-table layout and is
-    /// refused with this too, never misread.
+    /// without its NS-table and owner-label bits is in an earlier layout
+    /// and is refused with this too, never misread.
     BadFlags(u8),
     /// A snapshot continuation chunk's `(offset, count, total)` bounds
     /// are inconsistent (out of range, or the last-chunk flag disagrees
@@ -381,6 +389,28 @@ impl<'a> Encoder<'a> {
         self.buf.put_u8(0);
     }
 
+    /// Encode one `RZU3` / `RZUC` entry: its owner field, then a
+    /// reference to each of its NS sets (one, or a change's old and new).
+    /// The owner is its one label under `origin` (the frame origin's
+    /// canonical spelling): a length byte and the label, never entering
+    /// the compression table. Any other owner is the `0x00` escape and
+    /// the name in its compressible form.
+    fn entry<const N: usize>(&mut self, origin: &str, owner: &'a DomainName, sets: [&'a NsSet; N]) {
+        match label_under(owner.raw(), origin) {
+            Some(label) => {
+                self.buf.put_u8(label.len() as u8);
+                self.buf.put_slice(label.as_bytes());
+            }
+            None => {
+                self.buf.put_u8(0);
+                self.name(owner);
+            }
+        }
+        for ns in sets {
+            self.ns_ref(ns);
+        }
+    }
+
     /// Encode an entry's NS set as a minimal LEB128 reference into the
     /// frame's set table: the index of its earlier definition, or the
     /// next index followed by the set spelled out (`u16` host count, then
@@ -449,6 +479,72 @@ impl<'a> Encoder<'a> {
             }
         }
     }
+}
+
+/// A name's wire labels copied verbatim into its text form: the slow
+/// route that builds the error of every wire name the label rule
+/// refuses.
+struct NameText {
+    text: [u8; 253],
+    len: usize,
+}
+
+impl Default for NameText {
+    fn default() -> Self {
+        NameText { text: [0; 253], len: 0 }
+    }
+}
+
+impl NameText {
+    /// Append `label` behind a dot. A label holding a dot is refused: it
+    /// would re-parse as a label boundary, one name with two encodings.
+    fn push(&mut self, label: &[u8]) -> Result<(), WireError> {
+        if label.contains(&b'.') {
+            return Err(WireError::BadName("`.` inside a wire label".into()));
+        }
+        let sep = usize::from(self.len > 0);
+        let grown = self.len + sep + label.len();
+        let Some(dst) = self.text.get_mut(self.len..grown) else {
+            return Err(WireError::BadName(NameError::TooLong(grown).to_string()));
+        };
+        if sep == 1 {
+            dst[0] = b'.';
+        }
+        dst[sep..].copy_from_slice(label);
+        self.len = grown;
+        Ok(())
+    }
+
+    /// What `from_utf8` and [`DomainName::parse`] make of the text.
+    fn parse(&self) -> Result<DomainName, WireError> {
+        let text = std::str::from_utf8(&self.text[..self.len])
+            .map_err(|_| WireError::BadName("non-ASCII label".into()))?;
+        DomainName::parse(text).map_err(|e| WireError::BadName(e.to_string()))
+    }
+}
+
+/// What an owner field's `label` under `origin` gives through its text
+/// form, as [`Decoder::name_via_text`] gives it for the same labels in a
+/// name: only to build the error of an owner the fast path refused.
+#[cold]
+fn owner_via_text(label: &[u8], origin: &str) -> Result<DomainName, WireError> {
+    let mut text = NameText::default();
+    text.push(label)?;
+    for origin_label in origin.split('.').filter(|l| !l.is_empty()) {
+        text.push(origin_label.as_bytes())?;
+    }
+    text.parse()
+}
+
+/// `owner`'s one label under `origin`, both canonical spellings (the
+/// root's is empty); `None` unless `owner` is exactly one label under
+/// `origin`.
+fn label_under<'s>(owner: &'s str, origin: &str) -> Option<&'s str> {
+    let label = match origin {
+        "" => owner,
+        _ => owner.strip_suffix(origin)?.strip_suffix('.')?,
+    };
+    (!label.is_empty() && !label.contains('.')).then_some(label)
 }
 
 struct Decoder<'a> {
@@ -594,25 +690,49 @@ impl<'a> Decoder<'a> {
     }
 
     /// Decode `count` `(owner, NS-set reference)` entries — the body of
-    /// an `RZUC` chunk and an `RZU2` frame's added and removed sections —
-    /// against the frame's set table `sets`. The count is untrusted: each
-    /// entry costs at least 2 bytes (a 1-byte root or pointer-free name
-    /// plus a 1-byte reference), so a count the remaining buffer cannot
-    /// hold is a truncation, caught before the allocation is sized from
-    /// it.
+    /// an `RZUC` chunk and an `RZU3` frame's added and removed sections —
+    /// against the frame's `origin` (its canonical spelling) and set
+    /// table `sets`. The count is untrusted: each entry costs at least 3
+    /// bytes (a 2-byte owner field plus a 1-byte reference), so a count
+    /// the remaining buffer cannot hold is a truncation, caught before
+    /// the allocation is sized from it.
     fn decode_entries(
         &mut self,
         count: usize,
+        origin: &str,
         sets: &mut Vec<NsSet>,
     ) -> Result<Vec<(DomainName, NsSet)>, WireError> {
-        if count.checked_mul(2).is_none_or(|need| need > self.remaining()) {
+        if count.checked_mul(3).is_none_or(|need| need > self.remaining()) {
             return Err(WireError::Truncated);
         }
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            entries.push((self.name()?, self.table_ns(sets)?));
+            entries.push((self.owner(origin)?, self.table_ns(sets)?));
         }
         Ok(entries)
+    }
+
+    /// Decode an entry's owner field, written by [`Encoder::entry`],
+    /// under the frame's `origin` (its canonical spelling). A byte
+    /// `1..=63` is the length of the owner's one label under the origin:
+    /// the label goes through the label rule and the origin's spelling
+    /// is appended unchecked, so an owner costs one label's check. `0`
+    /// escapes to a name at the cursor ([`Decoder::name`]), any owner;
+    /// any other byte is [`WireError::BadLabelType`]. At least 2 bytes.
+    fn owner(&mut self, origin: &str) -> Result<DomainName, WireError> {
+        match self.u8()? {
+            0 => self.name(),
+            len @ 1..=63 => {
+                let label = self.take(usize::from(len))?;
+                let mut name = NameBuf::new();
+                if name.push(label) && name.push_canonical(origin) {
+                    Ok(name.finish())
+                } else {
+                    owner_via_text(label, origin)
+                }
+            }
+            other => Err(WireError::BadLabelType(other)),
+        }
     }
 
     /// Decode `count` claim rows — shared by the HELLO and the `RZUQ`
@@ -680,32 +800,13 @@ impl<'a> Decoder<'a> {
     /// What the name at the cursor gives through its text form: labels
     /// copied verbatim and joined by dots, a label holding a dot refused,
     /// then `from_utf8` and [`DomainName::parse`]. Every error a refused
-    /// wire name yields is built here.
+    /// wire name yields is built here, or by [`owner_via_text`] through
+    /// the same [`NameText`].
     #[cold]
     fn name_via_text(&mut self) -> Result<DomainName, WireError> {
-        let mut text = [0u8; 253];
-        let mut text_len = 0usize;
-        self.labels(|label| {
-            // A dot inside a label would re-parse as a label boundary:
-            // one name, two encodings.
-            if label.contains(&b'.') {
-                return Err(WireError::BadName("`.` inside a wire label".into()));
-            }
-            let sep = usize::from(text_len > 0);
-            let grown = text_len + sep + label.len();
-            let Some(dst) = text.get_mut(text_len..grown) else {
-                return Err(WireError::BadName(NameError::TooLong(grown).to_string()));
-            };
-            if sep == 1 {
-                dst[0] = b'.';
-            }
-            dst[sep..].copy_from_slice(label);
-            text_len = grown;
-            Ok(())
-        })?;
-        let text = std::str::from_utf8(&text[..text_len])
-            .map_err(|_| WireError::BadName("non-ASCII label".into()))?;
-        DomainName::parse(text).map_err(|e| WireError::BadName(e.to_string()))
+        let mut text = NameText::default();
+        self.labels(|label| text.push(label))?;
+        text.parse()
     }
 
     /// Walk the (possibly compressed) name at the cursor, handing each
@@ -838,10 +939,11 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Magic prefix of an RZU delta-push frame ("RZU2"). `RZU1`, the layout
-/// that spelled every NS set out, is retired: reserved, and refused with
-/// [`WireError::BadMagic`] like any unknown magic.
-pub const DELTA_PUSH_MAGIC: &[u8; 4] = b"RZU2";
+/// Magic prefix of an RZU delta-push frame ("RZU3"). `RZU1`, the layout
+/// that spelled every NS set out, and `RZU2`, which spelled every owner
+/// as a name compressed against the origin, are retired: reserved, and
+/// refused with [`WireError::BadMagic`] like any unknown magic.
+pub const DELTA_PUSH_MAGIC: &[u8; 4] = b"RZU3";
 
 /// A decoded RZU delta-push frame: the net zone change that advanced one
 /// shard from `from_serial` to `to_serial`.
@@ -871,14 +973,24 @@ pub struct DeltaPush {
 /// Layout (all integers big-endian):
 ///
 /// ```text
-/// "RZU2"                     magic, 4 bytes
+/// "RZU3"                     magic, 4 bytes
 /// origin                     wire-format name (compression target)
 /// from_serial u32, to_serial u32, pushed_at u64
 /// added u32, removed u32, changed u32        section counts
-/// added:   (name, ns_ref) per entry
-/// removed: (name, ns_ref) per entry
-/// changed: (name, old ns_ref, new ns_ref) per entry
+/// added:   (owner, ns_ref) per entry
+/// removed: (owner, ns_ref) per entry
+/// changed: (owner, old ns_ref, new ns_ref) per entry
 /// ```
+///
+/// An `owner` field is, for an owner exactly one label under the
+/// origin (under the root origin, a one-label name), `u8` length
+/// (1..=63) and the label; otherwise `0x00` and the owner as a name.
+/// Against `RZU2`, which spelled every owner as a name (a child of the
+/// origin as its label and a 2-byte pointer), this saves 2 bytes per
+/// short owner and costs two things: one escape byte per owner written
+/// long, and an in-bailiwick host (`ns1.<owner>`) no longer compresses
+/// against its owner, since a short owner is no pointer target; it
+/// spells the owner's label again and points at the origin.
 ///
 /// An `ns_ref` names an NS set by its index in one frame-wide table,
 /// exactly as an `RZUC` chunk entry does: a minimal LEB128 `u32` `r`
@@ -905,14 +1017,12 @@ pub fn encode_delta_push(
     enc.buf.put_u32(delta.added.len() as u32);
     enc.buf.put_u32(delta.removed.len() as u32);
     enc.buf.put_u32(delta.changed.len() as u32);
+    let origin = origin.raw();
     for (domain, ns) in delta.added.iter().chain(&delta.removed) {
-        enc.name(domain);
-        enc.ns_ref(ns);
+        enc.entry(origin, domain, [ns]);
     }
     for chg in &delta.changed {
-        enc.name(&chg.domain);
-        enc.ns_ref(&chg.old_ns);
-        enc.ns_ref(&chg.new_ns);
+        enc.entry(origin, &chg.domain, [&chg.old_ns, &chg.new_ns]);
     }
     enc.buf.freeze()
 }
@@ -935,14 +1045,15 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
     let added_count = dec.u32()? as usize;
     let removed_count = dec.u32()? as usize;
     let changed_count = dec.u32()? as usize;
-    // Counts are untrusted: an added or removed entry costs at least 2
-    // bytes (a 1-byte root/pointer-free name plus a 1-byte set
-    // reference), a changed one 3 (two references), so counts the
-    // remaining buffer cannot possibly hold are a truncation, caught
-    // here before any allocation is sized from them.
+    // Counts are untrusted: an added or removed entry costs at least 3
+    // bytes (a 2-byte owner field — a 1-byte label, or the escape and a
+    // root name — plus a 1-byte set reference), a changed one 4 (two
+    // references), so counts the remaining buffer cannot possibly hold
+    // are a truncation, caught here before any allocation is sized from
+    // them.
     let min_bytes = (added_count + removed_count)
-        .checked_mul(2)
-        .and_then(|n| n.checked_add(changed_count.checked_mul(3)?))
+        .checked_mul(3)
+        .and_then(|n| n.checked_add(changed_count.checked_mul(4)?))
         .ok_or(WireError::Truncated)?;
     if min_bytes > dec.remaining() {
         return Err(WireError::Truncated);
@@ -950,12 +1061,13 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
     // One set table for the whole frame: a `changed` entry may name a
     // set an `added` one defined.
     let mut sets = Vec::new();
-    let added = dec.decode_entries(added_count, &mut sets)?;
-    let removed = dec.decode_entries(removed_count, &mut sets)?;
+    let spelling = origin.raw();
+    let added = dec.decode_entries(added_count, spelling, &mut sets)?;
+    let removed = dec.decode_entries(removed_count, spelling, &mut sets)?;
     let mut changed = Vec::with_capacity(changed_count);
     for _ in 0..changed_count {
         changed.push(NsChange {
-            domain: dec.name()?,
+            domain: dec.owner(spelling)?,
             old_ns: dec.table_ns(&mut sets)?,
             new_ns: dec.table_ns(&mut sets)?,
         });
@@ -981,7 +1093,7 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
 //   travels as an `RZUC` chunk train (below), and a peer that sends the
 //   magic is closed with `BadMagic` like any unknown frame.
 // * `RZUD` — delta envelope (server -> client): a TLD tag followed by an
-//   embedded `RZU2` frame, verbatim — the server writes the broker's
+//   embedded `RZU3` frame, verbatim — the server writes the broker's
 //   refcount-shared frame bytes with no per-subscriber re-encode.
 // * `RZUE` — the former eviction notice: retired — reserved, refused.
 //   A subscriber that falls behind is never dropped; its lagged pushes
@@ -1004,7 +1116,7 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
 
 /// Magic prefix of a subscriber HELLO frame.
 pub const HELLO_MAGIC: &[u8; 4] = b"RZUH";
-/// Magic prefix of a delta-envelope frame (TLD tag + embedded `RZU2`).
+/// Magic prefix of a delta-envelope frame (TLD tag + embedded `RZU3`).
 pub const DELTA_ENVELOPE_MAGIC: &[u8; 4] = b"RZUD";
 
 /// One shard claim in a HELLO: the TLD index (transport-level `u16`, the
@@ -1152,6 +1264,12 @@ const CHUNK_LAST: u8 = 1;
 /// set table. Every chunk carries it; one without it is the pre-table
 /// layout.
 const CHUNK_NS_TABLE: u8 = 2;
+/// `RZUC` flags bit 2: entries spell their owners as an `RZU3` frame
+/// does, a child of the origin as its one label. Every chunk carries it;
+/// one without it spells every owner as a name.
+const CHUNK_OWNER_LABELS: u8 = 4;
+/// The flag bits every `RZUC` chunk carries.
+const CHUNK_LAYOUT: u8 = CHUNK_NS_TABLE | CHUNK_OWNER_LABELS;
 
 /// Encode a snapshot as a sequence of `RZUC` continuation chunks,
 /// starting at entry `start_entry` (a resume offset; pass 0 for the full
@@ -1159,9 +1277,14 @@ const CHUNK_NS_TABLE: u8 = 2;
 ///
 /// Each chunk carries `"RZUC"`, `u16` TLD, origin name, `u32` serial,
 /// `u64` taken-at, then `u32` total, `u32` offset, `u8` flags (bit 0 =
-/// last chunk, bit 1 = NS-set table, set on every chunk), `u32` entry
-/// count, then the entries: an owner name and a reference to its NS
-/// set. The reference is a minimal LEB128 `u32` `r`, read against the
+/// last chunk; bit 1 = NS-set table and bit 2 = owner labels, both set
+/// on every chunk), `u32` entry count, then the entries: an owner field
+/// and a reference to its NS set. The owner field is the
+/// [`encode_delta_push`] one: an owner one label under the origin is
+/// `u8` length and the label, any other `0x00` and the name (the
+/// escape byte, and in-bailiwick hosts no longer compressing against
+/// their owner, are the costs of saving the 2-byte origin pointer).
+/// The reference is a minimal LEB128 `u32` `r`, read against the
 /// `d` sets the chunk has defined so far: `r < d` names set `r`, and
 /// `r == d` is followed by the set spelled out (`u16` host count, then
 /// the host names) and defines set `d`. The set table is keyed by
@@ -1195,6 +1318,7 @@ pub fn encode_snapshot_chunks(
     // past the target.
     let mut enc =
         Encoder::with_capacity(chunk_bytes.min((total - start).saturating_mul(32)) + (4 << 10));
+    let origin = snapshot.origin().raw();
     loop {
         enc.reset();
         enc.buf.put_slice(SNAPSHOT_CHUNK_MAGIC);
@@ -1205,16 +1329,17 @@ pub fn encode_snapshot_chunks(
         enc.buf.put_u32(total as u32);
         enc.buf.put_u32(offset as u32);
         let flags_at = enc.buf.len();
-        enc.buf.put_u8(CHUNK_NS_TABLE);
+        enc.buf.put_u8(CHUNK_LAYOUT);
         let count_at = enc.buf.len();
         enc.buf.put_u32(0);
         let mut count: u32 = 0;
         // At least one entry per chunk guarantees progress even when the
         // header alone exceeds the byte target.
         while count == 0 || enc.buf.len() < chunk_bytes {
-            let Some((domain, ns)) = iter.next() else { break };
-            enc.name(domain);
-            enc.ns_ref(ns);
+            let Some((domain, ns)) = iter.next() else {
+                break;
+            };
+            enc.entry(origin, domain, [ns]);
             count += 1;
         }
         let last = iter.len() == 0;
@@ -1236,9 +1361,9 @@ pub fn encode_snapshot_chunks(
 /// bookkeeping must be arithmetically consistent — a frame claiming
 /// entries past `total`, or a last flag that disagrees with
 /// `offset + count == total`, is a [`WireError::BadChunk`]. A flags byte
-/// other than the table bit plus, optionally, the last bit is a
-/// [`WireError::BadFlags`], and an NS-set reference past the next
-/// definition (or not minimally spelled) a [`WireError::BadNsRef`].
+/// other than the table and owner-label bits plus, optionally, the last
+/// bit is a [`WireError::BadFlags`], and an NS-set reference past the
+/// next definition (or not minimally spelled) a [`WireError::BadNsRef`].
 pub fn decode_snapshot_chunk(bytes: &[u8]) -> Result<SnapshotChunk, WireError> {
     let mut dec = Decoder::new(bytes);
     if dec.take(4)? != SNAPSHOT_CHUNK_MAGIC {
@@ -1251,16 +1376,16 @@ pub fn decode_snapshot_chunk(bytes: &[u8]) -> Result<SnapshotChunk, WireError> {
     let total = dec.u32()?;
     let offset = dec.u32()?;
     let flags = dec.u8()?;
-    // Unknown bits are a newer layout, a missing table bit the
-    // pre-table one: neither is read as this one.
-    if flags & !CHUNK_LAST != CHUNK_NS_TABLE {
+    // Unknown bits are a newer layout, a missing table or owner-label
+    // bit an earlier one: none is read as this one.
+    if flags & !CHUNK_LAST != CHUNK_LAYOUT {
         return Err(WireError::BadFlags(flags));
     }
     let last = flags & CHUNK_LAST != 0;
     let count = dec.u32()?;
     // Entries first: a count the buffer cannot hold is a truncation
     // whatever the bookkeeping around it claims.
-    let entries = dec.decode_entries(count as usize, &mut Vec::new())?;
+    let entries = dec.decode_entries(count as usize, origin.raw(), &mut Vec::new())?;
     let end = offset as u64 + count as u64;
     if end > total as u64 || last != (end == total as u64) {
         return Err(WireError::BadChunk { offset, count, total });
@@ -1288,7 +1413,7 @@ pub fn peek_snapshot_chunk_offset(bytes: &[u8]) -> Result<u32, WireError> {
 
 /// The fixed 6-byte header of a delta envelope: magic plus the TLD tag.
 /// The transport writer sends this header followed by the broker's
-/// refcount-shared `RZU2` frame bytes verbatim — composing the envelope
+/// refcount-shared `RZU3` frame bytes verbatim — composing the envelope
 /// never re-encodes or copies the delta per subscriber.
 pub fn delta_envelope_header(tld: u16) -> [u8; 6] {
     let mut header = [0u8; 6];
@@ -1310,7 +1435,7 @@ pub fn decode_delta_envelope(bytes: &[u8]) -> Result<(u16, DeltaPush), WireError
     Ok((tld, push))
 }
 
-/// Peek the `(from_serial, to_serial)` pair of a bare `RZU2` delta-push
+/// Peek the `(from_serial, to_serial)` pair of a bare `RZU3` delta-push
 /// frame without decoding its body — the origin name is skipped in
 /// place, nothing is allocated. This is what lets a relay (or the
 /// server's per-subscriber accounting) track how far a verbatim-
@@ -1435,7 +1560,7 @@ counter_set! {
             /// frame, unknown TLD claim).
             rejected_hellos,
             /// Delta envelopes fully flushed (each wraps the shard's
-            /// shared `RZU2` frame verbatim — never re-encoded per
+            /// shared `RZU3` frame verbatim — never re-encoded per
             /// subscriber).
             deltas_sent,
             /// Snapshot bootstraps fully flushed.
@@ -2150,7 +2275,7 @@ mod tests {
         assert_eq!(decode_delta_push(&frame).unwrap().delta, delta);
     }
 
-    /// An `RZU2` header over a root origin with the given section
+    /// An `RZU3` header over a root origin with the given section
     /// counts, then `body`.
     fn delta_frame(counts: [u32; 3], body: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
@@ -2173,18 +2298,19 @@ mod tests {
         for counts in [[u32::MAX, 0, 0], [0, u32::MAX, 0], [0, 0, u32::MAX]] {
             assert_eq!(decode_delta_push(&delta_frame(counts, &[])), Err(WireError::Truncated));
         }
-        // The bound is the per-entry minimum: a root owner and a 1-byte
-        // reference for an added or removed entry (2 B), and one more
-        // reference for a changed one (3 B). One byte short of the
+        // The bound is the per-entry minimum: a 2-byte owner field and a
+        // 1-byte reference for an added or removed entry (3 B), and one
+        // more reference for a changed one (4 B). One byte short of the
         // minimum is a truncation before anything is read.
-        for (counts, min) in [([5, 0, 0], 10), ([0, 5, 0], 10), ([0, 0, 5], 15), ([2, 3, 4], 22)] {
+        for (counts, min) in [([5, 0, 0], 15), ([0, 5, 0], 15), ([0, 0, 5], 20), ([2, 3, 4], 31)] {
             let short = delta_frame(counts, &vec![0; min - 1]);
             assert_eq!(decode_delta_push(&short), Err(WireError::Truncated), "{counts:?}");
         }
         // At the minimum the bound passes and the entry itself is read:
-        // a root owner, then a reference past the next definition.
+        // a one-byte label under the root, then a reference past the
+        // next definition.
         let at_min: [([u32; 3], &[u8]); 3] =
-            [([1, 0, 0], &[0, 1]), ([0, 1, 0], &[0, 1]), ([0, 0, 1], &[0, 1, 0])];
+            [([1, 0, 0], &[1, b'a', 1]), ([0, 1, 0], &[1, b'a', 1]), ([0, 0, 1], &[1, b'a', 1, 0])];
         for (counts, body) in at_min {
             let bad_ref = Err(WireError::BadNsRef { index: 1, defined: 0 });
             assert_eq!(decode_delta_push(&delta_frame(counts, body)), bad_ref, "{counts:?}");
@@ -2194,10 +2320,14 @@ mod tests {
     #[test]
     fn delta_push_rejects_bad_magic_and_truncation() {
         assert_eq!(decode_delta_push(b"NOPE"), Err(WireError::BadMagic));
-        // The retired layout that spelled every set out is refused too.
-        let mut retired = delta_frame([0, 0, 0], &[]);
-        retired[..4].copy_from_slice(b"RZU1");
-        assert_eq!(decode_delta_push(&retired), Err(WireError::BadMagic));
+        // The retired layouts — every set spelled out, every owner a
+        // name — are refused too.
+        for magic in [b"RZU1", b"RZU2"] {
+            let mut retired = delta_frame([0, 0, 0], &[]);
+            retired[..4].copy_from_slice(magic);
+            assert_eq!(decode_delta_push(&retired), Err(WireError::BadMagic));
+            assert_eq!(peek_delta_push_serials(&retired), Err(WireError::BadMagic));
+        }
         assert_eq!(decode_delta_push(b"RZ"), Err(WireError::Truncated));
         let frame = encode_delta_push(
             &name("com"),
@@ -2377,24 +2507,27 @@ mod tests {
         oversized.extend_from_slice(&0u64.to_be_bytes()); // taken_at
         oversized.extend_from_slice(&u32::MAX.to_be_bytes()); // total
         oversized.extend_from_slice(&0u32.to_be_bytes()); // offset
-        oversized.push(CHUNK_NS_TABLE); // flags
+        oversized.push(CHUNK_LAYOUT); // flags
         oversized.extend_from_slice(&u32::MAX.to_be_bytes()); // count
         assert_eq!(decode_snapshot_chunk(&oversized), Err(WireError::Truncated));
-        // The same frame in the pre-table layout is refused on its flags.
+        // The same frame in the pre-table layout, or in the table layout
+        // with every owner a name, is refused on its flags.
         let flags_at = oversized.len() - 4 - 1;
-        oversized[flags_at] = 0;
-        assert_eq!(decode_snapshot_chunk(&oversized), Err(WireError::BadFlags(0)));
+        for earlier in [0, CHUNK_NS_TABLE, CHUNK_NS_TABLE | CHUNK_LAST] {
+            oversized[flags_at] = earlier;
+            assert_eq!(decode_snapshot_chunk(&oversized), Err(WireError::BadFlags(earlier)));
+        }
 
         // Unknown flag bits are refused.
         let mut bad_flags = good.to_vec();
         let flags_at = good.len() - 4 - 1 - SNAPSHOT_CHUNK_ENTRY_BYTES;
-        assert_eq!(good[flags_at], CHUNK_NS_TABLE | CHUNK_LAST);
+        assert_eq!(good[flags_at], CHUNK_LAYOUT | CHUNK_LAST);
         bad_flags[flags_at] |= 0x80;
-        assert_eq!(decode_snapshot_chunk(&bad_flags), Err(WireError::BadFlags(0x83)));
+        assert_eq!(decode_snapshot_chunk(&bad_flags), Err(WireError::BadFlags(0x87)));
 
         // A last flag that disagrees with offset+count == total.
         let mut not_last = good.to_vec();
-        not_last[flags_at] = CHUNK_NS_TABLE;
+        not_last[flags_at] = CHUNK_LAYOUT;
         assert!(matches!(
             decode_snapshot_chunk(&not_last),
             Err(WireError::BadChunk { offset: 0, count: 1, total: 1 })
@@ -2403,10 +2536,10 @@ mod tests {
 
     /// Byte length of the entry section of the single-entry chunk frame
     /// built above (everything after flags + count), used to locate the
-    /// flags byte from the tail: "a.com" compresses against the origin
-    /// ("a" label + pointer, 4 bytes), then a 1-byte set reference, the
-    /// set's u16 host count and uncompressed "ns1.x.net" (11 bytes).
-    const SNAPSHOT_CHUNK_ENTRY_BYTES: usize = 4 + 1 + 2 + 11;
+    /// flags byte from the tail: "a.com" is its label under the origin
+    /// (length and "a", 2 bytes), then a 1-byte set reference, the set's
+    /// u16 host count and uncompressed "ns1.x.net" (11 bytes).
+    const SNAPSHOT_CHUNK_ENTRY_BYTES: usize = 2 + 1 + 2 + 11;
 
     #[test]
     fn delta_envelope_wraps_rzu1_verbatim() {
@@ -2821,13 +2954,13 @@ mod tests {
         assert!(chunk.entries.iter().all(|(_, ns)| ns.ptr_eq(shared)));
     }
 
-    /// An entry of a hand-written `RZU2` body: owner `label` under the
-    /// root, then the reference bytes `reference`, then — when `hosts` is
-    /// given — the set it defines, spelled out without compression.
+    /// An entry of a hand-written `RZU3` body: owner `label` under the
+    /// root, as its label, then the reference bytes `reference`, then —
+    /// when `hosts` is given — the set it defines, spelled out without
+    /// compression.
     fn delta_entry(label: &str, reference: &[u8], hosts: Option<&[&str]>) -> Vec<u8> {
         let mut entry = vec![label.len() as u8];
         entry.extend_from_slice(label.as_bytes());
-        entry.push(0);
         entry.extend_from_slice(reference);
         if let Some(hosts) = hosts {
             entry.extend_from_slice(&(hosts.len() as u16).to_be_bytes());
@@ -2894,6 +3027,121 @@ mod tests {
         assert_eq!(added.as_slice(), &[name("ns.x"), name("ns.y")]);
         assert!(change.old_ns.ptr_eq(added));
         assert_eq!(change.new_ns.as_slice(), &[name("ns.z")]);
+    }
+
+    #[test]
+    fn entry_counts_are_bounded_at_three_bytes_an_entry() {
+        // Counts the 2-byte-an-entry bound admitted (and the 3-byte one
+        // for a changed entry) over a body of `0xFF`s. Read, the first
+        // owner byte would be `BadLabelType(0xFF)`; `Truncated` says the
+        // count died at the bound, before the entry vector was sized.
+        for (counts, old_min) in [([5, 0, 0], 10), ([0, 5, 0], 10), ([0, 0, 5], 15)] {
+            let frame = delta_frame(counts, &vec![0xFF; old_min]);
+            assert_eq!(decode_delta_push(&frame), Err(WireError::Truncated), "{counts:?}");
+        }
+        let mut chunk = SNAPSHOT_CHUNK_MAGIC.to_vec();
+        chunk.extend_from_slice(&0u16.to_be_bytes()); // tld
+        chunk.push(0); // root origin
+        chunk.extend_from_slice(&[0; 4 + 8]); // serial, taken_at
+        chunk.extend_from_slice(&5u32.to_be_bytes()); // total
+        chunk.extend_from_slice(&0u32.to_be_bytes()); // offset
+        chunk.push(CHUNK_LAYOUT | CHUNK_LAST);
+        chunk.extend_from_slice(&5u32.to_be_bytes()); // count
+        chunk.extend_from_slice(&[0xFF; 10]);
+        assert_eq!(decode_snapshot_chunk(&chunk), Err(WireError::Truncated));
+        // At three bytes an entry the bound passes: the owner is read.
+        chunk.extend_from_slice(&[0xFF; 5]);
+        assert_eq!(decode_snapshot_chunk(&chunk), Err(WireError::BadLabelType(0xFF)));
+    }
+
+    /// A 100-entry delta frame under `origin`: owners `domain-NNN.com`,
+    /// each on the set `hosts` makes of its own spelling.
+    fn hundred_entry_frame(origin: &str, hosts: impl Fn(&str) -> Vec<DomainName>) -> usize {
+        let mut delta = ZoneDelta::default();
+        for i in 0..100 {
+            let owner = format!("domain-{i:03}.com");
+            delta.added.push((name(&owner), NsSet::new(hosts(&owner))));
+        }
+        let frame =
+            encode_delta_push(&name(origin), Serial::new(1), Serial::new(2), SimTime::ZERO, &delta);
+        assert_eq!(decode_delta_push(&frame).unwrap().delta, delta);
+        frame.len()
+    }
+
+    #[test]
+    fn owner_labels_trade_bytes_as_the_layout_says() {
+        // Against `RZU2` (every owner a name), measured on these inputs.
+        let provider = |_: &str| vec![name("ns1.provider.net"), name("ns2.provider.net")];
+        // Children of the origin on a provider's set: the 2-byte origin
+        // pointer per owner goes, 1 463 → 1 263 B.
+        assert_eq!(hundred_entry_frame("com", provider), 1_263);
+        // In-bailiwick sets: a short owner is no pointer target, so
+        // `ns1.<owner>` spells the owner's label again and points at the
+        // origin, 2 837 → 3 737 B. No workload has this shape.
+        let in_bailiwick =
+            |owner: &str| vec![name(&format!("ns1.{owner}")), name(&format!("ns2.{owner}"))];
+        assert_eq!(hundred_entry_frame("com", in_bailiwick), 3_737);
+        // Two-label owners under the root origin are not its children:
+        // the escape byte each, 1 462 → 1 562 B.
+        assert_eq!(hundred_entry_frame(".", provider), 1_562);
+    }
+
+    #[test]
+    fn an_owner_label_is_checked_and_refused_like_a_name_label() {
+        let one = |owner: &[u8]| delta_frame([1, 0, 0], &[owner, &[0, 0, 0]].concat());
+        let decoded = |owner: &[u8]| decode_delta_push(&one(owner)).map(|p| p.delta.added[0].0);
+        // Lowercased through the label rule; 63 bytes is the longest.
+        assert_eq!(decoded(b"\x05MiXed"), Ok(name("mixed")));
+        let l63 = [[63].as_slice(), &[b'a'; 63]].concat();
+        assert_eq!(decoded(&l63).unwrap().as_str().len(), 63);
+        // A refused label keeps the error its text form gives.
+        let bad_name = |e: NameError| Err(WireError::BadName(e.to_string()));
+        assert_eq!(decoded(b"\x02a!"), bad_name(NameError::BadCharacter('!')));
+        assert_eq!(decoded(b"\x02-a"), bad_name(NameError::HyphenEdge("-a".into())));
+        assert_eq!(decoded(b"\x03a.b"), Err(WireError::BadName("`.` inside a wire label".into())));
+        assert_eq!(decoded(&[2, 0xC3, 0xA9]), bad_name(NameError::BadCharacter('é')));
+        // Neither a label length nor the escape: a pointer, a reserved
+        // label type, a label longer than 63 bytes.
+        for byte in [0x40, 0x80, 0xC0, 0xFF] {
+            assert_eq!(decoded(&[byte, 0]), Err(WireError::BadLabelType(byte)));
+        }
+        // The escape takes any name, the root included.
+        assert_eq!(decoded(&[0, 1, b'a', 1, b'b', 0]), Ok(name("a.b")));
+        assert_eq!(decoded(&[0, 0]), Ok(DomainName::root()));
+    }
+
+    #[test]
+    fn an_owner_label_and_its_origin_fill_a_name_to_253_bytes() {
+        // Origin 63 + 63 + 61 bytes and two dots (189): a 63-byte label
+        // takes the owner to exactly 253 bytes.
+        let origin = format!("{}.{}.{}", "o".repeat(63), "p".repeat(63), "q".repeat(61));
+        let origin = name(&origin);
+        // One added entry: the label, then set 0 defined with no hosts.
+        let mut frame = DELTA_PUSH_MAGIC.to_vec();
+        for part in origin.as_str().split('.') {
+            frame.push(part.len() as u8);
+            frame.extend_from_slice(part.as_bytes());
+        }
+        frame.push(0);
+        frame.extend_from_slice(&[0; 4 + 4 + 8]);
+        frame.extend_from_slice(&[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]);
+        frame.push(63);
+        frame.extend_from_slice(&[b'a'; 63]);
+        frame.extend_from_slice(&[0, 0, 0]);
+        let widest = decode_delta_push(&frame).unwrap().delta.added[0].0;
+        assert_eq!(widest.as_str().len(), 253);
+        assert_eq!(widest.parent(), Some(origin));
+        let mut delta = ZoneDelta::default();
+        delta.added.push((widest, NsSet::new(vec![name("ns.x")])));
+        let encoded =
+            encode_delta_push(&origin, Serial::new(0), Serial::new(0), SimTime::ZERO, &delta);
+        assert_eq!(decode_delta_push(&encoded).unwrap().delta, delta);
+        // Under an origin two bytes longer (`r.` prepended), the same
+        // label takes the owner past the bound: the text route's error.
+        let mut over = frame;
+        over.splice(4..4, [1, b'r']);
+        let too_long = WireError::BadName(NameError::TooLong(255).to_string());
+        assert_eq!(decode_delta_push(&over), Err(too_long));
     }
 
     #[test]

@@ -95,7 +95,7 @@ DERIVED_PAIRS = {
     ),
     # PR 8: relay-tree depth cost — publish→leaf latency through a
     # loopback-TCP chain of 2 (resp. 3) tiers relative to a direct
-    # depth-1 subscription. Each tier re-serves the root's RZU2 bytes
+    # depth-1 subscription. Each tier re-serves the root's RZU3 bytes
     # verbatim, so the ratio is pure hop cost, never re-encode cost.
     "relay_publish_to_leaf_depth2_vs_depth1": (
         "relay/publish-to-leaf/depth2",

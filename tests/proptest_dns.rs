@@ -720,9 +720,9 @@ mod train_assembly {
 // layout's rules alone (no name compression) decodes the same; a
 // damaged chunk decodes or errs, never panics; and a reference past the
 // next definition, a reference spelled long, and a chunk without the
-// table bit each give their own error. An `RZU2` delta frame names its
-// sets through the same table, one per frame across all three
-// sections: any delta round-trips, every use of a set shares one
+// table or owner-label bit each give their own error. An `RZU3` delta
+// frame names its sets through the same table, one per frame across all
+// three sections: any delta round-trips, every use of a set shares one
 // `NsSet`, and a set named again costs one byte.
 mod ns_table {
     use super::*;
@@ -791,7 +791,7 @@ mod ns_table {
         ZoneSnapshot::from_ns_entries(name("com"), Serial::new(9), SimTime::from_secs(60), delegations)
     }
 
-    fn put_name(frame: &mut Vec<u8>, name: &DomainName) {
+    pub(super) fn put_name(frame: &mut Vec<u8>, name: &DomainName) {
         if !name.is_root() {
             for label in name.as_str().split('.') {
                 frame.push(label.len() as u8);
@@ -801,7 +801,7 @@ mod ns_table {
         frame.push(0);
     }
 
-    fn put_leb128(frame: &mut Vec<u8>, mut value: u32) {
+    pub(super) fn put_leb128(frame: &mut Vec<u8>, mut value: u32) {
         while value >= 0x80 {
             frame.push(value as u8 | 0x80);
             value >>= 7;
@@ -809,12 +809,28 @@ mod ns_table {
         frame.push(value as u8);
     }
 
+    /// An entry's owner field by the layout's rules: an owner exactly one
+    /// label under `origin` as that label, any other behind the escape,
+    /// spelled out.
+    pub(super) fn put_owner(frame: &mut Vec<u8>, owner: &DomainName, origin: &DomainName) {
+        if owner.parent() == Some(*origin) {
+            let label = owner.labels()[0];
+            frame.push(label.len() as u8);
+            frame.extend_from_slice(label.as_bytes());
+        } else {
+            frame.push(0);
+            put_name(frame, owner);
+        }
+    }
+
     /// Spells a replacement reference from an entry's own index and the
     /// sets defined before it.
     type Spell = dyn Fn(u32, u32) -> Vec<u8>;
 
     /// The whole snapshot as one chunk, written from the layout's rules:
-    /// names spelled out, each entry's set referenced by content. Entry
+    /// names spelled out, each entry's set referenced by content, each
+    /// owner a field when `flags` has the owner-label bit and a name
+    /// otherwise (the layout before it). Entry
     /// `bad.0`'s reference is replaced by the bytes `bad.1` makes of its
     /// index and the sets defined before it. Returns the frame and, per
     /// entry, `(index, defined)`.
@@ -835,7 +851,10 @@ mod ns_table {
         let mut table: HashMap<&[DomainName], u32> = HashMap::new();
         let mut refs = Vec::new();
         for (i, (owner, ns)) in snap.entries().enumerate() {
-            put_name(&mut frame, owner);
+            match flags & 0b100 {
+                0 => put_name(&mut frame, owner),
+                _ => put_owner(&mut frame, owner, snap.origin()),
+            }
             let defined = table.len() as u32;
             let index = *table.entry(ns.as_slice()).or_insert(defined);
             match bad {
@@ -889,10 +908,12 @@ mod ns_table {
             let _ = decode_snapshot_chunk(&flipped);
 
             // The layout written by hand decodes to the same entries.
-            let (hand, refs) = hand_chunk(&snap, 0b11, None);
+            let (hand, refs) = hand_chunk(&snap, 0b111, None);
             prop_assert_eq!(decode_snapshot_chunk(&hand).unwrap().entries, expected);
-            // Without the table bit it is the pre-table layout: refused.
-            for flags in [0b01, 0b00] {
+            // Without the owner-label bit it is the table layout with
+            // every owner a name, without the table bit too the
+            // pre-table layout: both refused.
+            for flags in [0b011, 0b010, 0b001, 0b000] {
                 let (old, _) = hand_chunk(&snap, flags, None);
                 prop_assert_eq!(decode_snapshot_chunk(&old), Err(WireError::BadFlags(flags)));
             }
@@ -904,7 +925,7 @@ mod ns_table {
                 put_leb128(&mut spelled, defined + excess - 1);
                 spelled
             };
-            let (frame, _) = hand_chunk(&snap, 0b11, Some((bad, &past)));
+            let (frame, _) = hand_chunk(&snap, 0b111, Some((bad, &past)));
             prop_assert_eq!(
                 decode_snapshot_chunk(&frame),
                 Err(WireError::BadNsRef { index: defined + excess - 1, defined })
@@ -917,7 +938,7 @@ mod ns_table {
                 spelled.push(0);
                 spelled
             };
-            let (frame, _) = hand_chunk(&snap, 0b11, Some((bad, &long)));
+            let (frame, _) = hand_chunk(&snap, 0b111, Some((bad, &long)));
             prop_assert_eq!(
                 decode_snapshot_chunk(&frame),
                 Err(WireError::BadNsRef { index: u32::MAX, defined }),
@@ -979,15 +1000,16 @@ mod ns_table {
             prop_assert_eq!(by_allocation.len(), by_content.len(), "NsSets per distinct set");
 
             // An added entry naming a set the section already defined
-            // costs its owner's spelling and a 1-byte reference. The
-            // owner's labels are longer than any generated one, so no
-            // suffix of it compresses and none of it is a later name's.
+            // costs the escape, its owner's spelling and a 1-byte
+            // reference. The owner's labels are longer than any generated
+            // one, so it is no child of the origin, no suffix of it
+            // compresses and none of it is a later name's.
             if let Some((_, set)) = delta.added.last() {
                 let owner = DomainName::parse("appended-owner-label.unshared-suffix-label").unwrap();
                 let mut longer = delta.clone();
                 longer.added.push((owner, set.clone()));
                 let grown = encode(&longer);
-                prop_assert_eq!(grown.len(), frame.len() + owner.as_str().len() + 2 + 1);
+                prop_assert_eq!(grown.len(), frame.len() + 1 + owner.as_str().len() + 2 + 1);
                 prop_assert_eq!(decode_delta_push(&grown).unwrap().delta, longer);
             }
         }
@@ -1233,6 +1255,234 @@ mod stats_codec {
             let mut padded = frame.to_vec();
             padded.push(0);
             prop_assert_eq!(decode_stats_report(&padded), Err(WireError::TrailingBytes(1)));
+        }
+    }
+}
+
+// Owner fields (`RZU3` deltas and `RZUC` chunks): an owner one label
+// under the frame's origin travels as that label, any other behind the
+// `0x00` escape. Whatever the mix of owners — children of the origin,
+// deeper names, names outside it, one-label names under the root
+// origin, 63-byte labels, children filling a name to 253 bytes, and
+// children whose entry defines a set of hosts under them — both
+// families round-trip, and the decoder takes any owner behind the
+// escape, spelled out in full. A child naming a set the frame already
+// defined costs its label and two bytes. Garbage behind a valid `RZU3`
+// header or a valid owner-label chunk header decodes or errs, never
+// panics.
+mod owner_labels {
+    use super::ns_table::{put_leb128, put_name, put_owner};
+    use super::*;
+    use darkdns::dns::diff::NsChange;
+    use darkdns::dns::wire::{encode_delta_push, SNAPSHOT_CHUNK_MAGIC};
+    use darkdns::dns::{NsSet, ZoneDelta};
+    use std::collections::HashMap;
+
+    /// 63 + 63 + 61 bytes and two dots: a 63-byte label under it spells
+    /// a 253-byte name.
+    fn long_origin() -> DomainName {
+        let labels = ["o".repeat(63), "p".repeat(63), "q".repeat(61)];
+        DomainName::from_labels(labels).unwrap()
+    }
+
+    fn origin_strategy() -> impl Strategy<Value = DomainName> {
+        prop_oneof![Just(DomainName::root()), name_strategy(), Just(long_origin())]
+    }
+
+    /// `label` spelled to the longest a label may be, 63 bytes (hyphens
+    /// dropped, padded with `y`).
+    fn widest(label: &str) -> String {
+        label.chars().filter(|&c| c != '-').chain(std::iter::repeat('y')).take(63).collect()
+    }
+
+    /// One entry's owner and set from `(kind, label, extra, pick)`, or
+    /// `None` where the kind cannot be spelled under this origin (a name
+    /// past 253 bytes). Kind 3 is a 63-byte label, which under
+    /// [`long_origin`] spells a 253-byte owner. Kind 4 is a child on its
+    /// own in-bailiwick set; every other kind takes `pool[pick]`, which
+    /// holds the in-bailiwick sets built so far too, so some are named
+    /// again by later entries.
+    fn owner_entry(
+        origin: &DomainName,
+        (kind, label, extra, pick): &(u8, String, String, usize),
+        pool: &mut Vec<NsSet>,
+    ) -> Option<(DomainName, NsSet)> {
+        let owner = match kind % 5 {
+            0 | 4 => origin.child(label).ok()?,
+            1 => origin.child(extra).ok()?.child(label).ok()?,
+            2 => DomainName::from_labels([label.as_str(), extra, "outside-the-origin"]).ok()?,
+            _ => origin.child(&widest(label)).ok()?,
+        };
+        if kind % 5 == 4 {
+            let set = NsSet::new(vec![owner.child("ns1").ok()?, owner.child("ns2").ok()?]);
+            pool.push(set.clone());
+            return Some((owner, set));
+        }
+        Some((owner, pool[pick % pool.len()].clone()))
+    }
+
+    fn entries_strategy() -> impl Strategy<Value = Vec<(u8, String, String, usize)>> {
+        prop::collection::vec(
+            (any::<u8>(), label_strategy(), label_strategy(), any::<usize>()),
+            1..30,
+        )
+    }
+
+    fn sets_strategy() -> impl Strategy<Value = Vec<Vec<DomainName>>> {
+        prop::collection::vec(prop::collection::vec(name_strategy(), 1..3), 1..=4)
+    }
+
+    fn build(
+        origin: &DomainName,
+        specs: &[(u8, String, String, usize)],
+        sets: Vec<Vec<DomainName>>,
+    ) -> Vec<(DomainName, NsSet)> {
+        let mut pool: Vec<NsSet> = sets.into_iter().map(NsSet::new).collect();
+        specs.iter().filter_map(|spec| owner_entry(origin, spec, &mut pool)).collect()
+    }
+
+    fn encode(origin: &DomainName, delta: &ZoneDelta) -> Vec<u8> {
+        encode_delta_push(origin, Serial::new(1), Serial::new(2), SimTime::ZERO, delta).to_vec()
+    }
+
+    /// Every entry in `added`, written by hand: the origin and every
+    /// host spelled out, each owner by `owner`, each set by content.
+    fn hand_delta(
+        origin: &DomainName,
+        entries: &[(DomainName, NsSet)],
+        owner: impl Fn(&mut Vec<u8>, &DomainName),
+    ) -> Vec<u8> {
+        let mut frame = DELTA_PUSH_MAGIC.to_vec();
+        put_name(&mut frame, origin);
+        frame.extend_from_slice(&1u32.to_be_bytes());
+        frame.extend_from_slice(&2u32.to_be_bytes());
+        frame.extend_from_slice(&0u64.to_be_bytes());
+        for count in [entries.len() as u32, 0, 0] {
+            frame.extend_from_slice(&count.to_be_bytes());
+        }
+        let mut table: HashMap<&[DomainName], u32> = HashMap::new();
+        for (name, ns) in entries {
+            owner(&mut frame, name);
+            let defined = table.len() as u32;
+            let index = *table.entry(ns.as_slice()).or_insert(defined);
+            put_leb128(&mut frame, index);
+            if index == defined {
+                frame.extend_from_slice(&(ns.len() as u16).to_be_bytes());
+                for host in ns.iter() {
+                    put_name(&mut frame, host);
+                }
+            }
+        }
+        frame
+    }
+
+    proptest! {
+        #[test]
+        fn owners_of_every_shape_round_trip_in_deltas_and_chunks(
+            origin in origin_strategy(),
+            specs in entries_strategy(),
+            sets in sets_strategy(),
+            chunk_bytes in 64usize..4096,
+        ) {
+            let entries = build(&origin, &specs, sets);
+            // The three sections: a changed entry moves to the next
+            // entry's set, so old and new sets span the frame.
+            let mut delta = ZoneDelta::default();
+            for (i, (owner, ns)) in entries.iter().enumerate() {
+                match i % 3 {
+                    0 => delta.added.push((*owner, ns.clone())),
+                    1 => delta.removed.push((*owner, ns.clone())),
+                    _ => delta.changed.push(NsChange {
+                        domain: *owner,
+                        old_ns: ns.clone(),
+                        new_ns: entries[(i + 1) % entries.len()].1.clone(),
+                    }),
+                }
+            }
+            let push = decode_delta_push(&encode(&origin, &delta)).unwrap();
+            prop_assert_eq!(push.origin, origin);
+            prop_assert_eq!(&push.delta, &delta);
+
+            let snap = ZoneSnapshot::from_entries(
+                origin,
+                Serial::new(3),
+                SimTime::ZERO,
+                entries.iter().map(|(owner, ns)| (*owner, ns.as_slice().to_vec())).collect(),
+            );
+            let mut decoded = Vec::new();
+            for frame in encode_snapshot_chunks(0, &snap, 0, chunk_bytes) {
+                let chunk = decode_snapshot_chunk(&frame).unwrap();
+                prop_assert_eq!(&chunk.origin, &origin);
+                decoded.extend(chunk.entries);
+            }
+            let expected: Vec<_> = snap.iter().map(|(d, ns)| (d, ns.clone())).collect();
+            prop_assert_eq!(decoded, expected);
+
+            // Written by hand, with every owner behind the escape and
+            // spelled out, or by the layout's rules: the same entries.
+            let all_added = ZoneDelta { added: entries.clone(), ..ZoneDelta::default() };
+            for hand in [
+                hand_delta(&origin, &entries, |frame, owner| {
+                    frame.push(0);
+                    put_name(frame, owner);
+                }),
+                hand_delta(&origin, &entries, |frame, owner| put_owner(frame, owner, &origin)),
+            ] {
+                prop_assert_eq!(&decode_delta_push(&hand).unwrap().delta, &all_added);
+            }
+        }
+
+        #[test]
+        fn a_child_naming_a_defined_set_costs_its_label_and_two_bytes(
+            origin in origin_strategy(),
+            specs in entries_strategy(),
+            sets in sets_strategy(),
+        ) {
+            let entries = build(&origin, &specs, sets);
+            if entries.is_empty() {
+                return Ok(());
+            }
+            let delta = ZoneDelta { added: entries.clone(), ..ZoneDelta::default() };
+            let frame = encode(&origin, &delta);
+            let label = "zz-fresh-child-label";
+            let mut named = delta.clone();
+            named.added.push((origin.child(label).unwrap(), entries[0].1.clone()));
+            // Length, label, one-byte reference (fewer than 128 sets).
+            let grown = encode(&origin, &named);
+            prop_assert_eq!(grown.len(), frame.len() + 1 + label.len() + 1);
+            prop_assert_eq!(decode_delta_push(&grown).unwrap().delta, named);
+        }
+
+        // The garbage properties above, behind a whole header, so the
+        // fuzz bytes reach the owner fields: an `RZU3` frame's section
+        // counts and a chunk's flags (owner-label bit set) and count.
+        #[test]
+        fn owner_fields_never_panic_behind_valid_headers(
+            origin in origin_strategy(),
+            counts in (0u32..8, 0u32..8, 0u32..8),
+            last in any::<bool>(),
+            body in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let mut frame = DELTA_PUSH_MAGIC.to_vec();
+            put_name(&mut frame, &origin);
+            frame.extend_from_slice(&[0; 4 + 4 + 8]);
+            for count in [counts.0, counts.1, counts.2] {
+                frame.extend_from_slice(&count.to_be_bytes());
+            }
+            frame.extend_from_slice(&body);
+            let _ = decode_delta_push(&frame);
+
+            let count = counts.0 + counts.1 + counts.2;
+            let mut chunk = SNAPSHOT_CHUNK_MAGIC.to_vec();
+            chunk.extend_from_slice(&0u16.to_be_bytes());
+            put_name(&mut chunk, &origin);
+            chunk.extend_from_slice(&[0; 4 + 8]);
+            chunk.extend_from_slice(&count.to_be_bytes()); // total
+            chunk.extend_from_slice(&0u32.to_be_bytes()); // offset
+            chunk.push(0b110 | u8::from(last));
+            chunk.extend_from_slice(&count.to_be_bytes());
+            chunk.extend_from_slice(&body);
+            let _ = decode_snapshot_chunk(&chunk);
         }
     }
 }

@@ -3,30 +3,38 @@
 //! The fixtures under `tests/golden/` are the exact bytes the `String`-
 //! keyed, `labels()`-walking encoder of PR 12 (commit 46f065f) produced
 //! for the inputs built below; the allocation-free encoder that replaced
-//! it must reproduce every one of them byte for byte. Relays re-serve
-//! delta frames verbatim and the benchmark gates `wire_bytes_per_op`
-//! exactly, so a codec "optimisation" that moves a single compression
+//! it must reproduce every one of them byte for byte; a vector added
+//! with a later layout (`rzu3*`, `rzuc_owner*`) holds the bytes of the
+//! encoder that introduced it. Relays re-serve delta frames verbatim
+//! and the benchmark gates `wire_bytes_per_op` exactly, so a codec
+//! "optimisation" that moves a single compression
 //! pointer is a protocol change, not a refactor — these vectors are what
 //! says so. They double as ROADMAP's "legacy layouts as pinned test
-//! vectors" for the `Message`, `RZU2`, `RZUC` and `RZUL` frames.
+//! vectors" for the `Message`, `RZU3`, `RZUC` and `RZUL` frames.
 //! `rzus.hex` is the monolithic snapshot push as its encoder last wrote
 //! it: the family was retired in PR 22, nothing encodes or decodes it,
 //! and the vector now feeds the test that a client refuses it.
 //!
-//! `rzu1.hex` and `rzu1_big.hex` are delta frames in the retired `RZU1`
-//! layout, which spelled every NS set out: a decoder and a client must
-//! refuse them on their magic. `rzu2.hex` and `rzu2_big.hex` are the
-//! same two deltas in the `RZU2` layout, whose NS sets are named through
-//! a frame-wide table like an `RZUC` chunk's.
+//! The delta family: `rzu3.hex`, `rzu3_com.hex` and `rzu3_big.hex` pin
+//! the `RZU3` layout, whose NS sets are named through a frame-wide
+//! table like an `RZUC` chunk's and whose owners travel as their one
+//! label under the origin. The first and last delta in the retired
+//! layouts are refusal vectors, never edited: `rzu1.hex` and
+//! `rzu1_big.hex` spelled every NS set out, and `rzu2.hex` and
+//! `rzu2_big.hex` spelled every owner as a name compressed against the
+//! origin. A decoder, the serial peek and a client must refuse each on
+//! its magic.
 //!
-//! Two more are refusal vectors now: `rzuc.hex` and `rzuc_resumed.hex`
-//! are chunk trains in the pre-table `RZUC` layout (every entry's NS
-//! set spelled out, flags bit 1 clear), and a decoder must refuse each
-//! frame on its flags byte rather than misread it. The `RZUC` bytes are
-//! pinned by `rzuc_table.hex` and `rzuc_table_resumed.hex` (the same
-//! trains with a chunk-local NS-set table) and `rzuc_table_big.hex`
+//! The chunk family: `rzuc_owner.hex` and `rzuc_owner_resumed.hex` (a
+//! train from offset 0 and from a resume offset) and `rzuc_owner_big.hex`
 //! (one chunk past 16 KiB, whose late-defined sets are still named by
-//! one byte each).
+//! one byte each) pin the `RZUC` bytes, flags bits 1 (NS-set table) and
+//! 2 (owner labels) set. The earlier trains are refusal vectors, each
+//! frame refused on its flags byte rather than misread: `rzuc.hex` and
+//! `rzuc_resumed.hex` in the pre-table layout (every entry's NS set
+//! spelled out, bit 1 clear), and `rzuc_table.hex`,
+//! `rzuc_table_resumed.hex` and `rzuc_table_big.hex` with the table but
+//! every owner a name (bit 2 clear).
 //!
 //! The `rzuh*` vectors pin the HELLO family the same way — bytes from
 //! the three encoders that stood before the upstream-link refactor
@@ -49,8 +57,11 @@
 //! Fixture format: lower-case hex, wrapped at 32 bytes per line, one
 //! blank line between the frames of a multi-frame vector.
 //!
-//! What the inputs cover: a root origin; inline (≤ 22 bytes) and
-//! interned names; NS hosts both first-seen and repeated; suffixes that
+//! What the inputs cover: a root origin; owners as their label under
+//! the origin (in `rzu3_com`) and behind the escape (outside the
+//! origin, and under the root origin); inline (≤ 22 bytes) and interned
+//! names; NS hosts both
+//! first-seen and repeated; suffixes that
 //! compress against the origin, against an earlier owner name and
 //! against an earlier NS host; all three delta sections; a chunk train
 //! from offset 0 and from a resume offset; and two frames longer than
@@ -155,9 +166,22 @@ fn delta() -> ZoneDelta {
     delta
 }
 
-fn rzu2() -> Vec<u8> {
+fn rzu3() -> Vec<u8> {
     encode_delta_push(
         &DomainName::root(),
+        Serial::new(41),
+        Serial::new(45),
+        SimTime::from_secs(1_700_000_000),
+        &delta(),
+    )
+    .to_vec()
+}
+
+/// [`delta`] under `com`: owner labels (`alpha`, `moved`, the interned
+/// one) beside owners outside the origin behind the escape.
+fn rzu3_com() -> Vec<u8> {
+    encode_delta_push(
+        &name("com"),
         Serial::new(41),
         Serial::new(45),
         SimTime::from_secs(1_700_000_000),
@@ -172,7 +196,7 @@ fn rzu2() -> Vec<u8> {
 /// `late.never-a-pointer-target.example` (no suffix of which occurs
 /// earlier) first appears after that point and is then reused by the
 /// remaining entries' sets — spelled out in full every time.
-fn rzu2_big() -> Vec<u8> {
+fn rzu3_big() -> Vec<u8> {
     let mut delta = ZoneDelta::default();
     for i in 0..700u32 {
         let own = format!("ns.host-{i:04}.provider{}.net", i % 7);
@@ -376,11 +400,12 @@ fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     };
     vec![
         ("message", vec![message().encode()]),
-        ("rzu2", vec![rzu2()]),
-        ("rzu2_big", vec![rzu2_big()]),
-        ("rzuc_table", train(snapshot(), 0, 256)),
-        ("rzuc_table_resumed", train(snapshot(), 29, 256)),
-        ("rzuc_table_big", train(big_snapshot(), 0, 1 << 20)),
+        ("rzu3", vec![rzu3()]),
+        ("rzu3_com", vec![rzu3_com()]),
+        ("rzu3_big", vec![rzu3_big()]),
+        ("rzuc_owner", train(snapshot(), 0, 256)),
+        ("rzuc_owner_resumed", train(snapshot(), 29, 256)),
+        ("rzuc_owner_big", train(big_snapshot(), 0, 1 << 20)),
         ("rzul", vec![rzul()]),
         ("rzuh", vec![encode_hello(&hello(vec![])).to_vec()]),
         ("rzuh_resume", vec![encode_hello(&hello(hello_resume())).to_vec()]),
@@ -467,19 +492,22 @@ fn golden_frames_decode_to_their_inputs() {
     // the parent's bytes fails this test.
     assert_eq!(Message::decode(&fixture("message")[0]).unwrap(), message());
 
-    let push = decode_delta_push(&fixture("rzu2")[0]).unwrap();
+    let push = decode_delta_push(&fixture("rzu3")[0]).unwrap();
     assert!(push.origin.is_root());
     assert_eq!((push.from_serial, push.to_serial), (Serial::new(41), Serial::new(45)));
     assert_eq!(push.delta, delta());
+    let push = decode_delta_push(&fixture("rzu3_com")[0]).unwrap();
+    assert_eq!(push.origin, name("com"));
+    assert_eq!(push.delta, delta());
 
-    let big = decode_delta_push(&fixture("rzu2_big")[0]).unwrap();
+    let big = decode_delta_push(&fixture("rzu3_big")[0]).unwrap();
     assert_eq!(big.delta.added.len(), 700);
     assert_eq!(big.delta.added[650].1.as_slice()[0], name("late.never-a-pointer-target.example"));
 
     for (vector, snap, start) in [
-        ("rzuc_table", snapshot(), 0usize),
-        ("rzuc_table_resumed", snapshot(), 29),
-        ("rzuc_table_big", big_snapshot(), 0),
+        ("rzuc_owner", snapshot(), 0usize),
+        ("rzuc_owner_resumed", snapshot(), 29),
+        ("rzuc_owner_big", big_snapshot(), 0),
     ] {
         let mut offset = start;
         for frame in fixture(vector) {
@@ -559,20 +587,26 @@ fn retired_rzus_frame_is_refused_with_claims_and_chunk_progress_untouched() {
 
 #[test]
 fn retired_rzu1_frames_are_refused_by_codec_and_client() {
-    // The delta layout that spelled every NS set out: its magic is
-    // reserved, and both the decoder and the serial peek a relay runs
-    // refuse it rather than misread a `u16` host count as a reference.
-    for vector in ["rzu1", "rzu1_big"] {
+    // The delta layouts that spelled every NS set out (`RZU1`) and every
+    // owner as a name (`RZU2`): their magics are reserved, and both the
+    // decoder and the serial peek a relay runs refuse them rather than
+    // misread a `u16` host count as a reference, or an owner's label
+    // and origin pointer as a short owner field.
+    for (vector, magic) in
+        [("rzu1", b"RZU1"), ("rzu1_big", b"RZU1"), ("rzu2", b"RZU2"), ("rzu2_big", b"RZU2")]
+    {
         let frame = fixture(vector).remove(0);
-        assert_eq!(&frame[..4], b"RZU1", "{vector}");
+        assert_eq!(&frame[..4], magic, "{vector}");
         assert_eq!(decode_delta_push(&frame), Err(WireError::BadMagic), "{vector}");
         assert_eq!(peek_delta_push_serials(&frame), Err(WireError::BadMagic), "{vector}");
     }
     // Carried in a delta envelope for the shard the client is mid-train
-    // on, it closes the connection like any unknown magic.
-    let mut envelope = delta_envelope_header(3).to_vec();
-    envelope.extend_from_slice(&fixture("rzu1")[0]);
-    assert_client_refuses(&envelope, "RZUD + RZU1");
+    // on, either closes the connection like any unknown magic.
+    for vector in ["rzu1", "rzu2"] {
+        let mut envelope = delta_envelope_header(3).to_vec();
+        envelope.extend_from_slice(&fixture(vector)[0]);
+        assert_client_refuses(&envelope, &format!("RZUD + {vector}"));
+    }
 }
 
 #[test]
@@ -625,39 +659,55 @@ fn scoped_hello_is_refused_on_its_trailing_byte_by_codec_and_live_server() {
 /// 5-byte origin `com`, serial, taken-at, total and offset.
 const RZUC_FLAGS_AT: usize = 4 + 2 + 5 + 4 + 8 + 4 + 4;
 
+/// Refuse every frame of each of `vectors` on its flags byte, which
+/// must be one `earlier` layout's (or that plus the last bit); and check
+/// a client handed the first frame closes on it and keeps no partial
+/// train.
+fn assert_refused_on_flags(vectors: &[&str], earlier: u8) {
+    for vector in vectors {
+        for frame in fixture(vector) {
+            let flags = frame[RZUC_FLAGS_AT];
+            assert_eq!(flags & !1, earlier, "{vector}: flags {flags:#04x}");
+            assert_eq!(decode_snapshot_chunk(&frame), Err(WireError::BadFlags(flags)));
+        }
+    }
+    let claims = [(TldId(7), None)];
+    let (client_end, peer_end) = duplex(1 << 16);
+    let mut client = TransportClient::connect(LengthPrefixed::new(client_end), &claims).unwrap();
+    let mut peer = LengthPrefixed::new(peer_end);
+    peer.recv_frame().expect("hello");
+    peer.send_frame(&[&fixture(vectors[0])[0]]).unwrap();
+    match client.next_event() {
+        ClientEvent::Closed(TransportError::Wire(WireError::BadFlags(f))) if f == earlier => {}
+        other => panic!("expected Closed(BadFlags({earlier})), got {other:?}"),
+    }
+    assert!(!client.has_snapshot_in_flight());
+    assert_eq!(client.snapshot_chunks_received(), 0);
+    assert_eq!(client.claimed_serials(), &claims);
+}
+
 #[test]
 fn pre_table_rzuc_frames_are_refused_on_their_flags() {
     // The trains as the encoder wrote them before the NS-set table:
     // flags bit 1 clear, each set spelled out where a reference now
     // stands. Read as the table layout, the first set's `u16` count
     // would be a reference; the flags byte refuses the frame first.
-    for vector in ["rzuc", "rzuc_resumed"] {
+    assert_refused_on_flags(&["rzuc", "rzuc_resumed"], 0);
+    for vector in ["rzuc_owner", "rzuc_owner_resumed", "rzuc_owner_big"] {
         for frame in fixture(vector) {
-            let flags = frame[RZUC_FLAGS_AT];
-            assert!(flags <= 1, "{vector}: flags {flags:#04x}");
-            assert_eq!(decode_snapshot_chunk(&frame), Err(WireError::BadFlags(flags)));
+            assert_eq!(frame[RZUC_FLAGS_AT] & !1, 6, "{vector}");
         }
     }
-    for vector in ["rzuc_table", "rzuc_table_resumed", "rzuc_table_big"] {
-        for frame in fixture(vector) {
-            assert_eq!(frame[RZUC_FLAGS_AT] & !1, 2, "{vector}");
-        }
-    }
+}
 
-    // A client handed one closes on it and keeps no partial train.
-    let claims = [(TldId(7), None)];
-    let (client_end, peer_end) = duplex(1 << 16);
-    let mut client = TransportClient::connect(LengthPrefixed::new(client_end), &claims).unwrap();
-    let mut peer = LengthPrefixed::new(peer_end);
-    peer.recv_frame().expect("hello");
-    peer.send_frame(&[&fixture("rzuc")[0]]).unwrap();
-    match client.next_event() {
-        ClientEvent::Closed(TransportError::Wire(WireError::BadFlags(0))) => {}
-        other => panic!("expected Closed(BadFlags(0)), got {other:?}"),
-    }
-    assert!(!client.has_snapshot_in_flight());
-    assert_eq!(client.snapshot_chunks_received(), 0);
-    assert_eq!(client.claimed_serials(), &claims);
+#[test]
+fn owner_name_rzuc_frames_are_refused_on_their_flags() {
+    // The trains as the encoder wrote them before owner labels: flags
+    // bit 2 clear, every owner a name. Read as the owner-label layout,
+    // `a-registration-…`'s first label would pass for a short owner and
+    // its origin pointer for the reference; the flags byte refuses the
+    // frame first.
+    assert_refused_on_flags(&["rzuc_table", "rzuc_table_resumed", "rzuc_table_big"], 2);
 }
 
 /// One entry of an `RZUC` chunk as a walk of its bytes sees it: where
@@ -687,7 +737,12 @@ fn entry_refs(frame: &[u8]) -> Vec<EntryRef> {
     let mut defined = 0;
     let mut refs = Vec::new();
     for _ in 0..count {
-        at = skip_name(frame, at);
+        // The owner field: its label under the origin, or the escape
+        // and a name.
+        at = match frame[at] {
+            0 => skip_name(frame, at + 1),
+            len => at + 1 + len as usize,
+        };
         let start = at;
         let (mut index, mut shift) = (0u32, 0);
         loop {
@@ -720,7 +775,7 @@ fn the_big_table_vector_names_late_sets_in_one_byte() {
     // 0x3FFF is a table index like any other, so every later use is one
     // byte where name compression alone spelled its late host out in
     // full each time.
-    let frame = &fixture("rzuc_table_big")[0];
+    let frame = &fixture("rzuc_owner_big")[0];
     assert!(frame.len() > 0x4000 + 1024, "only {} bytes", frame.len());
     let refs = entry_refs(frame);
     assert_eq!(refs.len(), BIG_EARLY + BIG_LATE);
@@ -780,14 +835,14 @@ fn stats_report_rejects_oversized_counts_and_trailing_bytes() {
 fn the_big_vector_crosses_the_pointer_horizon() {
     // Guards the fixtures themselves: the property they exist for is
     // that a name is first seen past 0x3FFF and then repeated
-    // uncompressed, in the retired layout and in the current one.
+    // uncompressed, in the retired layouts and in the current one.
     let mut needle = Vec::new();
     for label in ["late", "never-a-pointer-target", "example"] {
         needle.push(label.len() as u8);
         needle.extend_from_slice(label.as_bytes());
     }
     needle.push(0);
-    for vector in ["rzu1_big", "rzu2_big"] {
+    for vector in ["rzu1_big", "rzu2_big", "rzu3_big"] {
         let frame = &fixture(vector)[0];
         assert!(frame.len() > 0x4000 + 1024, "{vector}: only {} bytes", frame.len());
         let hits: Vec<usize> = frame
