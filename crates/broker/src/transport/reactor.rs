@@ -439,7 +439,7 @@ impl<S> Conn<S> {
         })
     }
 
-    /// Stage a request's reply (an `RZUQ` report, an `RZUR` answer).
+    /// Stage a request's reply (an `RZUQ` report, an `RZUA` answer).
     pub fn reply(&mut self, payload: Bytes) -> Option<CloseWhy> {
         self.stage(None, payload, FrameKind::Reply)
     }

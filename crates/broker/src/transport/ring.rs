@@ -54,7 +54,7 @@ pub enum FrameKind {
     Delta { tld: u16, to_serial: u32 },
     /// An idle heartbeat (empty frame).
     Heartbeat,
-    /// A request's reply: an `RZUQ` stats report, an `RZUR` lookup
+    /// A request's reply: an `RZUQ` stats report, an `RZUA` lookup
     /// answer.
     Reply,
     /// A fault-injected torn frame (full-length prefix over a partial

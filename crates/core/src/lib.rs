@@ -30,7 +30,7 @@
 //! | [`broker_view::RemoteZoneView`] | RZU push + socket | anywhere TCP reaches | fleet consumers: reconnect-with-claims recovery, `RZUQ` stats scraping |
 //! | [`broker_view::RoutedZoneView`] | RZU push + socket | anywhere TCP reaches, one conn per [`broker_view::EndpointMap`] route | universes partitioned across several root brokers or served through relay trees: per-route replica lists with health-scored failover (`RZUQ` head-freshness probes pick the freshest live replica, dead endpoints back off), live endpoint-map updates (generation-gated add/drain without restarting the consumer), and claims carried across replica switches |
 //! | relay tier (`BrokerServer::attach_upstream`) | RZU push + one relay hop | relay's process re-serves downstream | regional fan-out: a relay subscribes **shard-filtered** (its `RZUH` claims only its TLD subset, so only that subset crosses the upstream link) and re-serves the subset byte-identical |
-//! | `darkdns_edge::EdgeClient` → `EdgeServer` | RZU push, one feed hop behind the broker head | anywhere TCP reaches, O(1) memory per client | thin clients: batched `RZUL`/`RZUR` point lookups against a shared read-optimized index instead of a per-consumer replica; replica-list failover on the same replica-set state machine the full-replica consumers use |
+//! | `darkdns_edge::EdgeClient` → `EdgeServer` | RZU push, one feed hop behind the broker head | anywhere TCP reaches, O(1) memory per client | thin clients: batched `RZUL`/`RZUA` point lookups against a shared read-optimized index instead of a per-consumer replica; replica-list failover on the same replica-set state machine the full-replica consumers use |
 //!
 //! The push-cadence backends are interchangeable by construction:
 //! `tests/membership_equivalence.rs` drives identical universe feeds

@@ -54,6 +54,10 @@
 //!   lookup with no hashing: every use of a set in a frame shares one
 //!   [`NsSet`], and a 100k-entry bootstrap holds one per distinct
 //!   provider set and chunk instead of 100k private ones.
+//! * **Shard serials** in an `RZUA` lookup response follow the same
+//!   first-use rule in a fixed 62-slot table keyed by (query TLD,
+//!   serial): the first row of a key spells the `u32`, later rows name
+//!   its slot in six spare bits of their flag byte.
 //!
 //! `tests/wire_golden.rs` pins every encoder's bytes and keeps the
 //! retired layouts as refusal vectors; `tests/alloc_budget.rs` pins the
@@ -93,12 +97,13 @@ pub enum WireError {
     /// Bytes remained after the message was fully parsed.
     TrailingBytes(usize),
     /// A frame did not start with the magic its decoder reads — a
-    /// retired family's (`RZU1`, `RZU2`, `RZUS`, `RZUE`) included.
+    /// retired family's (`RZU1`, `RZU2`, `RZUR`, `RZUS`, `RZUE`) included.
     BadMagic,
-    /// A flags byte outside the defined set: lookup answer or snapshot
-    /// chunk flag bits this build does not know. A snapshot chunk
-    /// without its NS-table and owner-label bits is in an earlier layout
-    /// and is refused with this too, never misread.
+    /// A flags byte outside the defined set: snapshot chunk flag bits
+    /// this build does not know, or a lookup answer row naming a serial
+    /// slot past the next definition. A snapshot chunk without its
+    /// NS-table and owner-label bits is in an earlier layout and is
+    /// refused with this too, never misread.
     BadFlags(u8),
     /// A snapshot continuation chunk's `(offset, count, total)` bounds
     /// are inconsistent (out of range, or the last-chunk flag disagrees
@@ -1811,21 +1816,26 @@ pub fn decode_stats_report(bytes: &[u8]) -> Result<StatsReport, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Membership lookup round trip (`RZUL` / `RZUR`)
+// Membership lookup round trip (`RZUL` / `RZUA`)
 //
 // The thin-client path: instead of holding a full `RemoteZoneView`
 // replica, a client sends a batched `RZUL` request to a query-serving
-// edge and gets one `RZUR` answer row per query — delegated or not, at
+// edge and gets one `RZUA` answer row per query — delegated or not, at
 // which shard serial, and (when the name appeared in a recent delta's
 // `added` section) the NRD first-seen timestamp from the edge's hot
-// recency window. Both codecs follow the bounded-untrusted-count
+// recency window. One epoch answers a whole batch, so every row about
+// one TLD carries one serial: the response spells it once, in a
+// frame-local slot table, and later rows name the slot in spare bits of
+// their flag byte. Both codecs follow the bounded-untrusted-count
 // discipline of the frames above.
 // ---------------------------------------------------------------------------
 
 /// Magic prefix of a batched membership lookup request.
 pub const LOOKUP_REQUEST_MAGIC: &[u8; 4] = b"RZUL";
-/// Magic prefix of a batched membership lookup response.
-pub const LOOKUP_RESPONSE_MAGIC: &[u8; 4] = b"RZUR";
+/// Magic prefix of a batched membership lookup response. `RZUR`, the
+/// layout that spelled every row's serial out, is reserved and refused
+/// ([`WireError::BadMagic`]): its flag bits would misread here.
+pub const LOOKUP_RESPONSE_MAGIC: &[u8; 4] = b"RZUA";
 /// The `u16` TLD sentinel in a [`LookupQuery`] that asks "is this name
 /// delegated in *any* TLD the edge serves?" (`contains_anywhere`).
 pub const LOOKUP_ANY_TLD: u16 = u16::MAX;
@@ -1839,7 +1849,7 @@ pub struct LookupQuery {
     pub name: DomainName,
 }
 
-/// One answer row in an `RZUR` batch, positionally matched to the query
+/// One answer row in an `RZUA` batch, positionally matched to the query
 /// at the same index in the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LookupAnswer {
@@ -1857,7 +1867,7 @@ pub struct LookupAnswer {
     pub first_seen: Option<SimTime>,
 }
 
-/// A decoded `RZUR` frame: the echoed request id, the edge epoch that
+/// A decoded `RZUA` frame: the echoed request id, the edge epoch that
 /// answered (monotonic per edge — a client comparing epochs across
 /// responses can tell whether the index advanced between them), and one
 /// answer per query in request order.
@@ -1870,10 +1880,16 @@ pub struct LookupResponse {
 
 /// [`LookupAnswer`] flag bits: delegated.
 const LOOKUP_F_PRESENT: u8 = 1 << 0;
-/// [`LookupAnswer`] flag bits: a `u32` shard serial follows.
-const LOOKUP_F_SERIAL: u8 = 1 << 1;
 /// [`LookupAnswer`] flag bits: a `u64` NRD first-seen timestamp follows.
-const LOOKUP_F_FIRST_SEEN: u8 = 1 << 2;
+const LOOKUP_F_FIRST_SEEN: u8 = 1 << 1;
+/// A row's serial code sits in flag bits 2–7.
+const LOOKUP_SERIAL_SHIFT: u32 = 2;
+/// Serial slots one response defines at most: code `c` in `1..=62`
+/// names slot `c − 1`.
+const LOOKUP_SERIAL_SLOTS: usize = 62;
+/// The serial code of a row whose `u32` serial follows inline and
+/// defines no slot: the encoder's once all slots are taken.
+const LOOKUP_SERIAL_INLINE: u8 = 63;
 
 /// Encode a batched lookup request.
 ///
@@ -1921,18 +1937,33 @@ pub fn decode_lookup_request(bytes: &[u8]) -> Result<(u64, Vec<LookupQuery>), Wi
     Ok((request_id, queries))
 }
 
-/// Encode a batched lookup response.
+/// Encode a batched lookup response: each answer beside the TLD its
+/// query asked about ([`LOOKUP_ANY_TLD`] included).
 ///
-/// Layout: `"RZUR"`, `u64` request id, `u64` edge epoch, `u16` answer
-/// count, then per answer a `u8` flag byte ([`LOOKUP_F_PRESENT`] |
-/// [`LOOKUP_F_SERIAL`] | [`LOOKUP_F_FIRST_SEEN`]) followed by a `u32`
-/// serial iff the serial flag is set and a `u64` first-seen timestamp
-/// iff the first-seen flag is set — absent fields cost zero bytes, so
-/// the common miss row is a single byte.
+/// Layout: `"RZUA"`, `u64` request id, `u64` edge epoch, `u16` answer
+/// count, then per answer a flag byte, an optional `u32` serial and an
+/// optional `u64` first-seen timestamp. Flag bit 0 is
+/// [`LOOKUP_F_PRESENT`], bit 1 [`LOOKUP_F_FIRST_SEEN`] (the timestamp
+/// follows), and bits 2–7 the serial code `c`:
+///
+/// * `0` — the row has no serial;
+/// * `1..=62` — the row's serial is slot `c − 1` of a frame-local
+///   table. Slot `c − 1` equal to the number of slots defined so far is
+///   a definition: its `u32` follows. A smaller one reuses the slot; a
+///   larger one is [`WireError::BadFlags`];
+/// * `63` — the `u32` follows inline and defines nothing.
+///
+/// A slot's key is the pair (query TLD, serial): one slot per TLD the
+/// batch asks about, whatever the serials' values happen to coincide in,
+/// so the bytes depend on the request and never on the timing of the
+/// shards it reads. Once 62 keys are defined, a new key's rows go
+/// inline. The frame is never larger than one spelling every serial out,
+/// and 4 bytes smaller for each row whose key was defined before it; a
+/// miss row is one byte.
 pub fn encode_lookup_response(
     request_id: u64,
     epoch: u64,
-    answers: &[LookupAnswer],
+    answers: &[(u16, LookupAnswer)],
 ) -> Bytes {
     debug_assert!(answers.len() <= u16::MAX as usize);
     let mut buf = BytesMut::with_capacity(4 + 8 + 8 + 2 + answers.len() * 6);
@@ -1940,20 +1971,31 @@ pub fn encode_lookup_response(
     buf.put_u64(request_id);
     buf.put_u64(epoch);
     buf.put_u16(answers.len() as u16);
-    for answer in answers {
-        let mut flags = 0u8;
+    let mut slots = [(0u16, 0u32); LOOKUP_SERIAL_SLOTS];
+    let mut defined = 0;
+    for &(tld, answer) in answers {
+        let (code, spelled) = match answer.serial.map(|serial| (tld, serial.get())) {
+            None => (0, None),
+            Some(key) => match slots[..defined].iter().position(|&slot| slot == key) {
+                Some(slot) => (slot as u8 + 1, None),
+                None if defined < LOOKUP_SERIAL_SLOTS => {
+                    slots[defined] = key;
+                    defined += 1;
+                    (defined as u8, Some(key.1))
+                }
+                None => (LOOKUP_SERIAL_INLINE, Some(key.1)),
+            },
+        };
+        let mut flags = code << LOOKUP_SERIAL_SHIFT;
         if answer.present {
             flags |= LOOKUP_F_PRESENT;
-        }
-        if answer.serial.is_some() {
-            flags |= LOOKUP_F_SERIAL;
         }
         if answer.first_seen.is_some() {
             flags |= LOOKUP_F_FIRST_SEEN;
         }
         buf.put_u8(flags);
-        if let Some(serial) = answer.serial {
-            buf.put_u32(serial.get());
+        if let Some(serial) = spelled {
+            buf.put_u32(serial);
         }
         if let Some(first_seen) = answer.first_seen {
             buf.put_u64(first_seen.as_secs());
@@ -1966,8 +2008,9 @@ pub fn encode_lookup_response(
 /// buffer must be consumed. The answer count is untrusted: each row
 /// costs at least 1 byte (the flag byte), so a count the remaining
 /// buffer cannot hold is a truncation, caught before any allocation is
-/// sized from it; flag bits outside the three defined ones are a
-/// [`WireError::BadFlags`] (a canonical encoder never sets them).
+/// sized from it. The slot table is a fixed 62-entry array, never sized
+/// from the frame; a row naming a slot past the next definition is a
+/// [`WireError::BadFlags`] (a canonical encoder never writes one).
 pub fn decode_lookup_response(bytes: &[u8]) -> Result<LookupResponse, WireError> {
     let mut dec = Decoder::new(bytes);
     if dec.take(4)? != LOOKUP_RESPONSE_MAGIC {
@@ -1980,15 +2023,24 @@ pub fn decode_lookup_response(bytes: &[u8]) -> Result<LookupResponse, WireError>
         return Err(WireError::Truncated);
     }
     let mut answers = Vec::with_capacity(count);
+    let mut slots = [0u32; LOOKUP_SERIAL_SLOTS];
+    let mut defined = 0;
     for _ in 0..count {
         let flags = dec.u8()?;
-        if flags & !(LOOKUP_F_PRESENT | LOOKUP_F_SERIAL | LOOKUP_F_FIRST_SEEN) != 0 {
-            return Err(WireError::BadFlags(flags));
-        }
-        let serial = if flags & LOOKUP_F_SERIAL != 0 {
-            Some(Serial::new(dec.u32()?))
-        } else {
-            None
+        let serial = match flags >> LOOKUP_SERIAL_SHIFT {
+            0 => None,
+            LOOKUP_SERIAL_INLINE => Some(dec.u32()?),
+            code => {
+                let slot = usize::from(code - 1);
+                if slot > defined {
+                    return Err(WireError::BadFlags(flags));
+                }
+                if slot == defined {
+                    slots[slot] = dec.u32()?;
+                    defined += 1;
+                }
+                Some(slots[slot])
+            }
         };
         let first_seen = if flags & LOOKUP_F_FIRST_SEEN != 0 {
             Some(SimTime::from_secs(dec.u64()?))
@@ -1997,7 +2049,7 @@ pub fn decode_lookup_response(bytes: &[u8]) -> Result<LookupResponse, WireError>
         };
         answers.push(LookupAnswer {
             present: flags & LOOKUP_F_PRESENT != 0,
-            serial,
+            serial: serial.map(Serial::new),
             first_seen,
         });
     }
@@ -2778,44 +2830,107 @@ mod tests {
     #[test]
     fn lookup_response_round_trips() {
         let answers = vec![
-            LookupAnswer { present: true, serial: Some(Serial::new(42)), first_seen: None },
-            LookupAnswer {
-                present: true,
-                serial: Some(Serial::new(u32::MAX)),
-                first_seen: Some(SimTime::from_secs(u64::MAX)),
-            },
-            LookupAnswer { present: false, serial: None, first_seen: None },
-            LookupAnswer { present: false, serial: Some(Serial::new(0)), first_seen: None },
+            (0, LookupAnswer { present: true, serial: Some(Serial::new(42)), first_seen: None }),
+            (
+                1,
+                LookupAnswer {
+                    present: true,
+                    serial: Some(Serial::new(u32::MAX)),
+                    first_seen: Some(SimTime::from_secs(u64::MAX)),
+                },
+            ),
+            (LOOKUP_ANY_TLD, LookupAnswer { present: false, serial: None, first_seen: None }),
+            (2, LookupAnswer { present: false, serial: Some(Serial::new(0)), first_seen: None }),
+            (0, LookupAnswer { present: false, serial: Some(Serial::new(42)), first_seen: None }),
+            // The same TLD at another serial is another key.
+            (0, LookupAnswer { present: true, serial: Some(Serial::new(43)), first_seen: None }),
         ];
         let frame = encode_lookup_response(99, 12, &answers);
         let decoded = decode_lookup_response(&frame).unwrap();
         assert_eq!(decoded.request_id, 99);
         assert_eq!(decoded.epoch, 12);
-        assert_eq!(decoded.answers, answers);
+        assert_eq!(decoded.answers, answers.iter().map(|&(_, a)| a).collect::<Vec<_>>());
+        // Four keys spelled, one reused: 4 bytes under the spelled-out
+        // layout's 5 + 13 + 1 + 5 + 5 + 5.
+        assert_eq!(frame.len(), 4 + 8 + 8 + 2 + 34 - 4);
         // The common miss row costs exactly one byte.
-        let misses = vec![LookupAnswer::default(); 3];
+        let misses = vec![(3, LookupAnswer::default()); 3];
         let frame = encode_lookup_response(0, 0, &misses);
         assert_eq!(frame.len(), 4 + 8 + 8 + 2 + 3);
-        assert_eq!(decode_lookup_response(&frame).unwrap().answers, misses);
+        assert_eq!(decode_lookup_response(&frame).unwrap().answers, [LookupAnswer::default(); 3]);
+    }
+
+    #[test]
+    fn lookup_response_spells_each_tld_serial_once() {
+        let row = |tld: u16, serial: Option<u32>, first_seen: Option<u64>| {
+            let answer = LookupAnswer {
+                present: tld & 1 == 0,
+                serial: serial.map(Serial::new),
+                first_seen: first_seen.map(SimTime::from_secs),
+            };
+            (tld, answer)
+        };
+        let len = |answers: &[(u16, LookupAnswer)]| {
+            let frame = encode_lookup_response(1, 1, answers);
+            let decoded = decode_lookup_response(&frame).unwrap().answers;
+            assert_eq!(decoded, answers.iter().map(|&(_, a)| a).collect::<Vec<_>>());
+            frame.len()
+        };
+        // `edge_lookup`'s shape: 56 rows over 4 TLDs whose serials
+        // coincide, then 8 `ANY` rows. Spelled out it was 310 bytes.
+        let mut lookup: Vec<_> = (0..56).map(|i| row(i % 4, Some(9), None)).collect();
+        lookup.extend((0..8).map(|_| row(LOOKUP_ANY_TLD, None, None)));
+        assert_eq!(len(&lookup), 102);
+        // `edge_visibility`'s: 8 present rows of one TLD, each with a
+        // first-seen. Spelled out it was 126 bytes.
+        let visibility: Vec<_> = (0..8).map(|i| row(0, Some(5), Some(3600 + i))).collect();
+        assert_eq!(len(&visibility), 98);
+        // 70 distinct TLDs: nothing repeats, so nothing is saved, and
+        // the 8 past the table go inline at the same cost.
+        let distinct: Vec<_> = (0..70).map(|tld| row(tld, Some(7), None)).collect();
+        assert_eq!(len(&distinct), 372);
+        let frame = encode_lookup_response(1, 1, &distinct);
+        let flags = |row: usize| frame[22 + 5 * row] >> LOOKUP_SERIAL_SHIFT;
+        assert_eq!((flags(0), flags(61), flags(62), flags(69)), (1, 62, 63, 63));
+        // Past the table a defined key is still reused, a new one is
+        // inline again.
+        let mut again = distinct.clone();
+        again.extend([row(5, Some(7), None), row(65, Some(7), None)]);
+        assert_eq!(len(&again), 372 + 1 + 5);
     }
 
     #[test]
     fn lookup_response_rejects_bad_magic_flags_truncation_and_trailing() {
         assert_eq!(decode_lookup_response(b"NOPE"), Err(WireError::BadMagic));
-        assert_eq!(decode_lookup_response(b"RZUR"), Err(WireError::Truncated));
+        assert_eq!(decode_lookup_response(b"RZUR"), Err(WireError::BadMagic));
+        assert_eq!(decode_lookup_response(b"RZUA"), Err(WireError::Truncated));
         let mut absurd = Vec::new();
         absurd.extend_from_slice(LOOKUP_RESPONSE_MAGIC);
         absurd.extend_from_slice(&0u64.to_be_bytes());
         absurd.extend_from_slice(&0u64.to_be_bytes());
         absurd.extend_from_slice(&u16::MAX.to_be_bytes());
         assert_eq!(decode_lookup_response(&absurd), Err(WireError::Truncated));
-        // Undefined flag bits are rejected, not silently masked.
-        let mut bad_flags = absurd[..4 + 8 + 8].to_vec();
-        bad_flags.extend_from_slice(&1u16.to_be_bytes());
+        // A slot past the next definition is rejected, not read as a
+        // definition: `0x80` names slot 31 with none defined, `0x0c`
+        // slot 1 with one.
+        let header = |count: u16| {
+            let mut frame = absurd[..4 + 8 + 8].to_vec();
+            frame.extend_from_slice(&count.to_be_bytes());
+            frame
+        };
+        let mut bad_flags = header(1);
         bad_flags.push(0x80);
         assert_eq!(decode_lookup_response(&bad_flags), Err(WireError::BadFlags(0x80)));
+        let mut skipped = header(2);
+        skipped.extend_from_slice(&[0x05, 0, 0, 0, 9, 0x0c]);
+        assert_eq!(decode_lookup_response(&skipped), Err(WireError::BadFlags(0x0c)));
+        // The same two rows with the second one reusing slot 0 decode.
+        let last = skipped.len() - 1;
+        skipped[last] = 0x04;
+        let answers = decode_lookup_response(&skipped).unwrap().answers;
+        assert_eq!((answers[1].present, answers[1].serial), (false, Some(Serial::new(9))));
         let answers =
-            [LookupAnswer { present: true, serial: Some(Serial::new(5)), first_seen: None }];
+            [(1, LookupAnswer { present: true, serial: Some(Serial::new(5)), first_seen: None })];
         let frame = encode_lookup_response(3, 1, &answers);
         assert_eq!(
             decode_lookup_response(&frame[..frame.len() - 1]),

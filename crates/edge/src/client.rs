@@ -1,12 +1,13 @@
-//! The thin-client side: a blocking `RZUL`/`RZUR` round trip over any
+//! The thin-client side: a blocking `RZUL`/`RZUA` round trip over any
 //! [`FrameConn`].
 //!
 //! This is the whole point of the edge tier: a consumer that wants
 //! membership answers but not a zone replica holds one TCP connection
 //! and a few hundred bytes of state — no snapshots, no delta chain, no
 //! resync logic. Batching is the client's lever: one `RZUL` frame
-//! carries up to [`MAX_LOOKUP_BATCH`] names and one `RZUR` answers them
-//! all from a single index epoch.
+//! carries up to [`MAX_LOOKUP_BATCH`] names and one `RZUA` answers them
+//! all from a single index epoch. A reply under any other magic — the
+//! retired `RZUR` layout included — fails the lookup with `BadMagic`.
 //!
 //! In a tiered deployment the same answers are served by several edge
 //! nodes (replicas of one index, or siblings fed by different relays of

@@ -217,9 +217,10 @@ impl EdgeEpoch {
         }
     }
 
-    /// Answer a whole `RZUL` batch in request order.
-    pub fn answer(&self, queries: &[LookupQuery]) -> Vec<LookupAnswer> {
-        queries.iter().map(|q| self.answer_one(q)).collect()
+    /// Answer a whole `RZUL` batch in request order, each answer beside
+    /// its query's TLD: the key the `RZUA` encoder names a serial by.
+    pub fn answer(&self, queries: &[LookupQuery]) -> Vec<(u16, LookupAnswer)> {
+        queries.iter().map(|q| (q.tld, self.answer_one(q))).collect()
     }
 }
 

@@ -18,7 +18,7 @@
 //!
 //! | frame  | meaning                                                  |
 //! |--------|----------------------------------------------------------|
-//! | `RZUL` | batched lookup → `RZUR` reply, connection stays open     |
+//! | `RZUL` | batched lookup → `RZUA` reply, connection stays open     |
 //! | `RZUQ` | stats scrape → report reply, then drain and close        |
 //! | empty  | client keepalive, ignored (the server sends its own)     |
 //!
@@ -29,7 +29,8 @@
 //! Every `RZUL` batch is answered from **one** loaded [`EdgeEpoch`]
 //! (`index.load()` → `answer` → `encode_lookup_response`), so the
 //! answers in a reply are mutually consistent and the reply's `epoch`
-//! field names the generation they came from. Per the epoch-swap
+//! field names the generation they came from — which is also why each
+//! TLD's serial is spelled once per reply. Per the epoch-swap
 //! invariant (see [`crate::index`]), the whole service path runs
 //! without touching any broker shard publish lock — debug builds assert
 //! it on every load and every answered query.

@@ -70,7 +70,7 @@ cargo test -q --release --test routing_faults
 # Arc-swap cell, the feed-vs-query concurrency test and the server's
 # reactor loop are all timing-sensitive, and the edge-equivalence pin
 # (thin-client answers byte-identical to a full replica, over the real
-# RZUL/RZUR wire path) is the tier's acceptance contract.
+# RZUL/RZUA wire path) is the tier's acceptance contract.
 echo "==> cargo test -q --release (edge crate + edge equivalence)"
 cargo test -q --release -p darkdns-edge
 cargo test -q --release --test edge_equivalence
@@ -129,7 +129,7 @@ cargo test -q --release --offline --manifest-path rzu_bench/Cargo.toml
 # contract; a change that moves them on purpose edits both.
 echo "==> rzu_bench wire bytes (exact, seeds 1 and 7)"
 for seed in 1 7; do
-    for expect in relay_chain=1846 edge_visibility=1976 edge_lookup=314 cold_catchup=1836954; do
+    for expect in relay_chain=1846 edge_visibility=1948 edge_lookup=106 cold_catchup=1836954; do
         workload=${expect%=*}
         bytes=${expect#*=}
         result=$(cargo run --release --quiet --offline --manifest-path rzu_bench/Cargo.toml -- \

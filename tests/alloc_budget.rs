@@ -31,13 +31,18 @@
 //! train beside the segments cut from it; and a train being encoded
 //! never stands higher than the train plus one chunk and a constant.
 //!
+//! A lookup reply's serial slot tables are fixed arrays on the stack:
+//! its codec allocates the same count for 4 keys as for 70, past the
+//! table's 62 slots.
+//!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`. Counts are kept per thread, so the tests can
 //! run in parallel without seeing each other.
 
 use darkdns::dns::wire::{
-    decode_delta_push, decode_snapshot_chunk, encode_delta_push, encode_lookup_request,
-    encode_snapshot_chunks, LookupQuery,
+    decode_delta_push, decode_lookup_response, decode_snapshot_chunk, encode_delta_push,
+    encode_lookup_request, encode_lookup_response, encode_snapshot_chunks, LookupAnswer,
+    LookupQuery, LOOKUP_ANY_TLD,
 };
 use darkdns::broker::{JournalShard, RetentionConfig};
 use darkdns::dns::snapshot::{SnapshotBuilder, SEGMENT_SPAN};
@@ -404,6 +409,26 @@ fn encoders_allocate_for_table_and_buffer_growth_only() {
         all[..64].iter().map(|(owner, _)| LookupQuery { tld: 0, name: *owner }).collect();
     let (_, allocs) = counting(|| encode_lookup_request(7, &queries));
     assert!(allocs <= 16, "{allocs} allocations to encode a 64-name lookup");
+}
+
+#[test]
+fn a_lookup_reply_allocates_the_same_whatever_its_slot_table_holds() {
+    // The serial slot tables are fixed arrays on the stack: the encoder
+    // allocates its buffer and the frozen frame, the decoder its answer
+    // list, whether the table holds 4 keys or overflows its 62 slots.
+    let row = |tld: u16, serial: Option<u32>| {
+        (tld, LookupAnswer { present: true, serial: serial.map(Serial::new), first_seen: None })
+    };
+    // `edge_lookup`'s reply: 56 rows over 4 TLDs, then 8 `ANY` rows.
+    let mut lookup: Vec<_> = (0..56).map(|i| row(i % 4, Some(9))).collect();
+    lookup.extend((0..8).map(|_| row(LOOKUP_ANY_TLD, None)));
+    let wide: Vec<_> = (0..70).map(|tld| row(tld, Some(7))).collect();
+    for (what, answers) in [("edge_lookup", lookup), ("70-TLD", wide)] {
+        let (frame, encode) = counting(|| encode_lookup_response(7, 1, &answers));
+        let (decoded, decode) = counting(|| decode_lookup_response(&frame).unwrap());
+        assert_eq!(decoded.answers.len(), answers.len());
+        assert_eq!((encode, decode), (2, 1), "{what} reply: allocations to encode, decode");
+    }
 }
 
 /// Apply a 100-name delta to a `size`-entry zone, once scattered

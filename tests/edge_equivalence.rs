@@ -13,7 +13,7 @@
 //!   `pushed_at` — ground truth for the edge's hot recency window;
 //! * the **edge stack**: `EdgeFeed` → `EdgeIndex` → `EdgeServer` on
 //!   loopback TCP → `EdgeClient`, so every compared answer crossed the
-//!   `RZUL`/`RZUR` codecs for real.
+//!   `RZUL`/`RZUA` codecs for real.
 //!
 //! After every publish step the serials are barriered, then every name
 //! the feed ever added (plus known-absent probes and ANY-TLD scans) is

@@ -1016,18 +1016,60 @@ mod ns_table {
     }
 }
 
-// The edge lookup codecs (`RZUL`/`RZUR`): same adversarial discipline
+// The edge lookup codecs (`RZUL`/`RZUA`): same adversarial discipline
 // as the transport decoders above — arbitrary garbage is an error,
 // never a panic or an unbounded allocation, and every valid message
 // round-trips exactly (strict prefixes rejected, trailing bytes
-// rejected).
+// rejected). A response spells each (TLD, serial) key once in a 62-slot
+// table; the sizes are checked against the layout that spelled every
+// serial out, and the retired `RZUR` magic is refused.
 mod lookup_codecs {
     use super::*;
     use darkdns::dns::wire::{
         decode_lookup_request, decode_lookup_response, encode_lookup_request,
-        encode_lookup_response, LookupAnswer, LookupQuery, LOOKUP_REQUEST_MAGIC,
+        encode_lookup_response, LookupAnswer, LookupQuery, WireError, LOOKUP_REQUEST_MAGIC,
         LOOKUP_RESPONSE_MAGIC,
     };
+
+    /// Rows over `pool` TLDs, each at one of two serials shared by every
+    /// TLD: a TLD repeats at two serials, and two TLDs meet at one.
+    fn keyed_answers(pool: u16) -> impl Strategy<Value = Vec<(u16, LookupAnswer)>> {
+        let row = (0..pool, any::<bool>(), 0u32..3, any::<bool>(), any::<u64>());
+        prop::collection::vec(row, 0..200).prop_map(|rows| {
+            rows.into_iter()
+                .map(|(tld, present, serial, has_seen, seen)| {
+                    let answer = LookupAnswer {
+                        present,
+                        serial: (serial > 0).then(|| Serial::new(99 + serial)),
+                        first_seen: has_seen.then(|| SimTime::from_secs(seen)),
+                    };
+                    (tld, answer)
+                })
+                .collect()
+        })
+    }
+
+    /// The frame length with every serial spelled out, less 4 bytes per
+    /// row whose key an earlier row put in the table (the first 62 keys
+    /// get a slot, later ones none).
+    fn expected_len(answers: &[(u16, LookupAnswer)]) -> usize {
+        let mut keys = Vec::new();
+        let mut spelled = 4 + 8 + 8 + 2;
+        let mut reused = 0;
+        for &(tld, answer) in answers {
+            spelled += 1 + 8 * usize::from(answer.first_seen.is_some());
+            if let Some(serial) = answer.serial {
+                spelled += 4;
+                let key = (tld, serial);
+                if keys.contains(&key) {
+                    reused += 1;
+                } else if keys.len() < 62 {
+                    keys.push(key);
+                }
+            }
+        }
+        spelled - 4 * reused
+    }
 
     proptest! {
         #[test]
@@ -1050,25 +1092,42 @@ mod lookup_codecs {
         fn lookup_response_round_trips(
             request_id in any::<u64>(),
             epoch in any::<u64>(),
-            raw in prop::collection::vec(
-                (any::<bool>(), any::<bool>(), any::<u32>(), any::<bool>(), any::<u64>()),
-                0..40,
-            ),
+            answers in prop_oneof![keyed_answers(3), keyed_answers(100)],
         ) {
-            let answers: Vec<LookupAnswer> = raw
-                .iter()
-                .map(|&(present, has_serial, serial, has_seen, seen)| LookupAnswer {
-                    present,
-                    serial: has_serial.then(|| Serial::new(serial)),
-                    first_seen: has_seen.then(|| SimTime::from_secs(seen)),
-                })
-                .collect();
             let frame = encode_lookup_response(request_id, epoch, &answers);
+            prop_assert_eq!(frame.len(), expected_len(&answers));
             let decoded = decode_lookup_response(&frame).unwrap();
             prop_assert_eq!(decoded.request_id, request_id);
             prop_assert_eq!(decoded.epoch, epoch);
-            prop_assert_eq!(decoded.answers, answers);
+            prop_assert_eq!(decoded.answers, answers.iter().map(|&(_, a)| a).collect::<Vec<_>>());
             prop_assert!(decode_lookup_response(&frame[..frame.len() - 1]).is_err());
+        }
+
+        #[test]
+        fn a_slot_past_the_next_definition_is_refused(
+            defined in 0u8..61,
+            past in 1u8..62,
+            low_bits in 0u8..4,
+        ) {
+            // `defined` rows define slots 0.. in order; the last row then
+            // names a slot `past` beyond the next one.
+            let code = (defined + 1 + past).min(62);
+            let mut frame = LOOKUP_RESPONSE_MAGIC.to_vec();
+            frame.extend_from_slice(&[0; 16]);
+            frame.extend_from_slice(&(u16::from(defined) + 1).to_be_bytes());
+            for slot in 0..defined {
+                frame.push((slot + 1) << 2);
+                frame.extend_from_slice(&u32::from(slot).to_be_bytes());
+            }
+            let flags = code << 2 | low_bits;
+            frame.push(flags);
+            frame.extend_from_slice(&[0; 12]);
+            prop_assert_eq!(decode_lookup_response(&frame), Err(WireError::BadFlags(flags)));
+            // Naming the next slot instead defines it.
+            let at = frame.len() - 13;
+            frame[at] = (defined + 1) << 2 | (low_bits & 1);
+            frame.truncate(at + 5);
+            prop_assert!(decode_lookup_response(&frame).is_ok());
         }
 
         #[test]
@@ -1089,6 +1148,15 @@ mod lookup_codecs {
             framed.extend_from_slice(&bytes);
             let _ = decode_lookup_request(&framed);
             let _ = decode_lookup_response(&framed);
+        }
+
+        #[test]
+        fn the_retired_rzur_magic_is_refused_whatever_follows(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let mut framed = b"RZUR".to_vec();
+            framed.extend_from_slice(&bytes);
+            prop_assert_eq!(decode_lookup_response(&framed), Err(WireError::BadMagic));
         }
     }
 }

@@ -4,13 +4,23 @@
 //! keyed, `labels()`-walking encoder of PR 12 (commit 46f065f) produced
 //! for the inputs built below; the allocation-free encoder that replaced
 //! it must reproduce every one of them byte for byte; a vector added
-//! with a later layout (`rzu3*`, `rzuc_owner*`) holds the bytes of the
+//! with a later layout (`rzu3*`, `rzuc_owner*`, `rzua`) holds the bytes of the
 //! encoder that introduced it. Relays re-serve delta frames verbatim
 //! and the benchmark gates `wire_bytes_per_op` exactly, so a codec
 //! "optimisation" that moves a single compression
 //! pointer is a protocol change, not a refactor — these vectors are what
 //! says so. They double as ROADMAP's "legacy layouts as pinned test
-//! vectors" for the `Message`, `RZU3`, `RZUC` and `RZUL` frames.
+//! vectors" for the `Message`, `RZU3`, `RZUC`, `RZUL` and `RZUA` frames.
+//!
+//! The lookup family: `rzul.hex` pins the `RZUL` request and
+//! `rzua.hex` the `RZUA` response, two frames: one over present and
+//! absent rows, `ANY` rows, first-seen stamps, a repeated TLD, two TLDs
+//! at one serial (two slots) and a TLD at a second serial, and one over
+//! 70 TLDs, whose last eight rows carry their serial inline (code 63).
+//! `rzur.hex` is the response as the encoder wrote it before the serial
+//! slots, every serial spelled out: a refusal vector that a decoder and
+//! a thin client must refuse on its magic.
+//!
 //! `rzus.hex` is the monolithic snapshot push as its encoder last wrote
 //! it: the family was retired in PR 22, nothing encodes or decodes it,
 //! and the vector now feeds the test that a client refuses it.
@@ -76,17 +86,18 @@ use darkdns::broker::transport::{
 use darkdns::broker::{Broker, BrokerConfig, BrokerServer, TransportConfig};
 use darkdns::dns::record::SoaData;
 use darkdns::dns::wire::{
-    decode_delta_push, decode_hello, decode_lookup_request, decode_snapshot_chunk,
-    decode_stats_report, delta_envelope_header, encode_delta_push, encode_hello,
-    encode_lookup_request, encode_snapshot_chunks, encode_stats_report,
-    peek_delta_push_serials, Header, HelloFrame, LookupQuery, Message, Rcode, ServerStats,
-    ShardStats, SnapshotResume, StatsReport, TldClaim, WireError, WireSubscriberStats,
-    LOOKUP_ANY_TLD,
+    decode_delta_push, decode_hello, decode_lookup_request, decode_lookup_response,
+    decode_snapshot_chunk, decode_stats_report, delta_envelope_header, encode_delta_push,
+    encode_hello, encode_lookup_request, encode_lookup_response, encode_snapshot_chunks,
+    encode_stats_report, peek_delta_push_serials, Header, HelloFrame, LookupAnswer, LookupQuery,
+    Message, Rcode, ServerStats, ShardStats, SnapshotResume, StatsReport, TldClaim, WireError,
+    WireSubscriberStats, LOOKUP_ANY_TLD,
 };
 use darkdns::dns::diff::NsChange;
 use darkdns::dns::{
     DomainName, NsSet, RData, RecordType, ResourceRecord, Serial, ZoneDelta, ZoneSnapshot,
 };
+use darkdns::edge::EdgeClient;
 use darkdns::registry::tld::TldId;
 use darkdns::sim::time::SimTime;
 
@@ -278,6 +289,54 @@ fn rzul() -> Vec<u8> {
     encode_lookup_request(0xDEAD_BEEF_0BAD_CAFE, &queries).to_vec()
 }
 
+/// Lookup answers beside their query TLDs: present and absent rows,
+/// `ANY` rows with and without a first-seen, a TLD the edge does not
+/// serve, TLD 0 repeated, TLDs 0 and 3 at one serial (two slots), and
+/// TLD 0 again at a second serial.
+fn lookup_answers() -> Vec<(u16, LookupAnswer)> {
+    let row = |tld: u16, present: bool, serial: Option<u32>, first_seen: Option<u64>| {
+        let answer = LookupAnswer {
+            present,
+            serial: serial.map(Serial::new),
+            first_seen: first_seen.map(SimTime::from_secs),
+        };
+        (tld, answer)
+    };
+    vec![
+        row(0, true, Some(41), None),
+        row(0, false, Some(41), None),
+        row(LOOKUP_ANY_TLD, true, None, Some(86_400)),
+        row(LOOKUP_ANY_TLD, false, None, None),
+        row(3, true, Some(41), Some(1_700_000_000)),
+        row(9, false, None, None),
+        row(0, true, Some(41), Some(3_600)),
+        row(3, false, Some(41), None),
+        row(0, true, Some(42), None),
+        row(513, true, Some(0xFFFF_FFF0), None),
+    ]
+}
+
+/// A batch over 70 TLDs, each at its own serial, then TLD 5 again (a
+/// slot) and TLD 65 again (past the table, inline a second time).
+fn lookup_answers_wide() -> Vec<(u16, LookupAnswer)> {
+    (0..70u16)
+        .chain([5, 65])
+        .map(|tld| {
+            let serial = Some(Serial::new(1000 + u32::from(tld)));
+            (tld, LookupAnswer { present: tld % 3 != 0, serial, first_seen: None })
+        })
+        .collect()
+}
+
+/// The two `RZUA` frames: request and epoch ids as an edge would echo
+/// them, over [`lookup_answers`] and [`lookup_answers_wide`].
+fn rzua() -> Vec<Vec<u8>> {
+    vec![
+        encode_lookup_response(0xDEAD_BEEF_0BAD_CAFE, 77, &lookup_answers()).to_vec(),
+        encode_lookup_response(2, 78, &lookup_answers_wide()).to_vec(),
+    ]
+}
+
 /// HELLO claims covering both flag values, TLD 0 and the `u16` edge,
 /// and a serial in the upper half of the sequence space.
 fn hello_claims() -> Vec<TldClaim> {
@@ -407,6 +466,7 @@ fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         ("rzuc_owner_resumed", train(snapshot(), 29, 256)),
         ("rzuc_owner_big", train(big_snapshot(), 0, 1 << 20)),
         ("rzul", vec![rzul()]),
+        ("rzua", rzua()),
         ("rzuh", vec![encode_hello(&hello(vec![])).to_vec()]),
         ("rzuh_resume", vec![encode_hello(&hello(hello_resume())).to_vec()]),
         ("rzuq", vec![encode_stats_report(&stats_report()).to_vec()]),
@@ -527,6 +587,15 @@ fn golden_frames_decode_to_their_inputs() {
     assert_eq!(queries.len(), 6);
     assert!(queries[4].name.is_root());
 
+    for (frame, (id, epoch, answers)) in fixture("rzua").iter().zip([
+        (0xDEAD_BEEF_0BAD_CAFE, 77, lookup_answers()),
+        (2, 78, lookup_answers_wide()),
+    ]) {
+        let response = decode_lookup_response(frame).unwrap();
+        assert_eq!((response.request_id, response.epoch), (id, epoch));
+        assert_eq!(response.answers, answers.iter().map(|&(_, a)| a).collect::<Vec<_>>());
+    }
+
     // The HELLO family: each fixture decodes to exactly the sections
     // it carries, the legacy one to claims alone.
     for (vector, frame) in [("rzuh", hello(vec![])), ("rzuh_resume", hello(hello_resume()))] {
@@ -607,6 +676,39 @@ fn retired_rzu1_frames_are_refused_by_codec_and_client() {
         envelope.extend_from_slice(&fixture(vector)[0]);
         assert_client_refuses(&envelope, &format!("RZUD + {vector}"));
     }
+}
+
+#[test]
+fn retired_rzur_frame_is_refused_by_codec_and_client() {
+    // `RZUR` spelled every row's serial out behind flag bit 1. Read under
+    // the `RZUA` flag byte, its `0x03` rows would be present rows with a
+    // first-seen, and the frame would decode to other answers or fail
+    // somewhere inside; its magic is reserved instead, so the decoder
+    // refuses it whole and a client fails the lookup.
+    let rzur = fixture("rzur").remove(0);
+    assert_eq!(&rzur[..4], b"RZUR");
+    assert_eq!(decode_lookup_response(&rzur), Err(WireError::BadMagic));
+    let mut relabeled = rzur.clone();
+    relabeled[..4].copy_from_slice(b"RZUA");
+    let answers: Vec<LookupAnswer> = lookup_answers().iter().map(|&(_, a)| a).collect();
+    assert_ne!(decode_lookup_response(&relabeled).map(|r| r.answers), Ok(answers));
+
+    // The reply waits in the pipe before the client's first request
+    // (id 1, which the frame is re-stamped with), so only its magic
+    // can fail the call.
+    let (client_end, peer_end) = duplex(1 << 16);
+    let mut peer = LengthPrefixed::new(peer_end);
+    let mut reply = rzur;
+    reply[4..12].copy_from_slice(&1u64.to_be_bytes());
+    peer.send_frame(&[&reply]).unwrap();
+    let mut client = EdgeClient::new(LengthPrefixed::new(client_end));
+    let queries = [LookupQuery { tld: 0, name: name("example.com") }];
+    match client.lookup(&queries) {
+        Err(TransportError::Wire(WireError::BadMagic)) => {}
+        other => panic!("expected a BadMagic lookup error, got {other:?}"),
+    }
+    let (id, asked) = decode_lookup_request(&peer.recv_frame().unwrap()).unwrap();
+    assert_eq!((id, asked.as_slice()), (1, &queries[..]));
 }
 
 #[test]
