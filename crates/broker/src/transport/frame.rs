@@ -101,8 +101,8 @@ pub trait FrameConn: Send {
     /// batch from individual sends. The default writes frame by frame;
     /// [`LengthPrefixed`] overrides it with a single buffered write.
     /// No server path calls it since the reactor's ring took over
-    /// coalescing; it stays because the `FrameConn` wrappers in
-    /// `rzu_bench/src/link.rs` and `benches/relay.rs` forward it.
+    /// coalescing; it stays because the `FrameConn` wrapper in
+    /// `rzu_bench/src/link.rs` forwards it.
     fn send_frames(&mut self, frames: &[&[&[u8]]]) -> Result<(), TransportError> {
         for parts in frames {
             self.send_frame(parts)?;

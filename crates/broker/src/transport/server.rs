@@ -11,7 +11,7 @@
 //! writability. Thread count is **flat**: one reactor serves every
 //! listener and every connection, whether the fleet is 8 subscribers or
 //! 10,000 ([`BrokerServer::transport_threads`] exposes the count for
-//! tests and benches to assert on).
+//! tests and the benchmark to assert on).
 //!
 //! This type keeps the cross-thread surface: construction, connection
 //! hand-off ([`BrokerServer::serve_conn`]), listeners, stats, and

@@ -55,8 +55,8 @@ pub struct Experiment {
     config: ExperimentConfig,
 }
 
-/// Everything a run produces (report plus the artifacts tests and benches
-/// want to poke at).
+/// Everything a run produces (report plus the artifacts tests and the
+/// paper binaries want to poke at).
 pub struct RunArtifacts {
     pub report: Report,
     pub universe: Universe,

@@ -4,7 +4,7 @@
 //! Tables 1-5, Figures 1-2, and the section statistics (§4.1 NS
 //! stability, §4.2 RDAP failures, §4.3 blocklists, §4.4 visibility gap and
 //! ccTLD ground truth). `render_text()` prints the same rows the paper
-//! reports; the bench binaries tee that output into `EXPERIMENTS.md`.
+//! reports; the paper binaries tee that output into `EXPERIMENTS.md`.
 
 use crate::config::ExperimentConfig;
 use crate::transient::{ClassifiedCandidate, TransientStatus};

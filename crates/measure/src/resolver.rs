@@ -55,10 +55,12 @@ impl<'a> CachingResolver<'a> {
         Self::new(universe, landscape, SimDuration::from_secs(60))
     }
 
+    #[cfg(test)]
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
+    #[cfg(test)]
     pub fn misses(&self) -> u64 {
         self.misses
     }

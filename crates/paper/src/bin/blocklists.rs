@@ -3,8 +3,8 @@
 //! transient domains (paper: 5% flagged, 94% only after deletion).
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     let bl = &arts.report.blocklists;
     println!("§4.3 blocklists (seed {seed})\n");
     let er = &bl.early_removed;

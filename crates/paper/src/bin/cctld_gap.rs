@@ -4,8 +4,8 @@
 //! even the best public data leaves a large intra-day blind spot.
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     match &arts.report.cctld {
         Some(c) => {
             println!("§4.4 ccTLD ground truth (seed {seed}, .{})\n", c.tld);

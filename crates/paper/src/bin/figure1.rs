@@ -4,8 +4,8 @@
 //! (60-second zone cadence) fastest.
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     let r = &arts.report;
     println!(
         "Figure 1 (seed {seed}): 50% detected within {}s (paper: 45 min)\n",

@@ -3,8 +3,8 @@
 //! of transient domains die within their first 6 hours.
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     let r = &arts.report;
     println!(
         "Figure 2 (seed {seed}): median transient lifetime {:.1} h (paper: <6 h)\n",

@@ -3,8 +3,8 @@
 //! to `results/report-<seed>.json`.
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     println!("{}", arts.report.render_text());
     let json = serde_json::to_string_pretty(&arts.report).expect("report serializes");
     let path = format!("results/report-{seed}.json");

@@ -4,8 +4,8 @@
 //! snapshot diff can miss depending on timing).
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     let ns = &arts.report.ns_stability;
     println!("§4.1 NS stability (seed {seed})\n");
     println!("monitored NRDs:         {}", ns.monitored);

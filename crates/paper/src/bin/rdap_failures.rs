@@ -5,8 +5,8 @@
 //! (paper: 97%).
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     let rf = &arts.report.rdap_failures;
     println!("§4.2 RDAP failures (seed {seed})\n");
     println!(

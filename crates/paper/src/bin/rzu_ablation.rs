@@ -7,8 +7,8 @@
 use darkdns_core::rzu_ablation::{render, sweep, DEFAULT_CADENCES_SECS};
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     let window_start = arts.schedule.window_start();
     let rows = sweep(&arts.universe, window_start, &DEFAULT_CADENCES_SECS);
     println!("RZU ablation (seed {seed})\n");

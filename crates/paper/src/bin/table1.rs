@@ -4,8 +4,8 @@
 //! paper: 6.8M / 16.3M / 42.0%).
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     let r = &arts.report;
     println!(
         "Table 1 (seed {seed}, scale {}, {} days)\n\

@@ -3,8 +3,8 @@
 //! down to confirmed transients (paper: 42,358).
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     let r = &arts.report;
     println!("Table 2 (seed {seed}, scale {})\n", r.scale);
     println!("{:<8} {:>7} {:>7} {:>7} {:>8}", "TLD", "Nov", "Dec", "Jan", "Total");

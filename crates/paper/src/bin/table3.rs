@@ -3,8 +3,8 @@
 //! 15.2%, NameCheap 9.9%, long tail of small registrars ≈21%.
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     println!("Table 3 (seed {seed}): transient registrar distribution\n");
     println!("{:<28} {:>8} {:>7}", "Registrar", "Domains", "%");
     for row in &arts.report.table3 {

@@ -3,8 +3,8 @@
 //! Hostinger AS47583 14.0%, Amazon AS16509 7.6%.
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     println!("Table 5 (seed {seed}): transient web hosting (A-record ASN)\n");
     println!("{:<28} {:>8} {:>7}", "Network (ASN)", "Domains", "%");
     for row in &arts.report.table5 {

@@ -4,8 +4,8 @@
 //! seen by both, NOD ≈10% larger — the feeds are complementary.
 
 fn main() {
-    let seed = darkdns_bench::seed_from_args();
-    let arts = darkdns_bench::run_paper(seed);
+    let seed = darkdns_paper::seed_from_args();
+    let arts = darkdns_paper::run_paper(seed);
     let v = &arts.report.visibility;
     println!("§4.4 visibility gap, one-day NOD comparison (seed {seed}, day {})\n", v.comparison_day);
     println!("NRDs registered that day:");

@@ -224,7 +224,7 @@ impl<'a> SnapshotOracle<'a> {
     }
 
     /// Materialise the full [`ZoneSnapshot`] of one TLD for one day — used
-    /// by examples, tests and the diff benches on small universes.
+    /// by examples and tests on small universes.
     pub fn materialize(
         &self,
         universe: &Universe,

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! For the full paper-shaped run (92 days, 1% of paper volume) use the
-//! bench binaries, e.g. `cargo run --release -p darkdns-bench --bin
+//! paper binaries, e.g. `cargo run --release -p darkdns-paper --bin
 //! full_report`.
 
 use darkdns::core::{Experiment, ExperimentConfig};

@@ -55,6 +55,9 @@ cargo test -q --release --test relay_faults
 # plus a fixed slack, and none between three and six ring-fulls. A tier
 # that starts keeping something per publish that is neither zone state
 # nor bytes it serves fails here, not in a resident-set figure weeks on.
+# Its fan-out case holds a server's per-connection heap under a fixed
+# figure for 512 idle pipe and 256 loopback-TCP subscribers on one
+# reactor thread.
 echo "==> cargo test -q --release (fleet footprint)"
 cargo test -q --release --test footprint
 
@@ -62,7 +65,9 @@ cargo test -q --release --test footprint
 # race the chunk train they must not interrupt, health probes race the
 # failover path they steer, and the dead-endpoint backoff pin is a
 # dial-rate bound — all timing-shaped invariants that need the
-# optimised interleavings too.
+# optimised interleavings too. A shard-filtered relay's upstream link is
+# recorded there frame by frame: it carries the subscribed shards'
+# sealed frames, byte for byte, and nothing else.
 echo "==> cargo test -q --release (routing fault matrix)"
 cargo test -q --release --test routing_faults
 
@@ -89,25 +94,6 @@ cargo run --release --example fleet_lag_walker
 # and scores its label heuristics against ground truth (≈ 0.3 s built).
 echo "==> zonestream consumer (transient_hunt)"
 cargo run --release --example transient_hunt
-
-# Scaled-down fan-out smoke: the 10k-subscriber reactor bench at 256
-# subscribers with a minimal sampling budget. This exercises the whole
-# child-process fleet path (re-exec, epoll client loop, round
-# convergence) and asserts inside the bench that the reactor thread
-# count stays 1 — cheap enough for every CI run.
-echo "==> reactor fan-out smoke (256 subscribers)"
-DARKDNS_FANOUT_SUBS=256 DARKDNS_BENCH_ONLY=tcp-fanout-10k \
-DARKDNS_BENCH_SAMPLES=3 DARKDNS_BENCH_MS=200 \
-    cargo bench -p darkdns-bench --bench broker
-
-# The zone-size apply sweep (100-name deltas, tail and scattered, onto
-# 10k / 100k / 1M delegations, plus the membership probe) once at the
-# smoke budget, so the microbench behind the O(delta)-apply tables in
-# CHANGES.md keeps building and running. It builds a 1M-entry zone:
-# ~100 MB for a second or two.
-echo "==> zone apply sweep smoke"
-DARKDNS_BENCH_ONLY=zone-apply DARKDNS_BENCH_SAMPLES=3 DARKDNS_BENCH_MS=200 \
-    cargo bench -p darkdns-bench --bench zone_diff
 
 # The benchmark is a standalone package (own workspace and lockfile)
 # that tier-1 does not build, driving the crates through their public

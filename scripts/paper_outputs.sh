@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The paper binaries' outputs, byte for byte. Runs every binary in
-# crates/bench/src/bin/ at its default seed, in a scratch directory,
+# crates/paper/src/bin/ at its default seed, in a scratch directory,
 # and compares the sha256 of each one's stdout, and of full_report's
 # results/report-<seed>.json, with scripts/paper_outputs.sha256. The
 # outputs are deterministic per seed, so any difference is a change in
@@ -15,11 +15,11 @@ cd "$(dirname "$0")/.."
 root=$PWD
 digests=scripts/paper_outputs.sha256
 
-cargo build --release -q -p darkdns-bench --bins
+cargo build --release -q -p darkdns-paper --bins
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
-for src in crates/bench/src/bin/*.rs; do
+for src in crates/paper/src/bin/*.rs; do
     bin=$(basename "$src" .rs)
     echo "==> $bin"
     (cd "$out" && "$root/target/release/$bin" >"$bin.stdout")

@@ -11,7 +11,7 @@
 //! This facade crate re-exports the member crates under stable module
 //! names. See `ROADMAP.md` for the system inventory and open directions,
 //! `docs/INVARIANTS.md` for the machine-checked invariants, and
-//! `crates/bench/src/bin/` for the binaries that print the
+//! `crates/paper/src/bin/` for the binaries that print the
 //! paper-versus-measured record of every table and figure.
 //!
 //! ## Quickstart

@@ -170,6 +170,7 @@ fn edge_answers_match_the_full_replica_at_every_serial() {
     from_replica.sort_unstable();
     from_edge.sort_unstable();
     assert_eq!(from_replica, from_edge, "zone-NRD logs diverged");
+    assert_eq!(server.stats().bad_frames, 0, "a thin client speaks the protocol cleanly");
 
     server.shutdown();
 }

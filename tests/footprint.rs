@@ -14,18 +14,30 @@
 //!   bound is sized to reject;
 //! * three more ring-fulls add nothing: no slope.
 //!
+//! A second case holds a server's fan-out to a per-connection cost:
+//! idle subscribers at the head serial join one server, first over
+//! pipes and then over loopback TCP, all on its one reactor thread, and
+//! the live heap that each further subscriber adds stays under a fixed
+//! figure per transport. A server that keeps something per connection
+//! beyond its slot, ring, queue and stats row fails here.
+//!
 //! This file is its own test binary because it installs a counting
 //! `#[global_allocator]`. The count is one process-wide atomic, not per
 //! thread as in `alloc_budget.rs`: reactor and relay threads allocate
-//! what the publishing thread's frames turn into.
+//! what the publishing thread's frames turn into. For the same reason
+//! the two cases take one lock, so the parallel test runner never
+//! overlaps them.
 
-use darkdns::broker::transport::{duplex, FrameConn, LengthPrefixed, TransportError};
+use darkdns::broker::transport::{
+    duplex, tcp_connect, ClientEvent, FrameConn, LengthPrefixed, TransportClient, TransportError,
+};
 use darkdns::broker::{Broker, BrokerConfig, BrokerServer, TransportConfig};
 use darkdns::dns::{DomainName, NsSet, Serial, ZoneDelta, ZoneSnapshot};
 use darkdns::registry::tld::TldId;
 use darkdns::sim::time::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 struct LiveBytes;
@@ -59,6 +71,13 @@ unsafe impl GlobalAlloc for LiveBytes {
 
 #[global_allocator]
 static GLOBAL: LiveBytes = LiveBytes;
+
+/// Held by each case for its whole run: `LIVE` counts every thread.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const SHARDS: u16 = 4;
 const ZONE: usize = 2_000;
@@ -134,6 +153,7 @@ fn all_heads_at(broker: &Broker, serial: u32) -> bool {
 
 #[test]
 fn a_fleet_retains_its_zones_and_its_rings_frames_and_does_not_grow() {
+    let _alone = one_at_a_time();
     let ring = BrokerConfig::default().retention.max_deltas as u32;
     let lists = host_lists();
     let deltas: Vec<[ZoneDelta; 2]> = (0..SHARDS).map(|s| block_deltas(s, &lists)).collect();
@@ -202,4 +222,85 @@ fn a_fleet_retains_its_zones_and_its_rings_frames_and_does_not_grow() {
     leaf_server.shutdown();
     relay_server.shutdown();
     root_server.shutdown();
+}
+
+/// Idle subscribers added per step of the fan-out case: the heap is read
+/// after `n` and after `2n` of them, per transport.
+const PIPE_STEP: usize = 256;
+const TCP_STEP: usize = 128;
+/// Live heap one more idle subscriber may add, both ends counted (the
+/// client lives in this process too): the server's slot, outbound ring,
+/// broker queue and stats row, and the client's frame buffers. Each is
+/// under twice the figure measured when it was set: 1 303 B on a pipe,
+/// 838 B on TCP, the same in debug and release builds.
+const PIPE_CONN_BYTES: isize = 2_048;
+const TCP_CONN_BYTES: isize = 1_536;
+
+/// Dial `n` more subscribers with `dial`, wait for the server to have
+/// handshaken every client in `clients`, drain what each new one was
+/// sent, and return the live heap.
+fn join_idle(
+    server: &BrokerServer,
+    clients: &mut Vec<TransportClient>,
+    n: usize,
+    mut dial: impl FnMut() -> TransportClient,
+) -> isize {
+    let first = clients.len();
+    clients.extend((0..n).map(|_| dial()));
+    wait_for("every subscriber handshaken", || server.stats().handshakes == clients.len() as u64);
+    for client in &mut clients[first..] {
+        match client.next_event() {
+            ClientEvent::Idle => {}
+            other => panic!("an idle subscriber at the head was sent {other:?}"),
+        }
+    }
+    LIVE.load(Ordering::Relaxed)
+}
+
+#[test]
+fn an_idle_subscriber_costs_a_fixed_heap_on_one_reactor_thread() {
+    let _alone = one_at_a_time();
+    let tld = TldId(0);
+    let broker = Broker::new(BrokerConfig::default());
+    broker.add_shard(tld, shard_zone(0, &host_lists()));
+    // A tick longer than the test: no heartbeat lands in a pipe between
+    // two readings, and a served pipe is adopted on the reactor's wakeup
+    // alone, never on its timeout.
+    let config = TransportConfig { writer_tick: Duration::from_secs(600), ..TransportConfig::default() };
+    let server = BrokerServer::new(broker, config);
+    let addr = server.listen_tcp("127.0.0.1:0").expect("bind loopback");
+    let claims = [(tld, Some(Serial::new(0)))];
+    let recv_timeout = Some(Duration::from_millis(1));
+    let mut clients = Vec::new();
+
+    let pipe = || {
+        let (client_end, server_end) = duplex(1 << 16);
+        server.serve_conn(LengthPrefixed::new(server_end));
+        let mut conn = LengthPrefixed::new(client_end);
+        conn.set_recv_timeout(recv_timeout).unwrap();
+        TransportClient::connect(conn, &claims).expect("pipe hello")
+    };
+    let at_n = join_idle(&server, &mut clients, PIPE_STEP, pipe);
+    let at_2n = join_idle(&server, &mut clients, PIPE_STEP, pipe);
+    let pipe_bytes = (at_2n - at_n) / PIPE_STEP as isize;
+
+    let tcp = || {
+        let mut conn = tcp_connect(addr).expect("dial loopback");
+        conn.set_recv_timeout(recv_timeout).unwrap();
+        TransportClient::connect(conn, &claims).expect("tcp hello")
+    };
+    let at_n = join_idle(&server, &mut clients, TCP_STEP, tcp);
+    let at_2n = join_idle(&server, &mut clients, TCP_STEP, tcp);
+    let tcp_bytes = (at_2n - at_n) / TCP_STEP as isize;
+
+    assert_eq!(server.transport_threads(), 1, "one reactor serves every connection");
+    assert!(
+        pipe_bytes <= PIPE_CONN_BYTES,
+        "an idle pipe subscriber costs {pipe_bytes} B of live heap, bound {PIPE_CONN_BYTES}"
+    );
+    assert!(
+        tcp_bytes <= TCP_CONN_BYTES,
+        "an idle TCP subscriber costs {tcp_bytes} B of live heap, bound {TCP_CONN_BYTES}"
+    );
+    server.shutdown();
 }

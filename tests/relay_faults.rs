@@ -681,9 +681,9 @@ fn routed_edge_feed_fails_over_and_keeps_answering() {
 
 #[test]
 fn depth_three_chain_converges_with_verbatim_frames() {
-    // Root → relay A → relay B → leaf: the longest chain the bench
-    // measures. The leaf's frames must still be the root's bytes, and a
-    // clean chain must never resync at any tier.
+    // Root → relay A → relay B → leaf: the longest chain `rzu_bench`'s
+    // `relay_chain` runs. The leaf's frames must still be the root's
+    // bytes, and a clean chain must never resync at any tier.
     const PUSHES: u32 = 5;
     let tld = TldId(0);
     let root = Broker::new(BrokerConfig::default());

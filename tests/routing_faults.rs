@@ -31,9 +31,13 @@ use darkdns::broker::transport::{
     duplex, Bytes, FaultInjectedConn, FaultScript, FrameConn, FrameFault, LengthPrefixed,
     PipeCutHandle, TransportClient, TransportError, MAX_FRAME_LEN,
 };
-use darkdns::broker::{Broker, BrokerConfig, BrokerServer, ClientEvent, TransportConfig};
+use darkdns::broker::{
+    Broker, BrokerConfig, BrokerServer, ClientEvent, SealedDelta, TransportConfig,
+};
 use darkdns::core::broker_view::{EndpointMap, RoutedZoneView};
-use darkdns::dns::wire::{encode_delta_push, HELLO_MAGIC};
+use darkdns::dns::wire::{
+    decode_snapshot_chunk, delta_envelope_header, encode_delta_push, HELLO_MAGIC,
+};
 use darkdns::dns::{DomainName, NsSet, Serial, Zone, ZoneDelta, ZoneSnapshot};
 use darkdns::edge::{EdgeClient, EdgeConfig, EdgeIndex, EdgeIndexConfig, EdgeServer};
 use darkdns::registry::tld::TldId;
@@ -141,6 +145,45 @@ impl FrameConn for TrickleConn {
         }
         let frame = self.inner.recv_frame()?;
         self.breather = true;
+        Ok(frame)
+    }
+
+    fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
+        self.inner.set_recv_timeout(timeout)
+    }
+
+    fn set_send_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
+        self.inner.set_send_timeout(timeout)
+    }
+}
+
+/// What a [`RecordingConn`] received: every non-empty frame, in order,
+/// and the heartbeats (empty frames) counted apart.
+#[derive(Default)]
+struct LinkLog {
+    frames: Vec<Bytes>,
+    heartbeats: u64,
+}
+
+/// Wraps one end of a link so the test sees exactly what crossed it.
+struct RecordingConn {
+    inner: Box<dyn FrameConn>,
+    log: Arc<Mutex<LinkLog>>,
+}
+
+impl FrameConn for RecordingConn {
+    fn send_frame(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        self.inner.send_frame(parts)
+    }
+
+    fn recv_frame(&mut self) -> Result<Bytes, TransportError> {
+        let frame = self.inner.recv_frame()?;
+        let mut log = self.log.lock().unwrap();
+        if frame.is_empty() {
+            log.heartbeats += 1;
+        } else {
+            log.frames.push(frame.clone());
+        }
         Ok(frame)
     }
 
@@ -500,7 +543,9 @@ fn filtered_relay_re_serves_subset_and_heals_subset_only() {
     // crosses the link or materialises at the relay, re-served frames
     // for the subset stay byte-identical to the root encoding, and a
     // mid-frame cut heals with subset claims only — one resync, delta
-    // replay, no snapshot re-install.
+    // replay, no snapshot re-install. The relay's upstream link is
+    // recorded: past the bootstrap it carries the root's sealed frames
+    // for the subset and nothing else, the torn one once, whole.
     let tlds = [TldId(0), TldId(1), TldId(2)];
     let origins = ["com", "net", "org"];
     let root = Broker::new(BrokerConfig::default());
@@ -519,9 +564,22 @@ fn filtered_relay_re_serves_subset_and_heals_subset_only() {
     ]);
     let relay_broker = Broker::new(BrokerConfig::default());
     let relay_server = server_over(&relay_broker);
-    let relay = relay_server
-        .attach_upstream(vec![tlds[0], tlds[1]], relay_dialer(&root_server, vec![script]));
+    let link = Arc::new(Mutex::new(LinkLog::default()));
+    let mut dial = relay_dialer(&root_server, vec![script]);
+    let log = Arc::clone(&link);
+    let relay = relay_server.attach_upstream(vec![tlds[0], tlds[1]], move || {
+        Ok(Box::new(RecordingConn { inner: dial()?, log: Arc::clone(&log) }) as Box<dyn FrameConn>)
+    });
     wait_for("filtered relay bootstrap", || relay.stats().snapshots_installed == 2);
+    let mut bootstrap: Vec<u16> = link
+        .lock()
+        .unwrap()
+        .frames
+        .iter()
+        .map(|frame| decode_snapshot_chunk(frame).expect("a bootstrap chunk").tld)
+        .collect();
+    bootstrap.sort_unstable();
+    assert_eq!(bootstrap, [tlds[0].0, tlds[1].0], "one chunk per subscribed shard");
     assert!(
         relay_broker.head(tlds[2]).is_none(),
         "the unsubscribed shard must never materialise at the relay"
@@ -531,12 +589,26 @@ fn filtered_relay_re_serves_subset_and_heals_subset_only() {
     // reach the relay's link (they would consume fault-script slots).
     let at = SimTime::from_secs(1);
     root.publish(tlds[2], add_delta("x.org"), Serial::new(1), at);
-    root.publish(tlds[0], add_delta("x.com"), Serial::new(1), at); // delivered
-    root.publish(tlds[1], add_delta("x.net"), Serial::new(1), at); // torn mid-frame
+    let com = root.publish(tlds[0], add_delta("x.com"), Serial::new(1), at); // delivered
+    let net = root.publish(tlds[1], add_delta("x.net"), Serial::new(1), at); // torn mid-frame
     wait_for("filtered relay heals the cut", || {
         let s = relay.stats();
         s.resyncs == 1 && s.frames_relayed == 2
     });
+
+    // Exactly these two, so nothing of TLD 2 crossed either connection.
+    let envelope =
+        |sealed: &SealedDelta| [&delta_envelope_header(sealed.tld.0)[..], &sealed.frame].concat();
+    let log = link.lock().unwrap();
+    let delivered: Vec<&[u8]> = log.frames[bootstrap.len()..].iter().map(|f| &f[..]).collect();
+    assert_eq!(
+        delivered,
+        [envelope(&com), envelope(&net)],
+        "past the bootstrap the link carries the subset's sealed frames, byte for byte \
+         ({} heartbeats apart)",
+        log.heartbeats
+    );
+    drop(log);
 
     let stats = relay.stats();
     assert_eq!(stats.connects, 2, "one redial heals the cut");

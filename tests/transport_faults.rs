@@ -863,17 +863,14 @@ fn frame_bound_is_exact_and_never_silently_truncates() {
 
 #[test]
 fn tcp_reconnect_storm_converges_on_one_reactor_thread() {
-    // A CI-sized fleet (200 subscribers by default; `DARKDNS_STORM_SUBS`
-    // scales it) over loopback TCP. Half the fleet is killed at once and
-    // the whole storm reconnects-with-claims against the single reactor
-    // thread. Pinned: every view converges to the exact head serial, the
-    // killed half resyncs exactly once and heals by pure delta catch-up
-    // (no second snapshot), the surviving half never resyncs, and the
-    // transport thread count stays 1 regardless of fleet size.
-    let subs: usize = std::env::var("DARKDNS_STORM_SUBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
+    // A CI-sized fleet of 200 subscribers over loopback TCP. Half the
+    // fleet is killed at once and the whole storm reconnects-with-claims
+    // against the single reactor thread. Pinned: every view converges to
+    // the exact head serial, the killed half resyncs exactly once and
+    // heals by pure delta catch-up (no second snapshot), the surviving
+    // half never resyncs, and the transport thread count stays 1
+    // regardless of fleet size.
+    const SUBS: usize = 200;
     const PUSHES_BEFORE: u32 = 5;
     const PUSHES_AFTER: u32 = 5;
 
@@ -887,7 +884,7 @@ fn tcp_reconnect_storm_converges_on_one_reactor_thread() {
     let addr = server.listen_tcp("127.0.0.1:0").expect("bind loopback");
 
     let kills: Vec<Arc<Mutex<Option<TcpStream>>>> =
-        (0..subs).map(|_| Arc::new(Mutex::new(None))).collect();
+        (0..SUBS).map(|_| Arc::new(Mutex::new(None))).collect();
     let mut views: Vec<_> = kills
         .iter()
         .map(|kill| {
@@ -895,7 +892,7 @@ fn tcp_reconnect_storm_converges_on_one_reactor_thread() {
                 .expect("tcp connect")
         })
         .collect();
-    wait_for("all handshakes", || server.stats().handshakes == subs as u64);
+    wait_for("all handshakes", || server.stats().handshakes == SUBS as u64);
     assert_eq!(server.transport_threads(), 1, "one reactor thread for the whole fleet");
 
     for i in 1..=PUSHES_BEFORE {
@@ -933,7 +930,7 @@ fn tcp_reconnect_storm_converges_on_one_reactor_thread() {
     }
 
     let stats = server.stats();
-    assert_eq!(stats.handshakes, subs as u64 + subs.div_ceil(2) as u64);
+    assert_eq!(stats.handshakes, SUBS as u64 + SUBS.div_ceil(2) as u64);
     assert_eq!(stats.rejected_hellos, 0);
     assert_eq!(server.transport_threads(), 1, "reconnect storm must not grow threads");
     // Every live connection shows up as a stats row with its claims at
@@ -945,7 +942,7 @@ fn tcp_reconnect_storm_converges_on_one_reactor_thread() {
     };
     wait_for("one head-serial stats row per live subscriber", || {
         let report = server.stats_report();
-        report.subs.len() == subs
+        report.subs.len() == SUBS
             && report.subs.iter().all(|row| row.claims == vec![head_claim])
     });
     server.shutdown();
