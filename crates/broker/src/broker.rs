@@ -63,7 +63,7 @@ pub enum BrokerMessage {
     /// Delivered in-process as an `Arc`-shared snapshot — no
     /// serialization.
     Snapshot { tld: TldId, snapshot: ZoneSnapshot },
-    /// One delta push, as the shared `RZU3` wire frame; decode with
+    /// One delta push, as the shared `RZU4` wire frame; decode with
     /// [`darkdns_dns::decode_delta_push`].
     Delta { tld: TldId, frame: Bytes },
 }
@@ -531,12 +531,12 @@ impl Broker {
         self.publish_inner(tld, delta, new_serial, pushed_at, None)
     }
 
-    /// [`Broker::publish`] with the `RZU3` frame supplied instead of
+    /// [`Broker::publish`] with the `RZU4` frame supplied instead of
     /// encoded: the relay ingest path. A relay broker decodes its
     /// upstream's delta envelope to maintain its local journal, then
     /// re-serves the *received* frame bytes verbatim — the root's one
     /// encode survives every hop, and a leaf can pin byte-identity
-    /// against the root's sealed frame. The frame must be the `RZU3`
+    /// against the root's sealed frame. The frame must be the `RZU4`
     /// encoding of `delta` (the relay got `delta` by decoding it).
     ///
     /// # Panics

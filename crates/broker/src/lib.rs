@@ -17,7 +17,7 @@
 //!   [`darkdns_dns::ZoneSnapshot`]. Snapshots are persistent —
 //!   `Arc`'d segments under an `Arc`'d top level — so a checkpoint costs
 //!   one pointer copy, and a publish copies the segments its delta
-//!   touches, not a million-entry table. A sealed delta is its `RZU3`
+//!   touches, not a million-entry table. A sealed delta is its `RZU4`
 //!   frame and nothing else: the ring keeps the bytes it will serve
 //!   again, never the decoded delta beside them. What a tier retains is
 //!   its zone, shared by refcount, plus those bytes — at most
@@ -58,7 +58,7 @@
 //! unit the server ships a checkpoint bootstrap in so a
 //! 500k-delegation checkpoint traverses the frame bound as a resumable
 //! chunk train rather than one enormous frame;
-//! `RZUD` — a TLD tag plus the shard's refcount-shared `RZU3` frame
+//! `RZUD` — a TLD tag plus the shard's refcount-shared `RZU4` frame
 //! written verbatim (the encode-once guarantee crosses the socket
 //! boundary intact); `RZUE` — the former eviction notice, retired —
 //! reserved, refused; empty — an idle heartbeat doubling as dead-peer
@@ -86,7 +86,7 @@
 //! [`transport`]'s relay module):
 //!
 //! * **Verbatim re-serve.** A relay publishes each upstream delta's
-//!   embedded `RZU3` bytes with [`broker::Broker::publish_frame`] — no
+//!   embedded `RZU4` bytes with [`broker::Broker::publish_frame`] — no
 //!   re-encode at any tier, so a leaf at depth N receives frames
 //!   byte-identical to the root's single encoding, and per-link
 //!   bandwidth per delta is flat in depth (`tests/relay_faults.rs`

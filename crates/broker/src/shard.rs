@@ -69,7 +69,7 @@ pub struct SealedDelta {
     pub from_serial: Serial,
     pub to_serial: Serial,
     pub pushed_at: SimTime,
-    /// The `RZU3` wire frame; clones share storage.
+    /// The `RZU4` wire frame; clones share storage.
     pub frame: Bytes,
 }
 
@@ -178,7 +178,7 @@ impl JournalShard {
         self.publish_with_frame(delta, new_serial, pushed_at, frame, retention)
     }
 
-    /// [`JournalShard::publish`] with the `RZU3` frame supplied by the
+    /// [`JournalShard::publish`] with the `RZU4` frame supplied by the
     /// caller instead of encoded here. This is the relay ingest path:
     /// a downstream broker seals the exact bytes it received from its
     /// upstream, so one encode at the root survives any number of relay

@@ -30,7 +30,7 @@ use std::time::Duration;
 pub enum ClientEvent {
     /// Adopt this snapshot as the shard state (catch-up rule 3).
     Snapshot { tld: TldId, snapshot: ZoneSnapshot },
-    /// Apply one validated delta push. `frame` is the embedded `RZU3`
+    /// Apply one validated delta push. `frame` is the embedded `RZU4`
     /// bytes exactly as the publisher encoded them — a refcount-shared
     /// slice of the received envelope, so a relay can re-serve the delta
     /// downstream without re-encoding it (and a leaf can pin
@@ -241,7 +241,7 @@ impl TransportClient {
                         let tld = TldId(tld);
                         self.claim_advance(tld, &push);
                         // Skip the 6-byte envelope header: the rest is
-                        // the publisher's RZU3 frame, refcount-shared.
+                        // the publisher's RZU4 frame, refcount-shared.
                         let push_frame = frame.slice(6..);
                         return ClientEvent::Delta { tld, push, frame: push_frame };
                     }

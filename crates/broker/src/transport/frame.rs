@@ -81,7 +81,7 @@ impl From<WireError> for TransportError {
 /// A bidirectional, blocking, whole-frame connection.
 ///
 /// `send_frame` takes the payload as a slice of parts so the delta fast
-/// path can compose "envelope header + refcount-shared `RZU3` bytes"
+/// path can compose "envelope header + refcount-shared `RZU4` bytes"
 /// without an intermediate allocation per subscriber message layer;
 /// implementations concatenate the parts into one frame.
 pub trait FrameConn: Send {

@@ -54,7 +54,7 @@
 //! |        |                  | reconnect (never restarts from entry 0);  |
 //! |        |                  | the train is encoded once per checkpoint  |
 //! |        |                  | and shared by every joiner (train cache)  |
-//! | `RZUD` | server → client  | TLD tag + embedded `RZU3` delta frame     |
+//! | `RZUD` | server → client  | TLD tag + embedded `RZU4` delta frame     |
 //! | `RZUE` | —                | eviction notice: retired — reserved,      |
 //! |        |                  | refused (`BadMagic`)                      |
 //! | `RZUQ` | both             | stats round trip: bare magic queries, the |
@@ -84,7 +84,7 @@
 //! claims, calls `Broker::subscribe_with`, and the broker enqueues the
 //! snapshot-vs-delta plan atomically per shard — the wire stream starts
 //! gap-free and overlap-free exactly like an in-process subscription.
-//! Delta frames are the shard's refcount-shared `RZU3` bytes written
+//! Delta frames are the shard's refcount-shared `RZU4` bytes written
 //! verbatim behind a 6-byte envelope header: publishing still encodes
 //! once per push, regardless of subscriber count.
 //!

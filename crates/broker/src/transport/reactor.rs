@@ -607,18 +607,18 @@ impl<P: Protocol> Reactor<P> {
             if self.shared.stop.load(Ordering::Relaxed) {
                 return;
             }
-            let mut fd_work: Vec<(usize, bool)> = Vec::new();
+            // The mailbox is drained after the whole batch, so work
+            // staged while a token is serviced is taken whichever side
+            // of that token the wakeup event falls.
             for event in events.iter() {
-                if event.token().0 == WAKE_TOKEN {
+                let idx = event.token().0;
+                if idx == WAKE_TOKEN {
                     self.shared.wakeup.drain();
-                } else {
-                    fd_work.push((event.token().0, event.is_readable()));
+                    continue;
                 }
-            }
-            for (idx, readable) in fd_work {
                 match self.slots.get(idx) {
                     Some(Slot::Listener(_)) => self.accept_burst(idx),
-                    Some(Slot::Conn(_)) => self.service(idx, readable),
+                    Some(Slot::Conn(_)) => self.service(idx, event.is_readable()),
                     _ => {}
                 }
             }

@@ -8,8 +8,8 @@
 //! one broker:
 //!
 //! * **Verbatim re-serve.** A delta crosses every tier as the *same*
-//!   `RZU3` bytes the root publisher sealed. The upstream client hands
-//!   the relay the embedded `RZU3` slice of each `RZUD` envelope
+//!   `RZU4` bytes the root publisher sealed. The upstream client hands
+//!   the relay the embedded `RZU4` slice of each `RZUD` envelope
 //!   ([`ClientEvent::Delta`]'s `frame`), and the relay publishes it
 //!   with [`Broker::publish_frame`] — no re-encode, and within one
 //!   process no copy (the slice refcount-shares the received buffer).
@@ -56,7 +56,7 @@
 //! per-link bytes (the `relay/filtered` bench gauges this), and the
 //! verbatim re-serve invariant holds unchanged for the subscribed
 //! subset — leaves below a filtered relay still see the root's exact
-//! `RZU3` bytes for every TLD the relay carries. A fault on a filtered
+//! `RZU4` bytes for every TLD the relay carries. A fault on a filtered
 //! link heals with claims for the subscribed subset alone: the resync
 //! never touches shards the relay does not carry.
 
@@ -85,7 +85,7 @@ darkdns_dns::counter_set! {
             /// redials after a dead connection; failed dial attempts are
             /// not counted).
             resyncs,
-            /// Upstream `RZU3` frames re-published verbatim into the
+            /// Upstream `RZU4` frames re-published verbatim into the
             /// local broker.
             frames_relayed,
             /// Replayed upstream deltas skipped because they did not
@@ -146,7 +146,7 @@ impl RelayHandle {
 impl BrokerServer {
     /// Attach this server to an upstream broker: subscribe to `tlds`
     /// over the connection `dial` produces and fold the stream into the
-    /// local broker, re-serving each delta's `RZU3` bytes verbatim (see
+    /// local broker, re-serving each delta's `RZU4` bytes verbatim (see
     /// the module docs for the tree invariants). `dial` is called for
     /// the initial connect and again after every fault, a refused dial
     /// sidelining the upstream on the shared backoff ladder; each HELLO

@@ -21,7 +21,7 @@
 //!
 //! # Name codec: allocation-free, byte-identical
 //!
-//! Every message family here — `Message`, `RZU3`, `RZUC`, `RZUL` —
+//! Every message family here — `Message`, `RZU4`, `RZUC`, `RZUL` —
 //! spells names through one `Encoder::name` / `Decoder::name`
 //! pair, so their cost is per-name overhead times hundreds of thousands
 //! of names per bootstrap:
@@ -40,13 +40,15 @@
 //!   what that route gives. A wire label containing `.` is rejected: it
 //!   would otherwise re-parse as several labels, giving one name two
 //!   encodings.
-//! * **Owners** of `RZU3` delta and `RZUC` chunk entries are children
+//! * **Owners** of `RZU4` delta and `RZUC` chunk entries are children
 //!   of the frame's origin almost always, and travel as that one label
-//!   (`Encoder::entry` / `Decoder::owner`): a length byte and the label,
-//!   with the origin's spelling appended on decode, never re-checked.
-//!   Any other owner is a `0x00` escape and the name through the pair
-//!   above.
-//! * **NS sets** travel one way, in `RZU3` delta frames and `RZUC`
+//!   (`Encoder::entry` / `Decoder::owner`): its character count and the
+//!   label packed in base 38, the label rule's alphabet, three
+//!   characters to two bytes (`pack_label` / `unpack_label`). Decode
+//!   unpacks into a stack buffer and passes the label through the label
+//!   rule; the origin's spelling is appended unchecked. Any other owner
+//!   is a `0x00` escape and the name through the pair above.
+//! * **NS sets** travel one way, in `RZU4` delta frames and `RZUC`
 //!   chunks alike: each entry names its set by its index in a
 //!   frame-local table, the first use defining it inline
 //!   (`Encoder::ns_ref` / `Decoder::table_ns`). A repeated set costs one
@@ -97,18 +99,23 @@ pub enum WireError {
     /// Bytes remained after the message was fully parsed.
     TrailingBytes(usize),
     /// A frame did not start with the magic its decoder reads — a
-    /// retired family's (`RZU1`, `RZU2`, `RZUR`, `RZUS`, `RZUE`) included.
+    /// retired family's (`RZU1`, `RZU2`, `RZU3`, `RZUR`, `RZUS`, `RZUE`)
+    /// included.
     BadMagic,
     /// A flags byte outside the defined set: snapshot chunk flag bits
     /// this build does not know, or a lookup answer row naming a serial
     /// slot past the next definition. A snapshot chunk without its
-    /// NS-table and owner-label bits is in an earlier layout and is
-    /// refused with this too, never misread.
+    /// NS-table, owner-label and packed-label bits is in an earlier
+    /// layout and is refused with this too, never misread.
     BadFlags(u8),
     /// A snapshot continuation chunk's `(offset, count, total)` bounds
     /// are inconsistent (out of range, or the last-chunk flag disagrees
     /// with the arithmetic).
     BadChunk { offset: u32, count: u32, total: u32 },
+    /// An owner label's base-38 group is at or above its bound (38³,
+    /// 38² or 38 for a group of three, two or one characters): no label
+    /// spells it.
+    BadPackedGroup(u16),
     /// A delta or snapshot chunk entry's NS-set reference names a set
     /// past the `defined` ones the frame has spelled so far (or the next one,
     /// which it would define). A reference that is not the minimal
@@ -136,6 +143,7 @@ impl fmt::Display for WireError {
             WireError::BadChunk { offset, count, total } => {
                 write!(f, "snapshot chunk bounds {offset}+{count} inconsistent with total {total}")
             }
+            WireError::BadPackedGroup(v) => write!(f, "packed owner label group {v} out of range"),
             WireError::BadNsRef { index, defined } => {
                 write!(f, "NS-set reference {index} with {defined} sets defined")
             }
@@ -394,18 +402,18 @@ impl<'a> Encoder<'a> {
         self.buf.put_u8(0);
     }
 
-    /// Encode one `RZU3` / `RZUC` entry: its owner field, then a
+    /// Encode one `RZU4` / `RZUC` entry: its owner field, then a
     /// reference to each of its NS sets (one, or a change's old and new).
     /// The owner is its one label under `origin` (the frame origin's
-    /// canonical spelling): a length byte and the label, never entering
-    /// the compression table. Any other owner is the `0x00` escape and
-    /// the name in its compressible form.
+    /// canonical spelling): a length byte and the label packed in base 38
+    /// ([`pack_label`]), never entering the compression table. Any other
+    /// owner — or a label with a byte outside the alphabet, which no
+    /// canonical name has — is the `0x00` escape and the name in its
+    /// compressible form.
     fn entry<const N: usize>(&mut self, origin: &str, owner: &'a DomainName, sets: [&'a NsSet; N]) {
-        match label_under(owner.raw(), origin) {
-            Some(label) => {
-                self.buf.put_u8(label.len() as u8);
-                self.buf.put_slice(label.as_bytes());
-            }
+        let mut field = [0u8; OWNER_FIELD_MAX];
+        match label_under(owner.raw(), origin).and_then(|l| pack_label(l.as_bytes(), &mut field)) {
+            Some(field) => self.buf.put_slice(field),
             None => {
                 self.buf.put_u8(0);
                 self.name(owner);
@@ -541,15 +549,126 @@ fn owner_via_text(label: &[u8], origin: &str) -> Result<DomainName, WireError> {
     text.parse()
 }
 
-/// `owner`'s one label under `origin`, both canonical spellings (the
-/// root's is empty); `None` unless `owner` is exactly one label under
-/// `origin`.
+/// What `owner` spells under `origin`, both canonical spellings (the
+/// root's is empty); `None` unless `owner` is below `origin`. It is one
+/// label unless it holds a dot, which [`pack_label`] refuses.
 fn label_under<'s>(owner: &'s str, origin: &str) -> Option<&'s str> {
     let label = match origin {
         "" => owner,
         _ => owner.strip_suffix(origin)?.strip_suffix('.')?,
     };
-    (!label.is_empty() && !label.contains('.')).then_some(label)
+    (!label.is_empty()).then_some(label)
+}
+
+/// The label rule's alphabet (lowercase: owners are canonical) in byte
+/// order; a character's base-38 digit is its index here.
+const PACK_ALPHABET: &[u8; 38] = b"-0123456789_abcdefghijklmnopqrstuvwxyz";
+
+/// Set in a group's sum when a byte is outside [`PACK_ALPHABET`]; the
+/// largest valid group, 38³ − 1, is below it.
+const PACK_OUTSIDE: u32 = 1 << 16;
+
+/// Byte -> its digit in [`PACK_ALPHABET`] times `38^p`, for the byte at
+/// each place `p` of a group from the right, or [`PACK_OUTSIDE`] for a
+/// byte outside the alphabet: a group's value is one lookup per byte,
+/// summed.
+const PACK_PLACES: [[u32; 256]; 3] = {
+    let mut places = [[PACK_OUTSIDE; 256]; 3];
+    let mut i = 0;
+    while i < PACK_ALPHABET.len() {
+        let b = PACK_ALPHABET[i] as usize;
+        places[0][b] = i as u32;
+        places[1][b] = i as u32 * 38;
+        places[2][b] = i as u32 * 38 * 38;
+        i += 1;
+    }
+    places
+};
+
+/// Two-character group value (below 38²) -> its two characters.
+const PACK_PAIRS: [[u8; 2]; 38 * 38] = {
+    let mut pairs = [[0; 2]; 38 * 38];
+    let mut v = 0;
+    while v < pairs.len() {
+        pairs[v] = [PACK_ALPHABET[v / 38], PACK_ALPHABET[v % 38]];
+        v += 1;
+    }
+    pairs
+};
+
+/// The longest owner field that carries a label: the length byte and a
+/// 63-character label packed into 42 bytes.
+const OWNER_FIELD_MAX: usize = 1 + 42;
+
+/// Bytes a label of `chars` characters takes packed: `⌈2·chars/3⌉`.
+fn packed_len(chars: usize) -> usize {
+    (2 * chars).div_ceil(3)
+}
+
+/// `label`'s owner field, written into `field`: its character count,
+/// then the label in base 38, each group of three characters a
+/// big-endian `u16` (below 38³ = 54 872) and a trailing group of two a
+/// `u16` below 38², of one a byte below 38. `label` is not empty; `None`
+/// if it is over 63 bytes or has a byte outside [`PACK_ALPHABET`], a dot
+/// included.
+fn pack_label<'f>(label: &[u8], field: &'f mut [u8; OWNER_FIELD_MAX]) -> Option<&'f [u8]> {
+    let out = field.get_mut(..1 + packed_len(label.len()))?;
+    out[0] = label.len() as u8;
+    let [ones, thirty_eights, squares] = &PACK_PLACES;
+    let place = |table: &[u32; 256], b: u8| table[usize::from(b)];
+    // Each group's sum carries `PACK_OUTSIDE` if a byte was outside.
+    let mut seen = 0;
+    let (groups, tail) = label.as_chunks::<3>();
+    let (pairs, _) = out[1..].as_chunks_mut::<2>();
+    for (pair, &[a, b, c]) in pairs.iter_mut().zip(groups) {
+        let v = place(squares, a) + place(thirty_eights, b) + place(ones, c);
+        seen |= v;
+        *pair = (v as u16).to_be_bytes();
+    }
+    match (tail, &mut out[1 + 2 * groups.len()..]) {
+        (&[a], [x]) => {
+            let v = place(ones, a);
+            seen |= v;
+            *x = v as u8;
+        }
+        (&[a, b], [x, y]) => {
+            let v = place(thirty_eights, a) + place(ones, b);
+            seen |= v;
+            [*x, *y] = (v as u16).to_be_bytes();
+        }
+        _ => {}
+    }
+    if seen < PACK_OUTSIDE {
+        Some(out)
+    } else {
+        None
+    }
+}
+
+/// Unpack `packed`, the `⌈2L/3⌉` bytes [`pack_label`] wrote for a label
+/// of `L = out.len()` characters, into `out`. A group of `n` characters
+/// at or above `38^n` is [`WireError::BadPackedGroup`], so a label has
+/// one spelling.
+fn unpack_label(packed: &[u8], out: &mut [u8]) -> Result<(), WireError> {
+    let (groups, tail) = out.as_chunks_mut::<3>();
+    let (pairs, _) = packed.as_chunks::<2>();
+    for (group, &pair) in groups.iter_mut().zip(pairs) {
+        let v = u16::from_be_bytes(pair);
+        if v >= 38 * 38 * 38 {
+            return Err(WireError::BadPackedGroup(v));
+        }
+        let [b, c] = PACK_PAIRS[usize::from(v % (38 * 38))];
+        *group = [PACK_ALPHABET[usize::from(v / (38 * 38))], b, c];
+    }
+    let rest = packed.get(2 * groups.len()..).unwrap_or_default();
+    let v = rest.iter().fold(0, |v, &b| v << 8 | u16::from(b));
+    match tail {
+        [] => {}
+        [c] if v < 38 => *c = PACK_ALPHABET[usize::from(v)],
+        [b, c] if v < 38 * 38 => [*b, *c] = PACK_PAIRS[usize::from(v)],
+        _ => return Err(WireError::BadPackedGroup(v)),
+    }
+    Ok(())
 }
 
 struct Decoder<'a> {
@@ -695,10 +814,12 @@ impl<'a> Decoder<'a> {
     }
 
     /// Decode `count` `(owner, NS-set reference)` entries — the body of
-    /// an `RZUC` chunk and an `RZU3` frame's added and removed sections —
+    /// an `RZUC` chunk and an `RZU4` frame's added and removed sections —
     /// against the frame's `origin` (its canonical spelling) and set
     /// table `sets`. The count is untrusted: each entry costs at least 3
-    /// bytes (a 2-byte owner field plus a 1-byte reference), so a count
+    /// bytes (a 2-byte owner field — a length byte and a one-character
+    /// label's one packed byte, or the escape and the root — plus a
+    /// 1-byte reference), so a count
     /// the remaining buffer cannot hold is a truncation, caught before
     /// the allocation is sized from it.
     fn decode_entries(
@@ -719,16 +840,20 @@ impl<'a> Decoder<'a> {
 
     /// Decode an entry's owner field, written by [`Encoder::entry`],
     /// under the frame's `origin` (its canonical spelling). A byte
-    /// `1..=63` is the length of the owner's one label under the origin:
-    /// the label goes through the label rule and the origin's spelling
-    /// is appended unchecked, so an owner costs one label's check. `0`
-    /// escapes to a name at the cursor ([`Decoder::name`]), any owner;
-    /// any other byte is [`WireError::BadLabelType`]. At least 2 bytes.
+    /// `1..=63` is the character count of the owner's one label under
+    /// the origin, packed behind it ([`unpack_label`]): the label is
+    /// unpacked into a stack buffer and goes through the label rule, and
+    /// the origin's spelling is appended unchecked, so an owner costs one
+    /// label's check. `0` escapes to a name at the cursor
+    /// ([`Decoder::name`]), any owner; any other byte is
+    /// [`WireError::BadLabelType`]. At least 2 bytes.
     fn owner(&mut self, origin: &str) -> Result<DomainName, WireError> {
         match self.u8()? {
             0 => self.name(),
             len @ 1..=63 => {
-                let label = self.take(usize::from(len))?;
+                let mut text = [0u8; 63];
+                let label = &mut text[..usize::from(len)];
+                unpack_label(self.take(packed_len(label.len()))?, label)?;
                 let mut name = NameBuf::new();
                 if name.push(label) && name.push_canonical(origin) {
                     Ok(name.finish())
@@ -944,11 +1069,12 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Magic prefix of an RZU delta-push frame ("RZU3"). `RZU1`, the layout
-/// that spelled every NS set out, and `RZU2`, which spelled every owner
-/// as a name compressed against the origin, are retired: reserved, and
-/// refused with [`WireError::BadMagic`] like any unknown magic.
-pub const DELTA_PUSH_MAGIC: &[u8; 4] = b"RZU3";
+/// Magic prefix of an RZU delta-push frame ("RZU4"). `RZU1`, the layout
+/// that spelled every NS set out, `RZU2`, which spelled every owner as a
+/// name compressed against the origin, and `RZU3`, which spelled an
+/// owner's label a byte a character, are retired: reserved, and refused
+/// with [`WireError::BadMagic`] like any unknown magic.
+pub const DELTA_PUSH_MAGIC: &[u8; 4] = b"RZU4";
 
 /// A decoded RZU delta-push frame: the net zone change that advanced one
 /// shard from `from_serial` to `to_serial`.
@@ -973,12 +1099,18 @@ pub struct DeltaPush {
     pub delta: ZoneDelta,
 }
 
+/// Bytes [`encode_delta_push`] reserves per entry: a 12-character
+/// packed owner field (9 bytes), a reference, and a share of the set
+/// definitions. Above the 14.5-byte `relay_chain` average, so such a
+/// frame is written without regrowing.
+const DELTA_ENTRY_ESTIMATE: usize = 16;
+
 /// Encode a delta push into a compact shareable frame.
 ///
 /// Layout (all integers big-endian):
 ///
 /// ```text
-/// "RZU3"                     magic, 4 bytes
+/// "RZU4"                     magic, 4 bytes
 /// origin                     wire-format name (compression target)
 /// from_serial u32, to_serial u32, pushed_at u64
 /// added u32, removed u32, changed u32        section counts
@@ -989,13 +1121,20 @@ pub struct DeltaPush {
 ///
 /// An `owner` field is, for an owner exactly one label under the
 /// origin (under the root origin, a one-label name), `u8` length
-/// (1..=63) and the label; otherwise `0x00` and the owner as a name.
-/// Against `RZU2`, which spelled every owner as a name (a child of the
-/// origin as its label and a 2-byte pointer), this saves 2 bytes per
-/// short owner and costs two things: one escape byte per owner written
-/// long, and an in-bailiwick host (`ns1.<owner>`) no longer compresses
-/// against its owner, since a short owner is no pointer target; it
-/// spells the owner's label again and points at the origin.
+/// (1..=63, the label's character count) and the label packed in base
+/// 38: the alphabet `-0-9_a-z` in byte order gives each character a
+/// digit, each group of three characters is a big-endian `u16` (below
+/// 38³ = 54 872), and a trailing group of two is a `u16` below 38², of
+/// one a byte below 38 — `⌈2L/3⌉` bytes for `L` characters, a group at
+/// or above its bound refused ([`WireError::BadPackedGroup`]). Any other
+/// owner is `0x00` and the owner as a name. Against `RZU2`, which
+/// spelled every owner as a name (a child of the origin as its label
+/// and a 2-byte pointer), this saves the pointer and a third of the
+/// label per short owner, and costs two things: one escape byte per
+/// owner written long, and an in-bailiwick host (`ns1.<owner>`) no
+/// longer compresses against its owner, since a short owner is no
+/// pointer target; it spells the owner's label again and points at the
+/// origin.
 ///
 /// An `ns_ref` names an NS set by its index in one frame-wide table,
 /// exactly as an `RZUC` chunk entry does: a minimal LEB128 `u32` `r`
@@ -1013,7 +1152,11 @@ pub fn encode_delta_push(
     pushed_at: SimTime,
     delta: &ZoneDelta,
 ) -> Bytes {
-    let mut enc = Encoder::new();
+    // Sized from the delta, so the buffer is not regrown before `freeze`
+    // copies it: the fixed header, the origin, and an estimate per entry.
+    let entries = delta.added.len() + delta.removed.len() + delta.changed.len();
+    let header = 4 + origin.wire_len() + 4 + 4 + 8 + 3 * 4;
+    let mut enc = Encoder::with_capacity(header + entries * DELTA_ENTRY_ESTIMATE);
     enc.buf.put_slice(DELTA_PUSH_MAGIC);
     enc.name(origin);
     enc.buf.put_u32(from_serial.get());
@@ -1098,7 +1241,7 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
 //   travels as an `RZUC` chunk train (below), and a peer that sends the
 //   magic is closed with `BadMagic` like any unknown frame.
 // * `RZUD` — delta envelope (server -> client): a TLD tag followed by an
-//   embedded `RZU3` frame, verbatim — the server writes the broker's
+//   embedded `RZU4` frame, verbatim — the server writes the broker's
 //   refcount-shared frame bytes with no per-subscriber re-encode.
 // * `RZUE` — the former eviction notice: retired — reserved, refused.
 //   A subscriber that falls behind is never dropped; its lagged pushes
@@ -1121,7 +1264,7 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
 
 /// Magic prefix of a subscriber HELLO frame.
 pub const HELLO_MAGIC: &[u8; 4] = b"RZUH";
-/// Magic prefix of a delta-envelope frame (TLD tag + embedded `RZU3`).
+/// Magic prefix of a delta-envelope frame (TLD tag + embedded `RZU4`).
 pub const DELTA_ENVELOPE_MAGIC: &[u8; 4] = b"RZUD";
 
 /// One shard claim in a HELLO: the TLD index (transport-level `u16`, the
@@ -1269,12 +1412,16 @@ const CHUNK_LAST: u8 = 1;
 /// set table. Every chunk carries it; one without it is the pre-table
 /// layout.
 const CHUNK_NS_TABLE: u8 = 2;
-/// `RZUC` flags bit 2: entries spell their owners as an `RZU3` frame
-/// does, a child of the origin as its one label. Every chunk carries it;
-/// one without it spells every owner as a name.
+/// `RZUC` flags bit 2: entries spell a child of the origin as its one
+/// label. Every chunk carries it; one without it spells every owner as
+/// a name.
 const CHUNK_OWNER_LABELS: u8 = 4;
+/// `RZUC` flags bit 3: that label is packed in base 38, as in an `RZU4`
+/// frame. Every chunk carries it; one without it spells the label a
+/// byte a character.
+const CHUNK_PACKED_LABELS: u8 = 8;
 /// The flag bits every `RZUC` chunk carries.
-const CHUNK_LAYOUT: u8 = CHUNK_NS_TABLE | CHUNK_OWNER_LABELS;
+const CHUNK_LAYOUT: u8 = CHUNK_NS_TABLE | CHUNK_OWNER_LABELS | CHUNK_PACKED_LABELS;
 
 /// Encode a snapshot as a sequence of `RZUC` continuation chunks,
 /// starting at entry `start_entry` (a resume offset; pass 0 for the full
@@ -1282,13 +1429,14 @@ const CHUNK_LAYOUT: u8 = CHUNK_NS_TABLE | CHUNK_OWNER_LABELS;
 ///
 /// Each chunk carries `"RZUC"`, `u16` TLD, origin name, `u32` serial,
 /// `u64` taken-at, then `u32` total, `u32` offset, `u8` flags (bit 0 =
-/// last chunk; bit 1 = NS-set table and bit 2 = owner labels, both set
-/// on every chunk), `u32` entry count, then the entries: an owner field
-/// and a reference to its NS set. The owner field is the
-/// [`encode_delta_push`] one: an owner one label under the origin is
-/// `u8` length and the label, any other `0x00` and the name (the
-/// escape byte, and in-bailiwick hosts no longer compressing against
-/// their owner, are the costs of saving the 2-byte origin pointer).
+/// last chunk; bit 1 = NS-set table, bit 2 = owner labels and bit 3 =
+/// packed labels, all three set on every chunk), `u32` entry count,
+/// then the entries: an owner field and a reference to its NS set. The
+/// owner field is the [`encode_delta_push`] one: an owner one label
+/// under the origin is `u8` character count and the label packed in
+/// base 38 (`⌈2L/3⌉` bytes), any other `0x00` and the name (the escape
+/// byte, and in-bailiwick hosts no longer compressing against their
+/// owner, are the costs of saving the 2-byte origin pointer).
 /// The reference is a minimal LEB128 `u32` `r`, read against the
 /// `d` sets the chunk has defined so far: `r < d` names set `r`, and
 /// `r == d` is followed by the set spelled out (`u16` host count, then
@@ -1366,9 +1514,11 @@ pub fn encode_snapshot_chunks(
 /// bookkeeping must be arithmetically consistent — a frame claiming
 /// entries past `total`, or a last flag that disagrees with
 /// `offset + count == total`, is a [`WireError::BadChunk`]. A flags byte
-/// other than the table and owner-label bits plus, optionally, the last
-/// bit is a [`WireError::BadFlags`], and an NS-set reference past the
-/// next definition (or not minimally spelled) a [`WireError::BadNsRef`].
+/// other than the table, owner-label and packed-label bits plus,
+/// optionally, the last bit is a [`WireError::BadFlags`], an NS-set
+/// reference past the next definition (or not minimally spelled) a
+/// [`WireError::BadNsRef`], and a packed group out of range a
+/// [`WireError::BadPackedGroup`].
 pub fn decode_snapshot_chunk(bytes: &[u8]) -> Result<SnapshotChunk, WireError> {
     let mut dec = Decoder::new(bytes);
     if dec.take(4)? != SNAPSHOT_CHUNK_MAGIC {
@@ -1381,8 +1531,8 @@ pub fn decode_snapshot_chunk(bytes: &[u8]) -> Result<SnapshotChunk, WireError> {
     let total = dec.u32()?;
     let offset = dec.u32()?;
     let flags = dec.u8()?;
-    // Unknown bits are a newer layout, a missing table or owner-label
-    // bit an earlier one: none is read as this one.
+    // Unknown bits are a newer layout, a missing table, owner-label or
+    // packed-label bit an earlier one: none is read as this one.
     if flags & !CHUNK_LAST != CHUNK_LAYOUT {
         return Err(WireError::BadFlags(flags));
     }
@@ -1418,7 +1568,7 @@ pub fn peek_snapshot_chunk_offset(bytes: &[u8]) -> Result<u32, WireError> {
 
 /// The fixed 6-byte header of a delta envelope: magic plus the TLD tag.
 /// The transport writer sends this header followed by the broker's
-/// refcount-shared `RZU3` frame bytes verbatim — composing the envelope
+/// refcount-shared `RZU4` frame bytes verbatim — composing the envelope
 /// never re-encodes or copies the delta per subscriber.
 pub fn delta_envelope_header(tld: u16) -> [u8; 6] {
     let mut header = [0u8; 6];
@@ -1440,7 +1590,7 @@ pub fn decode_delta_envelope(bytes: &[u8]) -> Result<(u16, DeltaPush), WireError
     Ok((tld, push))
 }
 
-/// Peek the `(from_serial, to_serial)` pair of a bare `RZU3` delta-push
+/// Peek the `(from_serial, to_serial)` pair of a bare `RZU4` delta-push
 /// frame without decoding its body — the origin name is skipped in
 /// place, nothing is allocated. This is what lets a relay (or the
 /// server's per-subscriber accounting) track how far a verbatim-
@@ -1565,7 +1715,7 @@ counter_set! {
             /// frame, unknown TLD claim).
             rejected_hellos,
             /// Delta envelopes fully flushed (each wraps the shard's
-            /// shared `RZU3` frame verbatim — never re-encoded per
+            /// shared `RZU4` frame verbatim — never re-encoded per
             /// subscriber).
             deltas_sent,
             /// Snapshot bootstraps fully flushed.
@@ -2327,7 +2477,7 @@ mod tests {
         assert_eq!(decode_delta_push(&frame).unwrap().delta, delta);
     }
 
-    /// An `RZU3` header over a root origin with the given section
+    /// An `RZU4` header over a root origin with the given section
     /// counts, then `body`.
     fn delta_frame(counts: [u32; 3], body: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
@@ -2359,10 +2509,10 @@ mod tests {
             assert_eq!(decode_delta_push(&short), Err(WireError::Truncated), "{counts:?}");
         }
         // At the minimum the bound passes and the entry itself is read:
-        // a one-byte label under the root, then a reference past the
-        // next definition.
+        // a one-character label under the root (`a`, digit 12), then a
+        // reference past the next definition.
         let at_min: [([u32; 3], &[u8]); 3] =
-            [([1, 0, 0], &[1, b'a', 1]), ([0, 1, 0], &[1, b'a', 1]), ([0, 0, 1], &[1, b'a', 1, 0])];
+            [([1, 0, 0], &[1, 12, 1]), ([0, 1, 0], &[1, 12, 1]), ([0, 0, 1], &[1, 12, 1, 0])];
         for (counts, body) in at_min {
             let bad_ref = Err(WireError::BadNsRef { index: 1, defined: 0 });
             assert_eq!(decode_delta_push(&delta_frame(counts, body)), bad_ref, "{counts:?}");
@@ -2373,8 +2523,8 @@ mod tests {
     fn delta_push_rejects_bad_magic_and_truncation() {
         assert_eq!(decode_delta_push(b"NOPE"), Err(WireError::BadMagic));
         // The retired layouts — every set spelled out, every owner a
-        // name — are refused too.
-        for magic in [b"RZU1", b"RZU2"] {
+        // name, owner labels a byte a character — are refused too.
+        for magic in [b"RZU1", b"RZU2", b"RZU3"] {
             let mut retired = delta_frame([0, 0, 0], &[]);
             retired[..4].copy_from_slice(magic);
             assert_eq!(decode_delta_push(&retired), Err(WireError::BadMagic));
@@ -2562,10 +2712,12 @@ mod tests {
         oversized.push(CHUNK_LAYOUT); // flags
         oversized.extend_from_slice(&u32::MAX.to_be_bytes()); // count
         assert_eq!(decode_snapshot_chunk(&oversized), Err(WireError::Truncated));
-        // The same frame in the pre-table layout, or in the table layout
-        // with every owner a name, is refused on its flags.
+        // The same frame in the pre-table layout, in the table layout
+        // with every owner a name, or with owner labels a byte a
+        // character, is refused on its flags.
         let flags_at = oversized.len() - 4 - 1;
-        for earlier in [0, CHUNK_NS_TABLE, CHUNK_NS_TABLE | CHUNK_LAST] {
+        let (table, labels) = (CHUNK_NS_TABLE, CHUNK_NS_TABLE | CHUNK_OWNER_LABELS);
+        for earlier in [0, table, table | CHUNK_LAST, labels, labels | CHUNK_LAST] {
             oversized[flags_at] = earlier;
             assert_eq!(decode_snapshot_chunk(&oversized), Err(WireError::BadFlags(earlier)));
         }
@@ -2575,7 +2727,7 @@ mod tests {
         let flags_at = good.len() - 4 - 1 - SNAPSHOT_CHUNK_ENTRY_BYTES;
         assert_eq!(good[flags_at], CHUNK_LAYOUT | CHUNK_LAST);
         bad_flags[flags_at] |= 0x80;
-        assert_eq!(decode_snapshot_chunk(&bad_flags), Err(WireError::BadFlags(0x87)));
+        assert_eq!(decode_snapshot_chunk(&bad_flags), Err(WireError::BadFlags(0x8F)));
 
         // A last flag that disagrees with offset+count == total.
         let mut not_last = good.to_vec();
@@ -2589,7 +2741,7 @@ mod tests {
     /// Byte length of the entry section of the single-entry chunk frame
     /// built above (everything after flags + count), used to locate the
     /// flags byte from the tail: "a.com" is its label under the origin
-    /// (length and "a", 2 bytes), then a 1-byte set reference, the set's
+    /// (length and packed "a", 2 bytes), then a 1-byte set reference, the set's
     /// u16 host count and uncompressed "ns1.x.net" (11 bytes).
     const SNAPSHOT_CHUNK_ENTRY_BYTES: usize = 2 + 1 + 2 + 11;
 
@@ -3069,13 +3221,12 @@ mod tests {
         assert!(chunk.entries.iter().all(|(_, ns)| ns.ptr_eq(shared)));
     }
 
-    /// An entry of a hand-written `RZU3` body: owner `label` under the
-    /// root, as its label, then the reference bytes `reference`, then —
-    /// when `hosts` is given — the set it defines, spelled out without
-    /// compression.
+    /// An entry of a hand-written `RZU4` body: owner `label` under the
+    /// root, as its packed label, then the reference bytes `reference`,
+    /// then — when `hosts` is given — the set it defines, spelled out
+    /// without compression.
     fn delta_entry(label: &str, reference: &[u8], hosts: Option<&[&str]>) -> Vec<u8> {
-        let mut entry = vec![label.len() as u8];
-        entry.extend_from_slice(label.as_bytes());
+        let mut entry = owner_field(label);
         entry.extend_from_slice(reference);
         if let Some(hosts) = hosts {
             entry.extend_from_slice(&(hosts.len() as u16).to_be_bytes());
@@ -3183,46 +3334,125 @@ mod tests {
         frame.len()
     }
 
+    /// `label`'s owner field, as [`Encoder::entry`] writes it.
+    fn owner_field(label: &str) -> Vec<u8> {
+        pack_label(label.as_bytes(), &mut [0; OWNER_FIELD_MAX]).unwrap().to_vec()
+    }
+
     #[test]
     fn owner_labels_trade_bytes_as_the_layout_says() {
-        // Against `RZU2` (every owner a name), measured on these inputs.
+        // Against `RZU2` (every owner a name) and `RZU3` (owner labels a
+        // byte a character), measured on these inputs.
         let provider = |_: &str| vec![name("ns1.provider.net"), name("ns2.provider.net")];
         // Children of the origin on a provider's set: the 2-byte origin
-        // pointer per owner goes, 1 463 → 1 263 B.
-        assert_eq!(hundred_entry_frame("com", provider), 1_263);
+        // pointer per owner goes, then a third of each 10-character
+        // label, 1 463 → 1 263 → 963 B.
+        assert_eq!(hundred_entry_frame("com", provider), 963);
         // In-bailiwick sets: a short owner is no pointer target, so
         // `ns1.<owner>` spells the owner's label again and points at the
-        // origin, 2 837 → 3 737 B. No workload has this shape.
+        // origin, 2 837 → 3 737 → 3 437 B. No workload has this shape.
         let in_bailiwick =
             |owner: &str| vec![name(&format!("ns1.{owner}")), name(&format!("ns2.{owner}"))];
-        assert_eq!(hundred_entry_frame("com", in_bailiwick), 3_737);
+        assert_eq!(hundred_entry_frame("com", in_bailiwick), 3_437);
         // Two-label owners under the root origin are not its children:
-        // the escape byte each, 1 462 → 1 562 B.
+        // the escape byte each, 1 462 → 1 562 → 1 562 B.
         assert_eq!(hundred_entry_frame(".", provider), 1_562);
+    }
+
+    #[test]
+    fn the_packing_alphabet_is_the_label_rules() {
+        // Every byte the label rule keeps as it is inside a label (where
+        // a hyphen may stand), and no other, has a digit. A dot is no
+        // label byte: it splits the text in two.
+        for b in 0..=u8::MAX {
+            let text = [b'a', b, b'a'];
+            let kept = b != b'.'
+                && std::str::from_utf8(&text)
+                    .ok()
+                    .and_then(|t| DomainName::parse(t).ok())
+                    .is_some_and(|n| n.as_str().as_bytes() == text);
+            assert_eq!(PACK_PLACES[0][usize::from(b)] != PACK_OUTSIDE, kept, "byte {b:#04x}");
+        }
+        assert!(PACK_ALPHABET.windows(2).all(|w| w[0] < w[1]), "byte order");
+    }
+
+    #[test]
+    fn labels_pack_three_characters_to_two_bytes() {
+        // Digits: `-` 0, `0` 1 … `9` 10, `_` 11, `a` 12 … `z` 37.
+        for (label, field) in [
+            ("a", &[1, 12][..]),
+            ("z9", &[2, 0x05, 0x88]),       // 37·38 + 10 = 1 416
+            ("_9z", &[3, 0x3F, 0xAD]),      // 11·38² + 10·38 + 37 = 16 301
+            ("zzz", &[3, 0xD6, 0x57]),      // 38³ − 1 = 54 871
+            ("a-b_", &[4, 0x43, 0xBD, 11]), // 12·38² + 0·38 + 13 = 17 341
+            ("0-0", &[3, 0x05, 0xA5]),      // 1·38² + 0 + 1 = 1 445
+        ] {
+            assert_eq!(owner_field(label), field, "{label}");
+        }
+        // `⌈2L/3⌉` bytes behind the length, up to 42 for 63 characters.
+        for len in 1..=63 {
+            assert_eq!(owner_field(&"x".repeat(len)).len(), 1 + (2 * len).div_ceil(3));
+        }
+        // A byte outside the alphabet or an over-long label: no field,
+        // and `Encoder::entry` takes the escape.
+        for label in [&b"Ab"[..], b"a.b", &[b'a'; 64]] {
+            assert_eq!(pack_label(label, &mut [0; OWNER_FIELD_MAX]), None, "{label:?}");
+        }
     }
 
     #[test]
     fn an_owner_label_is_checked_and_refused_like_a_name_label() {
         let one = |owner: &[u8]| delta_frame([1, 0, 0], &[owner, &[0, 0, 0]].concat());
         let decoded = |owner: &[u8]| decode_delta_push(&one(owner)).map(|p| p.delta.added[0].0);
-        // Lowercased through the label rule; 63 bytes is the longest.
-        assert_eq!(decoded(b"\x05MiXed"), Ok(name("mixed")));
-        let l63 = [[63].as_slice(), &[b'a'; 63]].concat();
-        assert_eq!(decoded(&l63).unwrap().as_str().len(), 63);
-        // A refused label keeps the error its text form gives.
+        assert_eq!(decoded(&owner_field("a-b_")), Ok(name("a-b_")));
+        // 63 characters is the longest.
+        let l63 = "a".repeat(63);
+        assert_eq!(decoded(&owner_field(&l63)), Ok(name(&l63)));
+        // Every character the alphabet has, in each position of a group.
+        let all = std::str::from_utf8(PACK_ALPHABET).unwrap();
+        for label in [format!("a{all}a"), format!("aa{all}a"), format!("aaa{all}a")] {
+            assert_eq!(decoded(&owner_field(&label)), Ok(name(&label)));
+        }
+        // Unpacked, a label still passes through the label rule: a
+        // hyphen at an edge keeps the error its text form gives.
         let bad_name = |e: NameError| Err(WireError::BadName(e.to_string()));
-        assert_eq!(decoded(b"\x02a!"), bad_name(NameError::BadCharacter('!')));
-        assert_eq!(decoded(b"\x02-a"), bad_name(NameError::HyphenEdge("-a".into())));
-        assert_eq!(decoded(b"\x03a.b"), Err(WireError::BadName("`.` inside a wire label".into())));
-        assert_eq!(decoded(&[2, 0xC3, 0xA9]), bad_name(NameError::BadCharacter('é')));
+        assert_eq!(decoded(&owner_field("-a")), bad_name(NameError::HyphenEdge("-a".into())));
+        assert_eq!(decoded(&owner_field("ab-")), bad_name(NameError::HyphenEdge("ab-".into())));
         // Neither a label length nor the escape: a pointer, a reserved
-        // label type, a label longer than 63 bytes.
+        // label type, a label longer than 63 characters.
         for byte in [0x40, 0x80, 0xC0, 0xFF] {
             assert_eq!(decoded(&[byte, 0]), Err(WireError::BadLabelType(byte)));
         }
         // The escape takes any name, the root included.
         assert_eq!(decoded(&[0, 1, b'a', 1, b'b', 0]), Ok(name("a.b")));
         assert_eq!(decoded(&[0, 0]), Ok(DomainName::root()));
+        // A packed label cut short is a truncation.
+        let cut = delta_frame([1, 0, 0], &[4, 0x43]);
+        assert_eq!(decode_delta_push(&cut), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn a_packed_group_at_or_above_its_bound_is_refused() {
+        // The lowest and highest out-of-range value of a trailing group
+        // of one (a byte), of two and of a full group of three (a `u16`
+        // each), behind a valid first group.
+        let one = |field: &[u8]| delta_frame([1, 0, 0], &[field, &[0, 0, 0]].concat());
+        let sizes = [(4u8, 1, 38u16, 0xFF), (5, 2, 1_444, 0xFFFF), (6, 2, 54_872, 0xFFFF)];
+        for (len, group, bound, top) in sizes {
+            for value in [bound, bound + 1, top] {
+                let mut field = vec![len, 0x43, 0x98];
+                field.extend_from_slice(&value.to_be_bytes()[2 - group..]);
+                assert_eq!(
+                    decode_delta_push(&one(&field)),
+                    Err(WireError::BadPackedGroup(value)),
+                    "{len} characters, trailing group {value}"
+                );
+            }
+            // One below the bound decodes.
+            let mut field = vec![len, 0x43, 0x98];
+            field.extend_from_slice(&(bound - 1).to_be_bytes()[2 - group..]);
+            assert!(decode_delta_push(&one(&field)).is_ok(), "{len} characters");
+        }
     }
 
     #[test]
@@ -3240,8 +3470,7 @@ mod tests {
         frame.push(0);
         frame.extend_from_slice(&[0; 4 + 4 + 8]);
         frame.extend_from_slice(&[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]);
-        frame.push(63);
-        frame.extend_from_slice(&[b'a'; 63]);
+        frame.extend_from_slice(&owner_field(&"a".repeat(63)));
         frame.extend_from_slice(&[0, 0, 0]);
         let widest = decode_delta_push(&frame).unwrap().delta.added[0].0;
         assert_eq!(widest.as_str().len(), 253);

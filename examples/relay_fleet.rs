@@ -13,7 +13,7 @@
 //! ```
 //!
 //! Each edge's `EndpointMap` route lists *both* relays, preferring its
-//! region's. Deltas cross every tier as the root's exact `RZU3` bytes
+//! region's. Deltas cross every tier as the root's exact `RZU4` bytes
 //! (the relays re-serve the received frames verbatim, never re-encode),
 //! so the bandwidth and encode cost per delta is flat in tree depth.
 //!

@@ -86,7 +86,7 @@ fn main() {
     );
     let addr = server.listen_tcp("127.0.0.1:0").expect("bind loopback");
     println!(
-        "broker over 3 TLDs (seed {seed}) serving RZU3 frames on tcp://{addr} — {} pushes pending",
+        "broker over 3 TLDs (seed {seed}) serving RZU4 frames on tcp://{addr} — {} pushes pending",
         feed.pending()
     );
 

@@ -43,7 +43,7 @@ cargo test -q --release --test proptest_broker --test broker_fleet --test transp
 
 # The relay fault suite again in release: the relay thread races the
 # root's writer, the leaf's pump and the fault scripts, and its
-# byte-identity pin (depth-2/3 leaves see the root's exact RZU3 bytes)
+# byte-identity pin (depth-2/3 leaves see the root's exact RZU4 bytes)
 # plus the chunked-snapshot resume accounting are exactly the kind of
 # invariants that only break under optimised timing.
 echo "==> cargo test -q --release (relay fault suite)"
@@ -115,7 +115,7 @@ cargo test -q --release --offline --manifest-path rzu_bench/Cargo.toml
 # contract; a change that moves them on purpose edits both.
 echo "==> rzu_bench wire bytes (exact, seeds 1 and 7)"
 for seed in 1 7; do
-    for expect in relay_chain=1846 edge_visibility=1948 edge_lookup=106 cold_catchup=1836954; do
+    for expect in relay_chain=1446 edge_visibility=1548 edge_lookup=106 cold_catchup=1359554; do
         workload=${expect%=*}
         bytes=${expect#*=}
         result=$(cargo run --release --quiet --offline --manifest-path rzu_bench/Cargo.toml -- \

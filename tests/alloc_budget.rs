@@ -199,7 +199,7 @@ fn chunk_train_decode_and_assembly_is_per_chunk_and_per_set() {
         SimTime::from_secs(60),
         entries(ENTRIES, &sets),
     );
-    let train = encode_snapshot_chunks(4, &snapshot, 0, 64 << 10);
+    let train = encode_snapshot_chunks(4, &snapshot, 0, 32 << 10);
     let chunks = train.len() as u64;
     assert!(chunks >= 4, "the train must be several chunks, got {chunks}");
 
@@ -298,7 +298,7 @@ fn a_chunk_train_is_assembled_in_one_copy_of_the_zone() {
             SimTime::from_secs(60),
             entries(size, &sets),
         );
-        let train = encode_snapshot_chunks(4, &snapshot, 0, 64 << 10);
+        let train = encode_snapshot_chunks(4, &snapshot, 0, 32 << 10);
         assert!(train.len() >= 4, "a {size}-entry train must be several chunks");
         // The largest chunk as decoded: its entry vector and NS sets.
         let largest = train
@@ -327,7 +327,7 @@ fn a_chunk_train_is_assembled_in_one_copy_of_the_zone() {
     }
 }
 
-/// Allocations to decode the `RZU3` frame of a delta adding `added`.
+/// Allocations to decode the `RZU4` frame of a delta adding `added`.
 fn delta_decode_allocs(added: Vec<(DomainName, NsSet)>) -> u64 {
     let delta = ZoneDelta { added, ..ZoneDelta::default() };
     let frame =
@@ -390,8 +390,9 @@ fn encoders_allocate_for_table_and_buffer_growth_only() {
     // grow with what a chunk's NS sets spell, not with its entries: the
     // set table to the distinct sets, the compression table to the
     // origin and the hosts' suffixes (per provider its two hosts and its
-    // domain, then the shared hosting domain and `net`). Measured: 15
-    // allocations for this 4-chunk train; the budget is that plus 4.
+    // domain, then the shared hosting domain and `net`). Measured: 14
+    // allocations for this 3-chunk train (4 chunks and 15 before owner
+    // labels were packed); the budget is that plus 4.
     let (train, allocs) = counting(|| encode_snapshot_chunks(4, &snapshot, 0, 64 << 10));
     let chunks = train.len() as u64;
     let bits = |n: usize| u64::from(usize::BITS - n.leading_zeros());
@@ -403,7 +404,13 @@ fn encoders_allocate_for_table_and_buffer_growth_only() {
     let (_, allocs) = counting(|| {
         encode_delta_push(&name("com"), Serial::new(1), Serial::new(2), SimTime::ZERO, &delta)
     });
-    assert!(allocs <= 20, "{allocs} allocations to encode a 100-entry delta");
+    // The buffer is reserved from the delta's section counts, so it is
+    // not regrown from a 512-byte start on its way to the frame. This
+    // frame's long owners and 16 provider sets average 31 bytes an entry
+    // against the 16 reserved, so it regrows once (a `relay_chain`
+    // frame, at 14.5, never does); the rest is the two tables' doublings
+    // and the frozen copy. Measured: 11, down from 13.
+    assert!(allocs <= 11, "{allocs} allocations to encode a 100-entry delta");
 
     let queries: Vec<LookupQuery> =
         all[..64].iter().map(|(owner, _)| LookupQuery { tld: 0, name: *owner }).collect();

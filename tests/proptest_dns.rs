@@ -720,10 +720,10 @@ mod train_assembly {
 // layout's rules alone (no name compression) decodes the same; a
 // damaged chunk decodes or errs, never panics; and a reference past the
 // next definition, a reference spelled long, and a chunk without the
-// table or owner-label bit each give their own error. An `RZU3` delta
-// frame names its sets through the same table, one per frame across all
-// three sections: any delta round-trips, every use of a set shares one
-// `NsSet`, and a set named again costs one byte.
+// table, owner-label or packed-label bit each give their own error. An
+// `RZU4` delta frame names its sets through the same table, one per
+// frame across all three sections: any delta round-trips, every use of
+// a set shares one `NsSet`, and a set named again costs one byte.
 mod ns_table {
     use super::*;
     use darkdns::dns::diff::NsChange;
@@ -809,18 +809,46 @@ mod ns_table {
         frame.push(value as u8);
     }
 
+    /// The label rule's 38 symbols in byte order: a character's base-38
+    /// digit is its index.
+    const ALPHABET: &str = "-0123456789_abcdefghijklmnopqrstuvwxyz";
+
+    /// A label as an owner field spells it: its character count, then
+    /// each group of three characters as the big-endian `u16` of its
+    /// base-38 digits, a trailing group of two as a `u16`, of one as a
+    /// byte.
+    pub(super) fn put_packed(frame: &mut Vec<u8>, label: &str) {
+        frame.push(label.len() as u8);
+        for group in label.as_bytes().chunks(3) {
+            let digit = |c: &u8| ALPHABET.find(*c as char).expect("a label symbol") as u16;
+            let value = group.iter().fold(0, |v, c| v * 38 + digit(c));
+            let bytes = value.to_be_bytes();
+            frame.extend_from_slice(if group.len() == 1 { &bytes[1..] } else { &bytes });
+        }
+    }
+
     /// An entry's owner field by the layout's rules: an owner exactly one
-    /// label under `origin` as that label, any other behind the escape,
+    /// label under `origin` as that label, packed (or, in the layout
+    /// before packing, a byte a character), any other behind the escape,
     /// spelled out.
-    pub(super) fn put_owner(frame: &mut Vec<u8>, owner: &DomainName, origin: &DomainName) {
+    fn put_owner_field(frame: &mut Vec<u8>, owner: &DomainName, origin: &DomainName, packed: bool) {
         if owner.parent() == Some(*origin) {
             let label = owner.labels()[0];
-            frame.push(label.len() as u8);
-            frame.extend_from_slice(label.as_bytes());
+            if packed {
+                put_packed(frame, label);
+            } else {
+                frame.push(label.len() as u8);
+                frame.extend_from_slice(label.as_bytes());
+            }
         } else {
             frame.push(0);
             put_name(frame, owner);
         }
+    }
+
+    /// An entry's owner field as the current layout spells it.
+    pub(super) fn put_owner(frame: &mut Vec<u8>, owner: &DomainName, origin: &DomainName) {
+        put_owner_field(frame, owner, origin, true);
     }
 
     /// Spells a replacement reference from an entry's own index and the
@@ -830,11 +858,12 @@ mod ns_table {
     /// The whole snapshot as one chunk, written from the layout's rules:
     /// names spelled out, each entry's set referenced by content, each
     /// owner a field when `flags` has the owner-label bit and a name
-    /// otherwise (the layout before it). Entry
+    /// otherwise (the layout before it), its label packed when `flags`
+    /// has the packed-label bit too. Entry
     /// `bad.0`'s reference is replaced by the bytes `bad.1` makes of its
     /// index and the sets defined before it. Returns the frame and, per
     /// entry, `(index, defined)`.
-    fn hand_chunk(
+    pub(super) fn hand_chunk(
         snap: &ZoneSnapshot,
         flags: u8,
         bad: Option<(usize, &Spell)>,
@@ -853,7 +882,7 @@ mod ns_table {
         for (i, (owner, ns)) in snap.entries().enumerate() {
             match flags & 0b100 {
                 0 => put_name(&mut frame, owner),
-                _ => put_owner(&mut frame, owner, snap.origin()),
+                _ => put_owner_field(&mut frame, owner, snap.origin(), flags & 0b1000 != 0),
             }
             let defined = table.len() as u32;
             let index = *table.entry(ns.as_slice()).or_insert(defined);
@@ -908,12 +937,13 @@ mod ns_table {
             let _ = decode_snapshot_chunk(&flipped);
 
             // The layout written by hand decodes to the same entries.
-            let (hand, refs) = hand_chunk(&snap, 0b111, None);
+            let (hand, refs) = hand_chunk(&snap, 0b1111, None);
             prop_assert_eq!(decode_snapshot_chunk(&hand).unwrap().entries, expected);
-            // Without the owner-label bit it is the table layout with
-            // every owner a name, without the table bit too the
-            // pre-table layout: both refused.
-            for flags in [0b011, 0b010, 0b001, 0b000] {
+            // Without the packed-label bit it is the layout with owner
+            // labels a byte a character, without the owner-label bit too
+            // the table layout with every owner a name, without the
+            // table bit too the pre-table layout: all refused.
+            for flags in [0b0111, 0b0110, 0b011, 0b010, 0b001, 0b000] {
                 let (old, _) = hand_chunk(&snap, flags, None);
                 prop_assert_eq!(decode_snapshot_chunk(&old), Err(WireError::BadFlags(flags)));
             }
@@ -925,7 +955,7 @@ mod ns_table {
                 put_leb128(&mut spelled, defined + excess - 1);
                 spelled
             };
-            let (frame, _) = hand_chunk(&snap, 0b111, Some((bad, &past)));
+            let (frame, _) = hand_chunk(&snap, 0b1111, Some((bad, &past)));
             prop_assert_eq!(
                 decode_snapshot_chunk(&frame),
                 Err(WireError::BadNsRef { index: defined + excess - 1, defined })
@@ -938,7 +968,7 @@ mod ns_table {
                 spelled.push(0);
                 spelled
             };
-            let (frame, _) = hand_chunk(&snap, 0b111, Some((bad, &long)));
+            let (frame, _) = hand_chunk(&snap, 0b1111, Some((bad, &long)));
             prop_assert_eq!(
                 decode_snapshot_chunk(&frame),
                 Err(WireError::BadNsRef { index: u32::MAX, defined }),
@@ -1327,22 +1357,24 @@ mod stats_codec {
     }
 }
 
-// Owner fields (`RZU3` deltas and `RZUC` chunks): an owner one label
-// under the frame's origin travels as that label, any other behind the
-// `0x00` escape. Whatever the mix of owners — children of the origin,
-// deeper names, names outside it, one-label names under the root
-// origin, 63-byte labels, children filling a name to 253 bytes, and
-// children whose entry defines a set of hosts under them — both
-// families round-trip, and the decoder takes any owner behind the
-// escape, spelled out in full. A child naming a set the frame already
-// defined costs its label and two bytes. Garbage behind a valid `RZU3`
-// header or a valid owner-label chunk header decodes or errs, never
-// panics.
+// Owner fields (`RZU4` deltas and `RZUC` chunks): an owner one label
+// under the frame's origin travels as that label packed in base 38, any
+// other behind the `0x00` escape. Whatever the mix of owners — children
+// of the origin, deeper names, names outside it, one-label names under
+// the root origin, 63-byte labels, children filling a name to 253
+// bytes, and children whose entry defines a set of hosts under them —
+// both families round-trip, and the decoder takes any owner behind the
+// escape, spelled out in full. Any label of 1–63 characters from all 38
+// symbols round-trips packed, and a packed group at or above its bound
+// is refused wherever it stands. A child naming a set the frame already
+// defined costs its packed label (`⌈2L/3⌉` bytes) and two bytes.
+// Garbage behind a valid `RZU4` header or a valid chunk header decodes
+// or errs, never panics.
 mod owner_labels {
-    use super::ns_table::{put_leb128, put_name, put_owner};
+    use super::ns_table::{hand_chunk, put_leb128, put_name, put_owner, put_packed};
     use super::*;
     use darkdns::dns::diff::NsChange;
-    use darkdns::dns::wire::{encode_delta_push, SNAPSHOT_CHUNK_MAGIC};
+    use darkdns::dns::wire::{encode_delta_push, WireError, SNAPSHOT_CHUNK_MAGIC};
     use darkdns::dns::{NsSet, ZoneDelta};
     use std::collections::HashMap;
 
@@ -1387,6 +1419,12 @@ mod owner_labels {
             return Some((owner, set));
         }
         Some((owner, pool[pick % pool.len()].clone()))
+    }
+
+    /// A label of 1–63 characters from all 38 symbols of the alphabet,
+    /// `-` anywhere but at an edge.
+    fn packable_label() -> impl Strategy<Value = String> {
+        "[a-z0-9_]([a-z0-9_-]{0,61}[a-z0-9_])?"
     }
 
     fn entries_strategy() -> impl Strategy<Value = Vec<(u8, String, String, usize)>> {
@@ -1515,15 +1553,113 @@ mod owner_labels {
             let label = "zz-fresh-child-label";
             let mut named = delta.clone();
             named.added.push((origin.child(label).unwrap(), entries[0].1.clone()));
-            // Length, label, one-byte reference (fewer than 128 sets).
+            // Length, packed label, one-byte reference (fewer than 128
+            // sets).
             let grown = encode(&origin, &named);
-            prop_assert_eq!(grown.len(), frame.len() + 1 + label.len() + 1);
+            prop_assert_eq!(grown.len(), frame.len() + 1 + (2 * label.len()).div_ceil(3) + 1);
             prop_assert_eq!(decode_delta_push(&grown).unwrap().delta, named);
         }
 
+        #[test]
+        fn any_label_of_the_alphabet_round_trips_packed_in_deltas_and_chunks(
+            origin in origin_strategy(),
+            labels in prop::collection::vec(packable_label(), 1..16),
+            sets in sets_strategy(),
+            chunk_bytes in 64usize..4096,
+        ) {
+            // Each label once, where it fits under the origin.
+            let mut owners: Vec<DomainName> =
+                labels.iter().filter_map(|label| origin.child(label).ok()).collect();
+            owners.sort();
+            owners.dedup();
+            if owners.is_empty() {
+                return Ok(());
+            }
+            let pool: Vec<NsSet> = sets.into_iter().map(NsSet::new).collect();
+            let on = |pool: &[NsSet]| -> Vec<(DomainName, NsSet)> {
+                owners.iter().enumerate().map(|(i, o)| (*o, pool[i % pool.len()].clone())).collect()
+            };
+            let entries = on(&pool);
+            let delta = ZoneDelta { added: entries.clone(), ..ZoneDelta::default() };
+            prop_assert_eq!(&decode_delta_push(&encode(&origin, &delta)).unwrap().delta, &delta);
+            let snap = ZoneSnapshot::from_entries(
+                origin,
+                Serial::new(3),
+                SimTime::ZERO,
+                entries.iter().map(|(owner, ns)| (*owner, ns.as_slice().to_vec())).collect(),
+            );
+            let mut decoded = Vec::new();
+            for frame in encode_snapshot_chunks(0, &snap, 0, chunk_bytes) {
+                decoded.extend(decode_snapshot_chunk(&frame).unwrap().entries);
+            }
+            let expected: Vec<_> = snap.iter().map(|(d, ns)| (d, ns.clone())).collect();
+            prop_assert_eq!(decoded, expected);
+
+            // With no host to compress, each family's bytes are the ones
+            // the layout's rules spell by hand: the owner fields packed
+            // as `put_packed` packs them.
+            let bare = on(&[NsSet::new(vec![])]);
+            let delta = ZoneDelta { added: bare.clone(), ..ZoneDelta::default() };
+            let hand = hand_delta(&origin, &bare, |frame, owner| put_owner(frame, owner, &origin));
+            prop_assert_eq!(encode(&origin, &delta), hand);
+            let snap = ZoneSnapshot::from_entries(
+                origin,
+                Serial::new(3),
+                SimTime::ZERO,
+                bare.iter().map(|(owner, _)| (*owner, vec![])).collect(),
+            );
+            let train = encode_snapshot_chunks(0, &snap, 0, 1 << 16);
+            prop_assert_eq!(train.len(), 1);
+            prop_assert_eq!(train[0].to_vec(), hand_chunk(&snap, 0b1111, None).0);
+        }
+
+        #[test]
+        fn a_packed_group_out_of_range_is_refused_wherever_it_stands(
+            label in packable_label(),
+            pick in any::<usize>(),
+            excess in any::<u16>(),
+        ) {
+            // Spoil one group of the label's field: a group of `chars`
+            // characters, at or above 38^chars, in its byte or two.
+            let mut field = Vec::new();
+            put_packed(&mut field, &label);
+            let group = pick % label.len().div_ceil(3);
+            let chars = (label.len() - 3 * group).min(3);
+            let width = if chars == 1 { 1 } else { 2 };
+            let bound = 38u32.pow(chars as u32);
+            let top = if width == 1 { 0xFF } else { 0xFFFF };
+            let value = (bound + u32::from(excess) % (top - bound + 1)) as u16;
+            let at = 1 + 2 * group;
+            field[at..at + width].copy_from_slice(&value.to_be_bytes()[2 - width..]);
+            // One entry under the root origin, defining an empty set 0.
+            let body = [field.as_slice(), &[0, 0, 0]].concat();
+            let refused = Some(WireError::BadPackedGroup(value));
+
+            let mut frame = DELTA_PUSH_MAGIC.to_vec();
+            frame.push(0);
+            frame.extend_from_slice(&[0; 4 + 4 + 8]);
+            for count in [1u32, 0, 0] {
+                frame.extend_from_slice(&count.to_be_bytes());
+            }
+            frame.extend_from_slice(&body);
+            prop_assert_eq!(decode_delta_push(&frame).err(), refused.clone());
+
+            let mut chunk = SNAPSHOT_CHUNK_MAGIC.to_vec();
+            chunk.extend_from_slice(&0u16.to_be_bytes());
+            chunk.push(0);
+            chunk.extend_from_slice(&[0; 4 + 8]);
+            chunk.extend_from_slice(&1u32.to_be_bytes()); // total
+            chunk.extend_from_slice(&0u32.to_be_bytes()); // offset
+            chunk.push(0b1111);
+            chunk.extend_from_slice(&1u32.to_be_bytes());
+            chunk.extend_from_slice(&body);
+            prop_assert_eq!(decode_snapshot_chunk(&chunk).err(), refused);
+        }
+
         // The garbage properties above, behind a whole header, so the
-        // fuzz bytes reach the owner fields: an `RZU3` frame's section
-        // counts and a chunk's flags (owner-label bit set) and count.
+        // fuzz bytes reach the owner fields: an `RZU4` frame's section
+        // counts and a chunk's flags (owner-label and packed-label bits
+        // set) and count.
         #[test]
         fn owner_fields_never_panic_behind_valid_headers(
             origin in origin_strategy(),
@@ -1547,7 +1683,7 @@ mod owner_labels {
             chunk.extend_from_slice(&[0; 4 + 8]);
             chunk.extend_from_slice(&count.to_be_bytes()); // total
             chunk.extend_from_slice(&0u32.to_be_bytes()); // offset
-            chunk.push(0b110 | u8::from(last));
+            chunk.push(0b1110 | u8::from(last));
             chunk.extend_from_slice(&count.to_be_bytes());
             chunk.extend_from_slice(&body);
             let _ = decode_snapshot_chunk(&chunk);

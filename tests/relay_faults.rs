@@ -7,7 +7,7 @@
 //! in-memory duplex pipe (same framing state machine as TCP), then
 //! injects scripted faults at specific tiers. The invariants pinned:
 //!
-//! * **verbatim re-serve**: a leaf at depth 2 receives `RZU3` frames
+//! * **verbatim re-serve**: a leaf at depth 2 receives `RZU4` frames
 //!   byte-identical to the root publisher's one-time encoding;
 //! * **one resync per fault, at the faulted tier only**: cutting
 //!   root→relay heals with exactly one relay resync and zero leaf
@@ -140,7 +140,7 @@ fn assert_view_matches_head(
 }
 
 /// Drive a raw [`TransportClient`] until it has seen `want` delta
-/// frames, returning `to_serial → raw RZU3 bytes` for each.
+/// frames, returning `to_serial → raw RZU4 bytes` for each.
 fn collect_delta_frames(client: &mut TransportClient, want: usize) -> BTreeMap<u32, Vec<u8>> {
     let mut frames = BTreeMap::new();
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -160,7 +160,7 @@ fn collect_delta_frames(client: &mut TransportClient, want: usize) -> BTreeMap<u
 #[test]
 fn depth_two_leaf_receives_byte_identical_root_frames() {
     // Root publishes once; a relay re-serves; clients at depth 1 (on
-    // the root) and depth 2 (on the relay) must observe RZU3 frames
+    // the root) and depth 2 (on the relay) must observe RZU4 frames
     // byte-identical to each other AND to the root's canonical
     // encoding — encode-once survives the extra hop.
     const PUSHES: u32 = 8;

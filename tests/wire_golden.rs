@@ -4,13 +4,13 @@
 //! keyed, `labels()`-walking encoder of PR 12 (commit 46f065f) produced
 //! for the inputs built below; the allocation-free encoder that replaced
 //! it must reproduce every one of them byte for byte; a vector added
-//! with a later layout (`rzu3*`, `rzuc_owner*`, `rzua`) holds the bytes of the
-//! encoder that introduced it. Relays re-serve delta frames verbatim
+//! with a later layout (`rzu4*`, `rzuc_packed*`, `rzua`) holds the bytes
+//! of the encoder that introduced it. Relays re-serve delta frames verbatim
 //! and the benchmark gates `wire_bytes_per_op` exactly, so a codec
 //! "optimisation" that moves a single compression
 //! pointer is a protocol change, not a refactor — these vectors are what
 //! says so. They double as ROADMAP's "legacy layouts as pinned test
-//! vectors" for the `Message`, `RZU3`, `RZUC`, `RZUL` and `RZUA` frames.
+//! vectors" for the `Message`, `RZU4`, `RZUC`, `RZUL` and `RZUA` frames.
 //!
 //! The lookup family: `rzul.hex` pins the `RZUL` request and
 //! `rzua.hex` the `RZUA` response, two frames: one over present and
@@ -25,26 +25,31 @@
 //! it: the family was retired in PR 22, nothing encodes or decodes it,
 //! and the vector now feeds the test that a client refuses it.
 //!
-//! The delta family: `rzu3.hex`, `rzu3_com.hex` and `rzu3_big.hex` pin
-//! the `RZU3` layout, whose NS sets are named through a frame-wide
-//! table like an `RZUC` chunk's and whose owners travel as their one
-//! label under the origin. The first and last delta in the retired
-//! layouts are refusal vectors, never edited: `rzu1.hex` and
-//! `rzu1_big.hex` spelled every NS set out, and `rzu2.hex` and
-//! `rzu2_big.hex` spelled every owner as a name compressed against the
-//! origin. A decoder, the serial peek and a client must refuse each on
-//! its magic.
+//! The delta family: `rzu4.hex`, `rzu4_com.hex`, `rzu4_big.hex` and
+//! `rzu4_labels.hex` pin the `RZU4` layout, whose NS sets are named
+//! through a frame-wide table like an `RZUC` chunk's and whose owners
+//! travel as their one label under the origin, packed in base 38.
+//! `rzu4_labels` covers labels of every length class mod 3, `-` and
+//! `_`, and an owner behind the escape. The retired layouts are refusal
+//! vectors, never edited: `rzu1.hex` and `rzu1_big.hex` spelled every NS
+//! set out, `rzu2.hex` and `rzu2_big.hex` spelled every owner as a name
+//! compressed against the origin, and `rzu3.hex`, `rzu3_com.hex` and
+//! `rzu3_big.hex` spelled owner labels a byte a character. A decoder,
+//! the serial peek and a client must refuse each on its magic.
 //!
-//! The chunk family: `rzuc_owner.hex` and `rzuc_owner_resumed.hex` (a
-//! train from offset 0 and from a resume offset) and `rzuc_owner_big.hex`
+//! The chunk family: `rzuc_packed.hex` and `rzuc_packed_resumed.hex` (a
+//! train from offset 0 and from a resume offset), `rzuc_packed_big.hex`
 //! (one chunk past 16 KiB, whose late-defined sets are still named by
-//! one byte each) pin the `RZUC` bytes, flags bits 1 (NS-set table) and
-//! 2 (owner labels) set. The earlier trains are refusal vectors, each
-//! frame refused on its flags byte rather than misread: `rzuc.hex` and
-//! `rzuc_resumed.hex` in the pre-table layout (every entry's NS set
-//! spelled out, bit 1 clear), and `rzuc_table.hex`,
+//! one byte each) and `rzuc_packed_labels.hex` (the `rzu4_labels`
+//! owners) pin the `RZUC` bytes, flags bits 1 (NS-set table), 2 (owner
+//! labels) and 3 (packed labels) set. The earlier trains are refusal
+//! vectors, each frame refused on its flags byte rather than misread:
+//! `rzuc.hex` and `rzuc_resumed.hex` in the pre-table layout (every
+//! entry's NS set spelled out, bit 1 clear), `rzuc_table.hex`,
 //! `rzuc_table_resumed.hex` and `rzuc_table_big.hex` with the table but
-//! every owner a name (bit 2 clear).
+//! every owner a name (bit 2 clear), and `rzuc_owner.hex`,
+//! `rzuc_owner_resumed.hex` and `rzuc_owner_big.hex` with owner labels
+//! a byte a character (bit 3 clear).
 //!
 //! The `rzuh*` vectors pin the HELLO family the same way — bytes from
 //! the three encoders that stood before the upstream-link refactor
@@ -68,7 +73,7 @@
 //! blank line between the frames of a multi-frame vector.
 //!
 //! What the inputs cover: a root origin; owners as their label under
-//! the origin (in `rzu3_com`) and behind the escape (outside the
+//! the origin (in `rzu4_com`) and behind the escape (outside the
 //! origin, and under the root origin); inline (≤ 22 bytes) and interned
 //! names; NS hosts both
 //! first-seen and repeated; suffixes that
@@ -177,7 +182,7 @@ fn delta() -> ZoneDelta {
     delta
 }
 
-fn rzu3() -> Vec<u8> {
+fn rzu4() -> Vec<u8> {
     encode_delta_push(
         &DomainName::root(),
         Serial::new(41),
@@ -190,7 +195,7 @@ fn rzu3() -> Vec<u8> {
 
 /// [`delta`] under `com`: owner labels (`alpha`, `moved`, the interned
 /// one) beside owners outside the origin behind the escape.
-fn rzu3_com() -> Vec<u8> {
+fn rzu4_com() -> Vec<u8> {
     encode_delta_push(
         &name("com"),
         Serial::new(41),
@@ -207,7 +212,7 @@ fn rzu3_com() -> Vec<u8> {
 /// `late.never-a-pointer-target.example` (no suffix of which occurs
 /// earlier) first appears after that point and is then reused by the
 /// remaining entries' sets — spelled out in full every time.
-fn rzu3_big() -> Vec<u8> {
+fn rzu4_big() -> Vec<u8> {
     let mut delta = ZoneDelta::default();
     for i in 0..700u32 {
         let own = format!("ns.host-{i:04}.provider{}.net", i % 7);
@@ -226,6 +231,63 @@ fn rzu3_big() -> Vec<u8> {
         &delta,
     )
     .to_vec()
+}
+
+/// Labels under `com` of every length class mod 3 (1 to 6 characters,
+/// and 61 to 63), with `-` and `_` and the alphabet's first and last
+/// symbols, on two sets; `www.example.com` is the one owner behind the
+/// escape.
+fn label_entries() -> Vec<(DomainName, NsSet)> {
+    let long = format!("q{}", "-_9".repeat(20));
+    let labels = [
+        "a",
+        "z9",
+        "_tc",
+        "a-b_",
+        "x--y_",
+        "0-_-_9",
+        "_",
+        "zz",
+        "zzz",
+        long.as_str(),
+        &format!("{long}z"),
+        &format!("{long}zz"),
+    ];
+    let sets = [ns(&["ns1.cloudflare.com", "ns2.cloudflare.com"]), ns(&["ns.x_y-z.example"])];
+    labels
+        .iter()
+        .map(|label| name(&format!("{label}.com")))
+        .chain([name("www.example.com")])
+        .enumerate()
+        .map(|(i, owner)| (owner, sets[i % 2].clone()))
+        .collect()
+}
+
+/// [`label_entries`] in all three sections: the last but one removed,
+/// the last (the escaped owner) moved to the other set.
+fn label_delta() -> ZoneDelta {
+    let mut added = label_entries();
+    let (moved, old_ns) = added.pop().unwrap();
+    let removed = vec![added.pop().unwrap()];
+    let new_ns = added[0].1.clone();
+    ZoneDelta { added, removed, changed: vec![NsChange { domain: moved, old_ns, new_ns }] }
+}
+
+fn rzu4_labels() -> Vec<u8> {
+    encode_delta_push(
+        &name("com"),
+        Serial::new(9),
+        Serial::new(10),
+        SimTime::from_secs(3_600),
+        &label_delta(),
+    )
+    .to_vec()
+}
+
+fn label_snapshot() -> ZoneSnapshot {
+    let entries =
+        label_entries().into_iter().map(|(owner, ns)| (owner, ns.as_slice().to_vec())).collect();
+    ZoneSnapshot::from_entries(name("com"), Serial::new(10), SimTime::from_secs(3_600), entries)
 }
 
 fn snapshot() -> ZoneSnapshot {
@@ -459,12 +521,14 @@ fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
     };
     vec![
         ("message", vec![message().encode()]),
-        ("rzu3", vec![rzu3()]),
-        ("rzu3_com", vec![rzu3_com()]),
-        ("rzu3_big", vec![rzu3_big()]),
-        ("rzuc_owner", train(snapshot(), 0, 256)),
-        ("rzuc_owner_resumed", train(snapshot(), 29, 256)),
-        ("rzuc_owner_big", train(big_snapshot(), 0, 1 << 20)),
+        ("rzu4", vec![rzu4()]),
+        ("rzu4_com", vec![rzu4_com()]),
+        ("rzu4_big", vec![rzu4_big()]),
+        ("rzu4_labels", vec![rzu4_labels()]),
+        ("rzuc_packed", train(snapshot(), 0, 256)),
+        ("rzuc_packed_resumed", train(snapshot(), 29, 256)),
+        ("rzuc_packed_big", train(big_snapshot(), 0, 1 << 20)),
+        ("rzuc_packed_labels", train(label_snapshot(), 0, 128)),
         ("rzul", vec![rzul()]),
         ("rzua", rzua()),
         ("rzuh", vec![encode_hello(&hello(vec![])).to_vec()]),
@@ -552,22 +616,25 @@ fn golden_frames_decode_to_their_inputs() {
     // the parent's bytes fails this test.
     assert_eq!(Message::decode(&fixture("message")[0]).unwrap(), message());
 
-    let push = decode_delta_push(&fixture("rzu3")[0]).unwrap();
+    let push = decode_delta_push(&fixture("rzu4")[0]).unwrap();
     assert!(push.origin.is_root());
     assert_eq!((push.from_serial, push.to_serial), (Serial::new(41), Serial::new(45)));
     assert_eq!(push.delta, delta());
-    let push = decode_delta_push(&fixture("rzu3_com")[0]).unwrap();
+    let push = decode_delta_push(&fixture("rzu4_com")[0]).unwrap();
     assert_eq!(push.origin, name("com"));
     assert_eq!(push.delta, delta());
+    let push = decode_delta_push(&fixture("rzu4_labels")[0]).unwrap();
+    assert_eq!(push.delta, label_delta());
 
-    let big = decode_delta_push(&fixture("rzu3_big")[0]).unwrap();
+    let big = decode_delta_push(&fixture("rzu4_big")[0]).unwrap();
     assert_eq!(big.delta.added.len(), 700);
     assert_eq!(big.delta.added[650].1.as_slice()[0], name("late.never-a-pointer-target.example"));
 
     for (vector, snap, start) in [
-        ("rzuc_owner", snapshot(), 0usize),
-        ("rzuc_owner_resumed", snapshot(), 29),
-        ("rzuc_owner_big", big_snapshot(), 0),
+        ("rzuc_packed", snapshot(), 0usize),
+        ("rzuc_packed_resumed", snapshot(), 29),
+        ("rzuc_packed_big", big_snapshot(), 0),
+        ("rzuc_packed_labels", label_snapshot(), 0),
     ] {
         let mut offset = start;
         for frame in fixture(vector) {
@@ -656,22 +723,29 @@ fn retired_rzus_frame_is_refused_with_claims_and_chunk_progress_untouched() {
 
 #[test]
 fn retired_rzu1_frames_are_refused_by_codec_and_client() {
-    // The delta layouts that spelled every NS set out (`RZU1`) and every
-    // owner as a name (`RZU2`): their magics are reserved, and both the
-    // decoder and the serial peek a relay runs refuse them rather than
-    // misread a `u16` host count as a reference, or an owner's label
-    // and origin pointer as a short owner field.
-    for (vector, magic) in
-        [("rzu1", b"RZU1"), ("rzu1_big", b"RZU1"), ("rzu2", b"RZU2"), ("rzu2_big", b"RZU2")]
-    {
+    // The delta layouts that spelled every NS set out (`RZU1`), every
+    // owner as a name (`RZU2`) and owner labels a byte a character
+    // (`RZU3`): their magics are reserved, and both the decoder and the
+    // serial peek a relay runs refuse them rather than misread a `u16`
+    // host count as a reference, an owner's label and origin pointer as
+    // a short owner field, or a label's text as its packed groups.
+    for (vector, magic) in [
+        ("rzu1", b"RZU1"),
+        ("rzu1_big", b"RZU1"),
+        ("rzu2", b"RZU2"),
+        ("rzu2_big", b"RZU2"),
+        ("rzu3", b"RZU3"),
+        ("rzu3_com", b"RZU3"),
+        ("rzu3_big", b"RZU3"),
+    ] {
         let frame = fixture(vector).remove(0);
         assert_eq!(&frame[..4], magic, "{vector}");
         assert_eq!(decode_delta_push(&frame), Err(WireError::BadMagic), "{vector}");
         assert_eq!(peek_delta_push_serials(&frame), Err(WireError::BadMagic), "{vector}");
     }
     // Carried in a delta envelope for the shard the client is mid-train
-    // on, either closes the connection like any unknown magic.
-    for vector in ["rzu1", "rzu2"] {
+    // on, each closes the connection like any unknown magic.
+    for vector in ["rzu1", "rzu2", "rzu3_com"] {
         let mut envelope = delta_envelope_header(3).to_vec();
         envelope.extend_from_slice(&fixture(vector)[0]);
         assert_client_refuses(&envelope, &format!("RZUD + {vector}"));
@@ -795,9 +869,9 @@ fn pre_table_rzuc_frames_are_refused_on_their_flags() {
     // stands. Read as the table layout, the first set's `u16` count
     // would be a reference; the flags byte refuses the frame first.
     assert_refused_on_flags(&["rzuc", "rzuc_resumed"], 0);
-    for vector in ["rzuc_owner", "rzuc_owner_resumed", "rzuc_owner_big"] {
+    for vector in ["rzuc_packed", "rzuc_packed_resumed", "rzuc_packed_big", "rzuc_packed_labels"] {
         for frame in fixture(vector) {
-            assert_eq!(frame[RZUC_FLAGS_AT] & !1, 6, "{vector}");
+            assert_eq!(frame[RZUC_FLAGS_AT] & !1, 14, "{vector}");
         }
     }
 }
@@ -810,6 +884,15 @@ fn owner_name_rzuc_frames_are_refused_on_their_flags() {
     // its origin pointer for the reference; the flags byte refuses the
     // frame first.
     assert_refused_on_flags(&["rzuc_table", "rzuc_table_resumed", "rzuc_table_big"], 2);
+}
+
+#[test]
+fn plain_label_rzuc_frames_are_refused_on_their_flags() {
+    // The trains as the encoder wrote them before packed labels: flags
+    // bit 3 clear, each owner label a byte a character. Read as packed,
+    // `domain-01`'s text would be groups out of range or another label;
+    // the flags byte refuses the frame first.
+    assert_refused_on_flags(&["rzuc_owner", "rzuc_owner_resumed", "rzuc_owner_big"], 6);
 }
 
 /// One entry of an `RZUC` chunk as a walk of its bytes sees it: where
@@ -839,11 +922,11 @@ fn entry_refs(frame: &[u8]) -> Vec<EntryRef> {
     let mut defined = 0;
     let mut refs = Vec::new();
     for _ in 0..count {
-        // The owner field: its label under the origin, or the escape
-        // and a name.
+        // The owner field: its packed label under the origin, or the
+        // escape and a name.
         at = match frame[at] {
             0 => skip_name(frame, at + 1),
-            len => at + 1 + len as usize,
+            len => at + 1 + (2 * len as usize).div_ceil(3),
         };
         let start = at;
         let (mut index, mut shift) = (0u32, 0);
@@ -877,7 +960,7 @@ fn the_big_table_vector_names_late_sets_in_one_byte() {
     // 0x3FFF is a table index like any other, so every later use is one
     // byte where name compression alone spelled its late host out in
     // full each time.
-    let frame = &fixture("rzuc_owner_big")[0];
+    let frame = &fixture("rzuc_packed_big")[0];
     assert!(frame.len() > 0x4000 + 1024, "only {} bytes", frame.len());
     let refs = entry_refs(frame);
     assert_eq!(refs.len(), BIG_EARLY + BIG_LATE);
@@ -944,7 +1027,7 @@ fn the_big_vector_crosses_the_pointer_horizon() {
         needle.extend_from_slice(label.as_bytes());
     }
     needle.push(0);
-    for vector in ["rzu1_big", "rzu2_big", "rzu3_big"] {
+    for vector in ["rzu1_big", "rzu2_big", "rzu3_big", "rzu4_big"] {
         let frame = &fixture(vector)[0];
         assert!(frame.len() > 0x4000 + 1024, "{vector}: only {} bytes", frame.len());
         let hits: Vec<usize> = frame
