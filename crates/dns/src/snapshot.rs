@@ -53,10 +53,15 @@
 //! NS sets are shared the same way, across segments: however a snapshot
 //! was built, equal host lists are one allocation. The wire decoders
 //! memoise per frame, [`ZoneSnapshot::capture`] takes the zone's own
-//! sets, and [`ZoneSnapshot::from_entries`] — raw host lists, the
-//! root's and the text format's way in — freezes each *distinct* list
-//! once, through a content-keyed memo that lives for the build only. A
-//! shard over sixteen provider sets holds sixteen of them at any size.
+//! sets, and [`ZoneSnapshot::from_entries`] — raw host lists, the text
+//! format's and the benchmark shards' way in — freezes each *distinct*
+//! list once. It does so first, in input order and inside the input's
+//! own buffer, so a repeated list is freed next to where it was
+//! allocated and no second copy of the zone is live; a 256-slot front
+//! cache on the stack, checked by content, answers a repeated list
+//! before a keyed memo has to hash it. Only then are the (smaller)
+//! frozen entries sorted, through a 16-byte key per entry. A shard over
+//! sixteen provider sets holds sixteen of them at any size.
 //!
 //! [`ZoneSnapshot::same_capture`] compares the top-level `Arc` by
 //! pointer: it witnesses "this very value", which neither equal content
@@ -66,12 +71,14 @@
 //! Snapshots also round-trip through a zone-file-like text format so the
 //! repository can materialise CZDS-style files on disk for the examples.
 
+use crate::hash::FxHasher;
 use crate::name::DomainName;
 use crate::serial::Serial;
 use crate::zone::{NsSet, Zone};
 use darkdns_sim::time::SimTime;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Errors from parsing snapshot text.
@@ -328,33 +335,32 @@ impl ZoneSnapshot {
     /// order within a list and its canonical flag are the given ones, so
     /// `==`, `Hash`, [`ZoneSnapshot::to_text`] and every diff are what
     /// they would be with a private copy per entry.
+    ///
+    /// In this order:
+    ///
+    /// 1. Every list is frozen, in input order, into the input's own
+    ///    buffer: a 48-byte `(owner, Vec)` entry becomes a 32-byte
+    ///    `(owner, NsSet)` one where it stands (std's in-place collect),
+    ///    so the frozen entries need no buffer of their own. A list
+    ///    equal to one already frozen is freed right there, next to
+    ///    where it was allocated, and the entry takes the shared set.
+    /// 2. The frozen entries are sorted and deduplicated by
+    ///    [`sort_last_wins`], which moves 32 bytes an entry, not 48.
+    /// 3. They are cut into segments.
     pub fn from_entries(
         origin: DomainName,
         serial: Serial,
         taken_at: SimTime,
-        mut entries: Vec<(DomainName, Vec<DomainName>)>,
+        entries: Vec<(DomainName, Vec<DomainName>)>,
     ) -> Self {
+        let mut lists = ListMemo::new();
+        let mut entries: Vec<Entry> =
+            entries.into_iter().map(|(d, hosts)| (d, lists.freeze(hosts))).collect();
+        // An all-distinct zone's memo is a slot per entry: gone before
+        // the sort keys are allocated.
+        drop(lists);
         sort_last_wins(&mut entries);
-        // Content-keyed and dropped with the build. A hit clones the
-        // pointer and frees the duplicate list; a miss freezes the list
-        // as it always was and adds one table slot pointing at it, never
-        // a second copy of the hosts. Default (keyed) hasher: the lists
-        // may come from a zone file.
-        let mut memo: HashSet<NsSet> = HashSet::new();
-        // Frozen in entry order, which is the order every diff engine
-        // walks the NS sets in.
-        let frozen = entries.into_iter().map(|(d, hosts)| {
-            let ns = match memo.get(hosts.as_slice()) {
-                Some(shared) => shared.clone(),
-                None => {
-                    let ns = NsSet::from_raw(hosts);
-                    memo.insert(ns.clone());
-                    ns
-                }
-            };
-            (d, ns)
-        });
-        Self::from_sorted(origin, serial, taken_at, frozen)
+        Self::from_sorted(origin, serial, taken_at, entries.into_iter())
     }
 
     /// [`ZoneSnapshot::from_entries`] over already-frozen (typically
@@ -574,20 +580,74 @@ impl ZoneSnapshot {
     }
 }
 
+/// The front cache of [`ListMemo`] has `1 << FRONT_BITS` slots.
+const FRONT_BITS: u32 = 8;
+
+/// What [`ZoneSnapshot::from_entries`] freezes host lists through, for
+/// one build: a list equal to one already frozen comes back as that set
+/// (a refcount), any other is frozen as it always was. Two levels, and
+/// neither holds a copy of any hosts:
+///
+/// * a front cache of 256 sets on the stack, indexed by the top byte of
+///   an Fx hash of the list. A slot answers only when its hosts equal
+///   the list, so a collision is a miss, never a wrong set. A zone over
+///   tens of provider sets is answered here almost every time, for one
+///   Fx pass and one slice compare, and the array allocates nothing.
+/// * behind it, a content-keyed table with the default (keyed) hasher,
+///   because the lists may come from a zone file. A file can only force
+///   misses in front, and a miss costs that keyed lookup plus one Fx
+///   hash, never more.
+struct ListMemo {
+    front: [Option<NsSet>; 1 << FRONT_BITS],
+    keyed: HashSet<NsSet>,
+}
+
+impl ListMemo {
+    fn new() -> Self {
+        ListMemo { front: [const { None }; 1 << FRONT_BITS], keyed: HashSet::new() }
+    }
+
+    /// The one set equal to `hosts`, frozen on first sight.
+    fn freeze(&mut self, hosts: Vec<DomainName>) -> NsSet {
+        let mut fx = FxHasher::default();
+        hosts.hash(&mut fx);
+        let slot = &mut self.front[(fx.finish() >> (64 - FRONT_BITS)) as usize];
+        if let Some(ns) = slot.as_ref().filter(|ns| ns.as_slice() == hosts.as_slice()) {
+            return ns.clone();
+        }
+        let ns = match self.keyed.get(hosts.as_slice()) {
+            Some(shared) => shared.clone(),
+            None => {
+                let ns = NsSet::from_raw(hosts);
+                self.keyed.insert(ns.clone());
+                ns
+            }
+        };
+        *slot = Some(ns.clone());
+        ns
+    }
+}
+
 /// Bring `entries` into strictly ascending domain order, keeping the
 /// last occurrence of a repeated domain. Already-ascending input — the
-/// common case — is left untouched after one comparison pass.
+/// common case — is left untouched after one comparison pass, with no
+/// allocation.
+///
+/// Anything else is sorted through a key, not moved while it is sorted:
+/// one 16-byte `(prefix, index)` per entry, the prefix being the name's
+/// first eight bytes as a big-endian integer, which orders as the name
+/// does wherever two prefixes differ. The keys are sorted as integers;
+/// only a run of equal prefixes is then ordered by full name (for an
+/// interned name two dependent atomic loads and a string chase per
+/// side) and, between equal names, by index — so a repeated domain's
+/// occurrences keep their input order and the dedup keeps the last.
+/// The permutation is then applied in place by walking its cycles, as
+/// `sort_by_cached_key` does: each swap settles one position, and the
+/// key vector is the one allocation.
 fn sort_last_wins<T>(entries: &mut Vec<(DomainName, T)>) {
     if entries.windows(2).all(|w| w[0].0 < w[1].0) {
         return;
     }
-    // Sorted through a cached key: the name's first eight bytes as a
-    // big-endian integer — which orders as the name does wherever two
-    // prefixes differ — and then the name. Almost every comparison is
-    // two integers side by side; a full `DomainName::cmp` (for an
-    // interned name two dependent atomic loads and a string chase, per
-    // side) is paid only between equal prefixes, and the entries move
-    // once, at the end. Stable, which last-wins needs.
     let prefix = |domain: &DomainName| {
         let mut head = [0u8; 8];
         let bytes = domain.raw().as_bytes();
@@ -595,7 +655,23 @@ fn sort_last_wins<T>(entries: &mut Vec<(DomainName, T)>) {
         head[..n].copy_from_slice(&bytes[..n]);
         u64::from_be_bytes(head)
     };
-    entries.sort_by_cached_key(|entry| (prefix(&entry.0), entry.0));
+    let mut keys: Vec<(u64, usize)> =
+        entries.iter().enumerate().map(|(i, entry)| (prefix(&entry.0), i)).collect();
+    keys.sort_unstable();
+    for run in keys.chunk_by_mut(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
+        run.sort_unstable_by(|a, b| entries[a.1].0.cmp(&entries[b.1].0).then(a.1.cmp(&b.1)));
+    }
+    // `keys[i].1` is where the entry that belongs at `i` stood. Earlier
+    // swaps may have moved it on: follow where each position's entry
+    // went until the trail leaves the settled prefix.
+    for i in 0..keys.len() {
+        let mut from = keys[i].1;
+        while from < i {
+            from = keys[from].1;
+        }
+        keys[i].1 = from;
+        entries.swap(i, from);
+    }
     entries.dedup_by(|later, earlier| {
         if later.0 == earlier.0 {
             // `dedup_by` removes `later` when true; keep the later value

@@ -25,7 +25,7 @@
 
 use crate::tld::{TldConfig, TldId};
 use crate::universe::{DomainRecord, Universe};
-use darkdns_dns::{Serial, ZoneSnapshot};
+use darkdns_dns::{NsSet, Serial, ZoneSnapshot};
 use darkdns_sim::rng::RngPool;
 use darkdns_sim::time::{SimDuration, SimTime, SECS_PER_DAY};
 use rand::Rng;
@@ -233,26 +233,26 @@ impl<'a> SnapshotOracle<'a> {
         day: u64,
     ) -> ZoneSnapshot {
         let capture = self.schedule.capture_time(tld, day);
-        // One synthetic NS pair per provider; the hosting landscape
-        // supplies real host names in the full experiment. Parse each
-        // provider's host once, not once per delegation.
-        let mut provider_ns: darkdns_dns::hash::NameMap<u16, Vec<darkdns_dns::DomainName>> =
-            Default::default();
+        // One synthetic NS set per provider; the hosting landscape
+        // supplies real host names in the full experiment. Each
+        // provider's set is parsed and frozen once, and every delegation
+        // it serves shares it by refcount.
+        let mut provider_ns: darkdns_dns::hash::NameMap<u16, NsSet> = Default::default();
         let entries: Vec<_> = universe
             .in_tld(tld)
             .filter(|r| r.in_zone_at(capture))
             .map(|r| {
                 let ns = provider_ns.entry(r.dns_provider.0).or_insert_with(|| {
-                    vec![darkdns_dns::DomainName::parse(&format!(
+                    NsSet::new(vec![darkdns_dns::DomainName::parse(&format!(
                         "ns1.provider{}.net",
                         r.dns_provider.0
                     ))
-                    .expect("static name is valid")]
+                    .expect("static name is valid")])
                 });
                 (r.name, ns.clone())
             })
             .collect();
-        ZoneSnapshot::from_entries(
+        ZoneSnapshot::from_ns_entries(
             tlds[tld.0 as usize].domain(),
             Serial::new(day as u32),
             capture,
@@ -449,9 +449,15 @@ mod tests {
         let mut dead = record(TldId(0), wt(1, 0), Some(wt(2, 0)));
         dead.name = DomainName::parse("dead.com").unwrap();
         universe.push(dead);
+        let mut twin = record(TldId(0), wt(1, 0), None);
+        twin.name = DomainName::parse("twin.com").unwrap();
+        universe.push(twin);
         let day5 = oracle.materialize(&universe, &tlds, TldId(0), 5);
         assert!(day5.contains(&DomainName::parse("alive.com").unwrap()));
         assert!(!day5.contains(&DomainName::parse("dead.com").unwrap()));
         assert_eq!(day5.origin().as_str(), "com");
+        // One provider, one frozen set, however many delegations.
+        let ns = |d: &str| day5.ns_set_of(&DomainName::parse(d).unwrap()).unwrap();
+        assert!(ns("alive.com").ptr_eq(ns("twin.com")));
     }
 }

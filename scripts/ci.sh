@@ -61,6 +61,15 @@ cargo test -q --release --test relay_faults
 echo "==> cargo test -q --release (fleet footprint)"
 cargo test -q --release --test footprint
 
+# The allocation budgets again in release, the benchmark's profile:
+# exact allocation counts and live-heap bounds for the codecs, the
+# bootstrap assembly and a zone built from raw host lists. The latter
+# holds only while the entries' in-place freeze reuses the input's
+# buffer and the front cache of repeated lists stays on the stack, and
+# an optimised build is where either could quietly change.
+echo "==> cargo test -q --release (allocation budgets)"
+cargo test -q --release --test alloc_budget
+
 # The routing fault matrix again in release: live endpoint-map drains
 # race the chunk train they must not interrupt, health probes race the
 # failover path they steer, and the dead-endpoint backoff pin is a

@@ -1690,3 +1690,78 @@ mod owner_labels {
         }
     }
 }
+
+// A zone built from raw host lists (`ZoneSnapshot::from_entries`) is the
+// last-wins map of its input, whatever the order: owners that agree on
+// their first eight bytes (inline and interned, and shorter ones), an
+// owner given again with another list, input already ascending or not.
+// And however many distinct lists there are — past the 256 a build's
+// front cache holds, so slots collide — equal lists are one allocation
+// and the order within each list is the given one.
+mod raw_build {
+    use super::*;
+    use darkdns::dns::NsSet;
+    use std::collections::{BTreeMap, HashMap};
+
+    /// Owners in three shapes that share first eight bytes: `sharedpf`
+    /// plus a short tail (inline), the same past the 22-byte inline
+    /// bound (interned), and a bare tail, often under eight bytes.
+    fn owner_strategy() -> impl Strategy<Value = DomainName> {
+        (0..3usize, "[a-z0-9]{1,6}").prop_map(|(shape, tail)| {
+            let spelled = match shape {
+                0 => format!("sharedpf{tail}.com"),
+                1 => format!("sharedpf-past-the-inline-bound-{tail}.com"),
+                _ => format!("{tail}.com"),
+            };
+            DomainName::parse(&spelled).unwrap()
+        })
+    }
+
+    /// List `k` of a zone: one to three hosts, in descending order for
+    /// odd `k`, so an unsorted list must come back as given.
+    fn list(k: usize) -> Vec<DomainName> {
+        let mut hosts: Vec<DomainName> = (0..1 + k % 3)
+            .map(|h| DomainName::parse(&format!("ns{h}-{k}.hosting.net")).unwrap())
+            .collect();
+        if k % 2 == 1 {
+            hosts.reverse();
+        }
+        hosts
+    }
+
+    proptest! {
+        #[test]
+        fn a_raw_build_is_the_last_wins_map_and_shares_each_distinct_list(
+            owners in prop::collection::vec(owner_strategy(), 1..300),
+            lists in prop_oneof![1usize..16, 257usize..600],
+            picks in prop::collection::vec((any::<u16>(), any::<u16>()), 0..900),
+            ascending in any::<bool>(),
+        ) {
+            // Every entry's list its own allocation, as a parser's are.
+            let mut entries: Vec<(DomainName, Vec<DomainName>)> = picks
+                .iter()
+                .map(|&(o, l)| (owners[usize::from(o) % owners.len()], list(usize::from(l) % lists)))
+                .collect();
+            let model: BTreeMap<DomainName, Vec<DomainName>> = entries.iter().cloned().collect();
+            if ascending {
+                entries = model.clone().into_iter().collect();
+            }
+            let snap = ZoneSnapshot::from_entries(
+                DomainName::parse("com").unwrap(),
+                Serial::new(1),
+                SimTime::ZERO,
+                entries,
+            );
+            prop_assert_eq!(snap.len(), model.len());
+            for ((owner, ns), (want_owner, want_hosts)) in snap.iter().zip(&model) {
+                prop_assert_eq!(&owner, want_owner);
+                prop_assert_eq!(ns.as_slice(), want_hosts.as_slice());
+            }
+            let mut first: HashMap<&[DomainName], &NsSet> = HashMap::new();
+            for ns in snap.ns_column().iter() {
+                let shared = *first.entry(ns.as_slice()).or_insert(ns);
+                prop_assert!(ns.ptr_eq(shared), "equal lists in separate allocations");
+            }
+        }
+    }
+}
