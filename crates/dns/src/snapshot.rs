@@ -55,13 +55,14 @@
 //! memoise per frame, [`ZoneSnapshot::capture`] takes the zone's own
 //! sets, and [`ZoneSnapshot::from_entries`] — raw host lists, the text
 //! format's and the benchmark shards' way in — freezes each *distinct*
-//! list once. It does so first, in input order and inside the input's
-//! own buffer, so a repeated list is freed next to where it was
+//! list once. Its sort keys, 16 bytes per entry, are read off the owners
+//! first; then every list is frozen in input order and inside the
+//! input's own buffer, so a repeated list is freed next to where it was
 //! allocated and no second copy of the zone is live; a 256-slot front
 //! cache on the stack, checked by content, answers a repeated list
 //! before a keyed memo has to hash it. Only then are the (smaller)
-//! frozen entries sorted, through a 16-byte key per entry. A shard over
-//! sixteen provider sets holds sixteen of them at any size.
+//! frozen entries moved into key order. A shard over sixteen provider
+//! sets holds sixteen of them at any size.
 //!
 //! [`ZoneSnapshot::same_capture`] compares the top-level `Arc` by
 //! pointer: it witnesses "this very value", which neither equal content
@@ -338,28 +339,42 @@ impl ZoneSnapshot {
     ///
     /// In this order:
     ///
-    /// 1. Every list is frozen, in input order, into the input's own
+    /// 1. The sort keys are read off the owners by [`sort_keys`] — none,
+    ///    and no allocation, for already-ascending input.
+    /// 2. Every list is frozen, in input order, into the input's own
     ///    buffer: a 48-byte `(owner, Vec)` entry becomes a 32-byte
     ///    `(owner, NsSet)` one where it stands (std's in-place collect),
     ///    so the frozen entries need no buffer of their own. A list
     ///    equal to one already frozen is freed right there, next to
     ///    where it was allocated, and the entry takes the shared set.
-    /// 2. The frozen entries are sorted and deduplicated by
-    ///    [`sort_last_wins`], which moves 32 bytes an entry, not 48.
-    /// 3. They are cut into segments.
+    /// 3. The frozen entries are moved into key order and deduplicated
+    ///    by [`apply_sort_keys`], 32 bytes an entry, not 48; the keys go.
+    /// 4. They are cut into segments.
+    ///
+    /// The keys come before the freeze for where the allocator puts
+    /// them: allocated while the input's buffer is the newest large
+    /// block, they sit right behind it, and the sets the freeze
+    /// allocates, which live as long as the snapshot, sit behind them.
+    /// Once both are released, the buffer's room has the keys' room
+    /// beside it. Taken after the freeze, the keys would land behind
+    /// those sets, and the released buffer would be a free run of
+    /// exactly its own size between live blocks: one small allocation
+    /// placed in it later is then enough to make the next build of a
+    /// zone that size grow the heap by a whole buffer.
     pub fn from_entries(
         origin: DomainName,
         serial: Serial,
         taken_at: SimTime,
         entries: Vec<(DomainName, Vec<DomainName>)>,
     ) -> Self {
+        let keys = sort_keys(&entries);
         let mut lists = ListMemo::new();
         let mut entries: Vec<Entry> =
             entries.into_iter().map(|(d, hosts)| (d, lists.freeze(hosts))).collect();
-        // An all-distinct zone's memo is a slot per entry: gone before
-        // the sort keys are allocated.
         drop(lists);
-        sort_last_wins(&mut entries);
+        if let Some(keys) = keys {
+            apply_sort_keys(&mut entries, keys);
+        }
         Self::from_sorted(origin, serial, taken_at, entries.into_iter())
     }
 
@@ -374,7 +389,9 @@ impl ZoneSnapshot {
         taken_at: SimTime,
         mut entries: Vec<(DomainName, NsSet)>,
     ) -> Self {
-        sort_last_wins(&mut entries);
+        if let Some(keys) = sort_keys(&entries) {
+            apply_sort_keys(&mut entries, keys);
+        }
         Self::from_sorted(origin, serial, taken_at, entries.into_iter())
     }
 
@@ -628,10 +645,10 @@ impl ListMemo {
     }
 }
 
-/// Bring `entries` into strictly ascending domain order, keeping the
-/// last occurrence of a repeated domain. Already-ascending input — the
-/// common case — is left untouched after one comparison pass, with no
-/// allocation.
+/// The keys that bring `entries` into strictly ascending domain order,
+/// keeping the last occurrence of a repeated domain, for
+/// [`apply_sort_keys`]. `None` for already-ascending input — the common
+/// case — after one comparison pass, with no allocation.
 ///
 /// Anything else is sorted through a key, not moved while it is sorted:
 /// one 16-byte `(prefix, index)` per entry, the prefix being the name's
@@ -641,12 +658,10 @@ impl ListMemo {
 /// interned name two dependent atomic loads and a string chase per
 /// side) and, between equal names, by index — so a repeated domain's
 /// occurrences keep their input order and the dedup keeps the last.
-/// The permutation is then applied in place by walking its cycles, as
-/// `sort_by_cached_key` does: each swap settles one position, and the
-/// key vector is the one allocation.
-fn sort_last_wins<T>(entries: &mut Vec<(DomainName, T)>) {
+/// The key vector is the one allocation.
+fn sort_keys<T>(entries: &[(DomainName, T)]) -> Option<Vec<(u64, usize)>> {
     if entries.windows(2).all(|w| w[0].0 < w[1].0) {
-        return;
+        return None;
     }
     let prefix = |domain: &DomainName| {
         let mut head = [0u8; 8];
@@ -661,6 +676,15 @@ fn sort_last_wins<T>(entries: &mut Vec<(DomainName, T)>) {
     for run in keys.chunk_by_mut(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
         run.sort_unstable_by(|a, b| entries[a.1].0.cmp(&entries[b.1].0).then(a.1.cmp(&b.1)));
     }
+    Some(keys)
+}
+
+/// Move `entries` into the order of `keys` (from [`sort_keys`] over these
+/// very entries, or over entries in the same order) and drop all but the
+/// last occurrence of a repeated domain. The permutation is applied in
+/// place by walking its cycles, as `sort_by_cached_key` does: each swap
+/// settles one position.
+fn apply_sort_keys<T>(entries: &mut Vec<(DomainName, T)>, mut keys: Vec<(u64, usize)>) {
     // `keys[i].1` is where the entry that belongs at `i` stood. Earlier
     // swaps may have moved it on: follow where each position's entry
     // went until the trail leaves the settled prefix.
