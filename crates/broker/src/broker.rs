@@ -968,7 +968,7 @@ mod tests {
     #[test]
     fn snapshot_train_encodes_once_per_checkpoint_and_never_keeps_a_raced_capture() {
         use darkdns_dns::wire::encode_snapshot_chunks;
-        const CHUNK: usize = 512;
+        const CHUNK: usize = 256;
         let config = BrokerConfig {
             retention: RetentionConfig::new(4, 2),
             ..BrokerConfig::default()

@@ -44,10 +44,20 @@
 //!   of the frame's origin almost always, and travel as that one label
 //!   (`Encoder::entry` / `Decoder::owner`): its character count and the
 //!   label packed in base 38, the label rule's alphabet, three
-//!   characters to two bytes (`pack_label` / `unpack_label`). Decode
-//!   unpacks into a stack buffer and passes the label through the label
-//!   rule; the origin's spelling is appended unchecked. Any other owner
-//!   is a `0x00` escape and the name through the pair above.
+//!   characters to two bytes (`pack_label` / `unpack_label`). An `RZUC`
+//!   chunk is a run of the sorted zone, so there a label first shares
+//!   what it can of its first three characters with the chunk's previous
+//!   such owner (a [`Predecessor`] on the stack, reset at each chunk and
+//!   each escaped owner): the count byte's top two bits say how many,
+//!   the low six how many follow, packed. One rule fixes the share, so a
+//!   label has one spelling; an `RZU4` frame, whose owners are scattered
+//!   over the zone, never shares. The one owner codec takes the
+//!   predecessor as a parameter and whether to front-code as a constant,
+//!   so the `RZU4` instance compiles without the sharing. Decode
+//!   copies the shared characters and unpacks the rest into a stack
+//!   buffer and passes the label through the label rule; the origin's
+//!   spelling is appended unchecked. Any other owner is a `0x00` escape
+//!   and the name through the pair above.
 //! * **NS sets** travel one way, in `RZU4` delta frames and `RZUC`
 //!   chunks alike: each entry names its set by its index in a
 //!   frame-local table, the first use defining it inline
@@ -87,8 +97,8 @@ pub enum WireError {
     /// Compression pointers form a loop (or exceed the hop limit).
     PointerLoop,
     /// A label byte has the reserved `10`/`01` top-bit pattern, or an
-    /// entry's owner field starts with a byte that is neither a label
-    /// length (1..=63) nor the `0x00` escape.
+    /// `RZU4` entry's owner field starts with a byte that is neither a
+    /// label length (1..=63) nor the `0x00` escape.
     BadLabelType(u8),
     /// The decoded name is not valid presentation-form DNS.
     BadName(String),
@@ -105,8 +115,8 @@ pub enum WireError {
     /// A flags byte outside the defined set: snapshot chunk flag bits
     /// this build does not know, or a lookup answer row naming a serial
     /// slot past the next definition. A snapshot chunk without its
-    /// NS-table, owner-label and packed-label bits is in an earlier
-    /// layout and is refused with this too, never misread.
+    /// NS-table, owner-label, packed-label and front-coded bits is in an
+    /// earlier layout and is refused with this too, never misread.
     BadFlags(u8),
     /// A snapshot continuation chunk's `(offset, count, total)` bounds
     /// are inconsistent (out of range, or the last-chunk flag disagrees
@@ -116,6 +126,21 @@ pub enum WireError {
     /// 38² or 38 for a group of three, two or one characters): no label
     /// spells it.
     BadPackedGroup(u16),
+    /// An `RZUC` owner field shares `shared` characters with the owner
+    /// before it and spells none of its own: a label spells at least its
+    /// last character.
+    EmptyOwnerRest { shared: u8 },
+    /// An `RZUC` owner field's shared and spelled characters add up to a
+    /// label longer than 63.
+    OwnerLabelTooLong { shared: u8, rest: u8 },
+    /// An `RZUC` owner field shares more characters than the owner before
+    /// it in the chunk has (none at a chunk's start or after an escaped
+    /// owner; `predecessor` counts at most the three that may be shared).
+    SharePastPredecessor { shared: u8, predecessor: u8 },
+    /// An `RZUC` owner field shares fewer characters than the one rule
+    /// (`min(3, common prefix, length − 1)`) gives its label: a label has
+    /// one spelling in a chunk.
+    NonCanonicalShare { shared: u8, canonical: u8 },
     /// A delta or snapshot chunk entry's NS-set reference names a set
     /// past the `defined` ones the frame has spelled so far (or the next one,
     /// which it would define). A reference that is not the minimal
@@ -144,6 +169,18 @@ impl fmt::Display for WireError {
                 write!(f, "snapshot chunk bounds {offset}+{count} inconsistent with total {total}")
             }
             WireError::BadPackedGroup(v) => write!(f, "packed owner label group {v} out of range"),
+            WireError::EmptyOwnerRest { shared } => {
+                write!(f, "owner label shares {shared} characters and spells none")
+            }
+            WireError::OwnerLabelTooLong { shared, rest } => {
+                write!(f, "owner label of {shared} shared and {rest} spelled characters past 63")
+            }
+            WireError::SharePastPredecessor { shared, predecessor } => {
+                write!(f, "owner label shares {shared} of a {predecessor}-character predecessor")
+            }
+            WireError::NonCanonicalShare { shared, canonical } => {
+                write!(f, "owner label shares {shared} characters, its one spelling {canonical}")
+            }
             WireError::BadNsRef { index, defined } => {
                 write!(f, "NS-set reference {index} with {defined} sets defined")
             }
@@ -332,14 +369,16 @@ struct Encoder<'a> {
 
 impl<'a> Encoder<'a> {
     fn new() -> Self {
-        Encoder::with_capacity(512)
+        Encoder::with_capacity(512, 0, 0)
     }
 
-    fn with_capacity(bytes: usize) -> Self {
+    /// An encoder whose buffer holds `bytes` and whose compression and
+    /// set tables hold `suffixes` and `sets` keys before they first grow.
+    fn with_capacity(bytes: usize, suffixes: usize, sets: usize) -> Self {
         Encoder {
             buf: BytesMut::with_capacity(bytes),
-            compression: HashMap::default(),
-            ns_table: HashMap::default(),
+            compression: HashMap::with_capacity_and_hasher(suffixes, FxBuildHasher::default()),
+            ns_table: HashMap::with_capacity_and_hasher(sets, FxBuildHasher::default()),
         }
     }
 
@@ -405,18 +444,41 @@ impl<'a> Encoder<'a> {
     /// Encode one `RZU4` / `RZUC` entry: its owner field, then a
     /// reference to each of its NS sets (one, or a change's old and new).
     /// The owner is its one label under `origin` (the frame origin's
-    /// canonical spelling): a length byte and the label packed in base 38
-    /// ([`pack_label`]), never entering the compression table. Any other
-    /// owner — or a label with a byte outside the alphabet, which no
-    /// canonical name has — is the `0x00` escape and the name in its
-    /// compressible form.
-    fn entry<const N: usize>(&mut self, origin: &str, owner: &'a DomainName, sets: [&'a NsSet; N]) {
+    /// canonical spelling), never entering the compression table:
+    /// `FRONT_CODED` (an `RZUC` chunk), the characters it shares with the
+    /// predecessor `prev` ([`Predecessor::share`]) in the count byte's
+    /// top two bits, the rest's count in the low six, then the rest
+    /// packed in base 38 ([`pack_label`]), and the label becomes the
+    /// predecessor; otherwise (an `RZU4` frame), the count byte and the
+    /// whole label packed. Any other owner — or a label with a byte
+    /// outside the alphabet, which no canonical name has — is the `0x00`
+    /// escape and the name in its compressible form, and clears `prev`.
+    fn entry<const FRONT_CODED: bool, const N: usize>(
+        &mut self,
+        origin: &str,
+        owner: &'a DomainName,
+        sets: [&'a NsSet; N],
+        prev: &mut Predecessor,
+    ) {
+        let label = label_under(owner.raw(), origin).map(str::as_bytes);
+        let shared = match label {
+            Some(label) if FRONT_CODED => prev.share(label),
+            _ => 0,
+        };
         let mut field = [0u8; OWNER_FIELD_MAX];
-        match label_under(owner.raw(), origin).and_then(|l| pack_label(l.as_bytes(), &mut field)) {
-            Some(field) => self.buf.put_slice(field),
+        let len = label.and_then(|label| pack_label(&label[shared..], &mut field)).map(<[u8]>::len);
+        match label.zip(len) {
+            Some((label, len)) => {
+                field[0] |= (shared as u8) << 6;
+                self.buf.put_slice(&field[..len]);
+                if FRONT_CODED {
+                    prev.follow(label);
+                }
+            }
             None => {
                 self.buf.put_u8(0);
                 self.name(owner);
+                *prev = Predecessor::default();
             }
         }
         for ns in sets {
@@ -671,6 +733,37 @@ fn unpack_label(packed: &[u8], out: &mut [u8]) -> Result<(), WireError> {
     Ok(())
 }
 
+/// The first characters (at most three) of the owner label an `RZUC`
+/// chunk spelled last, which the next one may share: empty at a chunk's
+/// start and after an escaped owner.
+#[derive(Default)]
+struct Predecessor {
+    head: [u8; 3],
+    len: u8,
+}
+
+impl Predecessor {
+    /// The characters `label` shares with the predecessor, by the one
+    /// rule: their common prefix, at most three and never the whole
+    /// label, which spells at least its last character. `label` is not
+    /// empty; at most three bytes are compared.
+    fn share(&self, label: &[u8]) -> usize {
+        let most = usize::from(self.len).min(label.len() - 1);
+        self.head[..most].iter().zip(label).take_while(|(a, b)| a == b).count()
+    }
+
+    /// Make `label` the predecessor of the next owner.
+    fn follow(&mut self, label: &[u8]) {
+        match label.first_chunk() {
+            Some(&head) => *self = Predecessor { head, len: 3 },
+            None => {
+                self.head[..label.len()].copy_from_slice(label);
+                self.len = label.len() as u8;
+            }
+        }
+    }
+}
+
 struct Decoder<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -816,13 +909,14 @@ impl<'a> Decoder<'a> {
     /// Decode `count` `(owner, NS-set reference)` entries — the body of
     /// an `RZUC` chunk and an `RZU4` frame's added and removed sections —
     /// against the frame's `origin` (its canonical spelling) and set
-    /// table `sets`. The count is untrusted: each entry costs at least 3
-    /// bytes (a 2-byte owner field — a length byte and a one-character
-    /// label's one packed byte, or the escape and the root — plus a
-    /// 1-byte reference), so a count
-    /// the remaining buffer cannot hold is a truncation, caught before
-    /// the allocation is sized from it.
-    fn decode_entries(
+    /// table `sets`, each owner front-coded against the one before when
+    /// `FRONT_CODED` (a chunk's).
+    /// The count is untrusted: each entry costs at least 3 bytes (a
+    /// 2-byte owner field — a count byte and at least one character's
+    /// one packed byte, or the escape and the root — plus a 1-byte
+    /// reference), so a count the remaining buffer cannot hold is a
+    /// truncation, caught before the allocation is sized from it.
+    fn decode_entries<const FRONT_CODED: bool>(
         &mut self,
         count: usize,
         origin: &str,
@@ -832,36 +926,74 @@ impl<'a> Decoder<'a> {
             return Err(WireError::Truncated);
         }
         let mut entries = Vec::with_capacity(count);
+        let mut prev = Predecessor::default();
         for _ in 0..count {
-            entries.push((self.owner(origin)?, self.table_ns(sets)?));
+            entries.push((self.owner::<FRONT_CODED>(origin, &mut prev)?, self.table_ns(sets)?));
         }
         Ok(entries)
     }
 
     /// Decode an entry's owner field, written by [`Encoder::entry`],
-    /// under the frame's `origin` (its canonical spelling). A byte
-    /// `1..=63` is the character count of the owner's one label under
-    /// the origin, packed behind it ([`unpack_label`]): the label is
-    /// unpacked into a stack buffer and goes through the label rule, and
-    /// the origin's spelling is appended unchecked, so an owner costs one
-    /// label's check. `0` escapes to a name at the cursor
-    /// ([`Decoder::name`]), any owner; any other byte is
-    /// [`WireError::BadLabelType`]. At least 2 bytes.
-    fn owner(&mut self, origin: &str) -> Result<DomainName, WireError> {
-        match self.u8()? {
-            0 => self.name(),
-            len @ 1..=63 => {
-                let mut text = [0u8; 63];
-                let label = &mut text[..usize::from(len)];
-                unpack_label(self.take(packed_len(label.len()))?, label)?;
-                let mut name = NameBuf::new();
-                if name.push(label) && name.push_canonical(origin) {
-                    Ok(name.finish())
-                } else {
-                    owner_via_text(label, origin)
-                }
+    /// under the frame's `origin` (its canonical spelling). `0` escapes
+    /// to a name at the cursor ([`Decoder::name`]), any owner, and clears
+    /// the predecessor `prev`. Any other byte spells the owner's one
+    /// label under the origin: `s`, its top two bits, characters copied
+    /// from `prev`, then `r`, its low six, characters packed behind it
+    /// ([`unpack_label`]), all in a stack buffer. Unless `FRONT_CODED`
+    /// (an `RZU4` frame) `s` is 0 and any other byte is
+    /// [`WireError::BadLabelType`]; if so (an `RZUC` chunk), `r = 0`,
+    /// `s + r > 63`, `s` past the predecessor and `s` other than the one
+    /// rule's ([`Predecessor::share`]) are each refused, so a label has
+    /// one spelling. The label goes through the label rule, and the
+    /// origin's spelling is appended unchecked, so an owner costs one
+    /// label's check. At least 2 bytes.
+    fn owner<const FRONT_CODED: bool>(
+        &mut self,
+        origin: &str,
+        prev: &mut Predecessor,
+    ) -> Result<DomainName, WireError> {
+        let byte = self.u8()?;
+        if byte == 0 {
+            *prev = Predecessor::default();
+            return self.name();
+        }
+        let (shared, rest) = (byte >> 6, byte & 63);
+        if !FRONT_CODED && shared > 0 {
+            return Err(WireError::BadLabelType(byte));
+        }
+        if rest == 0 {
+            return Err(WireError::EmptyOwnerRest { shared });
+        }
+        if shared + rest > 63 {
+            return Err(WireError::OwnerLabelTooLong { shared, rest });
+        }
+        if shared > prev.len {
+            return Err(WireError::SharePastPredecessor { shared, predecessor: prev.len });
+        }
+        let mut text = [0u8; 63];
+        if FRONT_CODED {
+            // All three: unpacking overwrites those past the share.
+            text[..3].copy_from_slice(&prev.head);
+        }
+        let label = &mut text[..usize::from(shared + rest)];
+        let shared = usize::from(shared);
+        unpack_label(self.take(packed_len(label.len() - shared))?, &mut label[shared..])?;
+        if FRONT_CODED {
+            // The label starts with the `shared` characters it took from
+            // `prev`, so the rule shares exactly those unless it could
+            // take the next one too.
+            let most = usize::from(prev.len).min(label.len() - 1);
+            if shared < most && label[shared] == prev.head[shared] {
+                let canonical = prev.share(label) as u8;
+                return Err(WireError::NonCanonicalShare { shared: shared as u8, canonical });
             }
-            other => Err(WireError::BadLabelType(other)),
+            prev.follow(label);
+        }
+        let mut name = NameBuf::new();
+        if name.push(label) && name.push_canonical(origin) {
+            Ok(name.finish())
+        } else {
+            owner_via_text(label, origin)
         }
     }
 
@@ -1105,6 +1237,10 @@ pub struct DeltaPush {
 /// frame is written without regrowing.
 const DELTA_ENTRY_ESTIMATE: usize = 16;
 
+/// The most keys [`encode_delta_push`] reserves in each table; a larger
+/// delta's tables grow past it as they need.
+const DELTA_TABLE_KEYS_MAX: usize = 1 << 10;
+
 /// Encode a delta push into a compact shareable frame.
 ///
 /// Layout (all integers big-endian):
@@ -1154,9 +1290,14 @@ pub fn encode_delta_push(
 ) -> Bytes {
     // Sized from the delta, so the buffer is not regrown before `freeze`
     // copies it: the fixed header, the origin, and an estimate per entry.
+    // Each table holds a key per set reference before it grows: the set
+    // table can need no more, and the compression table takes the
+    // origin's suffixes and those of each set's hosts, which a
+    // `relay_chain` frame's 100 references spell 51 of.
     let entries = delta.added.len() + delta.removed.len() + delta.changed.len();
     let header = 4 + origin.wire_len() + 4 + 4 + 8 + 3 * 4;
-    let mut enc = Encoder::with_capacity(header + entries * DELTA_ENTRY_ESTIMATE);
+    let keys = (entries + delta.changed.len()).min(DELTA_TABLE_KEYS_MAX);
+    let mut enc = Encoder::with_capacity(header + entries * DELTA_ENTRY_ESTIMATE, keys, keys);
     enc.buf.put_slice(DELTA_PUSH_MAGIC);
     enc.name(origin);
     enc.buf.put_u32(from_serial.get());
@@ -1166,11 +1307,12 @@ pub fn encode_delta_push(
     enc.buf.put_u32(delta.removed.len() as u32);
     enc.buf.put_u32(delta.changed.len() as u32);
     let origin = origin.raw();
+    let prev = &mut Predecessor::default();
     for (domain, ns) in delta.added.iter().chain(&delta.removed) {
-        enc.entry(origin, domain, [ns]);
+        enc.entry::<false, _>(origin, domain, [ns], prev);
     }
     for chg in &delta.changed {
-        enc.entry(origin, &chg.domain, [&chg.old_ns, &chg.new_ns]);
+        enc.entry::<false, _>(origin, &chg.domain, [&chg.old_ns, &chg.new_ns], prev);
     }
     enc.buf.freeze()
 }
@@ -1210,12 +1352,12 @@ pub fn decode_delta_push(bytes: &[u8]) -> Result<DeltaPush, WireError> {
     // set an `added` one defined.
     let mut sets = Vec::new();
     let spelling = origin.raw();
-    let added = dec.decode_entries(added_count, spelling, &mut sets)?;
-    let removed = dec.decode_entries(removed_count, spelling, &mut sets)?;
+    let added = dec.decode_entries::<false>(added_count, spelling, &mut sets)?;
+    let removed = dec.decode_entries::<false>(removed_count, spelling, &mut sets)?;
     let mut changed = Vec::with_capacity(changed_count);
     for _ in 0..changed_count {
         changed.push(NsChange {
-            domain: dec.owner(spelling)?,
+            domain: dec.owner::<false>(spelling, &mut Predecessor::default())?,
             old_ns: dec.table_ns(&mut sets)?,
             new_ns: dec.table_ns(&mut sets)?,
         });
@@ -1420,8 +1562,13 @@ const CHUNK_OWNER_LABELS: u8 = 4;
 /// frame. Every chunk carries it; one without it spells the label a
 /// byte a character.
 const CHUNK_PACKED_LABELS: u8 = 8;
+/// `RZUC` flags bit 4: that label shares its first characters (at most
+/// three) with the chunk's previous such owner, and packs only the rest.
+/// Every chunk carries it; one without it packs every label whole.
+const CHUNK_FRONT_CODED: u8 = 16;
 /// The flag bits every `RZUC` chunk carries.
-const CHUNK_LAYOUT: u8 = CHUNK_NS_TABLE | CHUNK_OWNER_LABELS | CHUNK_PACKED_LABELS;
+const CHUNK_LAYOUT: u8 =
+    CHUNK_NS_TABLE | CHUNK_OWNER_LABELS | CHUNK_PACKED_LABELS | CHUNK_FRONT_CODED;
 
 /// Encode a snapshot as a sequence of `RZUC` continuation chunks,
 /// starting at entry `start_entry` (a resume offset; pass 0 for the full
@@ -1429,15 +1576,24 @@ const CHUNK_LAYOUT: u8 = CHUNK_NS_TABLE | CHUNK_OWNER_LABELS | CHUNK_PACKED_LABE
 ///
 /// Each chunk carries `"RZUC"`, `u16` TLD, origin name, `u32` serial,
 /// `u64` taken-at, then `u32` total, `u32` offset, `u8` flags (bit 0 =
-/// last chunk; bit 1 = NS-set table, bit 2 = owner labels and bit 3 =
-/// packed labels, all three set on every chunk), `u32` entry count,
-/// then the entries: an owner field and a reference to its NS set. The
-/// owner field is the [`encode_delta_push`] one: an owner one label
-/// under the origin is `u8` character count and the label packed in
-/// base 38 (`⌈2L/3⌉` bytes), any other `0x00` and the name (the escape
-/// byte, and in-bailiwick hosts no longer compressing against their
-/// owner, are the costs of saving the 2-byte origin pointer).
-/// The reference is a minimal LEB128 `u32` `r`, read against the
+/// last chunk; bit 1 = NS-set table, bit 2 = owner labels, bit 3 =
+/// packed labels and bit 4 = front-coded labels, all four set on every
+/// chunk), `u32` entry count, then the entries: an owner field and a
+/// reference to its NS set. The owner field is the [`encode_delta_push`]
+/// one, front-coded: an owner one label under the origin is a byte
+/// `s << 6 | r` and the label's last `r` characters (1..=63) packed in
+/// base 38 (`⌈2r/3⌉` bytes), its first `s` (0..=3) being those of the
+/// chunk's previous such owner's label. `s` is `min(3, common prefix,
+/// L − 1)` for an `L`-character label, so a label has one spelling
+/// (`r = 0`, `s + r > 63`, an `s` past the previous label and any other
+/// `s` are refused), and with `s = 0` the byte is the `RZU4` count byte.
+/// Any other owner is `0x00` and the name (the escape byte, and
+/// in-bailiwick hosts no longer compressing against their owner, are
+/// the costs of saving the 2-byte origin pointer); it leaves no
+/// previous label, and neither does a chunk's start, so each chunk
+/// decodes on its own. Neighbours in a sorted run share a prefix: in a
+/// 100k-delegation shard most share three characters, which saves two
+/// bytes an owner. The reference is a minimal LEB128 `u32` `r`, read against the
 /// `d` sets the chunk has defined so far: `r < d` names set `r`, and
 /// `r == d` is followed by the set spelled out (`u16` host count, then
 /// the host names) and defines set `d`. The set table is keyed by
@@ -1469,11 +1625,15 @@ pub fn encode_snapshot_chunks(
     // a chunk and the entry that overshoots it (or for the whole tail
     // at 32 bytes an entry, when that is less), so it never doubles
     // past the target.
-    let mut enc =
-        Encoder::with_capacity(chunk_bytes.min((total - start).saturating_mul(32)) + (4 << 10));
+    let mut enc = Encoder::with_capacity(
+        chunk_bytes.min((total - start).saturating_mul(32)) + (4 << 10),
+        0,
+        0,
+    );
     let origin = snapshot.origin().raw();
     loop {
         enc.reset();
+        let mut prev = Predecessor::default();
         enc.buf.put_slice(SNAPSHOT_CHUNK_MAGIC);
         enc.buf.put_u16(tld);
         enc.name(snapshot.origin());
@@ -1492,7 +1652,7 @@ pub fn encode_snapshot_chunks(
             let Some((domain, ns)) = iter.next() else {
                 break;
             };
-            enc.entry(origin, domain, [ns]);
+            enc.entry::<true, _>(origin, domain, [ns], &mut prev);
             count += 1;
         }
         let last = iter.len() == 0;
@@ -1514,11 +1674,14 @@ pub fn encode_snapshot_chunks(
 /// bookkeeping must be arithmetically consistent — a frame claiming
 /// entries past `total`, or a last flag that disagrees with
 /// `offset + count == total`, is a [`WireError::BadChunk`]. A flags byte
-/// other than the table, owner-label and packed-label bits plus,
-/// optionally, the last bit is a [`WireError::BadFlags`], an NS-set
+/// other than the table, owner-label, packed-label and front-coded bits
+/// plus, optionally, the last bit is a [`WireError::BadFlags`], an NS-set
 /// reference past the next definition (or not minimally spelled) a
-/// [`WireError::BadNsRef`], and a packed group out of range a
-/// [`WireError::BadPackedGroup`].
+/// [`WireError::BadNsRef`], a packed group out of range a
+/// [`WireError::BadPackedGroup`], and an owner field sharing other than
+/// its label's one share an [`WireError::EmptyOwnerRest`],
+/// [`WireError::OwnerLabelTooLong`], [`WireError::SharePastPredecessor`]
+/// or [`WireError::NonCanonicalShare`].
 pub fn decode_snapshot_chunk(bytes: &[u8]) -> Result<SnapshotChunk, WireError> {
     let mut dec = Decoder::new(bytes);
     if dec.take(4)? != SNAPSHOT_CHUNK_MAGIC {
@@ -1531,8 +1694,9 @@ pub fn decode_snapshot_chunk(bytes: &[u8]) -> Result<SnapshotChunk, WireError> {
     let total = dec.u32()?;
     let offset = dec.u32()?;
     let flags = dec.u8()?;
-    // Unknown bits are a newer layout, a missing table, owner-label or
-    // packed-label bit an earlier one: none is read as this one.
+    // Unknown bits are a newer layout, a missing table, owner-label,
+    // packed-label or front-coded bit an earlier one: none is read as
+    // this one.
     if flags & !CHUNK_LAST != CHUNK_LAYOUT {
         return Err(WireError::BadFlags(flags));
     }
@@ -1540,7 +1704,7 @@ pub fn decode_snapshot_chunk(bytes: &[u8]) -> Result<SnapshotChunk, WireError> {
     let count = dec.u32()?;
     // Entries first: a count the buffer cannot hold is a truncation
     // whatever the bookkeeping around it claims.
-    let entries = dec.decode_entries(count as usize, origin.raw(), &mut Vec::new())?;
+    let entries = dec.decode_entries::<true>(count as usize, origin.raw(), &mut Vec::new())?;
     let end = offset as u64 + count as u64;
     if end > total as u64 || last != (end == total as u64) {
         return Err(WireError::BadChunk { offset, count, total });
@@ -2713,11 +2877,12 @@ mod tests {
         oversized.extend_from_slice(&u32::MAX.to_be_bytes()); // count
         assert_eq!(decode_snapshot_chunk(&oversized), Err(WireError::Truncated));
         // The same frame in the pre-table layout, in the table layout
-        // with every owner a name, or with owner labels a byte a
-        // character, is refused on its flags.
+        // with every owner a name, with owner labels a byte a character,
+        // or with every label packed whole, is refused on its flags.
         let flags_at = oversized.len() - 4 - 1;
         let (table, labels) = (CHUNK_NS_TABLE, CHUNK_NS_TABLE | CHUNK_OWNER_LABELS);
-        for earlier in [0, table, table | CHUNK_LAST, labels, labels | CHUNK_LAST] {
+        let packed = labels | CHUNK_PACKED_LABELS;
+        for earlier in [0, table, table | CHUNK_LAST, labels, labels | CHUNK_LAST, packed] {
             oversized[flags_at] = earlier;
             assert_eq!(decode_snapshot_chunk(&oversized), Err(WireError::BadFlags(earlier)));
         }
@@ -2727,7 +2892,7 @@ mod tests {
         let flags_at = good.len() - 4 - 1 - SNAPSHOT_CHUNK_ENTRY_BYTES;
         assert_eq!(good[flags_at], CHUNK_LAYOUT | CHUNK_LAST);
         bad_flags[flags_at] |= 0x80;
-        assert_eq!(decode_snapshot_chunk(&bad_flags), Err(WireError::BadFlags(0x8F)));
+        assert_eq!(decode_snapshot_chunk(&bad_flags), Err(WireError::BadFlags(0x9F)));
 
         // A last flag that disagrees with offset+count == total.
         let mut not_last = good.to_vec();
@@ -3299,7 +3464,8 @@ mod tests {
     fn entry_counts_are_bounded_at_three_bytes_an_entry() {
         // Counts the 2-byte-an-entry bound admitted (and the 3-byte one
         // for a changed entry) over a body of `0xFF`s. Read, the first
-        // owner byte would be `BadLabelType(0xFF)`; `Truncated` says the
+        // owner byte would be `BadLabelType(0xFF)` in a delta and a
+        // 66-character front-coded label in a chunk; `Truncated` says the
         // count died at the bound, before the entry vector was sized.
         for (counts, old_min) in [([5, 0, 0], 10), ([0, 5, 0], 10), ([0, 0, 5], 15)] {
             let frame = delta_frame(counts, &vec![0xFF; old_min]);
@@ -3317,7 +3483,8 @@ mod tests {
         assert_eq!(decode_snapshot_chunk(&chunk), Err(WireError::Truncated));
         // At three bytes an entry the bound passes: the owner is read.
         chunk.extend_from_slice(&[0xFF; 5]);
-        assert_eq!(decode_snapshot_chunk(&chunk), Err(WireError::BadLabelType(0xFF)));
+        let too_long = WireError::OwnerLabelTooLong { shared: 3, rest: 63 };
+        assert_eq!(decode_snapshot_chunk(&chunk), Err(too_long));
     }
 
     /// A 100-entry delta frame under `origin`: owners `domain-NNN.com`,
@@ -3486,6 +3653,124 @@ mod tests {
         over.splice(4..4, [1, b'r']);
         let too_long = WireError::BadName(NameError::TooLong(255).to_string());
         assert_eq!(decode_delta_push(&over), Err(too_long));
+    }
+
+    /// A front-coded owner field: `shared` characters from the owner
+    /// before, then `rest` packed.
+    fn shared_field(shared: u8, rest: &str) -> Vec<u8> {
+        let mut field = owner_field(rest);
+        field[0] |= shared << 6;
+        field
+    }
+
+    /// A one-chunk train under the root origin whose entries are the
+    /// owner `fields`, the first defining an empty set 0, the rest naming
+    /// it.
+    fn fields_chunk(fields: &[Vec<u8>]) -> Vec<u8> {
+        let count = (fields.len() as u32).to_be_bytes();
+        let mut chunk = SNAPSHOT_CHUNK_MAGIC.to_vec();
+        chunk.extend_from_slice(&0u16.to_be_bytes()); // tld
+        chunk.push(0); // root origin
+        chunk.extend_from_slice(&[0; 4 + 8]); // serial, taken_at
+        chunk.extend_from_slice(&count); // total
+        chunk.extend_from_slice(&0u32.to_be_bytes()); // offset
+        chunk.push(CHUNK_LAYOUT | CHUNK_LAST);
+        chunk.extend_from_slice(&count);
+        for (i, field) in fields.iter().enumerate() {
+            chunk.extend_from_slice(field);
+            chunk.extend_from_slice(if i == 0 { &[0, 0, 0][..] } else { &[0] });
+        }
+        chunk
+    }
+
+    #[test]
+    fn a_chunk_owner_shares_at_most_three_characters_with_the_one_before() {
+        // A sorted run under `com`: two labels sharing four characters
+        // share three, a label shorter than the common prefix keeps its
+        // last character, an escaped owner leaves no predecessor, and
+        // the next chunk starts afresh.
+        let owners = ["abcde", "abcdf", "abd-x", "abd", "b", "bz.y", "bzz", "bzzz"];
+        let snap = crate::snapshot::ZoneSnapshot::from_entries(
+            name("com"),
+            Serial::new(1),
+            SimTime::ZERO,
+            owners.iter().map(|o| (name(&format!("{o}.com")), vec![])).collect(),
+        );
+        let train = encode_snapshot_chunks(0, &snap, 0, 70);
+        assert_eq!(train.len(), 2, "the last owner opens a second chunk");
+        // Behind magic, tld, `com`, serial, taken-at, total, offset,
+        // flags and count: each owner field, then its set reference.
+        let body = |frame: &Bytes| frame[4 + 2 + 5 + 4 + 8 + 4 + 4 + 1 + 4..].to_vec();
+        let fields = [
+            shared_field(0, "abcde"),
+            shared_field(3, "df"),
+            shared_field(2, "d-x"),
+            shared_field(2, "d"),
+            shared_field(0, "b"),
+            vec![0, 2, b'b', b'z', 1, b'y', 0xC0, 6], // `com` at offset 6
+            shared_field(0, "bzz"),
+        ];
+        let mut expected = Vec::new();
+        for (i, field) in fields.iter().enumerate() {
+            expected.extend_from_slice(field);
+            expected.extend_from_slice(if i == 0 { &[0, 0, 0][..] } else { &[0] });
+        }
+        assert_eq!(body(&train[0]), expected);
+        assert_eq!(body(&train[1]), [shared_field(0, "bzzz"), vec![0, 0, 0]].concat());
+        let decoded: Vec<DomainName> = train
+            .iter()
+            .flat_map(|frame| decode_snapshot_chunk(frame).unwrap().entries)
+            .map(|(owner, _)| owner)
+            .collect();
+        assert!(decoded.iter().eq(snap.domain_column().iter()));
+        // An `RZU4` frame shares nothing: the same owners, each whole.
+        let delta = ZoneDelta {
+            added: snap.iter().map(|(owner, ns)| (owner, ns.clone())).collect(),
+            ..ZoneDelta::default()
+        };
+        let frame =
+            encode_delta_push(&name("com"), Serial::new(1), Serial::new(2), SimTime::ZERO, &delta);
+        let whole = owner_field("abcdf");
+        assert!(frame.windows(whole.len()).any(|w| w == whole), "`abcdf` packed whole");
+    }
+
+    #[test]
+    fn a_front_coded_owner_field_has_one_spelling() {
+        let decoded = |fields: &[Vec<u8>]| {
+            decode_snapshot_chunk(&fields_chunk(fields))
+                .map(|chunk| chunk.entries.iter().map(|(o, _)| o.to_string()).collect::<Vec<_>>())
+        };
+        let abcde = shared_field(0, "abcde");
+        assert_eq!(
+            decoded(&[abcde.clone(), shared_field(3, "df")]),
+            Ok(vec!["abcde".to_string(), "abcdf".to_string()])
+        );
+        // A share with nothing spelled after it.
+        for shared in 1..=3 {
+            let fields = [abcde.clone(), vec![shared << 6]];
+            assert_eq!(decoded(&fields), Err(WireError::EmptyOwnerRest { shared }));
+        }
+        // Shared and spelled characters past 63.
+        let fields = [abcde.clone(), shared_field(1, &"x".repeat(63))];
+        assert_eq!(decoded(&fields), Err(WireError::OwnerLabelTooLong { shared: 1, rest: 63 }));
+        let widest = [abcde.clone(), shared_field(3, &"x".repeat(60))];
+        assert_eq!(decoded(&widest).unwrap()[1].len(), 63);
+        // More than the predecessor has: at a chunk's start, behind a
+        // shorter label, behind an escaped owner.
+        let past =
+            |shared, predecessor| Err(WireError::SharePastPredecessor { shared, predecessor });
+        assert_eq!(decoded(&[shared_field(1, "a")]), past(1, 0));
+        assert_eq!(decoded(&[shared_field(0, "b"), shared_field(2, "z")]), past(2, 1));
+        assert_eq!(
+            decoded(&[abcde.clone(), vec![0, 1, b'q', 0], shared_field(1, "z")]),
+            past(1, 0)
+        );
+        // Less than the one rule gives, whatever the rest spells.
+        let non = |shared, canonical| Err(WireError::NonCanonicalShare { shared, canonical });
+        assert_eq!(decoded(&[abcde.clone(), shared_field(2, "cdf")]), non(2, 3));
+        assert_eq!(decoded(&[abcde.clone(), shared_field(0, "abcdf")]), non(0, 3));
+        assert_eq!(decoded(&[abcde.clone(), shared_field(0, "abc")]), non(0, 2));
+        assert_eq!(decoded(&[abcde, shared_field(1, "bc")]), non(1, 2));
     }
 
     #[test]

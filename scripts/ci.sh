@@ -124,7 +124,7 @@ cargo test -q --release --offline --manifest-path rzu_bench/Cargo.toml
 # contract; a change that moves them on purpose edits both.
 echo "==> rzu_bench wire bytes (exact, seeds 1 and 7)"
 for seed in 1 7; do
-    for expect in relay_chain=1446 edge_visibility=1548 edge_lookup=106 cold_catchup=1359554; do
+    for expect in relay_chain=1446 edge_visibility=1548 edge_lookup=106 cold_catchup=1159828; do
         workload=${expect%=*}
         bytes=${expect#*=}
         result=$(cargo run --release --quiet --offline --manifest-path rzu_bench/Cargo.toml -- \

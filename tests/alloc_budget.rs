@@ -251,6 +251,29 @@ fn chunk_train_decode_and_assembly_is_per_chunk_and_per_set() {
 }
 
 #[test]
+fn a_front_coded_chunk_decodes_in_the_same_allocations_whatever_its_length() {
+    // Each owner here shares its first three characters with the one
+    // before (`an-…`, then `own…`) and is copied out of a stack buffer:
+    // a chunk of 1 000 or of 10 000 of them decodes in exactly its entry
+    // vector, the set table's first buffer and its one set's two
+    // allocations, none per entry.
+    let sets = providers(1);
+    for size in [1_000, 10_000] {
+        let snapshot = ZoneSnapshot::from_ns_entries(
+            name("com"),
+            Serial::new(9),
+            SimTime::from_secs(60),
+            entries(size, &sets),
+        );
+        let train = encode_snapshot_chunks(4, &snapshot, 0, usize::MAX);
+        assert_eq!(train.len(), 1);
+        let (chunk, allocs) = counting(|| decode_snapshot_chunk(&train[0]).unwrap());
+        assert!(chunk.entries.iter().map(|(owner, _)| owner).eq(snapshot.domain_column().iter()));
+        assert_eq!(allocs, 1 + 1 + 2, "allocations to decode a {size}-entry chunk");
+    }
+}
+
+#[test]
 fn a_train_encoder_reserves_one_chunk_not_the_next_power_of_two() {
     // The scratch buffer is sized once, for a chunk and the entry that
     // overshoots it: packing to the target never doubles it past, so
@@ -390,9 +413,10 @@ fn encoders_allocate_for_table_and_buffer_growth_only() {
     // grow with what a chunk's NS sets spell, not with its entries: the
     // set table to the distinct sets, the compression table to the
     // origin and the hosts' suffixes (per provider its two hosts and its
-    // domain, then the shared hosting domain and `net`). Measured: 14
-    // allocations for this 3-chunk train (4 chunks and 15 before owner
-    // labels were packed); the budget is that plus 4.
+    // domain, then the shared hosting domain and `net`). Measured: 13
+    // allocations for this 2-chunk train (3 chunks and 14 before owner
+    // labels were front-coded, 4 and 15 before they were packed); the
+    // budget is that plus 4.
     let (train, allocs) = counting(|| encode_snapshot_chunks(4, &snapshot, 0, 64 << 10));
     let chunks = train.len() as u64;
     let bits = |n: usize| u64::from(usize::BITS - n.leading_zeros());
@@ -408,9 +432,11 @@ fn encoders_allocate_for_table_and_buffer_growth_only() {
     // not regrown from a 512-byte start on its way to the frame. This
     // frame's long owners and 16 provider sets average 31 bytes an entry
     // against the 16 reserved, so it regrows once (a `relay_chain`
-    // frame, at 14.5, never does); the rest is the two tables' doublings
-    // and the frozen copy. Measured: 11, down from 13.
-    assert!(allocs <= 11, "{allocs} allocations to encode a 100-entry delta");
+    // frame, at 14.5, never does). The two tables are reserved from its
+    // 100 set references, so the 16 sets and 51 suffixes never double
+    // them; the rest is the frozen copy. Measured: 5 (13 with the buffer
+    // grown from 512 bytes, 11 with the tables grown from empty).
+    assert!(allocs <= 5, "{allocs} allocations to encode a 100-entry delta");
 
     let queries: Vec<LookupQuery> =
         all[..64].iter().map(|(owner, _)| LookupQuery { tld: 0, name: *owner }).collect();

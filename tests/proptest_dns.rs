@@ -720,7 +720,8 @@ mod train_assembly {
 // layout's rules alone (no name compression) decodes the same; a
 // damaged chunk decodes or errs, never panics; and a reference past the
 // next definition, a reference spelled long, and a chunk without the
-// table, owner-label or packed-label bit each give their own error. An
+// table, owner-label, packed-label or front-coded bit each give their
+// own error. An
 // `RZU4` delta frame names its sets through the same table, one per
 // frame across all three sections: any delta round-trips, every use of
 // a set shares one `NsSet`, and a set named again costs one byte.
@@ -846,9 +847,45 @@ mod ns_table {
         }
     }
 
-    /// An entry's owner field as the current layout spells it.
+    /// An entry's owner field as an `RZU4` frame spells it.
     pub(super) fn put_owner(frame: &mut Vec<u8>, owner: &DomainName, origin: &DomainName) {
         put_owner_field(frame, owner, origin, true);
+    }
+
+    /// The characters `label` shares with `prev`, the chunk's previous
+    /// child label (empty at a chunk's start and after an escaped
+    /// owner): their common prefix, at most three, never the whole label.
+    pub(super) fn share(prev: &str, label: &str) -> usize {
+        let common = prev.bytes().zip(label.bytes()).take_while(|(a, b)| a == b).count();
+        common.min(3).min(label.len() - 1)
+    }
+
+    /// `label` front-coded behind `prev`: the share in the count byte's
+    /// top two bits, the rest's count in its low six, the rest packed.
+    pub(super) fn put_shared(frame: &mut Vec<u8>, label: &str, prev: &str) {
+        let shared = share(prev, label);
+        let at = frame.len();
+        put_packed(frame, &label[shared..]);
+        frame[at] |= (shared as u8) << 6;
+    }
+
+    /// An entry's owner field as an `RZUC` chunk spells it, behind the
+    /// chunk's previous child label `prev`, which it then replaces.
+    pub(super) fn put_chunk_owner(
+        frame: &mut Vec<u8>,
+        owner: &DomainName,
+        origin: &DomainName,
+        prev: &mut String,
+    ) {
+        if owner.parent() == Some(*origin) {
+            let label = owner.labels()[0];
+            put_shared(frame, label, prev);
+            *prev = label.to_string();
+        } else {
+            frame.push(0);
+            put_name(frame, owner);
+            prev.clear();
+        }
     }
 
     /// Spells a replacement reference from an entry's own index and the
@@ -859,7 +896,8 @@ mod ns_table {
     /// names spelled out, each entry's set referenced by content, each
     /// owner a field when `flags` has the owner-label bit and a name
     /// otherwise (the layout before it), its label packed when `flags`
-    /// has the packed-label bit too. Entry
+    /// has the packed-label bit too, and front-coded when it has the
+    /// front-coded bit as well. Entry
     /// `bad.0`'s reference is replaced by the bytes `bad.1` makes of its
     /// index and the sets defined before it. Returns the frame and, per
     /// entry, `(index, defined)`.
@@ -879,9 +917,11 @@ mod ns_table {
         frame.extend_from_slice(&(snap.len() as u32).to_be_bytes());
         let mut table: HashMap<&[DomainName], u32> = HashMap::new();
         let mut refs = Vec::new();
+        let mut prev = String::new();
         for (i, (owner, ns)) in snap.entries().enumerate() {
-            match flags & 0b100 {
-                0 => put_name(&mut frame, owner),
+            match flags & 0b1_1100 {
+                0b1_1100 => put_chunk_owner(&mut frame, owner, snap.origin(), &mut prev),
+                layout if layout & 0b100 == 0 => put_name(&mut frame, owner),
                 _ => put_owner_field(&mut frame, owner, snap.origin(), flags & 0b1000 != 0),
             }
             let defined = table.len() as u32;
@@ -937,13 +977,15 @@ mod ns_table {
             let _ = decode_snapshot_chunk(&flipped);
 
             // The layout written by hand decodes to the same entries.
-            let (hand, refs) = hand_chunk(&snap, 0b1111, None);
+            let (hand, refs) = hand_chunk(&snap, 0b11111, None);
             prop_assert_eq!(decode_snapshot_chunk(&hand).unwrap().entries, expected);
-            // Without the packed-label bit it is the layout with owner
-            // labels a byte a character, without the owner-label bit too
-            // the table layout with every owner a name, without the
-            // table bit too the pre-table layout: all refused.
-            for flags in [0b0111, 0b0110, 0b011, 0b010, 0b001, 0b000] {
+            // Without the front-coded bit it is the layout with every
+            // label packed whole, without the packed-label bit too the
+            // one with owner labels a byte a character, without the
+            // owner-label bit too the table layout with every owner a
+            // name, without the table bit too the pre-table layout: all
+            // refused.
+            for flags in [0b01111, 0b01110, 0b0111, 0b0110, 0b011, 0b010, 0b001, 0b000] {
                 let (old, _) = hand_chunk(&snap, flags, None);
                 prop_assert_eq!(decode_snapshot_chunk(&old), Err(WireError::BadFlags(flags)));
             }
@@ -955,7 +997,7 @@ mod ns_table {
                 put_leb128(&mut spelled, defined + excess - 1);
                 spelled
             };
-            let (frame, _) = hand_chunk(&snap, 0b1111, Some((bad, &past)));
+            let (frame, _) = hand_chunk(&snap, 0b11111, Some((bad, &past)));
             prop_assert_eq!(
                 decode_snapshot_chunk(&frame),
                 Err(WireError::BadNsRef { index: defined + excess - 1, defined })
@@ -968,7 +1010,7 @@ mod ns_table {
                 spelled.push(0);
                 spelled
             };
-            let (frame, _) = hand_chunk(&snap, 0b1111, Some((bad, &long)));
+            let (frame, _) = hand_chunk(&snap, 0b11111, Some((bad, &long)));
             prop_assert_eq!(
                 decode_snapshot_chunk(&frame),
                 Err(WireError::BadNsRef { index: u32::MAX, defined }),
@@ -1358,8 +1400,9 @@ mod stats_codec {
 }
 
 // Owner fields (`RZU4` deltas and `RZUC` chunks): an owner one label
-// under the frame's origin travels as that label packed in base 38, any
-// other behind the `0x00` escape. Whatever the mix of owners — children
+// under the frame's origin travels as that label packed in base 38 (in
+// a chunk, front-coded against the child owner before it), any other
+// behind the `0x00` escape. Whatever the mix of owners — children
 // of the origin, deeper names, names outside it, one-label names under
 // the root origin, 63-byte labels, children filling a name to 253
 // bytes, and children whose entry defines a set of hosts under them —
@@ -1610,7 +1653,7 @@ mod owner_labels {
             );
             let train = encode_snapshot_chunks(0, &snap, 0, 1 << 16);
             prop_assert_eq!(train.len(), 1);
-            prop_assert_eq!(train[0].to_vec(), hand_chunk(&snap, 0b1111, None).0);
+            prop_assert_eq!(train[0].to_vec(), hand_chunk(&snap, 0b11111, None).0);
         }
 
         #[test]
@@ -1650,7 +1693,7 @@ mod owner_labels {
             chunk.extend_from_slice(&[0; 4 + 8]);
             chunk.extend_from_slice(&1u32.to_be_bytes()); // total
             chunk.extend_from_slice(&0u32.to_be_bytes()); // offset
-            chunk.push(0b1111);
+            chunk.push(0b11111);
             chunk.extend_from_slice(&1u32.to_be_bytes());
             chunk.extend_from_slice(&body);
             prop_assert_eq!(decode_snapshot_chunk(&chunk).err(), refused);
@@ -1658,8 +1701,8 @@ mod owner_labels {
 
         // The garbage properties above, behind a whole header, so the
         // fuzz bytes reach the owner fields: an `RZU4` frame's section
-        // counts and a chunk's flags (owner-label and packed-label bits
-        // set) and count.
+        // counts and a chunk's flags (owner-label, packed-label and
+        // front-coded bits set) and count.
         #[test]
         fn owner_fields_never_panic_behind_valid_headers(
             origin in origin_strategy(),
@@ -1683,10 +1726,190 @@ mod owner_labels {
             chunk.extend_from_slice(&[0; 4 + 8]);
             chunk.extend_from_slice(&count.to_be_bytes()); // total
             chunk.extend_from_slice(&0u32.to_be_bytes()); // offset
-            chunk.push(0b1110 | u8::from(last));
+            chunk.push(0b11110 | u8::from(last));
             chunk.extend_from_slice(&count.to_be_bytes());
             chunk.extend_from_slice(&body);
             let _ = decode_snapshot_chunk(&chunk);
+        }
+    }
+}
+
+// Front-coded `RZUC` owners: in a chunk, a child label shares what it
+// can of its first three characters with the child label before it.
+// Whatever the sorted run — labels of 1 to 63 characters, labels that
+// are prefixes of their successors (and of their predecessors: `ab-c`
+// sorts before `ab`), escaped owners between them — and wherever a
+// chunk starts, the train decodes to the snapshot, assembles through a
+// `SnapshotBuilder` to it, and each chunk is the bytes the layout's
+// rules spell by hand. A field is refused when it spells nothing, when
+// it spells past 63 characters, when it shares more than the label
+// before it has, and when it shares less than the one rule gives; a
+// share above the rule's spells another label or is refused, so a label
+// has one spelling.
+mod front_coding {
+    use super::ns_table::{hand_chunk, put_name, put_packed, share};
+    use super::*;
+    use darkdns::dns::snapshot::SnapshotBuilder;
+    use darkdns::dns::wire::{WireError, SNAPSHOT_CHUNK_MAGIC};
+
+    /// Labels over three symbols, so neighbours share long prefixes: a
+    /// short one, or one up to 63 characters.
+    fn close_label() -> impl Strategy<Value = String> {
+        prop_oneof!["[ab]([ab-]{0,4}[ab])?", "[ab]([ab-]{0,61}[ab])?"]
+    }
+
+    /// `(label, extension, escaped)`: the owner `label`, then `label`
+    /// followed by `extension` when that is a label too, and, when
+    /// `escaped`, `label.x`, two labels under the origin, which sorts
+    /// among them.
+    fn run_strategy() -> impl Strategy<Value = Vec<(String, String, bool)>> {
+        prop::collection::vec((close_label(), "([ab-]{0,3}[ab])?", any::<bool>()), 1..24)
+    }
+
+    fn origin_strategy() -> impl Strategy<Value = DomainName> {
+        prop_oneof![Just(DomainName::root()), name_strategy()]
+    }
+
+    fn snapshot(origin: DomainName, run: &[(String, String, bool)]) -> ZoneSnapshot {
+        let mut owners = Vec::new();
+        for (label, extension, escaped) in run {
+            owners.extend(origin.child(label).ok());
+            owners.extend(origin.child(&format!("{label}{extension}")).ok());
+            if *escaped {
+                owners.extend(origin.child("x").and_then(|o| o.child(label)).ok());
+            }
+        }
+        let entries = owners.into_iter().map(|owner| (owner, vec![])).collect();
+        ZoneSnapshot::from_entries(origin, Serial::new(5), SimTime::from_secs(7), entries)
+    }
+
+    /// A one-chunk train under the root origin: `fields` as its owner
+    /// fields, the first defining an empty set 0, the rest naming it.
+    fn fields_chunk(fields: &[Vec<u8>]) -> Vec<u8> {
+        let count = (fields.len() as u32).to_be_bytes();
+        let mut chunk = SNAPSHOT_CHUNK_MAGIC.to_vec();
+        chunk.extend_from_slice(&0u16.to_be_bytes());
+        put_name(&mut chunk, &DomainName::root());
+        chunk.extend_from_slice(&[0; 4 + 8]);
+        chunk.extend_from_slice(&count); // total
+        chunk.extend_from_slice(&0u32.to_be_bytes()); // offset
+        chunk.push(0b11111);
+        chunk.extend_from_slice(&count);
+        for (i, field) in fields.iter().enumerate() {
+            chunk.extend_from_slice(field);
+            chunk.extend_from_slice(if i == 0 { &[0, 0, 0][..] } else { &[0] });
+        }
+        chunk
+    }
+
+    /// `shared` characters from the label before, `rest` packed.
+    fn field(shared: usize, rest: &str) -> Vec<u8> {
+        let mut field = Vec::new();
+        put_packed(&mut field, rest);
+        field[0] |= (shared as u8) << 6;
+        field
+    }
+
+    proptest! {
+        #[test]
+        fn a_sorted_label_run_round_trips_front_coded_from_any_chunk_start(
+            origin in origin_strategy(),
+            run in run_strategy(),
+            chunk_bytes in 1usize..=96,
+        ) {
+            let snap = snapshot(origin, &run);
+            let expected: Vec<_> = snap.iter().map(|(d, ns)| (d, ns.clone())).collect();
+            let mut builder = SnapshotBuilder::default();
+            for frame in encode_snapshot_chunks(0, &snap, 0, chunk_bytes) {
+                let chunk = decode_snapshot_chunk(&frame).unwrap();
+                prop_assert!(builder.append(chunk.entries).is_ok());
+            }
+            prop_assert_eq!(&builder.finish(origin, snap.serial(), snap.taken_at()), &snap);
+            // Every entry opening a chunk: resumed from each offset, the
+            // tail decodes to the snapshot's.
+            for start in 0..snap.len() {
+                let mut tail = Vec::new();
+                for frame in encode_snapshot_chunks(0, &snap, start, chunk_bytes) {
+                    tail.extend(decode_snapshot_chunk(&frame).unwrap().entries);
+                }
+                prop_assert_eq!(&tail[..], &expected[start..]);
+            }
+            // Escaped owners aside, one chunk is the bytes the layout's
+            // rules spell by hand.
+            let children = snap
+                .iter()
+                .filter(|(owner, _)| owner.parent() == Some(origin))
+                .map(|(owner, _)| (owner, vec![]))
+                .collect();
+            let plain =
+                ZoneSnapshot::from_entries(origin, snap.serial(), snap.taken_at(), children);
+            let train = encode_snapshot_chunks(0, &plain, 0, 1 << 16);
+            prop_assert_eq!(train[0].to_vec(), hand_chunk(&plain, 0b11111, None).0);
+        }
+
+        #[test]
+        fn a_front_coded_owner_is_refused_unless_spelled_the_one_way(
+            before in close_label(),
+            label in close_label(),
+            extra in 1usize..=63,
+        ) {
+            let canonical = share(&before, &label);
+            let first = field(0, &before);
+            let root = |l: &str| DomainName::root().child(l).unwrap();
+            let decoded = |fields: &[Vec<u8>]| -> Result<Vec<DomainName>, WireError> {
+                let chunk = decode_snapshot_chunk(&fields_chunk(fields))?;
+                Ok(chunk.entries.into_iter().map(|(owner, _)| owner).collect())
+            };
+            let spelled = decoded(&[first.clone(), field(canonical, &label[canonical..])]);
+            prop_assert_eq!(spelled, Ok(vec![root(&before), root(&label)]));
+
+            // Nothing spelled behind a share.
+            for shared in 1..=3u8 {
+                prop_assert_eq!(
+                    decoded(&[first.clone(), vec![shared << 6]]),
+                    Err(WireError::EmptyOwnerRest { shared })
+                );
+            }
+            // Shared and spelled characters past 63.
+            let shared = 1 + extra % 3;
+            let rest = "a".repeat((64 - shared).max(extra));
+            prop_assert_eq!(
+                decoded(&[first.clone(), field(shared, &rest)]),
+                Err(WireError::OwnerLabelTooLong { shared: shared as u8, rest: rest.len() as u8 })
+            );
+            // A share past the label before: at the chunk's start, and
+            // past a label shorter than three characters.
+            prop_assert_eq!(
+                decoded(&[field(shared, "a")]),
+                Err(WireError::SharePastPredecessor { shared: shared as u8, predecessor: 0 })
+            );
+            for shared in before.len() + 1..=3 {
+                prop_assert_eq!(
+                    decoded(&[first.clone(), field(shared, "a")]),
+                    Err(WireError::SharePastPredecessor {
+                        shared: shared as u8,
+                        predecessor: before.len() as u8,
+                    })
+                );
+            }
+            // Every other share: below the rule's, the same label is
+            // refused; above it, the field spells another label, or is
+            // refused, but never this one.
+            let others = (0..=3).filter(|&s| s != canonical && s < label.len());
+            for shared in others.filter(|&s| s <= before.len()) {
+                let result = decoded(&[first.clone(), field(shared, &label[shared..])]);
+                if shared < canonical {
+                    prop_assert_eq!(
+                        result,
+                        Err(WireError::NonCanonicalShare {
+                            shared: shared as u8,
+                            canonical: canonical as u8,
+                        })
+                    );
+                } else if let Ok(owners) = result {
+                    prop_assert_ne!(owners[1], root(&label));
+                }
+            }
         }
     }
 }

@@ -312,7 +312,7 @@ impl Endpoints {
 
 #[test]
 fn relay_leaf_cut_mid_chunked_snapshot_resumes_instead_of_restarting() {
-    // A 300-delegation zone bootstraps to the leaf as a train of small
+    // A 450-delegation zone bootstraps to the leaf as a train of small
     // RZUC chunks. The leaf's first connection is cut after three
     // chunks; the reconnect HELLO carries its chunk progress, so the
     // server must resume from entry offset — pinned by the total chunk
@@ -320,7 +320,7 @@ fn relay_leaf_cut_mid_chunked_snapshot_resumes_instead_of_restarting() {
     // (a restart would re-send the three chunks already delivered).
     let tld = TldId(0);
     let root = Broker::new(BrokerConfig::default());
-    root.add_shard(tld, populated_snap(300));
+    root.add_shard(tld, populated_snap(450));
     let root_server = chunky_server_over(&root);
 
     let relay_broker = Broker::new(BrokerConfig::default());
@@ -512,7 +512,7 @@ fn resume_off_the_cached_boundaries_is_encoded_uncached_and_converges() {
     // connection alone — and keep its cached train for everyone else.
     let tld = TldId(0);
     let root = Broker::new(BrokerConfig::default());
-    root.add_shard(tld, populated_snap(300));
+    root.add_shard(tld, populated_snap(450));
     let head = root.head(tld).unwrap();
     let replica_a = server_with_chunk_bytes(&root, 512);
     let replica_b = server_with_chunk_bytes(&root, 700);
@@ -536,7 +536,7 @@ fn resume_off_the_cached_boundaries_is_encoded_uncached_and_converges() {
     let partials = faulty.take_snapshot_progress();
     assert_eq!(partials.len(), 1);
     let held = partials[0].entries_received();
-    assert!(held > 0 && held < 300);
+    assert!(held > 0 && held < 450);
 
     let mut resumed = raw_joiner(&replica_b, tld, MAX_FRAME_LEN, FaultScript::default(), partials);
     assert_eq!(bootstrap(&mut resumed).unwrap(), head, "the resumed train must assemble the head");

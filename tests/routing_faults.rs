@@ -323,7 +323,7 @@ fn drain_mid_chunk_train_finishes_the_train_before_handoff() {
     // successor connect carries the completed claims, so the total
     // chunk count equals one clean bootstrap exactly.
     let tld = TldId(0);
-    let entries: Vec<_> = (0..9000)
+    let entries: Vec<_> = (0..12_000)
         .map(|i| (name(&format!("d{i:05}.com")), vec![name("ns1.provider0.net")]))
         .collect();
     let snap = ZoneSnapshot::from_entries(name("com"), Serial::new(5), SimTime::ZERO, entries);
@@ -813,7 +813,7 @@ fn salvaged_chunk_progress_survives_a_candidate_that_dies_before_the_hello() {
     // the chunks received across both connections equal one clean
     // bootstrap, not the pre-cut chunks plus a whole second train.
     let tld = TldId(0);
-    let entries: Vec<_> = (0..9000)
+    let entries: Vec<_> = (0..12_000)
         .map(|i| (name(&format!("d{i:05}.com")), vec![name("ns1.provider0.net")]))
         .collect();
     let snap = ZoneSnapshot::from_entries(name("com"), Serial::new(5), SimTime::ZERO, entries);

@@ -4,7 +4,7 @@
 //! keyed, `labels()`-walking encoder of PR 12 (commit 46f065f) produced
 //! for the inputs built below; the allocation-free encoder that replaced
 //! it must reproduce every one of them byte for byte; a vector added
-//! with a later layout (`rzu4*`, `rzuc_packed*`, `rzua`) holds the bytes
+//! with a later layout (`rzu4*`, `rzuc_shared*`, `rzua`) holds the bytes
 //! of the encoder that introduced it. Relays re-serve delta frames verbatim
 //! and the benchmark gates `wire_bytes_per_op` exactly, so a codec
 //! "optimisation" that moves a single compression
@@ -37,19 +37,23 @@
 //! `rzu3_big.hex` spelled owner labels a byte a character. A decoder,
 //! the serial peek and a client must refuse each on its magic.
 //!
-//! The chunk family: `rzuc_packed.hex` and `rzuc_packed_resumed.hex` (a
-//! train from offset 0 and from a resume offset), `rzuc_packed_big.hex`
+//! The chunk family: `rzuc_shared.hex` and `rzuc_shared_resumed.hex` (a
+//! train from offset 0 and from a resume offset), `rzuc_shared_big.hex`
 //! (one chunk past 16 KiB, whose late-defined sets are still named by
-//! one byte each) and `rzuc_packed_labels.hex` (the `rzu4_labels`
+//! one byte each) and `rzuc_shared_labels.hex` (the `rzu4_labels`
 //! owners) pin the `RZUC` bytes, flags bits 1 (NS-set table), 2 (owner
-//! labels) and 3 (packed labels) set. The earlier trains are refusal
-//! vectors, each frame refused on its flags byte rather than misread:
-//! `rzuc.hex` and `rzuc_resumed.hex` in the pre-table layout (every
-//! entry's NS set spelled out, bit 1 clear), `rzuc_table.hex`,
-//! `rzuc_table_resumed.hex` and `rzuc_table_big.hex` with the table but
-//! every owner a name (bit 2 clear), and `rzuc_owner.hex`,
-//! `rzuc_owner_resumed.hex` and `rzuc_owner_big.hex` with owner labels
-//! a byte a character (bit 3 clear).
+//! labels), 3 (packed labels) and 4 (front-coded labels: a label shares
+//! up to three leading characters with the child owner before it) set.
+//! The earlier trains are refusal vectors, each frame refused on its
+//! flags byte rather than misread: `rzuc.hex` and `rzuc_resumed.hex` in
+//! the pre-table layout (every entry's NS set spelled out, bit 1 clear),
+//! `rzuc_table.hex`, `rzuc_table_resumed.hex` and `rzuc_table_big.hex`
+//! with the table but every owner a name (bit 2 clear),
+//! `rzuc_owner.hex`, `rzuc_owner_resumed.hex` and `rzuc_owner_big.hex`
+//! with owner labels a byte a character (bit 3 clear), and
+//! `rzuc_packed.hex`, `rzuc_packed_resumed.hex`, `rzuc_packed_big.hex`
+//! and `rzuc_packed_labels.hex` with every label packed whole (bit 4
+//! clear).
 //!
 //! The `rzuh*` vectors pin the HELLO family the same way — bytes from
 //! the three encoders that stood before the upstream-link refactor
@@ -525,10 +529,10 @@ fn vectors() -> Vec<(&'static str, Vec<Vec<u8>>)> {
         ("rzu4_com", vec![rzu4_com()]),
         ("rzu4_big", vec![rzu4_big()]),
         ("rzu4_labels", vec![rzu4_labels()]),
-        ("rzuc_packed", train(snapshot(), 0, 256)),
-        ("rzuc_packed_resumed", train(snapshot(), 29, 256)),
-        ("rzuc_packed_big", train(big_snapshot(), 0, 1 << 20)),
-        ("rzuc_packed_labels", train(label_snapshot(), 0, 128)),
+        ("rzuc_shared", train(snapshot(), 0, 256)),
+        ("rzuc_shared_resumed", train(snapshot(), 29, 256)),
+        ("rzuc_shared_big", train(big_snapshot(), 0, 1 << 20)),
+        ("rzuc_shared_labels", train(label_snapshot(), 0, 128)),
         ("rzul", vec![rzul()]),
         ("rzua", rzua()),
         ("rzuh", vec![encode_hello(&hello(vec![])).to_vec()]),
@@ -631,10 +635,10 @@ fn golden_frames_decode_to_their_inputs() {
     assert_eq!(big.delta.added[650].1.as_slice()[0], name("late.never-a-pointer-target.example"));
 
     for (vector, snap, start) in [
-        ("rzuc_packed", snapshot(), 0usize),
-        ("rzuc_packed_resumed", snapshot(), 29),
-        ("rzuc_packed_big", big_snapshot(), 0),
-        ("rzuc_packed_labels", label_snapshot(), 0),
+        ("rzuc_shared", snapshot(), 0usize),
+        ("rzuc_shared_resumed", snapshot(), 29),
+        ("rzuc_shared_big", big_snapshot(), 0),
+        ("rzuc_shared_labels", label_snapshot(), 0),
     ] {
         let mut offset = start;
         for frame in fixture(vector) {
@@ -869,9 +873,9 @@ fn pre_table_rzuc_frames_are_refused_on_their_flags() {
     // stands. Read as the table layout, the first set's `u16` count
     // would be a reference; the flags byte refuses the frame first.
     assert_refused_on_flags(&["rzuc", "rzuc_resumed"], 0);
-    for vector in ["rzuc_packed", "rzuc_packed_resumed", "rzuc_packed_big", "rzuc_packed_labels"] {
+    for vector in ["rzuc_shared", "rzuc_shared_resumed", "rzuc_shared_big", "rzuc_shared_labels"] {
         for frame in fixture(vector) {
-            assert_eq!(frame[RZUC_FLAGS_AT] & !1, 14, "{vector}");
+            assert_eq!(frame[RZUC_FLAGS_AT] & !1, 30, "{vector}");
         }
     }
 }
@@ -893,6 +897,19 @@ fn plain_label_rzuc_frames_are_refused_on_their_flags() {
     // `domain-01`'s text would be groups out of range or another label;
     // the flags byte refuses the frame first.
     assert_refused_on_flags(&["rzuc_owner", "rzuc_owner_resumed", "rzuc_owner_big"], 6);
+}
+
+#[test]
+fn whole_label_rzuc_frames_are_refused_on_their_flags() {
+    // The trains as the encoder wrote them before front coding: flags
+    // bit 4 clear, each label packed whole. Read as front-coded, a label
+    // sharing characters with the one before would be refused as
+    // spelled the long way and one sharing none would read as it was;
+    // the flags byte refuses the whole frame first.
+    assert_refused_on_flags(
+        &["rzuc_packed", "rzuc_packed_resumed", "rzuc_packed_big", "rzuc_packed_labels"],
+        14,
+    );
 }
 
 /// One entry of an `RZUC` chunk as a walk of its bytes sees it: where
@@ -922,11 +939,12 @@ fn entry_refs(frame: &[u8]) -> Vec<EntryRef> {
     let mut defined = 0;
     let mut refs = Vec::new();
     for _ in 0..count {
-        // The owner field: its packed label under the origin, or the
-        // escape and a name.
+        // The owner field: the packed rest of its label under the
+        // origin (the count in the low six bits, the share in the top
+        // two), or the escape and a name.
         at = match frame[at] {
             0 => skip_name(frame, at + 1),
-            len => at + 1 + (2 * len as usize).div_ceil(3),
+            byte => at + 1 + (2 * (byte & 63) as usize).div_ceil(3),
         };
         let start = at;
         let (mut index, mut shift) = (0u32, 0);
@@ -960,7 +978,7 @@ fn the_big_table_vector_names_late_sets_in_one_byte() {
     // 0x3FFF is a table index like any other, so every later use is one
     // byte where name compression alone spelled its late host out in
     // full each time.
-    let frame = &fixture("rzuc_packed_big")[0];
+    let frame = &fixture("rzuc_shared_big")[0];
     assert!(frame.len() > 0x4000 + 1024, "only {} bytes", frame.len());
     let refs = entry_refs(frame);
     assert_eq!(refs.len(), BIG_EARLY + BIG_LATE);
